@@ -29,8 +29,10 @@ pub struct Counterexample {
     pub perturbation: u64,
     /// The (possibly shrunk) fault schedule.
     pub schedule: Vec<Step>,
-    /// How many servers the case ran with.
+    /// How many servers the case ran with, in total.
     pub n_servers: usize,
+    /// How many replication groups they were placed across.
+    pub shards: u32,
     /// The failure classification.
     pub kind: FailureKind,
     /// Human-readable description of the violation.
@@ -55,6 +57,7 @@ impl Counterexample {
             perturbation: spec.perturbation,
             schedule: spec.schedule.clone(),
             n_servers: options.n_servers,
+            shards: options.shards,
             kind: failure.kind,
             message: failure.message.clone(),
             event_tail: failure.event_tail.clone(),
@@ -88,10 +91,15 @@ impl Counterexample {
         serde::json::from_str(text)
     }
 
-    /// Deterministic file name for this artifact.
+    /// Deterministic file name for this artifact (multi-shard cases say
+    /// so, so sweeps over the same seeds can share a directory).
     pub fn file_name(&self) -> String {
+        let shards = match self.shards {
+            1 => String::new(),
+            s => format!("-s{s}"),
+        };
         format!(
-            "ce-seed{}-p{}-{}.json",
+            "ce-seed{}-p{}{shards}-{}.json",
             self.world_seed, self.perturbation, self.kind
         )
     }
@@ -118,6 +126,7 @@ mod tests {
             perturbation: 2,
             schedule: vec![Step::Split { cut: 2 }, Step::Merge],
             n_servers: 5,
+            shards: 1,
             kind: FailureKind::Consistency,
             message: "total order violated at green position 7".into(),
             event_tail: vec![RecordedEvent {
@@ -146,6 +155,8 @@ mod tests {
     fn file_name_is_deterministic_and_descriptive() {
         let ce = sample();
         assert_eq!(ce.file_name(), "ce-seed1234-p2-consistency.json");
+        let sharded = Counterexample { shards: 2, ..ce };
+        assert_eq!(sharded.file_name(), "ce-seed1234-p2-s2-consistency.json");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct ExploreConfig {
     /// ([`crate::schedule::generate_schedule_with`]). `false` keeps the
     /// historical nemesis distribution bit-for-bit.
     pub storage_faults: bool,
-    /// Per-case runner knobs (replica count, injected chaos).
+    /// Per-case runner knobs (replica and shard counts, injected chaos).
     pub options: RunOptions,
 }
 

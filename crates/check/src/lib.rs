@@ -24,12 +24,13 @@
 //!   schedule to a 1-minimal counterexample, which [`artifact`] packages
 //!   as replayable JSON (seed + schedule + event tail + metrics).
 //!
-//! The [`sharded`] module lifts all three to sharded deployments
-//! ([`todr_harness::sharded`]): the per-group oracles re-run unchanged
-//! on each group's slice of the event log, and a cross-shard
-//! serializability oracle ([`check_shard_trace`]) checks atomicity,
-//! prepare/commit phasing, deterministic timestamp merge and pairwise
-//! commit-order consistency of the router's transaction protocol.
+//! All three serve every shard count: a case runs `S ≥ 1` replication
+//! groups ([`RunOptions::shards`]), the per-group oracles re-run
+//! unchanged on each group's slice of the event log, and with several
+//! groups the cross-shard serializability oracle of the [`sharded`]
+//! module ([`check_shard_trace`]) checks atomicity, prepare/commit
+//! phasing, deterministic timestamp merge and pairwise commit-order
+//! consistency of the router's transaction protocol.
 //!
 //! Everything is deterministic end to end: the same
 //! `(seed, perturbation, schedule)` replays to byte-identical replica
@@ -67,12 +68,8 @@ pub use artifact::Counterexample;
 pub use explorer::{explore, ExploreConfig, ExploreReport};
 pub use oracle::{check_trace, TraceStats, TraceViolation};
 pub use runner::{
-    run_case, tie_break_for, CaseFailure, CasePass, CaseSpec, FailureKind, RunOptions,
+    run_case, tie_break_for, CaseFailure, CasePass, CaseSpec, FailureKind, GroupPass, RunOptions,
 };
 pub use schedule::{generate_schedule, generate_schedule_with, Step};
-pub use sharded::{
-    check_shard_trace, explore_sharded, run_shard_case, shrink_shard_case, ShardCasePass,
-    ShardCounterexample, ShardExploreConfig, ShardExploreReport, ShardRunOptions, ShardTraceStats,
-    ShardTraceViolation,
-};
+pub use sharded::{check_shard_trace, ShardTraceStats, ShardTraceViolation};
 pub use shrink::{ddmin, shrink_case};

@@ -4,7 +4,11 @@
 //! The run protocol is a faithful port of the original
 //! `reconfig_nemesis` test driver — settle, attach one closed-loop
 //! client per replica, apply one [`Step`] per 400 ms, check safety after
-//! every step, heal, drain, then check convergence — but every assertion
+//! every step, heal, drain, then check convergence — at any shard count:
+//! steps name replicas by *flat* index and act on the group that index
+//! lands in, and the convergence and whole-history checks run once per
+//! replication group plus once across groups
+//! ([`crate::check_shard_trace`]). Every assertion
 //! is converted into a typed [`CaseFailure`] so the Explorer can collect
 //! and the Shrinker can minimize failing cases instead of aborting the
 //! process. Engine panics (a protocol-internal `assert!` firing deep in
@@ -15,14 +19,15 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
-use todr_core::EngineState;
+use todr_core::{EngineState, UpdateReplyPolicy};
 use todr_harness::checkers::ConsistencyViolation;
-use todr_harness::client::{ClientConfig, ClosedLoopClient};
+use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_sim::{MetricsExport, RecordedEvent, SimDuration, TieBreak};
 
-use crate::oracle::{self, TraceStats};
+use crate::oracle;
 use crate::schedule::Step;
+use crate::sharded::check_shard_trace;
 
 /// Everything needed to reproduce one case bit-for-bit: the world seed,
 /// the same-instant perturbation index and the fault schedule.
@@ -50,8 +55,18 @@ pub fn tie_break_for(perturbation: u64) -> TieBreak {
 /// Knobs shared by every case of an exploration.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Number of initial replicas.
+    /// Number of initial replicas in total — the flat index space fault
+    /// schedules are drawn over — placed evenly across [`Self::shards`]
+    /// groups.
     pub n_servers: usize,
+    /// Number of replication groups. With more than one, the clients go
+    /// through the shard router with the shard-pool workload and the
+    /// cross-shard serializability oracle becomes active.
+    pub shards: u32,
+    /// Cross-shard fraction of each client's requests, in permille
+    /// (only meaningful with more than one shard) — high by default so
+    /// short schedules exercise the cross-shard protocol densely.
+    pub cross_permille: u32,
     /// EVS message-packing level (`1` = packing off, the historical
     /// wire protocol). Oracles must hold at any level.
     pub max_pack: usize,
@@ -76,12 +91,18 @@ pub struct RunOptions {
     /// (`chaos-mutations` builds only; used by the mutation self-test).
     #[cfg(feature = "chaos-mutations")]
     pub chaos: Option<todr_core::ChaosMutation>,
+    /// The deliberate router invariant breakage to inject
+    /// (`chaos-mutations` builds only; used by the mutation self-test).
+    #[cfg(feature = "chaos-mutations")]
+    pub shard_chaos: Option<todr_shard::ShardChaos>,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             n_servers: 5,
+            shards: 1,
+            cross_permille: 300,
             max_pack: 1,
             checkpoint_interval: 1024,
             fast_path: false,
@@ -89,8 +110,21 @@ impl Default for RunOptions {
             read_leases: false,
             #[cfg(feature = "chaos-mutations")]
             chaos: None,
+            #[cfg(feature = "chaos-mutations")]
+            shard_chaos: None,
         }
     }
+}
+
+/// What one replication group converged to in a passing case.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GroupPass {
+    /// Raw node indices of the group's surviving replicas.
+    pub survivors: Vec<u32>,
+    /// The green count every survivor converged to.
+    pub green_count: u64,
+    /// The database digest every survivor converged to.
+    pub db_digest: u64,
 }
 
 /// What a passing case established. For a fixed [`CaseSpec`] this struct
@@ -98,14 +132,14 @@ impl Default for RunOptions {
 /// the determinism contract the replay tests pin down.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CasePass {
-    /// Raw node indices of the surviving replicas.
-    pub survivors: Vec<u32>,
-    /// The green count every survivor converged to.
-    pub green_count: u64,
-    /// The database digest every survivor converged to.
-    pub db_digest: u64,
-    /// Green positions the trace oracle cross-checked.
+    /// Per-group convergence, indexed by shard id.
+    pub groups: Vec<GroupPass>,
+    /// Green positions the per-group trace oracles cross-checked.
     pub green_positions_agreed: u64,
+    /// Cross-shard transactions fully applied.
+    pub cross_txns: u64,
+    /// Commit-order comparisons the cross-shard oracle performed.
+    pub commit_pairs_checked: u64,
     /// Compact deterministic JSON of the world's metrics export.
     pub metrics_json: String,
 }
@@ -213,14 +247,18 @@ pub fn run_case(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box<C
 
 fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box<CaseFailure>> {
     let n = options.n_servers;
+    let shards = options.shards as usize;
     let builder = ClusterConfig::builder(n as u32, spec.seed)
+        .shards(options.shards)
         .tie_break(tie_break_for(spec.perturbation))
         .packing(options.max_pack)
         .checkpoint_interval(options.checkpoint_interval)
         .fast_path(options.fast_path)
         .read_leases(options.read_leases);
     #[cfg(feature = "chaos-mutations")]
-    let builder = builder.chaos(options.chaos);
+    let builder = builder
+        .chaos(options.chaos)
+        .shard_chaos(options.shard_chaos);
     let config = builder.build().expect("runner config is coherent");
     let mut cluster = Cluster::build(config);
     if let Err(e) = cluster.try_settle() {
@@ -229,8 +267,15 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
     for i in 0..n {
         let mut client_config = ClientConfig::default();
         if options.fast_path {
-            client_config.reply_policy = todr_core::UpdateReplyPolicy::Fast;
+            client_config.reply_policy = UpdateReplyPolicy::Fast;
             client_config.conflict_pct = options.conflict_pct;
+        }
+        if shards > 1 {
+            // Several groups only interact through the router: one
+            // routed shard-pool client per replica.
+            client_config.cross_permille = Some(options.cross_permille);
+            cluster.attach_routed_client(client_config);
+            continue;
         }
         if options.read_leases {
             // Writers draw from the shared Zipfian key space so the
@@ -256,18 +301,21 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
 
     // Legality guards, re-applied here (not trusted from the generator)
     // so arbitrary subsequences and deserialized schedules stay valid.
+    // The join, leave and corruption budgets are per group.
+    let group_of = |server: usize| server / (n / shards);
     let mut crashed = vec![false; n];
     let mut left = vec![false; n];
-    let mut joins = 0usize;
-    let mut leaves = 0usize;
-    let mut corruptions = 0usize;
+    let mut joins = vec![0usize; shards];
+    let mut leaves = vec![0usize; shards];
+    let mut corruptions = vec![0usize; shards];
 
     for step in &spec.schedule {
         match *step {
             Step::Split { cut } => {
                 let cut = cut.clamp(1, n.saturating_sub(1));
                 // Partition only the original indices; later joiners
-                // ride with the first group.
+                // ride with the first set. Each group splits by its own
+                // members: one the cut does not cross stays whole.
                 let mut a: Vec<usize> = (0..cut).collect();
                 a.extend(n..cluster.servers.len());
                 let b: Vec<usize> = (cut..n).collect();
@@ -288,17 +336,18 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
             }
             Step::Join { via } => {
                 // At most 2 joiners; the representative must be healthy.
-                if via < n && joins < 2 && !crashed[via] && !left[via] {
+                if via < n && joins[group_of(via)] < 2 && !crashed[via] && !left[via] {
                     cluster.add_joiner(via);
-                    joins += 1;
+                    joins[group_of(via)] += 1;
                 }
             }
             Step::Leave { server } => {
                 // At most one permanent leave, and never of a crashed
                 // server (administrative removal is tested elsewhere).
-                if server < n && leaves == 0 && !crashed[server] && !left[server] {
+                if server < n && leaves[group_of(server)] == 0 && !crashed[server] && !left[server]
+                {
                     left[server] = true;
-                    leaves += 1;
+                    leaves[group_of(server)] += 1;
                     cluster.leave(server);
                 }
             }
@@ -314,8 +363,8 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
                 // at least one intact durable copy, and a second
                 // corruption could (with bad luck) hit the last one.
                 // A crashed server's disk can still degrade.
-                if server < n && corruptions == 0 && !left[server] {
-                    corruptions += 1;
+                if server < n && corruptions[group_of(server)] == 0 && !left[server] {
+                    corruptions[group_of(server)] += 1;
                     cluster.corrupt_sector(server);
                 }
             }
@@ -327,7 +376,8 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
         }
     }
 
-    // Heal: reconnect and recover everyone entitled to return.
+    // Heal: reconnect and recover everyone entitled to return, drain
+    // the clients and then the router's in-flight transactions.
     cluster.merge_all();
     for i in 0..n {
         if crashed[i] && !left[i] {
@@ -335,76 +385,124 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
         }
     }
     cluster.run_for(SimDuration::from_secs(6));
-    for c in cluster.clients().to_vec() {
-        cluster
-            .world
-            .with_actor(c.actor_id(), |cl: &mut ClosedLoopClient| cl.stop());
-    }
+    cluster.stop_clients();
     cluster.run_for(SimDuration::from_secs(4));
+    if !cluster.run_to_router_quiescence(SimDuration::from_secs(30)) {
+        let stats = cluster.router_stats();
+        return Err(fail(
+            &cluster,
+            FailureKind::Convergence,
+            format!(
+                "router failed to drain after heal: {} cross-shard txns stuck",
+                stats.txns_started - stats.txns_applied
+            ),
+        ));
+    }
     if let Err(v) = cluster.try_check_consistency() {
         return Err(consistency_fail(&cluster, *v));
     }
 
-    // Convergence over the surviving membership: every non-departed
-    // server is a primary member with the same green sequence and
-    // database.
-    let survivors: Vec<usize> = (0..cluster.servers.len())
-        .filter(|&i| cluster.engine_state(i) != EngineState::Down)
-        .collect();
-    if survivors.len() < 2 {
-        return Err(fail(
-            &cluster,
-            FailureKind::Convergence,
-            format!("only {} survivors after heal", survivors.len()),
-        ));
-    }
-    let g0 = cluster.green_count(survivors[0]);
-    let d0 = cluster.db_digest(survivors[0]);
-    for &i in &survivors {
-        let state = cluster.engine_state(i);
-        if state != EngineState::RegPrim {
+    // Convergence over each group's surviving membership: every
+    // non-departed server is a primary member with the same green
+    // sequence and database.
+    let label = |g: usize| match shards {
+        1 => String::new(),
+        _ => format!("group {g}: "),
+    };
+    let mut groups = Vec::with_capacity(shards);
+    for g in 0..shards {
+        let survivors: Vec<usize> = (0..cluster.servers.len())
+            .filter(|&i| {
+                cluster.servers[i].group as usize == g
+                    && cluster.engine_state(i) != EngineState::Down
+            })
+            .collect();
+        if survivors.len() < 2 {
             return Err(fail(
                 &cluster,
                 FailureKind::Convergence,
-                format!("survivor {i} in state {state:?} after heal, not RegPrim"),
+                format!("{}only {} survivors after heal", label(g), survivors.len()),
             ));
         }
-        let g = cluster.green_count(i);
-        if g != g0 {
-            return Err(fail(
-                &cluster,
-                FailureKind::Convergence,
-                format!("survivor {i} green count {g} != {g0}"),
-            ));
+        let g0 = cluster.green_count(survivors[0]);
+        let d0 = cluster.db_digest(survivors[0]);
+        for &i in &survivors {
+            let state = cluster.engine_state(i);
+            if state != EngineState::RegPrim {
+                return Err(fail(
+                    &cluster,
+                    FailureKind::Convergence,
+                    format!("survivor {i} in state {state:?} after heal, not RegPrim"),
+                ));
+            }
+            let g = cluster.green_count(i);
+            if g != g0 {
+                return Err(fail(
+                    &cluster,
+                    FailureKind::Convergence,
+                    format!("survivor {i} green count {g} != {g0}"),
+                ));
+            }
+            let d = cluster.db_digest(i);
+            if d != d0 {
+                return Err(fail(
+                    &cluster,
+                    FailureKind::Convergence,
+                    format!("survivor {i} database digest diverged"),
+                ));
+            }
         }
-        let d = cluster.db_digest(i);
-        if d != d0 {
-            return Err(fail(
-                &cluster,
-                FailureKind::Convergence,
-                format!("survivor {i} database digest diverged"),
-            ));
-        }
+        groups.push(GroupPass {
+            // Ascending: within a group, flat order is node-id order.
+            survivors: survivors
+                .iter()
+                .map(|&i| cluster.servers[i].node.index())
+                .collect(),
+            green_count: g0,
+            db_digest: d0,
+        });
     }
 
-    // Whole-history oracles over the typed event log.
-    let survivor_nodes: BTreeSet<u32> = survivors
-        .iter()
-        .map(|&i| cluster.servers[i].node.index())
-        .collect();
-    let stats: TraceStats =
-        match oracle::check_trace(cluster.world.metrics().events(), &survivor_nodes) {
-            Ok(stats) => stats,
+    // Whole-history oracles over the typed event log: per group on the
+    // group's own slice (node ids restart at 0 in every group), then the
+    // cross-shard one over the merged history — vacuous with one group,
+    // which never emits a `CrossShard*` event. The router drained, so
+    // every started transaction must have applied.
+    let events = cluster.world.metrics().events();
+    let mut green_positions_agreed = 0;
+    for (g, group) in groups.iter().enumerate() {
+        let scope = cluster
+            .world
+            .actor_scope(cluster.servers[g * (n / shards)].engine);
+        let group_events: Vec<RecordedEvent> = events
+            .iter()
+            .filter(|rec| rec.group == scope)
+            .cloned()
+            .collect();
+        let survivor_nodes: BTreeSet<u32> = group.survivors.iter().copied().collect();
+        match oracle::check_trace(&group_events, &survivor_nodes) {
+            Ok(stats) => green_positions_agreed += stats.green_positions_agreed,
             Err(v) => {
-                return Err(fail(&cluster, FailureKind::TraceOracle, v.to_string()));
+                return Err(fail(
+                    &cluster,
+                    FailureKind::TraceOracle,
+                    format!("{}{v}", label(g)),
+                ));
             }
-        };
+        }
+    }
+    let shard_stats = match check_shard_trace(events, true) {
+        Ok(stats) => stats,
+        Err(v) => {
+            return Err(fail(&cluster, FailureKind::TraceOracle, v.to_string()));
+        }
+    };
 
     Ok(CasePass {
-        survivors: survivor_nodes.into_iter().collect(),
-        green_count: g0,
-        db_digest: d0,
-        green_positions_agreed: stats.green_positions_agreed,
+        groups,
+        green_positions_agreed,
+        cross_txns: shard_stats.txns_applied,
+        commit_pairs_checked: shard_stats.commit_pairs_checked,
         metrics_json: cluster.metrics_export().to_json(),
     })
 }

@@ -1,19 +1,16 @@
-//! Sharded-cluster checking: the Explorer's run protocol and oracles
-//! lifted to `S` replication groups behind a
-//! [`ShardRouter`](todr_shard::ShardRouter).
+//! The cross-shard serializability oracle.
 //!
-//! Per group, nothing new is needed — Theorem 1 holds independently in
-//! every group, so [`run_shard_case`] re-runs the existing state
-//! invariants ([`todr_harness::checkers`], via
-//! [`ShardedCluster::try_check_consistency`]) and the whole-history
-//! trace oracle ([`crate::oracle::check_trace`]) once per group, on the
-//! group's own slice of the typed event log (filtered by the
-//! [`RecordedEvent::group`] metric scope: node ids restart at 0 in
+//! Per group, a sharded deployment needs nothing new — Theorem 1 holds
+//! independently in every group, so [`crate::run_case`] re-runs the
+//! existing state invariants ([`todr_harness::checkers`]) and the
+//! whole-history trace oracle ([`crate::oracle::check_trace`]) once per
+//! group, on the group's own slice of the typed event log (filtered by
+//! the [`RecordedEvent::group`] metric scope: node ids restart at 0 in
 //! every group, so the merged log would alias replicas across groups).
 //!
-//! What *is* new is the cross-shard serializability oracle,
-//! [`check_shard_trace`]: a pure function over the router's
-//! `CrossShard*` protocol events that checks, for the whole history,
+//! What *is* new is [`check_shard_trace`]: a pure function over the
+//! router's `CrossShard*` protocol events that checks, for the whole
+//! history,
 //!
 //! * **atomicity** — a transaction only ever touches the groups it
 //!   declared, and is reported applied exactly when every participant
@@ -28,26 +25,11 @@
 //!   property the router's per-shard FIFO commit barrier exists to
 //!   enforce — the `SkipCommitBarrier` chaos mutation breaks exactly
 //!   this, and the mutation self-test proves this oracle catches it.
-//!
-//! [`explore_sharded`] sweeps `(seed, perturbation)` pairs exactly like
-//! [`crate::explore`], drawing each fault schedule from the same
-//! nemesis distribution (steps name replicas by *flat* index, mapped
-//! onto `(group, replica)`; join/leave/storage steps degrade to quiet
-//! ones, since the sharded harness scripts partitions and crashes
-//! only), and [`ddmin`]s every failing schedule to 1-minimal form.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
-use todr_core::EngineState;
-use todr_harness::sharded::{ShardClientConfig, ShardedCluster, ShardedConfig};
-use todr_sim::{ProtocolEvent, RecordedEvent, SimDuration, SimRng};
-
-use crate::oracle;
-use crate::runner::{tie_break_for, CaseFailure, CaseSpec, FailureKind, EVENT_TAIL};
-use crate::schedule::{generate_schedule_with, Step};
-use crate::shrink::ddmin;
+use todr_sim::{ProtocolEvent, RecordedEvent};
 
 // ------------------------------------------------------------
 // The cross-shard trace oracle
@@ -344,522 +326,6 @@ pub fn check_shard_trace(
         }
     }
     Ok(stats)
-}
-
-// ------------------------------------------------------------
-// The sharded case runner
-// ------------------------------------------------------------
-
-/// Knobs shared by every case of a sharded exploration.
-#[derive(Debug, Clone)]
-pub struct ShardRunOptions {
-    /// Number of replication groups.
-    pub shards: u32,
-    /// Replicas in every group.
-    pub replicas_per_shard: u32,
-    /// EVS message-packing level (per group).
-    pub max_pack: usize,
-    /// Engine auto-checkpoint period in green actions.
-    pub checkpoint_interval: u64,
-    /// Cross-shard fraction of each client's requests, in permille —
-    /// high by default so short schedules exercise the cross-shard
-    /// protocol densely.
-    pub cross_permille: u32,
-    /// Run every group with the commutativity fast path on and submit
-    /// single-shard updates with `Fast` policy: the per-group fast
-    /// oracles ([`crate::oracle::check_trace`]'s `FastCommit*` clauses)
-    /// and the cross-shard serializability oracle must both hold.
-    pub fast_path: bool,
-    /// The deliberate router invariant breakage to inject
-    /// (`chaos-mutations` builds only; used by the mutation self-test).
-    #[cfg(feature = "chaos-mutations")]
-    pub shard_chaos: Option<todr_shard::ShardChaos>,
-}
-
-impl Default for ShardRunOptions {
-    fn default() -> Self {
-        ShardRunOptions {
-            shards: 2,
-            replicas_per_shard: 3,
-            max_pack: 1,
-            checkpoint_interval: 1024,
-            cross_permille: 300,
-            fast_path: false,
-            #[cfg(feature = "chaos-mutations")]
-            shard_chaos: None,
-        }
-    }
-}
-
-impl ShardRunOptions {
-    /// Total replicas across all groups (the flat index space fault
-    /// schedules are drawn over).
-    pub fn total_replicas(&self) -> usize {
-        (self.shards * self.replicas_per_shard) as usize
-    }
-}
-
-/// What a passing sharded case established. Byte-identical across runs
-/// of the same `(spec, options)` — the determinism contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCasePass {
-    /// Converged green count of every group, indexed by shard id.
-    pub green_counts: Vec<u64>,
-    /// Converged database digest of every group, indexed by shard id.
-    pub db_digests: Vec<u64>,
-    /// Cross-shard transactions fully applied.
-    pub cross_txns: u64,
-    /// Green positions the per-group trace oracles cross-checked.
-    pub green_positions_agreed: u64,
-    /// Commit-order comparisons the cross-shard oracle performed.
-    pub commit_pairs_checked: u64,
-    /// Compact deterministic JSON of the world's metrics export.
-    pub metrics_json: String,
-}
-
-fn fail(cluster: &ShardedCluster, kind: FailureKind, message: String) -> Box<CaseFailure> {
-    let events = cluster.world.metrics().events();
-    let tail_from = events.len().saturating_sub(EVENT_TAIL);
-    Box::new(CaseFailure {
-        kind,
-        message,
-        event_tail: events[tail_from..].to_vec(),
-        metrics: Some(cluster.metrics_export()),
-    })
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs one sharded case to completion: settle, one closed-loop shard
-/// client per replica, one [`Step`] per 400 ms (flat replica indices
-/// mapped onto `(group, replica)`; see the module docs for the step
-/// semantics), heal, drain the router, then per-group convergence, the
-/// per-group trace oracle, and the cross-shard serializability oracle.
-///
-/// Deterministic: the same `(spec, options)` always produces the same
-/// result, byte for byte.
-///
-/// # Errors
-///
-/// Returns a [`CaseFailure`] classifying the first property violation,
-/// including protocol-internal panics.
-pub fn run_shard_case(
-    spec: &CaseSpec,
-    options: &ShardRunOptions,
-) -> Result<ShardCasePass, Box<CaseFailure>> {
-    match catch_unwind(AssertUnwindSafe(|| run_shard_case_inner(spec, options))) {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(Box::new(CaseFailure {
-            kind: FailureKind::Panic,
-            message: panic_message(payload),
-            event_tail: Vec::new(),
-            metrics: None,
-        })),
-    }
-}
-
-fn run_shard_case_inner(
-    spec: &CaseSpec,
-    options: &ShardRunOptions,
-) -> Result<ShardCasePass, Box<CaseFailure>> {
-    let per_group = options.replicas_per_shard as usize;
-    let total = options.total_replicas();
-    let n_groups = options.shards as usize;
-    let locate = |flat: usize| (flat / per_group, flat % per_group);
-
-    let builder = ShardedConfig::builder(options.shards, options.replicas_per_shard, spec.seed)
-        .tie_break(tie_break_for(spec.perturbation))
-        .packing(options.max_pack)
-        .fast_path(options.fast_path)
-        .checkpoint_interval(options.checkpoint_interval);
-    #[cfg(feature = "chaos-mutations")]
-    let builder = builder.shard_chaos(options.shard_chaos);
-    let config = builder.build().expect("sharded runner config is coherent");
-    let mut cluster = ShardedCluster::build(config);
-    if let Err(e) = cluster.try_settle() {
-        return Err(fail(&cluster, FailureKind::Settle, e.to_string()));
-    }
-    let client_config = ShardClientConfig {
-        cross_permille: options.cross_permille,
-        fast_single: options.fast_path,
-        ..ShardClientConfig::default()
-    };
-    for _ in 0..total {
-        cluster.attach_client(client_config.clone());
-    }
-    cluster.run_for(SimDuration::from_millis(400));
-
-    // Legality guards, re-applied here (not trusted from the generator)
-    // so arbitrary subsequences and deserialized schedules stay valid.
-    let mut crashed = vec![false; total];
-
-    for step in &spec.schedule {
-        match *step {
-            Step::Split { cut } => {
-                // One flat cut, applied to every group it crosses:
-                // groups entirely on one side stay whole, the group the
-                // cut lands in splits. Other groups' fabrics are
-                // independent, so this exercises partial-deployment
-                // partitions.
-                let cut = cut.clamp(1, total.saturating_sub(1));
-                for g in 0..n_groups {
-                    let (a, b): (Vec<usize>, Vec<usize>) =
-                        (0..per_group).partition(|&i| g * per_group + i < cut);
-                    let sets: Vec<Vec<usize>> =
-                        [a, b].into_iter().filter(|s| !s.is_empty()).collect();
-                    cluster.partition(g, &sets);
-                }
-            }
-            Step::Merge => {
-                for g in 0..n_groups {
-                    cluster.merge_all(g);
-                }
-            }
-            Step::Crash { server } | Step::CrashTorn { server } => {
-                // The sharded harness crashes torn or clean per the base
-                // config, exactly like `Cluster::crash`.
-                if server < total && !crashed[server] {
-                    crashed[server] = true;
-                    let (g, i) = locate(server);
-                    cluster.crash(g, i);
-                }
-            }
-            Step::Recover { server } => {
-                if server < total && crashed[server] {
-                    crashed[server] = false;
-                    let (g, i) = locate(server);
-                    cluster.recover(g, i);
-                }
-            }
-            // Online joins, permanent leaves and media faults are not
-            // scripted on the sharded harness — those flows are
-            // per-group identical to the plain cluster and covered by
-            // the unsharded sweeps. Degrading (rather than rejecting)
-            // keeps every subsequence of a generated schedule legal,
-            // which ddmin soundness requires.
-            Step::Join { .. } | Step::Leave { .. } | Step::CorruptSector { .. } => {}
-            Step::Quiet => {}
-        }
-        cluster.run_for(SimDuration::from_millis(400));
-        if let Err(v) = cluster.try_check_consistency() {
-            return Err(Box::new(CaseFailure {
-                kind: FailureKind::Consistency,
-                message: v.error.to_string(),
-                event_tail: v.recent_events,
-                metrics: Some(cluster.metrics_export()),
-            }));
-        }
-    }
-
-    // Heal: reconnect and recover everyone, drain the clients and then
-    // the router's in-flight cross-shard transactions.
-    for g in 0..n_groups {
-        cluster.merge_all(g);
-    }
-    for (flat, was_crashed) in crashed.iter().enumerate() {
-        if *was_crashed {
-            let (g, i) = locate(flat);
-            cluster.recover(g, i);
-        }
-    }
-    cluster.run_for(SimDuration::from_secs(6));
-    cluster.stop_clients();
-    cluster.run_for(SimDuration::from_secs(4));
-    if !cluster.run_to_router_quiescence(SimDuration::from_secs(30)) {
-        let pending = cluster.router_pending();
-        return Err(fail(
-            &cluster,
-            FailureKind::Convergence,
-            format!("router failed to drain after heal: {pending} cross-shard txns stuck"),
-        ));
-    }
-    if let Err(v) = cluster.try_check_consistency() {
-        return Err(Box::new(CaseFailure {
-            kind: FailureKind::Consistency,
-            message: v.error.to_string(),
-            event_tail: v.recent_events,
-            metrics: Some(cluster.metrics_export()),
-        }));
-    }
-
-    // Per-group convergence and per-group whole-history oracles.
-    let all_events = cluster.world.metrics().events().to_vec();
-    let mut green_counts = Vec::with_capacity(n_groups);
-    let mut db_digests = Vec::with_capacity(n_groups);
-    let mut green_positions_agreed = 0u64;
-    for g in 0..n_groups {
-        let views = cluster.group_views(g);
-        let survivors: Vec<_> = views
-            .iter()
-            .filter(|v| v.state != EngineState::Down)
-            .collect();
-        if survivors.len() < 2 {
-            return Err(fail(
-                &cluster,
-                FailureKind::Convergence,
-                format!("group {g}: only {} survivors after heal", survivors.len()),
-            ));
-        }
-        let g0 = survivors[0].green_count;
-        let d0 = survivors[0].db_digest;
-        for v in &survivors {
-            if v.state != EngineState::RegPrim {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!(
-                        "group {g} replica {} in state {:?} after heal, not RegPrim",
-                        v.node.index(),
-                        v.state
-                    ),
-                ));
-            }
-            if v.green_count != g0 {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!(
-                        "group {g} replica {} green count {} != {g0}",
-                        v.node.index(),
-                        v.green_count
-                    ),
-                ));
-            }
-            if v.db_digest != d0 {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!(
-                        "group {g} replica {} database digest diverged",
-                        v.node.index()
-                    ),
-                ));
-            }
-        }
-        let scope = cluster.groups[g].scope;
-        let group_events: Vec<RecordedEvent> = all_events
-            .iter()
-            .filter(|rec| rec.group == scope)
-            .cloned()
-            .collect();
-        let survivor_nodes: BTreeSet<u32> = survivors.iter().map(|v| v.node.index()).collect();
-        match oracle::check_trace(&group_events, &survivor_nodes) {
-            Ok(stats) => green_positions_agreed += stats.green_positions_agreed,
-            Err(v) => {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::TraceOracle,
-                    format!("group {g}: {v}"),
-                ));
-            }
-        }
-        green_counts.push(g0);
-        db_digests.push(d0);
-    }
-
-    // The cross-shard serializability oracle, over the merged history
-    // (the router's events carry scope 0; the oracle only reads the
-    // `CrossShard*` kinds). The router drained, so every started
-    // transaction must have applied.
-    let shard_stats = match check_shard_trace(&all_events, true) {
-        Ok(stats) => stats,
-        Err(v) => {
-            return Err(fail(&cluster, FailureKind::TraceOracle, v.to_string()));
-        }
-    };
-
-    Ok(ShardCasePass {
-        green_counts,
-        db_digests,
-        cross_txns: shard_stats.txns_applied,
-        green_positions_agreed,
-        commit_pairs_checked: shard_stats.commit_pairs_checked,
-        metrics_json: cluster.metrics_export().to_json(),
-    })
-}
-
-/// Shrinks a failing sharded case's schedule to a 1-minimal failing
-/// schedule, keeping the seed and perturbation fixed (the sharded
-/// counterpart of [`crate::shrink_case`]; sound for the same reason —
-/// the runner re-applies every legality guard, so any subsequence of a
-/// valid schedule is valid).
-pub fn shrink_shard_case(spec: &CaseSpec, options: &ShardRunOptions) -> CaseSpec {
-    let schedule: Vec<Step> = ddmin(&spec.schedule, |candidate| {
-        let candidate_spec = CaseSpec {
-            seed: spec.seed,
-            perturbation: spec.perturbation,
-            schedule: candidate.to_vec(),
-        };
-        run_shard_case(&candidate_spec, options).is_err()
-    });
-    CaseSpec {
-        seed: spec.seed,
-        perturbation: spec.perturbation,
-        schedule,
-    }
-}
-
-// ------------------------------------------------------------
-// The sharded explorer
-// ------------------------------------------------------------
-
-/// Parameters of one sharded exploration sweep.
-#[derive(Debug, Clone)]
-pub struct ShardExploreConfig {
-    /// First explorer seed (each derives one world seed + schedule).
-    pub seed_start: u64,
-    /// Number of consecutive explorer seeds to sweep.
-    pub seed_count: u64,
-    /// Perturbation indices `0..perturbations` to run each schedule
-    /// under (clamped to at least 1, i.e. the FIFO baseline).
-    pub perturbations: u64,
-    /// Whether to delta-debug failing schedules to 1-minimal form.
-    pub shrink: bool,
-    /// Per-case runner knobs (shard count, cross-shard fraction,
-    /// injected router chaos).
-    pub options: ShardRunOptions,
-}
-
-impl Default for ShardExploreConfig {
-    fn default() -> Self {
-        ShardExploreConfig {
-            seed_start: 0,
-            seed_count: 4,
-            perturbations: 2,
-            shrink: true,
-            options: ShardRunOptions::default(),
-        }
-    }
-}
-
-/// A replayable sharded counterexample: the spec plus its failure
-/// classification ([`artifact::Counterexample`](crate::Counterexample)
-/// is typed to the unsharded [`crate::RunOptions`], so sharded findings
-/// get their own, structurally identical artifact).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardCounterexample {
-    /// The explorer seed that drew this schedule.
-    pub explorer_seed: u64,
-    /// The world seed.
-    pub world_seed: u64,
-    /// The tie-break perturbation index.
-    pub perturbation: u64,
-    /// The (shrunk) fault schedule.
-    pub schedule: Vec<Step>,
-    /// What class of property broke.
-    pub kind: FailureKind,
-    /// Human-readable description of the violation.
-    pub message: String,
-}
-
-impl ShardCounterexample {
-    /// Reconstructs the case spec this artifact pins down.
-    pub fn spec(&self) -> CaseSpec {
-        CaseSpec {
-            seed: self.world_seed,
-            perturbation: self.perturbation,
-            schedule: self.schedule.clone(),
-        }
-    }
-
-    /// Re-runs the counterexample under the given options.
-    ///
-    /// # Errors
-    ///
-    /// Fails (again) with the reproduced [`CaseFailure`] — a genuine
-    /// counterexample replayed under its original options never passes.
-    pub fn replay(&self, options: &ShardRunOptions) -> Result<ShardCasePass, Box<CaseFailure>> {
-        run_shard_case(&self.spec(), options)
-    }
-}
-
-/// The outcome of a sharded exploration sweep.
-#[derive(Debug, Clone)]
-pub struct ShardExploreReport {
-    /// Total `(seed, perturbation)` cases run.
-    pub cases_run: u64,
-    /// Cases that passed every oracle.
-    pub passed: u64,
-    /// One (shrunk) replayable artifact per failing case.
-    pub failures: Vec<ShardCounterexample>,
-}
-
-impl ShardExploreReport {
-    /// True when every case passed.
-    pub fn all_passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Runs a sharded sweep, mirroring [`crate::explore`]: one fault
-/// schedule per explorer seed (drawn over the flat replica index
-/// space), run under each requested tie-break perturbation, with every
-/// failing case [`ddmin`]ed to 1-minimal form. Deterministic: identical
-/// configs produce identical reports.
-///
-/// `progress` is called once per finished case with
-/// `(explorer_seed, perturbation, passed)`.
-pub fn explore_sharded(
-    config: &ShardExploreConfig,
-    mut progress: impl FnMut(u64, u64, bool),
-) -> ShardExploreReport {
-    let mut cases_run = 0u64;
-    let mut passed = 0u64;
-    let mut failures = Vec::new();
-    for explorer_seed in config.seed_start..config.seed_start.saturating_add(config.seed_count) {
-        let mut rng = SimRng::new(explorer_seed);
-        let world_seed = rng.gen_range(1_000_000);
-        let schedule = generate_schedule_with(&mut rng, config.options.total_replicas(), false);
-        for perturbation in 0..config.perturbations.max(1) {
-            let spec = CaseSpec {
-                seed: world_seed,
-                perturbation,
-                schedule: schedule.clone(),
-            };
-            cases_run += 1;
-            match run_shard_case(&spec, &config.options) {
-                Ok(_) => {
-                    passed += 1;
-                    progress(explorer_seed, perturbation, true);
-                }
-                Err(failure) => {
-                    progress(explorer_seed, perturbation, false);
-                    let (min_spec, min_failure) = if config.shrink {
-                        let shrunk = shrink_shard_case(&spec, &config.options);
-                        match run_shard_case(&shrunk, &config.options) {
-                            Err(f) => (shrunk, f),
-                            // Unreachable for a deterministic runner,
-                            // but never discard a real finding over it.
-                            Ok(_) => (spec.clone(), failure),
-                        }
-                    } else {
-                        (spec.clone(), failure)
-                    };
-                    failures.push(ShardCounterexample {
-                        explorer_seed,
-                        world_seed: min_spec.seed,
-                        perturbation: min_spec.perturbation,
-                        schedule: min_spec.schedule,
-                        kind: min_failure.kind,
-                        message: min_failure.message,
-                    });
-                }
-            }
-        }
-    }
-    ShardExploreReport {
-        cases_run,
-        passed,
-        failures,
-    }
 }
 
 #[cfg(test)]

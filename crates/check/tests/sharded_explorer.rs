@@ -1,13 +1,21 @@
-//! The sharded Explorer over fault schedules: partitions and crashes
-//! against a 2×3 sharded deployment with a dense cross-shard workload,
-//! every oracle armed — per-group safety, per-group whole-history trace
-//! properties, router drain, and the cross-shard serializability
-//! oracle.
+//! The Explorer over fault schedules against a 2×3 sharded deployment
+//! with a dense cross-shard workload — partitions, crashes, online joins
+//! and permanent leaves, each landing in the group its flat replica
+//! index names — every oracle armed: per-group safety, per-group
+//! whole-history trace properties, router drain, and the cross-shard
+//! serializability oracle.
 
-use todr_check::{
-    explore_sharded, run_shard_case, tie_break_for, CaseSpec, ShardExploreConfig, ShardRunOptions,
-};
+use todr_check::{explore, run_case, tie_break_for, CaseSpec, ExploreConfig, RunOptions};
 use todr_sim::{SimRng, TieBreak};
+
+/// Two groups of three replicas.
+fn sharded_options() -> RunOptions {
+    RunOptions {
+        n_servers: 6,
+        shards: 2,
+        ..RunOptions::default()
+    }
+}
 
 #[test]
 #[cfg_attr(
@@ -15,14 +23,14 @@ use todr_sim::{SimRng, TieBreak};
     ignore = "slow under debug profile; run with --release"
 )]
 fn sharded_sweep_passes_every_oracle() {
-    let config = ShardExploreConfig {
+    let config = ExploreConfig {
         seed_start: 0,
         seed_count: 3,
         perturbations: 2,
-        shrink: true,
-        options: ShardRunOptions::default(),
+        options: sharded_options(),
+        ..ExploreConfig::default()
     };
-    let report = explore_sharded(&config, |seed, pert, passed| {
+    let report = explore(&config, |seed, pert, passed| {
         eprintln!(
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
@@ -57,7 +65,7 @@ fn sharded_case_is_deterministic_under_both_tie_breaks() {
     let mut rng = SimRng::new(11);
     let world_seed = rng.gen_range(1_000_000);
     let schedule = todr_check::generate_schedule_with(&mut rng, 6, false);
-    let options = ShardRunOptions::default();
+    let options = sharded_options();
     for perturbation in 0..2u64 {
         assert!(matches!(
             tie_break_for(perturbation),
@@ -68,9 +76,9 @@ fn sharded_case_is_deterministic_under_both_tie_breaks() {
             perturbation,
             schedule: schedule.clone(),
         };
-        let first = run_shard_case(&spec, &options)
-            .unwrap_or_else(|f| panic!("pert {perturbation} failed: {f}"));
-        let second = run_shard_case(&spec, &options)
+        let first =
+            run_case(&spec, &options).unwrap_or_else(|f| panic!("pert {perturbation} failed: {f}"));
+        let second = run_case(&spec, &options)
             .unwrap_or_else(|f| panic!("pert {perturbation} replay failed: {f}"));
         assert_eq!(
             first, second,
@@ -98,17 +106,17 @@ fn sharded_sweep_passes_with_the_fast_path_on() {
     // while cross-shard transactions keep the full prepare/commit
     // path. Both oracle families must hold — the per-group fast-commit
     // clauses and the cross-shard serializability oracle.
-    let config = ShardExploreConfig {
+    let config = ExploreConfig {
         seed_start: 0,
         seed_count: 3,
         perturbations: 2,
-        shrink: true,
-        options: ShardRunOptions {
+        options: RunOptions {
             fast_path: true,
-            ..ShardRunOptions::default()
+            ..sharded_options()
         },
+        ..ExploreConfig::default()
     };
-    let report = explore_sharded(&config, |seed, pert, passed| {
+    let report = explore(&config, |seed, pert, passed| {
         eprintln!(
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
@@ -139,16 +147,16 @@ fn sharded_fast_path_actually_fast_commits() {
     // genuine fast commits in the groups — otherwise the sweep above
     // would be vacuous — and still satisfy every oracle, including
     // cross-shard serializability over the mixed workload.
-    let options = ShardRunOptions {
+    let options = RunOptions {
         fast_path: true,
-        ..ShardRunOptions::default()
+        ..sharded_options()
     };
     let spec = CaseSpec {
         seed: 7,
         perturbation: 0,
         schedule: Vec::new(),
     };
-    let pass = run_shard_case(&spec, &options).unwrap_or_else(|f| panic!("quiet case failed: {f}"));
+    let pass = run_case(&spec, &options).unwrap_or_else(|f| panic!("quiet case failed: {f}"));
     assert!(pass.cross_txns > 0, "workload produced no cross-shard txns");
     // The counter only materializes on its first increment, so its
     // presence in the export proves fast commits happened.

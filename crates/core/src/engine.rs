@@ -12,7 +12,7 @@ use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
 use todr_net::{Datagram, NetOp, NodeId};
 use todr_sim::{
     Actor, ActorId, CpuMeter, Ctx, EventColor, Payload, ProtocolEvent, ReadTier, SimDuration,
-    SimTime, TraceLevel,
+    SimTime,
 };
 use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, SyncToken};
 
@@ -889,7 +889,6 @@ impl ReplicationEngine {
         // The joiner's green line starts at the join action itself.
         self.green_lines.insert(joiner, self.green_count);
         self.persist_membership_records();
-        ctx.trace("engine", format!("{} joined the replica set", joiner));
         if action_id.server == self.cfg.me {
             // I am the representative: ship the database.
             self.send_snapshot_to(ctx, joiner);
@@ -908,14 +907,8 @@ impl ReplicationEngine {
         // does not need a majority the departed member can no longer
         // help form (capped at one per incarnation — see
         // `PrimComponent::note_departure` for the safety argument).
-        if self.prim_component.note_departure(leaver) {
-            ctx.trace(
-                "engine",
-                format!("{leaver} discounted from the primary quorum base"),
-            );
-        }
+        self.prim_component.note_departure(leaver);
         self.persist_membership_records();
-        ctx.trace("engine", format!("{} left the replica set", leaver));
         if leaver == self.cfg.me {
             // "if (Action.leave_id == serverId) exit"
             self.departed = true;
@@ -1495,13 +1488,7 @@ impl ReplicationEngine {
             }
             // NonPrim ignores transitional configurations (A.1); the
             // remaining states cannot see one.
-            _ => {
-                ctx.trace_at(
-                    TraceLevel::Debug,
-                    "engine",
-                    format!("trans conf ignored in {:?}", self.state),
-                );
-            }
+            _ => {}
         }
     }
 
@@ -1536,11 +1523,6 @@ impl ReplicationEngine {
 
     fn on_state_msg(&mut self, ctx: &mut Ctx<'_>, sm: StateMsg) {
         if self.state != EngineState::ExchangeStates {
-            ctx.trace_at(
-                TraceLevel::Debug,
-                "engine",
-                format!("state msg ignored in {:?}", self.state),
-            );
             return;
         }
         let conf = self.conf.as_ref().expect("in a configuration");
@@ -1663,7 +1645,6 @@ impl ReplicationEngine {
 
     fn on_green_snapshot(
         &mut self,
-        ctx: &mut Ctx<'_>,
         db: Database,
         green_count: u64,
         green_cut: BTreeMap<NodeId, u64>,
@@ -1672,13 +1653,6 @@ impl ReplicationEngine {
         if green_count <= self.green_count {
             return; // we are at least as advanced
         }
-        ctx.trace(
-            "engine",
-            format!(
-                "adopting green snapshot at {} (green {} -> {})",
-                self.cfg.me, self.green_count, green_count
-            ),
-        );
         self.adopt_base(db, green_count, green_cut);
         for (server, line) in green_lines {
             let entry = self.green_lines.entry(server).or_insert(0);
@@ -1856,13 +1830,7 @@ impl ReplicationEngine {
                     self.state = EngineState::Un;
                 }
             }
-            _ => {
-                ctx.trace_at(
-                    TraceLevel::Debug,
-                    "engine",
-                    format!("CPC ignored in {:?}", self.state),
-                );
-            }
+            _ => {}
         }
     }
 
@@ -1931,16 +1899,6 @@ impl ReplicationEngine {
         self.stats.primaries_installed += 1;
         ctx.metrics().incr("engine.primaries_installed", 1);
         self.persist_membership_records();
-        ctx.trace(
-            "engine",
-            format!(
-                "{} installed primary #{} (attempt {}, members {:?})",
-                self.cfg.me,
-                self.prim_component.prim_index,
-                self.prim_component.attempt_index,
-                self.prim_component.servers
-            ),
-        );
     }
 
     // ============================================================
@@ -1982,7 +1940,7 @@ impl ReplicationEngine {
             } => {
                 let (db, green_count) = (db.clone(), *green_count);
                 let (green_cut, green_lines) = (green_cut.clone(), green_lines.clone());
-                self.on_green_snapshot(ctx, db, green_count, green_cut, green_lines);
+                self.on_green_snapshot(db, green_count, green_cut, green_lines);
             }
             EngineMsg::RetransDone { server } => {
                 let server = *server;
@@ -2276,15 +2234,6 @@ impl ReplicationEngine {
                     // our state message — a member already in
                     // `Construct` could then deliver it before the full
                     // CPC set. Hold them until the next install.
-                    ctx.trace_at(
-                        TraceLevel::Debug,
-                        "engine",
-                        format!(
-                            "{} deferring {} submitted action(s) across a view change",
-                            self.cfg.me,
-                            actions.len()
-                        ),
-                    );
                     self.deferred_submits.extend(actions);
                 }
             }
@@ -2316,10 +2265,6 @@ impl ReplicationEngine {
                 if self.state == EngineState::Joining {
                     self.state = EngineState::NonPrim;
                     ctx.send_now(self.evs, EvsCmd::JoinGroup);
-                    ctx.trace(
-                        "engine",
-                        format!("{} finished bootstrap, joining group", self.cfg.me),
-                    );
                 }
             }
             AfterSync::Noop => {}
@@ -2383,14 +2328,6 @@ impl ReplicationEngine {
     }
 
     fn crash(&mut self, ctx: &mut Ctx<'_>, torn: bool) {
-        ctx.trace(
-            "engine",
-            format!(
-                "{} crashed{}",
-                self.cfg.me,
-                if torn { " (torn write)" } else { "" }
-            ),
-        );
         ctx.emit(ProtocolEvent::EngineCrashed {
             node: self.cfg.me.index(),
         });
@@ -2449,15 +2386,8 @@ impl ReplicationEngine {
             StorageFault::BitFlip => self.store.inject_bit_flip(ctx.fault_rng()),
             StorageFault::StaleSector => self.store.inject_stale_sector(ctx.fault_rng()),
         };
-        if let Some(hit) = injected {
+        if injected.is_some() {
             ctx.metrics().incr("storage.faults_injected", 1);
-            ctx.trace(
-                "engine",
-                format!(
-                    "{} storage fault injected: {fault:?} at log record {}",
-                    self.cfg.me, hit.index
-                ),
-            );
         }
     }
 
@@ -2485,11 +2415,6 @@ impl ReplicationEngine {
             node: self.cfg.me.index(),
             log_index: error.log_index(),
         });
-        ctx.trace_at(
-            TraceLevel::Warn,
-            "engine",
-            format!("{} fail-stop on recovery: {error}", self.cfg.me),
-        );
         self.recovery_error = Some(error);
         self.state = EngineState::Down;
     }
@@ -2516,13 +2441,6 @@ impl ReplicationEngine {
                         node: self.cfg.me.index(),
                         log_index: fault.index,
                     });
-                    ctx.trace(
-                        "engine",
-                        format!(
-                            "{} truncated torn log tail at record {}",
-                            self.cfg.me, fault.index
-                        ),
-                    );
                 } else {
                     // Mid-log corruption, or an epoch regression (stale
                     // sector) even at the tail: a tail record from the
@@ -2634,16 +2552,6 @@ impl ReplicationEngine {
         self.persist_ongoing();
         self.request_sync(ctx, AfterSync::Noop);
         ctx.send_now(self.evs, EvsCmd::Restart);
-        ctx.trace(
-            "engine",
-            format!(
-                "{} recovered: green {}, red {}, vulnerable {}",
-                self.cfg.me,
-                self.green_count,
-                self.red_set.len(),
-                self.vulnerable.valid
-            ),
-        );
         ctx.emit(ProtocolEvent::EngineRecovered {
             node: self.cfg.me.index(),
             green: self.green_count,
@@ -2710,13 +2618,6 @@ impl ReplicationEngine {
                 if self.state != EngineState::Joining {
                     return;
                 }
-                ctx.trace(
-                    "engine",
-                    format!(
-                        "{} received transfer from {} at green {}",
-                        self.cfg.me, src, green_count
-                    ),
-                );
                 self.adopt_base(db.clone(), *green_count, red_cut.clone());
                 self.green_lines = green_lines.clone();
                 self.green_lines.insert(self.cfg.me, self.green_count);

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use todr_net::{Datagram, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration, TraceLevel};
+use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration};
 
 use crate::channel::{LinkFrame, LinkLayer};
 use crate::fd::FailureDetector;
@@ -84,13 +84,6 @@ pub struct EvsConfig {
     /// (members / frame rate), which matters when few clients drive a
     /// large cluster.
     pub ack_deadline: SimDuration,
-    /// Test-only: re-create the historical per-recipient fan-out (a
-    /// fresh frame allocation per destination) instead of sharing one
-    /// `Rc` across the multicast. The two paths are deterministically
-    /// identical — the determinism suite proves it by comparing
-    /// `MetricsExport`s — so this knob exists purely as the comparison
-    /// baseline.
-    pub clone_fanout: bool,
     /// Emit an [`EvsEvent::Receipt`] the moment a sequenced message is
     /// held locally (its agreed-order position is fixed), one stability
     /// round before the safe [`EvsEvent::Deliver`] for the same
@@ -123,7 +116,6 @@ impl Default for EvsConfig {
             pack_window: SimDuration::from_micros(500),
             cumulative_ack_threshold: 16,
             ack_deadline: SimDuration::from_micros(1200),
-            clone_fanout: false,
             eager_receipts: false,
             lease_heartbeats: false,
         }
@@ -370,19 +362,6 @@ impl EvsDaemon {
         // waste); so does loopback, which the fabric never drops.
         let reliable = self.config.reliable_links && !matches!(wire, EvsWire::Heartbeat { .. });
         if !reliable {
-            if self.config.clone_fanout {
-                // Comparison baseline: one freshly allocated frame per
-                // destination. The fabric draws its per-destination
-                // latencies in the same order either way, so this path
-                // is deterministically identical to the shared one.
-                for &dst in dsts.iter() {
-                    ctx.send_now(
-                        self.fabric,
-                        NetOp::unicast(self.me, dst, Rc::new(wire.clone()), size),
-                    );
-                }
-                return;
-            }
             ctx.send_now(
                 self.fabric,
                 NetOp::multicast_shared(self.me, dsts, Rc::new(wire), size),
@@ -502,7 +481,6 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::RegConf(c) => {
-                ctx.trace("evs", format!("install {c}"));
                 ctx.metrics().incr("evs.views_installed", 1);
                 ctx.emit(ProtocolEvent::ViewInstalled {
                     node: self.me.index(),
@@ -512,7 +490,6 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::TransConf(c) => {
-                ctx.trace_at(TraceLevel::Debug, "evs", format!("transitional {c}"));
                 ctx.metrics().incr("evs.transitional_confs", 1);
                 ctx.emit(ProtocolEvent::TransitionalConfig {
                     node: self.me.index(),
@@ -539,11 +516,6 @@ impl EvsDaemon {
         self.stats.gathers_started += 1;
         ctx.metrics().incr("evs.gathers_started", 1);
         let proposal = self.fd.reachable(ctx.now());
-        ctx.trace_at(
-            TraceLevel::Debug,
-            "evs",
-            format!("gather attempt {} proposal {:?}", self.attempt, proposal),
-        );
         let mut gather = GatherState::new(self.attempt, self.me, proposal.clone());
         // Carry forward what peers already announced: a restart must not
         // forget Joins that arrived moments ago, or two nodes can each
@@ -583,11 +555,6 @@ impl EvsDaemon {
         }
         let membership: Vec<NodeId> = gather.proposal.iter().copied().collect();
         let attempt = gather.attempt;
-        ctx.trace_at(
-            TraceLevel::Debug,
-            "evs",
-            format!("flush starts for {membership:?}"),
-        );
         let mut flush = FlushState::new(attempt, membership.clone());
         // Adopt any flush reports that raced ahead of our own phase
         // change.

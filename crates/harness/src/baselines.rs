@@ -53,7 +53,7 @@ impl TpcCluster {
         let id = todr_core::ClientId(self.clients.len() as u32 + 1);
         let client = self.world.add_actor(
             format!("client-{}", id.0),
-            ClosedLoopClient::new(id, self.servers[idx], config),
+            ClosedLoopClient::new(id, self.servers[idx], 1, config),
         );
         self.world.schedule_now(client, StartClient);
         self.clients.push(client);
@@ -163,7 +163,7 @@ impl CorelCluster {
         let id = todr_core::ClientId(self.clients.len() as u32 + 1);
         let client = self.world.add_actor(
             format!("client-{}", id.0),
-            ClosedLoopClient::new(id, self.servers[idx], config),
+            ClosedLoopClient::new(id, self.servers[idx], 1, config),
         );
         self.world.schedule_now(client, StartClient);
         self.clients.push(client);

@@ -358,22 +358,19 @@ pub fn check_white_line(views: &[ReplicaView]) {
 }
 
 /// Runs every safety check against the live (non-crashed, non-joining)
-/// replicas of the cluster, returning what was covered or a violation
-/// carrying the recent typed protocol events.
+/// replicas of the cluster, one replication group at a time (node ids
+/// restart at 0 in every group, and Theorem 1 holds per group),
+/// returning what was covered or a violation carrying the offending
+/// group's recent typed protocol events.
 pub fn try_check_consistency(
     cluster: &mut Cluster,
 ) -> Result<ConsistencyReport, Box<ConsistencyViolation>> {
-    let views: Vec<ReplicaView> = collect_views(cluster)
-        .into_iter()
-        .filter(|v| !matches!(v.state, EngineState::Down | EngineState::Joining))
-        .collect();
-    if views.is_empty() {
-        return Ok(ConsistencyReport {
-            replicas_checked: 0,
-            min_green: 0,
-            max_green: 0,
-            positions_compared: 0,
-        });
+    let groups: Vec<u32> = cluster.servers.iter().map(|s| s.group).collect();
+    let mut live: Vec<Vec<ReplicaView>> = vec![Vec::new(); cluster.config().shards as usize];
+    for (view, group) in collect_views(cluster).into_iter().zip(groups) {
+        if !matches!(view.state, EngineState::Down | EngineState::Joining) {
+            live[group as usize].push(view);
+        }
     }
     let run = |views: &[ReplicaView]| -> Result<u64, ConsistencyError> {
         let compared = verify_total_order(views)?;
@@ -382,24 +379,40 @@ pub fn try_check_consistency(
         verify_single_primary(views)?;
         Ok(compared)
     };
-    match run(&views) {
-        Ok(positions_compared) => Ok(ConsistencyReport {
-            replicas_checked: views.len(),
-            min_green: views.iter().map(|v| v.green_count).min().unwrap_or(0),
-            max_green: views.iter().map(|v| v.green_count).max().unwrap_or(0),
-            positions_compared,
-        }),
-        Err(error) => {
-            let events = cluster.world.metrics().events();
-            let tail_from = events
-                .len()
-                .saturating_sub(ConsistencyViolation::EVENT_TAIL);
-            Err(Box::new(ConsistencyViolation {
-                error,
-                recent_events: events[tail_from..].to_vec(),
-            }))
+    let mut positions_compared = 0;
+    for (group, views) in live.iter().enumerate() {
+        match run(views) {
+            Ok(compared) => positions_compared += compared,
+            Err(error) => {
+                let member = cluster.servers.iter().find(|s| s.group as usize == group);
+                let scope = cluster
+                    .world
+                    .actor_scope(member.expect("every group has a server").engine);
+                let mut recent_events: Vec<RecordedEvent> = cluster
+                    .world
+                    .metrics()
+                    .events()
+                    .iter()
+                    .rev()
+                    .filter(|e| e.group == scope)
+                    .take(ConsistencyViolation::EVENT_TAIL)
+                    .cloned()
+                    .collect();
+                recent_events.reverse();
+                return Err(Box::new(ConsistencyViolation {
+                    error,
+                    recent_events,
+                }));
+            }
         }
     }
+    let greens = || live.iter().flatten().map(|v| v.green_count);
+    Ok(ConsistencyReport {
+        replicas_checked: greens().count(),
+        min_green: greens().min().unwrap_or(0),
+        max_green: greens().max().unwrap_or(0),
+        positions_compared,
+    })
 }
 
 /// Panicking wrapper over [`try_check_consistency`].

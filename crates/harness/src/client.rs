@@ -7,6 +7,7 @@ use todr_core::{
     ClientId, ClientReply, ClientRequest, QuerySemantics, ReadConsistency, RequestId,
     UpdateReplyPolicy,
 };
+use todr_db::keys::shard_of;
 use todr_db::{Op, Query, Value};
 use todr_sim::{Actor, ActorId, Ctx, Payload, SimTime};
 
@@ -55,6 +56,15 @@ pub struct ClientConfig {
     /// Zipfian-skewed key space instead of the per-client/hot-key
     /// scheme.
     pub zipfian: Option<ZipfianKeys>,
+    /// When set, the client runs the shard-pool workload: every request
+    /// draws a shard uniformly and a key from that shard's pool (so the
+    /// shard each request lands on is explicit rather than an accident
+    /// of hashing), and out of every 1000 requests this many are
+    /// cross-shard transactions — two puts on two distinct shards,
+    /// always submitted [`UpdateReplyPolicy::OnGreen`]. With one shard
+    /// everything is single-shard by construction. Such a client must
+    /// be routed ([`crate::cluster::Cluster::attach_routed_client`]).
+    pub cross_permille: Option<u32>,
 }
 
 /// Zipfian key-popularity model for YCSB-style workloads. Sampling is
@@ -111,6 +121,7 @@ impl Default for ClientConfig {
             conflict_pct: 0,
             read_pct: 0,
             zipfian: None,
+            cross_permille: None,
         }
     }
 }
@@ -137,10 +148,33 @@ pub struct ClientStats {
     pub read_latency: LatencyStats,
 }
 
-/// A closed-loop client attached to one replication server.
+/// How many pre-computed keys each shard's pool holds.
+const POOL_KEYS: usize = 8;
+
+/// Scans key names (`x0`, `x1`, …) until every shard's pool holds
+/// `per_shard` keys proven to hash there. Total over the key space by
+/// construction; terminates because FNV-1a spreads short ascii keys
+/// across residues quickly.
+fn key_pools(shards: u32, per_shard: usize) -> Vec<Vec<String>> {
+    let mut pools: Vec<Vec<String>> = vec![Vec::new(); shards as usize];
+    let mut j = 0u64;
+    while pools.iter().any(|p| p.len() < per_shard) {
+        let key = format!("x{j}");
+        let s = shard_of("bench", &key, shards) as usize;
+        if pools[s].len() < per_shard {
+            pools[s].push(key);
+        }
+        j += 1;
+    }
+    pools
+}
+
+/// A closed-loop client attached to one replication server, or to the
+/// shard router in front of all of them.
 pub struct ClosedLoopClient {
     id: ClientId,
-    engine: ActorId,
+    /// Where requests go: a replica's engine or the shard router.
+    target: ActorId,
     config: ClientConfig,
     next_request: u64,
     stats: ClientStats,
@@ -152,21 +186,30 @@ pub struct ClosedLoopClient {
     outstanding_read_at: Option<SimTime>,
     /// Precomputed Zipfian CDF over key ranks (empty when uniform).
     zipf_cdf: Vec<f64>,
+    /// `pools[s]` holds keys proven (via [`shard_of`]) to live on shard
+    /// `s` (empty outside the shard-pool workload).
+    pools: Vec<Vec<String>>,
 }
 
 impl ClosedLoopClient {
-    /// Creates a client; send it [`StartClient`] to begin.
-    pub fn new(id: ClientId, engine: ActorId, config: ClientConfig) -> Self {
+    /// Creates a client sending to `target` in a deployment of `shards`
+    /// shards; send it [`StartClient`] to begin.
+    pub fn new(id: ClientId, target: ActorId, shards: u32, config: ClientConfig) -> Self {
         let zipf_cdf = config.zipfian.as_ref().map(|z| z.cdf()).unwrap_or_default();
+        let pools = match config.cross_permille {
+            Some(_) => key_pools(shards, POOL_KEYS),
+            None => Vec::new(),
+        };
         ClosedLoopClient {
             id,
-            engine,
+            target,
             config,
             next_request: 0,
             stats: ClientStats::default(),
             running: false,
             outstanding_read_at: None,
             zipf_cdf,
+            pools,
         }
     }
 
@@ -182,11 +225,27 @@ impl ClosedLoopClient {
         self.running = false;
     }
 
-    /// The key the current request targets. With a Zipfian model the
+    /// The shard-pool workload's only "randomness": a pure function of
+    /// (client id, request number), so runs replay exactly.
+    fn pool_hash(&self) -> u64 {
+        splitmix64((u64::from(self.id.0) << 32) | self.next_request)
+    }
+
+    /// The shard the current shard-pool request's (first) key lives on.
+    fn pool_shard(&self, h: u64) -> usize {
+        ((h >> 10) % self.pools.len() as u64) as usize
+    }
+
+    /// The key the current request targets. The shard-pool workload
+    /// draws a shard, then a key from its pool; with a Zipfian model the
     /// key space is shared and skew-sampled; otherwise hot-key requests
     /// are spread evenly through the run (deterministic, so replays and
     /// cross-config comparisons stay exact).
     fn pick_key(&self) -> String {
+        if !self.pools.is_empty() {
+            let h = self.pool_hash();
+            return self.pools[self.pool_shard(h)][((h >> 32) as usize) % POOL_KEYS].clone();
+        }
         if !self.zipf_cdf.is_empty() {
             let h = splitmix64(self.id.0 as u64 ^ self.next_request.rotate_left(17));
             // Top 11 bits discarded: f64 holds 53 mantissa bits.
@@ -199,6 +258,20 @@ impl ClosedLoopClient {
         } else {
             format!("c{}-{}", self.id.0, self.next_request % 64)
         }
+    }
+
+    /// The second shard and put of a cross-shard transaction, when the
+    /// shard-pool workload makes the current request one.
+    fn cross_shard_put(&self) -> Option<Op> {
+        let shards = self.pools.len();
+        let h = self.pool_hash();
+        if shards < 2 || h % 1000 >= u64::from(self.config.cross_permille?) {
+            return None;
+        }
+        let hop = 1 + ((h >> 20) % (shards as u64 - 1)) as usize;
+        let shard_b = (self.pool_shard(h) + hop) % shards;
+        let key_b = self.pools[shard_b][((h >> 40) as usize) % POOL_KEYS].clone();
+        Some(Op::put("bench", key_b, Value::Int((h >> 48) as i64)))
     }
 
     fn build_update(&self) -> Op {
@@ -243,19 +316,28 @@ impl ClosedLoopClient {
             }
         } else {
             self.outstanding_read_at = None;
+            // Cross-shard transactions always take the router's full
+            // prepare/commit path, whatever the single-shard policy.
+            let (update, reply_policy) = match self.cross_shard_put() {
+                Some(second) => (
+                    Op::Batch(vec![self.build_update(), second]),
+                    UpdateReplyPolicy::OnGreen,
+                ),
+                None => (self.build_update(), self.config.reply_policy),
+            };
             ClientRequest {
                 request: RequestId(self.next_request),
                 client: self.id,
                 reply_to: ctx.self_id(),
                 query: None,
-                update: self.build_update(),
+                update,
                 query_semantics: QuerySemantics::Strict,
                 read_consistency: None,
-                reply_policy: self.config.reply_policy,
+                reply_policy,
                 size_bytes: self.config.action_bytes,
             }
         };
-        ctx.send_now(self.engine, req);
+        ctx.send_now(self.target, req);
     }
 
     fn note_read_done(&mut self, now: SimTime, issued_at: SimTime) {
@@ -325,5 +407,23 @@ impl std::fmt::Debug for ClosedLoopClient {
             .field("id", &self.id)
             .field("committed", &self.stats.committed)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_pools_are_on_their_shard() {
+        for shards in [1u32, 2, 4, 8] {
+            let pools = key_pools(shards, POOL_KEYS);
+            for (s, pool) in pools.iter().enumerate() {
+                assert_eq!(pool.len(), POOL_KEYS);
+                for key in pool {
+                    assert_eq!(shard_of("bench", key, shards), s as u32);
+                }
+            }
+        }
     }
 }

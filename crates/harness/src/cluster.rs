@@ -1,5 +1,39 @@
 //! Builds and drives a full simulated deployment of the replication
-//! engine.
+//! engine: `S ≥ 1` independent replication groups — each an unchanged
+//! engine + EVS group — inside a single deterministic [`World`], fronted
+//! by one [`ShardRouter`] once a client asks to be routed.
+//!
+//! With one group (the paper's deployment, and the default) the actors
+//! report into the root metric scope and clients usually attach to a
+//! replica directly ([`Cluster::attach_client`]). With `S > 1` every
+//! group lives in its own metric scope (`g0.`, `g1.`, …), so one
+//! [`MetricsExport`](todr_sim::MetricsExport) shows per-group counters
+//! side by side, and in its own [`NetFabric`]: replicas of one group
+//! never even see frames of another — the topology the genuine partial
+//! replication literature calls for, where a replica only pays for the
+//! shards it hosts. Replicas are addressed by one flat index
+//! (group-major), so every fault-scripting call works unchanged at any
+//! shard count.
+//!
+//! ```
+//! use todr_harness::client::ClientConfig;
+//! use todr_harness::cluster::{Cluster, ClusterConfig};
+//! use todr_sim::SimDuration;
+//!
+//! // Two groups of three replicas behind the shard router.
+//! let config = ClusterConfig::builder(6, 42).shards(2).build().unwrap();
+//! let mut cluster = Cluster::build(config);
+//! cluster.settle();
+//! let client = cluster.attach_routed_client(ClientConfig {
+//!     cross_permille: Some(100),
+//!     ..ClientConfig::default()
+//! });
+//! cluster.run_for(SimDuration::from_secs(1));
+//! cluster.stop_clients();
+//! assert!(cluster.run_to_router_quiescence(SimDuration::from_secs(10)));
+//! assert!(cluster.client_stats(client).committed > 0);
+//! cluster.check_consistency();
+//! ```
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use todr_core::{EngineConfig, EngineCtl, EngineState, ReplicationEngine, StorageFault};
 use todr_evs::{EvsCmd, EvsConfig, EvsDaemon};
 use todr_net::{NetConfig, NetFabric, NodeId};
+use todr_shard::{RouterStats, ShardRouter, ShardRouterConfig, ShardTopology};
 use todr_sim::{ActorId, SimDuration, SimTime, TieBreak, World};
 use todr_storage::{DiskActor, DiskMode, DiskOp, StorageHandle};
 
@@ -31,14 +66,14 @@ pub enum BackendKind {
     File,
 }
 
-/// Monotonic counter making concurrent clusters' storage roots unique
-/// (shared with [`crate::sharded`]).
-pub(crate) static NEXT_STORAGE_ROOT: AtomicU64 = AtomicU64::new(0);
+/// Monotonic counter making concurrent clusters' storage roots unique.
+static NEXT_STORAGE_ROOT: AtomicU64 = AtomicU64::new(0);
 
 /// Construction parameters for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of initial replicas.
+    /// Number of initial replicas, in total across all groups (placed
+    /// evenly: `n_servers / shards` per group).
     pub n_servers: u32,
     /// World seed.
     pub seed: u64,
@@ -67,10 +102,6 @@ pub struct ClusterConfig {
     /// all-ack at every scale — the comparison baseline for the scale
     /// sweep's gap attribution.
     pub cumulative_ack_threshold: usize,
-    /// Fan multicasts out as per-destination clones instead of one
-    /// shared frame (see `EvsConfig::clone_fanout`; determinism-
-    /// equivalence testing only).
-    pub clone_fanout: bool,
     /// Auto-checkpoint period of every engine, in green actions (`0`
     /// disables white-line garbage collection).
     pub checkpoint_interval: u64,
@@ -110,11 +141,19 @@ pub struct ClusterConfig {
     pub max_retained_bodies: usize,
     /// Stable-storage backend for every server (see [`BackendKind`]).
     pub backend: BackendKind,
+    /// Number of shards (= independent replication groups, each with its
+    /// own network fabric). `1` is the paper's single-group deployment.
+    pub shards: u32,
     /// Deliberate engine invariant breakage injected into every server
     /// (`chaos-mutations` builds only; used by the `todr-check`
     /// mutation self-test).
     #[cfg(feature = "chaos-mutations")]
     pub chaos: Option<todr_core::ChaosMutation>,
+    /// Deliberate cross-shard protocol breakage injected into the
+    /// router (`chaos-mutations` builds only; used by the `todr-check`
+    /// mutation self-test).
+    #[cfg(feature = "chaos-mutations")]
+    pub shard_chaos: Option<todr_shard::ShardChaos>,
 }
 
 impl ClusterConfig {
@@ -134,7 +173,6 @@ impl ClusterConfig {
             reliable_links: false,
             max_pack: 1,
             cumulative_ack_threshold: EvsConfig::default().cumulative_ack_threshold,
-            clone_fanout: false,
             checkpoint_interval: 1024,
             weights: std::collections::BTreeMap::new(),
             tie_break: TieBreak::Fifo,
@@ -144,8 +182,11 @@ impl ClusterConfig {
             lease_duration: SimDuration::from_millis(60),
             max_retained_bodies: 1 << 16,
             backend: BackendKind::Sim,
+            shards: 1,
             #[cfg(feature = "chaos-mutations")]
             chaos: None,
+            #[cfg(feature = "chaos-mutations")]
+            shard_chaos: None,
         }
     }
 
@@ -184,6 +225,51 @@ impl ClusterConfig {
             return Err(InvalidClusterConfig(
                 "a cluster needs at least one server".into(),
             ));
+        }
+        if self.shards == 0 {
+            return Err(InvalidClusterConfig(
+                "a cluster needs at least one shard".into(),
+            ));
+        }
+        if !self.n_servers.is_multiple_of(self.shards) {
+            return Err(InvalidClusterConfig(format!(
+                "{} replicas cannot be placed evenly across {} shards; \
+                 n_servers must be a multiple of the shard count",
+                self.n_servers, self.shards
+            )));
+        }
+        if self.shards > 1 && self.read_leases {
+            return Err(InvalidClusterConfig(
+                "read leases cannot be combined with more than one shard: no \
+                 sweep covers lease reads routed across groups"
+                    .into(),
+            ));
+        }
+        if self.shards > 1 && !self.weights.is_empty() {
+            return Err(InvalidClusterConfig(
+                "voting weights cannot be combined with more than one shard: \
+                 they name servers of a single group"
+                    .into(),
+            ));
+        }
+        #[cfg(feature = "chaos-mutations")]
+        {
+            if self.chaos.is_some() && self.shards > 1 {
+                return Err(InvalidClusterConfig(
+                    "engine chaos mutations cannot be combined with more than one \
+                     shard: they break single-group invariants the per-group \
+                     oracles own; use shard_chaos to break the cross-shard \
+                     protocol instead"
+                        .into(),
+                ));
+            }
+            if self.shard_chaos.is_some() && self.shards < 2 {
+                return Err(InvalidClusterConfig(
+                    "shard_chaos needs at least two shards: the cross-shard \
+                     commit barrier it breaks never engages with one group"
+                        .into(),
+                ));
+            }
         }
         let loss = self.net.loss_probability;
         if !(0.0..1.0).contains(&loss) {
@@ -360,13 +446,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Fans multicasts out as per-destination clones instead of one
-    /// shared frame (determinism-equivalence testing only).
-    pub fn clone_fanout(mut self, on: bool) -> Self {
-        self.cfg.clone_fanout = on;
-        self
-    }
-
     /// Sets the engines' auto-checkpoint period in green actions (`0`
     /// disables white-line garbage collection).
     pub fn checkpoint_interval(mut self, interval: u64) -> Self {
@@ -431,11 +510,27 @@ impl ClusterConfigBuilder {
         self
     }
 
+    /// Places the replicas evenly across `shards` independent
+    /// replication groups (validated in [`build`](Self::build); see
+    /// [`ClusterConfig::shards`]).
+    pub fn shards(mut self, shards: u32) -> Self {
+        self.cfg.shards = shards;
+        self
+    }
+
     /// Injects a deliberate engine invariant breakage into every server
     /// (`chaos-mutations` builds only).
     #[cfg(feature = "chaos-mutations")]
     pub fn chaos(mut self, chaos: Option<todr_core::ChaosMutation>) -> Self {
         self.cfg.chaos = chaos;
+        self
+    }
+
+    /// Injects a deliberate cross-shard protocol breakage into the
+    /// router (`chaos-mutations` builds only).
+    #[cfg(feature = "chaos-mutations")]
+    pub fn shard_chaos(mut self, chaos: Option<todr_shard::ShardChaos>) -> Self {
+        self.cfg.shard_chaos = chaos;
         self
     }
 
@@ -489,7 +584,8 @@ impl std::error::Error for SettleTimeout {}
 /// One server's actor handles.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerHandles {
-    /// The server's node id.
+    /// The server's node id (unique within its group; ids restart at 0
+    /// in every group).
     pub node: NodeId,
     /// Its EVS daemon.
     pub daemon: ActorId,
@@ -497,18 +593,27 @@ pub struct ServerHandles {
     pub disk: ActorId,
     /// Its replication engine.
     pub engine: ActorId,
+    /// The replication group (= shard) it belongs to.
+    pub group: u32,
+    /// Its group's private network fabric.
+    pub fabric: ActorId,
 }
 
-/// A fully wired simulated deployment: fabric, disks, EVS daemons,
-/// replication engines and (optionally) clients, all inside one
-/// deterministic [`World`].
+/// A fully wired simulated deployment: per-group fabrics, disks, EVS
+/// daemons, replication engines and (optionally) a shard router and
+/// clients, all inside one deterministic [`World`].
 pub struct Cluster {
     /// The simulation world (exposed for advanced scripting).
     pub world: World,
-    /// The shared network fabric.
-    pub fabric: ActorId,
-    /// Per-server handles, indexed by server number.
+    /// Per-server handles by flat server index: the initial replicas
+    /// group-major (`n_servers / shards` per group), then online joiners
+    /// in arrival order.
     pub servers: Vec<ServerHandles>,
+    /// Each group's fabric, indexed by group.
+    fabrics: Vec<ActorId>,
+    /// The shard router, created when the first client asks to be
+    /// routed.
+    router: Option<ActorId>,
     config: ClusterConfig,
     clients: Vec<ClientHandle>,
     /// Per-cluster directory holding every server's file-backed store
@@ -517,15 +622,19 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds the deployment and joins every server to the group (but
+    /// Builds the deployment and joins every server to its group (but
     /// does not advance time — call [`Cluster::settle`]).
     ///
     /// # Panics
     ///
-    /// Panics if the file backend is selected and its storage root
-    /// cannot be created (set `TODR_STORAGE_DIR` to relocate it off
-    /// the default OS temp dir).
+    /// Panics if the config fails [`ClusterConfig::validate`], or if the
+    /// file backend is selected and its storage root cannot be created
+    /// (set `TODR_STORAGE_DIR` to relocate it off the default OS temp
+    /// dir).
     pub fn build(config: ClusterConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let storage_root = match config.backend {
             BackendKind::Sim => None,
             BackendKind::File => {
@@ -546,32 +655,43 @@ impl Cluster {
         let mut world = World::new(config.seed);
         world.set_event_limit(500_000_000);
         world.set_tie_break(config.tie_break);
-        let fabric = world.add_actor("net", NetFabric::new(config.net.clone()));
-        let nodes: Vec<NodeId> = (0..config.n_servers).map(NodeId::new).collect();
-        let mut servers = Vec::new();
-        for &node in &nodes {
-            let handles = Self::wire_server(
-                &mut world,
-                fabric,
-                node,
-                &nodes,
-                &config,
-                true,
-                storage_root.as_deref(),
-            );
-            servers.push(handles);
-        }
-        for server in &servers {
-            world.schedule_now(server.daemon, EvsCmd::JoinGroup);
-        }
-        Cluster {
+        let mut cluster = Cluster {
             world,
-            fabric,
-            servers,
+            servers: Vec::new(),
+            fabrics: Vec::new(),
+            router: None,
             config,
             clients: Vec::new(),
             storage_root,
+        };
+        let shards = cluster.config.shards;
+        let nodes: Vec<NodeId> = (0..cluster.config.n_servers / shards)
+            .map(NodeId::new)
+            .collect();
+        for group in 0..shards {
+            // One group reports into the root scope under the historical
+            // actor names; several get a `g{i}.` scope each.
+            let fabric_name = if shards == 1 {
+                "net".to_string()
+            } else {
+                let scope = cluster.world.register_metric_scope(&format!("g{group}"));
+                cluster.world.set_build_scope(scope);
+                format!("net-g{group}")
+            };
+            let fabric = cluster
+                .world
+                .add_actor(fabric_name, NetFabric::new(cluster.config.net.clone()));
+            cluster.fabrics.push(fabric);
+            let first = cluster.servers.len();
+            for &node in &nodes {
+                cluster.wire_server(group, node, &nodes, true);
+            }
+            for server in &cluster.servers[first..] {
+                cluster.world.schedule_now(server.daemon, EvsCmd::JoinGroup);
+            }
         }
+        cluster.world.set_build_scope(0);
+        cluster
     }
 
     /// The directory holding every server's file-backed store, when
@@ -580,15 +700,17 @@ impl Cluster {
         self.storage_root.as_deref()
     }
 
-    pub(crate) fn wire_server(
-        world: &mut World,
-        fabric: ActorId,
+    /// Wires one server (disk, EVS daemon, engine) into `group` under
+    /// the world's current build scope and appends its handles.
+    fn wire_server(
+        &mut self,
+        group: u32,
         node: NodeId,
         server_set: &[NodeId],
-        config: &ClusterConfig,
         initial_member: bool,
-        storage_root: Option<&std::path::Path>,
-    ) -> ServerHandles {
+    ) {
+        let (world, config) = (&mut self.world, &self.config);
+        let fabric = self.fabrics[group as usize];
         let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
         // Daemon and engine reference each other; allocate the engine
         // slot first by predicting its id is not possible, so wire via a
@@ -602,7 +724,6 @@ impl Cluster {
             reliable_links: config.reliable_links,
             max_pack: config.max_pack,
             cumulative_ack_threshold: config.cumulative_ack_threshold,
-            clone_fanout: config.clone_fanout,
             eager_receipts: config.fast_path || config.read_leases,
             lease_heartbeats: config.read_leases,
             ..EvsConfig::default()
@@ -628,10 +749,15 @@ impl Cluster {
             .iter()
             .map(|(&idx, &w)| (NodeId::new(idx), w))
             .collect();
-        let store = match storage_root {
+        let store = match &self.storage_root {
             None => StorageHandle::sim(),
             Some(root) => {
-                let dir = root.join(format!("server-{node}"));
+                let dir = if config.shards == 1 {
+                    root.join(format!("server-{node}"))
+                } else {
+                    root.join(format!("g{group}"))
+                        .join(format!("server-{node}"))
+                };
                 StorageHandle::file(&dir)
                     .unwrap_or_else(|e| panic!("open file store {}: {e}", dir.display()))
             }
@@ -643,16 +769,19 @@ impl Cluster {
         // Re-point the daemon's app at the real engine.
         world.with_actor(daemon, |d: &mut EvsDaemon| d.set_app(engine));
         world.with_actor(fabric, |f: &mut NetFabric| f.register(node, daemon));
-        ServerHandles {
+        self.servers.push(ServerHandles {
             node,
             daemon,
             disk,
             engine,
-        }
+            group,
+            fabric,
+        });
     }
 
-    /// Advances virtual time until the initial primary component forms
-    /// (bounded at 5 seconds), or reports how far the cluster got.
+    /// Advances virtual time until every group's initial primary
+    /// component forms (bounded at 5 seconds), or reports how far the
+    /// cluster got.
     pub fn try_settle(&mut self) -> Result<(), SettleTimeout> {
         let bound = SimDuration::from_secs(5);
         let deadline = self.world.now() + bound;
@@ -710,22 +839,36 @@ impl Cluster {
     // failure scripting
     // --------------------------------------------------------
 
-    /// Splits connectivity into the given groups of server indices.
-    pub fn partition(&mut self, groups: &[Vec<usize>]) {
-        let node_groups: Vec<Vec<NodeId>> = groups
-            .iter()
-            .map(|g| g.iter().map(|&i| self.servers[i].node).collect())
-            .collect();
-        self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| {
-                f.set_partition(&node_groups)
-            });
+    /// Splits connectivity into the given sets of server indices. Every
+    /// group is split by its own members of each set (fabrics are
+    /// per-group, so a set spanning groups connects nothing across
+    /// them); a group none of whose servers is named is left untouched.
+    pub fn partition(&mut self, sets: &[Vec<usize>]) {
+        for (group, &fabric) in self.fabrics.iter().enumerate() {
+            let node_sets: Vec<Vec<NodeId>> = sets
+                .iter()
+                .map(|set| {
+                    set.iter()
+                        .map(|&i| self.servers[i])
+                        .filter(|s| s.group as usize == group)
+                        .map(|s| s.node)
+                        .collect::<Vec<_>>()
+                })
+                .filter(|set| !set.is_empty())
+                .collect();
+            if !node_sets.is_empty() {
+                self.world
+                    .with_actor(fabric, move |f: &mut NetFabric| f.set_partition(&node_sets));
+            }
+        }
     }
 
-    /// Reconnects all partitions.
+    /// Reconnects all partitions, in every group.
     pub fn merge_all(&mut self) {
-        self.world
-            .with_actor(self.fabric, |f: &mut NetFabric| f.merge_all());
+        for &fabric in &self.fabrics {
+            self.world
+                .with_actor(fabric, |f: &mut NetFabric| f.merge_all());
+        }
     }
 
     /// Crashes server `idx`: network silenced, daemon and engine wiped,
@@ -749,7 +892,7 @@ impl Cluster {
     fn crash_with(&mut self, idx: usize, ctl: EngineCtl) {
         let s = self.servers[idx];
         self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| f.crash(s.node));
+            .with_actor(s.fabric, move |f: &mut NetFabric| f.crash(s.node));
         self.world.schedule_now(s.daemon, EvsCmd::Crash);
         self.world.schedule_now(s.engine, ctl);
         self.world.schedule_now(s.disk, DiskOp::Reset);
@@ -786,29 +929,32 @@ impl Cluster {
     pub fn recover(&mut self, idx: usize) {
         let s = self.servers[idx];
         self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| f.recover(s.node));
+            .with_actor(s.fabric, move |f: &mut NetFabric| f.recover(s.node));
         self.world.schedule_now(s.engine, EngineCtl::Recover);
     }
 
-    /// Adds a brand-new replica that bootstraps online via
-    /// `PERSISTENT_JOIN` through server `via` (§5.1). Returns its index.
+    /// Adds a brand-new replica to server `via`'s group; it bootstraps
+    /// online via `PERSISTENT_JOIN` through `via` (§5.1). Returns its
+    /// index.
     pub fn add_joiner(&mut self, via: usize) -> usize {
-        let node = NodeId::new(self.servers.len() as u32);
-        let known: Vec<NodeId> = self.servers.iter().map(|s| s.node).collect();
-        let handles = Self::wire_server(
-            &mut self.world,
-            self.fabric,
-            node,
-            &known,
-            &self.config.clone(),
-            false,
-            self.storage_root.clone().as_deref(),
-        );
-        let via_node = self.servers[via].node;
+        let via = self.servers[via];
+        let known: Vec<NodeId> = self
+            .servers
+            .iter()
+            .filter(|s| s.group == via.group)
+            .map(|s| s.node)
+            .collect();
+        let node = NodeId::new(known.len() as u32);
         self.world
-            .schedule_now(handles.engine, EngineCtl::StartJoin { via: via_node });
-        self.servers.push(handles);
-        self.servers.len() - 1
+            .set_build_scope(self.world.actor_scope(via.engine));
+        self.wire_server(via.group, node, &known, false);
+        self.world.set_build_scope(0);
+        let joiner = self.servers.len() - 1;
+        self.world.schedule_now(
+            self.servers[joiner].engine,
+            EngineCtl::StartJoin { via: via.node },
+        );
+        joiner
     }
 
     /// Initiates a voluntary permanent leave of server `idx`.
@@ -818,8 +964,8 @@ impl Cluster {
     }
 
     /// Administratively removes (presumably dead) server `dead_idx` by
-    /// asking server `via` to broadcast a `PERSISTENT_LEAVE` on its
-    /// behalf (§5.1, footnote 3).
+    /// asking server `via` (of the same group) to broadcast a
+    /// `PERSISTENT_LEAVE` on its behalf (§5.1, footnote 3).
     pub fn remove_replica(&mut self, via: usize, dead_idx: usize) {
         let engine = self.servers[via].engine;
         let dead = self.servers[dead_idx].node;
@@ -833,12 +979,53 @@ impl Cluster {
 
     /// Attaches a closed-loop client to server `idx` and starts it.
     /// Returns a handle for [`Cluster::client_stats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard-pool config ([`ClientConfig::cross_permille`]):
+    /// those requests must go through the router — use
+    /// [`Cluster::attach_routed_client`].
     pub fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ClientHandle {
-        let engine = self.servers[idx].engine;
+        assert!(
+            config.cross_permille.is_none(),
+            "shard-pool clients must be routed: use attach_routed_client"
+        );
+        self.start_client(self.servers[idx].engine, config)
+    }
+
+    /// Attaches a closed-loop client to the shard router — created here,
+    /// over the current replicas, on first use — and starts it. The
+    /// router forwards single-shard requests to the owning group and
+    /// runs cross-shard ones through its prepare/commit protocol.
+    pub fn attach_routed_client(&mut self, config: ClientConfig) -> ClientHandle {
+        let router = match self.router {
+            Some(router) => router,
+            None => {
+                let mut contacts = vec![Vec::new(); self.fabrics.len()];
+                for s in &self.servers {
+                    contacts[s.group as usize].push(s.engine);
+                }
+                #[allow(unused_mut)]
+                let mut router_config = ShardRouterConfig::new(ShardTopology { contacts });
+                #[cfg(feature = "chaos-mutations")]
+                {
+                    router_config.chaos = self.config.shard_chaos;
+                }
+                let router = self
+                    .world
+                    .add_actor("router", ShardRouter::new(router_config));
+                self.router = Some(router);
+                router
+            }
+        };
+        self.start_client(router, config)
+    }
+
+    fn start_client(&mut self, target: ActorId, config: ClientConfig) -> ClientHandle {
         let id = todr_core::ClientId(self.clients.len() as u32 + 1);
         let client = self.world.add_actor(
             format!("client-{}", id.0),
-            ClosedLoopClient::new(id, engine, config),
+            ClosedLoopClient::new(id, target, self.config.shards, config),
         );
         self.world.schedule_now(client, StartClient);
         let handle = ClientHandle(client);
@@ -855,6 +1042,51 @@ impl Cluster {
     /// All attached clients.
     pub fn clients(&self) -> &[ClientHandle] {
         &self.clients
+    }
+
+    /// Stops every client's closed loop (outstanding requests still
+    /// complete).
+    pub fn stop_clients(&mut self) {
+        for handle in &self.clients {
+            self.world
+                .with_actor(handle.0, |c: &mut ClosedLoopClient| c.stop());
+        }
+    }
+
+    /// The router's aggregate progress counters (all zero while no
+    /// client has been routed).
+    pub fn router_stats(&mut self) -> RouterStats {
+        match self.router {
+            Some(router) => self
+                .world
+                .with_actor(router, |r: &mut ShardRouter| r.stats()),
+            None => RouterStats::default(),
+        }
+    }
+
+    /// Runs until the router has no cross-shard transaction in flight
+    /// (checked every 100 ms of virtual time), or the bound elapses.
+    /// Returns whether the router drained — trivially true without one.
+    /// Stop the clients first, or a closed loop may keep the router busy
+    /// forever.
+    pub fn run_to_router_quiescence(&mut self, bound: SimDuration) -> bool {
+        let Some(router) = self.router else {
+            return true;
+        };
+        let deadline = self.world.now() + bound;
+        loop {
+            if self
+                .world
+                .with_actor(router, |r: &mut ShardRouter| r.pending())
+                == 0
+            {
+                return true;
+            }
+            if self.world.now() >= deadline {
+                return false;
+            }
+            self.run_for(SimDuration::from_millis(100));
+        }
     }
 
     // --------------------------------------------------------
@@ -881,9 +1113,10 @@ impl Cluster {
         self.with_engine(idx, |e| e.db_digest())
     }
 
-    /// Verifies cross-replica safety invariants (see
-    /// [`crate::checkers`]); a violation carries the recent typed
-    /// protocol events as context.
+    /// Verifies cross-replica safety invariants, group by group
+    /// (Theorem 1 holds per group; see [`crate::checkers`]); a violation
+    /// carries the offending group's recent typed protocol events as
+    /// context.
     pub fn try_check_consistency(
         &mut self,
     ) -> Result<crate::checkers::ConsistencyReport, Box<crate::checkers::ConsistencyViolation>>
@@ -903,7 +1136,8 @@ impl Cluster {
 
     /// Deterministic JSON snapshot of the world's typed observability
     /// bus: every counter and latency histogram recorded by the net,
-    /// EVS, storage and engine layers.
+    /// EVS, storage and engine layers (under each group's `g{i}.` prefix
+    /// when there are several) and the router's under `shard.`.
     pub fn metrics_export(&self) -> todr_sim::MetricsExport {
         self.world.metrics().export()
     }
@@ -912,6 +1146,7 @@ impl Cluster {
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
+            .field("shards", &self.fabrics.len())
             .field("servers", &self.servers.len())
             .field("clients", &self.clients.len())
             .field("now", &self.world.now())
@@ -924,5 +1159,88 @@ impl Drop for Cluster {
         if let Some(root) = &self.storage_root {
             let _ = std::fs::remove_dir_all(root);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_rejects_incoherent_sharding() {
+        // 6 replicas over 2 shards, then one incoherent tweak each.
+        let reason = |tweak: fn(&mut ClusterConfig)| {
+            let mut cfg = ClusterConfig::new(6, 1);
+            cfg.shards = 2;
+            tweak(&mut cfg);
+            cfg.validate().err().map(|e| e.0).unwrap_or_default()
+        };
+        assert_eq!(reason(|_| {}), "", "2 x 3 is coherent");
+        assert!(reason(|c| c.shards = 0).contains("at least one shard"));
+        assert!(reason(|c| c.n_servers = 7).contains("placed evenly"));
+        // The single-group rules still apply.
+        assert!(reason(|c| c.net.loss_probability = 0.1).contains("reliable_links"));
+        assert!(reason(|c| c.read_leases = true).contains("read leases"));
+        assert!(reason(|c| {
+            c.weights.insert(0, 2);
+        })
+        .contains("voting weights"));
+        #[cfg(feature = "chaos-mutations")]
+        {
+            assert!(
+                reason(|c| c.chaos = Some(todr_core::ChaosMutation::PrematureGreen))
+                    .contains("engine chaos")
+            );
+            assert!(reason(|c| {
+                c.shards = 1;
+                c.shard_chaos = Some(todr_shard::ShardChaos::SkipCommitBarrier);
+            })
+            .contains("at least two shards"));
+        }
+    }
+
+    fn shard_pool(cross_permille: u32) -> ClientConfig {
+        ClientConfig {
+            cross_permille: Some(cross_permille),
+            ..ClientConfig::default()
+        }
+    }
+
+    #[test]
+    fn sharded_smoke_commits_and_converges() {
+        let config = ClusterConfig::builder(6, 7).shards(2).build().unwrap();
+        let mut cluster = Cluster::build(config);
+        cluster.settle();
+        let c1 = cluster.attach_routed_client(shard_pool(250));
+        let c2 = cluster.attach_routed_client(shard_pool(250));
+        cluster.run_for(SimDuration::from_secs(2));
+        cluster.stop_clients();
+        assert!(cluster.run_to_router_quiescence(SimDuration::from_secs(20)));
+        let s1 = cluster.client_stats(c1);
+        let s2 = cluster.client_stats(c2);
+        assert!(s1.committed > 0 && s2.committed > 0);
+        assert_eq!(s1.rejected + s2.rejected, 0);
+        let stats = cluster.router_stats();
+        assert!(stats.singles_forwarded > 0, "{stats:?}");
+        assert!(stats.txns_applied > 0, "{stats:?}");
+        assert_eq!(stats.txns_started, stats.txns_applied, "{stats:?}");
+        cluster.check_consistency();
+        // Both groups made progress.
+        assert!(cluster.green_count(0) > 0);
+        assert!(cluster.green_count(3) > 0);
+    }
+
+    #[test]
+    fn single_shard_cluster_works_like_a_plain_one() {
+        let mut cluster = Cluster::build(ClusterConfig::new(3, 11));
+        cluster.settle();
+        let c = cluster.attach_routed_client(shard_pool(100));
+        cluster.run_for(SimDuration::from_secs(1));
+        cluster.stop_clients();
+        assert!(cluster.run_to_router_quiescence(SimDuration::from_secs(10)));
+        let stats = cluster.router_stats();
+        assert_eq!(stats.txns_started, 0, "one shard never goes cross");
+        assert!(cluster.client_stats(c).committed > 0);
+        cluster.check_consistency();
     }
 }

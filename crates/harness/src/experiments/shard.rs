@@ -28,8 +28,9 @@
 use serde::Serialize;
 use todr_sim::SimDuration;
 
+use crate::client::ClientConfig;
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
-use crate::sharded::{ShardClientConfig, ShardedCluster, ShardedConfig};
 
 /// Replicas in every group.
 pub const REPLICAS_PER_SHARD: u32 = 3;
@@ -152,20 +153,23 @@ fn measure(
     window: SimDuration,
     seed: u64,
 ) -> ShardCell {
-    let config = ShardedConfig::builder(shards, REPLICAS_PER_SHARD, seed)
+    let config = ClusterConfig::builder(shards * REPLICAS_PER_SHARD, seed)
+        .shards(shards)
         .delayed_writes()
         .packing(8)
         .build()
         .expect("coherent shard sweep config");
-    let mut cluster = ShardedCluster::build(config);
+    let mut cluster = Cluster::build(config);
     cluster.settle();
-    let client_config = ShardClientConfig {
-        cross_permille: CROSS_PERMILLE,
+    // Routed even in the one-group control cells, so both sides of the
+    // speedup pay the router hop.
+    let client_config = ClientConfig {
+        cross_permille: Some(CROSS_PERMILLE),
         record_from: cluster.now() + warmup,
-        ..ShardClientConfig::default()
+        ..ClientConfig::default()
     };
     let handles: Vec<_> = (0..clients)
-        .map(|_| cluster.attach_client(client_config.clone()))
+        .map(|_| cluster.attach_routed_client(client_config.clone()))
         .collect();
     cluster.run_for(warmup + window);
     cluster.stop_clients();

@@ -35,4 +35,3 @@ pub mod experiments;
 pub mod metrics;
 pub mod report;
 pub mod scenario;
-pub mod sharded;

@@ -35,7 +35,8 @@ pub struct ServerReport {
 pub struct ClusterReport {
     /// Capture time.
     pub at: SimTime,
-    /// Fabric counters.
+    /// Fabric counters of the first group (every group's are in
+    /// `metrics`, under its `g{i}.net.` prefix).
     pub net: NetStats,
     /// Per-server rows.
     pub servers: Vec<ServerReport>,
@@ -50,7 +51,7 @@ impl ClusterReport {
     pub fn capture(cluster: &mut Cluster) -> Self {
         let net = cluster
             .world
-            .with_actor(cluster.fabric, |f: &mut NetFabric| f.stats());
+            .with_actor(cluster.servers[0].fabric, |f: &mut NetFabric| f.stats());
         let servers = (0..cluster.servers.len())
             .map(|i| {
                 let handles = cluster.servers[i];

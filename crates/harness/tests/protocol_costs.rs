@@ -100,7 +100,7 @@ fn engine_network_cost_beats_corel_per_action() {
     let engine_msgs = {
         let mut cluster = Cluster::build(ClusterConfig::new(N, 64));
         cluster.settle();
-        let fabric = cluster.fabric;
+        let fabric = cluster.servers[0].fabric;
         cluster
             .world
             .with_actor(fabric, |f: &mut NetFabric| f.reset_stats());

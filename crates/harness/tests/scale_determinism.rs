@@ -1,13 +1,10 @@
 //! Determinism pins for the large-cluster hot path.
 //!
-//! The Rc-shared multicast rewrite is a pure transport-representation
-//! change: one shared frame fanned out by the fabric must produce the
-//! exact same execution as per-destination cloned frames, because the
-//! fabric enqueues the per-destination deliveries in the same order
-//! with the same per-destination latency samples either way. These
-//! tests pin that equivalence — byte-identical `MetricsExport` JSON —
-//! under both same-instant tie-break policies, at a membership size
-//! large enough that cumulative-ack stability is active too.
+//! The Rc-shared multicast and cumulative-ack stability must replay to
+//! a byte-identical `MetricsExport` JSON under both same-instant
+//! tie-break policies, at a membership size large enough that
+//! cumulative-ack stability is active, and under the forced all-ack
+//! comparison baseline too.
 
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
@@ -19,12 +16,11 @@ use todr_sim::{SimDuration, TieBreak};
 const N: u32 = 18;
 const SEED: u64 = 0x5ca1e;
 
-fn run_export(tie_break: TieBreak, clone_fanout: bool, ack_threshold: Option<usize>) -> String {
+fn run_export(tie_break: TieBreak, ack_threshold: Option<usize>) -> String {
     let mut builder = ClusterConfig::builder(N, SEED)
         .delayed_writes()
         .packing(8)
-        .tie_break(tie_break)
-        .clone_fanout(clone_fanout);
+        .tie_break(tie_break);
     if let Some(t) = ack_threshold {
         builder = builder.cumulative_ack_threshold(t);
     }
@@ -45,22 +41,10 @@ fn run_export(tie_break: TieBreak, clone_fanout: bool, ack_threshold: Option<usi
 }
 
 #[test]
-fn shared_multicast_is_byte_identical_to_clone_fanout() {
-    for tie_break in [TieBreak::Fifo, TieBreak::Seeded(7)] {
-        let shared = run_export(tie_break, false, None);
-        let cloned = run_export(tie_break, true, None);
-        assert_eq!(
-            shared, cloned,
-            "Rc-shared multicast diverged from per-destination clones under {tie_break:?}"
-        );
-    }
-}
-
-#[test]
 fn scale_path_replays_byte_identical() {
     for tie_break in [TieBreak::Fifo, TieBreak::Seeded(7)] {
-        let a = run_export(tie_break, false, None);
-        let b = run_export(tie_break, false, None);
+        let a = run_export(tie_break, None);
+        let b = run_export(tie_break, None);
         assert_eq!(a, b, "scale-path replay diverged under {tie_break:?}");
     }
 }
@@ -70,8 +54,8 @@ fn allack_comparison_baseline_replays_byte_identical() {
     // The sweep's gap-attribution cells force all-ack stability with
     // `usize::MAX`; that path must replay exactly too.
     for tie_break in [TieBreak::Fifo, TieBreak::Seeded(7)] {
-        let a = run_export(tie_break, false, Some(usize::MAX));
-        let b = run_export(tie_break, false, Some(usize::MAX));
+        let a = run_export(tie_break, Some(usize::MAX));
+        let b = run_export(tie_break, Some(usize::MAX));
         assert_eq!(a, b, "all-ack replay diverged under {tie_break:?}");
     }
 }
@@ -82,8 +66,8 @@ fn cumulative_acks_actually_engage_past_the_threshold() {
     // N ≥ threshold the cumulative path must send measurably fewer
     // stability acks than the forced all-ack baseline, while
     // committing work.
-    let cumulative = run_export(TieBreak::Fifo, false, None);
-    let allack = run_export(TieBreak::Fifo, false, Some(usize::MAX));
+    let cumulative = run_export(TieBreak::Fifo, None);
+    let allack = run_export(TieBreak::Fifo, Some(usize::MAX));
     let acks = |json: &str| -> u64 {
         let export = todr_sim::MetricsExport::from_json(json).expect("valid export");
         export.counters.get("evs.acks_sent").copied().unwrap_or(0)

@@ -368,21 +368,17 @@ impl Actor for NetFabric {
                 }
             }
             Some(NetOp::SetPartition(groups)) => {
-                ctx.trace("net", format!("partition -> {groups:?}"));
                 ctx.metrics().incr("net.partition_transitions", 1);
                 self.set_partition(&groups);
             }
             Some(NetOp::MergeAll) => {
-                ctx.trace("net", "merge all components");
                 ctx.metrics().incr("net.partition_transitions", 1);
                 self.merge_all();
             }
             Some(NetOp::Crash(n)) => {
-                ctx.trace("net", format!("crash {n}"));
                 self.crash(n);
             }
             Some(NetOp::Recover(n)) => {
-                ctx.trace("net", format!("recover {n}"));
                 self.recover(n);
             }
             None => panic!("NetFabric received an unknown payload type"),

@@ -51,7 +51,7 @@ impl fmt::Display for ActorId {
 /// impl Actor for Echo {
 ///     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
 ///         if let Some(Say(s)) = payload.downcast::<Say>() {
-///             ctx.trace("echo", s);
+///             ctx.metrics().incr(s, 1);
 ///         }
 ///     }
 /// }

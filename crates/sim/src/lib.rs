@@ -18,7 +18,6 @@
 //!   is an [`Actor`] that receives typed payloads through [`Ctx`];
 //! * a **seeded RNG** ([`SimRng`]) so that stochastic workloads and network
 //!   jitter are reproducible from a single `u64` seed;
-//! * a lightweight **trace** facility for debugging protocol runs;
 //! * a typed **observability bus** ([`MetricsHub`]): named counters,
 //!   fixed-bucket latency histograms and structured [`ProtocolEvent`]s
 //!   that every protocol layer reports into, exportable as
@@ -63,7 +62,6 @@ pub mod metrics;
 mod resource;
 mod rng;
 mod time;
-mod trace;
 mod world;
 
 pub use actor::{Actor, ActorId};
@@ -76,5 +74,4 @@ pub use metrics::{
 pub use resource::CpuMeter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry, TraceLevel};
 pub use world::{Ctx, TieBreak, World};

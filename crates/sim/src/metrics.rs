@@ -10,8 +10,7 @@
 //! * **[`ProtocolEvent`]s** — a typed, timestamped log of the protocol
 //!   transitions that matter to the paper (view installations, action
 //!   coloring, green/red line movement, synchronization, client
-//!   commits). Checkers assert on these instead of grepping the
-//!   free-text trace.
+//!   commits). Checkers assert on these.
 //! * **Counters** — named monotone `u64`s (`"net.sent"`,
 //!   `"evs.retransmitted"`, ...), keyed by a dotted
 //!   `subsystem.metric` convention.
@@ -47,8 +46,7 @@ pub enum EventColor {
     White,
 }
 
-/// A typed protocol transition, emitted by the instrumented subsystems
-/// alongside (not instead of) the free-text trace.
+/// A typed protocol transition, emitted by the instrumented subsystems.
 ///
 /// Fields are primitives (`u32` node ids, `u64` sequence numbers) so the
 /// kernel stays dependency-free; the emitting layer converts its own

@@ -8,7 +8,6 @@ use crate::event::{IntoPayload, Payload, QueuedEvent};
 use crate::metrics::{MetricsHub, ProtocolEvent};
 use crate::rng::{splitmix64, SimRng};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceLevel};
 
 /// Policy for ordering events scheduled at the same virtual instant.
 ///
@@ -55,15 +54,15 @@ impl TieBreak {
 /// event.
 ///
 /// All actor side effects flow through the context: scheduling future
-/// events ([`Ctx::send_after`]), randomness ([`Ctx::rng`]) and tracing
-/// ([`Ctx::trace`]). Effects are buffered and applied by the [`World`]
-/// after the handler returns, which keeps event execution atomic.
+/// events ([`Ctx::send_after`]), randomness ([`Ctx::rng`]) and typed
+/// observability ([`Ctx::emit`], [`Ctx::metrics`]). Effects are buffered
+/// and applied by the [`World`] after the handler returns, which keeps
+/// event execution atomic.
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: ActorId,
     rng: &'a mut SimRng,
     fault_rng: &'a mut SimRng,
-    trace: &'a mut Trace,
     metrics: &'a mut MetricsHub,
     pending: Vec<(SimTime, ActorId, Payload)>,
 }
@@ -131,22 +130,6 @@ impl<'a> Ctx<'a> {
         self.fault_rng
     }
 
-    /// Records an info-level trace entry.
-    pub fn trace(&mut self, category: &'static str, message: impl Into<String>) {
-        self.trace_at(TraceLevel::Info, category, message);
-    }
-
-    /// Records a trace entry at an explicit level.
-    pub fn trace_at(
-        &mut self,
-        level: TraceLevel,
-        category: &'static str,
-        message: impl Into<String>,
-    ) {
-        self.trace
-            .record(self.now, self.self_id, level, category, message.into());
-    }
-
     /// The world's metrics hub (counters and histograms).
     pub fn metrics(&mut self) -> &mut MetricsHub {
         self.metrics
@@ -168,7 +151,7 @@ struct Slot {
 }
 
 /// The simulation world: owns the clock, the event queue, the RNG, the
-/// trace, and every registered actor.
+/// metrics hub, and every registered actor.
 ///
 /// A typical run builds the world, registers the actors bottom-up (network
 /// fabric, then protocol daemons, then clients), injects the initial
@@ -179,7 +162,6 @@ pub struct World {
     actors: Vec<Slot>,
     rng: SimRng,
     fault_rng: SimRng,
-    trace: Trace,
     metrics: MetricsHub,
     next_seq: u64,
     events_processed: u64,
@@ -203,7 +185,6 @@ impl World {
             actors: Vec::new(),
             rng: SimRng::new(seed),
             fault_rng: SimRng::new(splitmix64(seed ^ 0xFA01_7FA0_17FA_017F)),
-            trace: Trace::default(),
             metrics: MetricsHub::new(),
             next_seq: 0,
             events_processed: 0,
@@ -277,7 +258,7 @@ impl World {
     }
 
     /// Sets the metric scope subsequently added actors are tagged with
-    /// (0 = root). A sharded harness brackets each group's wiring with
+    /// (0 = root). A multi-group harness brackets each group's wiring with
     /// this so the group's actors report into `g<i>.`-prefixed metrics.
     pub fn set_build_scope(&mut self, scope: u32) {
         self.build_scope = scope;
@@ -398,7 +379,6 @@ impl World {
             self_id: event.target,
             rng: &mut self.rng,
             fault_rng: &mut self.fault_rng,
-            trace: &mut self.trace,
             metrics: &mut self.metrics,
             pending: std::mem::take(&mut self.scratch),
         };
@@ -439,16 +419,6 @@ impl World {
     pub fn run_for(&mut self, duration: SimDuration) {
         let deadline = self.now + duration;
         self.run_until(deadline);
-    }
-
-    /// The world's trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace buffer (to adjust level / echo).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The world's RNG (e.g. for workload generation outside actors).

@@ -4,14 +4,18 @@
 //! replayable counterexample artifacts under `results/`.
 //!
 //! ```sh
-//! cargo run --release --example explore -- [--faults] [seed_start] [seed_count] [perturbations] [outdir]
+//! cargo run --release --example explore -- [--shards N] [--faults] [seed_start] [seed_count] [perturbations] [outdir]
 //! cargo run --release --example explore -- 0 8 2 results
 //! cargo run --release --example explore -- --faults 0 100 2 results
+//! cargo run --release --example explore -- --shards 2 --faults 0 8 2 results
 //! ```
 //!
-//! `--faults` widens the schedule vocabulary with storage faults
-//! (torn-write crashes, stale sectors) and disables auto-checkpointing
-//! so latent corruption survives until a crash surfaces it.
+//! `--shards N` runs `N` replication groups of three replicas behind the
+//! shard router (default: the paper's one group of five) and arms the
+//! cross-shard serializability oracle. `--faults` widens the schedule
+//! vocabulary with storage faults (torn-write crashes, stale sectors)
+//! and disables auto-checkpointing so latent corruption survives until
+//! a crash surfaces it.
 //!
 //! Exits non-zero when a counterexample was found, so the sweep can
 //! gate CI.
@@ -23,6 +27,14 @@ use todr::check::{explore, ExploreConfig, RunOptions};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let shards: u32 = if args.first().map(String::as_str) == Some("--shards") {
+        args.remove(0);
+        let n = args.remove(0);
+        n.parse()
+            .unwrap_or_else(|_| panic!("bad shard count {n:?}"))
+    } else {
+        1
+    };
     let storage_faults = if args.first().map(String::as_str) == Some("--faults") {
         args.remove(0);
         true
@@ -40,6 +52,8 @@ fn main() -> ExitCode {
         perturbations: arg(2, 2),
         storage_faults,
         options: RunOptions {
+            n_servers: if shards > 1 { 3 * shards as usize } else { 5 },
+            shards,
             checkpoint_interval: if storage_faults { 0 } else { 1024 },
             ..RunOptions::default()
         },
@@ -48,10 +62,12 @@ fn main() -> ExitCode {
     let outdir = PathBuf::from(args.get(3).map(String::as_str).unwrap_or("results"));
 
     println!(
-        "exploring seeds {}..{} under {} perturbation(s) each",
+        "exploring seeds {}..{} under {} perturbation(s) each, {} replicas in {} group(s)",
         config.seed_start,
         config.seed_start + config.seed_count,
         config.perturbations.max(1),
+        config.options.n_servers,
+        shards,
     );
     let report = explore(&config, |seed, pert, passed| {
         println!(
