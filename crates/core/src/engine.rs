@@ -18,7 +18,7 @@ use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, S
 
 use crate::action::{Action, ActionId, ActionKind, ClientId};
 use crate::exchange::{retrans_plan, GreenPath, MemberProgress, RetransPlan};
-use crate::persist::{self, BaseRecord, PersistEntry, RecoveryError};
+use crate::persist::{self, BaseRef, PersistEntry, RecoveryError};
 use crate::quorum::{
     compute_knowledge, is_weighted_quorum, KnowledgeInput, PrimComponent, VulnerableRecord,
     YellowRecord,
@@ -61,8 +61,9 @@ pub enum EngineState {
 /// Messages the engine multicasts through the EVS layer.
 #[derive(Debug, Clone)]
 pub(crate) enum EngineMsg {
-    /// A replicated action.
-    Action(Action),
+    /// A replicated action. Shared: every replica retains the body that
+    /// arrived in the multicast instead of a copy of its own.
+    Action(Rc<Action>),
     /// Exchange-phase state message.
     State(StateMsg),
     /// Create Primary Component vote.
@@ -70,7 +71,7 @@ pub(crate) enum EngineMsg {
     /// Exchange-phase retransmission. `green_pos` is the action's global
     /// green position if it is green at the sender.
     Retrans {
-        action: Action,
+        action: Rc<Action>,
         green_pos: Option<u64>,
     },
     /// Exchange-phase green-state snapshot (fallback when the
@@ -100,7 +101,7 @@ pub(crate) struct StateMsg {
 /// What to do when a forced write completes.
 enum AfterSync {
     /// Submit these actions to the group.
-    Submit(Vec<Action>),
+    Submit(Vec<Rc<Action>>),
     /// Send our State message (exchange phase) — dropped if the
     /// configuration changed while the write was in flight.
     SendState { epoch: u64 },
@@ -169,7 +170,7 @@ pub struct ReplicationEngine {
     store: StorageHandle,
 
     // ----- replicated knowledge (mirrored on stable storage) -----
-    actions: BTreeMap<ActionId, Action>,
+    actions: BTreeMap<ActionId, Rc<Action>>,
     green_count: u64,
     green_floor: u64,
     green_tail: Vec<ActionId>,
@@ -178,7 +179,7 @@ pub struct ReplicationEngine {
     red_cut: BTreeMap<NodeId, u64>,
     /// Out-of-order arrivals waiting for their per-creator gap to fill
     /// (see `mark_red`).
-    stashed: BTreeMap<ActionId, Action>,
+    stashed: BTreeMap<ActionId, Rc<Action>>,
     green_lines: BTreeMap<NodeId, u64>,
     server_set: BTreeSet<NodeId>,
     /// Servers whose `PERSISTENT_LEAVE` this engine has marked green in
@@ -195,7 +196,7 @@ pub struct ReplicationEngine {
     /// for O(log n) removal when the action comes back red (the old
     /// `Vec` paid an O(n) scan per acceptance). Persisted as the
     /// paper's `ongoingQueue` (a `Vec` in index order).
-    ongoing: BTreeMap<u64, Action>,
+    ongoing: BTreeMap<u64, Rc<Action>>,
 
     // ----- database -----
     db: Database,
@@ -246,7 +247,7 @@ pub struct ReplicationEngine {
     /// flight; they ride the *next* forced write as one batch (pipelined
     /// group commit — one sync request per burst instead of one per
     /// action).
-    submit_queue: Vec<Action>,
+    submit_queue: Vec<Rc<Action>>,
     submit_inflight: bool,
     /// Actions whose forced write completed after a configuration
     /// change had already moved us out of `RegPrim`/`NonPrim`. Sending
@@ -255,7 +256,7 @@ pub struct ReplicationEngine {
     /// receive it before the full CPC set); they are durable in
     /// `ongoing` and go out at the next install, where total order
     /// guarantees every receiver has already delivered all CPCs.
-    deferred_submits: Vec<Action>,
+    deferred_submits: Vec<Rc<Action>>,
 
     // ----- misc -----
     cpu: CpuMeter,
@@ -506,24 +507,24 @@ impl ReplicationEngine {
             self.cfg.me
         );
 
-        // Compact persistence: checkpoint the current green state and
-        // re-log the red bodies on top of it.
-        let base = BaseRecord {
-            db: self.db.snapshot(),
+        self.rebase_persistence();
+        pruned
+    }
+
+    /// Compacts persistence: the current green state becomes the base
+    /// record and the log restarts with the red bodies on top of it.
+    fn rebase_persistence(&mut self) {
+        let base = BaseRef {
+            db: &self.db,
             green_count: self.green_count,
-            green_cut: self.green_cut.clone(),
+            green_cut: &self.green_cut,
         };
-        self.store
-            .put_record(persist::K_BASE, &base)
-            .expect("serialize base");
+        self.store.put_record(persist::K_BASE, &base);
         self.store.truncate_log();
         for id in &self.red_set {
-            let action = self.actions.get(id).expect("red body present").clone();
-            self.store
-                .append_log_typed(&PersistEntry::Accepted(action))
-                .expect("serialize action");
+            let action = Rc::clone(self.actions.get(id).expect("red body present"));
+            self.store.append_log_typed(&PersistEntry::Accepted(action));
         }
-        pruned
     }
 
     // ============================================================
@@ -572,36 +573,22 @@ impl ReplicationEngine {
     }
 
     fn persist_membership_records(&mut self) {
-        self.store
-            .put_record(persist::K_PRIM, &self.prim_component)
-            .expect("serialize prim component");
-        self.store
-            .put_record(persist::K_ATTEMPT, &self.attempt_index)
-            .expect("serialize attempt index");
-        self.store
-            .put_record(persist::K_VULNERABLE, &self.vulnerable)
-            .expect("serialize vulnerable");
-        self.store
-            .put_record(persist::K_YELLOW, &self.yellow)
-            .expect("serialize yellow");
-        self.store
-            .put_record(persist::K_GREEN_LINES, &self.green_lines)
-            .expect("serialize green lines");
-        self.store
-            .put_record(persist::K_SERVER_SET, &self.server_set)
-            .expect("serialize server set");
+        let store = &mut self.store;
+        store.put_record(persist::K_PRIM, &self.prim_component);
+        store.put_record(persist::K_ATTEMPT, &self.attempt_index);
+        store.put_record(persist::K_VULNERABLE, &self.vulnerable);
+        store.put_record(persist::K_YELLOW, &self.yellow);
+        store.put_record(persist::K_GREEN_LINES, &self.green_lines);
+        store.put_record(persist::K_SERVER_SET, &self.server_set);
     }
 
     fn persist_ongoing(&mut self) {
         self.store
-            .put_record(persist::K_ACTION_INDEX, &self.action_index)
-            .expect("serialize action index");
+            .put_record(persist::K_ACTION_INDEX, &self.action_index);
         // Persisted in the historical `ongoingQueue` format: a `Vec` in
         // creation (index) order, which is exactly the map's value order.
-        let queue: Vec<&Action> = self.ongoing.values().collect();
-        self.store
-            .put_record(persist::K_ONGOING, &queue)
-            .expect("serialize ongoing queue");
+        let queue: Vec<&Action> = self.ongoing.values().map(Rc::as_ref).collect();
+        self.store.put_record(persist::K_ONGOING, &queue);
     }
 
     /// Refreshes the retained-body observability after the `actions` map
@@ -631,7 +618,7 @@ impl ReplicationEngine {
     /// cut advances; by the install barrier every member has reached the
     /// exchange plan's targets, so stashes drain identically everywhere.
     /// Returns whether the action was newly accepted.
-    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Action) -> bool {
+    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) -> bool {
         let accepted = self.accept_red(ctx, action);
         if accepted {
             self.drain_stash(ctx, action.id.server);
@@ -656,25 +643,24 @@ impl ReplicationEngine {
         }
     }
 
-    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Action) -> bool {
+    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) -> bool {
         let id = action.id;
         let cut = self.red_cut.entry(id.server).or_insert(0);
         if id.index > *cut + 1 {
             // Ahead of the contiguous prefix: keep it until the gap is
             // filled by a retransmission stream.
-            self.stashed.insert(id, action.clone());
+            self.stashed.insert(id, Rc::clone(action));
             return false;
         }
         if id.index != *cut + 1 {
             return false; // duplicate
         }
         *cut = id.index;
-        self.actions.insert(id, action.clone());
+        self.actions.insert(id, Rc::clone(action));
         self.note_retained(ctx);
         self.red_set.insert(id);
         self.store
-            .append_log_typed(&PersistEntry::Accepted(action.clone()))
-            .expect("serialize action");
+            .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
         self.stats.marked_red += 1;
         ctx.metrics().incr("engine.marked_red", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
@@ -727,7 +713,7 @@ impl ReplicationEngine {
     }
 
     /// `MarkYellow`: accept as red and remember in the yellow set.
-    fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Action) {
+    fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
         self.mark_red(ctx, action);
         if self.actions.contains_key(&action.id) && !self.yellow.set.contains(&action.id) {
             self.yellow.set.push(action.id);
@@ -739,15 +725,13 @@ impl ReplicationEngine {
                 action_seq: action.id.index,
                 color: EventColor::Yellow,
             });
-            self.store
-                .put_record(persist::K_YELLOW, &self.yellow)
-                .expect("serialize yellow");
+            self.store.put_record(persist::K_YELLOW, &self.yellow);
         }
     }
 
     /// `MarkGreen`: place the action on top of the green order and apply
     /// it to the database.
-    fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Action) {
+    fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
         self.mark_red(ctx, action);
         let id = action.id;
         if self.green_cut.get(&id.server).copied().unwrap_or(0) >= id.index {
@@ -766,9 +750,7 @@ impl ReplicationEngine {
         self.green_count += 1;
         self.green_cut.insert(id.server, id.index);
         self.green_lines.insert(self.cfg.me, self.green_count);
-        self.store
-            .append_log_typed(&PersistEntry::Green(id))
-            .expect("serialize green mark");
+        self.store.append_log_typed(&PersistEntry::Green(id));
         self.stats.marked_green += 1;
         ctx.metrics().incr("engine.marked_green", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
@@ -1036,7 +1018,7 @@ impl ReplicationEngine {
         // Update (possibly with a query part): create and generate an
         // action (Appendix A, NonPrim/RegPrim "Client req").
         self.action_index += 1;
-        let action = Action {
+        let action = Rc::new(Action {
             id: ActionId {
                 server: self.cfg.me,
                 index: self.action_index,
@@ -1048,7 +1030,7 @@ impl ReplicationEngine {
                 update: req.update.clone(),
             },
             size_bytes: req.size_bytes,
-        };
+        });
         self.stats.actions_created += 1;
         ctx.metrics().incr("engine.actions_created", 1);
         ctx.emit(ProtocolEvent::ActionCreated {
@@ -1070,7 +1052,7 @@ impl ReplicationEngine {
                 timestamped: d.timestamped,
             });
         }
-        self.ongoing.insert(action.id.index, action.clone());
+        self.ongoing.insert(action.id.index, Rc::clone(&action));
         self.persist_ongoing();
         self.pending_replies.insert(
             action.id,
@@ -1561,7 +1543,7 @@ impl ReplicationEngine {
                 for pos in from..to {
                     let idx = (pos - self.green_floor) as usize;
                     let id = self.green_tail[idx];
-                    let action = self.actions.get(&id).expect("green body retained").clone();
+                    let action = Rc::clone(self.actions.get(&id).expect("green body retained"));
                     let size = action.size_bytes + 16;
                     self.stats.retransmitted += 1;
                     ctx.metrics().incr("engine.retransmitted", 1);
@@ -1599,7 +1581,7 @@ impl ReplicationEngine {
                 if !self.red_set.contains(&id) {
                     continue; // green here: covered by the green path
                 }
-                let action = self.actions.get(&id).expect("red body present").clone();
+                let action = Rc::clone(self.actions.get(&id).expect("red body present"));
                 let size = action.size_bytes + 16;
                 self.stats.retransmitted += 1;
                 ctx.metrics().incr("engine.retransmitted", 1);
@@ -1622,14 +1604,14 @@ impl ReplicationEngine {
         );
     }
 
-    fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: Action, green_pos: Option<u64>) {
+    fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>, green_pos: Option<u64>) {
         self.recovered_this_exchange += 1;
         match green_pos {
             Some(pos) => {
                 if pos < self.green_count {
                     // Already green here; nothing to do.
                 } else if pos == self.green_count {
-                    self.mark_green(ctx, &action);
+                    self.mark_green(ctx, action);
                 } else {
                     panic!(
                         "green retransmission gap at {}: got pos {pos}, have {}",
@@ -1638,7 +1620,7 @@ impl ReplicationEngine {
                 }
             }
             None => {
-                self.mark_red(ctx, &action);
+                self.mark_red(ctx, action);
             }
         }
     }
@@ -1686,22 +1668,7 @@ impl ReplicationEngine {
         self.actions
             .retain(|id, _| id.index > cuts.get(&id.server).copied().unwrap_or(0));
 
-        // Rebase persistence: base record + re-logged red bodies.
-        self.store.truncate_log();
-        let base = BaseRecord {
-            db: self.db.snapshot(),
-            green_count: self.green_count,
-            green_cut: self.green_cut.clone(),
-        };
-        self.store
-            .put_record(persist::K_BASE, &base)
-            .expect("serialize base");
-        for id in &self.red_set {
-            let action = self.actions.get(id).expect("red body present").clone();
-            self.store
-                .append_log_typed(&PersistEntry::Accepted(action))
-                .expect("serialize action");
-        }
+        self.rebase_persistence();
     }
 
     fn on_retrans_done(&mut self, ctx: &mut Ctx<'_>, server: NodeId) {
@@ -1847,11 +1814,11 @@ impl ReplicationEngine {
             // positions.
             let yellow_ids = std::mem::take(&mut self.yellow.set);
             for id in yellow_ids {
-                let action = self
-                    .actions
-                    .get(&id)
-                    .expect("yellow body present after exchange")
-                    .clone();
+                let action = Rc::clone(
+                    self.actions
+                        .get(&id)
+                        .expect("yellow body present after exchange"),
+                );
                 self.mark_green(ctx, &action);
             }
         }
@@ -1876,7 +1843,7 @@ impl ReplicationEngine {
         // OR-2: remaining red actions, ordered by action id.
         let reds: Vec<ActionId> = self.red_set.iter().copied().collect();
         for id in reds {
-            let action = self.actions.get(&id).expect("red body present").clone();
+            let action = Rc::clone(self.actions.get(&id).expect("red body present"));
             self.mark_green(ctx, &action);
         }
         // The install is an agreed deterministic computation: every
@@ -1911,27 +1878,13 @@ impl ReplicationEngine {
             .downcast_ref::<EngineMsg>()
             .expect("engine received a non-engine group message");
         match msg {
-            EngineMsg::Action(action) => {
-                let action = action.clone();
-                self.on_action(ctx, action, delivery.in_transitional);
-            }
+            EngineMsg::Action(action) => self.on_action(ctx, action, delivery.in_transitional),
             EngineMsg::State(sm) => self.on_state_msg(ctx, sm.clone()),
             EngineMsg::Cpc { server, conf } => self.on_cpc(ctx, *server, *conf),
-            EngineMsg::Retrans { action, green_pos } => {
-                let action = action.clone();
-                let green_pos = *green_pos;
-                match self.state {
-                    EngineState::ExchangeActions | EngineState::NonPrim => {
-                        self.on_retrans(ctx, action, green_pos)
-                    }
-                    _ => {
-                        // Late retransmissions (e.g. delivered in a
-                        // transitional batch after we aborted the
-                        // exchange) still carry monotone knowledge.
-                        self.on_retrans(ctx, action, green_pos)
-                    }
-                }
-            }
+            // In any state: late retransmissions (e.g. delivered in a
+            // transitional batch after we aborted the exchange) still
+            // carry monotone knowledge.
+            EngineMsg::Retrans { action, green_pos } => self.on_retrans(ctx, action, *green_pos),
             EngineMsg::GreenSnapshot {
                 db,
                 green_count,
@@ -1949,14 +1902,14 @@ impl ReplicationEngine {
         }
     }
 
-    fn on_action(&mut self, ctx: &mut Ctx<'_>, action: Action, in_transitional: bool) {
+    fn on_action(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>, in_transitional: bool) {
         match self.state {
             EngineState::RegPrim if !in_transitional => {
                 // OR-1.1: safe delivery in the primary's regular
                 // configuration -> green immediately.
                 let creator = action.id.server;
                 let creator_line = action.green_line;
-                self.mark_green(ctx, &action);
+                self.mark_green(ctx, action);
                 let entry = self.green_lines.entry(creator).or_insert(0);
                 *entry = (*entry).max(creator_line);
             }
@@ -1969,13 +1922,13 @@ impl ReplicationEngine {
                     // Injected bug: green without next-primary
                     // knowledge. The yellow color exists precisely
                     // because this is unsafe.
-                    self.mark_green(ctx, &action);
+                    self.mark_green(ctx, action);
                     return;
                 }
-                self.mark_yellow(ctx, &action);
+                self.mark_yellow(ctx, action);
             }
             EngineState::NonPrim | EngineState::ExchangeStates | EngineState::ExchangeActions => {
-                self.mark_red(ctx, &action);
+                self.mark_red(ctx, action);
             }
             EngineState::Un => {
                 // A.12: an action here proves some server installed the
@@ -1984,7 +1937,7 @@ impl ReplicationEngine {
                 if self.departed {
                     return; // our own leave was among the converted reds
                 }
-                self.mark_yellow(ctx, &action);
+                self.mark_yellow(ctx, action);
                 self.state = EngineState::TransPrim;
             }
             EngineState::No => {
@@ -2033,11 +1986,10 @@ impl ReplicationEngine {
         let Some(EngineMsg::Action(action)) = delivery.payload.downcast_ref::<EngineMsg>() else {
             return; // exchange-phase traffic never fast-paths
         };
-        let action = action.clone();
         if action.is_reconfiguration() {
             return; // joins/leaves always take the full green path
         }
-        self.mark_red(ctx, &action);
+        self.mark_red(ctx, action);
         if !self.cfg.fast_path {
             return; // lease-only mode: receipts mark red, nothing else
         }
@@ -2305,7 +2257,7 @@ impl ReplicationEngine {
 
     fn generate_internal_action(&mut self, ctx: &mut Ctx<'_>, kind: ActionKind) {
         self.action_index += 1;
-        let action = Action {
+        let action = Rc::new(Action {
             id: ActionId {
                 server: self.cfg.me,
                 index: self.action_index,
@@ -2314,14 +2266,14 @@ impl ReplicationEngine {
             client: ClientId(0),
             kind,
             size_bytes: 64,
-        };
+        });
         self.stats.actions_created += 1;
         ctx.metrics().incr("engine.actions_created", 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
             action_seq: action.id.index,
         });
-        self.ongoing.insert(action.id.index, action.clone());
+        self.ongoing.insert(action.id.index, Rc::clone(&action));
         self.persist_ongoing();
         self.submit_queue.push(action);
         self.flush_submit_queue(ctx);
@@ -2497,9 +2449,7 @@ impl ReplicationEngine {
             }
             Err(_) => 1,
         };
-        self.store
-            .put_record(persist::K_INCARNATION, &incarnation)
-            .expect("u64 serializes");
+        self.store.put_record(persist::K_INCARNATION, &incarnation);
         self.store.set_epoch(incarnation);
 
         self.actions = persisted.actions;
@@ -2528,19 +2478,16 @@ impl ReplicationEngine {
 
         // Rebuild the green database: base + green tail replay.
         self.db = persisted.base.db;
-        let tail = self.green_tail.clone();
-        for id in tail {
-            if let Some(ActionKind::App { update, .. }) =
-                self.actions.get(&id).map(|a| a.kind.clone())
-            {
-                self.db.apply(&update);
+        for id in &self.green_tail {
+            if let Some(ActionKind::App { update, .. }) = self.actions.get(id).map(|a| &a.kind) {
+                self.db.apply(update);
             }
         }
         self.dirty_db = None;
         self.green_lines.insert(self.cfg.me, self.green_count);
 
         // Re-accept own unacknowledged actions (A.13).
-        let ongoing: Vec<Action> = self.ongoing.values().cloned().collect();
+        let ongoing: Vec<Rc<Action>> = self.ongoing.values().cloned().collect();
         for action in ongoing {
             let have = self.red_cut.get(&action.id.server).copied().unwrap_or(0);
             if have < action.id.index {

@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -94,8 +95,9 @@ impl std::error::Error for RecoveryError {}
 /// One entry in the persisted action log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum PersistEntry {
-    /// An action body, logged when the action is first accepted.
-    Accepted(Action),
+    /// An action body, logged when the action is first accepted. The
+    /// engine logs the very `Rc` it retains, so logging copies nothing.
+    Accepted(Rc<Action>),
     /// The action became green (global order position implied by entry
     /// order).
     Green(ActionId),
@@ -105,7 +107,7 @@ pub(crate) enum PersistEntry {
 /// replaced when a server bootstraps from a snapshot (online join, or a
 /// green-state snapshot received during exchange). The action log is
 /// truncated when the base is written, so recovery = base + log replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
 pub(crate) struct BaseRecord {
     /// Green database state.
     pub db: todr_db::Database,
@@ -113,6 +115,16 @@ pub(crate) struct BaseRecord {
     pub green_count: u64,
     /// Per creator, the highest action index incorporated in `db`.
     pub green_cut: BTreeMap<NodeId, u64>,
+}
+
+/// The write side of [`BaseRecord`]: the same fields in the same order,
+/// borrowed from the engine, so a checkpoint encodes the live database
+/// instead of a deep copy of it.
+#[derive(Debug, Serialize)]
+pub(crate) struct BaseRef<'a> {
+    pub db: &'a todr_db::Database,
+    pub green_count: u64,
+    pub green_cut: &'a BTreeMap<NodeId, u64>,
 }
 
 /// Record keys.
@@ -132,7 +144,7 @@ pub(crate) const K_INCARNATION: &str = "incarnation";
 pub(crate) struct PersistedState {
     /// The base image (see [`BaseRecord`]).
     pub base: BaseRecord,
-    pub actions: BTreeMap<ActionId, Action>,
+    pub actions: BTreeMap<ActionId, Rc<Action>>,
     /// Green tail: ids of green actions *after* the base, in order
     /// (position `base.green_count + i`).
     pub green_tail: Vec<ActionId>,
@@ -149,7 +161,7 @@ pub(crate) struct PersistedState {
     pub green_lines: BTreeMap<NodeId, u64>,
     pub server_set: BTreeSet<NodeId>,
     pub action_index: u64,
-    pub ongoing: Vec<Action>,
+    pub ongoing: Vec<Rc<Action>>,
 }
 
 /// Reads the persisted image back (after a simulated crash).
@@ -177,13 +189,13 @@ pub(crate) fn load(store: &StorageHandle) -> Result<PersistedState, RecoveryErro
     let log = store.read_log();
     let mut entries: Vec<PersistEntry> = Vec::with_capacity(log.len());
     for (index, record) in log.iter().enumerate() {
-        // The log codec is the store's deterministic JSON.
-        let entry = serde::json::from_slice(&record.bytes).map_err(|_| {
-            RecoveryError::UndecodableEntry {
-                index: index as u64,
-            }
-        })?;
-        entries.push(entry);
+        entries.push(
+            record
+                .decode()
+                .map_err(|_| RecoveryError::UndecodableEntry {
+                    index: index as u64,
+                })?,
+        );
     }
     let mut actions = BTreeMap::new();
     let mut green_tail = Vec::new();
@@ -234,8 +246,8 @@ mod tests {
     use crate::action::{ActionKind, ClientId};
     use todr_db::Op;
 
-    fn action(server: u32, index: u64) -> Action {
-        Action {
+    fn action(server: u32, index: u64) -> Rc<Action> {
+        Rc::new(Action {
             id: ActionId {
                 server: NodeId::new(server),
                 index,
@@ -247,7 +259,7 @@ mod tests {
                 update: Op::put("t", format!("{server}-{index}"), 1i64),
             },
             size_bytes: 200,
-        }
+        })
     }
 
     #[test]
@@ -267,16 +279,10 @@ mod tests {
         let a1 = action(0, 1);
         let a2 = action(0, 2);
         let b1 = action(1, 1);
-        store
-            .append_log_typed(&PersistEntry::Accepted(a1.clone()))
-            .unwrap();
-        store
-            .append_log_typed(&PersistEntry::Accepted(b1.clone()))
-            .unwrap();
-        store.append_log_typed(&PersistEntry::Green(a1.id)).unwrap();
-        store
-            .append_log_typed(&PersistEntry::Accepted(a2.clone()))
-            .unwrap();
+        store.append_log_typed(&PersistEntry::Accepted(a1.clone()));
+        store.append_log_typed(&PersistEntry::Accepted(b1.clone()));
+        store.append_log_typed(&PersistEntry::Green(a1.id));
+        store.append_log_typed(&PersistEntry::Accepted(a2.clone()));
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean log loads");
         assert_eq!(st.green_tail, vec![a1.id]);
@@ -292,13 +298,9 @@ mod tests {
     #[test]
     fn staged_entries_vanish_on_crash() {
         let mut store = StorageHandle::sim();
-        store
-            .append_log_typed(&PersistEntry::Accepted(action(0, 1)))
-            .unwrap();
+        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
         store.commit_staged().unwrap();
-        store
-            .append_log_typed(&PersistEntry::Accepted(action(0, 2)))
-            .unwrap();
+        store.append_log_typed(&PersistEntry::Accepted(action(0, 2)));
         store.crash();
         let st = load(&store).expect("clean log loads");
         assert_eq!(st.actions.len(), 1);
@@ -309,11 +311,11 @@ mod tests {
     fn records_roundtrip() {
         let mut store = StorageHandle::sim();
         let prim = PrimComponent::initial((0..3).map(NodeId::new));
-        store.put_record(K_PRIM, &prim).unwrap();
-        store.put_record(K_ATTEMPT, &7u64).unwrap();
+        store.put_record(K_PRIM, &prim);
+        store.put_record(K_ATTEMPT, &7u64);
         let vul = VulnerableRecord::new_attempt(1, 2, (0..2).map(NodeId::new));
-        store.put_record(K_VULNERABLE, &vul).unwrap();
-        store.put_record(K_ONGOING, &vec![action(0, 1)]).unwrap();
+        store.put_record(K_VULNERABLE, &vul);
+        store.put_record(K_ONGOING, &vec![action(0, 1)]);
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean records load");
         assert_eq!(st.prim_component, Some(prim));
@@ -323,11 +325,47 @@ mod tests {
     }
 
     #[test]
-    fn undecodable_log_entry_reports_its_index() {
+    fn borrowed_base_loads_as_the_owned_record() {
+        let mut db = todr_db::Database::new();
+        db.apply(&Op::put("t", "k", 7i64));
+        db.apply(&Op::put("t", "blob", vec![0xAB; 300]));
+        let green_cut: BTreeMap<NodeId, u64> = [(NodeId::new(0), 2)].into();
+        let mut store = StorageHandle::sim();
+        let base = BaseRef {
+            db: &db,
+            green_count: 2,
+            green_cut: &green_cut,
+        };
+        store.put_record(K_BASE, &base);
+        let st = load(&store).expect("base loads");
+        assert_eq!(st.base.db, db);
+        assert_eq!(st.base.db.row_version("t", "k"), db.row_version("t", "k"));
+        assert_eq!((st.base.green_count, &st.base.green_cut), (2, &green_cut));
+    }
+
+    #[test]
+    fn a_record_directory_written_as_json_fails_with_a_typed_error() {
+        // What the store held before the binary codec: JSON text.
         let mut store = StorageHandle::sim();
         store
-            .append_log_typed(&PersistEntry::Accepted(action(0, 1)))
-            .unwrap();
+            .backend_mut()
+            .put_record_bytes(K_ATTEMPT, b"7".to_vec());
+        match load(&store).expect_err("JSON record must not be misread") {
+            RecoveryError::CorruptRecord { key, .. } => assert_eq!(key, K_ATTEMPT),
+            other => panic!("unexpected error {other:?}"),
+        }
+        let mut store = StorageHandle::sim();
+        store.append_log(br#"{"Green":{"server":0,"index":1}}"#.to_vec());
+        assert_eq!(
+            load(&store).expect_err("JSON log entry must not be misread"),
+            RecoveryError::UndecodableEntry { index: 0 }
+        );
+    }
+
+    #[test]
+    fn undecodable_log_entry_reports_its_index() {
+        let mut store = StorageHandle::sim();
+        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
         store.append_log(b"{ not a persist entry".to_vec());
         store.commit_staged().unwrap();
         assert_eq!(
@@ -339,9 +377,7 @@ mod tests {
     #[test]
     fn corrupt_named_record_reports_its_key() {
         let mut store = StorageHandle::sim();
-        store
-            .put_record(K_ATTEMPT, &"not a u64".to_string())
-            .unwrap();
+        store.put_record(K_ATTEMPT, &"not a u64".to_string());
         store.commit_staged().unwrap();
         let err = load(&store).expect_err("corrupt record must not load");
         match err {
@@ -358,9 +394,7 @@ mod tests {
     #[test]
     fn truncating_an_undecodable_tail_makes_the_log_load() {
         let mut store = StorageHandle::sim();
-        store
-            .append_log_typed(&PersistEntry::Accepted(action(0, 1)))
-            .unwrap();
+        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
         store.append_log(b"{ torn".to_vec());
         store.commit_staged().unwrap();
         let index = load(&store).expect_err("torn tail").log_index().unwrap();

@@ -22,6 +22,11 @@
 //! once-per-connectivity-change exchange should keep this flat-ish in
 //! the membership size, not quadratic.
 //!
+//! 4. **Where the host time goes**: one *extra* repetition of the
+//!    largest full-load engine cell with the world's step profile on,
+//!    reported as each actor kind's share of handler time. The timed
+//!    repetitions stay unprofiled.
+//!
 //! Emits the machine-readable `BENCH_scale.json` consumed by the CI
 //! scale gate. Virtual-time numbers are deterministic per seed;
 //! `wall_ms`/`events_per_sec` are host measurements and only
@@ -78,6 +83,19 @@ pub struct ScaleCell {
     pub events_per_sec: f64,
 }
 
+/// One actor kind's part of the profiled repetition's handler time.
+#[derive(Debug, Clone, Serialize)]
+pub struct ActorKindShare {
+    /// Registered-name prefix: `engine`, `evs`, `net`, `disk`, `client`.
+    pub kind: String,
+    /// Events actors of this kind handled (deterministic per seed).
+    pub events: u64,
+    /// Host milliseconds inside their handlers, rounded to 0.001.
+    pub handle_ms: f64,
+    /// `handle_ms` over the sum across kinds, rounded to 0.0001.
+    pub share: f64,
+}
+
 /// Membership-change cost at one cluster size.
 #[derive(Debug, Clone, Serialize)]
 pub struct MembershipCost {
@@ -110,6 +128,11 @@ pub struct Scale {
     /// ends are measured in the same run on the same host, so the CI
     /// wall-clock gate compares this ratio, never absolute rates.
     pub wall_scaling_ratio: f64,
+    /// Handler time per actor kind in a separate, profiled repetition of
+    /// the calibration cell (`World::enable_step_profile`), largest
+    /// share first. Kernel time (event queue, effect buffer) is outside
+    /// every handler and so outside these shares.
+    pub host_share_by_actor_kind: Vec<ActorKindShare>,
     /// Every measured cell, size-major.
     pub cells: Vec<ScaleCell>,
     /// Membership-change cost per size.
@@ -168,6 +191,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
+    let host_share_by_actor_kind = profile_engine_cell(largest, max_pack, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
     } else {
@@ -181,20 +205,22 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         max_pack,
         calibration,
         wall_scaling_ratio,
+        host_share_by_actor_kind,
         cells,
         membership,
     }
 }
 
-fn engine_cell(
+/// A settled engine deployment with its closed-loop clients attached,
+/// about to start the measured advance.
+fn loaded_engine_cluster(
     n: u32,
     clients: usize,
     ack_threshold: Option<usize>,
     max_pack: usize,
     warmup: SimDuration,
-    window: SimDuration,
     seed: u64,
-) -> ScaleCell {
+) -> (Cluster, Vec<crate::cluster::ClientHandle>) {
     let mut builder = ClusterConfig::builder(n, seed)
         .delayed_writes()
         .packing(max_pack);
@@ -208,9 +234,50 @@ fn engine_cell(
         record_from: cluster.now() + warmup,
         ..ClientConfig::default()
     };
-    let handles: Vec<_> = (0..clients)
+    let handles = (0..clients)
         .map(|i| cluster.attach_client(i % n as usize, client_config.clone()))
         .collect();
+    (cluster, handles)
+}
+
+/// The full-load engine cell at `n` replicas once more, with the step
+/// profile on for exactly the advance [`engine_cell`] times.
+fn profile_engine_cell(
+    n: u32,
+    max_pack: usize,
+    warmup: SimDuration,
+    window: SimDuration,
+    seed: u64,
+) -> Vec<ActorKindShare> {
+    let (mut cluster, _) = loaded_engine_cluster(n, n as usize, None, max_pack, warmup, seed);
+    cluster.world.enable_step_profile();
+    cluster.run_for(warmup + window);
+    let profile = cluster.world.step_profile();
+    let total_secs: f64 = profile.values().map(|c| c.wall.as_secs_f64()).sum();
+    let mut shares: Vec<ActorKindShare> = profile
+        .into_iter()
+        .map(|(kind, cost)| ActorKindShare {
+            kind,
+            events: cost.events,
+            handle_ms: round3(cost.wall.as_secs_f64() * 1000.0),
+            share: (cost.wall.as_secs_f64() / total_secs * 1e4).round() / 1e4,
+        })
+        .collect();
+    shares.sort_by(|a, b| b.share.total_cmp(&a.share));
+    shares
+}
+
+fn engine_cell(
+    n: u32,
+    clients: usize,
+    ack_threshold: Option<usize>,
+    max_pack: usize,
+    warmup: SimDuration,
+    window: SimDuration,
+    seed: u64,
+) -> ScaleCell {
+    let (mut cluster, handles) =
+        loaded_engine_cluster(n, clients, ack_threshold, max_pack, warmup, seed);
 
     let events_before = cluster.world.events_processed();
     let wall = Instant::now();
@@ -441,12 +508,31 @@ impl Scale {
                 ]
             })
             .collect();
+        let p_headers = ["actor kind", "events", "handle_ms", "share", "us/event"];
+        let p_rows: Vec<Vec<String>> = self
+            .host_share_by_actor_kind
+            .iter()
+            .map(|k| {
+                vec![
+                    k.kind.clone(),
+                    k.events.to_string(),
+                    format!("{:.1}", k.handle_ms),
+                    format!("{:.1}%", k.share * 100.0),
+                    format!("{:.2}", k.handle_ms * 1000.0 / k.events as f64),
+                ]
+            })
+            .collect();
         format!(
-            "Scale sweep (delayed writes, pack {}), sizes {:?}; wall scaling ratio {:.2}\n{}\nMembership-change cost\n{}",
+            "Scale sweep (delayed writes, pack {}), sizes {:?}; wall scaling ratio {:.2}\n{}\n\
+             Handler time by actor kind ({}x{} engine cell, separate profiled repetition)\n{}\n\
+             Membership-change cost\n{}",
             self.max_pack,
             self.replica_counts,
             self.wall_scaling_ratio,
             super::render_table(&headers, &rows),
+            self.calibration.replicas,
+            self.calibration.clients,
+            super::render_table(&p_headers, &p_rows),
             super::render_table(&m_headers, &m_rows)
         )
     }

@@ -2,7 +2,9 @@
 //! the qualitative shapes of the paper's results must already hold.
 
 use todr_harness::experiments::Protocol;
-use todr_harness::experiments::{fig5a, fig5b, join, latency, partition, recovery, semantics};
+use todr_harness::experiments::{
+    fig5a, fig5b, join, latency, partition, recovery, scale, semantics,
+};
 use todr_sim::SimDuration;
 
 #[test]
@@ -149,4 +151,23 @@ fn recovery_report_is_sane() {
     assert!(report.green_at_recovery > report.green_at_crash);
     assert!(report.time_to_catch_up < SimDuration::from_secs(5));
     assert!(report.throughput_during_outage > 20.0);
+}
+
+#[test]
+fn scale_profile_accounts_for_every_event_of_the_unprofiled_cell() {
+    let sweep = scale::run(&[3, 5], SimDuration::from_millis(300), 42);
+    let kinds = &sweep.host_share_by_actor_kind;
+    assert!(kinds.iter().any(|k| k.kind == "engine"));
+    // Profiling must not change what the world does: the profiled
+    // repetition handles exactly the events the timed one counted.
+    let profiled_events: u64 = kinds.iter().map(|k| k.events).sum();
+    assert_eq!(profiled_events, sweep.calibration.sim_events);
+    // Shares are each kind's part of the profiled total.
+    let total_ms: f64 = kinds.iter().map(|k| k.handle_ms).sum();
+    assert!(total_ms > 0.0);
+    for k in kinds {
+        assert!((k.share - k.handle_ms / total_ms).abs() < 1e-3, "{k:?}");
+    }
+    let share_sum: f64 = kinds.iter().map(|k| k.share).sum();
+    assert!((share_sum - 1.0).abs() < 1e-3, "shares sum to {share_sum}");
 }

@@ -74,4 +74,4 @@ pub use metrics::{
 pub use resource::CpuMeter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use world::{Ctx, TieBreak, World};
+pub use world::{Ctx, HandlerCost, TieBreak, World};

@@ -1,7 +1,8 @@
 //! The [`World`]: actor registry, event queue and virtual clock.
 
 use std::any::Any;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::time::{Duration, Instant};
 
 use crate::actor::{Actor, ActorId};
 use crate::event::{IntoPayload, Payload, QueuedEvent};
@@ -142,6 +143,15 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// Host cost of one actor kind in a [`World::step_profile`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HandlerCost {
+    /// Events its actors handled while the profile was on.
+    pub events: u64,
+    /// Wall time spent inside their [`Actor::handle`] calls.
+    pub wall: Duration,
+}
+
 struct Slot {
     name: String,
     actor: Option<Box<dyn Actor>>,
@@ -174,6 +184,9 @@ pub struct World {
     /// the previous event, kept so steady-state stepping allocates
     /// nothing per event.
     scratch: Vec<(SimTime, ActorId, Payload)>,
+    /// Per-actor handler cost, indexed like `actors`; `None` (the
+    /// default) when the step profile is off.
+    profile: Option<Vec<HandlerCost>>,
 }
 
 impl World {
@@ -192,7 +205,35 @@ impl World {
             tie_break: TieBreak::Fifo,
             build_scope: 0,
             scratch: Vec::new(),
+            profile: None,
         }
+    }
+
+    /// Starts (or restarts from zero) the step profile: from now on
+    /// every [`World::step`] times its [`Actor::handle`] call on the host
+    /// clock. Off by default — the clock reads cost about as much as a
+    /// cheap handler, so a timed run never profiles — and no virtual
+    /// quantity depends on it.
+    pub fn enable_step_profile(&mut self) {
+        self.profile = Some(Vec::new());
+    }
+
+    /// Handler cost per actor *kind* since [`World::enable_step_profile`]:
+    /// the registered name up to its first `-` (`engine-n3` → `engine`,
+    /// `net-g1` → `net`). Empty when the profile is off. Time in the
+    /// world itself (event queue, effect buffer) is not in any entry.
+    pub fn step_profile(&self) -> BTreeMap<String, HandlerCost> {
+        let mut kinds: BTreeMap<String, HandlerCost> = BTreeMap::new();
+        for (slot, cost) in self.actors.iter().zip(self.profile.iter().flatten()) {
+            if cost.events == 0 {
+                continue;
+            }
+            let kind = slot.name.split('-').next().unwrap_or_default();
+            let entry = kinds.entry(kind.to_string()).or_default();
+            entry.events += cost.events;
+            entry.wall += cost.wall;
+        }
+        kinds
     }
 
     /// Selects the same-instant scheduling policy (see [`TieBreak`]).
@@ -382,7 +423,19 @@ impl World {
             metrics: &mut self.metrics,
             pending: std::mem::take(&mut self.scratch),
         };
-        actor.handle(&mut ctx, event.payload);
+        match &mut self.profile {
+            None => actor.handle(&mut ctx, event.payload),
+            Some(profile) => {
+                let started = Instant::now();
+                actor.handle(&mut ctx, event.payload);
+                let wall = started.elapsed();
+                if profile.len() <= idx {
+                    profile.resize(idx + 1, HandlerCost::default());
+                }
+                profile[idx].events += 1;
+                profile[idx].wall += wall;
+            }
+        }
         let mut pending = ctx.pending;
         self.metrics.set_active_scope(0);
         self.actors[idx].actor = Some(actor);
@@ -619,6 +672,32 @@ mod tests {
         w.run_to_quiescence();
         assert_eq!(w.now(), SimTime::ZERO);
         w.with_actor(a, |c: &mut Chain| assert_eq!(c.hops, 3));
+    }
+
+    #[test]
+    fn step_profile_groups_by_name_prefix_and_counts_every_event() {
+        let mut w = World::new(0);
+        let actors = ["engine-n0", "engine-n1", "net"].map(|name| w.add_actor(name, counter()));
+        w.schedule_now(actors[0], Bump);
+        w.run_to_quiescence();
+        assert!(w.step_profile().is_empty(), "off by default");
+
+        w.enable_step_profile();
+        let before = w.events_processed();
+        for (i, &a) in actors.iter().enumerate() {
+            for _ in 0..=i {
+                w.schedule_now(a, Bump);
+            }
+        }
+        w.run_to_quiescence();
+        let profile = w.step_profile();
+        assert_eq!(
+            profile.keys().map(String::as_str).collect::<Vec<_>>(),
+            ["engine", "net"]
+        );
+        assert_eq!((profile["engine"].events, profile["net"].events), (3, 3));
+        let profiled: u64 = profile.values().map(|c| c.events).sum();
+        assert_eq!(profiled, w.events_processed() - before);
     }
 
     #[test]

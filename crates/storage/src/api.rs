@@ -21,9 +21,10 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use todr_sim::SimRng;
 
+use crate::codec;
 use crate::fault::InjectedFault;
 use crate::file::FileStore;
-use crate::store::{codec, LogFault, LogRecord, StableStore, StorageError};
+use crate::store::{LogFault, LogRecord, StableStore, StorageError};
 
 /// Wall-clock I/O statistics reported by file-backed storage.
 ///
@@ -266,15 +267,8 @@ impl StorageHandle {
     }
 
     /// Stages a typed record under `key`, replacing any previous value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Serialize`] if `value` fails to
-    /// serialize.
-    pub fn put_record<T: Serialize>(&mut self, key: &str, value: &T) -> Result<(), StorageError> {
-        let bytes = codec::to_bytes(value).map_err(StorageError::Serialize)?;
-        self.0.put_record_bytes(key, bytes);
-        Ok(())
+    pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.0.put_record_bytes(key, codec::to_bytes(value));
     }
 
     /// Stages deletion of the record under `key`.
@@ -303,16 +297,10 @@ impl StorageHandle {
         self.0.append_log(entry);
     }
 
-    /// Appends a typed entry to the log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Serialize`] if `value` fails to
-    /// serialize.
-    pub fn append_log_typed<T: Serialize>(&mut self, value: &T) -> Result<(), StorageError> {
-        let bytes = codec::to_bytes(value).map_err(StorageError::Serialize)?;
-        self.0.append_log(bytes);
-        Ok(())
+    /// Appends a typed entry to the log (read back with
+    /// [`LogRecord::decode`]).
+    pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.0.append_log(codec::to_bytes(value));
     }
 
     /// Sets the incarnation epoch stamped onto subsequent appends.
@@ -406,7 +394,7 @@ mod tests {
     #[test]
     fn sim_handle_roundtrips_typed_records() {
         let mut h = StorageHandle::sim();
-        h.put_record("k", &7u64).unwrap();
+        h.put_record("k", &7u64);
         assert_eq!(h.get_record::<u64>("k").unwrap(), Some(7));
         h.crash();
         assert_eq!(h.get_record::<u64>("k").unwrap(), None);
@@ -428,7 +416,7 @@ mod tests {
     #[test]
     fn typed_mismatch_is_a_deserialize_error() {
         let mut h = StorageHandle::sim();
-        h.put_record("k", &"text".to_string()).unwrap();
+        h.put_record("k", &"text".to_string());
         match h.get_record::<u64>("k") {
             Err(StorageError::Deserialize(_)) => {}
             other => panic!("expected Deserialize error, got {other:?}"),

@@ -48,18 +48,20 @@
 //! [`StableStore`] (deterministic sim, the default) and [`FileStore`]
 //! (real files: framed checksummed log + atomically-renamed record
 //! checkpoint) as implementations. The engine holds a boxed backend via
-//! [`StorageHandle`], which layers the typed record codec on top.
+//! [`StorageHandle`], which layers the typed record codec on top: a
+//! compact binary format (see `codec.rs` and `serde::bin`) that only
+//! this crate names, so no caller depends on what the bytes look like.
 
 mod api;
+mod codec;
 mod disk;
 mod fault;
 mod file;
 mod store;
 
 pub use api::{FileIoStats, Storage, StorageHandle};
+pub use codec::{CodecError, CodecErrorKind};
 pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, DiskStats, SyncToken};
 pub use fault::InjectedFault;
 pub use file::FileStore;
-pub use store::{
-    CodecError, IoError, IoOp, LogFault, LogFaultKind, LogRecord, StableStore, StorageError,
-};
+pub use store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, StableStore, StorageError};

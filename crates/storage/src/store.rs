@@ -7,14 +7,14 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use todr_sim::checksum64;
 
+use crate::codec::{self, CodecError};
+
 /// Errors returned by the storage backends.
 ///
 /// Every variant is typed: the operation that failed, where, and a
 /// structured detail — no bare `String`s in the crate's public surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// A value failed to serialize for storage.
-    Serialize(CodecError),
     /// Stored bytes failed to deserialize as the requested type.
     Deserialize(CodecError),
     /// A file-backend I/O operation failed.
@@ -24,7 +24,6 @@ pub enum StorageError {
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::Serialize(e) => write!(f, "record failed to serialize: {e}"),
             StorageError::Deserialize(e) => write!(f, "record failed to deserialize: {e}"),
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
         }
@@ -32,21 +31,6 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
-
-/// Detail of a codec (de)serialization failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    /// What the codec reported.
-    pub detail: String,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.detail)
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 /// Detail of a failed file-backend I/O operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,6 +112,17 @@ impl LogRecord {
     pub fn is_valid(&self) -> bool {
         self.checksum == LogRecord::compute(self.epoch, &self.bytes)
     }
+
+    /// Decodes the payload as a `T` written by
+    /// [`StorageHandle::append_log_typed`](crate::StorageHandle::append_log_typed).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::Deserialize`] if the payload is not the
+    /// record codec's encoding of a `T`.
+    pub fn decode<T: DeserializeOwned>(&self) -> Result<T, StorageError> {
+        codec::from_bytes(&self.bytes).map_err(StorageError::Deserialize)
+    }
 }
 
 /// What a [`StableStore::verify_log`] scan found wrong.
@@ -176,15 +171,15 @@ impl fmt::Display for LogFault {
 /// ([`StableStore::crash`]) discards staged data; the persisted image
 /// survives.
 ///
-/// Records are serialized with a compact internal codec (via `serde`), so
-/// the store is typed at its edges but byte-oriented inside, like a real
+/// Records are serialized with the crate's binary record codec, so the
+/// store is typed at its edges but byte-oriented inside, like a real
 /// device.
 ///
 /// ```
 /// use todr_storage::StableStore;
 ///
 /// let mut store = StableStore::new();
-/// store.put_record("green_line", &42u64).unwrap();
+/// store.put_record("green_line", &42u64);
 /// store.append_log(b"action-1".to_vec());
 /// assert_eq!(store.get_record::<u64>("green_line").unwrap(), Some(42));
 ///
@@ -192,7 +187,7 @@ impl fmt::Display for LogFault {
 /// assert_eq!(store.get_record::<u64>("green_line").unwrap(), None);
 /// assert_eq!(store.log_len(), 0);
 ///
-/// store.put_record("green_line", &43u64).unwrap();
+/// store.put_record("green_line", &43u64);
 /// store.commit_staged(); // platter write completed
 /// store.crash();
 /// assert_eq!(store.get_record::<u64>("green_line").unwrap(), Some(43));
@@ -219,14 +214,8 @@ impl StableStore {
     }
 
     /// Stages a typed record under `key`, replacing any previous value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Serialize`] if `value` fails to serialize.
-    pub fn put_record<T: Serialize>(&mut self, key: &str, value: &T) -> Result<(), StorageError> {
-        let bytes = codec::to_bytes(value).map_err(StorageError::Serialize)?;
-        self.put_record_raw(key, bytes);
-        Ok(())
+    pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.put_record_raw(key, codec::to_bytes(value));
     }
 
     /// Stages pre-serialized record bytes under `key`.
@@ -288,14 +277,8 @@ impl StableStore {
     }
 
     /// Appends a typed entry to the log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Serialize`] if `value` fails to serialize.
-    pub fn append_log_typed<T: Serialize>(&mut self, value: &T) -> Result<(), StorageError> {
-        let bytes = codec::to_bytes(value).map_err(StorageError::Serialize)?;
-        self.append_log(bytes);
-        Ok(())
+    pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.append_log(codec::to_bytes(value));
     }
 
     /// Number of log entries visible to the writer (persisted + staged).
@@ -374,9 +357,7 @@ impl StableStore {
     /// Returns [`StorageError::Deserialize`] on the first entry that
     /// fails to deserialize.
     pub fn log_iter_typed<T: DeserializeOwned>(&self) -> Result<Vec<T>, StorageError> {
-        self.log_iter()
-            .map(|b| codec::from_bytes(b).map_err(StorageError::Deserialize))
-            .collect()
+        self.log_records().map(LogRecord::decode).collect()
     }
 
     /// Truncates the log, **staged**: the writer immediately sees an
@@ -429,29 +410,6 @@ impl StableStore {
     }
 }
 
-/// A minimal self-describing codec over the vendored serde facade.
-///
-/// Records are small control structures, so readability and determinism
-/// beat compactness: values are rendered as deterministic JSON text
-/// (struct fields in declaration order, maps in iteration order).
-pub(crate) mod codec {
-    use serde::de::DeserializeOwned;
-    use serde::Serialize;
-
-    use super::CodecError;
-
-    /// Serializes a value to deterministic JSON bytes via the vendored
-    /// `serde` value tree.
-    pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-        serde::json::to_vec(value).map_err(|e| CodecError { detail: e.0 })
-    }
-
-    /// Deserializes bytes produced by [`to_bytes`].
-    pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-        serde::json::from_slice(bytes).map_err(|e| CodecError { detail: e.0 })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,14 +459,14 @@ mod tests {
     fn codec_roundtrips_rich_struct() {
         let r = sample();
         let mut store = StableStore::new();
-        store.put_record("r", &r).unwrap();
+        store.put_record("r", &r);
         assert_eq!(store.get_record::<Record>("r").unwrap(), Some(r));
     }
 
     #[test]
     fn staged_writes_are_lost_on_crash() {
         let mut store = StableStore::new();
-        store.put_record("x", &1u32).unwrap();
+        store.put_record("x", &1u32);
         store.crash();
         assert_eq!(store.get_record::<u32>("x").unwrap(), None);
     }
@@ -516,9 +474,9 @@ mod tests {
     #[test]
     fn committed_writes_survive_crash() {
         let mut store = StableStore::new();
-        store.put_record("x", &1u32).unwrap();
+        store.put_record("x", &1u32);
         store.commit_staged();
-        store.put_record("x", &2u32).unwrap(); // staged overwrite
+        store.put_record("x", &2u32); // staged overwrite
         store.crash();
         assert_eq!(store.get_record::<u32>("x").unwrap(), Some(1));
     }
@@ -526,16 +484,16 @@ mod tests {
     #[test]
     fn staged_read_your_writes() {
         let mut store = StableStore::new();
-        store.put_record("x", &1u32).unwrap();
+        store.put_record("x", &1u32);
         store.commit_staged();
-        store.put_record("x", &2u32).unwrap();
+        store.put_record("x", &2u32);
         assert_eq!(store.get_record::<u32>("x").unwrap(), Some(2));
     }
 
     #[test]
     fn delete_record_stages_tombstone() {
         let mut store = StableStore::new();
-        store.put_record("x", &1u32).unwrap();
+        store.put_record("x", &1u32);
         store.commit_staged();
         store.delete_record("x");
         assert_eq!(store.get_record::<u32>("x").unwrap(), None);
@@ -550,10 +508,10 @@ mod tests {
     #[test]
     fn log_appends_in_order_and_survives_commit() {
         let mut store = StableStore::new();
-        store.append_log_typed(&"a".to_string()).unwrap();
-        store.append_log_typed(&"b".to_string()).unwrap();
+        store.append_log_typed(&"a".to_string());
+        store.append_log_typed(&"b".to_string());
         store.commit_staged();
-        store.append_log_typed(&"c".to_string()).unwrap();
+        store.append_log_typed(&"c".to_string());
         assert_eq!(
             store.log_iter_typed::<String>().unwrap(),
             vec!["a", "b", "c"]
@@ -677,7 +635,7 @@ mod tests {
     fn has_staged_tracks_pending_data() {
         let mut store = StableStore::new();
         assert!(!store.has_staged());
-        store.put_record("x", &1u8).unwrap();
+        store.put_record("x", &1u8);
         assert!(store.has_staged());
         store.commit_staged();
         assert!(!store.has_staged());
@@ -686,11 +644,9 @@ mod tests {
     #[test]
     fn codec_handles_unit_and_empty_collections() {
         let mut store = StableStore::new();
-        store.put_record("unit", &()).unwrap();
-        store.put_record("empty_vec", &Vec::<u8>::new()).unwrap();
-        store
-            .put_record("empty_map", &BTreeMap::<String, u8>::new())
-            .unwrap();
+        store.put_record("unit", &());
+        store.put_record("empty_vec", &Vec::<u8>::new());
+        store.put_record("empty_map", &BTreeMap::<String, u8>::new());
         assert_eq!(store.get_record::<()>("unit").unwrap(), Some(()));
         assert_eq!(
             store.get_record::<Vec<u8>>("empty_vec").unwrap(),
@@ -707,15 +663,15 @@ mod tests {
     #[test]
     fn codec_rejects_garbage() {
         let mut store = StableStore::new();
-        store.put_record("x", &"string".to_string()).unwrap();
+        store.put_record("x", &"string".to_string());
         assert!(store.get_record::<u64>("x").is_err());
     }
 
     #[test]
     fn codec_roundtrips_extreme_integers() {
         let mut store = StableStore::new();
-        store.put_record("max", &u64::MAX).unwrap();
-        store.put_record("min", &i64::MIN).unwrap();
+        store.put_record("max", &u64::MAX);
+        store.put_record("min", &i64::MIN);
         assert_eq!(store.get_record::<u64>("max").unwrap(), Some(u64::MAX));
         assert_eq!(store.get_record::<i64>("min").unwrap(), Some(i64::MIN));
     }
