@@ -18,7 +18,8 @@ use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, S
 
 use crate::action::{Action, ActionId, ActionKind, ClientId};
 use crate::exchange::{retrans_plan, GreenPath, MemberProgress, RetransPlan};
-use crate::persist::{self, BaseRef, PersistEntry, RecoveryError};
+use crate::knowledge::{Accept, Knowledge};
+use crate::persist::{self, PersistEntry, RecoveryError};
 use crate::quorum::{
     compute_knowledge, is_weighted_quorum, KnowledgeInput, PrimComponent, VulnerableRecord,
     YellowRecord,
@@ -150,61 +151,39 @@ struct FastPending {
 /// Timer for retrying the join bootstrap against another representative.
 struct JoinRetry;
 
-/// The replication engine for one server.
-///
-/// Wire traffic goes through the node's [`todr_evs::EvsDaemon`] (group
-/// messages) and [`todr_net::NetFabric`] (join transfers); durability
-/// through a [`todr_storage::DiskActor`] (which charges the virtual
-/// forced-write latency) and a pluggable [`StorageHandle`] backend
-/// (which holds the bytes — the deterministic sim store by default, or
-/// a real file-backed store). Clients talk to the engine with
-/// [`ClientRequest`] events; the harness controls it with
-/// [`EngineCtl`].
-pub struct ReplicationEngine {
-    cfg: EngineConfig,
-    evs: ActorId,
-    disk: ActorId,
-    fabric: ActorId,
+/// The fixed per-delivery-burst component of
+/// [`EngineConfig::cpu_per_action`] (frame handling, scheduling, buffer
+/// bookkeeping). The first green action of a same-instant delivery burst
+/// pays the full `cpu_per_action`; the rest of the burst pays only the
+/// marginal `cpu_per_action - CPU_BURST_OVERHEAD`. Without packing every
+/// burst is a single action and the model reduces exactly to the
+/// historical per-action charge.
+const CPU_BURST_OVERHEAD: SimDuration = SimDuration::from_micros(230);
+/// Modelled size of a State message in bytes (before its per-creator
+/// and per-yellow-action entries).
+const STATE_MSG_BYTES: u32 = 256;
+/// Modelled size of a CPC message in bytes.
+const CPC_MSG_BYTES: u32 = 64;
 
-    state: EngineState,
-    store: StorageHandle,
-
-    // ----- replicated knowledge (mirrored on stable storage) -----
-    actions: BTreeMap<ActionId, Rc<Action>>,
-    green_count: u64,
-    green_floor: u64,
-    green_tail: Vec<ActionId>,
-    green_cut: BTreeMap<NodeId, u64>,
-    red_set: BTreeSet<ActionId>,
-    red_cut: BTreeMap<NodeId, u64>,
+/// Everything a crash loses. [`ReplicationEngine::crash`] assigns
+/// `Volatile::default()`, so a field added here cannot outlive an
+/// incarnation by being forgotten in a reset list.
+#[derive(Default)]
+struct Volatile {
     /// Out-of-order arrivals waiting for their per-creator gap to fill
     /// (see `mark_red`).
     stashed: BTreeMap<ActionId, Rc<Action>>,
-    green_lines: BTreeMap<NodeId, u64>,
-    server_set: BTreeSet<NodeId>,
     /// Servers whose `PERSISTENT_LEAVE` this engine has marked green in
-    /// its current run. Volatile (cleared on crash): a departed server
-    /// never re-enters a view, so the set only matters for the one
-    /// install that races a leave going green mid-installation.
+    /// its current run: a departed server never re-enters a view, so the
+    /// set only matters for the one install that races a leave going
+    /// green mid-installation.
     departed_servers: BTreeSet<NodeId>,
-    prim_component: PrimComponent,
-    attempt_index: u64,
-    vulnerable: VulnerableRecord,
-    yellow: YellowRecord,
-    action_index: u64,
-    /// Own created-but-not-yet-red actions, keyed by creator-local index
-    /// for O(log n) removal when the action comes back red (the old
-    /// `Vec` paid an O(n) scan per acceptance). Persisted as the
-    /// paper's `ongoingQueue` (a `Vec` in index order).
-    ongoing: BTreeMap<u64, Rc<Action>>,
-
-    // ----- database -----
-    db: Database,
+    /// The green database with the red suffix replayed over it, built on
+    /// demand and dropped whenever a colour changes.
     dirty_db: Option<Database>,
 
-    // ----- configuration / exchange volatile state -----
+    // ----- configuration / exchange -----
     conf: Option<Configuration>,
-    conf_epoch: u64,
     state_msgs: BTreeMap<NodeId, StateMsg>,
     plan: Option<RetransPlan>,
     /// Actions received via retransmission since the exchange began;
@@ -216,15 +195,14 @@ pub struct ReplicationEngine {
     // ----- clients -----
     pending_replies: BTreeMap<ActionId, PendingReply>,
     /// Own [`UpdateReplyPolicy::Fast`] actions waiting for their FastAck
-    /// quorum. Volatile, and cleared on any view change: a fast commit
-    /// is only issued inside one uninterrupted regular primary
-    /// configuration — entries that outlive it fall back to the normal
-    /// green reply.
+    /// quorum. Also cleared on any view change: a fast commit is only
+    /// issued inside one uninterrupted regular primary configuration —
+    /// entries that outlive it fall back to the normal green reply.
     pending_fast: BTreeMap<ActionId, FastPending>,
     buffered_reqs: Vec<ClientRequest>,
     parked_strict: Vec<ClientRequest>,
 
-    // ----- read leases (volatile, same discipline as `pending_fast`) -----
+    // ----- read leases (same discipline as `pending_fast`) -----
     /// `conf_epoch` at the moment the lease was granted. A lease is only
     /// valid while this matches the current epoch, so any configuration
     /// change implicitly revokes it even before the explicit expiry in
@@ -241,7 +219,6 @@ pub struct ReplicationEngine {
     parked_lease: Vec<ClientRequest>,
 
     // ----- disk -----
-    next_sync_token: u64,
     pending_syncs: BTreeMap<SyncToken, AfterSync>,
     /// Submissions created while a submit forced-write was already in
     /// flight; they ride the *next* forced write as one batch (pipelined
@@ -262,20 +239,72 @@ pub struct ReplicationEngine {
     cpu: CpuMeter,
     /// Virtual instant of the most recent green CPU charge, for
     /// detecting same-burst green marks (they share the fixed per-burst
-    /// overhead — see [`EngineConfig::cpu_burst_overhead`]).
+    /// overhead — see [`CPU_BURST_OVERHEAD`]).
     last_green_charge: Option<SimTime>,
     green_burst_len: u64,
-    stats: EngineStats,
     join_targets: Vec<NodeId>,
     join_target_idx: usize,
     /// Joiners we have already announced with a PERSISTENT_JOIN that has
     /// not turned green yet (suppresses duplicate announcements while
     /// the joiner retries its bootstrap).
     pending_joins: BTreeSet<NodeId>,
+}
+
+/// The replication engine for one server.
+///
+/// Wire traffic goes through the node's [`todr_evs::EvsDaemon`] (group
+/// messages) and [`todr_net::NetFabric`] (join transfers); durability
+/// through a [`todr_storage::DiskActor`] (which charges the virtual
+/// forced-write latency) and a pluggable [`StorageHandle`] backend
+/// (which holds the bytes — the deterministic sim store by default, or
+/// a real file-backed store). Clients talk to the engine with
+/// [`ClientRequest`] events; the harness controls it with
+/// [`EngineCtl`].
+///
+/// Its state has three lifetimes, one type each: `Knowledge` is
+/// mirrored on stable storage and reloaded by recovery, `Volatile` is
+/// what a crash loses, and the fields named here deliberately span
+/// incarnations.
+pub struct ReplicationEngine {
+    cfg: EngineConfig,
+    evs: ActorId,
+    disk: ActorId,
+    fabric: ActorId,
+    state: EngineState,
+    store: StorageHandle,
+    /// Bumped on every configuration change *and* every crash, so a
+    /// forced-write completion from before either is recognisably stale.
+    conf_epoch: u64,
+    /// Never reused, so a completion from a previous incarnation cannot
+    /// match a token this one is waiting on.
+    next_sync_token: u64,
+    stats: EngineStats,
     departed: bool,
     /// Why the last [`EngineCtl::Recover`] fail-stopped, if it did.
     /// Cleared by a successful recovery.
     recovery_error: Option<RecoveryError>,
+    k: Knowledge,
+    v: Volatile,
+}
+
+/// Figure 4's transition relation, plus the crash edge into `Down` from
+/// anywhere, recovery and the join bootstrap out of it, and the no-op
+/// edge from a state to itself.
+fn legal_transition(from: EngineState, to: EngineState) -> bool {
+    use EngineState::*;
+    from == to
+        || matches!(
+            (from, to),
+            (_, Down)
+                | (Down, NonPrim | Joining)
+                | (Joining, NonPrim)
+                | (NonPrim | TransPrim | No | Un, ExchangeStates)
+                | (ExchangeStates, ExchangeActions | NonPrim)
+                | (ExchangeActions, Construct | NonPrim)
+                | (Construct, RegPrim | No)
+                | (No, Un)
+                | (RegPrim | Un, TransPrim)
+        )
 }
 
 impl ReplicationEngine {
@@ -296,72 +325,41 @@ impl ReplicationEngine {
         fabric: ActorId,
         store: StorageHandle,
     ) -> Self {
-        let server_set: BTreeSet<NodeId> = cfg.server_set.iter().copied().collect();
-        let prim_component = PrimComponent::initial(server_set.iter().copied());
         let state = if cfg.initial_member {
             EngineState::NonPrim
         } else {
             EngineState::Down
         };
         let mut engine = ReplicationEngine {
+            k: Knowledge::new(cfg.server_set.iter().copied()),
+            v: Volatile::default(),
             cfg,
             evs,
             disk,
             fabric,
             state,
             store,
-            actions: BTreeMap::new(),
-            green_count: 0,
-            green_floor: 0,
-            green_tail: Vec::new(),
-            green_cut: BTreeMap::new(),
-            red_set: BTreeSet::new(),
-            red_cut: BTreeMap::new(),
-            stashed: BTreeMap::new(),
-            green_lines: BTreeMap::new(),
-            server_set,
-            departed_servers: BTreeSet::new(),
-            prim_component,
-            attempt_index: 0,
-            vulnerable: VulnerableRecord::invalid(),
-            yellow: YellowRecord::invalid(),
-            action_index: 0,
-            ongoing: BTreeMap::new(),
-            db: Database::new(),
-            dirty_db: None,
-            conf: None,
             conf_epoch: 0,
-            state_msgs: BTreeMap::new(),
-            plan: None,
-            recovered_this_exchange: 0,
-            retrans_done: BTreeSet::new(),
-            cpc_received: BTreeSet::new(),
-            pending_replies: BTreeMap::new(),
-            pending_fast: BTreeMap::new(),
-            buffered_reqs: Vec::new(),
-            parked_strict: Vec::new(),
-            lease_epoch: 0,
-            lease_expiry: SimTime::ZERO,
-            parked_lease: Vec::new(),
             next_sync_token: 0,
-            pending_syncs: BTreeMap::new(),
-            submit_queue: Vec::new(),
-            submit_inflight: false,
-            deferred_submits: Vec::new(),
-            cpu: CpuMeter::new(),
-            last_green_charge: None,
-            green_burst_len: 0,
             stats: EngineStats::default(),
-            join_targets: Vec::new(),
-            join_target_idx: 0,
-            pending_joins: BTreeSet::new(),
             departed: false,
             recovery_error: None,
         };
         if engine.state == EngineState::NonPrim {
-            engine.persist_membership_records();
+            engine.k.save_records(&mut engine.store);
         }
         engine
+    }
+
+    /// The one place the protocol state changes.
+    fn set_state(&mut self, to: EngineState) {
+        debug_assert!(
+            legal_transition(self.state, to),
+            "illegal engine transition {:?} -> {to:?} at {}",
+            self.state,
+            self.cfg.me
+        );
+        self.state = to;
     }
 
     // ============================================================
@@ -392,52 +390,48 @@ impl ReplicationEngine {
 
     /// Number of green (globally ordered, applied) actions.
     pub fn green_count(&self) -> u64 {
-        self.green_count
+        self.k.green_count
     }
 
     /// Green action ids from `green_floor()` onward, in global order.
     pub fn green_tail(&self) -> &[ActionId] {
-        &self.green_tail
+        &self.k.green_tail
     }
 
     /// Lowest green position this server still holds a body for.
     pub fn green_floor(&self) -> u64 {
-        self.green_floor
+        self.k.green_floor
     }
 
     /// Red (locally ordered only) action ids, in `ActionId` order.
     pub fn red_ids(&self) -> Vec<ActionId> {
-        self.red_set.iter().copied().collect()
+        self.k.red_set.iter().copied().collect()
     }
 
     /// Content digest of the green database.
     pub fn db_digest(&self) -> u64 {
-        self.db.digest()
+        self.k.db.digest()
     }
 
     /// Read-only view of the green database.
     pub fn db(&self) -> &Database {
-        &self.db
+        &self.k.db
     }
 
     /// The current replica set (grows/shrinks with joins/leaves).
     pub fn server_set(&self) -> &BTreeSet<NodeId> {
-        &self.server_set
+        &self.k.server_set
     }
 
     /// The last known primary component.
     pub fn prim_component(&self) -> &PrimComponent {
-        &self.prim_component
+        &self.k.prim_component
     }
 
     /// The white line: every action at a green position below it is
     /// known green everywhere and can be discarded (§3).
     pub fn white_line(&self) -> u64 {
-        self.server_set
-            .iter()
-            .map(|s| self.green_lines.get(s).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(0)
+        self.k.white_line()
     }
 
     /// Whether this server believes it is in the primary component.
@@ -447,14 +441,14 @@ impl ReplicationEngine {
 
     /// Number of action bodies currently retained in memory.
     pub fn retained_bodies(&self) -> usize {
-        self.actions.len()
+        self.k.actions.len()
     }
 
     /// Whether this server currently holds a valid vulnerability record
     /// (it voted for a primary installation whose outcome it cannot yet
     /// prove — §5).
     pub fn is_vulnerable(&self) -> bool {
-        self.vulnerable.valid
+        self.k.vulnerable.valid
     }
 
     /// Discards **white** actions (§3: "these actions can be discarded
@@ -470,61 +464,11 @@ impl ReplicationEngine {
     /// staged and becomes durable with the next forced write
     /// (crash-before-commit reverts to the uncompacted log).
     pub fn checkpoint(&mut self) -> u64 {
-        let white = self.white_line();
-        if white <= self.green_floor {
+        let Some(pruned) = self.k.prune_white() else {
             return 0;
-        }
-        // The prune window is bounded by what we actually retain, and
-        // the floor advances by the number of tail entries *dropped* —
-        // never re-based to `white` directly. Re-basing silently breaks
-        // `green_floor + green_tail.len() == green_count` whenever the
-        // window exceeds the tail (the two quantities then disagree
-        // with the retained-body map, and `perform_retrans` indexes the
-        // tail with a phantom offset). The debug asserts pin the
-        // invariant: the white line never runs ahead of our own green
-        // count, so the window is always fully covered by the tail.
-        let want = (white - self.green_floor) as usize;
-        let k = want.min(self.green_tail.len());
-        debug_assert_eq!(
-            want,
-            k,
-            "white line {white} beyond the retained green tail at {} (floor {}, tail {})",
-            self.cfg.me,
-            self.green_floor,
-            self.green_tail.len()
-        );
-        let mut pruned = 0;
-        for id in self.green_tail.drain(..k) {
-            if self.actions.remove(&id).is_some() {
-                pruned += 1;
-            }
-        }
-        self.green_floor += k as u64;
-        debug_assert_eq!(
-            self.green_floor + self.green_tail.len() as u64,
-            self.green_count,
-            "green floor/tail disagree with the green count at {}",
-            self.cfg.me
-        );
-
-        self.rebase_persistence();
-        pruned
-    }
-
-    /// Compacts persistence: the current green state becomes the base
-    /// record and the log restarts with the red bodies on top of it.
-    fn rebase_persistence(&mut self) {
-        let base = BaseRef {
-            db: &self.db,
-            green_count: self.green_count,
-            green_cut: &self.green_cut,
         };
-        self.store.put_record(persist::K_BASE, &base);
-        self.store.truncate_log();
-        for id in &self.red_set {
-            let action = Rc::clone(self.actions.get(id).expect("red body present"));
-            self.store.append_log_typed(&PersistEntry::Accepted(action));
-        }
+        self.k.save_base(&mut self.store);
+        pruned
     }
 
     // ============================================================
@@ -559,7 +503,7 @@ impl ReplicationEngine {
     fn request_sync(&mut self, ctx: &mut Ctx<'_>, after: AfterSync) {
         self.next_sync_token += 1;
         let token = SyncToken(self.next_sync_token);
-        self.pending_syncs.insert(token, after);
+        self.v.pending_syncs.insert(token, after);
         self.stats.syncs_requested += 1;
         ctx.metrics().incr("engine.syncs_requested", 1);
         let me = ctx.self_id();
@@ -572,30 +516,11 @@ impl ReplicationEngine {
         );
     }
 
-    fn persist_membership_records(&mut self) {
-        let store = &mut self.store;
-        store.put_record(persist::K_PRIM, &self.prim_component);
-        store.put_record(persist::K_ATTEMPT, &self.attempt_index);
-        store.put_record(persist::K_VULNERABLE, &self.vulnerable);
-        store.put_record(persist::K_YELLOW, &self.yellow);
-        store.put_record(persist::K_GREEN_LINES, &self.green_lines);
-        store.put_record(persist::K_SERVER_SET, &self.server_set);
-    }
-
-    fn persist_ongoing(&mut self) {
-        self.store
-            .put_record(persist::K_ACTION_INDEX, &self.action_index);
-        // Persisted in the historical `ongoingQueue` format: a `Vec` in
-        // creation (index) order, which is exactly the map's value order.
-        let queue: Vec<&Action> = self.ongoing.values().map(Rc::as_ref).collect();
-        self.store.put_record(persist::K_ONGOING, &queue);
-    }
-
     /// Refreshes the retained-body observability after the `actions` map
     /// changed: a gauge with the current level and a histogram sample so
     /// the peak survives in the export.
     fn note_retained(&mut self, ctx: &mut Ctx<'_>) {
-        let n = self.actions.len() as u64;
+        let n = self.k.actions.len() as u64;
         ctx.metrics().set_gauge("core.retained_bodies", n);
         ctx.metrics().record_value("core.retained_bodies_level", n);
     }
@@ -604,6 +529,28 @@ impl ReplicationEngine {
         self.stats.replies_sent += 1;
         ctx.metrics().incr("engine.replies_sent", 1);
         ctx.send_at(at.max(ctx.now()), to, reply);
+    }
+
+    /// Answers a query-only request. `charge` is the CPU the answer
+    /// costs (`None`: the weak and dirty semantics answer at once).
+    fn answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: &ClientRequest,
+        result: QueryResult,
+        dirty: bool,
+        charge: Option<SimDuration>,
+    ) {
+        let at = match charge {
+            Some(cost) => self.v.cpu.charge(ctx.now(), cost),
+            None => ctx.now(),
+        };
+        let reply = ClientReply::QueryAnswer {
+            request: req.request,
+            result,
+            dirty,
+        };
+        self.reply(ctx, at, req.reply_to, reply);
     }
 
     // ============================================================
@@ -628,12 +575,12 @@ impl ReplicationEngine {
 
     fn drain_stash(&mut self, ctx: &mut Ctx<'_>, creator: NodeId) {
         loop {
-            let cut = self.red_cut.get(&creator).copied().unwrap_or(0);
+            let cut = self.k.red_cut.get(&creator).copied().unwrap_or(0);
             let next = ActionId {
                 server: creator,
                 index: cut + 1,
             };
-            match self.stashed.remove(&next) {
+            match self.v.stashed.remove(&next) {
                 Some(action) => {
                     let ok = self.accept_red(ctx, &action);
                     debug_assert!(ok, "stashed action no longer contiguous");
@@ -645,20 +592,17 @@ impl ReplicationEngine {
 
     fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) -> bool {
         let id = action.id;
-        let cut = self.red_cut.entry(id.server).or_insert(0);
-        if id.index > *cut + 1 {
-            // Ahead of the contiguous prefix: keep it until the gap is
-            // filled by a retransmission stream.
-            self.stashed.insert(id, Rc::clone(action));
-            return false;
+        match self.k.accept_red(action) {
+            Accept::New => {}
+            Accept::Duplicate => return false,
+            Accept::Ahead => {
+                // Keep it until the gap is filled by a retransmission
+                // stream.
+                self.v.stashed.insert(id, Rc::clone(action));
+                return false;
+            }
         }
-        if id.index != *cut + 1 {
-            return false; // duplicate
-        }
-        *cut = id.index;
-        self.actions.insert(id, Rc::clone(action));
         self.note_retained(ctx);
-        self.red_set.insert(id);
         self.store
             .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
         self.stats.marked_red += 1;
@@ -673,14 +617,14 @@ impl ReplicationEngine {
             node: self.cfg.me.index(),
             red: self.stats.marked_red,
         });
-        self.dirty_db = None;
+        self.v.dirty_db = None;
         if id.server == self.cfg.me {
-            self.ongoing.remove(&id.index);
-            self.persist_ongoing();
+            self.k.ongoing.remove(&id.index);
+            self.k.save_ongoing(&mut self.store);
             // Relaxed-policy replies fire on local (red) ordering.
-            if let Some(p) = self.pending_replies.get(&id) {
+            if let Some(p) = self.v.pending_replies.get(&id) {
                 if p.policy == UpdateReplyPolicy::OnRed {
-                    let p = self.pending_replies.remove(&id).expect("just checked");
+                    let p = self.v.pending_replies.remove(&id).expect("just checked");
                     let latency = ctx.now().saturating_since(p.submitted_at);
                     ctx.metrics().observe("engine.ordering_latency", latency);
                     ctx.emit(ProtocolEvent::ClientCommit {
@@ -693,7 +637,7 @@ impl ReplicationEngine {
                     // anywhere, so a concurrent lease read elsewhere
                     // legitimately does not observe it.
                     let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
-                    let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action);
+                    let at = self.v.cpu.charge(ctx.now(), self.cfg.cpu_per_action);
                     self.reply(
                         ctx,
                         at,
@@ -715,8 +659,8 @@ impl ReplicationEngine {
     /// `MarkYellow`: accept as red and remember in the yellow set.
     fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
         self.mark_red(ctx, action);
-        if self.actions.contains_key(&action.id) && !self.yellow.set.contains(&action.id) {
-            self.yellow.set.push(action.id);
+        if self.k.actions.contains_key(&action.id) && !self.k.yellow.set.contains(&action.id) {
+            self.k.yellow.set.push(action.id);
             self.stats.marked_yellow += 1;
             ctx.metrics().incr("engine.marked_yellow", 1);
             ctx.emit(ProtocolEvent::ActionOrdered {
@@ -725,7 +669,7 @@ impl ReplicationEngine {
                 action_seq: action.id.index,
                 color: EventColor::Yellow,
             });
-            self.store.put_record(persist::K_YELLOW, &self.yellow);
+            self.store.put_record(persist::K_YELLOW, &self.k.yellow);
         }
     }
 
@@ -734,22 +678,10 @@ impl ReplicationEngine {
     fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
         self.mark_red(ctx, action);
         let id = action.id;
-        if self.green_cut.get(&id.server).copied().unwrap_or(0) >= id.index {
+        if !self.k.mark_green(action) {
             return; // already green
         }
-        // Green marking requires the body to be accepted: green streams
-        // respect per-creator FIFO, so a contiguity gap here would be a
-        // protocol bug, not a benign race.
-        assert!(
-            self.red_cut.get(&id.server).copied().unwrap_or(0) >= id.index,
-            "green mark for unaccepted action {id} at {}",
-            self.cfg.me
-        );
-        self.red_set.remove(&id);
-        self.green_tail.push(id);
-        self.green_count += 1;
-        self.green_cut.insert(id.server, id.index);
-        self.green_lines.insert(self.cfg.me, self.green_count);
+        self.k.green_lines.insert(self.cfg.me, self.k.green_count);
         self.store.append_log_typed(&PersistEntry::Green(id));
         self.stats.marked_green += 1;
         ctx.metrics().incr("engine.marked_green", 1);
@@ -761,22 +693,21 @@ impl ReplicationEngine {
         });
         ctx.emit(ProtocolEvent::GreenLineAdvance {
             node: self.cfg.me.index(),
-            green: self.green_count,
+            green: self.k.green_count,
         });
-        self.dirty_db = None;
+        self.v.dirty_db = None;
 
-        // Apply to the database / membership structures.
+        // `Knowledge::mark_green` applied an `App` body to the database;
+        // the membership structures are this server's business.
         match &action.kind {
-            ActionKind::App { update, .. } => {
-                self.db.apply(update);
-            }
+            ActionKind::App { .. } => {}
             ActionKind::PersistentJoin { joiner } => self.apply_join_green(ctx, *joiner, id),
             ActionKind::PersistentLeave { leaver } => self.apply_leave_green(ctx, *leaver),
         }
 
         // Periodic white-line garbage collection (§3).
         let interval = self.cfg.checkpoint_interval;
-        if interval > 0 && self.green_count.is_multiple_of(interval) {
+        if interval > 0 && self.k.green_count.is_multiple_of(interval) {
             self.checkpoint();
             self.note_retained(ctx);
         }
@@ -786,25 +717,23 @@ impl ReplicationEngine {
         // marks applied in the same delivery burst (same virtual
         // instant) share the fixed per-burst overhead: the first pays
         // the full per-action cost, the rest only the marginal part.
-        let cost = if self.last_green_charge == Some(ctx.now()) {
-            self.green_burst_len += 1;
-            self.cfg
-                .cpu_per_action
-                .saturating_sub(self.cfg.cpu_burst_overhead)
+        let cost = if self.v.last_green_charge == Some(ctx.now()) {
+            self.v.green_burst_len += 1;
+            self.cfg.cpu_per_action.saturating_sub(CPU_BURST_OVERHEAD)
         } else {
-            if self.green_burst_len > 1 {
+            if self.v.green_burst_len > 1 {
                 ctx.metrics()
-                    .record_value("engine.green_burst", self.green_burst_len);
+                    .record_value("engine.green_burst", self.v.green_burst_len);
             }
-            self.green_burst_len = 1;
-            self.last_green_charge = Some(ctx.now());
+            self.v.green_burst_len = 1;
+            self.v.last_green_charge = Some(ctx.now());
             self.cfg.cpu_per_action
         };
-        let done_at = self.cpu.charge(ctx.now(), cost);
+        let done_at = self.v.cpu.charge(ctx.now(), cost);
         // A fast-pending action that greens before its FastAck quorum
         // arrives takes the (better-informed) green reply below.
-        self.pending_fast.remove(&id);
-        if let Some(p) = self.pending_replies.remove(&id) {
+        self.v.pending_fast.remove(&id);
+        if let Some(p) = self.v.pending_replies.remove(&id) {
             // `OnGreen` replies here by design; `Fast` replies here when
             // it was demoted (conflict) or its quorum never formed —
             // already-fast-committed actions left `pending_replies` at
@@ -823,7 +752,7 @@ impl ReplicationEngine {
                         self.emit_read_served(ctx, &q, ReadTier::OrderedLinearizable, false);
                     }
                 }
-                let result = p.query.as_ref().map(|q| self.db.query(q));
+                let result = p.query.as_ref().map(|q| self.k.db.query(q));
                 self.reply(
                     ctx,
                     done_at,
@@ -833,15 +762,15 @@ impl ReplicationEngine {
                         action: id,
                         result,
                         submitted_at: p.submitted_at,
-                        green_seq: self.green_count,
+                        green_seq: self.k.green_count,
                     },
                 );
             }
         }
         // Lease reads parked behind a receipted write re-check their
         // conflict now that another action went green.
-        if !self.parked_lease.is_empty() {
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.parked_lease);
+        if !self.v.parked_lease.is_empty() {
+            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_lease);
             for req in parked {
                 self.serve_query(ctx, req);
             }
@@ -849,11 +778,11 @@ impl ReplicationEngine {
         // Strict queries parked behind this server's own updates (§6
         // session causality) become answerable once the last one lands.
         if self.state == EngineState::RegPrim
-            && self.pending_replies.is_empty()
-            && self.ongoing.is_empty()
-            && !self.parked_strict.is_empty()
+            && self.v.pending_replies.is_empty()
+            && self.k.ongoing.is_empty()
+            && !self.v.parked_strict.is_empty()
         {
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.parked_strict);
+            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_strict);
             for req in parked {
                 self.serve_query(ctx, req);
             }
@@ -862,15 +791,15 @@ impl ReplicationEngine {
 
     /// CodeSegment 5.1, green `PERSISTENT_JOIN`.
     fn apply_join_green(&mut self, ctx: &mut Ctx<'_>, joiner: NodeId, action_id: ActionId) {
-        self.pending_joins.remove(&joiner);
-        if self.server_set.contains(&joiner) {
+        self.v.pending_joins.remove(&joiner);
+        if self.k.server_set.contains(&joiner) {
             return; // later duplicate join announcements are ignored
         }
-        self.server_set.insert(joiner);
-        self.red_cut.entry(joiner).or_insert(0);
+        self.k.server_set.insert(joiner);
+        self.k.red_cut.entry(joiner).or_insert(0);
         // The joiner's green line starts at the join action itself.
-        self.green_lines.insert(joiner, self.green_count);
-        self.persist_membership_records();
+        self.k.green_lines.insert(joiner, self.k.green_count);
+        self.k.save_records(&mut self.store);
         if action_id.server == self.cfg.me {
             // I am the representative: ship the database.
             self.send_snapshot_to(ctx, joiner);
@@ -879,51 +808,44 @@ impl ReplicationEngine {
 
     /// CodeSegment 5.1, green `PERSISTENT_LEAVE`.
     fn apply_leave_green(&mut self, ctx: &mut Ctx<'_>, leaver: NodeId) {
-        if !self.server_set.contains(&leaver) {
+        if !self.k.server_set.contains(&leaver) {
             return;
         }
-        self.server_set.remove(&leaver);
-        self.green_lines.remove(&leaver);
-        self.departed_servers.insert(leaver);
+        self.k.server_set.remove(&leaver);
+        self.k.green_lines.remove(&leaver);
+        self.v.departed_servers.insert(leaver);
         // Discount the leaver from the quorum base so the next primary
         // does not need a majority the departed member can no longer
         // help form (capped at one per incarnation — see
         // `PrimComponent::note_departure` for the safety argument).
-        self.prim_component.note_departure(leaver);
-        self.persist_membership_records();
+        self.k.prim_component.note_departure(leaver);
+        self.k.save_records(&mut self.store);
         if leaver == self.cfg.me {
             // "if (Action.leave_id == serverId) exit"
             self.departed = true;
-            self.state = EngineState::Down;
+            self.set_state(EngineState::Down);
             ctx.send_now(self.evs, EvsCmd::LeaveGroup);
         }
     }
 
     fn send_snapshot_to(&mut self, ctx: &mut Ctx<'_>, joiner: NodeId) {
         let snapshot = TransferWire::Snapshot {
-            db: self.db.snapshot(),
-            green_count: self.green_count,
-            green_lines: self.green_lines.clone(),
-            red_cut: self.green_cut.clone(),
-            server_set: self.server_set.clone(),
-            prim_component: self.prim_component.clone(),
+            db: self.k.db.snapshot(),
+            green_count: self.k.green_count,
+            green_lines: self.k.green_lines.clone(),
+            red_cut: self.k.green_cut.clone(),
+            server_set: self.k.server_set.clone(),
+            prim_component: self.k.prim_component.clone(),
             action_index: 0,
         };
         self.send_transfer(ctx, joiner, snapshot);
     }
 
     fn dirty_view(&mut self) -> &Database {
-        if self.dirty_db.is_none() {
-            let mut dirty = self.db.snapshot();
-            for id in &self.red_set {
-                if let Some(ActionKind::App { update, .. }) = self.actions.get(id).map(|a| &a.kind)
-                {
-                    dirty.apply(update);
-                }
-            }
-            self.dirty_db = Some(dirty);
+        if self.v.dirty_db.is_none() {
+            self.v.dirty_db = Some(self.k.dirty_db());
         }
-        self.dirty_db.as_ref().expect("just built")
+        self.v.dirty_db.as_ref().expect("just built")
     }
 
     // ============================================================
@@ -948,18 +870,8 @@ impl ReplicationEngine {
             self.stats.lease_reads += 1;
             ctx.metrics().incr("engine.lease_reads", 1);
             self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
-            let result = self.db.query(&query);
-            let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
-            return self.reply(
-                ctx,
-                at,
-                req.reply_to,
-                ClientReply::QueryAnswer {
-                    request: req.request,
-                    result,
-                    dirty: false,
-                },
-            );
+            let result = self.k.db.query(&query);
+            return self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
         }
         match self.state {
             EngineState::Down | EngineState::Joining => {
@@ -976,7 +888,7 @@ impl ReplicationEngine {
             EngineState::RegPrim | EngineState::NonPrim => self.serve_request(ctx, req),
             // All other states buffer (Appendix A: "Client req: buffer
             // request").
-            _ => self.buffered_reqs.push(req),
+            _ => self.v.buffered_reqs.push(req),
         }
     }
 
@@ -1002,7 +914,8 @@ impl ReplicationEngine {
         // accumulate with no white line to discard them; refuse new
         // local updates at the retention bound instead of growing
         // without limit.
-        if self.cfg.max_retained_bodies > 0 && self.actions.len() >= self.cfg.max_retained_bodies {
+        if self.cfg.max_retained_bodies > 0 && self.k.actions.len() >= self.cfg.max_retained_bodies
+        {
             ctx.metrics().incr("engine.backpressure_rejects", 1);
             return self.reply(
                 ctx,
@@ -1017,33 +930,18 @@ impl ReplicationEngine {
 
         // Update (possibly with a query part): create and generate an
         // action (Appendix A, NonPrim/RegPrim "Client req").
-        self.action_index += 1;
-        let action = Rc::new(Action {
-            id: ActionId {
-                server: self.cfg.me,
-                index: self.action_index,
-            },
-            green_line: self.green_count,
-            client: req.client,
-            kind: ActionKind::App {
-                query: req.query.clone(),
-                update: req.update.clone(),
-            },
-            size_bytes: req.size_bytes,
-        });
-        self.stats.actions_created += 1;
-        ctx.metrics().incr("engine.actions_created", 1);
-        ctx.emit(ProtocolEvent::ActionCreated {
-            node: self.cfg.me.index(),
-            action_seq: action.id.index,
-        });
+        let kind = ActionKind::App {
+            query: req.query.clone(),
+            update: req.update.clone(),
+        };
+        let id = self.create_action(ctx, req.client, kind, req.size_bytes);
         if self.cfg.fast_path || self.cfg.read_leases {
             // Export the static conflict class so the todr-check oracle
             // can replay exactly the relation the engine evaluates.
             let d = classify(&req.update, req.query.as_ref()).digest();
             ctx.emit(ProtocolEvent::ActionFootprint {
                 node: self.cfg.me.index(),
-                action_seq: action.id.index,
+                action_seq: id.index,
                 writes: d.writes,
                 writes_unbounded: d.writes_unbounded,
                 reads: d.reads,
@@ -1052,10 +950,8 @@ impl ReplicationEngine {
                 timestamped: d.timestamped,
             });
         }
-        self.ongoing.insert(action.id.index, Rc::clone(&action));
-        self.persist_ongoing();
-        self.pending_replies.insert(
-            action.id,
+        self.v.pending_replies.insert(
+            id,
             PendingReply {
                 request: req.request,
                 reply_to: req.reply_to,
@@ -1065,9 +961,41 @@ impl ReplicationEngine {
                 read_tier,
             },
         );
-        // ** sync to disk, then generate.
-        self.submit_queue.push(action);
         self.flush_submit_queue(ctx);
+    }
+
+    /// Creates this server's next action, records it in the
+    /// `ongoingQueue` and queues it for `** sync to disk, then generate`
+    /// (the caller flushes the queue).
+    fn create_action(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        client: ClientId,
+        kind: ActionKind,
+        size_bytes: u32,
+    ) -> ActionId {
+        self.k.action_index += 1;
+        let id = ActionId {
+            server: self.cfg.me,
+            index: self.k.action_index,
+        };
+        let action = Rc::new(Action {
+            id,
+            green_line: self.k.green_count,
+            client,
+            kind,
+            size_bytes,
+        });
+        self.stats.actions_created += 1;
+        ctx.metrics().incr("engine.actions_created", 1);
+        ctx.emit(ProtocolEvent::ActionCreated {
+            node: self.cfg.me.index(),
+            action_seq: id.index,
+        });
+        self.k.ongoing.insert(id.index, Rc::clone(&action));
+        self.k.save_ongoing(&mut self.store);
+        self.v.submit_queue.push(action);
+        id
     }
 
     /// Pipelined group commit: issue at most one forced write for all
@@ -1077,11 +1005,11 @@ impl ReplicationEngine {
     /// so N concurrent clients cost O(1) syncs per disk round trip
     /// instead of N.
     fn flush_submit_queue(&mut self, ctx: &mut Ctx<'_>) {
-        if self.submit_inflight || self.submit_queue.is_empty() {
+        if self.v.submit_inflight || self.v.submit_queue.is_empty() {
             return;
         }
-        self.submit_inflight = true;
-        let batch = std::mem::take(&mut self.submit_queue);
+        self.v.submit_inflight = true;
+        let batch = std::mem::take(&mut self.v.submit_queue);
         ctx.metrics()
             .record_value("engine.submit_batch", batch.len() as u64);
         self.request_sync(ctx, AfterSync::Submit(batch));
@@ -1103,55 +1031,27 @@ impl ReplicationEngine {
                     // so it parks behind this server's in-flight
                     // updates (session causality), but needs no global
                     // ordering of its own.
-                    if !self.pending_replies.is_empty() || !self.ongoing.is_empty() {
-                        self.parked_strict.push(req);
+                    if !self.v.pending_replies.is_empty() || !self.k.ongoing.is_empty() {
+                        self.v.parked_strict.push(req);
                         return;
                     }
-                    let result = self.db.query(&query);
-                    let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
-                    self.reply(
-                        ctx,
-                        at,
-                        req.reply_to,
-                        ClientReply::QueryAnswer {
-                            request: req.request,
-                            result,
-                            dirty: false,
-                        },
-                    );
+                    let result = self.k.db.query(&query);
+                    self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
                 } else {
                     // Strict answers require the primary component; park
                     // until we are back in one (§6: "queries issued in a
                     // non-primary component cannot be answered until the
                     // connectivity with the primary is restored").
-                    self.parked_strict.push(req);
+                    self.v.parked_strict.push(req);
                 }
             }
             QuerySemantics::Weak => {
-                let result = self.db.query(&query);
-                self.reply(
-                    ctx,
-                    ctx.now(),
-                    req.reply_to,
-                    ClientReply::QueryAnswer {
-                        request: req.request,
-                        result,
-                        dirty: false,
-                    },
-                );
+                let result = self.k.db.query(&query);
+                self.answer(ctx, &req, result, false, None);
             }
             QuerySemantics::Dirty => {
                 let result = self.dirty_view().query(&query);
-                self.reply(
-                    ctx,
-                    ctx.now(),
-                    req.reply_to,
-                    ClientReply::QueryAnswer {
-                        request: req.request,
-                        result,
-                        dirty: true,
-                    },
-                );
+                self.answer(ctx, &req, result, true, None);
             }
         }
     }
@@ -1175,35 +1075,15 @@ impl ReplicationEngine {
                 self.stats.snapshot_reads += 1;
                 ctx.metrics().incr("engine.snapshot_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
-                let result = self.db.query(&query);
-                let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
-                self.reply(
-                    ctx,
-                    at,
-                    req.reply_to,
-                    ClientReply::QueryAnswer {
-                        request: req.request,
-                        result,
-                        dirty: false,
-                    },
-                );
+                let result = self.k.db.query(&query);
+                self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
             }
             ReadConsistency::RedOverlay => {
                 self.stats.overlay_reads += 1;
                 ctx.metrics().incr("engine.overlay_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
                 let result = self.dirty_view().query(&query);
-                let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
-                self.reply(
-                    ctx,
-                    at,
-                    req.reply_to,
-                    ClientReply::QueryAnswer {
-                        request: req.request,
-                        result,
-                        dirty: true,
-                    },
-                );
+                self.answer(ctx, &req, result, true, Some(self.cfg.cpu_per_action / 4));
             }
             ReadConsistency::Linearizable => {
                 if self.try_lease_read(ctx, &req) {
@@ -1230,8 +1110,8 @@ impl ReplicationEngine {
     fn lease_valid(&self, now: SimTime) -> bool {
         self.cfg.read_leases
             && self.state == EngineState::RegPrim
-            && self.lease_epoch == self.conf_epoch
-            && now < self.lease_expiry
+            && self.v.lease_epoch == self.conf_epoch
+            && now < self.v.lease_expiry
     }
 
     /// Attempts to answer a linearizable read locally under the read
@@ -1258,24 +1138,14 @@ impl ReplicationEngine {
         if self.lease_read_conflict(&query) {
             self.stats.lease_reads_parked += 1;
             ctx.metrics().incr("engine.lease_reads_parked", 1);
-            self.parked_lease.push(req.clone());
+            self.v.parked_lease.push(req.clone());
             return true;
         }
         self.stats.lease_reads += 1;
         ctx.metrics().incr("engine.lease_reads", 1);
         self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
-        let result = self.db.query(&query);
-        let at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
-        self.reply(
-            ctx,
-            at,
-            req.reply_to,
-            ClientReply::QueryAnswer {
-                request: req.request,
-                result,
-                dirty: false,
-            },
-        );
+        let result = self.k.db.query(&query);
+        self.answer(ctx, req, result, false, Some(self.cfg.cpu_per_action / 4));
         true
     }
 
@@ -1284,12 +1154,10 @@ impl ReplicationEngine {
     /// the action store count as conflicting.
     fn lease_read_conflict(&self, query: &Query) -> bool {
         let reads = read_set(query);
-        self.red_set.iter().chain(self.yellow.set.iter()).any(|id| {
-            match self.actions.get(id).map(|a| &a.kind) {
-                Some(ActionKind::App { update, .. }) => write_set(update).intersects(&reads),
-                Some(_) => false, // membership actions write no rows
-                None => true,
-            }
+        self.k.in_flight().any(|id| match self.k.kind_of(id) {
+            Some(ActionKind::App { update, .. }) => write_set(update).intersects(&reads),
+            Some(_) => false, // membership actions write no rows
+            None => true,
         })
     }
 
@@ -1301,7 +1169,7 @@ impl ReplicationEngine {
                 let (table, key) = (table.clone(), key.clone());
                 self.dirty_view().row_version(&table, &key)
             } else {
-                self.db.row_version(table, key)
+                self.k.db.row_version(table, key)
             };
             ctx.emit(ProtocolEvent::ReadServed {
                 node: self.cfg.me.index(),
@@ -1335,12 +1203,12 @@ impl ReplicationEngine {
     /// Grants (or heartbeat-renews) the read lease for the current
     /// configuration.
     fn grant_lease(&mut self, ctx: &mut Ctx<'_>, renewal: bool) {
-        let conf_id = match &self.conf {
+        let conf_id = match &self.v.conf {
             Some(conf) => conf.id,
             None => return,
         };
-        self.lease_epoch = self.conf_epoch;
-        self.lease_expiry = ctx.now() + self.cfg.lease_duration;
+        self.v.lease_epoch = self.conf_epoch;
+        self.v.lease_expiry = ctx.now() + self.cfg.lease_duration;
         if renewal {
             self.stats.lease_renewals += 1;
             ctx.metrics().incr("engine.lease_renewals", 1);
@@ -1352,7 +1220,7 @@ impl ReplicationEngine {
             node: self.cfg.me.index(),
             conf_seq: conf_id.seq,
             coordinator: conf_id.coordinator.index(),
-            expires_nanos: self.lease_expiry.as_nanos(),
+            expires_nanos: self.v.lease_expiry.as_nanos(),
             renewal,
         });
     }
@@ -1365,10 +1233,10 @@ impl ReplicationEngine {
         if !self.cfg.read_leases || self.state != EngineState::RegPrim {
             return;
         }
-        if self.conf.as_ref().map(|c| c.id) != Some(conf_id) {
+        if self.v.conf.as_ref().map(|c| c.id) != Some(conf_id) {
             return;
         }
-        if self.lease_epoch != self.conf_epoch {
+        if self.v.lease_epoch != self.conf_epoch {
             return; // no lease was granted in this configuration
         }
         self.grant_lease(ctx, true);
@@ -1381,7 +1249,7 @@ impl ReplicationEngine {
             self.stats.lease_expirations += 1;
             ctx.metrics().incr("engine.lease_expirations", 1);
         }
-        self.lease_expiry = SimTime::ZERO;
+        self.v.lease_expiry = SimTime::ZERO;
     }
 
     /// `Handle_buff_requests` (Appendix A, CodeSegment A.8).
@@ -1390,17 +1258,17 @@ impl ReplicationEngine {
         // are older than any buffered request (lower indices), their
         // forced write already happened, and per-server FIFO keeps the
         // receivers' red cuts contiguous.
-        for action in std::mem::take(&mut self.deferred_submits) {
+        for action in std::mem::take(&mut self.v.deferred_submits) {
             let size = action.size_bytes;
             self.send_group(ctx, EngineMsg::Action(action), size);
         }
         self.flush_submit_queue(ctx);
-        let buffered: Vec<ClientRequest> = std::mem::take(&mut self.buffered_reqs);
+        let buffered: Vec<ClientRequest> = std::mem::take(&mut self.v.buffered_reqs);
         for req in buffered {
             self.on_client_request(ctx, req);
         }
         if self.state == EngineState::RegPrim {
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.parked_strict);
+            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_strict);
             for req in parked {
                 self.serve_query(ctx, req);
             }
@@ -1413,18 +1281,18 @@ impl ReplicationEngine {
 
     fn on_reg_conf(&mut self, ctx: &mut Ctx<'_>, conf: Configuration) {
         self.conf_epoch += 1;
-        self.conf = Some(conf);
+        self.v.conf = Some(conf);
         match self.state {
             EngineState::TransPrim => {
                 // A.3: vulnerable invalid (we received every message of
                 // the primary up to the cut), yellow becomes valid.
-                self.vulnerable.valid = false;
-                self.yellow.valid = true;
+                self.k.vulnerable.valid = false;
+                self.k.yellow.valid = true;
                 self.shift_to_exchange_states(ctx);
             }
             EngineState::No => {
                 // A.11: nobody can have installed (case 3).
-                self.vulnerable.valid = false;
+                self.k.vulnerable.valid = false;
                 self.shift_to_exchange_states(ctx);
             }
             EngineState::Un | EngineState::NonPrim => {
@@ -1444,29 +1312,29 @@ impl ReplicationEngine {
         // Fast commits are scoped to one uninterrupted regular primary:
         // quorums still forming do not carry across the view change (the
         // owed replies fall back to firing on green).
-        let demoted = self.pending_fast.len() as u64;
+        let demoted = self.v.pending_fast.len() as u64;
         if demoted > 0 {
             self.stats.fast_demotions_on_view_change += demoted;
             ctx.metrics()
                 .incr("engine.fast_demotions_on_view_change", demoted);
         }
-        self.pending_fast.clear();
+        self.v.pending_fast.clear();
         // Read leases follow the same volatile discipline: any view
         // change revokes them before the membership protocol even
         // decides what the next component looks like.
         self.expire_lease(ctx);
-        if !self.parked_lease.is_empty() {
+        if !self.v.parked_lease.is_empty() {
             // Parked lease reads re-enter the normal request path after
             // the next install (or non-primary transition) releases the
             // buffer — they fall back to the ordered read there.
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.parked_lease);
-            self.buffered_reqs.extend(parked);
+            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_lease);
+            self.v.buffered_reqs.extend(parked);
         }
         match self.state {
-            EngineState::RegPrim => self.state = EngineState::TransPrim,
-            EngineState::Construct => self.state = EngineState::No,
+            EngineState::RegPrim => self.set_state(EngineState::TransPrim),
+            EngineState::Construct => self.set_state(EngineState::No),
             EngineState::ExchangeStates | EngineState::ExchangeActions => {
-                self.state = EngineState::NonPrim;
+                self.set_state(EngineState::NonPrim);
             }
             // NonPrim ignores transitional configurations (A.1); the
             // remaining states cannot see one.
@@ -1476,12 +1344,12 @@ impl ReplicationEngine {
 
     /// `Shift_to_exchange_states` (CodeSegment A.5).
     fn shift_to_exchange_states(&mut self, ctx: &mut Ctx<'_>) {
-        self.state_msgs.clear();
-        self.plan = None;
-        self.retrans_done.clear();
-        self.cpc_received.clear();
-        self.state = EngineState::ExchangeStates;
-        self.persist_membership_records();
+        self.v.state_msgs.clear();
+        self.v.plan = None;
+        self.v.retrans_done.clear();
+        self.v.cpc_received.clear();
+        self.set_state(EngineState::ExchangeStates);
+        self.k.save_records(&mut self.store);
         let epoch = self.conf_epoch;
         self.request_sync(ctx, AfterSync::SendState { epoch });
     }
@@ -1489,17 +1357,17 @@ impl ReplicationEngine {
     fn my_state_msg(&self) -> StateMsg {
         StateMsg {
             server: self.cfg.me,
-            conf: self.conf.as_ref().expect("in a configuration").id,
+            conf: self.v.conf.as_ref().expect("in a configuration").id,
             progress: MemberProgress {
                 server: self.cfg.me,
-                green_count: self.green_count,
-                green_floor: self.green_floor,
-                red_cut: self.red_cut.clone(),
+                green_count: self.k.green_count,
+                green_floor: self.k.green_floor,
+                red_cut: self.k.red_cut.clone(),
             },
-            attempt_index: self.attempt_index,
-            prim_component: self.prim_component.clone(),
-            vulnerable: self.vulnerable.clone(),
-            yellow: self.yellow.clone(),
+            attempt_index: self.k.attempt_index,
+            prim_component: self.k.prim_component.clone(),
+            vulnerable: self.k.vulnerable.clone(),
+            yellow: self.k.yellow.clone(),
         }
     }
 
@@ -1507,30 +1375,27 @@ impl ReplicationEngine {
         if self.state != EngineState::ExchangeStates {
             return;
         }
-        let conf = self.conf.as_ref().expect("in a configuration");
+        let conf = self.v.conf.as_ref().expect("in a configuration");
         if sm.conf != conf.id {
             return;
         }
-        self.state_msgs.insert(sm.server, sm);
+        self.v.state_msgs.insert(sm.server, sm);
         let members = conf.members.clone();
-        if members.iter().all(|m| self.state_msgs.contains_key(m)) {
+        if members.iter().all(|m| self.v.state_msgs.contains_key(m)) {
             self.on_all_states(ctx);
         }
     }
 
     fn on_all_states(&mut self, ctx: &mut Ctx<'_>) {
-        let progress: Vec<MemberProgress> = self
-            .state_msgs
-            .values()
-            .map(|sm| sm.progress.clone())
-            .collect();
+        let msgs = self.v.state_msgs.values();
+        let progress: Vec<MemberProgress> = msgs.map(|sm| sm.progress.clone()).collect();
         let plan = retrans_plan(&progress);
-        self.state = EngineState::ExchangeActions;
+        self.set_state(EngineState::ExchangeActions);
         if plan.senders.contains(&self.cfg.me) {
             self.perform_retrans(ctx, &plan);
         }
         let empty = plan.is_empty();
-        self.plan = Some(plan);
+        self.v.plan = Some(plan);
         if empty {
             self.end_of_retrans(ctx);
         }
@@ -1541,9 +1406,9 @@ impl ReplicationEngine {
         match plan.green {
             GreenPath::Retrans(sender, from, to) if sender == self.cfg.me => {
                 for pos in from..to {
-                    let idx = (pos - self.green_floor) as usize;
-                    let id = self.green_tail[idx];
-                    let action = Rc::clone(self.actions.get(&id).expect("green body retained"));
+                    let idx = (pos - self.k.green_floor) as usize;
+                    let id = self.k.green_tail[idx];
+                    let action = Rc::clone(self.k.actions.get(&id).expect("green body retained"));
                     let size = action.size_bytes + 16;
                     self.stats.retransmitted += 1;
                     ctx.metrics().incr("engine.retransmitted", 1);
@@ -1558,12 +1423,12 @@ impl ReplicationEngine {
                 }
             }
             GreenPath::Snapshot(sender) if sender == self.cfg.me => {
-                let size = 512 + self.db.row_count() as u32 * 64;
+                let size = 512 + self.k.db.row_count() as u32 * 64;
                 let msg = EngineMsg::GreenSnapshot {
-                    db: self.db.snapshot(),
-                    green_count: self.green_count,
-                    green_cut: self.green_cut.clone(),
-                    green_lines: self.green_lines.clone(),
+                    db: self.k.db.snapshot(),
+                    green_count: self.k.green_count,
+                    green_cut: self.k.green_cut.clone(),
+                    green_lines: self.k.green_lines.clone(),
                 };
                 self.send_group(ctx, msg, size);
             }
@@ -1578,10 +1443,10 @@ impl ReplicationEngine {
                     server: creator,
                     index,
                 };
-                if !self.red_set.contains(&id) {
+                if !self.k.red_set.contains(&id) {
                     continue; // green here: covered by the green path
                 }
-                let action = Rc::clone(self.actions.get(&id).expect("red body present"));
+                let action = Rc::clone(self.k.actions.get(&id).expect("red body present"));
                 let size = action.size_bytes + 16;
                 self.stats.retransmitted += 1;
                 ctx.metrics().incr("engine.retransmitted", 1);
@@ -1605,17 +1470,17 @@ impl ReplicationEngine {
     }
 
     fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>, green_pos: Option<u64>) {
-        self.recovered_this_exchange += 1;
+        self.v.recovered_this_exchange += 1;
         match green_pos {
             Some(pos) => {
-                if pos < self.green_count {
+                if pos < self.k.green_count {
                     // Already green here; nothing to do.
-                } else if pos == self.green_count {
+                } else if pos == self.k.green_count {
                     self.mark_green(ctx, action);
                 } else {
                     panic!(
                         "green retransmission gap at {}: got pos {pos}, have {}",
-                        self.cfg.me, self.green_count
+                        self.cfg.me, self.k.green_count
                     );
                 }
             }
@@ -1632,52 +1497,35 @@ impl ReplicationEngine {
         green_cut: BTreeMap<NodeId, u64>,
         green_lines: BTreeMap<NodeId, u64>,
     ) {
-        if green_count <= self.green_count {
+        if green_count <= self.k.green_count {
             return; // we are at least as advanced
         }
-        self.adopt_base(db, green_count, green_cut);
+        self.adopt_base(db, green_count, &green_cut);
         for (server, line) in green_lines {
-            let entry = self.green_lines.entry(server).or_insert(0);
+            let entry = self.k.green_lines.entry(server).or_insert(0);
             *entry = (*entry).max(line);
         }
-        self.green_lines.insert(self.cfg.me, self.green_count);
-        self.persist_membership_records();
+        self.k.green_lines.insert(self.cfg.me, self.k.green_count);
+        self.k.save_records(&mut self.store);
     }
 
     /// Replaces the green prefix with an inherited database state (§5.1
     /// transfer / exchange snapshot fallback). Red actions the snapshot
     /// already incorporates are dropped; the rest are re-logged on the
     /// fresh base.
-    fn adopt_base(&mut self, db: Database, green_count: u64, green_cut: BTreeMap<NodeId, u64>) {
-        self.db = db;
-        self.dirty_db = None;
-        self.green_count = green_count;
-        self.green_floor = green_count;
-        self.green_tail.clear();
-        // Merge cuts: the snapshot may know creators we do not and vice
-        // versa.
-        for (server, cut) in &green_cut {
-            let entry = self.green_cut.entry(*server).or_insert(0);
-            *entry = (*entry).max(*cut);
-            let red = self.red_cut.entry(*server).or_insert(0);
-            *red = (*red).max(*cut);
-        }
-        let cuts = self.green_cut.clone();
-        self.red_set
-            .retain(|id| id.index > cuts.get(&id.server).copied().unwrap_or(0));
-        self.actions
-            .retain(|id, _| id.index > cuts.get(&id.server).copied().unwrap_or(0));
-
-        self.rebase_persistence();
+    fn adopt_base(&mut self, db: Database, green_count: u64, green_cut: &BTreeMap<NodeId, u64>) {
+        self.k.adopt_base(db, green_count, green_cut);
+        self.v.dirty_db = None;
+        self.k.save_base(&mut self.store);
     }
 
     fn on_retrans_done(&mut self, ctx: &mut Ctx<'_>, server: NodeId) {
         if self.state != EngineState::ExchangeActions {
             return;
         }
-        self.retrans_done.insert(server);
-        let done = match &self.plan {
-            Some(plan) => plan.senders.iter().all(|s| self.retrans_done.contains(s)),
+        self.v.retrans_done.insert(server);
+        let done = match &self.v.plan {
+            Some(plan) => plan.senders.iter().all(|s| self.v.retrans_done.contains(s)),
             None => false,
         };
         if done {
@@ -1692,18 +1540,17 @@ impl ReplicationEngine {
         ctx.metrics().incr("engine.exchanges_completed", 1);
         ctx.emit(ProtocolEvent::SyncCompleted {
             node: self.cfg.me.index(),
-            actions_recovered: self.recovered_this_exchange,
+            actions_recovered: self.v.recovered_this_exchange,
         });
-        self.recovered_this_exchange = 0;
+        self.v.recovered_this_exchange = 0;
         // Incorporate green lines from the state messages.
-        for sm in self.state_msgs.values() {
-            let entry = self.green_lines.entry(sm.server).or_insert(0);
+        for sm in self.v.state_msgs.values() {
+            let entry = self.k.green_lines.entry(sm.server).or_insert(0);
             *entry = (*entry).max(sm.progress.green_count);
         }
 
-        let inputs: Vec<KnowledgeInput> = self
-            .state_msgs
-            .values()
+        let msgs = self.v.state_msgs.values();
+        let inputs: Vec<KnowledgeInput> = msgs
             .map(|sm| KnowledgeInput {
                 server: sm.server,
                 prim_component: sm.prim_component.clone(),
@@ -1713,17 +1560,13 @@ impl ReplicationEngine {
             })
             .collect();
         let knowledge = compute_knowledge(&inputs);
-        self.prim_component = knowledge.prim_component.clone();
-        self.attempt_index = knowledge.attempt_index;
-        self.yellow = knowledge.yellow.clone();
-        self.vulnerable = knowledge.resolved_vulnerable[&self.cfg.me].clone();
+        self.k.prim_component = knowledge.prim_component.clone();
+        self.k.attempt_index = knowledge.attempt_index;
+        self.k.yellow = knowledge.yellow.clone();
+        self.k.vulnerable = knowledge.resolved_vulnerable[&self.cfg.me].clone();
 
-        let conf_members = self
-            .conf
-            .as_ref()
-            .expect("in a configuration")
-            .members
-            .clone();
+        let conf = self.v.conf.as_ref().expect("in a configuration");
+        let conf_members = conf.members.clone();
         let any_vulnerable = conf_members.iter().any(|m| {
             knowledge
                 .resolved_vulnerable
@@ -1731,29 +1574,29 @@ impl ReplicationEngine {
                 .is_some_and(|v| v.valid)
         });
         let quorum = !any_vulnerable
-            && is_weighted_quorum(&conf_members, &self.prim_component, &self.cfg.weights);
+            && is_weighted_quorum(&conf_members, &self.k.prim_component, &self.cfg.weights);
 
         if quorum {
-            self.attempt_index += 1;
-            self.vulnerable = VulnerableRecord::new_attempt(
-                self.prim_component.prim_index,
-                self.attempt_index,
+            self.k.attempt_index += 1;
+            self.k.vulnerable = VulnerableRecord::new_attempt(
+                self.k.prim_component.prim_index,
+                self.k.attempt_index,
                 conf_members.iter().copied(),
             );
-            self.state = EngineState::Construct;
-            self.persist_membership_records();
+            self.set_state(EngineState::Construct);
+            self.k.save_records(&mut self.store);
             let epoch = self.conf_epoch;
             self.request_sync(ctx, AfterSync::SendCpc { epoch });
         } else {
-            self.state = EngineState::NonPrim;
-            self.persist_membership_records();
+            self.set_state(EngineState::NonPrim);
+            self.k.save_records(&mut self.store);
             let epoch = self.conf_epoch;
             self.request_sync(ctx, AfterSync::EnterNonPrim { epoch });
         }
     }
 
     fn on_cpc(&mut self, ctx: &mut Ctx<'_>, server: NodeId, conf: ConfId) {
-        let Some(current) = &self.conf else {
+        let Some(current) = &self.v.conf else {
             return;
         };
         if conf != current.id {
@@ -1761,12 +1604,12 @@ impl ReplicationEngine {
         }
         match self.state {
             EngineState::Construct => {
-                self.cpc_received.insert(server);
+                self.v.cpc_received.insert(server);
                 let members = current.members.clone();
-                if members.iter().all(|m| self.cpc_received.contains(m)) {
+                if members.iter().all(|m| self.v.cpc_received.contains(m)) {
                     // A.9: everyone voted; install.
                     for m in &members {
-                        self.green_lines.insert(*m, self.green_count);
+                        self.k.green_lines.insert(*m, self.k.green_count);
                     }
                     self.install(ctx);
                     if self.departed {
@@ -1777,7 +1620,7 @@ impl ReplicationEngine {
                         // primary we just helped create.
                         return;
                     }
-                    self.state = EngineState::RegPrim;
+                    self.set_state(EngineState::RegPrim);
                     if self.cfg.read_leases {
                         // The install greened everything a quorum of the
                         // previous primary knew; any update acknowledged
@@ -1791,10 +1634,10 @@ impl ReplicationEngine {
             }
             EngineState::No => {
                 // CPCs delivered in the transitional configuration.
-                self.cpc_received.insert(server);
+                self.v.cpc_received.insert(server);
                 let members = current.members.clone();
-                if members.iter().all(|m| self.cpc_received.contains(m)) {
-                    self.state = EngineState::Un;
+                if members.iter().all(|m| self.v.cpc_received.contains(m)) {
+                    self.set_state(EngineState::Un);
                 }
             }
             _ => {}
@@ -1804,28 +1647,25 @@ impl ReplicationEngine {
     /// `Install` (CodeSegment A.10).
     fn install(&mut self, ctx: &mut Ctx<'_>) {
         debug_assert!(
-            self.stashed.is_empty(),
+            self.v.stashed.is_empty(),
             "stashed actions {:?} survive to install at {} — exchange targets missed",
-            self.stashed.keys().collect::<Vec<_>>(),
+            self.v.stashed.keys().collect::<Vec<_>>(),
             self.cfg.me
         );
-        if self.yellow.valid {
+        if self.k.yellow.valid {
             // OR-1.2: the previous primary already fixed these actions'
             // positions.
-            let yellow_ids = std::mem::take(&mut self.yellow.set);
+            let yellow_ids = std::mem::take(&mut self.k.yellow.set);
             for id in yellow_ids {
-                let action = Rc::clone(
-                    self.actions
-                        .get(&id)
-                        .expect("yellow body present after exchange"),
-                );
+                let action = self.k.actions.get(&id);
+                let action = Rc::clone(action.expect("yellow body present after exchange"));
                 self.mark_green(ctx, &action);
             }
         }
-        self.yellow = YellowRecord::invalid();
-        self.prim_component.prim_index += 1;
-        self.prim_component.attempt_index = self.attempt_index;
-        self.prim_component.servers = self.vulnerable.set.clone();
+        self.k.yellow = YellowRecord::invalid();
+        self.k.prim_component.prim_index += 1;
+        self.k.prim_component.attempt_index = self.k.attempt_index;
+        self.k.prim_component.servers = self.k.vulnerable.set.clone();
         // The install re-bases the quorum membership. A member whose
         // leave went green during this very installation (via the
         // yellow/red conversion above) is still a view member, so it
@@ -1833,17 +1673,14 @@ impl ReplicationEngine {
         // completes and must not count toward future quorums. This is
         // agreed state: all members green the identical yellow/red sets
         // here, so they bake the identical discount.
-        self.prim_component.departed = self
-            .prim_component
-            .servers
-            .intersection(&self.departed_servers)
-            .copied()
-            .collect();
-        self.attempt_index = 0;
+        let servers = &self.k.prim_component.servers;
+        let departed = servers.intersection(&self.v.departed_servers);
+        self.k.prim_component.departed = departed.copied().collect();
+        self.k.attempt_index = 0;
         // OR-2: remaining red actions, ordered by action id.
-        let reds: Vec<ActionId> = self.red_set.iter().copied().collect();
+        let reds: Vec<ActionId> = self.k.red_set.iter().copied().collect();
         for id in reds {
-            let action = Rc::clone(self.actions.get(&id).expect("red body present"));
+            let action = Rc::clone(self.k.actions.get(&id).expect("red body present"));
             self.mark_green(ctx, &action);
         }
         // The install is an agreed deterministic computation: every
@@ -1854,9 +1691,9 @@ impl ReplicationEngine {
         // — which never comes if a long partition left every replica
         // at its retention cap, wedging the whole system in
         // backpressure rejection.
-        for m in &self.prim_component.servers {
-            if !self.departed_servers.contains(m) {
-                self.green_lines.insert(*m, self.green_count);
+        for m in &self.k.prim_component.servers {
+            if !self.v.departed_servers.contains(m) {
+                self.k.green_lines.insert(*m, self.k.green_count);
             }
         }
         if self.cfg.checkpoint_interval > 0 {
@@ -1865,7 +1702,7 @@ impl ReplicationEngine {
         }
         self.stats.primaries_installed += 1;
         ctx.metrics().incr("engine.primaries_installed", 1);
-        self.persist_membership_records();
+        self.k.save_records(&mut self.store);
     }
 
     // ============================================================
@@ -1910,13 +1747,13 @@ impl ReplicationEngine {
                 let creator = action.id.server;
                 let creator_line = action.green_line;
                 self.mark_green(ctx, action);
-                let entry = self.green_lines.entry(creator).or_insert(0);
+                let entry = self.k.green_lines.entry(creator).or_insert(0);
                 *entry = (*entry).max(creator_line);
             }
             EngineState::RegPrim | EngineState::TransPrim => {
                 // Delivered in the transitional configuration of the
                 // primary: order known, survival unknown.
-                self.state = EngineState::TransPrim;
+                self.set_state(EngineState::TransPrim);
                 #[cfg(feature = "chaos-mutations")]
                 if self.cfg.chaos == Some(crate::types::ChaosMutation::PrematureGreen) {
                     // Injected bug: green without next-primary
@@ -1938,7 +1775,7 @@ impl ReplicationEngine {
                     return; // our own leave was among the converted reds
                 }
                 self.mark_yellow(ctx, action);
-                self.state = EngineState::TransPrim;
+                self.set_state(EngineState::TransPrim);
             }
             EngineState::No => {
                 panic!(
@@ -2002,10 +1839,8 @@ impl ReplicationEngine {
             return;
         }
         // Own action coming back sequenced: decide its commit path.
-        let wants_fast = self
-            .pending_replies
-            .get(&id)
-            .is_some_and(|p| p.policy == UpdateReplyPolicy::Fast);
+        let pending = self.v.pending_replies.get(&id);
+        let wants_fast = pending.is_some_and(|p| p.policy == UpdateReplyPolicy::Fast);
         if !wants_fast {
             return;
         }
@@ -2030,9 +1865,9 @@ impl ReplicationEngine {
         let result = query.as_ref().map(|q| self.dirty_view().query(q));
         // Charge the check + read now so the CPU work overlaps the
         // FastAck round trip instead of serializing behind it.
-        let ready_at = self.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
+        let ready_at = self.v.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
         let me = self.cfg.me;
-        self.pending_fast.insert(
+        self.v.pending_fast.insert(
             id,
             FastPending {
                 ackers: BTreeSet::from([me]),
@@ -2058,11 +1893,10 @@ impl ReplicationEngine {
             // reply this issues against a conflicting concurrent action.
             return false;
         }
-        self.red_set
-            .iter()
-            .chain(self.yellow.set.iter())
+        self.k
+            .in_flight()
             .filter(|other| other.server != id.server)
-            .any(|other| match self.actions.get(other).map(|a| &a.kind) {
+            .any(|other| match self.k.kind_of(other) {
                 Some(ActionKind::App { query, update }) => {
                     conflicts(class, &classify(update, query.as_ref()))
                 }
@@ -2073,7 +1907,7 @@ impl ReplicationEngine {
     /// Issues the fast commit if the ackers of `id` form a weighted
     /// quorum of the current primary component.
     fn try_fast_commit(&mut self, ctx: &mut Ctx<'_>, id: ActionId) {
-        let Some(fp) = self.pending_fast.get(&id) else {
+        let Some(fp) = self.v.pending_fast.get(&id) else {
             return;
         };
         let ackers: Vec<NodeId> = fp.ackers.iter().copied().collect();
@@ -2085,29 +1919,26 @@ impl ReplicationEngine {
             // of older configurations cannot: their lease died at least
             // `fail_timeout - 2·hb - lease_duration` before this
             // configuration could have installed.)
-            match &self.conf {
+            match &self.v.conf {
                 Some(conf) => conf.members.iter().all(|m| fp.ackers.contains(m)),
                 None => false,
             }
         } else {
-            is_weighted_quorum(&ackers, &self.prim_component, &self.cfg.weights)
+            is_weighted_quorum(&ackers, &self.k.prim_component, &self.cfg.weights)
         };
         if !quorum_ok {
             return;
         }
-        let fp = self.pending_fast.remove(&id).expect("just present");
-        let Some(p) = self.pending_replies.remove(&id) else {
+        let fp = self.v.pending_fast.remove(&id).expect("just present");
+        let Some(p) = self.v.pending_replies.remove(&id) else {
             return;
         };
         self.stats.fast_commits += 1;
         ctx.metrics().incr("engine.fast_commits", 1);
         let latency = ctx.now().saturating_since(p.submitted_at);
         ctx.metrics().observe("engine.fast_commit_latency", latency);
-        let client = self
-            .actions
-            .get(&id)
-            .map(|a| a.client.0 as u64)
-            .unwrap_or(0);
+        let action = self.k.actions.get(&id).cloned();
+        let client = action.as_ref().map_or(0, |a| a.client.0 as u64);
         ctx.emit(ProtocolEvent::FastCommit {
             node: self.cfg.me.index(),
             action_seq: id.index,
@@ -2116,8 +1947,8 @@ impl ReplicationEngine {
             client,
             latency_nanos: latency.as_nanos(),
         });
-        if let Some(action) = self.actions.get(&id).cloned() {
-            self.note_update_acked(ctx, &action);
+        if let Some(action) = &action {
+            self.note_update_acked(ctx, action);
         }
         // The reply doesn't execute the update — that happens at green
         // apply on every replica regardless — and its own CPU cost (the
@@ -2144,7 +1975,7 @@ impl ReplicationEngine {
         if !self.cfg.fast_path || self.state != EngineState::RegPrim {
             return; // stale ack from before a view change
         }
-        let Some(fp) = self.pending_fast.get_mut(&id) else {
+        let Some(fp) = self.v.pending_fast.get_mut(&id) else {
             return; // demoted, already committed, or cleared
         };
         fp.ackers.insert(src);
@@ -2160,7 +1991,7 @@ impl ReplicationEngine {
         // staged mutations: a stale token (from before a crash) reports
         // a write whose platter sync never happened, and committing on
         // it would make the store claim durability for lost data.
-        let Some(after) = self.pending_syncs.remove(&token) else {
+        let Some(after) = self.v.pending_syncs.remove(&token) else {
             return; // completion from before a crash
         };
         // A backend I/O failure here means the host disk broke under
@@ -2171,7 +2002,7 @@ impl ReplicationEngine {
             .expect("storage backend failed to persist staged state");
         match after {
             AfterSync::Submit(actions) => {
-                self.submit_inflight = false;
+                self.v.submit_inflight = false;
                 if matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
                     for action in actions {
                         let size = action.size_bytes;
@@ -2186,13 +2017,13 @@ impl ReplicationEngine {
                     // our state message — a member already in
                     // `Construct` could then deliver it before the full
                     // CPC set. Hold them until the next install.
-                    self.deferred_submits.extend(actions);
+                    self.v.deferred_submits.extend(actions);
                 }
             }
             AfterSync::SendState { epoch } => {
                 if epoch == self.conf_epoch && self.state == EngineState::ExchangeStates {
                     let sm = self.my_state_msg();
-                    let size = self.cfg.state_msg_bytes
+                    let size = STATE_MSG_BYTES
                         + (sm.progress.red_cut.len() as u32) * 12
                         + (sm.yellow.set.len() as u32) * 12;
                     self.send_group(ctx, EngineMsg::State(sm), size);
@@ -2200,9 +2031,9 @@ impl ReplicationEngine {
             }
             AfterSync::SendCpc { epoch } => {
                 if epoch == self.conf_epoch && self.state == EngineState::Construct {
-                    let conf = self.conf.as_ref().expect("in a configuration").id;
+                    let conf = self.v.conf.as_ref().expect("in a configuration").id;
                     let me = self.cfg.me;
-                    let size = self.cfg.cpc_msg_bytes;
+                    let size = CPC_MSG_BYTES;
                     self.send_group(ctx, EngineMsg::Cpc { server: me, conf }, size);
                 }
             }
@@ -2215,7 +2046,7 @@ impl ReplicationEngine {
             }
             AfterSync::JoinedReady => {
                 if self.state == EngineState::Joining {
-                    self.state = EngineState::NonPrim;
+                    self.set_state(EngineState::NonPrim);
                     ctx.send_now(self.evs, EvsCmd::JoinGroup);
                 }
             }
@@ -2256,26 +2087,7 @@ impl ReplicationEngine {
     }
 
     fn generate_internal_action(&mut self, ctx: &mut Ctx<'_>, kind: ActionKind) {
-        self.action_index += 1;
-        let action = Rc::new(Action {
-            id: ActionId {
-                server: self.cfg.me,
-                index: self.action_index,
-            },
-            green_line: self.green_count,
-            client: ClientId(0),
-            kind,
-            size_bytes: 64,
-        });
-        self.stats.actions_created += 1;
-        ctx.metrics().incr("engine.actions_created", 1);
-        ctx.emit(ProtocolEvent::ActionCreated {
-            node: self.cfg.me.index(),
-            action_seq: action.id.index,
-        });
-        self.ongoing.insert(action.id.index, Rc::clone(&action));
-        self.persist_ongoing();
-        self.submit_queue.push(action);
+        self.create_action(ctx, ClientId(0), kind, 64);
         self.flush_submit_queue(ctx);
     }
 
@@ -2292,43 +2104,10 @@ impl ReplicationEngine {
         } else {
             self.store.crash();
         }
-        self.state = EngineState::Down;
-        self.actions.clear();
-        self.green_count = 0;
-        self.green_floor = 0;
-        self.green_tail.clear();
-        self.green_cut.clear();
-        self.red_set.clear();
-        self.red_cut.clear();
-        self.stashed.clear();
-        self.green_lines.clear();
-        self.departed_servers.clear();
-        self.db = Database::new();
-        self.dirty_db = None;
-        self.conf = None;
+        self.set_state(EngineState::Down);
         self.conf_epoch += 1;
-        self.state_msgs.clear();
-        self.plan = None;
-        self.retrans_done.clear();
-        self.cpc_received.clear();
-        self.pending_replies.clear();
-        self.pending_fast.clear();
-        self.buffered_reqs.clear();
-        self.parked_strict.clear();
-        self.parked_lease.clear();
-        self.lease_epoch = 0;
-        self.lease_expiry = SimTime::ZERO;
-        self.pending_syncs.clear();
-        self.pending_joins.clear();
-        self.cpu.reset();
-        self.ongoing.clear();
-        self.submit_queue.clear();
-        self.submit_inflight = false;
-        self.deferred_submits.clear();
-        self.last_green_charge = None;
-        self.green_burst_len = 0;
-        // prim_component / vulnerable / yellow / attempt / action_index
-        // are reloaded from stable storage on recovery.
+        self.v = Volatile::default();
+        self.k.forget_colours();
     }
 
     /// Damages the persisted log in place ([`EngineCtl::InjectFault`]).
@@ -2368,7 +2147,7 @@ impl ReplicationEngine {
             log_index: error.log_index(),
         });
         self.recovery_error = Some(error);
-        self.state = EngineState::Down;
+        self.set_state(EngineState::Down);
     }
 
     /// `Recover` (CodeSegment A.13), hardened: before replaying the
@@ -2408,8 +2187,8 @@ impl ReplicationEngine {
                 }
             }
         }
-        let persisted = match persist::load(&self.store) {
-            Ok(persisted) => persisted,
+        let recovered = match persist::load(&self.store, &self.k) {
+            Ok(recovered) => recovered,
             Err(RecoveryError::UndecodableEntry { index }) if !verify => {
                 // The mutated lenient path: entries that do not decode
                 // are silently dropped from that point on and recovery
@@ -2417,8 +2196,8 @@ impl ReplicationEngine {
                 // no fail-stop. (Stale sectors decode fine, so they
                 // replay as duplicates; the durability oracle's job.)
                 self.store.truncate_log_from(index);
-                match persist::load(&self.store) {
-                    Ok(persisted) => persisted,
+                match persist::load(&self.store, &self.k) {
+                    Ok(recovered) => recovered,
                     Err(error) => {
                         self.fail_stop(ctx, error);
                         return;
@@ -2452,81 +2231,50 @@ impl ReplicationEngine {
         self.store.put_record(persist::K_INCARNATION, &incarnation);
         self.store.set_epoch(incarnation);
 
-        self.actions = persisted.actions;
-        self.green_floor = persisted.base.green_count;
-        self.green_count = persisted.base.green_count + persisted.green_tail.len() as u64;
-        self.green_tail = persisted.green_tail;
-        self.green_cut = persisted.green_cut;
-        self.red_set = persisted.red_set;
-        self.red_cut = persisted.red_cut;
-        self.green_lines = persisted.green_lines;
-        if let Some(prim) = persisted.prim_component {
-            self.prim_component = prim;
-        }
-        self.attempt_index = persisted.attempt_index;
-        self.vulnerable = persisted.vulnerable;
-        self.yellow = persisted.yellow;
-        self.action_index = persisted.action_index;
-        self.ongoing = persisted
-            .ongoing
-            .into_iter()
-            .map(|a| (a.id.index, a))
-            .collect();
-        if !persisted.server_set.is_empty() {
-            self.server_set = persisted.server_set;
-        }
-
-        // Rebuild the green database: base + green tail replay.
-        self.db = persisted.base.db;
-        for id in &self.green_tail {
-            if let Some(ActionKind::App { update, .. }) = self.actions.get(id).map(|a| &a.kind) {
-                self.db.apply(update);
-            }
-        }
-        self.dirty_db = None;
-        self.green_lines.insert(self.cfg.me, self.green_count);
+        self.k = recovered;
+        self.k.green_lines.insert(self.cfg.me, self.k.green_count);
 
         // Re-accept own unacknowledged actions (A.13).
-        let ongoing: Vec<Rc<Action>> = self.ongoing.values().cloned().collect();
+        let ongoing: Vec<Rc<Action>> = self.k.ongoing.values().cloned().collect();
         for action in ongoing {
-            let have = self.red_cut.get(&action.id.server).copied().unwrap_or(0);
+            let have = self.k.red_cut.get(&action.id.server).copied().unwrap_or(0);
             if have < action.id.index {
                 self.mark_red(ctx, &action);
             }
         }
-        self.state = EngineState::NonPrim;
-        self.persist_membership_records();
-        self.persist_ongoing();
+        self.set_state(EngineState::NonPrim);
+        self.k.save_records(&mut self.store);
+        self.k.save_ongoing(&mut self.store);
         self.request_sync(ctx, AfterSync::Noop);
         ctx.send_now(self.evs, EvsCmd::Restart);
         ctx.emit(ProtocolEvent::EngineRecovered {
             node: self.cfg.me.index(),
-            green: self.green_count,
+            green: self.k.green_count,
         });
     }
 
     /// CodeSegment 5.2: the joining site's bootstrap.
     fn start_join(&mut self, ctx: &mut Ctx<'_>, via: NodeId) {
-        self.state = EngineState::Joining;
-        self.join_targets = self.cfg.server_set.clone();
-        if let Some(pos) = self.join_targets.iter().position(|&n| n == via) {
-            self.join_targets.swap(0, pos);
+        self.set_state(EngineState::Joining);
+        self.v.join_targets = self.cfg.server_set.clone();
+        if let Some(pos) = self.v.join_targets.iter().position(|&n| n == via) {
+            self.v.join_targets.swap(0, pos);
         }
-        self.join_target_idx = 0;
+        self.v.join_target_idx = 0;
         let me = self.cfg.me;
         self.send_transfer(ctx, via, TransferWire::JoinRequest { joiner: me });
         ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
     }
 
     fn on_join_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.state != EngineState::Joining || self.join_targets.is_empty() {
+        if self.state != EngineState::Joining || self.v.join_targets.is_empty() {
             return;
         }
         // "If the initial peer fails or a network partition occurs
         // before the transfer is finished, the new server will try to
         // establish a connection with a different member" (§5.1).
-        self.join_target_idx = (self.join_target_idx + 1) % self.join_targets.len();
-        let target = self.join_targets[self.join_target_idx];
+        self.v.join_target_idx = (self.v.join_target_idx + 1) % self.v.join_targets.len();
+        let target = self.v.join_targets[self.v.join_target_idx];
         let me = self.cfg.me;
         self.send_transfer(ctx, target, TransferWire::JoinRequest { joiner: me });
         ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
@@ -2539,11 +2287,11 @@ impl ReplicationEngine {
                 if !matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
                     return; // not in a position to represent anyone
                 }
-                if self.server_set.contains(&joiner) {
+                if self.k.server_set.contains(&joiner) {
                     // Join already ordered: resume/redo the transfer
                     // from current state (line 21).
                     self.send_snapshot_to(ctx, joiner);
-                } else if self.pending_joins.insert(joiner) {
+                } else if self.v.pending_joins.insert(joiner) {
                     // Announce the newcomer (lines 17-19); duplicate
                     // bootstrap retries while our announcement is still
                     // in flight are absorbed here, and late duplicate
@@ -2565,15 +2313,15 @@ impl ReplicationEngine {
                 if self.state != EngineState::Joining {
                     return;
                 }
-                self.adopt_base(db.clone(), *green_count, red_cut.clone());
-                self.green_lines = green_lines.clone();
-                self.green_lines.insert(self.cfg.me, self.green_count);
-                self.server_set = server_set.clone();
-                self.server_set.insert(self.cfg.me);
-                self.prim_component = prim_component.clone();
-                self.action_index = (*action_index).max(self.action_index);
-                self.persist_membership_records();
-                self.persist_ongoing();
+                self.adopt_base(db.clone(), *green_count, red_cut);
+                self.k.green_lines = green_lines.clone();
+                self.k.green_lines.insert(self.cfg.me, self.k.green_count);
+                self.k.server_set = server_set.clone();
+                self.k.server_set.insert(self.cfg.me);
+                self.k.prim_component = prim_component.clone();
+                self.k.action_index = (*action_index).max(self.k.action_index);
+                self.k.save_records(&mut self.store);
+                self.k.save_ongoing(&mut self.store);
                 // Persist the inherited state, then join the group.
                 self.request_sync(ctx, AfterSync::JoinedReady);
             }
@@ -2646,9 +2394,9 @@ impl std::fmt::Debug for ReplicationEngine {
         f.debug_struct("ReplicationEngine")
             .field("me", &self.cfg.me)
             .field("state", &self.state)
-            .field("green", &self.green_count)
-            .field("red", &self.red_set.len())
-            .field("prim", &self.prim_component.prim_index)
+            .field("green", &self.k.green_count)
+            .field("red", &self.k.red_set.len())
+            .field("prim", &self.k.prim_component.prim_index)
             .finish_non_exhaustive()
     }
 }

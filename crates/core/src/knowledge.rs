@@ -1,0 +1,487 @@
+//! What one replica knows, and the colouring rules that change it.
+//!
+//! [`Knowledge`] is the paper's persistent data (Appendix A: `serverSet`,
+//! `actionIndex`, the red cut, `primComponent`, `attemptIndex`,
+//! `vulnerable`, `yellow`, `actionsQueue`, `ongoingQueue`, `greenLines`)
+//! together with the green database those actions build. It is plain
+//! data plus rules — no simulator context, no storage handle, no
+//! metrics. The engine calls the rules from its handlers and does the
+//! logging and event emission around them; [`crate::persist::load`]
+//! folds the *same* rules over the persisted log, so the state recovery
+//! rebuilds is by construction the state the live path built.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+use todr_db::Database;
+use todr_net::NodeId;
+
+use crate::action::{Action, ActionId, ActionKind};
+use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
+
+/// The verdict of [`Knowledge::accept_red`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Accept {
+    /// The creator's next action: now red.
+    New,
+    /// At or below the creator's red cut: already known.
+    Duplicate,
+    /// Beyond the creator's next index: not acceptable until the gap
+    /// fills (the engine stashes it).
+    Ahead,
+}
+
+/// Everything a replica mirrors on stable storage; what `recover`
+/// reloads and a crash cannot take away.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Knowledge {
+    /// Retained action bodies, red and not-yet-discarded green (the
+    /// paper's `actionsQueue`).
+    pub actions: BTreeMap<ActionId, Rc<Action>>,
+    /// Number of green actions: the position of this server's green
+    /// line.
+    pub green_count: u64,
+    /// Lowest green position a body is still retained for; everything
+    /// below was white and has been discarded.
+    pub green_floor: u64,
+    /// Green action ids from `green_floor` on, in global order
+    /// (position `green_floor + i`).
+    pub green_tail: Vec<ActionId>,
+    /// Per creator, the highest green action index.
+    pub green_cut: BTreeMap<NodeId, u64>,
+    /// Red actions (accepted, not green), in `ActionId` order.
+    pub red_set: BTreeSet<ActionId>,
+    /// Per creator, the highest contiguously accepted index (`redCut`).
+    pub red_cut: BTreeMap<NodeId, u64>,
+    /// The green database: every green `App` action applied in order.
+    pub db: Database,
+    /// The last known primary component (`primComponent`).
+    pub prim_component: PrimComponent,
+    /// Installation attempts since that primary (`attemptIndex`).
+    pub attempt_index: u64,
+    /// The installation this server voted for and cannot yet prove the
+    /// outcome of (`vulnerable`).
+    pub vulnerable: VulnerableRecord,
+    /// Actions delivered in a transitional configuration of a primary
+    /// (`yellow`).
+    pub yellow: YellowRecord,
+    /// Per server, the last green count it is known to have reached
+    /// (`greenLines`); their minimum is the white line.
+    pub green_lines: BTreeMap<NodeId, u64>,
+    /// The current replica set (`serverSet`).
+    pub server_set: BTreeSet<NodeId>,
+    /// This server's creator counter (`actionIndex`).
+    pub action_index: u64,
+    /// Own created-but-not-yet-red actions by creator-local index (the
+    /// paper's `ongoingQueue`, persisted as a `Vec` in index order).
+    pub ongoing: BTreeMap<u64, Rc<Action>>,
+}
+
+impl Knowledge {
+    /// What a server that has seen nothing knows: the configured
+    /// replica set as the initial primary component, everything else
+    /// empty.
+    pub(crate) fn new(server_set: impl IntoIterator<Item = NodeId>) -> Self {
+        let server_set: BTreeSet<NodeId> = server_set.into_iter().collect();
+        Knowledge {
+            actions: BTreeMap::new(),
+            green_count: 0,
+            green_floor: 0,
+            green_tail: Vec::new(),
+            green_cut: BTreeMap::new(),
+            red_set: BTreeSet::new(),
+            red_cut: BTreeMap::new(),
+            db: Database::new(),
+            prim_component: PrimComponent::initial(server_set.iter().copied()),
+            attempt_index: 0,
+            vulnerable: VulnerableRecord::invalid(),
+            yellow: YellowRecord::invalid(),
+            green_lines: BTreeMap::new(),
+            server_set,
+            action_index: 0,
+            ongoing: BTreeMap::new(),
+        }
+    }
+
+    /// The white line: every action at a green position below it is
+    /// known green everywhere and can be discarded (§3).
+    pub(crate) fn white_line(&self) -> u64 {
+        self.server_set
+            .iter()
+            .map(|s| self.green_lines.get(s).copied().unwrap_or(0))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The kind of a retained action.
+    pub(crate) fn kind_of(&self, id: &ActionId) -> Option<&ActionKind> {
+        self.actions.get(id).map(|a| &a.kind)
+    }
+
+    /// Actions whose order is fixed here but not yet green: the red set,
+    /// then the yellow set.
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = &ActionId> {
+        self.red_set.iter().chain(self.yellow.set.iter())
+    }
+
+    /// The green database with the red actions replayed over it (the §6
+    /// dirty view).
+    pub(crate) fn dirty_db(&self) -> Database {
+        let mut dirty = self.db.snapshot();
+        for id in &self.red_set {
+            if let Some(ActionKind::App { update, .. }) = self.kind_of(id) {
+                dirty.apply(update);
+            }
+        }
+        dirty
+    }
+
+    /// `MarkRed` (CodeSegment A.14): accepts the action if it is its
+    /// creator's next, keeping the red cut contiguous. Any other verdict
+    /// leaves the colouring untouched.
+    pub(crate) fn accept_red(&mut self, action: &Rc<Action>) -> Accept {
+        let id = action.id;
+        let cut = self.red_cut.entry(id.server).or_insert(0);
+        if id.index > *cut + 1 {
+            return Accept::Ahead;
+        }
+        if id.index != *cut + 1 {
+            return Accept::Duplicate;
+        }
+        *cut = id.index;
+        self.actions.insert(id, Rc::clone(action));
+        self.red_set.insert(id);
+        Accept::New
+    }
+
+    /// `MarkGreen`: places an accepted action on top of the green order
+    /// and applies it to the database. Returns `false` (and changes
+    /// nothing) if it is already green.
+    ///
+    /// # Panics
+    ///
+    /// If the action was never accepted: green streams respect
+    /// per-creator FIFO, so a contiguity gap here is a protocol bug,
+    /// not a benign race.
+    pub(crate) fn mark_green(&mut self, action: &Action) -> bool {
+        let id = action.id;
+        if self.green_cut.get(&id.server).copied().unwrap_or(0) >= id.index {
+            return false;
+        }
+        assert!(
+            self.red_cut.get(&id.server).copied().unwrap_or(0) >= id.index,
+            "green mark for unaccepted action {id}"
+        );
+        self.red_set.remove(&id);
+        self.green_tail.push(id);
+        self.green_count += 1;
+        self.green_cut.insert(id.server, id.index);
+        if let ActionKind::App { update, .. } = &action.kind {
+            self.db.apply(update);
+        }
+        true
+    }
+
+    /// Replaces the green prefix with an inherited database state (§5.1
+    /// transfer / exchange snapshot fallback). Red actions the snapshot
+    /// already incorporates are dropped.
+    pub(crate) fn adopt_base(
+        &mut self,
+        db: Database,
+        green_count: u64,
+        green_cut: &BTreeMap<NodeId, u64>,
+    ) {
+        self.db = db;
+        self.green_count = green_count;
+        self.green_floor = green_count;
+        self.green_tail.clear();
+        // Merge cuts: the snapshot may know creators we do not and vice
+        // versa.
+        for (server, cut) in green_cut {
+            let entry = self.green_cut.entry(*server).or_insert(0);
+            *entry = (*entry).max(*cut);
+            let red = self.red_cut.entry(*server).or_insert(0);
+            *red = (*red).max(*cut);
+        }
+        let cuts = &self.green_cut;
+        self.red_set
+            .retain(|id| id.index > cuts.get(&id.server).copied().unwrap_or(0));
+        self.actions
+            .retain(|id, _| id.index > cuts.get(&id.server).copied().unwrap_or(0));
+    }
+
+    /// Discards the bodies of **white** actions (§3). Returns how many
+    /// were discarded, or `None` if the white line is not above the
+    /// floor and nothing changed.
+    pub(crate) fn prune_white(&mut self) -> Option<u64> {
+        let white = self.white_line();
+        if white <= self.green_floor {
+            return None;
+        }
+        // The prune window is bounded by what we actually retain, and
+        // the floor advances by the number of tail entries *dropped* —
+        // never re-based to `white` directly. Re-basing silently breaks
+        // `green_floor + green_tail.len() == green_count` whenever the
+        // window exceeds the tail (the two quantities then disagree
+        // with the retained-body map, and the green retransmission
+        // indexes the tail with a phantom offset). The debug asserts pin
+        // the invariant: the white line never runs ahead of our own
+        // green count, so the window is always fully covered by the
+        // tail.
+        let want = (white - self.green_floor) as usize;
+        let k = want.min(self.green_tail.len());
+        debug_assert_eq!(
+            want,
+            k,
+            "white line {white} beyond the retained green tail (floor {}, tail {})",
+            self.green_floor,
+            self.green_tail.len()
+        );
+        let mut pruned = 0;
+        for id in self.green_tail.drain(..k) {
+            if self.actions.remove(&id).is_some() {
+                pruned += 1;
+            }
+        }
+        self.green_floor += k as u64;
+        debug_assert_eq!(
+            self.green_floor + self.green_tail.len() as u64,
+            self.green_count,
+            "green floor/tail disagree with the green count"
+        );
+        Some(pruned)
+    }
+
+    /// What a crashed server still holds in memory of its coloured
+    /// state: nothing. The named membership records stay readable (a
+    /// `Down` replica answers inspection calls with them) until recovery
+    /// replaces the whole `Knowledge` with what storage holds.
+    pub(crate) fn forget_colours(&mut self) {
+        let held = std::mem::replace(self, Knowledge::new([]));
+        self.prim_component = held.prim_component;
+        self.attempt_index = held.attempt_index;
+        self.vulnerable = held.vulnerable;
+        self.yellow = held.yellow;
+        self.server_set = held.server_set;
+        self.action_index = held.action_index;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::action::ClientId;
+    use crate::persist::{self, PersistEntry};
+    use todr_db::Op;
+    use todr_sim::SimRng;
+    use todr_storage::StorageHandle;
+
+    const CREATORS: u32 = 4;
+    const ME: u32 = 0;
+
+    /// The one body `(server, index)` can have; a few rows, so later
+    /// actions overwrite earlier ones and the apply order shows.
+    fn action(server: u32, index: u64) -> Rc<Action> {
+        Rc::new(Action {
+            id: ActionId {
+                server: NodeId::new(server),
+                index,
+            },
+            green_line: 0,
+            client: ClientId(1),
+            kind: ActionKind::App {
+                query: None,
+                update: Op::put(
+                    "t",
+                    format!("k{}", index % 5),
+                    (server as i64) << 32 | index as i64,
+                ),
+            },
+            size_bytes: 200,
+        })
+    }
+
+    fn cut(cuts: &BTreeMap<NodeId, u64>, server: u32) -> u64 {
+        cuts.get(&NodeId::new(server)).copied().unwrap_or(0)
+    }
+
+    /// A replica's knowledge and store, driven the way the engine's
+    /// handlers drive them: the rule first, then the log entry or record
+    /// the handler writes when the rule says something changed.
+    struct Replica {
+        k: Knowledge,
+        store: StorageHandle,
+        /// Green count the last base record absorbed.
+        based_at: u64,
+    }
+
+    impl Replica {
+        fn new() -> Self {
+            Replica {
+                k: Knowledge::new((0..CREATORS).map(NodeId::new)),
+                store: StorageHandle::sim(),
+                based_at: 0,
+            }
+        }
+
+        fn accept(&mut self, action: &Rc<Action>) -> Accept {
+            let verdict = self.k.accept_red(action);
+            if verdict == Accept::New {
+                self.store
+                    .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
+            }
+            verdict
+        }
+
+        fn green(&mut self, action: &Action) -> bool {
+            let newly = self.k.mark_green(action);
+            if newly {
+                let count = self.k.green_count;
+                self.k.green_lines.insert(NodeId::new(ME), count);
+                self.store.append_log_typed(&PersistEntry::Green(action.id));
+            }
+            newly
+        }
+
+        fn rebase(&mut self) {
+            self.k.save_base(&mut self.store);
+            self.based_at = self.k.green_count;
+        }
+
+        /// A forced write completes, the process dies, recovery reads
+        /// the store back.
+        fn sync_crash_load(&mut self) -> Knowledge {
+            self.k.save_records(&mut self.store);
+            self.k.save_ongoing(&mut self.store);
+            self.store.commit_staged().expect("sim store cannot fail");
+            self.store.crash();
+            persist::load(&self.store, &Knowledge::new([])).expect("clean store loads")
+        }
+
+        /// The live knowledge as a crash leaves it: the bodies of green
+        /// actions the last base record absorbed are gone (the base
+        /// holds their effect, the log restarted above them), and a
+        /// creator only ever seen out of order is not known at all.
+        fn as_recovered(&self) -> Knowledge {
+            let mut k = self.k.clone();
+            let absorbed = (self.based_at - k.green_floor) as usize;
+            for id in k.green_tail.drain(..absorbed) {
+                k.actions.remove(&id);
+            }
+            k.green_floor = self.based_at;
+            k.red_cut.retain(|_, cut| *cut > 0);
+            k
+        }
+    }
+
+    /// The rules exist once: for random interleavings of accept / green
+    /// / prune / adopt-base over several creators, what `persist::load`
+    /// folds out of the log and records the live path wrote equals what
+    /// the live path holds.
+    #[test]
+    fn live_and_replayed_knowledge_agree() {
+        for seed in 0..150u64 {
+            let mut rng = SimRng::new(seed);
+            let mut r = Replica::new();
+            for _ in 0..120 {
+                let creator = rng.gen_range(CREATORS as u64) as u32;
+                match rng.gen_range(16) {
+                    // Accept: the creator's next, a duplicate, or ahead.
+                    0..=6 => {
+                        let next = cut(&r.k.red_cut, creator) + 1;
+                        let index = (next + rng.gen_range(4)).saturating_sub(2).max(1);
+                        let verdict = r.accept(&action(creator, index));
+                        assert_eq!(verdict == Accept::New, index == next);
+                    }
+                    // Green the creator's oldest red (per-creator FIFO),
+                    // or an already green action (a no-op).
+                    7..=10 => {
+                        let next = cut(&r.k.green_cut, creator) + 1;
+                        if next <= cut(&r.k.red_cut, creator) {
+                            assert!(r.green(&action(creator, next)));
+                        }
+                        let done = cut(&r.k.green_cut, creator);
+                        assert!(done == 0 || !r.green(&action(creator, done)));
+                    }
+                    // Peers' green lines move up; prune below the white line.
+                    11 | 12 => {
+                        for peer in 1..CREATORS {
+                            let line = r.k.green_lines.entry(NodeId::new(peer)).or_insert(0);
+                            let room = r.k.green_count - *line;
+                            *line += rng.gen_range(room + 1);
+                        }
+                        if r.k.prune_white().is_some() {
+                            r.rebase();
+                        }
+                    }
+                    // Adopt the base of a peer that is ahead: it has
+                    // greened some of what we hold red, and more.
+                    13 => {
+                        let mut donor = r.k.clone();
+                        for _ in 0..rng.gen_range(6) {
+                            let c = rng.gen_range(CREATORS as u64) as u32;
+                            let a = action(c, cut(&donor.green_cut, c) + 1);
+                            donor.accept_red(&a);
+                            assert!(donor.mark_green(&a));
+                        }
+                        if donor.green_count > r.k.green_count {
+                            r.k.adopt_base(
+                                donor.db.snapshot(),
+                                donor.green_count,
+                                &donor.green_cut,
+                            );
+                            r.rebase();
+                        }
+                    }
+                    // The named records move.
+                    14 => {
+                        r.k.attempt_index += 1;
+                        r.k.action_index += 1;
+                        let own = action(ME, 1_000 + r.k.action_index);
+                        r.k.yellow.set.push(own.id);
+                        r.k.ongoing.insert(own.id.index, own);
+                    }
+                    _ => assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}"),
+                }
+            }
+            assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}");
+            assert_eq!(
+                r.k.green_floor + r.k.green_tail.len() as u64,
+                r.k.green_count
+            );
+        }
+    }
+
+    /// Out-of-order and duplicate acceptance say so and colour nothing.
+    #[test]
+    fn only_the_creators_next_action_is_accepted() {
+        let mut k = Knowledge::new((0..CREATORS).map(NodeId::new));
+        assert_eq!(k.accept_red(&action(0, 1)), Accept::New);
+        let before = k.clone();
+        assert_eq!(k.accept_red(&action(0, 1)), Accept::Duplicate);
+        assert_eq!(k.accept_red(&action(0, 3)), Accept::Ahead);
+        assert_eq!(k, before);
+        // A creator first heard of out of order is known, at cut 0.
+        assert_eq!(k.accept_red(&action(1, 2)), Accept::Ahead);
+        assert_eq!(cut(&k.red_cut, 1), 0);
+        assert_eq!((k.actions.len(), k.red_set.len()), (1, 1));
+
+        assert_eq!(k.accept_red(&action(0, 2)), Accept::New);
+        assert_eq!(k.accept_red(&action(0, 3)), Accept::New);
+        assert_eq!(cut(&k.red_cut, 0), 3);
+
+        assert!(k.mark_green(&action(0, 1)));
+        let before = k.clone();
+        assert!(!k.mark_green(&action(0, 1)), "already green");
+        assert_eq!(k, before);
+        assert_eq!((k.green_count, cut(&k.green_cut, 0)), (1, 1));
+        assert_eq!(k.green_tail, vec![action(0, 1).id]);
+        assert_eq!(k.red_set.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "green mark for unaccepted action")]
+    fn greening_an_unaccepted_action_is_a_protocol_bug() {
+        Knowledge::new((0..CREATORS).map(NodeId::new)).mark_green(&action(0, 1));
+    }
+}

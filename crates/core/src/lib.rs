@@ -53,6 +53,7 @@
 mod action;
 mod engine;
 mod exchange;
+mod knowledge;
 mod persist;
 pub mod quorum;
 mod semantics;

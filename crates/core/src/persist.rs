@@ -27,7 +27,8 @@ use todr_net::NodeId;
 use todr_storage::StorageHandle;
 
 use crate::action::{Action, ActionId};
-use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
+use crate::knowledge::{Accept, Knowledge};
+use crate::quorum::{VulnerableRecord, YellowRecord};
 
 /// Why recovery could not reconstruct a usable state from stable
 /// storage.
@@ -139,32 +140,51 @@ pub(crate) const K_ACTION_INDEX: &str = "action_index";
 pub(crate) const K_ONGOING: &str = "ongoing";
 pub(crate) const K_INCARNATION: &str = "incarnation";
 
-/// Everything recovery can reconstruct from a store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PersistedState {
-    /// The base image (see [`BaseRecord`]).
-    pub base: BaseRecord,
-    pub actions: BTreeMap<ActionId, Rc<Action>>,
-    /// Green tail: ids of green actions *after* the base, in order
-    /// (position `base.green_count + i`).
-    pub green_tail: Vec<ActionId>,
-    /// Red actions (accepted, not green), in `ActionId` order.
-    pub red_set: BTreeSet<ActionId>,
-    /// Per creator, highest contiguous accepted index.
-    pub red_cut: BTreeMap<NodeId, u64>,
-    /// Per creator, highest green action index.
-    pub green_cut: BTreeMap<NodeId, u64>,
-    pub prim_component: Option<PrimComponent>,
-    pub attempt_index: u64,
-    pub vulnerable: VulnerableRecord,
-    pub yellow: YellowRecord,
-    pub green_lines: BTreeMap<NodeId, u64>,
-    pub server_set: BTreeSet<NodeId>,
-    pub action_index: u64,
-    pub ongoing: Vec<Rc<Action>>,
+impl Knowledge {
+    /// Stages the membership records (Appendix A's `primComponent`,
+    /// `attemptIndex`, `vulnerable`, `yellow`, `greenLines`,
+    /// `serverSet`).
+    pub(crate) fn save_records(&self, store: &mut StorageHandle) {
+        store.put_record(K_PRIM, &self.prim_component);
+        store.put_record(K_ATTEMPT, &self.attempt_index);
+        store.put_record(K_VULNERABLE, &self.vulnerable);
+        store.put_record(K_YELLOW, &self.yellow);
+        store.put_record(K_GREEN_LINES, &self.green_lines);
+        store.put_record(K_SERVER_SET, &self.server_set);
+    }
+
+    /// Stages the creator counter and the `ongoingQueue`.
+    pub(crate) fn save_ongoing(&self, store: &mut StorageHandle) {
+        store.put_record(K_ACTION_INDEX, &self.action_index);
+        // Persisted in the historical `ongoingQueue` format: a `Vec` in
+        // creation (index) order, which is exactly the map's value order.
+        let queue: Vec<&Action> = self.ongoing.values().map(Rc::as_ref).collect();
+        store.put_record(K_ONGOING, &queue);
+    }
+
+    /// Compacts persistence: the current green state becomes the base
+    /// record and the log restarts with the red bodies on top of it.
+    pub(crate) fn save_base(&self, store: &mut StorageHandle) {
+        let base = BaseRef {
+            db: &self.db,
+            green_count: self.green_count,
+            green_cut: &self.green_cut,
+        };
+        store.put_record(K_BASE, &base);
+        store.truncate_log();
+        for id in &self.red_set {
+            let action = Rc::clone(self.actions.get(id).expect("red body present"));
+            store.append_log_typed(&PersistEntry::Accepted(action));
+        }
+    }
 }
 
-/// Reads the persisted image back (after a simulated crash).
+/// Reads the persisted image back (after a simulated crash): the base
+/// record, the live colouring rules ([`Knowledge::accept_red`],
+/// [`Knowledge::mark_green`]) folded over the log on top of it — which
+/// rebuilds the green database as it goes — and the named records.
+/// `held` supplies the primary component and server set for a store
+/// that never completed a forced write holding them.
 ///
 /// # Errors
 ///
@@ -173,7 +193,7 @@ pub(crate) struct PersistedState {
 /// bug; with it on, it is the environmental condition the recovery
 /// protocol exists for — the caller decides between tail truncation
 /// and fail-stop.
-pub(crate) fn load(store: &StorageHandle) -> Result<PersistedState, RecoveryError> {
+pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge, RecoveryError> {
     fn record<T: DeserializeOwned>(
         store: &StorageHandle,
         key: &str,
@@ -197,54 +217,58 @@ pub(crate) fn load(store: &StorageHandle) -> Result<PersistedState, RecoveryErro
                 })?,
         );
     }
-    let mut actions = BTreeMap::new();
-    let mut green_tail = Vec::new();
-    let mut red_set = BTreeSet::new();
-    let mut red_cut: BTreeMap<NodeId, u64> = base.green_cut.clone();
-    let mut green_cut: BTreeMap<NodeId, u64> = base.green_cut.clone();
-    for entry in entries {
-        match entry {
-            PersistEntry::Accepted(action) => {
-                let id = action.id;
-                let cut = red_cut.entry(id.server).or_insert(0);
-                debug_assert_eq!(*cut + 1, id.index, "non-contiguous persisted log");
-                *cut = id.index;
-                red_set.insert(id);
-                actions.insert(id, action);
-            }
-            PersistEntry::Green(id) => {
-                red_set.remove(&id);
-                let cut = green_cut.entry(id.server).or_insert(0);
-                debug_assert!(*cut < id.index, "green regression in persisted log");
-                *cut = id.index;
-                green_tail.push(id);
-            }
-        }
-    }
-
-    Ok(PersistedState {
-        base,
-        actions,
-        green_tail,
-        red_set,
-        red_cut,
-        green_cut,
-        prim_component: record(store, K_PRIM)?,
+    let ongoing: Vec<Rc<Action>> = record(store, K_ONGOING)?.unwrap_or_default();
+    let mut k = Knowledge {
+        actions: BTreeMap::new(),
+        green_count: base.green_count,
+        green_floor: base.green_count,
+        green_tail: Vec::new(),
+        red_set: BTreeSet::new(),
+        red_cut: base.green_cut.clone(),
+        green_cut: base.green_cut,
+        db: base.db,
+        prim_component: record(store, K_PRIM)?.unwrap_or_else(|| held.prim_component.clone()),
         attempt_index: record(store, K_ATTEMPT)?.unwrap_or(0),
         vulnerable: record(store, K_VULNERABLE)?.unwrap_or_else(VulnerableRecord::invalid),
         yellow: record(store, K_YELLOW)?.unwrap_or_else(YellowRecord::invalid),
         green_lines: record(store, K_GREEN_LINES)?.unwrap_or_default(),
-        server_set: record(store, K_SERVER_SET)?.unwrap_or_default(),
+        server_set: record(store, K_SERVER_SET)?
+            .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
+            .unwrap_or_else(|| held.server_set.clone()),
         action_index: record(store, K_ACTION_INDEX)?.unwrap_or(0),
-        ongoing: record(store, K_ONGOING)?.unwrap_or_default(),
-    })
+        ongoing: ongoing.into_iter().map(|a| (a.id.index, a)).collect(),
+    };
+    // A verified log is a prefix of what the live rules wrote, so every
+    // entry is its creator's next and every green id has its body; the
+    // debug asserts say so. (Only the `SkipChecksumVerify` mutation
+    // replays an unverified log, where a stale sector is a no-op here.)
+    for entry in entries {
+        match entry {
+            PersistEntry::Accepted(action) => {
+                let verdict = k.accept_red(&action);
+                debug_assert_eq!(verdict, Accept::New, "non-contiguous persisted log");
+            }
+            PersistEntry::Green(id) => {
+                let body = k.actions.get(&id).cloned();
+                let newly = body.is_some_and(|action| k.mark_green(&action));
+                debug_assert!(newly, "green regression in persisted log");
+            }
+        }
+    }
+    Ok(k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::{ActionKind, ClientId};
+    use crate::quorum::PrimComponent;
     use todr_db::Op;
+
+    /// Loads on top of a replica that was configured with no servers.
+    fn load(store: &StorageHandle) -> Result<Knowledge, RecoveryError> {
+        super::load(store, &Knowledge::new([]))
+    }
 
     fn action(server: u32, index: u64) -> Rc<Action> {
         Rc::new(Action {
@@ -318,7 +342,7 @@ mod tests {
         store.put_record(K_ONGOING, &vec![action(0, 1)]);
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean records load");
-        assert_eq!(st.prim_component, Some(prim));
+        assert_eq!(st.prim_component, prim);
         assert_eq!(st.attempt_index, 7);
         assert_eq!(st.vulnerable, vul);
         assert_eq!(st.ongoing.len(), 1);
@@ -338,18 +362,17 @@ mod tests {
         };
         store.put_record(K_BASE, &base);
         let st = load(&store).expect("base loads");
-        assert_eq!(st.base.db, db);
-        assert_eq!(st.base.db.row_version("t", "k"), db.row_version("t", "k"));
-        assert_eq!((st.base.green_count, &st.base.green_cut), (2, &green_cut));
+        assert_eq!(st.db, db);
+        assert_eq!(st.db.row_version("t", "k"), db.row_version("t", "k"));
+        assert_eq!((st.green_count, st.green_floor), (2, 2));
+        assert_eq!((&st.green_cut, &st.red_cut), (&green_cut, &green_cut));
     }
 
     #[test]
     fn a_record_directory_written_as_json_fails_with_a_typed_error() {
         // What the store held before the binary codec: JSON text.
         let mut store = StorageHandle::sim();
-        store
-            .backend_mut()
-            .put_record_bytes(K_ATTEMPT, b"7".to_vec());
+        store.put_record_bytes(K_ATTEMPT, b"7".to_vec());
         match load(&store).expect_err("JSON record must not be misread") {
             RecoveryError::CorruptRecord { key, .. } => assert_eq!(key, K_ATTEMPT),
             other => panic!("unexpected error {other:?}"),

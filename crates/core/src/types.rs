@@ -246,14 +246,6 @@ pub struct EngineConfig {
     /// logging, applying). This is what caps the delayed-writes
     /// throughput in Figure 5(b).
     pub cpu_per_action: SimDuration,
-    /// The fixed per-delivery-burst component of [`Self::cpu_per_action`]
-    /// (frame handling, scheduling, buffer bookkeeping). The first green
-    /// action of a same-instant delivery burst pays the full
-    /// `cpu_per_action`; the rest of the burst pays only the marginal
-    /// `cpu_per_action - cpu_burst_overhead`. Without packing every
-    /// burst is a single action and the model reduces exactly to the
-    /// historical per-action charge.
-    pub cpu_burst_overhead: SimDuration,
     /// Upper bound on action bodies retained in memory (red set plus
     /// un-garbage-collected green tail). While at the bound, new local
     /// update requests are rejected with a retryable error — this bounds
@@ -264,10 +256,6 @@ pub struct EngineConfig {
     /// Whether this engine starts as a member (true) or joins online
     /// later via [`EngineCtl::StartJoin`] (false).
     pub initial_member: bool,
-    /// Modelled size of a State message in bytes.
-    pub state_msg_bytes: u32,
-    /// Modelled size of a CPC message in bytes.
-    pub cpc_msg_bytes: u32,
     /// Enable the commutativity commit fast path: actions submitted
     /// with [`UpdateReplyPolicy::Fast`] whose footprint is disjoint
     /// from every in-flight action are acknowledged after one forced
@@ -311,14 +299,11 @@ impl EngineConfig {
             server_set,
             weights: BTreeMap::new(),
             cpu_per_action: SimDuration::from_micros(380),
-            cpu_burst_overhead: SimDuration::from_micros(230),
             max_retained_bodies: 1 << 16,
             fast_path: false,
             read_leases: false,
             lease_duration: SimDuration::from_millis(60),
             initial_member: true,
-            state_msg_bytes: 256,
-            cpc_msg_bytes: 64,
             checkpoint_interval: 1024,
             #[cfg(feature = "chaos-mutations")]
             chaos: None,

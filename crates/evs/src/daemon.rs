@@ -43,10 +43,6 @@ pub struct EvsConfig {
     /// (the COReL baseline); the replication engine requires safe
     /// delivery.
     pub deliver_agreed: bool,
-    /// Retransmission timeout of the reliable links.
-    pub link_rto: SimDuration,
-    /// Delayed-acknowledgement interval of the reliable links.
-    pub link_ack_delay: SimDuration,
     /// Maximum number of pending submissions packed into one `Submit`
     /// wire frame (the Spread message-packing optimization). `1` (the
     /// default) disables packing and reproduces the historical
@@ -56,34 +52,22 @@ pub struct EvsConfig {
     /// delivered individually, so agreed/safe semantics are unchanged.
     ///
     /// When packing is on, the coordinator also runs *sequencer rounds*:
-    /// submissions arriving within one [`Self::pack_window`] are
+    /// submissions arriving within one pack window (500 µs) are
     /// multicast as a single packed `Sequenced` frame, so receivers ack
     /// (and the stability line advances) in matching jumps.
     pub max_pack: usize,
-    /// How long the coordinator holds sequenced messages to fill a
-    /// packed `Sequenced` frame (flushing early once `max_pack` have
-    /// accumulated). Only consulted when `max_pack > 1`; trades up to
-    /// one window of delivery latency for packed delivery bursts.
-    pub pack_window: SimDuration,
     /// Member count at which stability switches from all-ack (every
     /// member acks every `ack_delay`, O(n) fan-in per batch) to
     /// *cumulative acks*: the coordinator designates one rotating
     /// member per `Sequenced` frame to ack promptly, everyone else
     /// piggybacks receipt on their own `Submit` frames or falls back to
-    /// a deadline-driven ack (see [`Self::ack_deadline`]). O(1)
+    /// a deadline-driven ack (after 1.2 ms unacknowledged). O(1)
     /// amortized ack messages per action at any cluster size, at the
     /// cost of a bounded extra stability lag. `0` enables it for every
     /// configuration; `usize::MAX` disables it. The default (16) keeps
     /// paper-scale clusters (≤ 14 replicas) on the historical all-ack
     /// path bit for bit.
     pub cumulative_ack_threshold: usize,
-    /// Upper bound on how stale a member's acknowledgement may go under
-    /// cumulative-ack stability: if a member holds unacknowledged
-    /// messages this long, it acks even without being designated. This
-    /// bounds the safe-delivery lag regardless of the rotation period
-    /// (members / frame rate), which matters when few clients drive a
-    /// large cluster.
-    pub ack_deadline: SimDuration,
     /// Emit an [`EvsEvent::Receipt`] the moment a sequenced message is
     /// held locally (its agreed-order position is fixed), one stability
     /// round before the safe [`EvsEvent::Deliver`] for the same
@@ -110,17 +94,29 @@ impl Default for EvsConfig {
             ack_delay: SimDuration::from_micros(300),
             reliable_links: false,
             deliver_agreed: false,
-            link_rto: SimDuration::from_millis(3),
-            link_ack_delay: SimDuration::from_micros(500),
             max_pack: 1,
-            pack_window: SimDuration::from_micros(500),
             cumulative_ack_threshold: 16,
-            ack_deadline: SimDuration::from_micros(1200),
             eager_receipts: false,
             lease_heartbeats: false,
         }
     }
 }
+
+/// Retransmission timeout of the reliable links.
+const LINK_RTO: SimDuration = SimDuration::from_millis(3);
+/// Delayed-acknowledgement interval of the reliable links.
+const LINK_ACK_DELAY: SimDuration = SimDuration::from_micros(500);
+/// How long the coordinator holds sequenced messages to fill a packed
+/// `Sequenced` frame (flushing early once `max_pack` have accumulated).
+/// Only consulted when `max_pack > 1`; trades up to one window of
+/// delivery latency for packed delivery bursts.
+const PACK_WINDOW: SimDuration = SimDuration::from_micros(500);
+/// Upper bound on how stale a member's acknowledgement may go under
+/// cumulative-ack stability: if a member holds unacknowledged messages
+/// this long, it acks even without being designated. This bounds the
+/// safe-delivery lag regardless of the rotation period (members / frame
+/// rate), which matters when few clients drive a large cluster.
+const ACK_DEADLINE: SimDuration = SimDuration::from_micros(1200);
 
 /// Commands an application (or the test harness) sends to the daemon.
 pub enum EvsCmd {
@@ -225,7 +221,7 @@ pub struct EvsDaemon {
     pack_buf: Vec<SubmitItem>,
     pack_armed: bool,
     /// Coordinator-side sequencer round: messages already sequenced but
-    /// held back (up to `config.pack_window`) to fill one packed
+    /// held back (up to `PACK_WINDOW`) to fill one packed
     /// `Sequenced` frame. The messages live in the ordering's map, so on
     /// a view change the buffer is simply dropped — the flush protocol
     /// retransmits them to any member that missed them.
@@ -244,7 +240,7 @@ pub struct EvsDaemon {
     /// (derived from `config.cumulative_ack_threshold` at install).
     cumulative: bool,
     /// Cumulative acks: whether `have_upto > last_acked`, and since when
-    /// (drives the `ack_deadline` fallback).
+    /// (drives the `ACK_DEADLINE` fallback).
     has_unacked: bool,
     first_unacked_at: todr_sim::SimTime,
     /// Cumulative acks: when the last `Sequenced` frame arrived; a quiet
@@ -390,7 +386,7 @@ impl EvsDaemon {
         }
         if !self.retx_armed {
             self.retx_armed = true;
-            ctx.send_self_after(self.config.link_rto, RetxTick);
+            ctx.send_self_after(LINK_RTO, RetxTick);
         }
     }
 
@@ -421,7 +417,7 @@ impl EvsDaemon {
         }
         self.retx_armed = true;
         let delay = if sent_any {
-            self.config.link_rto
+            LINK_RTO
         } else {
             // Everything pending is behind a partition: poll lazily.
             self.config.hb_interval
@@ -446,7 +442,7 @@ impl EvsDaemon {
     fn arm_link_ack(&mut self, ctx: &mut Ctx<'_>) {
         if !self.link_ack_armed {
             self.link_ack_armed = true;
-            ctx.send_self_after(self.config.link_ack_delay, LinkAckTick);
+            ctx.send_self_after(LINK_ACK_DELAY, LinkAckTick);
         }
     }
 
@@ -969,7 +965,7 @@ impl EvsDaemon {
                                 self.flush_seq_pack(ctx);
                             } else if !self.seq_pack_armed {
                                 self.seq_pack_armed = true;
-                                ctx.send_self_after(self.config.pack_window, SeqPackTick);
+                                ctx.send_self_after(PACK_WINDOW, SeqPackTick);
                             }
                         }
                     }
@@ -1361,7 +1357,7 @@ impl EvsDaemon {
         // quiet (no sequenced traffic to piggyback on or be designated
         // by); otherwise stay silent and re-check one batch window out.
         let now = ctx.now();
-        let stale = now.saturating_since(self.first_unacked_at) >= self.config.ack_deadline;
+        let stale = now.saturating_since(self.first_unacked_at) >= ACK_DEADLINE;
         let quiet = now.saturating_since(self.last_seq_rx_at) >= self.config.ack_delay;
         if stale || quiet {
             self.send_current_ack(ctx);

@@ -7,8 +7,8 @@
 //! and latency in virtual time, and verify cross-replica consistency.
 //!
 //! The [`experiments`] module contains one driver per table/figure of
-//! the paper's evaluation (§7); `todr-bench` and the repository examples
-//! are thin wrappers around those drivers.
+//! the paper's evaluation (§7); the repository examples are thin
+//! wrappers around those drivers.
 //!
 //! ```
 //! use todr_harness::cluster::{Cluster, ClusterConfig};

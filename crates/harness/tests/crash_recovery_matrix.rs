@@ -11,6 +11,7 @@
 //! one, and the exchange protocol re-fetches the lost prefix from
 //! peers on rejoin.
 
+use todr_core::EngineState;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_sim::{ProtocolEvent, SimDuration, TieBreak};
@@ -179,4 +180,73 @@ fn torn_tails_occur_and_are_truncated_across_seeds() {
         "no torn tail in 12 submit-boundary crashes — the fault \
          injection is not biting"
     );
+}
+
+/// `SyncCompleted.actions_recovered` is a per-incarnation count. The
+/// victim is crashed inside `ExchangeActions` with retransmissions
+/// already received — an exchange that therefore never reports — and
+/// the exchanges it completes after recovering must count only what
+/// reached it since: every retransmission is a group multicast, so that
+/// is at most what the whole group sent after the recovery instant. (The pre-crash count used to survive the crash and inflate
+/// the next report.)
+#[test]
+fn retransmissions_counted_before_a_crash_do_not_leak_into_the_next_exchange() {
+    let config = ClusterConfig::builder(5, 0xC4A5_0005)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    for i in 0..5 {
+        cluster.attach_client(i, ClientConfig::default());
+    }
+    cluster.run_for(secs(1));
+    cluster.partition(&[vec![VICTIM, 1, 2], vec![0, 3]]);
+    cluster.run_for(secs(1));
+    cluster.merge_all();
+
+    // The minority's red actions reach the victim as retransmissions a
+    // few hundred microseconds before the exchange ends. Walk virtual
+    // time a microsecond at a time and stop inside that window: still
+    // exchanging actions, and more actions accepted than on entry.
+    let mut red_on_entry = None;
+    let mid_exchange = (0..500_000).any(|_| {
+        cluster.run_for(SimDuration::from_micros(1));
+        let (state, red) = cluster.with_engine(VICTIM, |e| (e.state(), e.stats().marked_red));
+        if state != EngineState::ExchangeActions {
+            red_on_entry = None;
+            return false;
+        }
+        red > *red_on_entry.get_or_insert(red)
+    });
+    assert!(mid_exchange, "never caught the victim mid-exchange");
+    cluster.crash(VICTIM);
+    cluster.run_for(secs(1));
+
+    let recovered_at = cluster.world.metrics().events().len();
+    let sent_before = cluster.world.metrics().counter("engine.retransmitted");
+    cluster.recover(VICTIM);
+    cluster.run_for(secs(3));
+    let sent_since = cluster.world.metrics().counter("engine.retransmitted") - sent_before;
+    // Every exchange the victim completed since (its singleton
+    // configuration first, then the merge with the survivors).
+    let reported: u64 = cluster.world.metrics().events()[recovered_at..]
+        .iter()
+        .filter_map(|e| match e.event {
+            ProtocolEvent::SyncCompleted {
+                node,
+                actions_recovered,
+            } if node == VICTIM as u32 => Some(actions_recovered),
+            _ => None,
+        })
+        .sum();
+    assert!(
+        reported > 0,
+        "the victim missed a second of traffic yet recovered nothing"
+    );
+    assert!(
+        reported <= sent_since,
+        "victim reports {reported} actions recovered, but only {sent_since} \
+         retransmissions were sent since it recovered"
+    );
+    cluster.check_consistency();
 }

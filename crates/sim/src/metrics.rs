@@ -619,11 +619,22 @@ pub struct MetricsHub {
     scoped_slots: HashMap<(u32, usize), usize, BuildHasherDefault<NameKeyHasher>>,
 }
 
+/// Events a new hub's log has room for before it has to move: a few
+/// virtual seconds of a paper-scale (14-replica) run.
+const EVENT_LOG_RESERVE: usize = 1 << 18;
+
 impl MetricsHub {
     /// Creates an empty hub with event recording enabled.
     pub fn new() -> Self {
         MetricsHub {
             record_events: true,
+            // Reserved, not touched: the pages cost nothing until events
+            // are written. A log that instead doubles its way up moves
+            // megabytes at each step, and where the allocator then puts
+            // the next world's log decides whether a process running
+            // many worlds in turn peaks at 37 MB or 54 MB (the
+            // benchmark's 14-replica latency cell, by seed).
+            events: Vec::with_capacity(EVENT_LOG_RESERVE),
             ..MetricsHub::default()
         }
     }

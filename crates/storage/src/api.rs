@@ -16,6 +16,7 @@
 //! codec lives on [`StorageHandle`], which the engine owns.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -72,9 +73,6 @@ pub trait Storage: fmt::Debug {
     /// Stages pre-serialized record bytes under `key`.
     fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>);
 
-    /// Stages deletion of the record under `key`.
-    fn delete_record(&mut self, key: &str);
-
     /// Reads a record's bytes, seeing staged writes (read-your-writes).
     ///
     /// # Errors
@@ -121,9 +119,6 @@ pub trait Storage: fmt::Debug {
     /// (file backend only; the sim store cannot fail).
     fn commit_staged(&mut self) -> Result<(), StorageError>;
 
-    /// Whether any staged (not yet durable) mutations exist.
-    fn has_staged(&self) -> bool;
-
     /// Simulates/forces a power failure: staged mutations are lost.
     fn crash(&mut self);
 
@@ -137,9 +132,6 @@ pub trait Storage: fmt::Debug {
     /// while keeping its header current.
     fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault>;
 
-    /// Total payload bytes handed to the store (accounting only).
-    fn bytes_written(&self) -> u64;
-
     /// Wall-clock I/O statistics, for backends that touch a real disk.
     fn io_stats(&self) -> Option<FileIoStats> {
         None
@@ -149,10 +141,6 @@ pub trait Storage: fmt::Debug {
 impl Storage for StableStore {
     fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
         self.put_record_raw(key, bytes);
-    }
-
-    fn delete_record(&mut self, key: &str) {
-        StableStore::delete_record(self, key);
     }
 
     fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
@@ -196,10 +184,6 @@ impl Storage for StableStore {
         Ok(())
     }
 
-    fn has_staged(&self) -> bool {
-        StableStore::has_staged(self)
-    }
-
     fn crash(&mut self) {
         StableStore::crash(self);
     }
@@ -214,10 +198,6 @@ impl Storage for StableStore {
 
     fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
         StableStore::inject_stale_sector(self, rng)
-    }
-
-    fn bytes_written(&self) -> u64 {
-        StableStore::bytes_written(self)
     }
 }
 
@@ -256,24 +236,9 @@ impl StorageHandle {
         StorageHandle(backend)
     }
 
-    /// Borrows the underlying backend.
-    pub fn backend(&self) -> &dyn Storage {
-        self.0.as_ref()
-    }
-
-    /// Mutably borrows the underlying backend.
-    pub fn backend_mut(&mut self) -> &mut dyn Storage {
-        self.0.as_mut()
-    }
-
     /// Stages a typed record under `key`, replacing any previous value.
     pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
         self.0.put_record_bytes(key, codec::to_bytes(value));
-    }
-
-    /// Stages deletion of the record under `key`.
-    pub fn delete_record(&mut self, key: &str) {
-        self.0.delete_record(key);
     }
 
     /// Reads a typed record, seeing staged writes.
@@ -292,98 +257,27 @@ impl StorageHandle {
         }
     }
 
-    /// Appends raw entry bytes to the log.
-    pub fn append_log(&mut self, entry: Vec<u8>) {
-        self.0.append_log(entry);
-    }
-
     /// Appends a typed entry to the log (read back with
     /// [`LogRecord::decode`]).
     pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
         self.0.append_log(codec::to_bytes(value));
     }
+}
 
-    /// Sets the incarnation epoch stamped onto subsequent appends.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.0.set_epoch(epoch);
+/// Everything byte-level — the log, the epoch, `commit_staged`, crash
+/// and fault injection — is the backend's own [`Storage`] method,
+/// reached through the handle.
+impl Deref for StorageHandle {
+    type Target = dyn Storage + Send;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_ref()
     }
+}
 
-    /// The current incarnation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.0.epoch()
-    }
-
-    /// Number of log entries visible to the writer.
-    pub fn log_len(&self) -> usize {
-        self.0.log_len()
-    }
-
-    /// All visible log entries as sealed records, oldest first.
-    pub fn read_log(&self) -> Vec<LogRecord> {
-        self.0.read_log()
-    }
-
-    /// Scans the persisted log for the first invalid record.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`LogFault`] found, if any.
-    pub fn verify_log(&self) -> Result<(), LogFault> {
-        self.0.verify_log()
-    }
-
-    /// Drops every persisted log record at `index` and beyond.
-    pub fn truncate_log_from(&mut self, index: u64) {
-        self.0.truncate_log_from(index);
-    }
-
-    /// Truncates the log, staged until the next commit.
-    pub fn truncate_log(&mut self) {
-        self.0.truncate_log();
-    }
-
-    /// Makes all staged mutations durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Io`] if the backend failed to persist.
-    pub fn commit_staged(&mut self) -> Result<(), StorageError> {
-        self.0.commit_staged()
-    }
-
-    /// Whether any staged mutations exist.
-    pub fn has_staged(&self) -> bool {
-        self.0.has_staged()
-    }
-
-    /// Simulates/forces a power failure: staged mutations are lost.
-    pub fn crash(&mut self) {
-        self.0.crash();
-    }
-
-    /// Power failure that tears the in-flight log append mid-record.
-    pub fn crash_torn(&mut self, rng: &mut SimRng) {
-        self.0.crash_torn(rng);
-    }
-
-    /// Flips one random bit in one persisted log record's payload.
-    pub fn inject_bit_flip(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        self.0.inject_bit_flip(rng)
-    }
-
-    /// Serves one persisted log record's payload from an earlier one.
-    pub fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        self.0.inject_stale_sector(rng)
-    }
-
-    /// Total payload bytes handed to the store.
-    pub fn bytes_written(&self) -> u64 {
-        self.0.bytes_written()
-    }
-
-    /// Wall-clock I/O statistics, when the backend touches a real disk.
-    pub fn io_stats(&self) -> Option<FileIoStats> {
-        self.0.io_stats()
+impl DerefMut for StorageHandle {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.0.as_mut()
     }
 }
 

@@ -62,11 +62,10 @@ pub struct FileStore {
     persisted_frames: Vec<PersistedFrame>,
     /// Byte length of the live region of the log file.
     log_end: u64,
-    staged_records: BTreeMap<String, Option<Vec<u8>>>,
+    staged_records: BTreeMap<String, Vec<u8>>,
     staged_log: Vec<LogRecord>,
     staged_truncate: bool,
     epoch: u64,
-    bytes_written: u64,
     io: FileIoStats,
     /// Test hook: the next checkpoint commit powers off after writing
     /// the new generation's files but *before* flipping `CURRENT`.
@@ -111,7 +110,6 @@ impl FileStore {
             staged_log: Vec::new(),
             staged_truncate: false,
             epoch: 0,
-            bytes_written: 0,
             io: FileIoStats::default(),
             checkpoint_crash_armed: false,
         };
@@ -234,20 +232,16 @@ impl FileStore {
         self.sync_file(&file, &path)
     }
 
+    /// Whether any staged (not yet durable) mutations exist.
+    pub fn has_staged(&self) -> bool {
+        !self.staged_records.is_empty() || !self.staged_log.is_empty() || self.staged_truncate
+    }
+
     /// Serializes and atomically replaces the live checkpoint file with
     /// the persisted map plus staged overlays.
     fn merged_records(&self) -> BTreeMap<String, Vec<u8>> {
         let mut merged = self.persisted_records.clone();
-        for (key, value) in &self.staged_records {
-            match value {
-                Some(bytes) => {
-                    merged.insert(key.clone(), bytes.clone());
-                }
-                None => {
-                    merged.remove(key);
-                }
-            }
-        }
+        merged.extend(self.staged_records.clone());
         merged
     }
 
@@ -337,28 +331,21 @@ impl FileStore {
 
 impl Storage for FileStore {
     fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
-        self.bytes_written += bytes.len() as u64;
-        self.staged_records.insert(key.to_string(), Some(bytes));
-    }
-
-    fn delete_record(&mut self, key: &str) {
-        self.staged_records.insert(key.to_string(), None);
+        self.staged_records.insert(key.to_string(), bytes);
     }
 
     fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
         if let Some(fault) = &self.records_fault {
             return Err(StorageError::Io(fault.clone()));
         }
-        let bytes = match self.staged_records.get(key) {
-            Some(Some(b)) => Some(b),
-            Some(None) => None,
-            None => self.persisted_records.get(key),
-        };
+        let bytes = self
+            .staged_records
+            .get(key)
+            .or_else(|| self.persisted_records.get(key));
         Ok(bytes.cloned())
     }
 
     fn append_log(&mut self, entry: Vec<u8>) {
-        self.bytes_written += entry.len() as u64;
         self.staged_log.push(LogRecord::seal(self.epoch, entry));
     }
 
@@ -455,10 +442,6 @@ impl Storage for FileStore {
             self.staged_records.clear();
         }
         Ok(())
-    }
-
-    fn has_staged(&self) -> bool {
-        !self.staged_records.is_empty() || !self.staged_log.is_empty() || self.staged_truncate
     }
 
     fn crash(&mut self) {
@@ -563,10 +546,6 @@ impl Storage for FileStore {
         Some(InjectedFault {
             index: index as u64,
         })
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     fn io_stats(&self) -> Option<FileIoStats> {

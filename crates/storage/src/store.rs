@@ -196,7 +196,7 @@ impl fmt::Display for LogFault {
 pub struct StableStore {
     pub(crate) persisted_records: BTreeMap<String, Vec<u8>>,
     pub(crate) persisted_log: Vec<LogRecord>,
-    pub(crate) staged_records: BTreeMap<String, Option<Vec<u8>>>,
+    pub(crate) staged_records: BTreeMap<String, Vec<u8>>,
     pub(crate) staged_log: Vec<LogRecord>,
     /// A staged truncation: the persisted log is replaced by
     /// `staged_log` at the next commit (until then reads see only the
@@ -204,7 +204,6 @@ pub struct StableStore {
     pub(crate) staged_truncate: bool,
     /// Incarnation epoch stamped onto every appended log record.
     pub(crate) epoch: u64,
-    bytes_written: u64,
 }
 
 impl StableStore {
@@ -220,22 +219,14 @@ impl StableStore {
 
     /// Stages pre-serialized record bytes under `key`.
     pub(crate) fn put_record_raw(&mut self, key: &str, bytes: Vec<u8>) {
-        self.bytes_written += bytes.len() as u64;
-        self.staged_records.insert(key.to_string(), Some(bytes));
+        self.staged_records.insert(key.to_string(), bytes);
     }
 
     /// Reads a record's raw bytes, seeing staged writes.
     pub(crate) fn get_record_raw(&self, key: &str) -> Option<&Vec<u8>> {
-        match self.staged_records.get(key) {
-            Some(Some(b)) => Some(b),
-            Some(None) => None,
-            None => self.persisted_records.get(key),
-        }
-    }
-
-    /// Stages deletion of the record under `key`.
-    pub fn delete_record(&mut self, key: &str) {
-        self.staged_records.insert(key.to_string(), None);
+        self.staged_records
+            .get(key)
+            .or_else(|| self.persisted_records.get(key))
     }
 
     /// Reads a typed record, seeing staged writes (read-your-writes).
@@ -256,7 +247,6 @@ impl StableStore {
     /// Appends an entry to the log (staged until commit), sealed with
     /// the current incarnation epoch and a checksum.
     pub fn append_log(&mut self, entry: Vec<u8>) {
-        self.bytes_written += entry.len() as u64;
         self.staged_log.push(LogRecord::seal(self.epoch, entry));
     }
 
@@ -373,15 +363,8 @@ impl StableStore {
     /// Moves all staged mutations to the persisted image. Called when a
     /// simulated platter write completes.
     pub fn commit_staged(&mut self) {
-        for (key, value) in std::mem::take(&mut self.staged_records) {
-            match value {
-                Some(bytes) => {
-                    self.persisted_records.insert(key, bytes);
-                }
-                None => {
-                    self.persisted_records.remove(&key);
-                }
-            }
+        for (key, bytes) in std::mem::take(&mut self.staged_records) {
+            self.persisted_records.insert(key, bytes);
         }
         if self.staged_truncate {
             self.persisted_log = std::mem::take(&mut self.staged_log);
@@ -402,11 +385,6 @@ impl StableStore {
         self.staged_records.clear();
         self.staged_log.clear();
         self.staged_truncate = false;
-    }
-
-    /// Total bytes handed to the store (accounting only).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 }
 
@@ -488,21 +466,6 @@ mod tests {
         store.commit_staged();
         store.put_record("x", &2u32);
         assert_eq!(store.get_record::<u32>("x").unwrap(), Some(2));
-    }
-
-    #[test]
-    fn delete_record_stages_tombstone() {
-        let mut store = StableStore::new();
-        store.put_record("x", &1u32);
-        store.commit_staged();
-        store.delete_record("x");
-        assert_eq!(store.get_record::<u32>("x").unwrap(), None);
-        store.crash(); // tombstone was staged only
-        assert_eq!(store.get_record::<u32>("x").unwrap(), Some(1));
-        store.delete_record("x");
-        store.commit_staged();
-        store.crash();
-        assert_eq!(store.get_record::<u32>("x").unwrap(), None);
     }
 
     #[test]
@@ -674,12 +637,5 @@ mod tests {
         store.put_record("min", &i64::MIN);
         assert_eq!(store.get_record::<u64>("max").unwrap(), Some(u64::MAX));
         assert_eq!(store.get_record::<i64>("min").unwrap(), Some(i64::MIN));
-    }
-
-    #[test]
-    fn bytes_written_accumulates() {
-        let mut store = StableStore::new();
-        store.append_log(vec![0; 100]);
-        assert!(store.bytes_written() >= 100);
     }
 }
