@@ -14,7 +14,7 @@ use crate::membership::{
 };
 use crate::order::ConfOrdering;
 use crate::types::{ConfId, Configuration, Delivery, EvsEvent};
-use crate::wire::{EvsWire, SubmitItem, TransGroup};
+use crate::wire::{EvsWire, SequencedMsg, SubmitItem, TransGroup};
 
 /// Tuning knobs of an [`EvsDaemon`].
 #[derive(Debug, Clone)]
@@ -52,9 +52,11 @@ pub struct EvsConfig {
     /// delivered individually, so agreed/safe semantics are unchanged.
     ///
     /// When packing is on, the coordinator also runs *sequencer rounds*:
-    /// submissions arriving within one pack window (500 µs) are
-    /// multicast as a single packed `Sequenced` frame, so receivers ack
-    /// (and the stability line advances) in matching jumps.
+    /// submissions arriving within one pack window (500 µs) of each
+    /// other are multicast as a single packed `Sequenced` frame, so
+    /// receivers ack (and the stability line advances) in matching
+    /// jumps. A submission that follows a longer silence is multicast at
+    /// once: holding it could not have filled a frame.
     pub max_pack: usize,
     /// Member count at which stability switches from all-ack (every
     /// member acks every `ack_delay`, O(n) fan-in per batch) to
@@ -106,10 +108,13 @@ impl Default for EvsConfig {
 const LINK_RTO: SimDuration = SimDuration::from_millis(3);
 /// Delayed-acknowledgement interval of the reliable links.
 const LINK_ACK_DELAY: SimDuration = SimDuration::from_micros(500);
-/// How long the coordinator holds sequenced messages to fill a packed
-/// `Sequenced` frame (flushing early once `max_pack` have accumulated).
-/// Only consulted when `max_pack > 1`; trades up to one window of
-/// delivery latency for packed delivery bursts.
+/// The longest the coordinator holds a sequenced message to fill a
+/// packed `Sequenced` frame (a frame that reaches `max_pack` goes out
+/// early), and the arrival gap below which holding can pay: a `Submit`
+/// that finds no round open and comes at least one window after the
+/// previous one is multicast at once, because the stream it belongs to
+/// would not have put a second message into its frame. Only consulted
+/// when `max_pack > 1`.
 const PACK_WINDOW: SimDuration = SimDuration::from_micros(500);
 /// Upper bound on how stale a member's acknowledgement may go under
 /// cumulative-ack stability: if a member holds unacknowledged messages
@@ -190,7 +195,9 @@ struct LinkAckTick;
 /// already buffered when it fires).
 struct PackTick;
 /// Timer: close the coordinator's sequencer round and multicast the
-/// buffered sequenced messages as one packed frame.
+/// buffered sequenced messages as one packed frame. Ignored unless it
+/// fires at the open round's deadline (the round it was armed for may
+/// have been dropped by a view change or a crash).
 struct SeqPackTick;
 
 /// The Extended Virtual Synchrony daemon for one node.
@@ -217,16 +224,26 @@ pub struct EvsDaemon {
     /// `Submit` frame (only used when `config.max_pack > 1`). Every item
     /// here is also in the ordering's unsequenced map, so dropping the
     /// buffer on a view change loses nothing — the install path
-    /// re-submits via `take_unsequenced`.
+    /// re-submits via `take_unsequenced`. A `PackTick` is pending
+    /// whenever the buffer is non-empty.
     pack_buf: Vec<SubmitItem>,
-    pack_armed: bool,
     /// Coordinator-side sequencer round: messages already sequenced but
-    /// held back (up to `PACK_WINDOW`) to fill one packed
-    /// `Sequenced` frame. The messages live in the ordering's map, so on
-    /// a view change the buffer is simply dropped — the flush protocol
-    /// retransmits them to any member that missed them.
-    seq_buf: Vec<crate::wire::SequencedMsg>,
-    seq_pack_armed: bool,
+    /// held back to fill one packed `Sequenced` frame, each with the
+    /// instant it was sequenced. Non-empty only while a round is open.
+    /// The messages live in the ordering's map, so on a view change the
+    /// buffer is simply dropped — the flush protocol retransmits them to
+    /// any member that missed them.
+    seq_buf: Vec<(todr_sim::SimTime, SequencedMsg)>,
+    /// When the open sequencer round closes (a `SeqPackTick` is due
+    /// then); `None` while no round is open. A round opens with the
+    /// first held message and runs one `PACK_WINDOW`; a frame that
+    /// fills before then goes out early and leaves the round running.
+    seq_round_ends: Option<todr_sim::SimTime>,
+    /// Coordinator-side: when the previous `Submit` was sequenced. The
+    /// gap to the next one is the load signal that decides whether a
+    /// round is worth opening. Never reset: an old stamp only ever reads
+    /// as "idle".
+    last_submit_at: todr_sim::SimTime,
     /// FlushInfos that arrived before this daemon entered the matching
     /// flush phase. Keyed by sender and keeping only the latest report
     /// per peer, so the structure is bounded by the universe size —
@@ -281,9 +298,9 @@ impl EvsDaemon {
             max_conf_seq: 0,
             pending_out: VecDeque::new(),
             pack_buf: Vec::new(),
-            pack_armed: false,
             seq_buf: Vec::new(),
-            seq_pack_armed: false,
+            seq_round_ends: None,
+            last_submit_at: todr_sim::SimTime::ZERO,
             early_infos: BTreeMap::new(),
             ack_scheduled: false,
             last_acked: 0,
@@ -640,8 +657,7 @@ impl EvsDaemon {
         // open sequencer round is likewise moot: its messages are in
         // the old ordering's map and the flush protocol retransmitted
         // them to whoever was missing them.
-        self.pack_buf.clear();
-        self.seq_buf.clear();
+        self.drop_rounds();
         // Transitional delivery for the configuration we are leaving.
         if let Some(ordering) = &mut self.ordering {
             let old_id = ordering.conf().id;
@@ -729,14 +745,14 @@ impl EvsDaemon {
             );
             return;
         }
+        let opens = self.pack_buf.is_empty();
         self.pack_buf.push(item);
         if self.pack_buf.len() >= self.config.max_pack {
             self.flush_pack(ctx);
-        } else if !self.pack_armed {
+        } else if opens {
             // Zero-delay self-message: it drains after every event of
             // the current same-instant burst (per-target FIFO), so all
             // submissions issued in this instant pack together.
-            self.pack_armed = true;
             ctx.send_self_now(PackTick);
         }
     }
@@ -803,7 +819,6 @@ impl EvsDaemon {
     }
 
     fn on_pack_tick(&mut self, ctx: &mut Ctx<'_>) {
-        self.pack_armed = false;
         if self.down || !self.joined {
             return;
         }
@@ -832,9 +847,18 @@ impl EvsDaemon {
         let stable_upto = ordering.announced_stable();
         let members = ordering.members_shared();
         let max = self.config.max_pack.max(1);
+        let now = ctx.now();
         while !self.seq_buf.is_empty() {
             let take = self.seq_buf.len().min(max);
-            let msgs: Rc<[_]> = self.seq_buf.drain(..take).collect();
+            let msgs: Rc<[_]> = self
+                .seq_buf
+                .drain(..take)
+                .map(|(since, msg)| {
+                    ctx.metrics()
+                        .observe("evs.round_hold", now.saturating_since(since));
+                    msg
+                })
+                .collect();
             ctx.metrics().incr("evs.frames_packed", 1);
             ctx.metrics().incr("evs.sequencer_rounds", 1);
             ctx.metrics()
@@ -858,11 +882,19 @@ impl EvsDaemon {
     }
 
     fn on_seq_pack_tick(&mut self, ctx: &mut Ctx<'_>) {
-        self.seq_pack_armed = false;
-        if self.down || !self.joined {
-            return;
+        if self.seq_round_ends == Some(ctx.now()) {
+            self.seq_round_ends = None;
+            self.flush_seq_pack(ctx);
         }
-        self.flush_seq_pack(ctx);
+    }
+
+    /// Drops both packing buffers and closes the sequencer round, so a
+    /// timer armed for it cannot cut short a round of the next
+    /// configuration or incarnation.
+    fn drop_rounds(&mut self) {
+        self.pack_buf.clear();
+        self.seq_buf.clear();
+        self.seq_round_ends = None;
     }
 
     fn maybe_schedule_ack(&mut self, ctx: &mut Ctx<'_>) {
@@ -959,13 +991,21 @@ impl EvsDaemon {
                             // Sequencer round: hold the messages up to
                             // one pack window so submissions from many
                             // senders ride one packed multicast (and
-                            // receivers deliver them as one burst).
-                            self.seq_buf.extend(msgs);
-                            if self.seq_buf.len() >= self.config.max_pack {
-                                self.flush_seq_pack(ctx);
-                            } else if !self.seq_pack_armed {
-                                self.seq_pack_armed = true;
+                            // receivers deliver them as one burst) —
+                            // unless the stream is too sparse for a
+                            // second submission to arrive inside it.
+                            let now = ctx.now();
+                            let idle = now.saturating_since(self.last_submit_at) >= PACK_WINDOW;
+                            self.last_submit_at = now;
+                            self.seq_buf.extend(msgs.into_iter().map(|m| (now, m)));
+                            if self.seq_round_ends.is_none() && !idle {
+                                self.seq_round_ends = Some(now + PACK_WINDOW);
                                 ctx.send_self_after(PACK_WINDOW, SeqPackTick);
+                            }
+                            if self.seq_round_ends.is_none()
+                                || self.seq_buf.len() >= self.config.max_pack
+                            {
+                                self.flush_seq_pack(ctx);
                             }
                         }
                     }
@@ -1411,8 +1451,7 @@ impl EvsDaemon {
                 self.phase = Phase::Steady;
                 self.fd.reset();
                 self.early_infos.clear();
-                self.pack_buf.clear();
-                self.seq_buf.clear();
+                self.drop_rounds();
                 self.cumulative = false;
                 self.has_unacked = false;
                 // Fresh link incarnation: the attempt counter is bumped
@@ -1430,8 +1469,7 @@ impl EvsDaemon {
                 self.ordering = None;
                 self.phase = Phase::Steady;
                 self.pending_out.clear();
-                self.pack_buf.clear();
-                self.seq_buf.clear();
+                self.drop_rounds();
                 self.early_infos.clear();
             }
             EvsCmd::Crash => {
@@ -1441,8 +1479,7 @@ impl EvsDaemon {
                 self.phase = Phase::Steady;
                 self.fd.reset();
                 self.pending_out.clear();
-                self.pack_buf.clear();
-                self.seq_buf.clear();
+                self.drop_rounds();
                 self.early_infos.clear();
                 self.ack_scheduled = false;
                 self.last_acked = 0;

@@ -14,6 +14,8 @@ struct AppSink {
     reg_confs: Vec<Configuration>,
     trans_confs: Vec<Configuration>,
     deliveries: Vec<Rec>,
+    /// The virtual instant of each entry of `deliveries`.
+    delivered_at: Vec<SimTime>,
     receipts: Vec<Rec>,
 }
 
@@ -27,17 +29,20 @@ struct Rec {
 }
 
 impl Actor for AppSink {
-    fn handle(&mut self, _ctx: &mut Ctx<'_>, payload: Payload) {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         match payload.downcast::<EvsEvent>() {
             Some(EvsEvent::RegConf(c)) => self.reg_confs.push(c),
             Some(EvsEvent::TransConf(c)) => self.trans_confs.push(c),
-            Some(EvsEvent::Deliver(d)) => self.deliveries.push(Rec {
-                conf: d.conf_id,
-                seq: d.seq,
-                sender: d.sender,
-                value: *d.payload.downcast_ref::<u64>().expect("u64 payload"),
-                in_transitional: d.in_transitional,
-            }),
+            Some(EvsEvent::Deliver(d)) => {
+                self.delivered_at.push(ctx.now());
+                self.deliveries.push(Rec {
+                    conf: d.conf_id,
+                    seq: d.seq,
+                    sender: d.sender,
+                    value: *d.payload.downcast_ref::<u64>().expect("u64 payload"),
+                    in_transitional: d.in_transitional,
+                })
+            }
             Some(EvsEvent::Receipt(d)) => self.receipts.push(Rec {
                 conf: d.conf_id,
                 seq: d.seq,
@@ -125,6 +130,14 @@ impl Cluster {
             .with_actor(self.sinks[idx], |s: &mut AppSink| s.deliveries.clone())
     }
 
+    /// When node `idx` delivered the message carrying `value`.
+    fn delivered_at(&mut self, idx: usize, value: u64) -> SimTime {
+        self.world.with_actor(self.sinks[idx], |s: &mut AppSink| {
+            let at = s.deliveries.iter().position(|r| r.value == value);
+            s.delivered_at[at.expect("value delivered")]
+        })
+    }
+
     fn receipts(&mut self, idx: usize) -> Vec<Rec> {
         self.world
             .with_actor(self.sinks[idx], |s: &mut AppSink| s.receipts.clone())
@@ -145,6 +158,8 @@ impl Cluster {
 }
 
 const SETTLE: SimDuration = SimDuration::from_millis(600);
+/// The daemon's sequencer-round window (`PACK_WINDOW`, private to it).
+const PACK_WINDOW: SimDuration = SimDuration::from_micros(500);
 
 #[test]
 fn startup_converges_to_one_configuration() {
@@ -518,4 +533,139 @@ fn no_duplicate_deliveries_within_a_configuration() {
         keys.dedup();
         assert_eq!(keys.len(), before, "duplicate (conf, seq) at node {i}");
     }
+}
+
+// ------------------------------------------------------------
+// message packing (`max_pack > 1`): sequencer rounds
+// ------------------------------------------------------------
+
+#[test]
+fn lone_message_pays_no_pack_window() {
+    // A message that follows a silence cannot share a frame with
+    // anything, so packing daemons deliver it exactly when unpacked
+    // ones do, at every member.
+    let lone = |max_pack: usize| -> Vec<SimTime> {
+        let mut c = Cluster::new_cfg(5, 21, |cfg| cfg.max_pack = max_pack);
+        c.run_for(SETTLE);
+        c.send_from(3, 7);
+        c.run_for(SimDuration::from_millis(20));
+        (0..5).map(|i| c.delivered_at(i, 7)).collect()
+    };
+    assert_eq!(lone(8), lone(1));
+}
+
+#[test]
+fn dense_stream_still_packs_and_keeps_sender_order() {
+    const MAX_PACK: usize = 8;
+    let mut c = Cluster::new_cfg(4, 22, |cfg| cfg.max_pack = MAX_PACK);
+    c.run_for(SETTLE);
+    // Every node submits once per 100 us: four arrivals per 100 us at
+    // the coordinator, far inside the window.
+    for k in 0..50u64 {
+        for i in 0..4usize {
+            c.send_from(i, i as u64 * 1000 + k);
+        }
+        c.run_for(SimDuration::from_micros(100));
+    }
+    c.run_for(SimDuration::from_millis(50));
+
+    let metrics = c.world.metrics();
+    let frames = metrics.histogram("evs.actions_per_frame").expect("packed");
+    // 200 messages each ride one `Submit` and one `Sequenced` frame:
+    // fewer than 400 frames is a mean above one message per frame.
+    assert!(frames.count() < 400, "{} frames", frames.count());
+    assert!(frames.max_nanos() <= MAX_PACK as u64);
+    assert_eq!(metrics.counter("evs.sequenced"), 200);
+    assert!(metrics.counter("evs.sequencer_rounds") * 4 <= 200);
+    let hold = metrics.histogram("evs.round_hold").expect("rounds ran");
+    assert_eq!(hold.count(), 200);
+    assert!(hold.max_nanos() <= PACK_WINDOW.as_nanos());
+
+    let reference = c.deliveries(0);
+    assert_eq!(reference.len(), 200);
+    for i in 0..4 {
+        assert_eq!(c.deliveries(i), reference, "node {i} diverged");
+    }
+    for sender in 0..4u64 {
+        let from_sender: Vec<u64> = reference
+            .iter()
+            .map(|r| r.value)
+            .filter(|v| v / 1000 == sender)
+            .collect();
+        let submitted: Vec<u64> = (0..50).map(|k| sender * 1000 + k).collect();
+        assert_eq!(from_sender, submitted, "sender {sender} reordered");
+    }
+}
+
+#[test]
+fn partition_with_a_round_open_loses_nothing_and_the_next_round_runs_full() {
+    let mut c = Cluster::new_cfg(5, 23, |cfg| cfg.max_pack = 8);
+    c.run_for(SETTLE);
+    // Three submissions per node 40 us apart: all but the first reach
+    // the coordinator inside the window, so a round is open when the
+    // partition cuts the coordinator (node 0) off from nodes 3 and 4.
+    for k in 0..3u64 {
+        for i in 0..5usize {
+            c.send_from(i, i as u64 * 100 + k);
+        }
+        c.run_for(SimDuration::from_micros(40));
+    }
+    c.run_for(SimDuration::from_micros(150));
+    c.partition(&[c.nodes[..3].to_vec(), c.nodes[3..].to_vec()]);
+    c.run_for(SETTLE);
+    for i in 0..5 {
+        let mut values: Vec<u64> = c.deliveries(i).iter().map(|r| r.value).collect();
+        for k in 0..3 {
+            let own = i as u64 * 100 + k;
+            assert!(values.contains(&own), "node {i} lost its own {own}");
+        }
+        let before = values.len();
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), before, "node {i} delivered a value twice");
+    }
+
+    // In the configuration {0, 1, 2}: 901 follows a silence and goes out
+    // alone; 902 opens a round; 903 reaches the coordinator 300 us into
+    // that round and must still ride its frame.
+    let rounds = c.world.metrics().counter("evs.sequencer_rounds");
+    c.send_from(1, 901);
+    c.run_for(SimDuration::from_micros(100));
+    c.send_from(2, 902);
+    c.run_for(SimDuration::from_micros(300));
+    c.send_from(1, 903);
+    c.run_for(SimDuration::from_millis(20));
+    assert_eq!(
+        c.world.metrics().counter("evs.sequencer_rounds"),
+        rounds + 2
+    );
+    for i in 0..3 {
+        assert_eq!(c.delivered_at(i, 902), c.delivered_at(i, 903));
+        assert!(c.delivered_at(i, 901) < c.delivered_at(i, 902));
+    }
+    let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
+    assert_eq!(hold.max_nanos(), PACK_WINDOW.as_nanos());
+}
+
+#[test]
+fn restart_with_a_round_open_does_not_shorten_the_next_round() {
+    // A singleton group is its own coordinator. 1 goes out alone, 2
+    // opens a round, and the daemon restarts inside it: the round and
+    // its pending timer belong to the old incarnation, so the round 3
+    // opens in the new one must still run the whole window.
+    let mut c = Cluster::new_cfg(1, 24, |cfg| cfg.max_pack = 8);
+    c.run_for(SETTLE);
+    c.send_from(0, 1);
+    c.run_for(SimDuration::from_micros(60));
+    c.send_from(0, 2);
+    c.run_for(SimDuration::from_micros(100));
+    let restarted_at = c.world.now();
+    let daemon = c.daemons[0];
+    c.world.schedule_now(daemon, EvsCmd::Crash);
+    c.world.schedule_now(daemon, EvsCmd::Restart);
+    c.send_from(0, 3);
+    c.run_for(SimDuration::from_millis(20));
+    assert!(c.delivered_at(0, 3) >= restarted_at + PACK_WINDOW);
+    let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
+    assert_eq!(hold.max_nanos(), PACK_WINDOW.as_nanos());
 }

@@ -3,7 +3,8 @@
 
 use todr_harness::experiments::Protocol;
 use todr_harness::experiments::{
-    fig5a, fig5b, join, latency, partition, recovery, scale, semantics,
+    fig5a, fig5b, join, latency, partition, recovery, run_workload, run_workload_packed, scale,
+    semantics,
 };
 use todr_sim::SimDuration;
 
@@ -98,6 +99,26 @@ fn fig5b_delayed_writes_beat_forced_writes() {
             d.0
         );
     }
+}
+
+#[test]
+fn packing_costs_a_lone_client_nothing() {
+    // One closed-loop client never has two actions in flight, so the
+    // sequencer round has nothing to wait for: the packed curve must not
+    // sit under the unpacked one at its first point.
+    let delayed = Protocol::Engine {
+        delayed_writes: true,
+    };
+    let warmup = SimDuration::from_millis(500);
+    let window = SimDuration::from_secs(1);
+    let unpacked = run_workload(delayed, 14, 1, warmup, window, 42);
+    let packed = run_workload_packed(delayed, 14, 1, 8, warmup, window, 42);
+    assert!(
+        packed.throughput >= unpacked.throughput,
+        "packed {} < unpacked {} actions/s at one client",
+        packed.throughput,
+        unpacked.throughput
+    );
 }
 
 #[test]
