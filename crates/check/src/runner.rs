@@ -388,14 +388,12 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
     cluster.stop_clients();
     cluster.run_for(SimDuration::from_secs(4));
     if !cluster.run_to_router_quiescence(SimDuration::from_secs(30)) {
-        let stats = cluster.router_stats();
+        let hub = cluster.world.metrics();
+        let stuck = hub.counter("shard.cross_routed") - hub.counter("shard.txns_applied");
         return Err(fail(
             &cluster,
             FailureKind::Convergence,
-            format!(
-                "router failed to drain after heal: {} cross-shard txns stuck",
-                stats.txns_started - stats.txns_applied
-            ),
+            format!("router failed to drain after heal: {stuck} cross-shard txns stuck"),
         ));
     }
     if let Err(v) = cluster.try_check_consistency() {

@@ -26,7 +26,7 @@ use crate::quorum::{
 };
 use crate::semantics::{QuerySemantics, UpdateReplyPolicy};
 use crate::types::{
-    ClientReply, ClientRequest, EngineConfig, EngineCtl, EngineStats, StorageFault, TransferWire,
+    ClientReply, ClientRequest, EngineConfig, EngineCtl, StorageFault, TransferWire, LEASE_DURATION,
 };
 
 /// The engine's protocol state (Figure 4 of the paper, plus the
@@ -278,7 +278,9 @@ pub struct ReplicationEngine {
     /// Never reused, so a completion from a previous incarnation cannot
     /// match a token this one is waiting on.
     next_sync_token: u64,
-    stats: EngineStats,
+    /// See [`ReplicationEngine::red_line`]; not reset by a crash, so the
+    /// heights `RedLineAdvance` reports only ever rise.
+    red_line: u64,
     departed: bool,
     /// Why the last [`EngineCtl::Recover`] fail-stopped, if it did.
     /// Cleared by a successful recovery.
@@ -341,7 +343,7 @@ impl ReplicationEngine {
             store,
             conf_epoch: 0,
             next_sync_token: 0,
-            stats: EngineStats::default(),
+            red_line: 0,
             departed: false,
             recovery_error: None,
         };
@@ -371,11 +373,6 @@ impl ReplicationEngine {
         self.state
     }
 
-    /// Counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
     /// Why the last recovery attempt fail-stopped, if it did. `None`
     /// after a successful (or never-attempted) recovery.
     pub fn recovery_error(&self) -> Option<&RecoveryError> {
@@ -391,6 +388,12 @@ impl ReplicationEngine {
     /// Number of green (globally ordered, applied) actions.
     pub fn green_count(&self) -> u64 {
         self.k.green_count
+    }
+
+    /// Actions this server has ever marked red, across incarnations (the
+    /// height of its last [`ProtocolEvent::RedLineAdvance`]).
+    pub fn red_line(&self) -> u64 {
+        self.red_line
     }
 
     /// Green action ids from `green_floor()` onward, in global order.
@@ -504,7 +507,6 @@ impl ReplicationEngine {
         self.next_sync_token += 1;
         let token = SyncToken(self.next_sync_token);
         self.v.pending_syncs.insert(token, after);
-        self.stats.syncs_requested += 1;
         ctx.metrics().incr("engine.syncs_requested", 1);
         let me = ctx.self_id();
         ctx.send_now(
@@ -526,7 +528,6 @@ impl ReplicationEngine {
     }
 
     fn reply(&mut self, ctx: &mut Ctx<'_>, at: SimTime, to: ActorId, reply: ClientReply) {
-        self.stats.replies_sent += 1;
         ctx.metrics().incr("engine.replies_sent", 1);
         ctx.send_at(at.max(ctx.now()), to, reply);
     }
@@ -605,7 +606,7 @@ impl ReplicationEngine {
         self.note_retained(ctx);
         self.store
             .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
-        self.stats.marked_red += 1;
+        self.red_line += 1;
         ctx.metrics().incr("engine.marked_red", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
@@ -615,7 +616,7 @@ impl ReplicationEngine {
         });
         ctx.emit(ProtocolEvent::RedLineAdvance {
             node: self.cfg.me.index(),
-            red: self.stats.marked_red,
+            red: self.red_line,
         });
         self.v.dirty_db = None;
         if id.server == self.cfg.me {
@@ -661,7 +662,6 @@ impl ReplicationEngine {
         self.mark_red(ctx, action);
         if self.k.actions.contains_key(&action.id) && !self.k.yellow.set.contains(&action.id) {
             self.k.yellow.set.push(action.id);
-            self.stats.marked_yellow += 1;
             ctx.metrics().incr("engine.marked_yellow", 1);
             ctx.emit(ProtocolEvent::ActionOrdered {
                 node: self.cfg.me.index(),
@@ -683,7 +683,6 @@ impl ReplicationEngine {
         }
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
         self.store.append_log_typed(&PersistEntry::Green(id));
-        self.stats.marked_green += 1;
         ctx.metrics().incr("engine.marked_green", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
@@ -867,7 +866,6 @@ impl ReplicationEngine {
             && !matches!(self.state, EngineState::Down | EngineState::Joining)
         {
             let query = req.query.clone().expect("just checked");
-            self.stats.lease_reads += 1;
             ctx.metrics().incr("engine.lease_reads", 1);
             self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
             let result = self.k.db.query(&query);
@@ -986,7 +984,6 @@ impl ReplicationEngine {
             kind,
             size_bytes,
         });
-        self.stats.actions_created += 1;
         ctx.metrics().incr("engine.actions_created", 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
@@ -1072,14 +1069,12 @@ impl ReplicationEngine {
         let query = req.query.clone().expect("query-only request");
         match tier {
             ReadConsistency::GreenSnapshot => {
-                self.stats.snapshot_reads += 1;
                 ctx.metrics().incr("engine.snapshot_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
                 let result = self.k.db.query(&query);
                 self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
             }
             ReadConsistency::RedOverlay => {
-                self.stats.overlay_reads += 1;
                 ctx.metrics().incr("engine.overlay_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
                 let result = self.dirty_view().query(&query);
@@ -1094,7 +1089,6 @@ impl ReplicationEngine {
                 // ordered and answered from the green database at apply
                 // time — in `NonPrim` it turns red and is answered after
                 // the next merge with the primary.
-                self.stats.ordered_reads += 1;
                 ctx.metrics().incr("engine.ordered_reads", 1);
                 let mut req = req;
                 req.reply_policy = UpdateReplyPolicy::OnGreen;
@@ -1105,7 +1099,7 @@ impl ReplicationEngine {
 
     /// Whether this engine currently holds a valid read lease: leases
     /// exist only inside a regular primary configuration, are sealed to
-    /// the epoch they were granted in, and drain `lease_duration` after
+    /// the epoch they were granted in, and drain [`LEASE_DURATION`] after
     /// the last grant or heartbeat renewal.
     fn lease_valid(&self, now: SimTime) -> bool {
         self.cfg.read_leases
@@ -1136,12 +1130,10 @@ impl ReplicationEngine {
             _ => return false,
         };
         if self.lease_read_conflict(&query) {
-            self.stats.lease_reads_parked += 1;
             ctx.metrics().incr("engine.lease_reads_parked", 1);
             self.v.parked_lease.push(req.clone());
             return true;
         }
-        self.stats.lease_reads += 1;
         ctx.metrics().incr("engine.lease_reads", 1);
         self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
         let result = self.k.db.query(&query);
@@ -1208,12 +1200,10 @@ impl ReplicationEngine {
             None => return,
         };
         self.v.lease_epoch = self.conf_epoch;
-        self.v.lease_expiry = ctx.now() + self.cfg.lease_duration;
+        self.v.lease_expiry = ctx.now() + LEASE_DURATION;
         if renewal {
-            self.stats.lease_renewals += 1;
             ctx.metrics().incr("engine.lease_renewals", 1);
         } else {
-            self.stats.lease_grants += 1;
             ctx.metrics().incr("engine.lease_grants", 1);
         }
         ctx.emit(ProtocolEvent::LeaseGranted {
@@ -1246,7 +1236,6 @@ impl ReplicationEngine {
     /// an expiration only if the lease was still live.
     fn expire_lease(&mut self, ctx: &mut Ctx<'_>) {
         if self.lease_valid(ctx.now()) {
-            self.stats.lease_expirations += 1;
             ctx.metrics().incr("engine.lease_expirations", 1);
         }
         self.v.lease_expiry = SimTime::ZERO;
@@ -1314,7 +1303,6 @@ impl ReplicationEngine {
         // owed replies fall back to firing on green).
         let demoted = self.v.pending_fast.len() as u64;
         if demoted > 0 {
-            self.stats.fast_demotions_on_view_change += demoted;
             ctx.metrics()
                 .incr("engine.fast_demotions_on_view_change", demoted);
         }
@@ -1410,7 +1398,6 @@ impl ReplicationEngine {
                     let id = self.k.green_tail[idx];
                     let action = Rc::clone(self.k.actions.get(&id).expect("green body retained"));
                     let size = action.size_bytes + 16;
-                    self.stats.retransmitted += 1;
                     ctx.metrics().incr("engine.retransmitted", 1);
                     self.send_group(
                         ctx,
@@ -1448,7 +1435,6 @@ impl ReplicationEngine {
                 }
                 let action = Rc::clone(self.k.actions.get(&id).expect("red body present"));
                 let size = action.size_bytes + 16;
-                self.stats.retransmitted += 1;
                 ctx.metrics().incr("engine.retransmitted", 1);
                 self.send_group(
                     ctx,
@@ -1536,7 +1522,6 @@ impl ReplicationEngine {
     /// `End_of_retrans` (CodeSegment A.5) + `ComputeKnowledge` (A.7) +
     /// `IsQuorum` (A.8).
     fn end_of_retrans(&mut self, ctx: &mut Ctx<'_>) {
-        self.stats.exchanges_completed += 1;
         ctx.metrics().incr("engine.exchanges_completed", 1);
         ctx.emit(ProtocolEvent::SyncCompleted {
             node: self.cfg.me.index(),
@@ -1700,7 +1685,6 @@ impl ReplicationEngine {
             self.checkpoint();
             self.note_retained(ctx);
         }
-        self.stats.primaries_installed += 1;
         ctx.metrics().incr("engine.primaries_installed", 1);
         self.k.save_records(&mut self.store);
     }
@@ -1849,7 +1833,6 @@ impl ReplicationEngine {
         };
         let class = classify(update, query.as_ref());
         if class.unbounded() || self.fast_conflict(&class, id) {
-            self.stats.fast_demotions += 1;
             ctx.metrics().incr("engine.fast_demotions", 1);
             ctx.emit(ProtocolEvent::FastDemoted {
                 node: self.cfg.me.index(),
@@ -1917,7 +1900,7 @@ impl ReplicationEngine {
             // the client learns of the commit, so *every* member of the
             // current configuration must hold the action first. (Members
             // of older configurations cannot: their lease died at least
-            // `fail_timeout - 2·hb - lease_duration` before this
+            // `fail_timeout - 2·hb - LEASE_DURATION` before this
             // configuration could have installed.)
             match &self.v.conf {
                 Some(conf) => conf.members.iter().all(|m| fp.ackers.contains(m)),
@@ -1933,7 +1916,6 @@ impl ReplicationEngine {
         let Some(p) = self.v.pending_replies.remove(&id) else {
             return;
         };
-        self.stats.fast_commits += 1;
         ctx.metrics().incr("engine.fast_commits", 1);
         let latency = ctx.now().saturating_since(p.submitted_at);
         ctx.metrics().observe("engine.fast_commit_latency", latency);

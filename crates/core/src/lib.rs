@@ -67,8 +67,8 @@ pub use quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 pub use semantics::{QuerySemantics, UpdateReplyPolicy};
 pub use todr_db::ReadConsistency;
 pub use types::{
-    ClientReply, ClientRequest, Color, EngineConfig, EngineCtl, EngineStats, RequestId,
-    StorageFault, TransferWire,
+    ClientReply, ClientRequest, Color, EngineConfig, EngineCtl, RequestId, StorageFault,
+    TransferWire, LEASE_DURATION,
 };
 
 #[cfg(feature = "chaos-mutations")]

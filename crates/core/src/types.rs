@@ -231,6 +231,13 @@ pub enum ChaosMutation {
     ServeReadWithoutLease,
 }
 
+/// How long a granted read lease remains valid without renewal. A
+/// deployment must satisfy `2·hb_interval + LEASE_DURATION <
+/// fail_timeout` so a partitioned holder's lease drains before the
+/// surviving majority can install a new configuration and accept new
+/// writes.
+pub const LEASE_DURATION: SimDuration = SimDuration::from_millis(60);
+
 /// Tuning knobs and identity of a [`ReplicationEngine`](crate::ReplicationEngine).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -275,11 +282,6 @@ pub struct EngineConfig {
     /// `lease_heartbeats`. Off by default — the default configuration's
     /// event streams stay byte-identical.
     pub read_leases: bool,
-    /// How long a granted read lease remains valid without renewal.
-    /// Must satisfy `2·hb_interval + lease_duration < fail_timeout` so
-    /// a partitioned holder's lease drains before the surviving
-    /// majority can install a new configuration and accept new writes.
-    pub lease_duration: SimDuration,
     /// Auto-checkpoint period, in green actions: every `interval`-th
     /// green action triggers white-line garbage collection and log
     /// compaction (`0` disables; see
@@ -302,68 +304,12 @@ impl EngineConfig {
             max_retained_bodies: 1 << 16,
             fast_path: false,
             read_leases: false,
-            lease_duration: SimDuration::from_millis(60),
             initial_member: true,
             checkpoint_interval: 1024,
             #[cfg(feature = "chaos-mutations")]
             chaos: None,
         }
     }
-}
-
-/// Counters maintained by the engine.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Actions created at this server.
-    pub actions_created: u64,
-    /// Actions marked red (first acceptance).
-    pub marked_red: u64,
-    /// Actions marked yellow.
-    pub marked_yellow: u64,
-    /// Actions marked green (applied to the database).
-    pub marked_green: u64,
-    /// Forced-write (sync) requests issued.
-    pub syncs_requested: u64,
-    /// Client replies sent.
-    pub replies_sent: u64,
-    /// Primary components this server participated in installing.
-    pub primaries_installed: u64,
-    /// Exchange rounds completed.
-    pub exchanges_completed: u64,
-    /// Actions retransmitted to peers during exchanges.
-    pub retransmitted: u64,
-    /// Fast-path commits: replies sent at the FastAck quorum, before
-    /// green ordering.
-    pub fast_commits: u64,
-    /// Fast-path demotions: [`UpdateReplyPolicy::Fast`] requests that
-    /// hit an in-flight conflict (or an unbounded footprint) and fell
-    /// back to waiting for green.
-    pub fast_demotions: u64,
-    /// Fast-path witnesses discarded by view changes: pending fast-path
-    /// candidates that were still awaiting their FastAck quorum when a
-    /// transitional configuration arrived and cleared the volatile
-    /// witness state (they fall back to waiting for green). Measures
-    /// the view-churn cost of the fast path.
-    pub fast_demotions_on_view_change: u64,
-    /// Linearizable reads answered locally under a valid read lease.
-    pub lease_reads: u64,
-    /// Linearizable reads that found no valid lease and fell back to
-    /// the ordered action path (plus explicitly ordered reads).
-    pub ordered_reads: u64,
-    /// Green-snapshot reads served.
-    pub snapshot_reads: u64,
-    /// Red-overlay reads served.
-    pub overlay_reads: u64,
-    /// Lease grants at configuration install time.
-    pub lease_grants: u64,
-    /// Heartbeat-evidence lease renewals accepted.
-    pub lease_renewals: u64,
-    /// Leases conservatively expired by a view change (transitional
-    /// configuration or crash) before their timer ran out.
-    pub lease_expirations: u64,
-    /// Lease reads that had to park behind a receipted-but-not-yet-green
-    /// conflicting write before answering.
-    pub lease_reads_parked: u64,
 }
 
 #[cfg(test)]

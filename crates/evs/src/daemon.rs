@@ -3,7 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
 use todr_net::{Datagram, NetOp, NodeId};
 use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration};
 
@@ -161,27 +160,6 @@ impl std::fmt::Debug for EvsCmd {
     }
 }
 
-/// Counters maintained by the daemon.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EvsStats {
-    /// Application messages submitted locally.
-    pub submitted: u64,
-    /// Messages this daemon sequenced while coordinator.
-    pub sequenced: u64,
-    /// Messages delivered safe in a regular configuration.
-    pub delivered_safe: u64,
-    /// Messages delivered in a transitional configuration.
-    pub delivered_trans: u64,
-    /// Regular configurations installed.
-    pub confs_installed: u64,
-    /// Gather rounds started.
-    pub gathers_started: u64,
-    /// Messages retransmitted during flushes.
-    pub retransmitted: u64,
-    /// Early receipts emitted ([`EvsConfig::eager_receipts`]).
-    pub receipts: u64,
-}
-
 /// Timer: heartbeat + failure-detector evaluation.
 struct FdTick;
 /// Timer: flush the batched acknowledgement.
@@ -273,7 +251,6 @@ pub struct EvsDaemon {
     link: LinkLayer,
     retx_armed: bool,
     link_ack_armed: bool,
-    stats: EvsStats,
 }
 
 impl EvsDaemon {
@@ -314,13 +291,7 @@ impl EvsDaemon {
             link: LinkLayer::new(0),
             retx_armed: false,
             link_ack_armed: false,
-            stats: EvsStats::default(),
         }
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> EvsStats {
-        self.stats
     }
 
     /// Re-points the application actor that receives upcalls. Intended
@@ -478,10 +449,8 @@ impl EvsDaemon {
         match &event {
             EvsEvent::Deliver(d) => {
                 if d.in_transitional {
-                    self.stats.delivered_trans += 1;
                     ctx.metrics().incr("evs.delivered_trans", 1);
                 } else {
-                    self.stats.delivered_safe += 1;
                     ctx.metrics().incr("evs.delivered_safe", 1);
                 }
                 ctx.emit(ProtocolEvent::Delivered {
@@ -510,7 +479,6 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::Receipt(_) => {
-                self.stats.receipts += 1;
                 ctx.metrics().incr("evs.receipts", 1);
             }
             EvsEvent::LeaseRenew(_) => {
@@ -526,7 +494,6 @@ impl EvsDaemon {
 
     fn start_gather(&mut self, ctx: &mut Ctx<'_>) {
         self.attempt += 1;
-        self.stats.gathers_started += 1;
         ctx.metrics().incr("evs.gathers_started", 1);
         let proposal = self.fd.reachable(ctx.now());
         let mut gather = GatherState::new(self.attempt, self.me, proposal.clone());
@@ -700,7 +667,6 @@ impl EvsDaemon {
         self.first_unacked_at = ctx.now();
         self.last_seq_rx_at = ctx.now();
         self.installed_at = ctx.now();
-        self.stats.confs_installed += 1;
         self.emit(ctx, EvsEvent::RegConf(new_conf));
 
         // Drain buffered submissions into the fresh configuration.
@@ -719,7 +685,6 @@ impl EvsDaemon {
             self.pending_out.push_back((payload, size));
             return;
         }
-        self.stats.submitted += 1;
         ctx.metrics().incr("evs.submitted", 1);
         let ordering = self.ordering.as_mut().expect("checked above");
         let coordinator = ordering.coordinator();
@@ -968,7 +933,6 @@ impl EvsDaemon {
                         let stable_upto = ordering.announced_stable();
                         let members = ordering.members_shared();
                         let n = msgs.len() as u64;
-                        self.stats.sequenced += n;
                         ctx.metrics().incr("evs.sequenced", n);
                         if self.config.max_pack <= 1 {
                             // Packing off: one frame in, one frame out.
@@ -1158,7 +1122,6 @@ impl EvsDaemon {
                 // needy member's frame bumps a refcount.
                 let msgs: Rc<[_]> = ordering.msgs_range(*from_seq, *to_seq).into();
                 let burst = msgs.len() as u64 * needy.len() as u64;
-                self.stats.retransmitted += burst;
                 if burst > 0 {
                     ctx.metrics().incr("evs.retransmitted", burst);
                     ctx.emit(ProtocolEvent::Retransmit {
@@ -1589,7 +1552,6 @@ impl std::fmt::Debug for EvsDaemon {
             .field("joined", &self.joined)
             .field("down", &self.down)
             .field("conf", &self.ordering.as_ref().map(|o| o.conf().id))
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }

@@ -52,7 +52,7 @@ mod order;
 mod types;
 mod wire;
 
-pub use daemon::{EvsCmd, EvsConfig, EvsDaemon, EvsStats};
+pub use daemon::{EvsCmd, EvsConfig, EvsDaemon};
 pub use frame::{
     Frame, FrameError, SequencedFrame, SequencedItemFrame, SubmitFrame, SubmitItemFrame,
 };

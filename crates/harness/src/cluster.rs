@@ -38,10 +38,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use todr_core::{EngineConfig, EngineCtl, EngineState, ReplicationEngine, StorageFault};
+use todr_core::{
+    EngineConfig, EngineCtl, EngineState, ReplicationEngine, StorageFault, LEASE_DURATION,
+};
 use todr_evs::{EvsCmd, EvsConfig, EvsDaemon};
 use todr_net::{NetConfig, NetFabric, NodeId};
-use todr_shard::{RouterStats, ShardRouter, ShardRouterConfig, ShardTopology};
+use todr_shard::{ShardRouter, ShardRouterConfig, ShardTopology};
 use todr_sim::{ActorId, SimDuration, SimTime, TieBreak, World};
 use todr_storage::{DiskActor, DiskMode, DiskOp, StorageHandle};
 
@@ -130,11 +132,6 @@ pub struct ClusterConfig {
     /// DESIGN.md §4f). Off by default; the default event streams stay
     /// byte-identical.
     pub read_leases: bool,
-    /// How long a granted/renewed lease stays valid. Validated against
-    /// `2·hb_interval + lease_duration < fail_timeout`, which keeps a
-    /// partitioned holder's lease provably dead before any disjoint
-    /// primary can install and commit writes past it.
-    pub lease_duration: SimDuration,
     /// Engine-side bound on retained red/yellow action bodies; beyond
     /// it update requests are rejected with a retryable error (`0`
     /// disables the bound — see `EngineConfig::max_retained_bodies`).
@@ -179,7 +176,6 @@ impl ClusterConfig {
             torn_crashes: false,
             fast_path: false,
             read_leases: false,
-            lease_duration: SimDuration::from_millis(60),
             max_retained_bodies: 1 << 16,
             backend: BackendKind::Sim,
             shards: 1,
@@ -295,14 +291,14 @@ impl ClusterConfig {
             )));
         }
         if self.read_leases {
-            let budget = self.hb_interval * 2 + self.lease_duration;
+            let budget = self.hb_interval * 2 + LEASE_DURATION;
             if budget >= self.fail_timeout {
                 return Err(InvalidClusterConfig(format!(
-                    "read leases require 2·hb_interval + lease_duration < fail_timeout \
+                    "read leases require 2·hb_interval + LEASE_DURATION < fail_timeout \
                      ({} + {} >= {}): a partitioned lease holder must drain before a \
                      disjoint primary can install and commit writes past it",
                     self.hb_interval * 2,
-                    self.lease_duration,
+                    LEASE_DURATION,
                     self.fail_timeout
                 )));
             }
@@ -484,13 +480,6 @@ impl ClusterConfigBuilder {
     /// [`ClusterConfig::read_leases`]).
     pub fn read_leases(mut self, on: bool) -> Self {
         self.cfg.read_leases = on;
-        self
-    }
-
-    /// Sets the lease validity span (see
-    /// [`ClusterConfig::lease_duration`]).
-    pub fn lease_duration(mut self, d: SimDuration) -> Self {
-        self.cfg.lease_duration = d;
         self
     }
 
@@ -738,7 +727,6 @@ impl Cluster {
         engine_config.initial_member = initial_member;
         engine_config.fast_path = config.fast_path;
         engine_config.read_leases = config.read_leases;
-        engine_config.lease_duration = config.lease_duration;
         engine_config.max_retained_bodies = config.max_retained_bodies;
         #[cfg(feature = "chaos-mutations")]
         {
@@ -1053,17 +1041,6 @@ impl Cluster {
         }
     }
 
-    /// The router's aggregate progress counters (all zero while no
-    /// client has been routed).
-    pub fn router_stats(&mut self) -> RouterStats {
-        match self.router {
-            Some(router) => self
-                .world
-                .with_actor(router, |r: &mut ShardRouter| r.stats()),
-            None => RouterStats::default(),
-        }
-    }
-
     /// Runs until the router has no cross-shard transaction in flight
     /// (checked every 100 ms of virtual time), or the bound elapses.
     /// Returns whether the router drained — trivially true without one.
@@ -1199,6 +1176,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn validate_holds_read_leases_to_the_timing_rule() {
+        // 2·50 ms + LEASE_DURATION (60 ms) = 160 ms: the failure timeout
+        // must be strictly above it.
+        let with_timeout = |ms: u64| {
+            ClusterConfig::builder(3, 1)
+                .read_leases(true)
+                .hb_interval(SimDuration::from_millis(50))
+                .fail_timeout(SimDuration::from_millis(ms))
+                .build()
+        };
+        let err = with_timeout(160).expect_err("160 ms leaves no margin");
+        assert!(err.0.contains("LEASE_DURATION"), "{err}");
+        assert!(with_timeout(161).is_ok());
+    }
+
     fn shard_pool(cross_permille: u32) -> ClientConfig {
         ClientConfig {
             cross_permille: Some(cross_permille),
@@ -1220,10 +1213,11 @@ mod tests {
         let s2 = cluster.client_stats(c2);
         assert!(s1.committed > 0 && s2.committed > 0);
         assert_eq!(s1.rejected + s2.rejected, 0);
-        let stats = cluster.router_stats();
-        assert!(stats.singles_forwarded > 0, "{stats:?}");
-        assert!(stats.txns_applied > 0, "{stats:?}");
-        assert_eq!(stats.txns_started, stats.txns_applied, "{stats:?}");
+        let hub = cluster.world.metrics();
+        let applied = hub.counter("shard.txns_applied");
+        assert!(hub.counter("shard.single_routed") > 0);
+        assert!(applied > 0);
+        assert_eq!(hub.counter("shard.cross_routed"), applied);
         cluster.check_consistency();
         // Both groups made progress.
         assert!(cluster.green_count(0) > 0);
@@ -1238,8 +1232,11 @@ mod tests {
         cluster.run_for(SimDuration::from_secs(1));
         cluster.stop_clients();
         assert!(cluster.run_to_router_quiescence(SimDuration::from_secs(10)));
-        let stats = cluster.router_stats();
-        assert_eq!(stats.txns_started, 0, "one shard never goes cross");
+        assert_eq!(
+            cluster.world.metrics().counter("shard.cross_routed"),
+            0,
+            "one shard never goes cross"
+        );
         assert!(cluster.client_stats(c).committed > 0);
         cluster.check_consistency();
     }

@@ -182,12 +182,9 @@ fn measure(
         committed += stats.recorded;
     }
     cluster.check_consistency();
-    let (mut fast_commits, mut fast_demotions) = (0, 0);
-    for idx in 0..N_SERVERS as usize {
-        let stats = cluster.with_engine(idx, |e| e.stats());
-        fast_commits += stats.fast_commits;
-        fast_demotions += stats.fast_demotions;
-    }
+    let hub = cluster.world.metrics();
+    let fast_commits = hub.counter("engine.fast_commits");
+    let fast_demotions = hub.counter("engine.fast_demotions");
     let decided = fast_commits + fast_demotions;
     FastCell {
         clients,

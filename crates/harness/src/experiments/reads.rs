@@ -247,16 +247,7 @@ fn measure(
         writes += stats.recorded;
     }
     cluster.check_consistency();
-    let (mut lease_reads, mut ordered_reads) = (0u64, 0u64);
-    let (mut snapshot_reads, mut overlay_reads, mut parked) = (0u64, 0u64, 0u64);
-    for idx in 0..N_SERVERS as usize {
-        let stats = cluster.with_engine(idx, |e| e.stats());
-        lease_reads += stats.lease_reads;
-        ordered_reads += stats.ordered_reads;
-        snapshot_reads += stats.snapshot_reads;
-        overlay_reads += stats.overlay_reads;
-        parked += stats.lease_reads_parked;
-    }
+    let hub = cluster.world.metrics();
     let secs = window.as_secs_f64();
     ReadCell {
         read_pct,
@@ -269,11 +260,11 @@ fn measure(
         read_mean_ms: round3(read_latency.mean().as_millis_f64()),
         read_p99_ms: round3(read_latency.percentile(99.0).as_millis_f64()),
         write_mean_ms: round3(write_latency.mean().as_millis_f64()),
-        lease_reads,
-        ordered_reads,
-        snapshot_reads,
-        overlay_reads,
-        lease_reads_parked: parked,
+        lease_reads: hub.counter("engine.lease_reads"),
+        ordered_reads: hub.counter("engine.ordered_reads"),
+        snapshot_reads: hub.counter("engine.snapshot_reads"),
+        overlay_reads: hub.counter("engine.overlay_reads"),
+        lease_reads_parked: hub.counter("engine.lease_reads_parked"),
         stale_lease_reads: count_stale_lease_reads(&cluster),
     }
 }

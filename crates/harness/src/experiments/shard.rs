@@ -185,7 +185,7 @@ fn measure(
         committed += stats.recorded;
     }
     cluster.check_consistency();
-    let router = cluster.router_stats();
+    let hub = cluster.world.metrics();
     ShardCell {
         shards,
         total_replicas: shards * REPLICAS_PER_SHARD,
@@ -194,9 +194,9 @@ fn measure(
         throughput: round1(committed as f64 / window.as_secs_f64()),
         committed,
         mean_latency_ms: round3(latency.mean().as_millis_f64()),
-        singles_forwarded: router.singles_forwarded,
-        cross_txns: router.txns_applied,
-        retries: router.retries,
+        singles_forwarded: hub.counter("shard.single_routed"),
+        cross_txns: hub.counter("shard.txns_applied"),
+        retries: hub.counter("shard.retries"),
     }
 }
 

@@ -33,5 +33,4 @@ pub mod client;
 pub mod cluster;
 pub mod experiments;
 pub mod metrics;
-pub mod report;
 pub mod scenario;

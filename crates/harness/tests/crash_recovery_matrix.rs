@@ -211,7 +211,7 @@ fn retransmissions_counted_before_a_crash_do_not_leak_into_the_next_exchange() {
     let mut red_on_entry = None;
     let mid_exchange = (0..500_000).any(|_| {
         cluster.run_for(SimDuration::from_micros(1));
-        let (state, red) = cluster.with_engine(VICTIM, |e| (e.state(), e.stats().marked_red));
+        let (state, red) = cluster.with_engine(VICTIM, |e| (e.state(), e.red_line()));
         if state != EngineState::ExchangeActions {
             red_on_entry = None;
             return false;

@@ -8,13 +8,20 @@ use todr_baselines::{CorelServer, TpcServer};
 use todr_harness::baselines::{CorelCluster, TpcCluster};
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
-use todr_harness::report::ClusterReport;
-use todr_net::NetFabric;
-use todr_sim::SimDuration;
-use todr_storage::DiskActor;
+use todr_sim::{SimDuration, World};
 
 const N: u32 = 5;
 const ACTIONS: u64 = 100;
+
+/// Forced-write requests issued so far, summed over every disk.
+fn syncs(world: &World) -> u64 {
+    world.metrics().counter("storage.sync_requests")
+}
+
+/// Point-to-point transmissions handed to the fabric so far.
+fn sent(world: &World) -> u64 {
+    world.metrics().counter("net.sent")
+}
 
 fn client_config() -> ClientConfig {
     ClientConfig {
@@ -27,27 +34,20 @@ fn client_config() -> ClientConfig {
 fn engine_pays_one_forced_write_per_action_at_the_origin_only() {
     let mut cluster = Cluster::build(ClusterConfig::new(N, 61));
     cluster.settle();
+    // Counted from here on: the initial membership change is behind us.
+    let before = syncs(&cluster.world);
     let client = cluster.attach_client(0, client_config());
     cluster.run_for(SimDuration::from_secs(3));
     assert_eq!(cluster.client_stats(client).committed, ACTIONS);
-    let report = ClusterReport::capture(&mut cluster);
 
-    // Origin server: ~1 sync request per action (plus a handful for the
-    // initial membership change).
-    let origin_syncs = report.servers[0].disk.sync_requests;
+    // Cluster-wide, ~1 sync request per action: the origin's. A forced
+    // write per action at any of the four other replicas would add
+    // another ACTIONS, so none of them pays one.
+    let paid = syncs(&cluster.world) - before;
     assert!(
-        (ACTIONS..ACTIONS + 10).contains(&origin_syncs),
-        "origin made {origin_syncs} forced writes for {ACTIONS} actions"
+        (ACTIONS..ACTIONS + 10).contains(&paid),
+        "the cluster made {paid} forced writes for {ACTIONS} actions"
     );
-    // Non-origin replicas: no per-action forced writes at all.
-    for s in &report.servers[1..] {
-        assert!(
-            s.disk.sync_requests < 10,
-            "replica {} made {} forced writes without creating actions",
-            s.node,
-            s.disk.sync_requests
-        );
-    }
 }
 
 #[test]
@@ -100,30 +100,20 @@ fn engine_network_cost_beats_corel_per_action() {
     let engine_msgs = {
         let mut cluster = Cluster::build(ClusterConfig::new(N, 64));
         cluster.settle();
-        let fabric = cluster.servers[0].fabric;
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.reset_stats());
+        let before = sent(&cluster.world);
         let client = cluster.attach_client(0, client_config());
         cluster.run_for(SimDuration::from_secs(3));
         assert_eq!(cluster.client_stats(client).committed, ACTIONS);
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.stats().sent)
+        sent(&cluster.world) - before
     };
     let corel_msgs = {
         let mut cluster = CorelCluster::build(&ClusterConfig::new(N, 64));
         cluster.settle();
-        let fabric = cluster.fabric;
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.reset_stats());
+        let before = sent(&cluster.world);
         let client = cluster.attach_client(0, client_config());
         cluster.run_for(SimDuration::from_secs(4));
         assert_eq!(cluster.client_stats(client).committed, ACTIONS);
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.stats().sent)
+        sent(&cluster.world) - before
     };
     assert!(
         (engine_msgs as f64) < corel_msgs as f64 * 0.8,
@@ -148,27 +138,12 @@ fn membership_change_is_the_only_end_to_end_round() {
         );
         cluster.run_for(SimDuration::from_secs(6));
         assert_eq!(cluster.client_stats(client).committed, preload_actions);
-        let before: u64 = (0..N as usize)
-            .map(|i| {
-                let disk = cluster.servers[i].disk;
-                cluster
-                    .world
-                    .with_actor(disk, |d: &mut DiskActor| d.stats().sync_requests)
-            })
-            .sum();
+        let before = syncs(&cluster.world);
         cluster.partition(&[vec![0, 1, 2], vec![3, 4]]);
         cluster.run_for(SimDuration::from_secs(1));
         cluster.merge_all();
         cluster.run_for(SimDuration::from_secs(1));
-        let after: u64 = (0..N as usize)
-            .map(|i| {
-                let disk = cluster.servers[i].disk;
-                cluster
-                    .world
-                    .with_actor(disk, |d: &mut DiskActor| d.stats().sync_requests)
-            })
-            .sum();
-        let exchange_cost = after - before;
+        let exchange_cost = syncs(&cluster.world) - before;
         assert!(
             exchange_cost < 60,
             "membership-change cost ({exchange_cost} syncs) must not scale with \

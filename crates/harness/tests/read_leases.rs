@@ -12,7 +12,7 @@ use todr_core::{
 use todr_db::{Op, Query, QueryResult, Value};
 use todr_harness::client::{ClientConfig, ZipfianKeys};
 use todr_harness::cluster::{Cluster, ClusterConfig};
-use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration, TieBreak};
+use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, ReadTier, SimDuration, TieBreak};
 
 struct OneShot {
     engine: ActorId,
@@ -98,6 +98,15 @@ fn reply(cluster: &mut Cluster, probe: ActorId) -> Option<ClientReply> {
         .with_actor(probe, |p: &mut OneShot| p.reply.take())
 }
 
+/// Reads `node` served at `tier`, from the typed event log.
+fn reads_served(cluster: &Cluster, node: u32, tier: ReadTier) -> usize {
+    cluster
+        .world
+        .metrics()
+        .events_where(|e| matches!(e, ProtocolEvent::ReadServed { node: n, tier: t, .. } if *n == node && *t == tier))
+        .count()
+}
+
 /// The answer value, whichever path (local tier or ordered fallback)
 /// carried it.
 fn answer_value(reply: &ClientReply) -> Option<Option<Value>> {
@@ -151,10 +160,13 @@ fn tiered_reads_return_correct_values() {
             panic!("{tier:?} read did not come back as a local QueryAnswer");
         }
     }
-    let stats = cluster.with_engine(2, |e| e.stats());
-    assert!(stats.lease_reads >= 1, "linearizable read not lease-served");
-    assert!(stats.snapshot_reads >= 1);
-    assert!(stats.overlay_reads >= 1);
+    assert_eq!(
+        reads_served(&cluster, 2, ReadTier::LeaseLinearizable),
+        1,
+        "linearizable read not lease-served"
+    );
+    assert_eq!(reads_served(&cluster, 2, ReadTier::GreenSnapshot), 1);
+    assert_eq!(reads_served(&cluster, 2, ReadTier::RedOverlay), 1);
 
     // In a partitioned minority, a red (locally ordered, not yet green)
     // increment is visible to RedOverlay but never to GreenSnapshot.
@@ -246,12 +258,9 @@ fn lease_reads_park_behind_conflicting_receipted_writes() {
 
     let reads = cluster.client_stats(reader).reads;
     assert!(reads > 0, "reader made no progress");
-    let parked: u64 = (0..5)
-        .map(|i| cluster.with_engine(i, |e| e.stats().lease_reads_parked))
-        .sum();
-    let served: u64 = (0..5)
-        .map(|i| cluster.with_engine(i, |e| e.stats().lease_reads))
-        .sum();
+    let hub = cluster.world.metrics();
+    let parked = hub.counter("engine.lease_reads_parked");
+    let served = hub.counter("engine.lease_reads");
     assert!(served > 0, "no lease reads served");
     assert!(
         parked > 0,
@@ -310,7 +319,7 @@ fn stale_holder_reads_reroute_never_stale() {
             );
 
             // Past every possible renewal: the cut stops heartbeat
-            // evidence within 2 heartbeats, so by 2·hb + lease_duration
+            // evidence within 2 heartbeats, so by 2·hb + LEASE_DURATION
             // (160 ms at defaults) the lease is dead for good.
             cluster.run_for(SimDuration::from_millis(200));
             let r2 = read(&mut cluster, 4, "bench", "k", ReadConsistency::Linearizable);
@@ -355,17 +364,27 @@ fn stale_holder_reads_reroute_never_stale() {
                     Some(Some(Value::Int(2))),
                     "{ctx}: re-routed read returned a stale value"
                 );
-                let stats = cluster.with_engine(4, |e| e.stats());
                 assert!(
-                    stats.ordered_reads >= 1,
+                    reads_served(&cluster, 4, ReadTier::OrderedLinearizable) >= 1,
                     "{ctx}: the post-expiry read was not re-routed"
                 );
                 // The holder re-entered a primary after the heal and
                 // sealed a fresh lease to the new configuration.
-                assert!(
-                    stats.lease_grants >= 2,
-                    "{ctx}: no fresh lease after the heal"
-                );
+                let grants = cluster
+                    .world
+                    .metrics()
+                    .events_where(|e| {
+                        matches!(
+                            e,
+                            ProtocolEvent::LeaseGranted {
+                                node: 4,
+                                renewal: false,
+                                ..
+                            }
+                        )
+                    })
+                    .count();
+                assert!(grants >= 2, "{ctx}: no fresh lease after the heal");
             }
 
             // A fresh linearizable read at the healed ex-holder serves

@@ -10,7 +10,6 @@ use todr_sim::{Actor, ActorId, Ctx, Payload, SimTime};
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
 use crate::partition::PartitionMap;
-use crate::stats::NetStats;
 
 /// A type-erased, reference-counted message body.
 ///
@@ -192,7 +191,6 @@ pub struct NetFabric {
     partitions: PartitionMap,
     crashed: BTreeSet<NodeId>,
     last_arrival: BTreeMap<(NodeId, NodeId), SimTime>,
-    stats: NetStats,
 }
 
 impl NetFabric {
@@ -204,7 +202,6 @@ impl NetFabric {
             partitions: PartitionMap::default(),
             crashed: BTreeSet::new(),
             last_arrival: BTreeMap::new(),
-            stats: NetStats::default(),
         }
     }
 
@@ -218,16 +215,6 @@ impl NetFabric {
     /// The registered endpoint for `node`, if any.
     pub fn endpoint(&self, node: NodeId) -> Option<ActorId> {
         self.endpoints.get(&node).copied()
-    }
-
-    /// Current traffic counters.
-    pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// Resets traffic counters (e.g. after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Re-partitions connectivity (see [`PartitionMap::split`]).
@@ -270,15 +257,12 @@ impl NetFabric {
     }
 
     fn transmit(&mut self, ctx: &mut Ctx<'_>, src: NodeId, dst: NodeId, dgram: Datagram) {
-        self.stats.sent += 1;
         ctx.metrics().incr("net.sent", 1);
         if self.crashed.contains(&src) || self.crashed.contains(&dst) {
-            self.stats.dropped_crashed += 1;
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         }
         if !self.partitions.connected(src, dst) {
-            self.stats.dropped_partition += 1;
             ctx.metrics().incr("net.dropped_partition", 1);
             return;
         }
@@ -287,7 +271,6 @@ impl NetFabric {
             && self.config.loss_probability > 0.0
             && ctx.rng().gen_bool(self.config.loss_probability)
         {
-            self.stats.dropped_loss += 1;
             ctx.metrics().incr("net.dropped_loss", 1);
             return;
         }
@@ -315,22 +298,17 @@ impl NetFabric {
         // Re-check conditions at arrival time: a partition or crash that
         // happened while the message was in flight drops it.
         if self.crashed.contains(&dgram.src) || self.crashed.contains(&dgram.dst) {
-            self.stats.dropped_crashed += 1;
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         }
         if !self.partitions.connected(dgram.src, dgram.dst) {
-            self.stats.dropped_partition += 1;
             ctx.metrics().incr("net.dropped_partition", 1);
             return;
         }
         let Some(&endpoint) = self.endpoints.get(&dgram.dst) else {
-            self.stats.dropped_crashed += 1;
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         };
-        self.stats.delivered += 1;
-        self.stats.bytes_delivered += dgram.size_bytes as u64;
         let transit = ctx.now().saturating_since(dgram.sent_at);
         ctx.metrics().incr("net.delivered", 1);
         ctx.metrics()
@@ -391,7 +369,6 @@ impl std::fmt::Debug for NetFabric {
         f.debug_struct("NetFabric")
             .field("endpoints", &self.endpoints.len())
             .field("crashed", &self.crashed)
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -473,8 +450,7 @@ mod tests {
         world.with_actor(sinks[1], |s: &mut Sink| assert_eq!(s.got.len(), 1));
         world.with_actor(sinks[2], |s: &mut Sink| assert!(s.got.is_empty()));
         world.with_actor(sinks[3], |s: &mut Sink| assert!(s.got.is_empty()));
-        let stats = world.with_actor(fabric, |f: &mut NetFabric| f.stats());
-        assert_eq!(stats.dropped_partition, 2);
+        assert_eq!(world.metrics().counter("net.dropped_partition"), 2);
     }
 
     #[test]
@@ -565,8 +541,8 @@ mod tests {
         world.run_to_quiescence();
         let n = world.with_actor(sink, |s: &mut Sink| s.got.len());
         assert!(n > 40 && n < 160, "loss rate wildly off: {n}/200 delivered");
-        let stats = world.with_actor(fabric, |f: &mut NetFabric| f.stats());
-        assert_eq!(stats.dropped_loss as usize + n, 200);
+        let dropped = world.metrics().counter("net.dropped_loss");
+        assert_eq!(dropped as usize + n, 200);
     }
 
     #[test]
@@ -595,16 +571,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_bytes() {
+    fn counters_track_bytes() {
         let (mut world, fabric, nodes, _sinks) = setup(2);
         world.schedule_now(
             fabric,
             NetOp::unicast(nodes[0], nodes[1], Rc::new(1u32), 256),
         );
         world.run_to_quiescence();
-        let stats = world.with_actor(fabric, |f: &mut NetFabric| f.stats());
-        assert_eq!(stats.sent, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.bytes_delivered, 256);
+        let hub = world.metrics();
+        assert_eq!(hub.counter("net.sent"), 1);
+        assert_eq!(hub.counter("net.delivered"), 1);
+        assert_eq!(hub.counter("net.bytes_delivered"), 256);
     }
 }

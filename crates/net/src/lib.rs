@@ -55,10 +55,8 @@ mod fabric;
 mod latency;
 mod node;
 mod partition;
-mod stats;
 
 pub use fabric::{Datagram, NetConfig, NetFabric, NetOp, NetPayload};
 pub use latency::LatencyModel;
 pub use node::NodeId;
 pub use partition::PartitionMap;
-pub use stats::NetStats;

@@ -41,8 +41,7 @@
 mod router;
 
 pub use router::{
-    classify, Route, RouterStats, RouterTick, ShardRouter, ShardRouterConfig, ShardTopology,
-    ROUTER_CLIENT,
+    classify, Route, RouterTick, ShardRouter, ShardRouterConfig, ShardTopology, ROUTER_CLIENT,
 };
 
 #[cfg(feature = "chaos-mutations")]

@@ -133,21 +133,6 @@ impl ShardRouterConfig {
     }
 }
 
-/// Aggregate router progress, for harness assertions and reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Requests forwarded on the single-shard fast path.
-    pub singles_forwarded: u64,
-    /// Cross-shard transactions started.
-    pub txns_started: u64,
-    /// Cross-shard transactions fully committed and answered.
-    pub txns_applied: u64,
-    /// Requests rejected at classification time.
-    pub rejected: u64,
-    /// Prepare/commit resubmissions after timeout or rejection.
-    pub retries: u64,
-}
-
 /// Periodic self-message driving retransmission scans.
 pub struct RouterTick;
 
@@ -200,7 +185,6 @@ pub struct ShardRouter {
     /// order at the front and merged-timestamp order behind it.
     queues: BTreeMap<u32, Vec<u64>>,
     tick_scheduled: bool,
-    stats: RouterStats,
 }
 
 impl ShardRouter {
@@ -222,13 +206,7 @@ impl ShardRouter {
             outstanding: BTreeMap::new(),
             queues: BTreeMap::new(),
             tick_scheduled: false,
-            stats: RouterStats::default(),
         }
-    }
-
-    /// Progress counters.
-    pub fn stats(&self) -> RouterStats {
-        self.stats
     }
 
     /// Cross-shard transactions still in flight.
@@ -311,7 +289,6 @@ impl ShardRouter {
         };
         ctx.send_now(target, req);
         if attempt > 1 {
-            self.stats.retries += 1;
             ctx.metrics().incr("shard.retries", 1);
         }
         ctx.metrics().incr(
@@ -328,7 +305,6 @@ impl ShardRouter {
         let writes = match split_update(&req.update, self.config.topology.shards()) {
             Ok(w) => w,
             Err(reason) => {
-                self.stats.rejected += 1;
                 ctx.metrics().incr("shard.rejected", 1);
                 ctx.send_now(
                     req.reply_to,
@@ -341,7 +317,6 @@ impl ShardRouter {
             }
         };
         if req.query.is_some() {
-            self.stats.rejected += 1;
             ctx.metrics().incr("shard.rejected", 1);
             ctx.send_now(
                 req.reply_to,
@@ -354,7 +329,6 @@ impl ShardRouter {
         }
         self.next_txn += 1;
         let txn_id = self.next_txn;
-        self.stats.txns_started += 1;
         ctx.metrics().incr("shard.cross_routed", 1);
         let participants_mask: u64 = groups.iter().fold(0, |m, &g| m | (1u64 << (g % 64)));
         ctx.emit(ProtocolEvent::CrossShardStart {
@@ -494,7 +468,6 @@ impl ShardRouter {
                 let latency = ctx.now().saturating_since(txn.submitted_at);
                 ctx.metrics().observe("shard.txn_latency", latency);
                 ctx.metrics().incr("shard.txns_applied", 1);
-                self.stats.txns_applied += 1;
                 ctx.emit(ProtocolEvent::CrossShardApplied { txn: txn_id });
                 let txn = self.txns.remove(&txn_id).expect("finishing a live txn");
                 for state in txn.sub.values() {
@@ -570,7 +543,6 @@ impl Actor for ShardRouter {
                     self.config.topology.shards(),
                 ) {
                     Route::Single(shard) => {
-                        self.stats.singles_forwarded += 1;
                         ctx.metrics().incr("shard.single_routed", 1);
                         let replicas = &self.config.topology.contacts[shard as usize];
                         let target = replicas[req.client.0 as usize % replicas.len()];
@@ -597,7 +569,6 @@ impl std::fmt::Debug for ShardRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
             .field("pending", &self.txns.len())
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }

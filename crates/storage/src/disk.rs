@@ -74,16 +74,6 @@ pub struct DiskDone {
     pub token: SyncToken,
 }
 
-/// Counters maintained by the disk actor.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiskStats {
-    /// Sync requests received.
-    pub sync_requests: u64,
-    /// Physical platter syncs performed (`<= sync_requests` thanks to
-    /// group commit).
-    pub syncs_performed: u64,
-}
-
 /// Internal completion event the disk schedules to itself.
 struct PlatterDone {
     epoch: u64,
@@ -110,7 +100,6 @@ pub struct DiskActor {
     queued: VecDeque<Waiter>,
     busy: bool,
     epoch: u64,
-    stats: DiskStats,
 }
 
 impl DiskActor {
@@ -122,13 +111,7 @@ impl DiskActor {
             queued: VecDeque::new(),
             busy: false,
             epoch: 0,
-            stats: DiskStats::default(),
         }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
     }
 
     /// The configured mode.
@@ -143,7 +126,6 @@ impl DiskActor {
         debug_assert!(!self.busy);
         self.busy = true;
         self.in_flight = self.queued.drain(..).collect();
-        self.stats.syncs_performed += 1;
         ctx.metrics().incr("storage.forced_writes", 1);
         ctx.metrics()
             .record_value("storage.group_commit_batch", self.in_flight.len() as u64);
@@ -171,7 +153,6 @@ impl Actor for DiskActor {
         };
         match payload.downcast::<DiskOp>() {
             Some(DiskOp::Sync { token, reply_to }) => {
-                self.stats.sync_requests += 1;
                 ctx.metrics().incr("storage.sync_requests", 1);
                 match self.mode {
                     DiskMode::Delayed => {
@@ -202,7 +183,6 @@ impl fmt::Debug for DiskActor {
             .field("mode", &self.mode)
             .field("busy", &self.busy)
             .field("queued", &self.queued.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -301,9 +281,8 @@ mod tests {
                 assert_eq!(*at, SimTime::from_millis(20));
             }
         });
-        let stats = world.with_actor(disk, |d: &mut DiskActor| d.stats());
-        assert_eq!(stats.sync_requests, 6);
-        assert_eq!(stats.syncs_performed, 2);
+        assert_eq!(world.metrics().counter("storage.sync_requests"), 6);
+        assert_eq!(world.metrics().counter("storage.forced_writes"), 2);
     }
 
     #[test]
@@ -322,8 +301,7 @@ mod tests {
             let times: Vec<u64> = c.done.iter().map(|&(_, t)| t.as_millis()).collect();
             assert_eq!(times, vec![10, 20, 30, 40]);
         });
-        let stats = world.with_actor(disk, |d: &mut DiskActor| d.stats());
-        assert_eq!(stats.syncs_performed, 4);
+        assert_eq!(world.metrics().counter("storage.forced_writes"), 4);
     }
 
     #[test]
@@ -340,8 +318,7 @@ mod tests {
         world.with_actor(coll, |c: &mut Collector| {
             assert_eq!(c.done, vec![(SyncToken(9), SimTime::ZERO)]);
         });
-        let stats = world.with_actor(disk, |d: &mut DiskActor| d.stats());
-        assert_eq!(stats.syncs_performed, 0);
+        assert_eq!(world.metrics().counter("storage.forced_writes"), 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod store;
 
 pub use api::{FileIoStats, Storage, StorageHandle};
 pub use codec::{CodecError, CodecErrorKind};
-pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, DiskStats, SyncToken};
+pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
 pub use file::FileStore;
 pub use store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, StableStore, StorageError};

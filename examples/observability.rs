@@ -12,7 +12,6 @@
 
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
-use todr::harness::report::ClusterReport;
 use todr::harness::scenario::Scenario;
 use todr::sim::ProtocolEvent;
 
@@ -47,14 +46,14 @@ fn main() {
         joined[0]
     );
 
-    let report = ClusterReport::capture(&mut cluster);
-    print!("{report}");
+    let count = |name| cluster.world.metrics().counter(name);
     println!(
-        "\naggregates: {} unique actions created, {} forced-write requests, \
-         {} green marks across replicas",
-        report.total_actions_created(),
-        report.total_syncs(),
-        report.total_green_marks(),
+        "aggregates: {} unique actions created, {} forced-write requests, \
+         {} green marks across replicas, {} datagrams sent",
+        count("engine.actions_created"),
+        count("storage.sync_requests"),
+        count("engine.marked_green"),
+        count("net.sent"),
     );
     let committed: u64 = clients
         .iter()
@@ -92,7 +91,7 @@ fn main() {
         );
     }
 
-    let json = report.metrics_json();
+    let json = cluster.metrics_export().to_json_pretty();
     if let Some(path) = std::env::args().nth(1) {
         std::fs::write(&path, &json)
             .unwrap_or_else(|e| panic!("cannot write metrics export to {path}: {e}"));

@@ -5,7 +5,6 @@ use todr::core::EngineState;
 use todr::db::{Op, Value};
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
-use todr::harness::report::ClusterReport;
 use todr::harness::scenario::Scenario;
 use todr::sim::SimDuration;
 
@@ -53,7 +52,10 @@ fn scenario_and_report_compose() {
         .after_ms(1_000)
         .done()
         .run(&mut cluster);
-    let report = ClusterReport::capture(&mut cluster);
-    assert!(report.total_actions_created() > 0);
-    assert!(report.to_string().contains("cluster report"));
+    let metrics = cluster.metrics_export();
+    assert!(metrics.counters["engine.actions_created"] > 0);
+    assert!(
+        metrics.event_counts["view-installed"] > 3,
+        "the scenario changed views"
+    );
 }

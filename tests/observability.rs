@@ -3,10 +3,12 @@
 //! typed [`ProtocolEvent`] log (instead of grepping the free-text
 //! trace).
 
-use todr::harness::client::ClientConfig;
+use std::collections::BTreeMap;
+
+use todr::core::{ReadConsistency, UpdateReplyPolicy};
+use todr::harness::client::{ClientConfig, ZipfianKeys};
 use todr::harness::cluster::{Cluster, ClusterConfig};
-use todr::harness::report::ClusterReport;
-use todr::sim::{MetricsExport, ProtocolEvent, SimDuration};
+use todr::sim::{EventColor, MetricsExport, ProtocolEvent, ReadTier, SimDuration};
 
 fn run_loaded_cluster(config: ClusterConfig, secs: u64) -> Cluster {
     let mut cluster = Cluster::build(config);
@@ -21,8 +23,8 @@ fn run_loaded_cluster(config: ClusterConfig, secs: u64) -> Cluster {
 #[test]
 fn metrics_export_is_deterministic_for_a_fixed_seed() {
     let export_json = |seed: u64| -> String {
-        let mut cluster = run_loaded_cluster(ClusterConfig::new(3, seed), 2);
-        ClusterReport::capture(&mut cluster).metrics_json()
+        let cluster = run_loaded_cluster(ClusterConfig::new(3, seed), 2);
+        cluster.metrics_export().to_json_pretty()
     };
     let a = export_json(900);
     let b = export_json(900);
@@ -137,6 +139,89 @@ fn typed_events_replace_trace_grepping() {
         .collect();
     assert!(!commits.is_empty());
     assert!(commits.iter().all(|&l| l >= 1_000_000), "commit under 1ms");
+}
+
+#[test]
+fn per_replica_events_sum_to_the_hub_counters() {
+    // Per-replica questions are answered from the typed events filtered
+    // by `node`; summed over the replicas they must equal the
+    // cluster-wide counter for the same fact.
+    let config = ClusterConfig::builder(5, 19)
+        .fast_path(true)
+        .read_leases(true)
+        .build()
+        .expect("fast path + read leases is coherent");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    for i in 0..5 {
+        cluster.attach_client(
+            i,
+            ClientConfig {
+                reply_policy: UpdateReplyPolicy::Fast,
+                zipfian: Some(ZipfianKeys {
+                    keys: 4,
+                    theta: 0.99,
+                }),
+                read_pct: 50,
+                read_consistency: Some(ReadConsistency::Linearizable),
+                ..ClientConfig::default()
+            },
+        );
+    }
+    cluster.run_for(SimDuration::from_secs(2));
+
+    let hub = cluster.world.metrics();
+    let mut per_replica: BTreeMap<&str, BTreeMap<u32, u64>> = BTreeMap::new();
+    for rec in hub.events() {
+        let (counter, node) = match rec.event {
+            ProtocolEvent::FastCommit { node, .. } => ("engine.fast_commits", node),
+            ProtocolEvent::FastDemoted { node, .. } => ("engine.fast_demotions", node),
+            ProtocolEvent::ReadServed {
+                node,
+                tier: ReadTier::LeaseLinearizable,
+                ..
+            } => ("engine.lease_reads", node),
+            ProtocolEvent::LeaseGranted {
+                node,
+                renewal: false,
+                ..
+            } => ("engine.lease_grants", node),
+            ProtocolEvent::LeaseGranted {
+                node,
+                renewal: true,
+                ..
+            } => ("engine.lease_renewals", node),
+            ProtocolEvent::ActionOrdered {
+                node,
+                color: EventColor::Red,
+                ..
+            } => ("engine.marked_red", node),
+            _ => continue,
+        };
+        *per_replica
+            .entry(counter)
+            .or_default()
+            .entry(node)
+            .or_default() += 1;
+    }
+    for counter in [
+        "engine.fast_commits",
+        "engine.fast_demotions",
+        "engine.lease_reads",
+        "engine.lease_grants",
+        "engine.lease_renewals",
+        "engine.marked_red",
+    ] {
+        let by_node = per_replica.remove(counter).unwrap_or_default();
+        let summed: u64 = by_node.values().sum();
+        assert!(summed > 0, "no {counter} event: the check is vacuous");
+        assert_eq!(
+            summed,
+            hub.counter(counter),
+            "{counter}: per-replica events {by_node:?} disagree with the hub"
+        );
+    }
+    cluster.check_consistency();
 }
 
 #[test]
