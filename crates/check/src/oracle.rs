@@ -661,25 +661,16 @@ pub fn check_trace(
                 }
                 deliv_seq.insert((node, conf_seq, coordinator), seq);
             }
-            ProtocolEvent::ActionFootprint {
-                node,
-                action_seq,
-                ref writes,
-                writes_unbounded,
-                ref reads,
-                reads_unbounded,
-                commutative,
-                timestamped,
-            } => {
+            ProtocolEvent::ActionFootprint(ref f) => {
                 footprints.insert(
-                    (node, action_seq),
+                    (f.node, f.action_seq),
                     ClassDigest {
-                        writes: writes.clone(),
-                        writes_unbounded,
-                        reads: reads.clone(),
-                        reads_unbounded,
-                        commutative,
-                        timestamped,
+                        writes: f.writes.clone(),
+                        writes_unbounded: f.writes_unbounded,
+                        reads: f.reads.clone(),
+                        reads_unbounded: f.reads_unbounded,
+                        commutative: f.commutative,
+                        timestamped: f.timestamped,
                     },
                 );
             }
@@ -905,7 +896,7 @@ pub fn check_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use todr_sim::ProtocolEvent as E;
+    use todr_sim::{Footprint, ProtocolEvent as E};
 
     fn rec(event: E) -> RecordedEvent {
         RecordedEvent {
@@ -1128,7 +1119,7 @@ mod tests {
 
     /// Footprint event for a single-row write action.
     fn footprint(node: u32, action_seq: u64, row: u64) -> RecordedEvent {
-        rec(E::ActionFootprint {
+        rec(E::ActionFootprint(Box::new(Footprint {
             node,
             action_seq,
             writes: vec![row],
@@ -1137,7 +1128,7 @@ mod tests {
             reads_unbounded: false,
             commutative: false,
             timestamped: false,
-        })
+        })))
     }
 
     fn red(node: u32, creator: u32, action_seq: u64) -> RecordedEvent {
@@ -1215,7 +1206,7 @@ mod tests {
     #[test]
     fn fast_commit_with_unbounded_footprint_is_flagged() {
         let events = vec![
-            rec(E::ActionFootprint {
+            rec(E::ActionFootprint(Box::new(Footprint {
                 node: 0,
                 action_seq: 1,
                 writes: vec![],
@@ -1224,7 +1215,7 @@ mod tests {
                 reads_unbounded: false,
                 commutative: false,
                 timestamped: false,
-            }),
+            }))),
             red(0, 0, 1),
             fast_commit(0, 1),
         ];
@@ -1412,7 +1403,7 @@ mod tests {
         // No footprint for (0, 5), and (0, 6) writes unbounded: neither
         // can be pinned to a row, so neither raises the freshness floor.
         let events = vec![
-            rec(E::ActionFootprint {
+            rec(E::ActionFootprint(Box::new(Footprint {
                 node: 0,
                 action_seq: 6,
                 writes: vec![],
@@ -1421,7 +1412,7 @@ mod tests {
                 reads_unbounded: false,
                 commutative: false,
                 timestamped: false,
-            }),
+            }))),
             update_acked(0, 5),
             update_acked(0, 6),
             read_served(1, 7, ReadTier::LeaseLinearizable, 0),
@@ -1511,7 +1502,7 @@ mod tests {
     #[test]
     fn commutative_predecessor_does_not_revoke() {
         let cfp = |node, action_seq| {
-            rec(E::ActionFootprint {
+            rec(E::ActionFootprint(Box::new(Footprint {
                 node,
                 action_seq,
                 writes: vec![7],
@@ -1520,7 +1511,7 @@ mod tests {
                 reads_unbounded: false,
                 commutative: true,
                 timestamped: false,
-            })
+            })))
         };
         // Two commutative increments of the same row from different
         // creators: order-insensitive, so no conflict either at receipt

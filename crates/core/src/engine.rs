@@ -11,8 +11,8 @@ use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
 use todr_net::{Datagram, NetOp, NodeId};
 use todr_sim::{
-    Actor, ActorId, CpuMeter, Ctx, EventColor, Payload, ProtocolEvent, ReadTier, SimDuration,
-    SimTime,
+    Actor, ActorId, ApplyHorizon, CpuMeter, Ctx, EventColor, Footprint, Payload, ProtocolEvent,
+    ReadTier, SimDuration, SimTime,
 };
 use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, SyncToken};
 
@@ -285,6 +285,9 @@ pub struct ReplicationEngine {
     /// Why the last [`EngineCtl::Recover`] fail-stopped, if it did.
     /// Cleared by a successful recovery.
     recovery_error: Option<RecoveryError>,
+    /// Where every CPU charge publishes when this node's processor next
+    /// goes idle (see [`ReplicationEngine::set_apply_horizon`]).
+    horizon: ApplyHorizon,
     k: Knowledge,
     v: Volatile,
 }
@@ -346,11 +349,19 @@ impl ReplicationEngine {
             red_line: 0,
             departed: false,
             recovery_error: None,
+            horizon: ApplyHorizon::default(),
         };
         if engine.state == EngineState::NonPrim {
             engine.k.save_records(&mut engine.store);
         }
         engine
+    }
+
+    /// Shares this node's processor horizon with its EVS daemon, whose
+    /// sequencer rounds stretch while the apply queue is backlogged. An
+    /// engine nobody reads keeps a private handle.
+    pub fn set_apply_horizon(&mut self, horizon: ApplyHorizon) {
+        self.horizon = horizon;
     }
 
     /// The one place the protocol state changes.
@@ -527,6 +538,14 @@ impl ReplicationEngine {
         ctx.metrics().record_value("core.retained_bodies_level", n);
     }
 
+    /// Charges `cost` of CPU arriving now and publishes the new idle
+    /// instant; returns when this job completes.
+    fn charge_cpu(&mut self, ctx: &Ctx<'_>, cost: SimDuration) -> SimTime {
+        let done_at = self.v.cpu.charge(ctx.now(), cost);
+        self.horizon.set(self.v.cpu.busy_until());
+        done_at
+    }
+
     fn reply(&mut self, ctx: &mut Ctx<'_>, at: SimTime, to: ActorId, reply: ClientReply) {
         ctx.metrics().incr("engine.replies_sent", 1);
         ctx.send_at(at.max(ctx.now()), to, reply);
@@ -543,7 +562,7 @@ impl ReplicationEngine {
         charge: Option<SimDuration>,
     ) {
         let at = match charge {
-            Some(cost) => self.v.cpu.charge(ctx.now(), cost),
+            Some(cost) => self.charge_cpu(ctx, cost),
             None => ctx.now(),
         };
         let reply = ClientReply::QueryAnswer {
@@ -638,7 +657,7 @@ impl ReplicationEngine {
                     // anywhere, so a concurrent lease read elsewhere
                     // legitimately does not observe it.
                     let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
-                    let at = self.v.cpu.charge(ctx.now(), self.cfg.cpu_per_action);
+                    let at = self.charge_cpu(ctx, self.cfg.cpu_per_action);
                     self.reply(
                         ctx,
                         at,
@@ -728,7 +747,7 @@ impl ReplicationEngine {
             self.v.last_green_charge = Some(ctx.now());
             self.cfg.cpu_per_action
         };
-        let done_at = self.v.cpu.charge(ctx.now(), cost);
+        let done_at = self.charge_cpu(ctx, cost);
         // A fast-pending action that greens before its FastAck quorum
         // arrives takes the (better-informed) green reply below.
         self.v.pending_fast.remove(&id);
@@ -937,7 +956,7 @@ impl ReplicationEngine {
             // Export the static conflict class so the todr-check oracle
             // can replay exactly the relation the engine evaluates.
             let d = classify(&req.update, req.query.as_ref()).digest();
-            ctx.emit(ProtocolEvent::ActionFootprint {
+            ctx.emit(ProtocolEvent::ActionFootprint(Box::new(Footprint {
                 node: self.cfg.me.index(),
                 action_seq: id.index,
                 writes: d.writes,
@@ -946,7 +965,7 @@ impl ReplicationEngine {
                 reads_unbounded: d.reads_unbounded,
                 commutative: d.commutative,
                 timestamped: d.timestamped,
-            });
+            })));
         }
         self.v.pending_replies.insert(
             id,
@@ -1848,7 +1867,7 @@ impl ReplicationEngine {
         let result = query.as_ref().map(|q| self.dirty_view().query(q));
         // Charge the check + read now so the CPU work overlaps the
         // FastAck round trip instead of serializing behind it.
-        let ready_at = self.v.cpu.charge(ctx.now(), self.cfg.cpu_per_action / 4);
+        let ready_at = self.charge_cpu(ctx, self.cfg.cpu_per_action / 4);
         let me = self.cfg.me;
         self.v.pending_fast.insert(
             id,
@@ -2089,6 +2108,7 @@ impl ReplicationEngine {
         self.set_state(EngineState::Down);
         self.conf_epoch += 1;
         self.v = Volatile::default();
+        self.horizon.set(SimTime::ZERO);
         self.k.forget_colours();
     }
 

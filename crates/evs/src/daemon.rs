@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use todr_net::{Datagram, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration};
+use todr_sim::{Actor, ActorId, ApplyHorizon, Ctx, Payload, ProtocolEvent, SimDuration};
 
 use crate::channel::{LinkFrame, LinkLayer};
 use crate::fd::FailureDetector;
@@ -55,7 +55,10 @@ pub struct EvsConfig {
     /// other are multicast as a single packed `Sequenced` frame, so
     /// receivers ack (and the stability line advances) in matching
     /// jumps. A submission that follows a longer silence is multicast at
-    /// once: holding it could not have filled a frame.
+    /// once: holding it could not have filled a frame. While the node's
+    /// application is busy for longer (see
+    /// [`EvsDaemon::set_apply_horizon`]), a round runs until that
+    /// backlog is one window from draining.
     pub max_pack: usize,
     /// Member count at which stability switches from all-ack (every
     /// member acks every `ack_delay`, O(n) fan-in per batch) to
@@ -107,13 +110,14 @@ impl Default for EvsConfig {
 const LINK_RTO: SimDuration = SimDuration::from_millis(3);
 /// Delayed-acknowledgement interval of the reliable links.
 const LINK_ACK_DELAY: SimDuration = SimDuration::from_micros(500);
-/// The longest the coordinator holds a sequenced message to fill a
-/// packed `Sequenced` frame (a frame that reaches `max_pack` goes out
-/// early), and the arrival gap below which holding can pay: a `Submit`
-/// that finds no round open and comes at least one window after the
-/// previous one is multicast at once, because the stream it belongs to
-/// would not have put a second message into its frame. Only consulted
-/// when `max_pack > 1`.
+/// How long the coordinator holds a sequenced message to fill a packed
+/// `Sequenced` frame (a frame that reaches `max_pack` goes out early; a
+/// round opened while the node's apply queue holds `B` > 2 windows of
+/// work runs `B` − 1 window instead), and the arrival gap below which
+/// holding can pay: a `Submit` that finds no round open and comes at
+/// least one window after the previous one is multicast at once,
+/// because the stream it belongs to would not have put a second message
+/// into its frame. Only consulted when `max_pack > 1`.
 const PACK_WINDOW: SimDuration = SimDuration::from_micros(500);
 /// Upper bound on how stale a member's acknowledgement may go under
 /// cumulative-ack stability: if a member holds unacknowledged messages
@@ -214,14 +218,20 @@ pub struct EvsDaemon {
     seq_buf: Vec<(todr_sim::SimTime, SequencedMsg)>,
     /// When the open sequencer round closes (a `SeqPackTick` is due
     /// then); `None` while no round is open. A round opens with the
-    /// first held message and runs one `PACK_WINDOW`; a frame that
-    /// fills before then goes out early and leaves the round running.
+    /// first held message and runs one `PACK_WINDOW`, or longer while
+    /// the apply queue is backlogged; it is never extended once open. A
+    /// frame that fills before then goes out early and leaves the round
+    /// running.
     seq_round_ends: Option<todr_sim::SimTime>,
     /// Coordinator-side: when the previous `Submit` was sequenced. The
     /// gap to the next one is the load signal that decides whether a
     /// round is worth opening. Never reset: an old stamp only ever reads
     /// as "idle".
     last_submit_at: todr_sim::SimTime,
+    /// When this node's application processor next goes idle: the
+    /// signal that sets how long a round runs, read only when one opens.
+    /// A daemon never given one reads zero backlog.
+    apply_horizon: ApplyHorizon,
     /// FlushInfos that arrived before this daemon entered the matching
     /// flush phase. Keyed by sender and keeping only the latest report
     /// per peer, so the structure is bounded by the universe size —
@@ -278,6 +288,7 @@ impl EvsDaemon {
             seq_buf: Vec::new(),
             seq_round_ends: None,
             last_submit_at: todr_sim::SimTime::ZERO,
+            apply_horizon: ApplyHorizon::default(),
             early_infos: BTreeMap::new(),
             ack_scheduled: false,
             last_acked: 0,
@@ -300,6 +311,14 @@ impl EvsDaemon {
     /// placeholder).
     pub fn set_app(&mut self, app: ActorId) {
         self.app = app;
+    }
+
+    /// Lets the sequencer see this node's apply queue: a round opened
+    /// while the application's processor is busy for more than two pack
+    /// windows stays open until that backlog is one window from
+    /// draining. Only consulted when `max_pack > 1`.
+    pub fn set_apply_horizon(&mut self, horizon: ApplyHorizon) {
+        self.apply_horizon = horizon;
     }
 
     /// The currently installed regular configuration, if any.
@@ -963,8 +982,15 @@ impl EvsDaemon {
                             self.last_submit_at = now;
                             self.seq_buf.extend(msgs.into_iter().map(|m| (now, m)));
                             if self.seq_round_ends.is_none() && !idle {
-                                self.seq_round_ends = Some(now + PACK_WINDOW);
-                                ctx.send_self_after(PACK_WINDOW, SeqPackTick);
+                                // Past two windows of queued apply work,
+                                // run until the queue is one window from
+                                // draining: the frame lands as it frees,
+                                // so the hold is free and the burst
+                                // shares one overhead.
+                                let backlog = self.apply_horizon.backlog(now);
+                                let hold = PACK_WINDOW.max(backlog.saturating_sub(PACK_WINDOW));
+                                self.seq_round_ends = Some(now + hold);
+                                ctx.send_self_after(hold, SeqPackTick);
                             }
                             if self.seq_round_ends.is_none()
                                 || self.seq_buf.len() >= self.config.max_pack

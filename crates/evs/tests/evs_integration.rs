@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsConfig, EvsDaemon, EvsEvent};
 use todr_net::{NetConfig, NetFabric, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration, SimTime, World};
+use todr_sim::{Actor, ActorId, ApplyHorizon, Ctx, Payload, SimDuration, SimTime, World};
 
 /// Records every EVS upcall, with the payload decoded as `u64`.
 #[derive(Default)]
@@ -141,6 +141,18 @@ impl Cluster {
     fn receipts(&mut self, idx: usize) -> Vec<Rec> {
         self.world
             .with_actor(self.sinks[idx], |s: &mut AppSink| s.receipts.clone())
+    }
+
+    /// Gives every daemon one shared apply-horizon handle and returns
+    /// it: the test plays the application whose queue it reports.
+    fn stub_horizon(&mut self) -> ApplyHorizon {
+        let horizon = ApplyHorizon::default();
+        for &daemon in &self.daemons {
+            let h = horizon.clone();
+            self.world
+                .with_actor(daemon, move |d: &mut EvsDaemon| d.set_apply_horizon(h));
+        }
+        horizon
     }
 
     fn partition(&mut self, groups: &[Vec<NodeId>]) {
@@ -666,6 +678,132 @@ fn restart_with_a_round_open_does_not_shorten_the_next_round() {
     c.send_from(0, 3);
     c.run_for(SimDuration::from_millis(20));
     assert!(c.delivered_at(0, 3) >= restarted_at + PACK_WINDOW);
+    let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
+    assert_eq!(hold.max_nanos(), PACK_WINDOW.as_nanos());
+}
+
+// ------------------------------------------------------------
+// sequencer rounds under a backlogged apply queue
+// ------------------------------------------------------------
+
+/// `NetConfig::lan()`'s loopback latency: a singleton group's own
+/// `Submit` reaches its sequencer this long after the send.
+const LOOPBACK: SimDuration = SimDuration::from_micros(5);
+
+#[test]
+fn backlogged_apply_queue_holds_a_round_until_one_window_before_it_drains() {
+    // A singleton group is its own coordinator. 1 goes out alone; 2
+    // opens a round while the application reports `backlog` of queued
+    // work. Past two windows the round closes one window before the
+    // queue drains, and delivery moves by exactly the longer hold.
+    const BACKLOG: SimDuration = SimDuration::from_millis(3);
+    let run = |backlog: SimDuration| -> (SimTime, u64) {
+        let mut c = Cluster::new_cfg(1, 25, |cfg| cfg.max_pack = 8);
+        let horizon = c.stub_horizon();
+        c.run_for(SETTLE);
+        c.send_from(0, 1);
+        c.run_for(SimDuration::from_micros(60));
+        horizon.set(c.world.now() + LOOPBACK + backlog);
+        c.send_from(0, 2);
+        c.run_for(SimDuration::from_millis(20));
+        let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
+        let hold = hold.max_nanos();
+        (c.delivered_at(0, 2), hold)
+    };
+    let (plain_at, plain_hold) = run(SimDuration::ZERO);
+    let (held_at, held_hold) = run(BACKLOG);
+    assert_eq!(plain_hold, PACK_WINDOW.as_nanos());
+    assert_eq!(held_hold, (BACKLOG - PACK_WINDOW).as_nanos());
+    assert_eq!(held_at, plain_at + (BACKLOG - PACK_WINDOW - PACK_WINDOW));
+}
+
+#[test]
+fn short_backlog_or_no_handle_keeps_the_plain_window() {
+    // The dense stream of `dense_stream_still_packs_and_keeps_sender_order`
+    // with an application that never reports more than two windows of
+    // queued work: every delivery instant equals a run whose daemons have
+    // no handle at all.
+    let run = |stub: bool| -> Vec<Vec<SimTime>> {
+        let mut c = Cluster::new_cfg(4, 22, |cfg| cfg.max_pack = 8);
+        let horizon = stub.then(|| c.stub_horizon());
+        c.run_for(SETTLE);
+        for k in 0..50u64 {
+            if let Some(h) = &horizon {
+                h.set(c.world.now() + PACK_WINDOW + PACK_WINDOW);
+            }
+            for i in 0..4usize {
+                c.send_from(i, i as u64 * 1000 + k);
+            }
+            c.run_for(SimDuration::from_micros(100));
+        }
+        c.run_for(SimDuration::from_millis(50));
+        (0..4)
+            .map(|i| {
+                c.world
+                    .with_actor(c.sinks[i], |s: &mut AppSink| s.delivered_at.clone())
+            })
+            .collect()
+    };
+    let plain = run(false);
+    assert_eq!(plain[0].len(), 200);
+    assert_eq!(run(true), plain);
+}
+
+#[test]
+fn a_full_frame_leaves_early_and_the_held_round_is_not_extended() {
+    // 1 opens a round under a 10 ms backlog; 1..=8 fill a frame 70 us
+    // in, which goes out at once. 9 joins the same round and leaves at
+    // its original deadline, open + backlog − window.
+    const BACKLOG: SimDuration = SimDuration::from_millis(10);
+    const GAP: SimDuration = SimDuration::from_micros(10);
+    let mut c = Cluster::new_cfg(1, 26, |cfg| cfg.max_pack = 8);
+    let horizon = c.stub_horizon();
+    c.run_for(SETTLE);
+    c.send_from(0, 0);
+    c.run_for(SimDuration::from_micros(60));
+    let opens_at = c.world.now() + LOOPBACK;
+    horizon.set(opens_at + BACKLOG);
+    for v in 1..=9u64 {
+        c.send_from(0, v);
+        c.run_for(GAP);
+    }
+    c.run_for(SimDuration::from_millis(20));
+    let full_at = c.delivered_at(0, 8);
+    assert!(full_at < opens_at + PACK_WINDOW, "the full frame was held");
+    for v in 1..8 {
+        assert_eq!(c.delivered_at(0, v), full_at);
+    }
+    let ends_at = opens_at + (BACKLOG - PACK_WINDOW);
+    let filled_at = opens_at + GAP * 7;
+    assert_eq!(
+        c.delivered_at(0, 9),
+        full_at + ends_at.saturating_since(filled_at)
+    );
+    let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
+    assert!(hold.max_nanos() < (BACKLOG - PACK_WINDOW).as_nanos());
+}
+
+#[test]
+fn a_crash_that_zeroes_the_horizon_gives_the_next_round_a_plain_window() {
+    // 2 opens a long round under a 10 ms backlog, then the node crashes.
+    // The crash empties the apply queue (the engine zeroes its horizon),
+    // so the round 3 opens in the new incarnation runs one window.
+    let mut c = Cluster::new_cfg(1, 27, |cfg| cfg.max_pack = 8);
+    let horizon = c.stub_horizon();
+    c.run_for(SETTLE);
+    c.send_from(0, 1);
+    c.run_for(SimDuration::from_micros(60));
+    horizon.set(c.world.now() + SimDuration::from_millis(10));
+    c.send_from(0, 2);
+    c.run_for(SimDuration::from_micros(100));
+    let restarted_at = c.world.now();
+    let daemon = c.daemons[0];
+    c.world.schedule_now(daemon, EvsCmd::Crash);
+    c.world.schedule_now(daemon, EvsCmd::Restart);
+    horizon.set(SimTime::ZERO);
+    c.send_from(0, 3);
+    c.run_for(SimDuration::from_millis(20));
+    assert!(c.delivered_at(0, 3) < restarted_at + PACK_WINDOW + PACK_WINDOW);
     let hold = c.world.metrics().histogram("evs.round_hold").expect("held");
     assert_eq!(hold.max_nanos(), PACK_WINDOW.as_nanos());
 }

@@ -44,7 +44,7 @@ use todr_core::{
 use todr_evs::{EvsCmd, EvsConfig, EvsDaemon};
 use todr_net::{NetConfig, NetFabric, NodeId};
 use todr_shard::{ShardRouter, ShardRouterConfig, ShardTopology};
-use todr_sim::{ActorId, SimDuration, SimTime, TieBreak, World};
+use todr_sim::{ActorId, ApplyHorizon, SimDuration, SimTime, TieBreak, World};
 use todr_storage::{DiskActor, DiskMode, DiskOp, StorageHandle};
 
 use serde::Serialize;
@@ -750,12 +750,17 @@ impl Cluster {
                     .unwrap_or_else(|e| panic!("open file store {}: {e}", dir.display()))
             }
         };
-        let engine = world.add_actor(
-            format!("engine-{node}"),
-            ReplicationEngine::with_storage(engine_config, daemon, disk, fabric, store),
-        );
+        // The daemon's sequencer sees the engine's apply queue.
+        let horizon = ApplyHorizon::default();
+        let mut replication =
+            ReplicationEngine::with_storage(engine_config, daemon, disk, fabric, store);
+        replication.set_apply_horizon(horizon.clone());
+        let engine = world.add_actor(format!("engine-{node}"), replication);
         // Re-point the daemon's app at the real engine.
-        world.with_actor(daemon, |d: &mut EvsDaemon| d.set_app(engine));
+        world.with_actor(daemon, |d: &mut EvsDaemon| {
+            d.set_app(engine);
+            d.set_apply_horizon(horizon);
+        });
         world.with_actor(fabric, |f: &mut NetFabric| f.register(node, daemon));
         self.servers.push(ServerHandles {
             node,

@@ -282,17 +282,11 @@ fn count_stale_lease_reads(cluster: &Cluster) -> u64 {
     let mut stale = 0;
     for rec in cluster.world.metrics().events() {
         match &rec.event {
-            ProtocolEvent::ActionFootprint {
-                node,
-                action_seq,
-                writes,
-                writes_unbounded: false,
-                ..
-            } => {
-                let mut w = writes.clone();
+            ProtocolEvent::ActionFootprint(f) if !f.writes_unbounded => {
+                let mut w = f.writes.clone();
                 w.sort_unstable();
                 w.dedup();
-                footprints.insert((*node, *action_seq), w);
+                footprints.insert((f.node, f.action_seq), w);
             }
             ProtocolEvent::UpdateAcked {
                 creator,

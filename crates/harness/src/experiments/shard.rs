@@ -23,7 +23,7 @@
 //! Every cell ends with the router drained and all per-group safety
 //! invariants re-verified. Emits the machine-readable `BENCH_shard.json`
 //! consumed by the CI shard gate (quick mode gates 1 → 2 shards at
-//! ≥ 1.6×; the nightly full sweep gates 1 → 4 at ≥ 2.8×).
+//! ≥ 1.35×; the nightly full sweep gates 1 → 4 at ≥ 2.15×).
 
 use serde::Serialize;
 use todr_sim::SimDuration;

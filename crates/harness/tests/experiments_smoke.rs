@@ -1,12 +1,15 @@
 //! Smoke tests for the experiment drivers: small virtual windows, but
 //! the qualitative shapes of the paper's results must already hold.
 
+use todr_evs::EvsDaemon;
+use todr_harness::client::ClientConfig;
+use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::experiments::Protocol;
 use todr_harness::experiments::{
     fig5a, fig5b, join, latency, partition, recovery, run_workload, run_workload_packed, scale,
     semantics,
 };
-use todr_sim::SimDuration;
+use todr_sim::{ApplyHorizon, MetricsExport, SimDuration};
 
 #[test]
 fn latency_table_matches_paper_shape() {
@@ -118,6 +121,53 @@ fn packing_costs_a_lone_client_nothing() {
         "packed {} < unpacked {} actions/s at one client",
         packed.throughput,
         unpacked.throughput
+    );
+}
+
+/// A delayed-writes, packing-8 deployment of `n` replicas with one
+/// closed-loop client each, run for 1.5 s; `blind` cuts every sequencer
+/// off from its apply queue first. Returns the whole hub.
+fn delayed_packed_cell(n: u32, blind: bool) -> MetricsExport {
+    let config = ClusterConfig::builder(n, 42)
+        .delayed_writes()
+        .packing(8)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    if blind {
+        for s in cluster.servers.clone() {
+            cluster.world.with_actor(s.daemon, |d: &mut EvsDaemon| {
+                d.set_apply_horizon(ApplyHorizon::default())
+            });
+        }
+    }
+    cluster.settle();
+    for i in 0..n as usize {
+        cluster.attach_client(i, ClientConfig::default());
+    }
+    cluster.run_for(SimDuration::from_millis(1500));
+    cluster.check_consistency();
+    cluster.metrics_export()
+}
+
+#[test]
+fn a_backlogged_apply_queue_fills_green_bursts() {
+    // 14 × 14 with delayed writes is CPU-bound: each replica's apply
+    // queue stays backlogged, so sequencer rounds stretch until it is
+    // about to drain and each frame lands as one burst. Held to one
+    // window (no handle) the bursts average 2.4.
+    let export = delayed_packed_cell(14, false);
+    let burst = &export.histograms["engine.green_burst"];
+    assert!(burst.mean_nanos >= 4, "mean green burst {burst:?}");
+}
+
+#[test]
+fn an_unsaturated_cell_never_stretches_a_round() {
+    // At 7 × 7 no apply queue ever holds more than two pack windows, so
+    // the run is the one whose sequencers cannot see the queue at all.
+    assert_eq!(
+        delayed_packed_cell(7, false).to_json(),
+        delayed_packed_cell(7, true).to_json()
     );
 }
 

@@ -68,10 +68,10 @@ pub use actor::{Actor, ActorId};
 pub use checksum::checksum64;
 pub use event::{IntoPayload, Payload};
 pub use metrics::{
-    EventColor, Histogram, HistogramSummary, MetricsExport, MetricsHub, ProtocolEvent, ReadTier,
-    RecordedEvent,
+    EventColor, Footprint, Histogram, HistogramSummary, MetricsExport, MetricsHub, ProtocolEvent,
+    ReadTier, RecordedEvent,
 };
-pub use resource::CpuMeter;
+pub use resource::{ApplyHorizon, CpuMeter};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use world::{Ctx, HandlerCost, TieBreak, World};

@@ -228,28 +228,10 @@ pub enum ProtocolEvent {
         txn: u64,
     },
     /// The static conflict classification of an action, exported by its
-    /// creating replica when the commit fast path is enabled. Row
-    /// identities are stable 64-bit fingerprints (sorted, deduplicated)
-    /// so the todr-check conflict oracle can replay exactly the
-    /// relation the engine evaluated.
-    ActionFootprint {
-        /// Creating replica.
-        node: u32,
-        /// Creator-local action sequence.
-        action_seq: u64,
-        /// Sorted fingerprints of the written rows (empty if unbounded).
-        writes: Vec<u64>,
-        /// The write side is statically unbounded.
-        writes_unbounded: bool,
-        /// Sorted fingerprints of the read rows (empty if unbounded).
-        reads: Vec<u64>,
-        /// The read side is statically unbounded.
-        reads_unbounded: bool,
-        /// The update consists only of commutative ops.
-        commutative: bool,
-        /// The update consists only of timestamped ops.
-        timestamped: bool,
-    },
+    /// creating replica when the commit fast path is enabled (see
+    /// [`Footprint`]). Boxed because it is by far the largest event: the
+    /// log stores every other kind in half the bytes.
+    ActionFootprint(Box<Footprint>),
     /// A replica acknowledged its own action on the commit fast path: a
     /// weighted quorum of the primary component holds the sequenced
     /// action and no in-flight conflict was detected. The reply to the
@@ -315,6 +297,30 @@ pub enum ProtocolEvent {
     },
 }
 
+/// The payload of [`ProtocolEvent::ActionFootprint`]. Row identities are
+/// stable 64-bit fingerprints (sorted, deduplicated) so the todr-check
+/// conflict oracle can replay exactly the relation the engine evaluated.
+/// Serializes exactly as a struct variant with these fields would.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Footprint {
+    /// Creating replica.
+    pub node: u32,
+    /// Creator-local action sequence.
+    pub action_seq: u64,
+    /// Sorted fingerprints of the written rows (empty if unbounded).
+    pub writes: Vec<u64>,
+    /// The write side is statically unbounded.
+    pub writes_unbounded: bool,
+    /// Sorted fingerprints of the read rows (empty if unbounded).
+    pub reads: Vec<u64>,
+    /// The read side is statically unbounded.
+    pub reads_unbounded: bool,
+    /// The update consists only of commutative ops.
+    pub commutative: bool,
+    /// The update consists only of timestamped ops.
+    pub timestamped: bool,
+}
+
 /// How a read was served; mirrors `todr_db::ReadConsistency` plus the
 /// lease/ordered split of the linearizable tier, with primitive spelling
 /// so the kernel does not depend on upper layers.
@@ -354,7 +360,7 @@ impl ProtocolEvent {
             ProtocolEvent::CrossShardMerged { .. } => "cross-shard-merged",
             ProtocolEvent::CrossShardCommitted { .. } => "cross-shard-committed",
             ProtocolEvent::CrossShardApplied { .. } => "cross-shard-applied",
-            ProtocolEvent::ActionFootprint { .. } => "action-footprint",
+            ProtocolEvent::ActionFootprint(_) => "action-footprint",
             ProtocolEvent::FastCommit { .. } => "fast-commit",
             ProtocolEvent::FastDemoted { .. } => "fast-demoted",
             ProtocolEvent::ReadServed { .. } => "read-served",
@@ -379,6 +385,9 @@ pub struct RecordedEvent {
     /// The event itself.
     pub event: ProtocolEvent,
 }
+
+// The log holds tens of events per action; keep each entry this small.
+const _: () = assert!(std::mem::size_of::<RecordedEvent>() == 48);
 
 /// A fixed-bucket latency histogram over `u64` nanosecond samples.
 ///
@@ -620,8 +629,11 @@ pub struct MetricsHub {
 }
 
 /// Events a new hub's log has room for before it has to move: a few
-/// virtual seconds of a paper-scale (14-replica) run.
-const EVENT_LOG_RESERVE: usize = 1 << 18;
+/// virtual seconds of a paper-scale (14-replica) run, in about 25 MB of
+/// address space. A log that outgrows it by a little (the benchmark's
+/// 7-replica fault cell logs 270 k events) moves once, and the move is
+/// what makes peak memory flap between seeds.
+const EVENT_LOG_RESERVE: usize = 1 << 19;
 
 impl MetricsHub {
     /// Creates an empty hub with event recording enabled.
@@ -828,11 +840,11 @@ impl MetricsHub {
                 })
                 .collect(),
             event_counts: {
-                let mut m: BTreeMap<String, u64> = BTreeMap::new();
+                let mut m: BTreeMap<&'static str, u64> = BTreeMap::new();
                 for r in &self.events {
-                    *m.entry(r.event.kind().to_string()).or_insert(0) += 1;
+                    *m.entry(r.event.kind()).or_insert(0) += 1;
                 }
-                m
+                m.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
             },
             events_recorded: self.events.len() as u64,
         }
@@ -1002,6 +1014,35 @@ mod tests {
         let text = export.to_json_pretty();
         let back = MetricsExport::from_json(&text).unwrap();
         assert_eq!(back, export);
+    }
+
+    #[test]
+    fn footprint_event_renders_as_a_struct_variant() {
+        let event = ProtocolEvent::ActionFootprint(Box::new(Footprint {
+            node: 1,
+            action_seq: 2,
+            writes: vec![3],
+            writes_unbounded: false,
+            reads: vec![],
+            reads_unbounded: true,
+            commutative: false,
+            timestamped: true,
+        }));
+        assert_eq!(
+            serde::json::to_string(&event).ok().as_deref(),
+            Some(
+                "{\"ActionFootprint\":{\"node\":1,\"action_seq\":2,\"writes\":[3],\
+             \"writes_unbounded\":false,\"reads\":[],\"reads_unbounded\":true,\
+             \"commutative\":false,\"timestamped\":true}}"
+            )
+        );
+        // Variant index 19, then a record of the eight fields.
+        let bytes = serde::bin::to_vec(&event);
+        assert_eq!(
+            bytes,
+            [177, 13, 19, 12, 8, 3, 1, 3, 2, 8, 1, 3, 3, 1, 8, 0, 2, 1, 2]
+        );
+        assert_eq!(serde::bin::from_slice(&bytes).ok(), Some(event));
     }
 
     #[test]

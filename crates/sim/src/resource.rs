@@ -4,7 +4,11 @@
 //! time; to charge processing cost (e.g. "handling one replicated action
 //! costs 380 µs of CPU") an actor consults a [`CpuMeter`]: the meter tracks
 //! when the modelled processor becomes free and answers, for work arriving
-//! *now*, when that work would complete.
+//! *now*, when that work would complete. An [`ApplyHorizon`] publishes
+//! that instant to the node's other actors.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +77,35 @@ impl CpuMeter {
     /// Forgets all accumulated state (e.g. on simulated node crash).
     pub fn reset(&mut self) {
         *self = CpuMeter::default();
+    }
+}
+
+/// When one node's processor next goes idle, shared between the actor
+/// that charges the node's [`CpuMeter`] and the actors that only read
+/// it. Clones share one cell, so the reader sees every write at once;
+/// a handle nobody writes reads as "idle since time zero".
+///
+/// ```
+/// use todr_sim::{ApplyHorizon, SimDuration, SimTime};
+///
+/// let writer = ApplyHorizon::default();
+/// let reader = writer.clone();
+/// writer.set(SimTime::from_millis(3));
+/// assert_eq!(reader.backlog(SimTime::from_millis(1)), SimDuration::from_millis(2));
+/// assert_eq!(reader.backlog(SimTime::from_millis(5)), SimDuration::ZERO);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ApplyHorizon(Rc<Cell<SimTime>>);
+
+impl ApplyHorizon {
+    /// Publishes the instant the processor next goes idle.
+    pub fn set(&self, idle_at: SimTime) {
+        self.0.set(idle_at);
+    }
+
+    /// Work still queued on the processor at `now` (zero once idle).
+    pub fn backlog(&self, now: SimTime) -> SimDuration {
+        self.0.get().saturating_since(now)
     }
 }
 
