@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use todr_sim::{MetricsExport, RecordedEvent};
 
 use crate::runner::{run_case, CaseFailure, CasePass, CaseSpec, FailureKind, RunOptions};
-use crate::schedule::Step;
+use crate::Step;
 
 /// A self-contained, replayable record of one failing case.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -9,6 +9,7 @@
 //! replayable [`Counterexample`]. The whole sweep is a pure function of
 //! its [`ExploreConfig`].
 
+use todr_harness::cluster::InvalidClusterConfig;
 use todr_sim::SimRng;
 
 use crate::artifact::Counterexample;
@@ -74,7 +75,15 @@ impl ExploreReport {
 /// `progress` is called once per finished case with
 /// `(explorer_seed, perturbation, passed)` — the example binary uses it
 /// for console output; pass `|_, _, _| {}` to ignore.
-pub fn explore(config: &ExploreConfig, mut progress: impl FnMut(u64, u64, bool)) -> ExploreReport {
+///
+/// Options the cluster builder refuses are returned as its error before
+/// any case runs: a config error is not a counterexample.
+pub fn explore(
+    config: &ExploreConfig,
+    mut progress: impl FnMut(u64, u64, bool),
+) -> Result<ExploreReport, InvalidClusterConfig> {
+    // Coherence never depends on the seed or the perturbation.
+    config.options.cluster_builder(0, 0).build()?;
     let mut cases_run = 0u64;
     let mut passed = 0u64;
     let mut failures = Vec::new();
@@ -123,9 +132,9 @@ pub fn explore(config: &ExploreConfig, mut progress: impl FnMut(u64, u64, bool))
             }
         }
     }
-    ExploreReport {
+    Ok(ExploreReport {
         cases_run,
         passed,
         failures,
-    }
+    })
 }

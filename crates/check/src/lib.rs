@@ -10,7 +10,10 @@
 //!   simulator's [`TieBreak`](todr_sim::TieBreak) hook — index 0 is the
 //!   historical FIFO order, every other index a seeded permutation that
 //!   only exercises *legal* asynchronous-system freedoms (per-target
-//!   FIFO delivery is preserved).
+//!   FIFO delivery is preserved). A schedule is a list of [`Step`]s, the
+//!   one fault vocabulary: it lives in [`todr_harness::fault`], and the
+//!   [`runner`] applies it through the same guarded executor that
+//!   scripted timelines use, so a scripted fault is a replayable case.
 //! * **[`oracle`]** — replays the typed
 //!   [`ProtocolEvent`](todr_sim::ProtocolEvent) log of a finished run
 //!   and checks the paper's service properties over the *whole history*:
@@ -48,9 +51,10 @@
 //!         ..ExploreConfig::default()
 //!     },
 //!     |_, _, _| {},
-//! );
+//! )?; // options the cluster builder refuses fail here, before any run
 //! assert_eq!(report.cases_run, 1);
 //! assert!(report.all_passed());
+//! # Ok::<(), todr_harness::cluster::InvalidClusterConfig>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,6 +74,7 @@ pub use oracle::{check_trace, TraceStats, TraceViolation};
 pub use runner::{
     run_case, tie_break_for, CaseFailure, CasePass, CaseSpec, FailureKind, GroupPass, RunOptions,
 };
-pub use schedule::{generate_schedule, generate_schedule_with, Step};
+pub use schedule::{generate_schedule, generate_schedule_with};
 pub use sharded::{check_shard_trace, ShardTraceStats, ShardTraceViolation};
 pub use shrink::{ddmin, shrink_case};
+pub use todr_harness::fault::Step;

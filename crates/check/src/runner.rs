@@ -4,8 +4,10 @@
 //! The run protocol is a faithful port of the original
 //! `reconfig_nemesis` test driver — settle, attach one closed-loop
 //! client per replica, apply one [`Step`] per 400 ms, check safety after
-//! every step, heal, drain, then check convergence — at any shard count:
-//! steps name replicas by *flat* index and act on the group that index
+//! every step, heal, drain, then check convergence — at any shard count.
+//! Steps go through the one guarded executor,
+//! [`todr_harness::fault::Faults`], that scripted timelines also use:
+//! they name replicas by *flat* index and act on the group that index
 //! lands in, and the convergence and whole-history checks run once per
 //! replication group plus once across groups
 //! ([`crate::check_shard_trace`]). Every assertion
@@ -22,12 +24,13 @@ use serde::{Deserialize, Serialize};
 use todr_core::{EngineState, UpdateReplyPolicy};
 use todr_harness::checkers::ConsistencyViolation;
 use todr_harness::client::ClientConfig;
-use todr_harness::cluster::{Cluster, ClusterConfig};
+use todr_harness::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder};
+use todr_harness::fault::Faults;
 use todr_sim::{MetricsExport, RecordedEvent, SimDuration, TieBreak};
 
 use crate::oracle;
-use crate::schedule::Step;
 use crate::sharded::check_shard_trace;
+use crate::Step;
 
 /// Everything needed to reproduce one case bit-for-bit: the world seed,
 /// the same-instant perturbation index and the fault schedule.
@@ -97,6 +100,23 @@ pub struct RunOptions {
     pub shard_chaos: Option<todr_shard::ShardChaos>,
 }
 
+impl RunOptions {
+    /// The builder of the cluster one case of these options runs on; its
+    /// `build` refuses incoherent options with a typed error.
+    pub(crate) fn cluster_builder(&self, seed: u64, perturbation: u64) -> ClusterConfigBuilder {
+        let builder = ClusterConfig::builder(self.n_servers as u32, seed)
+            .shards(self.shards)
+            .tie_break(tie_break_for(perturbation))
+            .packing(self.max_pack)
+            .checkpoint_interval(self.checkpoint_interval)
+            .fast_path(self.fast_path)
+            .read_leases(self.read_leases);
+        #[cfg(feature = "chaos-mutations")]
+        let builder = builder.chaos(self.chaos).shard_chaos(self.shard_chaos);
+        builder
+    }
+}
+
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
@@ -159,6 +179,9 @@ pub enum FailureKind {
     Convergence,
     /// A protocol-internal assertion fired (engine/EVS panic).
     Panic,
+    /// The cluster builder refused the [`RunOptions`]; no world was
+    /// built.
+    Config,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -169,6 +192,7 @@ impl std::fmt::Display for FailureKind {
             FailureKind::TraceOracle => "trace-oracle",
             FailureKind::Convergence => "convergence",
             FailureKind::Panic => "panic",
+            FailureKind::Config => "config",
         };
         f.write_str(s)
     }
@@ -200,13 +224,10 @@ pub const EVENT_TAIL: usize = 32;
 
 fn fail(cluster: &Cluster, kind: FailureKind, message: String) -> Box<CaseFailure> {
     let events = cluster.world.metrics().events();
-    let tail_from = events.len().saturating_sub(EVENT_TAIL);
-    Box::new(CaseFailure {
-        kind,
-        message,
-        event_tail: events[tail_from..].to_vec(),
-        metrics: Some(cluster.metrics_export()),
-    })
+    let mut failure = worldless(kind, message);
+    failure.event_tail = events[events.len().saturating_sub(EVENT_TAIL)..].to_vec();
+    failure.metrics = Some(cluster.metrics_export());
+    failure
 }
 
 fn consistency_fail(cluster: &Cluster, v: ConsistencyViolation) -> Box<CaseFailure> {
@@ -215,6 +236,16 @@ fn consistency_fail(cluster: &Cluster, v: ConsistencyViolation) -> Box<CaseFailu
         message: v.error.to_string(),
         event_tail: v.recent_events,
         metrics: Some(cluster.metrics_export()),
+    })
+}
+
+/// A failure that left no world to snapshot.
+fn worldless(kind: FailureKind, message: String) -> Box<CaseFailure> {
+    Box::new(CaseFailure {
+        kind,
+        message,
+        event_tail: Vec::new(),
+        metrics: None,
     })
 }
 
@@ -229,37 +260,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one case to completion, converting every property violation —
-/// including protocol-internal panics — into a [`CaseFailure`].
+/// including protocol-internal panics — into a [`CaseFailure`]. Options
+/// the cluster builder refuses are a [`FailureKind::Config`] failure,
+/// found before any world is built.
 ///
 /// Deterministic: the same `(spec, options)` always produces the same
 /// result, byte for byte.
 pub fn run_case(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box<CaseFailure>> {
-    match catch_unwind(AssertUnwindSafe(|| run_case_inner(spec, options))) {
+    let config = options
+        .cluster_builder(spec.seed, spec.perturbation)
+        .build()
+        .map_err(|e| worldless(FailureKind::Config, e.to_string()))?;
+    match catch_unwind(AssertUnwindSafe(|| run_case_inner(config, spec, options))) {
         Ok(outcome) => outcome,
-        Err(payload) => Err(Box::new(CaseFailure {
-            kind: FailureKind::Panic,
-            message: panic_message(payload),
-            event_tail: Vec::new(),
-            metrics: None,
-        })),
+        Err(payload) => Err(worldless(FailureKind::Panic, panic_message(payload))),
     }
 }
 
-fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box<CaseFailure>> {
+fn run_case_inner(
+    config: ClusterConfig,
+    spec: &CaseSpec,
+    options: &RunOptions,
+) -> Result<CasePass, Box<CaseFailure>> {
     let n = options.n_servers;
     let shards = options.shards as usize;
-    let builder = ClusterConfig::builder(n as u32, spec.seed)
-        .shards(options.shards)
-        .tie_break(tie_break_for(spec.perturbation))
-        .packing(options.max_pack)
-        .checkpoint_interval(options.checkpoint_interval)
-        .fast_path(options.fast_path)
-        .read_leases(options.read_leases);
-    #[cfg(feature = "chaos-mutations")]
-    let builder = builder
-        .chaos(options.chaos)
-        .shard_chaos(options.shard_chaos);
-    let config = builder.build().expect("runner config is coherent");
     let mut cluster = Cluster::build(config);
     if let Err(e) = cluster.try_settle() {
         return Err(fail(&cluster, FailureKind::Settle, e.to_string()));
@@ -299,91 +323,19 @@ fn run_case_inner(spec: &CaseSpec, options: &RunOptions) -> Result<CasePass, Box
     }
     cluster.run_for(SimDuration::from_millis(400));
 
-    // Legality guards, re-applied here (not trusted from the generator)
-    // so arbitrary subsequences and deserialized schedules stay valid.
-    // The join, leave and corruption budgets are per group.
-    let group_of = |server: usize| server / (n / shards);
-    let mut crashed = vec![false; n];
-    let mut left = vec![false; n];
-    let mut joins = vec![0usize; shards];
-    let mut leaves = vec![0usize; shards];
-    let mut corruptions = vec![0usize; shards];
-
-    for step in &spec.schedule {
-        match *step {
-            Step::Split { cut } => {
-                let cut = cut.clamp(1, n.saturating_sub(1));
-                // Partition only the original indices; later joiners
-                // ride with the first set. Each group splits by its own
-                // members: one the cut does not cross stays whole.
-                let mut a: Vec<usize> = (0..cut).collect();
-                a.extend(n..cluster.servers.len());
-                let b: Vec<usize> = (cut..n).collect();
-                cluster.partition(&[a, b]);
-            }
-            Step::Merge => cluster.merge_all(),
-            Step::Crash { server } => {
-                if server < n && !crashed[server] && !left[server] {
-                    crashed[server] = true;
-                    cluster.crash(server);
-                }
-            }
-            Step::Recover { server } => {
-                if server < n && crashed[server] {
-                    crashed[server] = false;
-                    cluster.recover(server);
-                }
-            }
-            Step::Join { via } => {
-                // At most 2 joiners; the representative must be healthy.
-                if via < n && joins[group_of(via)] < 2 && !crashed[via] && !left[via] {
-                    cluster.add_joiner(via);
-                    joins[group_of(via)] += 1;
-                }
-            }
-            Step::Leave { server } => {
-                // At most one permanent leave, and never of a crashed
-                // server (administrative removal is tested elsewhere).
-                if server < n && leaves[group_of(server)] == 0 && !crashed[server] && !left[server]
-                {
-                    left[server] = true;
-                    leaves[group_of(server)] += 1;
-                    cluster.leave(server);
-                }
-            }
-            Step::CrashTorn { server } => {
-                if server < n && !crashed[server] && !left[server] {
-                    crashed[server] = true;
-                    cluster.crash_torn(server);
-                }
-            }
-            Step::CorruptSector { server } => {
-                // At most one latent media fault per schedule: the
-                // durability argument needs every green action to keep
-                // at least one intact durable copy, and a second
-                // corruption could (with bad luck) hit the last one.
-                // A crashed server's disk can still degrade.
-                if server < n && corruptions[group_of(server)] == 0 && !left[server] {
-                    corruptions[group_of(server)] += 1;
-                    cluster.corrupt_sector(server);
-                }
-            }
-            Step::Quiet => {}
-        }
-        cluster.run_for(SimDuration::from_millis(400));
-        if let Err(v) = cluster.try_check_consistency() {
-            return Err(consistency_fail(&cluster, *v));
-        }
+    // The executor re-applies the legality guards (not trusted from the
+    // generator), so arbitrary subsequences and deserialized schedules
+    // stay valid.
+    let mut faults = Faults::new(n, shards);
+    let hold = SimDuration::from_millis(400);
+    let timeline = spec.schedule.iter().map(|step| (step.clone(), hold));
+    if let Err(v) = faults.run(&mut cluster, timeline) {
+        return Err(consistency_fail(&cluster, *v));
     }
 
     // Heal: reconnect and recover everyone entitled to return, drain
     // the clients and then the router's in-flight transactions.
-    cluster.merge_all();
-    for i in 0..n {
-        if crashed[i] && !left[i] {
-            cluster.recover(i);
-        }
-    }
+    faults.heal(&mut cluster);
     cluster.run_for(SimDuration::from_secs(6));
     cluster.stop_clients();
     cluster.run_for(SimDuration::from_secs(4));

@@ -1,75 +1,17 @@
-//! The fault-schedule vocabulary and its randomized generator.
+//! The randomized fault-schedule generator.
 //!
-//! A schedule is a list of [`Step`]s applied to a running cluster with a
+//! A schedule is a list of [`Step`]s — the one fault vocabulary, defined
+//! in [`todr_harness::fault`] — applied to a running cluster with a
 //! fixed cadence (one step per 400 ms of virtual time, matching the
-//! original nemesis test). Steps are plain data — serializable, so a
-//! failing schedule can be written to a counterexample artifact and
-//! replayed bit-for-bit later — and *permissive*: the runner re-applies
-//! the legality guards (at most two joins, one leave, no crash of a
-//! departed server, ...), so **any subsequence of a valid schedule is a
-//! valid schedule**. That closure property is what makes delta-debugging
-//! shrinking ([`crate::shrink`]) sound.
+//! original nemesis test). The generator draws only the historical
+//! kinds; [`Step::Partition`] and [`Step::RemoveReplica`] are
+//! scripted-only. The runner re-applies the legality guards
+//! ([`todr_harness::fault::Faults`]), so **any subsequence of a valid
+//! schedule is a valid schedule**. That closure property is what makes
+//! delta-debugging shrinking ([`crate::shrink`]) sound.
 
-use serde::{Deserialize, Serialize};
+use todr_harness::fault::Step;
 use todr_sim::SimRng;
-
-/// One fault-injection step applied to the cluster.
-///
-/// Server values index the *original* replica set `0..n`; replicas added
-/// by [`Step::Join`] ride with the first partition group and are never
-/// crashed or removed (mirroring the nemesis test this vocabulary was
-/// lifted from).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Step {
-    /// Partition the original replicas into `[0, cut)` and `[cut, n)`;
-    /// later joiners side with the first group.
-    Split {
-        /// The boundary index (clamped to `1..n` by the runner).
-        cut: usize,
-    },
-    /// Reconnect all partitions.
-    Merge,
-    /// Crash a server (volatile state lost; stable storage survives).
-    Crash {
-        /// The server to crash (no-op if already crashed or departed).
-        server: usize,
-    },
-    /// Recover a crashed server from its stable storage.
-    Recover {
-        /// The server to recover (no-op unless currently crashed).
-        server: usize,
-    },
-    /// Bootstrap a brand-new replica online via `PERSISTENT_JOIN`.
-    Join {
-        /// The existing member to use as representative (no-op if it is
-        /// crashed or departed, or two joins already happened).
-        via: usize,
-    },
-    /// Permanently remove a server via `PERSISTENT_LEAVE`.
-    Leave {
-        /// The server to remove (no-op if crashed, departed, or a leave
-        /// already happened).
-        server: usize,
-    },
-    /// Crash a server with a torn write: the log append in flight
-    /// reaches the platter only partially (same legality as
-    /// [`Step::Crash`]; requires `storage_faults` generation).
-    CrashTorn {
-        /// The server to crash (no-op if already crashed or departed).
-        server: usize,
-    },
-    /// Serve a stale sector on a server's disk: one persisted log
-    /// record's payload is silently replaced by an earlier record's,
-    /// under a current-looking header. Surfaces at the server's next
-    /// recovery scan. The runner caps this at one per schedule (no-op
-    /// afterwards, or if the server departed).
-    CorruptSector {
-        /// The server whose disk degrades.
-        server: usize,
-    },
-    /// Let the cluster run undisturbed for one step interval.
-    Quiet,
-}
 
 /// Draws a random schedule of 1–6 steps for an `n`-server cluster.
 ///
@@ -144,6 +86,9 @@ mod tests {
                     Step::CrashTorn { .. } | Step::CorruptSector { .. } => {
                         panic!("storage-fault step from the historical generator")
                     }
+                    Step::Partition { .. } | Step::RemoveReplica { .. } => {
+                        panic!("scripted-only step from the generator")
+                    }
                     Step::Merge | Step::Quiet => {}
                 }
             }
@@ -178,6 +123,9 @@ mod tests {
                         assert!(server < 5);
                         corrupt += 1;
                     }
+                    Step::Partition { .. } | Step::RemoveReplica { .. } => {
+                        panic!("scripted-only step from the generator")
+                    }
                     _ => {}
                 }
             }
@@ -187,8 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn steps_round_trip_through_json() {
-        let schedule = vec![
+    fn step_json_is_pinned_and_round_trips() {
+        let mut schedule = vec![
             Step::Split { cut: 3 },
             Step::Merge,
             Step::Crash { server: 1 },
@@ -199,8 +147,18 @@ mod tests {
             Step::CorruptSector { server: 3 },
             Step::Quiet,
         ];
-        let json = serde::json::to_string(&schedule).unwrap();
-        let back: Vec<Step> = serde::json::from_str(&json).unwrap();
+        // Captured before the scripted-only kinds were appended: artifact
+        // JSON for the generator's kinds must never drift.
+        let json = |s: &[Step]| serde::json::to_string(s).unwrap();
+        assert_eq!(
+            json(&schedule),
+            r#"[{"Split":{"cut":3}},"Merge",{"Crash":{"server":1}},{"Recover":{"server":1}},{"Join":{"via":0}},{"Leave":{"server":4}},{"CrashTorn":{"server":2}},{"CorruptSector":{"server":3}},"Quiet"]"#
+        );
+        schedule.push(Step::Partition {
+            groups: vec![vec![0, 1], vec![2, 3], vec![4]],
+        });
+        schedule.push(Step::RemoveReplica { via: 0, dead: 4 });
+        let back: Vec<Step> = serde::json::from_str(&json(&schedule)).unwrap();
         assert_eq!(back, schedule);
     }
 }

@@ -10,7 +10,7 @@
 //! deterministic for a fixed `(seed, perturbation)`.
 
 use crate::runner::{run_case, CaseSpec, RunOptions};
-use crate::schedule::Step;
+use crate::Step;
 
 /// Splits `items` into `n` contiguous chunks of near-equal length.
 fn chunks<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {

@@ -29,7 +29,8 @@ fn sweep(seed_start: u64, seed_count: u64, perturbations: u64) {
         if !passed {
             eprintln!("seed {seed} pert {pert}: FAIL");
         }
-    });
+    })
+    .expect("coherent options");
     assert_eq!(
         report.cases_run,
         seed_count * perturbations.max(1),

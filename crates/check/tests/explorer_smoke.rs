@@ -22,7 +22,8 @@ fn small_sweep_passes_every_oracle() {
         ..ExploreConfig::default()
     };
     let mut log = Vec::new();
-    let report = explore(&config, |seed, pert, passed| log.push((seed, pert, passed)));
+    let report = explore(&config, |seed, pert, passed| log.push((seed, pert, passed)))
+        .expect("coherent options");
     assert_eq!(report.cases_run, 6);
     assert!(
         report.all_passed(),

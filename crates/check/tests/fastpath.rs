@@ -47,7 +47,8 @@ fn fast_path_survives_partition_schedules() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         report.all_passed(),
         "fast path failed a partition schedule: {}",
@@ -83,7 +84,8 @@ fn fast_path_survives_torn_crash_schedules() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         report.all_passed(),
         "fast path failed a torn-crash schedule: {}",
@@ -126,7 +128,8 @@ fn explorer_catches_skipped_conflict_check_and_shrinks_it() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         !report.failures.is_empty(),
         "the conflict-blind engine passed every oracle — the fast-path \

@@ -52,7 +52,8 @@ fn read_leases_survive_partition_schedules() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         report.all_passed(),
         "read leases failed a partition schedule: {}",
@@ -84,7 +85,8 @@ fn read_leases_survive_torn_crash_schedules() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         report.all_passed(),
         "read leases failed a torn-crash schedule: {}",
@@ -123,7 +125,8 @@ fn explorer_catches_unleased_reads_and_shrinks_them() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         !report.failures.is_empty(),
         "the lease-blind engine passed every oracle — the read checking \

@@ -34,7 +34,8 @@ fn explorer_catches_premature_green_and_shrinks_it() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         !report.failures.is_empty(),
         "the mutated engine passed every oracle — the checker is blind"
@@ -99,7 +100,8 @@ fn explorer_catches_skipped_checksum_verify_and_shrinks_it() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         !report.failures.is_empty(),
         "the checksum-blind engine passed every oracle — the durability \
@@ -150,7 +152,7 @@ fn fixed_engine_passes_the_same_storage_fault_sweep() {
             ..RunOptions::default()
         },
     };
-    let report = explore(&config, |_, _, _| {});
+    let report = explore(&config, |_, _, _| {}).expect("coherent options");
     assert!(
         report.all_passed(),
         "fixed engine failed the storage-fault sweep: {}",

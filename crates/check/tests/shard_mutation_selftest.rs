@@ -47,7 +47,8 @@ fn explorer_catches_skipped_commit_barrier_and_shrinks_it() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         !report.failures.is_empty(),
         "the barrier-skipping router passed every oracle — the cross-shard \
@@ -98,7 +99,7 @@ fn explorer_catches_skipped_commit_barrier_and_shrinks_it() {
 )]
 fn honest_router_passes_the_same_sweep() {
     let config = sweep_config(None);
-    let report = explore(&config, |_, _, _| {});
+    let report = explore(&config, |_, _, _| {}).expect("coherent options");
     assert!(
         report.all_passed(),
         "the honest router failed the sweep that catches SkipCommitBarrier: {}",

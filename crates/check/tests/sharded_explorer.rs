@@ -35,7 +35,8 @@ fn sharded_sweep_passes_every_oracle() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert_eq!(report.cases_run, 6);
     assert!(
         report.all_passed(),
@@ -121,7 +122,8 @@ fn sharded_sweep_passes_with_the_fast_path_on() {
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    })
+    .expect("coherent options");
     assert!(
         report.all_passed(),
         "sharded fast-path sweep failed: {}",

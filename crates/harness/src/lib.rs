@@ -6,6 +6,11 @@
 //! protocols), clients — script failures against it, measure throughput
 //! and latency in virtual time, and verify cross-replica consistency.
 //!
+//! Failures are described once: the [`fault`] module holds the step
+//! vocabulary ([`fault::Step`]) and its one guarded executor
+//! ([`fault::Faults`]), which scripted timelines, the randomized
+//! property tests and todr-check's explored schedules all run through.
+//!
 //! The [`experiments`] module contains one driver per table/figure of
 //! the paper's evaluation (§7); the repository examples are thin
 //! wrappers around those drivers.
@@ -32,5 +37,5 @@ pub mod checkers;
 pub mod client;
 pub mod cluster;
 pub mod experiments;
+pub mod fault;
 pub mod metrics;
-pub mod scenario;

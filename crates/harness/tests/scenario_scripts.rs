@@ -1,11 +1,21 @@
-//! Scenario-scripted end-to-end runs: the declarative timelines drive
-//! the same invariant checks as the hand-written tests.
+//! Scripted end-to-end runs: `(Step, hold)` timelines through the one
+//! fault executor, which checks the safety invariants after every hold.
 
 use todr_core::EngineState;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
-use todr_harness::scenario::Scenario;
+use todr_harness::fault::{Faults, Step};
 use todr_sim::SimDuration;
+
+fn ms(ms: u64) -> SimDuration {
+    SimDuration::from_millis(ms)
+}
+
+fn run(cluster: &mut Cluster, n: usize, timeline: impl IntoIterator<Item = (Step, SimDuration)>) {
+    if let Err(v) = Faults::new(n, 1).run(cluster, timeline) {
+        panic!("{v}");
+    }
+}
 
 #[test]
 fn scripted_partition_heal_cycle() {
@@ -14,16 +24,26 @@ fn scripted_partition_heal_cycle() {
     for i in 0..5 {
         cluster.attach_client(i, ClientConfig::default());
     }
-    Scenario::new()
-        .after_ms(500)
-        .partition(vec![vec![0, 1, 2], vec![3, 4]])
-        .after_ms(800)
-        .partition(vec![vec![0, 1], vec![2, 3, 4]])
-        .after_ms(800)
-        .merge_all()
-        .after_ms(2_000)
-        .done()
-        .run(&mut cluster);
+    run(
+        &mut cluster,
+        5,
+        [
+            (Step::Quiet, ms(500)),
+            (
+                Step::Partition {
+                    groups: vec![vec![0, 1, 2], vec![3, 4]],
+                },
+                ms(800),
+            ),
+            (
+                Step::Partition {
+                    groups: vec![vec![0, 1], vec![2, 3, 4]],
+                },
+                ms(800),
+            ),
+            (Step::Merge, ms(2_000)),
+        ],
+    );
     for i in 0..5 {
         assert_eq!(cluster.engine_state(i), EngineState::RegPrim);
     }
@@ -37,22 +57,19 @@ fn scripted_rolling_crash_recovery() {
     for i in 0..4 {
         cluster.attach_client(i, ClientConfig::default());
     }
-    Scenario::new()
-        .after_ms(400)
-        .crash(0)
-        .after_ms(600)
-        .recover(0)
-        .after_ms(400)
-        .crash(1)
-        .after_ms(600)
-        .recover(1)
-        .after_ms(400)
-        .crash(2)
-        .after_ms(600)
-        .recover(2)
-        .after_ms(2_000)
-        .done()
-        .run(&mut cluster);
+    run(
+        &mut cluster,
+        4,
+        [
+            (Step::Quiet, ms(400)),
+            (Step::Crash { server: 0 }, ms(600)),
+            (Step::Recover { server: 0 }, ms(400)),
+            (Step::Crash { server: 1 }, ms(600)),
+            (Step::Recover { server: 1 }, ms(400)),
+            (Step::Crash { server: 2 }, ms(600)),
+            (Step::Recover { server: 2 }, ms(2_000)),
+        ],
+    );
     for i in 0..4 {
         assert_eq!(cluster.engine_state(i), EngineState::RegPrim, "server {i}");
     }
@@ -64,16 +81,17 @@ fn scripted_join_and_leave() {
     let mut cluster = Cluster::build(ClusterConfig::new(3, 43));
     cluster.settle();
     cluster.attach_client(0, ClientConfig::default());
-    let joined = Scenario::new()
-        .after_ms(500)
-        .join_via(1)
-        .after_ms(2_000)
-        .leave(2)
-        .after_ms(2_000)
-        .done()
-        .run(&mut cluster);
-    assert_eq!(joined.len(), 1);
-    let joiner = joined[0];
+    run(
+        &mut cluster,
+        3,
+        [
+            (Step::Quiet, ms(500)),
+            (Step::Join { via: 1 }, ms(2_000)),
+            (Step::Leave { server: 2 }, ms(2_000)),
+        ],
+    );
+    assert_eq!(cluster.servers.len(), 4, "exactly one replica joined");
+    let joiner = 3;
     assert_eq!(cluster.engine_state(joiner), EngineState::RegPrim);
     assert_eq!(cluster.engine_state(2), EngineState::Down);
     // Set is {0, 1, joiner}.
@@ -110,6 +128,44 @@ fn scripted_join_during_partition_via_non_primary() {
     let g0 = cluster.green_count(0);
     for i in 1..cluster.servers.len() {
         assert_eq!(cluster.green_count(i), g0, "server {i}");
+    }
+    cluster.check_consistency();
+}
+
+#[test]
+fn scripted_removal_of_a_crashed_replica_is_final() {
+    // §5.1, footnote 3: a live member orders the removal of a dead one.
+    // The guards then count it as departed: neither a later `Recover`
+    // nor the heal brings it back.
+    let mut cluster = Cluster::build(ClusterConfig::new(4, 45));
+    cluster.settle();
+    cluster.attach_client(0, ClientConfig::default());
+    let mut faults = Faults::new(4, 1);
+    let timeline = [
+        (
+            Step::Partition {
+                groups: vec![vec![0, 1], vec![2], vec![3]],
+            },
+            ms(800),
+        ),
+        (Step::Merge, ms(1_000)),
+        (Step::Crash { server: 3 }, ms(1_000)),
+        // Refused: the member ordering a removal must be up.
+        (Step::RemoveReplica { via: 3, dead: 3 }, ms(100)),
+        (Step::RemoveReplica { via: 0, dead: 3 }, ms(2_000)),
+        (Step::Recover { server: 3 }, ms(500)),
+    ];
+    if let Err(v) = faults.run(&mut cluster, timeline) {
+        panic!("{v}");
+    }
+    faults.heal(&mut cluster);
+    cluster.run_for(ms(2_000));
+    let events = cluster.metrics_export().event_counts;
+    assert_eq!(events.get("engine-recovered"), None, "{events:?}");
+    assert_eq!(cluster.engine_state(3), EngineState::Down);
+    for i in 0..3 {
+        assert_eq!(cluster.engine_state(i), EngineState::RegPrim, "server {i}");
+        assert_eq!(cluster.with_engine(i, |e| e.server_set().len()), 3);
     }
     cluster.check_consistency();
 }

@@ -69,12 +69,18 @@ fn main() -> ExitCode {
         config.options.n_servers,
         shards,
     );
-    let report = explore(&config, |seed, pert, passed| {
+    let report = match explore(&config, |seed, pert, passed| {
         println!(
             "  seed {seed:>4} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
         );
-    });
+    }) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     println!(
         "\n{} case(s) run, {} passed, {} counterexample(s)",

@@ -12,8 +12,8 @@
 
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
-use todr::harness::scenario::Scenario;
-use todr::sim::ProtocolEvent;
+use todr::harness::fault::{Faults, Step};
+use todr::sim::{ProtocolEvent, SimDuration};
 
 fn main() {
     let config = ClusterConfig::builder(5, 77)
@@ -26,24 +26,27 @@ fn main() {
         .collect();
 
     println!("running scripted failure timeline...");
-    let joined = Scenario::new()
-        .after_ms(1_000)
-        .partition(vec![vec![0, 1, 2], vec![3, 4]])
-        .after_ms(1_000)
-        .crash(4)
-        .after_ms(500)
-        .merge_all()
-        .after_ms(500)
-        .recover(4)
-        .after_ms(1_000)
-        .join_via(1)
-        .after_ms(2_000)
-        .done()
-        .run(&mut cluster);
+    let ms = SimDuration::from_millis;
+    let timeline = [
+        (Step::Quiet, ms(1_000)),
+        (
+            Step::Partition {
+                groups: vec![vec![0, 1, 2], vec![3, 4]],
+            },
+            ms(1_000),
+        ),
+        (Step::Crash { server: 4 }, ms(500)),
+        (Step::Merge, ms(500)),
+        (Step::Recover { server: 4 }, ms(1_000)),
+        (Step::Join { via: 1 }, ms(2_000)),
+    ];
+    if let Err(v) = Faults::new(5, 1).run(&mut cluster, timeline) {
+        panic!("consistency violated during the timeline: {v}");
+    }
     println!(
         "timeline done at {} (replica {} joined online)\n",
         cluster.now(),
-        joined[0]
+        cluster.servers.len() - 1
     );
 
     let count = |name| cluster.world.metrics().counter(name);

@@ -5,44 +5,43 @@
 //! must bring every replica to the same green sequence and database
 //! state.
 
+use todr::check::Step;
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
+use todr::harness::fault::Faults;
 use todr::sim::SimDuration;
 
 const N: usize = 5;
 
-/// One step of a nemesis schedule.
-#[derive(Debug, Clone)]
-enum Nemesis {
-    /// Split into two components at the given cut (1..N).
-    Split(usize),
-    /// Split into three components.
-    ThreeWay,
-    /// Reconnect everything.
-    Merge,
-    /// Crash one server.
-    Crash(usize),
-    /// Recover one server (no-op if it is up).
-    Recover(usize),
-    /// Let the system run.
-    Quiet,
-}
-
-fn gen_schedule(rng: &mut todr::sim::SimRng) -> Vec<Nemesis> {
+/// Draws 1–7 steps: two-way splits, a three-way split, merges, crashes,
+/// recoveries and quiet periods, equally likely.
+fn gen_schedule(rng: &mut todr::sim::SimRng) -> Vec<Step> {
     let len = (1 + rng.gen_range(7)) as usize;
     (0..len)
         .map(|_| match rng.gen_range(6) {
-            0 => Nemesis::Split((1 + rng.gen_range(N as u64 - 1)) as usize),
-            1 => Nemesis::ThreeWay,
-            2 => Nemesis::Merge,
-            3 => Nemesis::Crash(rng.gen_range(N as u64) as usize),
-            4 => Nemesis::Recover(rng.gen_range(N as u64) as usize),
-            _ => Nemesis::Quiet,
+            0 => Step::Split {
+                cut: (1 + rng.gen_range(N as u64 - 1)) as usize,
+            },
+            1 => three_way(),
+            2 => Step::Merge,
+            3 => Step::Crash {
+                server: rng.gen_range(N as u64) as usize,
+            },
+            4 => Step::Recover {
+                server: rng.gen_range(N as u64) as usize,
+            },
+            _ => Step::Quiet,
         })
         .collect()
 }
 
-fn apply_schedule(seed: u64, schedule: &[Nemesis]) {
+fn three_way() -> Step {
+    Step::Partition {
+        groups: vec![vec![0, 1], vec![2, 3], vec![4]],
+    }
+}
+
+fn apply_schedule(seed: u64, schedule: &[Step]) {
     let mut cluster = Cluster::build(ClusterConfig::new(N as u32, seed));
     cluster.settle();
     for i in 0..N {
@@ -50,54 +49,21 @@ fn apply_schedule(seed: u64, schedule: &[Nemesis]) {
     }
     cluster.run_for(SimDuration::from_millis(500));
 
-    let mut crashed = [false; N];
-    for step in schedule {
-        match step {
-            Nemesis::Split(cut) => {
-                let a: Vec<usize> = (0..*cut).collect();
-                let b: Vec<usize> = (*cut..N).collect();
-                cluster.partition(&[a, b]);
-            }
-            Nemesis::ThreeWay => {
-                cluster.partition(&[vec![0, 1], vec![2, 3], vec![4]]);
-            }
-            Nemesis::Merge => cluster.merge_all(),
-            Nemesis::Crash(i) => {
-                if !crashed[*i] {
-                    crashed[*i] = true;
-                    cluster.crash(*i);
-                }
-            }
-            Nemesis::Recover(i) => {
-                if crashed[*i] {
-                    crashed[*i] = false;
-                    cluster.recover(*i);
-                }
-            }
-            Nemesis::Quiet => {}
-        }
-        cluster.run_for(SimDuration::from_millis(400));
-        // Safety must hold at *every* observation point, regardless of
-        // the connectivity state.
-        cluster.check_consistency();
+    // Safety must hold at *every* observation point, regardless of the
+    // connectivity state.
+    let hold = SimDuration::from_millis(400);
+    let mut faults = Faults::new(N, 1);
+    let timeline = schedule.iter().map(|step| (step.clone(), hold));
+    if let Err(v) = faults.run(&mut cluster, timeline) {
+        panic!("{v} (schedule {schedule:?})");
     }
 
     // Heal everything and let the system converge (Theorem 3).
-    cluster.merge_all();
-    for (i, c) in crashed.iter().enumerate() {
-        if *c {
-            cluster.recover(i);
-        }
-    }
+    faults.heal(&mut cluster);
     cluster.run_for(SimDuration::from_secs(5));
     // Quiesce the workload so the convergence assertions are not racing
     // in-flight commits.
-    for &client in cluster.clients().to_vec().iter() {
-        cluster.world.with_actor(
-            client.actor_id(),
-            |c: &mut todr::harness::client::ClosedLoopClient| c.stop(),
-        );
-    }
+    cluster.stop_clients();
     cluster.run_for(SimDuration::from_secs(3));
     cluster.check_consistency();
 
@@ -142,10 +108,10 @@ fn nemesis_regression_partition_during_recovery() {
     apply_schedule(
         99,
         &[
-            Nemesis::Crash(0),
-            Nemesis::Split(2),
-            Nemesis::Recover(0),
-            Nemesis::Merge,
+            Step::Crash { server: 0 },
+            Step::Split { cut: 2 },
+            Step::Recover { server: 0 },
+            Step::Merge,
         ],
     );
 }
@@ -155,13 +121,13 @@ fn nemesis_regression_crash_majority() {
     apply_schedule(
         100,
         &[
-            Nemesis::Crash(0),
-            Nemesis::Crash(1),
-            Nemesis::Crash(2),
-            Nemesis::Quiet,
-            Nemesis::Recover(0),
-            Nemesis::Recover(1),
-            Nemesis::Recover(2),
+            Step::Crash { server: 0 },
+            Step::Crash { server: 1 },
+            Step::Crash { server: 2 },
+            Step::Quiet,
+            Step::Recover { server: 0 },
+            Step::Recover { server: 1 },
+            Step::Recover { server: 2 },
         ],
     );
 }
@@ -171,12 +137,12 @@ fn nemesis_regression_rapid_flapping() {
     apply_schedule(
         101,
         &[
-            Nemesis::Split(2),
-            Nemesis::Merge,
-            Nemesis::Split(3),
-            Nemesis::Merge,
-            Nemesis::ThreeWay,
-            Nemesis::Merge,
+            Step::Split { cut: 2 },
+            Step::Merge,
+            Step::Split { cut: 3 },
+            Step::Merge,
+            three_way(),
+            Step::Merge,
         ],
     );
 }

@@ -5,7 +5,7 @@ use todr::core::EngineState;
 use todr::db::{Op, Value};
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
-use todr::harness::scenario::Scenario;
+use todr::harness::fault::{Faults, Step};
 use todr::sim::SimDuration;
 
 #[test]
@@ -35,8 +35,9 @@ fn all_layers_are_reachable_through_the_facade() {
     db.apply(&_op);
     assert_eq!(db.row_count(), 1);
 
-    let scenario = Scenario::new().after_ms(10).merge_all().done();
-    assert_eq!(scenario.len(), 2);
+    // The harness's fault step is the checker's schedule step.
+    let schedule: Vec<todr::check::Step> = vec![Step::Quiet, Step::Merge];
+    assert_eq!(schedule.len(), 2);
 }
 
 #[test]
@@ -44,18 +45,24 @@ fn scenario_and_report_compose() {
     let mut cluster = Cluster::build(ClusterConfig::new(3, 43));
     cluster.settle();
     cluster.attach_client(0, ClientConfig::default());
-    Scenario::new()
-        .after_ms(300)
-        .partition(vec![vec![0, 1], vec![2]])
-        .after_ms(500)
-        .merge_all()
-        .after_ms(1_000)
-        .done()
-        .run(&mut cluster);
+    let ms = SimDuration::from_millis;
+    let timeline = [
+        (Step::Quiet, ms(300)),
+        (
+            Step::Partition {
+                groups: vec![vec![0, 1], vec![2]],
+            },
+            ms(500),
+        ),
+        (Step::Merge, ms(1_000)),
+    ];
+    if let Err(v) = Faults::new(3, 1).run(&mut cluster, timeline) {
+        panic!("{v}");
+    }
     let metrics = cluster.metrics_export();
     assert!(metrics.counters["engine.actions_created"] > 0);
     assert!(
         metrics.event_counts["view-installed"] > 3,
-        "the scenario changed views"
+        "the timeline changed views"
     );
 }
