@@ -1,10 +1,14 @@
 //! Actions: the unit of replication.
 
+use std::cell::OnceCell;
 use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use todr_db::{Op, Query};
 use todr_net::NodeId;
+use todr_storage::SharedEntry;
 
 /// Identifier of a client, unique within the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -78,6 +82,66 @@ pub struct Action {
     /// Modelled payload size in bytes (the paper's evaluation uses
     /// 200-byte actions).
     pub size_bytes: u32,
+}
+
+/// An action as the replicas share it: one allocation per action, which
+/// every replica that receives the multicast retains instead of a copy
+/// of its own. It also carries the action's two log entries: each is
+/// encoded by the first replica that logs it and shared by every later
+/// one.
+pub(crate) struct Body {
+    action: Action,
+    accepted: OnceCell<SharedEntry>,
+    greened: OnceCell<SharedEntry>,
+}
+
+impl Body {
+    pub(crate) fn new(action: Action) -> Rc<Body> {
+        Rc::new(Body {
+            action,
+            accepted: OnceCell::new(),
+            greened: OnceCell::new(),
+        })
+    }
+
+    /// The action itself.
+    pub(crate) fn action(&self) -> &Action {
+        &self.action
+    }
+
+    /// The log entry that accepts this action (marks it red).
+    pub(crate) fn accepted_entry(&self) -> &SharedEntry {
+        self.accepted
+            .get_or_init(|| crate::persist::accepted_entry(&self.action))
+    }
+
+    /// The log entry that marks this action green.
+    pub(crate) fn green_entry(&self) -> &SharedEntry {
+        self.greened
+            .get_or_init(|| crate::persist::green_entry(self.action.id))
+    }
+}
+
+impl Deref for Body {
+    type Target = Action;
+
+    fn deref(&self) -> &Action {
+        &self.action
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        self.action == other.action
+    }
+}
+
+impl Eq for Body {}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.action.fmt(f)
+    }
 }
 
 impl Action {

@@ -16,10 +16,10 @@ use todr_sim::{
 };
 use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, SyncToken};
 
-use crate::action::{Action, ActionId, ActionKind, ClientId};
+use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
 use crate::exchange::{retrans_plan, GreenPath, MemberProgress, RetransPlan};
 use crate::knowledge::{Accept, Knowledge};
-use crate::persist::{self, PersistEntry, RecoveryError};
+use crate::persist::{self, RecoveryError};
 use crate::quorum::{
     compute_knowledge, is_weighted_quorum, KnowledgeInput, PrimComponent, VulnerableRecord,
     YellowRecord,
@@ -64,7 +64,7 @@ pub enum EngineState {
 pub(crate) enum EngineMsg {
     /// A replicated action. Shared: every replica retains the body that
     /// arrived in the multicast instead of a copy of its own.
-    Action(Rc<Action>),
+    Action(Rc<Body>),
     /// Exchange-phase state message.
     State(StateMsg),
     /// Create Primary Component vote.
@@ -72,7 +72,7 @@ pub(crate) enum EngineMsg {
     /// Exchange-phase retransmission. `green_pos` is the action's global
     /// green position if it is green at the sender.
     Retrans {
-        action: Rc<Action>,
+        action: Rc<Body>,
         green_pos: Option<u64>,
     },
     /// Exchange-phase green-state snapshot (fallback when the
@@ -102,7 +102,7 @@ pub(crate) struct StateMsg {
 /// What to do when a forced write completes.
 enum AfterSync {
     /// Submit these actions to the group.
-    Submit(Vec<Rc<Action>>),
+    Submit(Vec<Rc<Body>>),
     /// Send our State message (exchange phase) — dropped if the
     /// configuration changed while the write was in flight.
     SendState { epoch: u64 },
@@ -172,7 +172,7 @@ const CPC_MSG_BYTES: u32 = 64;
 struct Volatile {
     /// Out-of-order arrivals waiting for their per-creator gap to fill
     /// (see `mark_red`).
-    stashed: BTreeMap<ActionId, Rc<Action>>,
+    stashed: BTreeMap<ActionId, Rc<Body>>,
     /// Servers whose `PERSISTENT_LEAVE` this engine has marked green in
     /// its current run: a departed server never re-enters a view, so the
     /// set only matters for the one install that races a leave going
@@ -224,7 +224,7 @@ struct Volatile {
     /// flight; they ride the *next* forced write as one batch (pipelined
     /// group commit — one sync request per burst instead of one per
     /// action).
-    submit_queue: Vec<Rc<Action>>,
+    submit_queue: Vec<Rc<Body>>,
     submit_inflight: bool,
     /// Actions whose forced write completed after a configuration
     /// change had already moved us out of `RegPrim`/`NonPrim`. Sending
@@ -233,7 +233,7 @@ struct Volatile {
     /// receive it before the full CPC set); they are durable in
     /// `ongoing` and go out at the next install, where total order
     /// guarantees every receiver has already delivered all CPCs.
-    deferred_submits: Vec<Rc<Action>>,
+    deferred_submits: Vec<Rc<Body>>,
 
     // ----- misc -----
     cpu: CpuMeter,
@@ -585,7 +585,7 @@ impl ReplicationEngine {
     /// cut advances; by the install barrier every member has reached the
     /// exchange plan's targets, so stashes drain identically everywhere.
     /// Returns whether the action was newly accepted.
-    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) -> bool {
+    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) -> bool {
         let accepted = self.accept_red(ctx, action);
         if accepted {
             self.drain_stash(ctx, action.id.server);
@@ -610,7 +610,7 @@ impl ReplicationEngine {
         }
     }
 
-    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) -> bool {
+    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) -> bool {
         let id = action.id;
         match self.k.accept_red(action) {
             Accept::New => {}
@@ -623,8 +623,7 @@ impl ReplicationEngine {
             }
         }
         self.note_retained(ctx);
-        self.store
-            .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
+        self.store.append_shared(action.accepted_entry());
         self.red_line += 1;
         ctx.metrics().incr("engine.marked_red", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
@@ -677,7 +676,7 @@ impl ReplicationEngine {
     }
 
     /// `MarkYellow`: accept as red and remember in the yellow set.
-    fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
+    fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
         self.mark_red(ctx, action);
         if self.k.actions.contains_key(&action.id) && !self.k.yellow.set.contains(&action.id) {
             self.k.yellow.set.push(action.id);
@@ -694,14 +693,14 @@ impl ReplicationEngine {
 
     /// `MarkGreen`: place the action on top of the green order and apply
     /// it to the database.
-    fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>) {
+    fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
         self.mark_red(ctx, action);
         let id = action.id;
         if !self.k.mark_green(action) {
             return; // already green
         }
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
-        self.store.append_log_typed(&PersistEntry::Green(id));
+        self.store.append_shared(action.green_entry());
         ctx.metrics().incr("engine.marked_green", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
@@ -790,7 +789,7 @@ impl ReplicationEngine {
         if !self.v.parked_lease.is_empty() {
             let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_lease);
             for req in parked {
-                self.serve_query(ctx, req);
+                self.retry_parked_lease_read(ctx, req);
             }
         }
         // Strict queries parked behind this server's own updates (§6
@@ -996,7 +995,7 @@ impl ReplicationEngine {
             server: self.cfg.me,
             index: self.k.action_index,
         };
-        let action = Rc::new(Action {
+        let action = Body::new(Action {
             id,
             green_line: self.k.green_count,
             client,
@@ -1158,6 +1157,20 @@ impl ReplicationEngine {
         let result = self.k.db.query(&query);
         self.answer(ctx, req, result, false, Some(self.cfg.cpu_per_action / 4));
         true
+    }
+
+    /// Re-serves a lease read that [`Self::try_lease_read`] parked. While
+    /// the lease holds and the conflict lasts it parks again, and is not
+    /// counted again: `engine.lease_reads_parked` counts reads, not
+    /// retries. Otherwise it takes the path a fresh read would.
+    fn retry_parked_lease_read(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
+        let still_blocked = self.lease_valid(ctx.now())
+            && matches!(&req.query, Some(q @ Query::Get { .. }) if self.lease_read_conflict(q));
+        if still_blocked {
+            self.v.parked_lease.push(req);
+        } else {
+            self.serve_query(ctx, req);
+        }
     }
 
     /// Whether any receipted-but-not-yet-green in-flight write (red set
@@ -1474,7 +1487,7 @@ impl ReplicationEngine {
         );
     }
 
-    fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>, green_pos: Option<u64>) {
+    fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, green_pos: Option<u64>) {
         self.v.recovered_this_exchange += 1;
         match green_pos {
             Some(pos) => {
@@ -1742,7 +1755,7 @@ impl ReplicationEngine {
         }
     }
 
-    fn on_action(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Action>, in_transitional: bool) {
+    fn on_action(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, in_transitional: bool) {
         match self.state {
             EngineState::RegPrim if !in_transitional => {
                 // OR-1.1: safe delivery in the primary's regular
@@ -2237,7 +2250,7 @@ impl ReplicationEngine {
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
 
         // Re-accept own unacknowledged actions (A.13).
-        let ongoing: Vec<Rc<Action>> = self.k.ongoing.values().cloned().collect();
+        let ongoing: Vec<Rc<Body>> = self.k.ongoing.values().cloned().collect();
         for action in ongoing {
             let have = self.k.red_cut.get(&action.id.server).copied().unwrap_or(0);
             if have < action.id.index {
@@ -2387,6 +2400,19 @@ impl Actor for ReplicationEngine {
         match payload.downcast::<EngineCtl>() {
             Some(ctl) => self.on_ctl(ctx, ctl),
             None => panic!("ReplicationEngine received an unknown payload type"),
+        }
+    }
+
+    /// The step profile's rows: the four event kinds the engine's hot
+    /// path is made of, and everything else (view changes, lease
+    /// renewals, transfers, timers, control).
+    fn event_kind(&self, payload: &Payload) -> &'static str {
+        match payload.downcast_ref::<EvsEvent>() {
+            Some(EvsEvent::Deliver(_)) => "deliver",
+            Some(EvsEvent::Receipt(_)) => "receipt",
+            _ if payload.is::<DiskDone>() => "disk-done",
+            _ if payload.is::<ClientRequest>() => "client request",
+            _ => "timer/other",
         }
     }
 }

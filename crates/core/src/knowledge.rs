@@ -16,7 +16,7 @@ use std::rc::Rc;
 use todr_db::Database;
 use todr_net::NodeId;
 
-use crate::action::{Action, ActionId, ActionKind};
+use crate::action::{Action, ActionId, ActionKind, Body};
 use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 
 /// The verdict of [`Knowledge::accept_red`].
@@ -37,7 +37,7 @@ pub(crate) enum Accept {
 pub(crate) struct Knowledge {
     /// Retained action bodies, red and not-yet-discarded green (the
     /// paper's `actionsQueue`).
-    pub actions: BTreeMap<ActionId, Rc<Action>>,
+    pub actions: BTreeMap<ActionId, Rc<Body>>,
     /// Number of green actions: the position of this server's green
     /// line.
     pub green_count: u64,
@@ -74,7 +74,7 @@ pub(crate) struct Knowledge {
     pub action_index: u64,
     /// Own created-but-not-yet-red actions by creator-local index (the
     /// paper's `ongoingQueue`, persisted as a `Vec` in index order).
-    pub ongoing: BTreeMap<u64, Rc<Action>>,
+    pub ongoing: BTreeMap<u64, Rc<Body>>,
 }
 
 impl Knowledge {
@@ -139,7 +139,7 @@ impl Knowledge {
     /// `MarkRed` (CodeSegment A.14): accepts the action if it is its
     /// creator's next, keeping the red cut contiguous. Any other verdict
     /// leaves the colouring untouched.
-    pub(crate) fn accept_red(&mut self, action: &Rc<Action>) -> Accept {
+    pub(crate) fn accept_red(&mut self, action: &Rc<Body>) -> Accept {
         let id = action.id;
         let cut = self.red_cut.entry(id.server).or_insert(0);
         if id.index > *cut + 1 {
@@ -271,7 +271,7 @@ impl Knowledge {
 mod tests {
     use super::*;
     use crate::action::ClientId;
-    use crate::persist::{self, PersistEntry};
+    use crate::persist;
     use todr_db::Op;
     use todr_sim::SimRng;
     use todr_storage::StorageHandle;
@@ -281,8 +281,8 @@ mod tests {
 
     /// The one body `(server, index)` can have; a few rows, so later
     /// actions overwrite earlier ones and the apply order shows.
-    fn action(server: u32, index: u64) -> Rc<Action> {
-        Rc::new(Action {
+    fn action(server: u32, index: u64) -> Rc<Body> {
+        Body::new(Action {
             id: ActionId {
                 server: NodeId::new(server),
                 index,
@@ -324,21 +324,20 @@ mod tests {
             }
         }
 
-        fn accept(&mut self, action: &Rc<Action>) -> Accept {
+        fn accept(&mut self, action: &Rc<Body>) -> Accept {
             let verdict = self.k.accept_red(action);
             if verdict == Accept::New {
-                self.store
-                    .append_log_typed(&PersistEntry::Accepted(Rc::clone(action)));
+                self.store.append_shared(action.accepted_entry());
             }
             verdict
         }
 
-        fn green(&mut self, action: &Action) -> bool {
+        fn green(&mut self, action: &Body) -> bool {
             let newly = self.k.mark_green(action);
             if newly {
                 let count = self.k.green_count;
                 self.k.green_lines.insert(NodeId::new(ME), count);
-                self.store.append_log_typed(&PersistEntry::Green(action.id));
+                self.store.append_shared(action.green_entry());
             }
             newly
         }

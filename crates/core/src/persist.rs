@@ -19,14 +19,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use todr_net::NodeId;
-use todr_storage::StorageHandle;
+use todr_storage::{SharedEntry, StorageHandle};
 
-use crate::action::{Action, ActionId};
+use crate::action::{Action, ActionId, Body};
 use crate::knowledge::{Accept, Knowledge};
 use crate::quorum::{VulnerableRecord, YellowRecord};
 
@@ -93,15 +92,35 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// One entry in the persisted action log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One entry in the persisted action log, as recovery reads it back.
+#[derive(Debug, Deserialize)]
 pub(crate) enum PersistEntry {
-    /// An action body, logged when the action is first accepted. The
-    /// engine logs the very `Rc` it retains, so logging copies nothing.
-    Accepted(Rc<Action>),
+    /// An action body, logged when the action is first accepted.
+    Accepted(Action),
     /// The action became green (global order position implied by entry
     /// order).
     Green(ActionId),
+}
+
+/// The write side of [`PersistEntry`]: the same variants in the same
+/// order, so the same bytes, with the body borrowed.
+#[derive(Serialize)]
+enum LogEntry<'a> {
+    Accepted(&'a Action),
+    Green(ActionId),
+}
+
+/// `action`'s [`PersistEntry::Accepted`], encoded. Each body is encoded
+/// once and the entry shared by every replica that logs it
+/// ([`Body::accepted_entry`]).
+pub(crate) fn accepted_entry(action: &Action) -> SharedEntry {
+    SharedEntry::encode(&LogEntry::Accepted(action))
+}
+
+/// `id`'s [`PersistEntry::Green`], encoded (once per body too:
+/// [`Body::green_entry`]).
+pub(crate) fn green_entry(id: ActionId) -> SharedEntry {
+    SharedEntry::encode(&LogEntry::Green(id))
 }
 
 /// The base image a server's log builds on: empty for original members;
@@ -158,7 +177,7 @@ impl Knowledge {
         store.put_record(K_ACTION_INDEX, &self.action_index);
         // Persisted in the historical `ongoingQueue` format: a `Vec` in
         // creation (index) order, which is exactly the map's value order.
-        let queue: Vec<&Action> = self.ongoing.values().map(Rc::as_ref).collect();
+        let queue: Vec<&Action> = self.ongoing.values().map(|b| b.action()).collect();
         store.put_record(K_ONGOING, &queue);
     }
 
@@ -173,8 +192,8 @@ impl Knowledge {
         store.put_record(K_BASE, &base);
         store.truncate_log();
         for id in &self.red_set {
-            let action = Rc::clone(self.actions.get(id).expect("red body present"));
-            store.append_log_typed(&PersistEntry::Accepted(action));
+            let body = self.actions.get(id).expect("red body present");
+            store.append_shared(body.accepted_entry());
         }
     }
 }
@@ -217,7 +236,7 @@ pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge,
                 })?,
         );
     }
-    let ongoing: Vec<Rc<Action>> = record(store, K_ONGOING)?.unwrap_or_default();
+    let ongoing: Vec<Action> = record(store, K_ONGOING)?.unwrap_or_default();
     let mut k = Knowledge {
         actions: BTreeMap::new(),
         green_count: base.green_count,
@@ -236,7 +255,10 @@ pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge,
             .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
             .unwrap_or_else(|| held.server_set.clone()),
         action_index: record(store, K_ACTION_INDEX)?.unwrap_or(0),
-        ongoing: ongoing.into_iter().map(|a| (a.id.index, a)).collect(),
+        ongoing: ongoing
+            .into_iter()
+            .map(|a| (a.id.index, Body::new(a)))
+            .collect(),
     };
     // A verified log is a prefix of what the live rules wrote, so every
     // entry is its creator's next and every green id has its body; the
@@ -245,7 +267,7 @@ pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge,
     for entry in entries {
         match entry {
             PersistEntry::Accepted(action) => {
-                let verdict = k.accept_red(&action);
+                let verdict = k.accept_red(&Body::new(action));
                 debug_assert_eq!(verdict, Accept::New, "non-contiguous persisted log");
             }
             PersistEntry::Green(id) => {
@@ -263,6 +285,7 @@ mod tests {
     use super::*;
     use crate::action::{ActionKind, ClientId};
     use crate::quorum::PrimComponent;
+    use std::rc::Rc;
     use todr_db::Op;
 
     /// Loads on top of a replica that was configured with no servers.
@@ -270,8 +293,8 @@ mod tests {
         super::load(store, &Knowledge::new([]))
     }
 
-    fn action(server: u32, index: u64) -> Rc<Action> {
-        Rc::new(Action {
+    fn action(server: u32, index: u64) -> Rc<Body> {
+        Body::new(Action {
             id: ActionId {
                 server: NodeId::new(server),
                 index,
@@ -303,10 +326,10 @@ mod tests {
         let a1 = action(0, 1);
         let a2 = action(0, 2);
         let b1 = action(1, 1);
-        store.append_log_typed(&PersistEntry::Accepted(a1.clone()));
-        store.append_log_typed(&PersistEntry::Accepted(b1.clone()));
-        store.append_log_typed(&PersistEntry::Green(a1.id));
-        store.append_log_typed(&PersistEntry::Accepted(a2.clone()));
+        store.append_shared(a1.accepted_entry());
+        store.append_shared(b1.accepted_entry());
+        store.append_shared(a1.green_entry());
+        store.append_shared(a2.accepted_entry());
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean log loads");
         assert_eq!(st.green_tail, vec![a1.id]);
@@ -322,9 +345,9 @@ mod tests {
     #[test]
     fn staged_entries_vanish_on_crash() {
         let mut store = StorageHandle::sim();
-        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
+        store.append_shared(action(0, 1).accepted_entry());
         store.commit_staged().unwrap();
-        store.append_log_typed(&PersistEntry::Accepted(action(0, 2)));
+        store.append_shared(action(0, 2).accepted_entry());
         store.crash();
         let st = load(&store).expect("clean log loads");
         assert_eq!(st.actions.len(), 1);
@@ -339,7 +362,7 @@ mod tests {
         store.put_record(K_ATTEMPT, &7u64);
         let vul = VulnerableRecord::new_attempt(1, 2, (0..2).map(NodeId::new));
         store.put_record(K_VULNERABLE, &vul);
-        store.put_record(K_ONGOING, &vec![action(0, 1)]);
+        store.put_record(K_ONGOING, &vec![action(0, 1).action()]);
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean records load");
         assert_eq!(st.prim_component, prim);
@@ -388,7 +411,7 @@ mod tests {
     #[test]
     fn undecodable_log_entry_reports_its_index() {
         let mut store = StorageHandle::sim();
-        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
+        store.append_shared(action(0, 1).accepted_entry());
         store.append_log(b"{ not a persist entry".to_vec());
         store.commit_staged().unwrap();
         assert_eq!(
@@ -417,7 +440,7 @@ mod tests {
     #[test]
     fn truncating_an_undecodable_tail_makes_the_log_load() {
         let mut store = StorageHandle::sim();
-        store.append_log_typed(&PersistEntry::Accepted(action(0, 1)));
+        store.append_shared(action(0, 1).accepted_entry());
         store.append_log(b"{ torn".to_vec());
         store.commit_staged().unwrap();
         let index = load(&store).expect_err("torn tail").log_index().unwrap();

@@ -2,18 +2,149 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{bin, Deserialize, Serialize};
 
 use crate::op::{Op, Query, QueryResult};
 use crate::procs;
 use crate::value::Value;
 
-/// A row: its value and, for timestamped updates, the timestamp that
-/// last wrote it.
+/// A row that has been written: its key, its value (none once deleted),
+/// the timestamp of the timestamped update that last wrote it, and its
+/// write version.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Row {
-    value: Value,
+    key: String,
+    /// `None` once deleted. The row itself stays: its version keeps
+    /// counting, and probes for keys placed after it still pass through.
+    value: Option<Value>,
     ts: Option<u64>,
+    /// Applied writes that have touched the row; see
+    /// [`Database::row_version`].
+    version: u64,
+}
+
+impl Row {
+    /// Stores a copy of `value`, in the buffer the row already holds
+    /// when the kinds match (see [`Value`]'s `clone_from`).
+    fn store(&mut self, value: &Value) {
+        match &mut self.value {
+            Some(held) => held.clone_from(value),
+            empty => *empty = Some(value.clone()),
+        }
+    }
+}
+
+/// One table: every row ever written, ordered by the fingerprint of its
+/// key.
+///
+/// A put descends one B-tree of integers and overwrites the row in
+/// place. A key whose fingerprint slot is taken by another key goes to
+/// the next free slot (linear probing); rows are never removed, so a
+/// probe ends only at a free slot. Key order is rebuilt only by the
+/// readers that need it: scans and digests.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Table {
+    rows: BTreeMap<u64, Row>,
+    /// Rows that hold a value.
+    live: u64,
+}
+
+impl Table {
+    fn find(&self, key: &str) -> Option<&Row> {
+        let mut slot = key_fingerprint(key);
+        loop {
+            let row = self.rows.get(&slot)?;
+            if row.key == key {
+                return Some(row);
+            }
+            slot = slot.wrapping_add(1);
+        }
+    }
+
+    /// Runs `f` on `key`'s row, placing a row with no value first if the
+    /// key was never written.
+    fn with_row<R>(&mut self, key: &str, f: impl FnOnce(&mut Row) -> R) -> R {
+        let mut slot = key_fingerprint(key);
+        while let Some(row) = self.rows.get_mut(&slot) {
+            if row.key == key {
+                return counted(&mut self.live, row, f);
+            }
+            slot = slot.wrapping_add(1);
+        }
+        let row = self.rows.entry(slot).or_insert_with(|| Row {
+            key: key.to_string(),
+            value: None,
+            ts: None,
+            version: 0,
+        });
+        counted(&mut self.live, row, f)
+    }
+
+    /// Places `rows` (stored in slot order) back into their slots.
+    fn from_rows(rows: Vec<Row>) -> Table {
+        let mut table = Table::default();
+        for row in rows {
+            let key = row.key.clone();
+            table.with_row(&key, |slot| *slot = row);
+        }
+        table
+    }
+
+    /// The rows that hold a value, in key order.
+    fn live_rows(&self) -> Vec<(&str, &Value, Option<u64>)> {
+        let mut rows: Vec<_> = self
+            .rows
+            .values()
+            .filter_map(|r| Some((r.key.as_str(), r.value.as_ref()?, r.ts)))
+            .collect();
+        rows.sort_unstable_by_key(|&(key, _, _)| key);
+        rows
+    }
+}
+
+/// Runs `f` on `row`, keeping `live` in step with whether it holds a
+/// value.
+fn counted<R>(live: &mut u64, row: &mut Row, f: impl FnOnce(&mut Row) -> R) -> R {
+    let was = row.value.is_some();
+    let out = f(row);
+    match (was, row.value.is_some()) {
+        (false, true) => *live += 1,
+        (true, false) => *live -= 1,
+        _ => {}
+    }
+    out
+}
+
+/// FNV-1a over a row key: where [`Table`] first looks for it.
+fn key_fingerprint(key: &str) -> u64 {
+    key.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A table is stored as its rows in slot order; loading places them
+/// again, which puts every row back in its slot.
+impl Serialize for Table {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Seq(self.rows.values().map(Serialize::to_value).collect())
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        bin::write_seq(out, self.rows.len());
+        for row in self.rows.values() {
+            row.encode(out);
+        }
+    }
+}
+
+impl Deserialize for Table {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::<Row>::from_value(v).map(Table::from_rows)
+    }
+
+    fn decode(r: &mut bin::Reader<'_>) -> Result<Self, bin::Error> {
+        Vec::<Row>::decode(r).map(Table::from_rows)
+    }
 }
 
 /// Whether an applied operation took effect or deterministically aborted.
@@ -45,6 +176,11 @@ pub struct TableStats {
 /// engine relies on. Two databases that applied the same op sequence from
 /// the same initial state have equal [`Database::digest`]s.
 ///
+/// A write finds its row, and the row's version counter, in one descent
+/// of an integer-keyed B-tree, and overwriting an existing row with a
+/// value of the same kind allocates nothing. Scans and digests pay for
+/// key order instead: they sort the rows they read.
+///
 /// ```
 /// use todr_db::{Database, Op, Value};
 ///
@@ -58,17 +194,9 @@ pub struct TableStats {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Database {
-    tables: BTreeMap<String, BTreeMap<String, Row>>,
+    tables: BTreeMap<String, Table>,
     applied: u64,
     aborted: u64,
-    /// Per-row write-version counters keyed by
-    /// [`row_fingerprint`](crate::keys::row_fingerprint). Bumped on
-    /// every applied write that touches the row (including deletes and
-    /// losing LWW puts), never reset, and deliberately excluded from
-    /// [`Database::digest`] — they are observability for the
-    /// linearizable-read oracle, not replicated content. Deterministic
-    /// in the op sequence, so they ride snapshots consistently.
-    versions: BTreeMap<u64, u64>,
 }
 
 impl Database {
@@ -90,33 +218,23 @@ impl Database {
     fn apply_inner(&mut self, op: &Op) -> ApplyOutcome {
         match op {
             Op::Put { table, key, value } => {
-                self.put(table, key, value.clone());
-                ApplyOutcome::Applied
+                self.write(table, key, |row| {
+                    row.store(value);
+                    row.ts = None;
+                });
             }
             Op::Delete { table, key } => {
-                if let Some(t) = self.tables.get_mut(table) {
-                    t.remove(key);
-                    if t.is_empty() {
-                        self.tables.remove(table);
-                    }
-                }
-                self.bump_version(table, key);
-                ApplyOutcome::Applied
+                self.write(table, key, |row| {
+                    row.value = None;
+                    row.ts = None;
+                });
             }
             Op::Incr { table, key, delta } => {
-                let row = self
-                    .tables
-                    .entry(table.clone())
-                    .or_default()
-                    .entry(key.clone())
-                    .or_insert(Row {
-                        value: Value::Int(0),
-                        ts: None,
-                    });
-                let current = row.value.as_int().unwrap_or(0);
-                row.value = Value::Int(current.wrapping_add(*delta));
-                self.bump_version(table, key);
-                ApplyOutcome::Applied
+                self.write(table, key, |row| match &mut row.value {
+                    Some(Value::Int(n)) => *n = n.wrapping_add(*delta),
+                    // A missing or non-integer row counts as 0.
+                    other => *other = Some(Value::Int(*delta)),
+                });
             }
             Op::TsPut {
                 table,
@@ -124,26 +242,16 @@ impl Database {
                 value,
                 ts,
             } => {
-                let row = self
-                    .tables
-                    .entry(table.clone())
-                    .or_default()
-                    .entry(key.clone())
-                    .or_insert(Row {
-                        value: Value::Null,
-                        ts: None,
-                    });
-                if row.ts.is_none_or(|old| *ts > old) {
-                    row.value = value.clone();
-                    row.ts = Some(*ts);
-                } else {
+                self.write(table, key, |row| {
                     // An older timestamp loses; the action still
                     // "applies" in the sense that replicas converge.
-                }
-                self.bump_version(table, key);
-                ApplyOutcome::Applied
+                    if row.ts.is_none_or(|old| *ts > old) {
+                        row.store(value);
+                        row.ts = Some(*ts);
+                    }
+                });
             }
-            Op::Proc { name, args } => procs::execute(self, name, args),
+            Op::Proc { name, args } => return procs::execute(self, name, args),
             Op::Checked { expect, then } => {
                 for (table, key, expected) in expect {
                     let current = self.get(table, key);
@@ -156,7 +264,6 @@ impl Database {
                         return ApplyOutcome::Aborted;
                     }
                 }
-                ApplyOutcome::Applied
             }
             Op::Batch(ops) => {
                 for op in ops {
@@ -164,10 +271,23 @@ impl Database {
                         return ApplyOutcome::Aborted;
                     }
                 }
-                ApplyOutcome::Applied
             }
-            Op::Noop => ApplyOutcome::Applied,
+            Op::Noop => {}
         }
+        ApplyOutcome::Applied
+    }
+
+    /// Runs `f` on row `(table, key)`, creating the table and an empty
+    /// row as needed, and counts the write in the row's version.
+    fn write<R>(&mut self, table: &str, key: &str, f: impl FnOnce(&mut Row) -> R) -> R {
+        let rows = match self.tables.get_mut(table) {
+            Some(rows) => rows,
+            None => self.tables.entry(table.to_string()).or_default(),
+        };
+        rows.with_row(key, |row| {
+            row.version += 1;
+            f(row)
+        })
     }
 
     /// Evaluates a query against the current state.
@@ -179,16 +299,17 @@ impl Database {
                     .tables
                     .get(table)
                     .map(|t| {
-                        t.range(prefix.clone()..)
-                            .take_while(|(k, _)| k.starts_with(prefix.as_str()))
-                            .map(|(k, row)| (k.clone(), row.value.clone()))
+                        t.live_rows()
+                            .into_iter()
+                            .filter(|(k, _, _)| k.starts_with(prefix.as_str()))
+                            .map(|(k, value, _)| (k.to_string(), value.clone()))
                             .collect()
                     })
                     .unwrap_or_default();
                 QueryResult::Rows(rows)
             }
             Query::Count { table } => {
-                QueryResult::Count(self.tables.get(table).map(|t| t.len() as u64).unwrap_or(0))
+                QueryResult::Count(self.tables.get(table).map_or(0, |t| t.live))
             }
             Query::Digest => QueryResult::Digest(self.digest()),
         }
@@ -196,21 +317,15 @@ impl Database {
 
     /// Direct read of a cell (used by stored procedures and tests).
     pub fn get(&self, table: &str, key: &str) -> Option<&Value> {
-        self.tables.get(table)?.get(key).map(|r| &r.value)
+        self.tables.get(table)?.find(key)?.value.as_ref()
     }
 
     /// Direct write of a cell (used by stored procedures).
     pub fn put(&mut self, table: &str, key: &str, value: Value) {
-        self.tables
-            .entry(table.to_string())
-            .or_default()
-            .insert(key.to_string(), Row { value, ts: None });
-        self.bump_version(table, key);
-    }
-
-    fn bump_version(&mut self, table: &str, key: &str) {
-        let fp = crate::keys::row_fingerprint(table, key);
-        *self.versions.entry(fp).or_insert(0) += 1;
+        self.write(table, key, |row| {
+            row.value = Some(value);
+            row.ts = None;
+        });
     }
 
     /// The write-version of a row: how many applied writes have touched
@@ -218,17 +333,19 @@ impl Database {
     /// LWW puts included; never reset). Used by the linearizable-read
     /// oracle to detect stale reads — a linearizable read must observe
     /// a version at least as large as the number of acknowledged writes
-    /// to the row at the time the read was served.
+    /// to the row at the time the read was served. Versions are
+    /// observability, not replicated content: [`Database::digest`]
+    /// leaves them out.
     pub fn row_version(&self, table: &str, key: &str) -> u64 {
-        self.versions
-            .get(&crate::keys::row_fingerprint(table, key))
-            .copied()
-            .unwrap_or(0)
+        self.tables
+            .get(table)
+            .and_then(|t| t.find(key))
+            .map_or(0, |row| row.version)
     }
 
     /// A 64-bit FNV-1a digest of the full content (tables, keys, values,
-    /// timestamps). Equal digests mean equal states for all practical
-    /// test purposes.
+    /// timestamps), in table and key order. Equal digests mean equal
+    /// states for all practical test purposes.
     pub fn digest(&self) -> u64 {
         fn eat(h: &mut u64, bytes: &[u8]) {
             for &b in bytes {
@@ -237,14 +354,14 @@ impl Database {
             }
         }
         let mut h: u64 = 0xcbf29ce484222325;
-        for (table, rows) in &self.tables {
+        for (table, rows) in self.tables.iter().filter(|(_, t)| t.live > 0) {
             eat(&mut h, table.as_bytes());
             eat(&mut h, &[0xfe]);
-            for (key, row) in rows {
+            for (key, value, ts) in rows.live_rows() {
                 eat(&mut h, key.as_bytes());
                 eat(&mut h, &[0xff]);
-                row.value.digest_into(&mut h);
-                if let Some(ts) = row.ts {
+                value.digest_into(&mut h);
+                if let Some(ts) = ts {
                     eat(&mut h, &ts.to_le_bytes());
                 }
             }
@@ -264,16 +381,17 @@ impl Database {
 
     /// Total number of rows across all tables.
     pub fn row_count(&self) -> u64 {
-        self.tables.values().map(|t| t.len() as u64).sum()
+        self.tables.values().map(|t| t.live).sum()
     }
 
     /// Per-table statistics, in table-name order.
     pub fn table_stats(&self) -> Vec<TableStats> {
         self.tables
             .iter()
-            .map(|(name, rows)| TableStats {
+            .filter(|(_, t)| t.live > 0)
+            .map(|(name, t)| TableStats {
                 name: name.clone(),
-                rows: rows.len() as u64,
+                rows: t.live,
             })
             .collect()
     }
@@ -519,6 +637,55 @@ mod tests {
         let mut c = Database::new();
         c.apply(&Op::delete("t", "x"));
         assert_eq!(b.digest(), c.digest());
+    }
+
+    #[test]
+    fn a_key_whose_slot_is_taken_probes_to_the_next_free_one() {
+        // Stand-in for a fingerprint collision: another row already sits
+        // in `b`'s first slot.
+        let home = key_fingerprint("b");
+        let mut table = Table::default();
+        let squatter = Row {
+            key: "not-b".into(),
+            value: Some(Value::Int(0)),
+            ts: None,
+            version: 1,
+        };
+        table.rows.insert(home, squatter.clone());
+        table.live = 1;
+        for n in 1..=2 {
+            table.with_row("b", |row| {
+                row.version += 1;
+                row.value = Some(Value::Int(n));
+            });
+        }
+        assert_eq!(table.rows[&home], squatter);
+        assert_eq!(table.rows[&home.wrapping_add(1)].key, "b");
+        let b = table.find("b").map(|b| (b.version, &b.value));
+        assert_eq!(
+            b,
+            Some((2, &Some(Value::Int(2)))),
+            "probed past the taken slot"
+        );
+        assert_eq!(table.live, 2);
+        table.with_row("b", |row| row.value = None);
+        assert_eq!(table.live, 1, "a delete leaves the row, not the count");
+        assert!(table.find("b").is_some());
+    }
+
+    #[test]
+    fn overwriting_a_row_reuses_its_buffer() {
+        let mut db = Database::new();
+        db.apply(&Op::put("t", "k", vec![1u8; 200]));
+        let held = |db: &Database| match db.get("t", "k") {
+            Some(Value::Bytes(v)) => v.as_ptr(),
+            other => panic!("expected bytes, got {other:?}"),
+        };
+        let before = held(&db);
+        db.apply(&Op::put("t", "k", vec![2u8; 200]));
+        db.apply(&Op::ts_put("t", "k", vec![3u8; 150], 1));
+        assert_eq!(held(&db), before);
+        assert_eq!(db.get("t", "k"), Some(&Value::Bytes(vec![3; 150])));
     }
 
     #[test]

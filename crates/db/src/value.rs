@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.as_int(), Some(42));
 /// assert_eq!(v.to_string(), "42");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
 pub enum Value {
     /// Absent / SQL NULL.
     #[default]
@@ -26,6 +26,29 @@ pub enum Value {
     Text(String),
     /// Raw bytes (e.g. an opaque application payload).
     Bytes(Vec<u8>),
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(n) => Value::Int(*n),
+            Value::Text(s) => Value::Text(s.clone()),
+            Value::Bytes(v) => Value::Bytes(v.clone()),
+        }
+    }
+
+    /// Reuses `self`'s buffer when both values are text or both are
+    /// bytes, so overwriting a row with a value of the same kind and no
+    /// larger allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Value::Text(held), Value::Text(s)) => held.clone_from(s),
+            (Value::Bytes(held), Value::Bytes(v)) => held.clone_from(v),
+            (held, source) => *held = source.clone(),
+        }
+    }
 }
 
 impl Value {

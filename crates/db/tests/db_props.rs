@@ -3,6 +3,9 @@
 //! rests on, and the algebraic claims behind the §6 relaxed-semantics
 //! classes.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use todr_db::keys::row_fingerprint;
 use todr_db::{ApplyOutcome, Database, Op, Query, QueryResult, Value};
 
 /// A tiny self-contained splitmix64 generator, so these tests need no
@@ -273,5 +276,283 @@ fn scan_results_are_sorted_and_consistent_with_get() {
     assert_eq!(keys, vec!["a1", "a2", "a3"]);
     for (k, v) in &rows {
         assert_eq!(db.get("t", k), Some(v));
+    }
+}
+
+// ---------------------------------------------------------------
+// The reference model: the database as it was first written — rows in
+// string-keyed maps, row versions in a side map keyed by fingerprint —
+// with the built-in procedures the generator draws spelled out again.
+// ---------------------------------------------------------------
+
+#[derive(Debug, Clone, Default)]
+struct Model {
+    tables: BTreeMap<String, BTreeMap<String, (Value, Option<u64>)>>,
+    versions: BTreeMap<u64, u64>,
+}
+
+impl Model {
+    fn bump(&mut self, table: &str, key: &str) {
+        *self
+            .versions
+            .entry(row_fingerprint(table, key))
+            .or_insert(0) += 1;
+    }
+
+    fn row(&mut self, table: &str, key: &str, fresh: Value) -> &mut (Value, Option<u64>) {
+        self.bump(table, key);
+        let rows = self.tables.entry(table.to_string()).or_default();
+        rows.entry(key.to_string()).or_insert((fresh, None))
+    }
+
+    fn get(&self, table: &str, key: &str) -> Option<&Value> {
+        self.tables.get(table)?.get(key).map(|(v, _)| v)
+    }
+
+    fn int(&self, key: &str) -> i64 {
+        self.get("accounts", key)
+            .and_then(Value::as_int)
+            .unwrap_or(0)
+    }
+
+    fn put(&mut self, table: &str, key: &str, value: Value) {
+        *self.row(table, key, Value::Null) = (value, None);
+    }
+
+    fn apply(&mut self, op: &Op) -> ApplyOutcome {
+        match op {
+            Op::Put { table, key, value } => self.put(table, key, value.clone()),
+            Op::Delete { table, key } => {
+                self.bump(table, key);
+                if let Some(rows) = self.tables.get_mut(table) {
+                    rows.remove(key);
+                    if rows.is_empty() {
+                        self.tables.remove(table);
+                    }
+                }
+            }
+            Op::Incr { table, key, delta } => {
+                let row = self.row(table, key, Value::Int(0));
+                row.0 = Value::Int(row.0.as_int().unwrap_or(0).wrapping_add(*delta));
+            }
+            Op::TsPut {
+                table,
+                key,
+                value,
+                ts,
+            } => {
+                let row = self.row(table, key, Value::Null);
+                if row.1.is_none_or(|old| *ts > old) {
+                    *row = (value.clone(), Some(*ts));
+                }
+            }
+            Op::Proc { name, args } => return self.proc(name, args),
+            Op::Checked { expect, then } => {
+                if expect
+                    .iter()
+                    .any(|(t, k, want)| self.get(t, k) != want.as_ref())
+                {
+                    return ApplyOutcome::Aborted;
+                }
+                return self.apply_all(then);
+            }
+            Op::Batch(ops) => return self.apply_all(ops),
+            Op::Noop => {}
+        }
+        ApplyOutcome::Applied
+    }
+
+    fn apply_all(&mut self, ops: &[Op]) -> ApplyOutcome {
+        for op in ops {
+            if self.apply(op) == ApplyOutcome::Aborted {
+                return ApplyOutcome::Aborted;
+            }
+        }
+        ApplyOutcome::Applied
+    }
+
+    fn proc(&mut self, name: &str, args: &[Value]) -> ApplyOutcome {
+        match (name, args) {
+            ("debit_if_sufficient", [Value::Text(key), Value::Int(amount)]) => {
+                let balance = self.int(key);
+                if balance < *amount || *amount < 0 {
+                    return ApplyOutcome::Aborted;
+                }
+                self.put("accounts", key, Value::Int(balance - amount));
+            }
+            ("transfer", [Value::Text(from), Value::Text(to), Value::Int(amount)]) => {
+                let balance = self.int(from);
+                if balance < *amount || *amount < 0 {
+                    return ApplyOutcome::Aborted;
+                }
+                let to_new = self.int(to) + amount;
+                self.put("accounts", from, Value::Int(balance - amount));
+                self.put("accounts", to, Value::Int(to_new));
+            }
+            _ => return ApplyOutcome::Aborted,
+        }
+        ApplyOutcome::Applied
+    }
+
+    fn digest(&self) -> u64 {
+        fn eat(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+            }
+        }
+        let mut h: u64 = 0xcbf29ce484222325;
+        for (table, rows) in &self.tables {
+            eat(&mut h, table.as_bytes());
+            eat(&mut h, &[0xfe]);
+            for (key, (value, ts)) in rows {
+                eat(&mut h, key.as_bytes());
+                eat(&mut h, &[0xff]);
+                match value {
+                    Value::Null => eat(&mut h, &[0]),
+                    Value::Bool(b) => eat(&mut h, &[1, u8::from(*b)]),
+                    Value::Int(n) => {
+                        eat(&mut h, &[2]);
+                        eat(&mut h, &n.to_le_bytes());
+                    }
+                    Value::Text(s) => {
+                        eat(&mut h, &[3]);
+                        eat(&mut h, s.as_bytes());
+                    }
+                    Value::Bytes(v) => {
+                        eat(&mut h, &[4]);
+                        eat(&mut h, v);
+                    }
+                }
+                if let Some(ts) = ts {
+                    eat(&mut h, &ts.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    fn scan(&self, table: &str, prefix: &str) -> Vec<(String, Value)> {
+        self.tables.get(table).map_or_else(Vec::new, |rows| {
+            rows.iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(k, (v, _))| (k.clone(), v.clone()))
+                .collect()
+        })
+    }
+}
+
+/// Ops over three tables and a 40-key space, so puts, deletes,
+/// increments, timestamped puts and both procedures keep landing on the
+/// same rows.
+fn gen_model_op(rng: &mut Rng) -> Op {
+    let table = ["t", "u", "accounts"][rng.below(3) as usize];
+    let key = gen_key(rng);
+    match rng.below(10) {
+        0 | 1 => Op::put(table, key, gen_value(rng)),
+        2 => Op::delete(table, key),
+        3 | 4 => Op::incr(table, key, rng.below(200) as i64 - 50),
+        5 => Op::ts_put(table, key, gen_value(rng), rng.below(8)),
+        6 => Op::proc(
+            "debit_if_sufficient",
+            vec![Value::Text(key), Value::Int(rng.below(120) as i64 - 10)],
+        ),
+        7 => Op::proc(
+            "transfer",
+            vec![
+                Value::Text(key),
+                Value::Text(gen_key(rng)),
+                Value::Int(rng.below(120) as i64 - 10),
+            ],
+        ),
+        8 => Op::Batch((0..rng.below(4)).map(|_| gen_model_op(rng)).collect()),
+        _ => Op::Checked {
+            expect: vec![(table.to_string(), key, Some(gen_value(rng)))],
+            then: vec![Op::put(table, gen_key(rng), Value::Int(1))],
+        },
+    }
+}
+
+/// The fingerprint-ordered layout answers every question the way the
+/// string-keyed original does: outcomes, digest, each touched row's
+/// version, row and table counts, scans in key order, and a snapshot or
+/// storage round trip changes none of it.
+#[test]
+fn database_matches_the_reference_model() {
+    let mut rng = Rng(0xdb08);
+    for case in 0..200 {
+        let mut db = Database::new();
+        let mut model = Model::default();
+        let mut touched: BTreeSet<(String, String)> = BTreeSet::new();
+        for _ in 0..rng.below(120) {
+            let op = gen_model_op(&mut rng);
+            assert_eq!(db.apply(&op), model.apply(&op), "case {case}: {op:?}");
+            for row in rows_of(&op) {
+                touched.insert(row);
+            }
+        }
+        let copies = [
+            db.snapshot(),
+            serde::bin::from_slice(&serde::bin::to_vec(&db)).expect("bin round trip"),
+            serde::json::from_str(&serde::json::to_string(&db).expect("renders"))
+                .expect("json round trip"),
+        ];
+        for copy in copies.iter().chain([&db]) {
+            assert_eq!(copy, &db, "case {case}");
+            assert_eq!(copy.digest(), model.digest(), "case {case}");
+            for (t, k) in &touched {
+                let version = model.versions.get(&row_fingerprint(t, k)).copied();
+                assert_eq!(
+                    copy.row_version(t, k),
+                    version.unwrap_or(0),
+                    "case {case} {t}/{k}"
+                );
+                assert_eq!(copy.get(t, k), model.get(t, k), "case {case} {t}/{k}");
+            }
+            let rows: usize = model.tables.values().map(BTreeMap::len).sum();
+            assert_eq!(copy.row_count(), rows as u64, "case {case}");
+            for table in ["t", "u", "accounts", "absent"] {
+                let count = model.tables.get(table).map_or(0, BTreeMap::len) as u64;
+                assert_eq!(
+                    copy.query(&Query::Count {
+                        table: table.into()
+                    }),
+                    QueryResult::Count(count)
+                );
+                for prefix in ["", "a", "b3", "d9", "z"] {
+                    assert_eq!(
+                        copy.query(&Query::scan(table, prefix)),
+                        QueryResult::Rows(model.scan(table, prefix)),
+                        "case {case} scan {table}/{prefix}"
+                    );
+                }
+            }
+            let stats: Vec<(String, u64)> = copy
+                .table_stats()
+                .into_iter()
+                .map(|s| (s.name, s.rows))
+                .collect();
+            let expect: Vec<(String, u64)> = model
+                .tables
+                .iter()
+                .map(|(t, rows)| (t.clone(), rows.len() as u64))
+                .collect();
+            assert_eq!(stats, expect, "case {case}");
+        }
+    }
+}
+
+/// Every `(table, key)` an op can write, procedures included.
+fn rows_of(op: &Op) -> Vec<(String, String)> {
+    match op {
+        Op::Put { table, key, .. }
+        | Op::Delete { table, key }
+        | Op::Incr { table, key, .. }
+        | Op::TsPut { table, key, .. } => vec![(table.clone(), key.clone())],
+        Op::Proc { args, .. } => args
+            .iter()
+            .filter_map(|a| Some(("accounts".to_string(), a.as_text()?.to_string())))
+            .collect(),
+        Op::Checked { then: ops, .. } | Op::Batch(ops) => ops.iter().flat_map(rows_of).collect(),
+        Op::Noop => Vec::new(),
     }
 }

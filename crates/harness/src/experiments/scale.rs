@@ -24,8 +24,10 @@
 //!
 //! 4. **Where the host time goes**: one *extra* repetition of the
 //!    largest full-load engine cell with the world's step profile on,
-//!    reported as each actor kind's share of handler time. The timed
-//!    repetitions stay unprofiled.
+//!    reported as each actor kind's share of handler time, and the
+//!    engine's share split by the kind of event it handled (delivery,
+//!    receipt, disk completion, client request, anything else). The
+//!    timed repetitions stay unprofiled.
 //!
 //! Emits the machine-readable `BENCH_scale.json` consumed by the CI
 //! scale gate. Virtual-time numbers are deterministic per seed;
@@ -37,7 +39,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 use todr_core::EngineState;
-use todr_sim::{SimDuration, SimTime};
+use todr_sim::{HandlerCost, SimDuration, SimTime};
 
 use crate::baselines::CorelCluster;
 use crate::client::ClientConfig;
@@ -83,16 +85,20 @@ pub struct ScaleCell {
     pub events_per_sec: f64,
 }
 
-/// One actor kind's part of the profiled repetition's handler time.
+/// One row of a profiled repetition's handler time: an actor kind's
+/// part of all handler time, or an event kind's part of the engine's.
 #[derive(Debug, Clone, Serialize)]
-pub struct ActorKindShare {
-    /// Registered-name prefix: `engine`, `evs`, `net`, `disk`, `client`.
+pub struct HostShare {
+    /// Actor kind (registered-name prefix: `engine`, `evs`, `net`,
+    /// `disk`, `client`) or engine event kind (`deliver`, `receipt`,
+    /// `disk-done`, `client request`, `timer/other`).
     pub kind: String,
-    /// Events actors of this kind handled (deterministic per seed).
+    /// Events of this kind handled (deterministic per seed).
     pub events: u64,
     /// Host milliseconds inside their handlers, rounded to 0.001.
     pub handle_ms: f64,
-    /// `handle_ms` over the sum across kinds, rounded to 0.0001.
+    /// `handle_ms` over the sum across the table's rows, rounded to
+    /// 0.0001.
     pub share: f64,
 }
 
@@ -132,7 +138,11 @@ pub struct Scale {
     /// the calibration cell (`World::enable_step_profile`), largest
     /// share first. Kernel time (event queue, effect buffer) is outside
     /// every handler and so outside these shares.
-    pub host_share_by_actor_kind: Vec<ActorKindShare>,
+    pub host_share_by_actor_kind: Vec<HostShare>,
+    /// The `engine` row of `host_share_by_actor_kind` split by the kind
+    /// of event handled (`ReplicationEngine`'s `Actor::event_kind`),
+    /// largest share first.
+    pub engine_host_by_event_kind: Vec<HostShare>,
     /// Every measured cell, size-major.
     pub cells: Vec<ScaleCell>,
     /// Membership-change cost per size.
@@ -191,7 +201,8 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
-    let host_share_by_actor_kind = profile_engine_cell(largest, max_pack, warmup, window, seed);
+    let (host_share_by_actor_kind, engine_host_by_event_kind) =
+        profile_engine_cell(largest, max_pack, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
     } else {
@@ -206,6 +217,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         calibration,
         wall_scaling_ratio,
         host_share_by_actor_kind,
+        engine_host_by_event_kind,
         cells,
         membership,
     }
@@ -241,30 +253,39 @@ fn loaded_engine_cluster(
 }
 
 /// The full-load engine cell at `n` replicas once more, with the step
-/// profile on for exactly the advance [`engine_cell`] times.
+/// profile on for exactly the advance [`engine_cell`] times: handler
+/// time by actor kind, and the engine's by event kind.
 fn profile_engine_cell(
     n: u32,
     max_pack: usize,
     warmup: SimDuration,
     window: SimDuration,
     seed: u64,
-) -> Vec<ActorKindShare> {
+) -> (Vec<HostShare>, Vec<HostShare>) {
     let (mut cluster, _) = loaded_engine_cluster(n, n as usize, None, max_pack, warmup, seed);
     cluster.world.enable_step_profile();
     cluster.run_for(warmup + window);
-    let profile = cluster.world.step_profile();
-    let total_secs: f64 = profile.values().map(|c| c.wall.as_secs_f64()).sum();
-    let mut shares: Vec<ActorKindShare> = profile
-        .into_iter()
-        .map(|(kind, cost)| ActorKindShare {
-            kind,
+    let by_actor = cluster.world.step_profile();
+    let by_event = cluster.world.step_profile_by_event("engine");
+    (
+        shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
+        shares(by_event.iter().map(|(kind, cost)| (*kind, cost))),
+    )
+}
+
+/// One table of [`HostShare`] rows, largest share first.
+fn shares<'a>(costs: impl Iterator<Item = (&'a str, &'a HandlerCost)> + Clone) -> Vec<HostShare> {
+    let total_secs: f64 = costs.clone().map(|(_, c)| c.wall.as_secs_f64()).sum();
+    let mut rows: Vec<HostShare> = costs
+        .map(|(kind, cost)| HostShare {
+            kind: kind.to_string(),
             events: cost.events,
             handle_ms: round3(cost.wall.as_secs_f64() * 1000.0),
             share: (cost.wall.as_secs_f64() / total_secs * 1e4).round() / 1e4,
         })
         .collect();
-    shares.sort_by(|a, b| b.share.total_cmp(&a.share));
-    shares
+    rows.sort_by(|a, b| b.share.total_cmp(&a.share));
+    rows
 }
 
 fn engine_cell(
@@ -508,23 +529,26 @@ impl Scale {
                 ]
             })
             .collect();
-        let p_headers = ["actor kind", "events", "handle_ms", "share", "us/event"];
-        let p_rows: Vec<Vec<String>> = self
-            .host_share_by_actor_kind
-            .iter()
-            .map(|k| {
-                vec![
-                    k.kind.clone(),
-                    k.events.to_string(),
-                    format!("{:.1}", k.handle_ms),
-                    format!("{:.1}%", k.share * 100.0),
-                    format!("{:.2}", k.handle_ms * 1000.0 / k.events as f64),
-                ]
-            })
-            .collect();
+        let share_table = |first: &str, shares: &[HostShare]| {
+            let headers = [first, "events", "handle_ms", "share", "us/event"];
+            let rows: Vec<Vec<String>> = shares
+                .iter()
+                .map(|k| {
+                    vec![
+                        k.kind.clone(),
+                        k.events.to_string(),
+                        format!("{:.1}", k.handle_ms),
+                        format!("{:.1}%", k.share * 100.0),
+                        format!("{:.2}", k.handle_ms * 1000.0 / k.events as f64),
+                    ]
+                })
+                .collect();
+            super::render_table(&headers, &rows)
+        };
         format!(
             "Scale sweep (delayed writes, pack {}), sizes {:?}; wall scaling ratio {:.2}\n{}\n\
              Handler time by actor kind ({}x{} engine cell, separate profiled repetition)\n{}\n\
+             Engine handler time by event kind (same repetition)\n{}\n\
              Membership-change cost\n{}",
             self.max_pack,
             self.replica_counts,
@@ -532,7 +556,8 @@ impl Scale {
             super::render_table(&headers, &rows),
             self.calibration.replicas,
             self.calibration.clients,
-            super::render_table(&p_headers, &p_rows),
+            share_table("actor kind", &self.host_share_by_actor_kind),
+            share_table("engine event", &self.engine_host_by_event_kind),
             super::render_table(&m_headers, &m_rows)
         )
     }

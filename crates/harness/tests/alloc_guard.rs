@@ -1,0 +1,86 @@
+//! Allocation guard for the green-delivery path: a steady window of a
+//! 7 × 7 delayed-writes packed cluster may make no more heap allocations
+//! per green mark per replica than it does today. The body of an action
+//! is encoded once per simulation and a put overwrites its row in place,
+//! so a change that copies per replica again shows up here as a count,
+//! independent of how fast the machine is.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use todr_harness::client::ClientConfig;
+use todr_harness::cluster::{Cluster, ClusterConfig};
+use todr_sim::SimDuration;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local
+// counter that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const REPLICAS: usize = 7;
+
+/// Allocations (reallocations included) per green mark per replica in
+/// the window below, as measured when the ceiling was set: 10.97. The
+/// count is deterministic, so any rise is a code change.
+const CEILING: f64 = 11.0;
+
+#[test]
+fn green_delivery_allocations_per_replica_stay_bounded() {
+    let config = ClusterConfig::builder(REPLICAS as u32, 42)
+        .delayed_writes()
+        .packing(8)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    for i in 0..REPLICAS {
+        cluster.attach_client(i, ClientConfig::default());
+    }
+    // Warm-up: every client's 64 rows exist and every buffer has grown.
+    cluster.run_for(SimDuration::from_secs(1));
+
+    let greens = |c: &mut Cluster| (0..REPLICAS).map(|i| c.green_count(i)).sum::<u64>();
+    let before = greens(&mut cluster);
+    let allocations_before = ALLOCATIONS.with(Cell::get);
+    cluster.run_for(SimDuration::from_secs(1));
+    let allocations = ALLOCATIONS.with(Cell::get) - allocations_before;
+    let replica_greens = greens(&mut cluster) - before;
+    cluster.check_consistency();
+
+    assert!(replica_greens > 10_000, "{replica_greens} green marks");
+    let per_green = allocations as f64 / replica_greens as f64;
+    println!("{allocations} allocations / {replica_greens} replica greens = {per_green:.3}");
+    assert!(
+        per_green <= CEILING,
+        "{per_green:.3} allocations per green per replica (ceiling {CEILING})"
+    );
+}

@@ -241,4 +241,31 @@ fn scale_profile_accounts_for_every_event_of_the_unprofiled_cell() {
     }
     let share_sum: f64 = kinds.iter().map(|k| k.share).sum();
     assert!((share_sum - 1.0).abs() < 1e-3, "shares sum to {share_sum}");
+
+    // The engine's row, split by event kind, adds back up to it.
+    let engine = kinds
+        .iter()
+        .find(|k| k.kind == "engine")
+        .expect("engine row");
+    let by_event = &sweep.engine_host_by_event_kind;
+    let labels: Vec<&str> = by_event.iter().map(|k| k.kind.as_str()).collect();
+    // (No receipt row: the sweep runs neither the fast path nor leases,
+    // the only configurations with eager receipts.)
+    for label in ["deliver", "disk-done", "client request"] {
+        assert!(labels.contains(&label), "no {label} row in {labels:?}");
+    }
+    assert_eq!(
+        by_event.iter().map(|k| k.events).sum::<u64>(),
+        engine.events
+    );
+    let event_ms: f64 = by_event.iter().map(|k| k.handle_ms).sum();
+    assert!(
+        (event_ms - engine.handle_ms).abs() < 0.01,
+        "{event_ms} vs {engine:?}"
+    );
+    let share_sum: f64 = by_event.iter().map(|k| k.share).sum();
+    assert!(
+        (share_sum - 1.0).abs() < 1e-3,
+        "event shares sum to {share_sum}"
+    );
 }

@@ -12,7 +12,9 @@ use todr_core::{
 use todr_db::{Op, Query, QueryResult, Value};
 use todr_harness::client::{ClientConfig, ZipfianKeys};
 use todr_harness::cluster::{Cluster, ClusterConfig};
-use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, ReadTier, SimDuration, TieBreak};
+use todr_sim::{
+    Actor, ActorId, Ctx, EventColor, Payload, ProtocolEvent, ReadTier, SimDuration, TieBreak,
+};
 
 struct OneShot {
     engine: ActorId,
@@ -267,6 +269,76 @@ fn lease_reads_park_behind_conflicting_receipted_writes() {
         "no lease read ever parked behind a receipted write \
          (served {served}, reads {reads})"
     );
+    cluster.check_consistency();
+}
+
+/// A lease read parked behind one receipted write is re-checked at every
+/// green mark until that write is green, and counts as parked once, not
+/// once per re-check.
+#[test]
+fn a_parked_lease_read_counts_once_across_unrelated_greens() {
+    let config = ClusterConfig::builder(5, 23)
+        .read_leases(true)
+        .delayed_writes()
+        .build()
+        .unwrap();
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    let w = write(&mut cluster, 0, Op::put("bench", "k", Value::Int(1)));
+    cluster.run_for(SimDuration::from_millis(100));
+    assert!(matches!(
+        reply(&mut cluster, w),
+        Some(ClientReply::Committed { .. })
+    ));
+    let parked_before = cluster.world.metrics().counter("engine.lease_reads_parked");
+
+    // Two writes to other rows, then one to `k`, from server 0: all
+    // three are receipted at server 2 before the first turns green.
+    for update in [
+        Op::put("bench", "a", Value::Int(7)),
+        Op::put("bench", "b", Value::Int(8)),
+        Op::put("bench", "k", Value::Int(2)),
+    ] {
+        write(&mut cluster, 0, update);
+    }
+    let origin = cluster.servers[0].node;
+    let receipted = |c: &mut Cluster| {
+        c.with_engine(2, |e| {
+            e.red_ids().iter().filter(|id| id.server == origin).count()
+        })
+    };
+    let mut steps = 0;
+    while receipted(&mut cluster) < 3 {
+        assert!(cluster.world.step(), "world ran dry");
+        steps += 1;
+        assert!(steps < 100_000, "the writes were never receipted together");
+    }
+
+    let node = cluster.servers[2].node.index();
+    let fired_at = cluster.world.metrics().events().len();
+    let r = read(&mut cluster, 2, "bench", "k", ReadConsistency::Linearizable);
+    cluster.run_for(SimDuration::from_millis(200));
+    let rep = reply(&mut cluster, r).expect("parked read never answered");
+    assert_eq!(answer_value(&rep), Some(Some(Value::Int(2))));
+
+    // It was served under the lease, after all three writes went green
+    // at server 2: it sat parked through two unrelated green marks.
+    let events = &cluster.world.metrics().events()[fired_at..];
+    let served = events
+        .iter()
+        .position(|r| {
+            matches!(r.event, ProtocolEvent::ReadServed { node: n, tier: ReadTier::LeaseLinearizable, .. } if n == node)
+        })
+        .expect("the read was not lease-served");
+    let greens_while_parked = events[..served]
+        .iter()
+        .filter(|r| {
+            matches!(r.event, ProtocolEvent::ActionOrdered { node: n, color: EventColor::Green, .. } if n == node)
+        })
+        .count();
+    assert_eq!(greens_while_parked, 3);
+    let parked = cluster.world.metrics().counter("engine.lease_reads_parked") - parked_before;
+    assert_eq!(parked, 1, "one parked read, counted {parked} times");
     cluster.check_consistency();
 }
 

@@ -60,6 +60,15 @@ pub trait Actor: std::any::Any {
     /// Processes one event. `payload` is whatever another actor (or the
     /// experiment driver) scheduled for this actor.
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload);
+
+    /// The kind of event `payload` is, as a row label of
+    /// [`World::step_profile_by_event`](crate::World::step_profile_by_event).
+    /// Asked only while the step profile is on; an actor that does not
+    /// say has one kind, `"all"`.
+    fn event_kind(&self, payload: &Payload) -> &'static str {
+        let _ = payload;
+        "all"
+    }
 }
 
 #[cfg(test)]

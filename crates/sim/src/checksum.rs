@@ -14,9 +14,20 @@
 /// bit anywhere in the input changes the output with overwhelming
 /// probability (collision odds ~2⁻⁶⁴ for random corruption).
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fold(OFFSET, bytes)
+}
+
+/// [`checksum64`] of the concatenation of `parts`, without building it:
+/// FNV-1a folds one byte at a time, so the hash simply runs on from one
+/// part into the next.
+pub fn checksum64_of(parts: &[&[u8]]) -> u64 {
+    parts.iter().fold(OFFSET, |hash, part| fold(hash, part))
+}
+
+const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fold(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(PRIME);
@@ -34,6 +45,16 @@ mod tests {
         assert_eq!(checksum64(b""), 0xcbf29ce484222325);
         assert_eq!(checksum64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(checksum64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn parts_hash_as_their_concatenation() {
+        let whole = b"epoch-bytes||payload";
+        for cut in 0..=whole.len() {
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(checksum64_of(&[a, b]), checksum64(whole), "cut {cut}");
+        }
+        assert_eq!(checksum64_of(&[]), checksum64(b""));
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod time;
 mod world;
 
 pub use actor::{Actor, ActorId};
-pub use checksum::checksum64;
+pub use checksum::{checksum64, checksum64_of};
 pub use event::{IntoPayload, Payload};
 pub use metrics::{
     EventColor, Footprint, Histogram, HistogramSummary, MetricsExport, MetricsHub, ProtocolEvent,

@@ -152,6 +152,13 @@ pub struct HandlerCost {
     pub wall: Duration,
 }
 
+impl HandlerCost {
+    fn add(&mut self, other: &HandlerCost) {
+        self.events += other.events;
+        self.wall += other.wall;
+    }
+}
+
 struct Slot {
     name: String,
     actor: Option<Box<dyn Actor>>,
@@ -184,9 +191,9 @@ pub struct World {
     /// the previous event, kept so steady-state stepping allocates
     /// nothing per event.
     scratch: Vec<(SimTime, ActorId, Payload)>,
-    /// Per-actor handler cost, indexed like `actors`; `None` (the
-    /// default) when the step profile is off.
-    profile: Option<Vec<HandlerCost>>,
+    /// Per-actor handler cost by [`Actor::event_kind`], indexed like
+    /// `actors`; `None` (the default) when the step profile is off.
+    profile: Option<Vec<BTreeMap<&'static str, HandlerCost>>>,
 }
 
 impl World {
@@ -224,16 +231,34 @@ impl World {
     /// world itself (event queue, effect buffer) is not in any entry.
     pub fn step_profile(&self) -> BTreeMap<String, HandlerCost> {
         let mut kinds: BTreeMap<String, HandlerCost> = BTreeMap::new();
-        for (slot, cost) in self.actors.iter().zip(self.profile.iter().flatten()) {
-            if cost.events == 0 {
-                continue;
-            }
-            let kind = slot.name.split('-').next().unwrap_or_default();
-            let entry = kinds.entry(kind.to_string()).or_default();
-            entry.events += cost.events;
-            entry.wall += cost.wall;
+        for (kind, _, cost) in self.profiled() {
+            kinds.entry(kind.to_string()).or_default().add(cost);
         }
         kinds
+    }
+
+    /// The handler cost of actor kind `kind` (see
+    /// [`World::step_profile`]) split by [`Actor::event_kind`]. Empty
+    /// when the profile is off or no such actor handled an event.
+    pub fn step_profile_by_event(&self, kind: &str) -> BTreeMap<&'static str, HandlerCost> {
+        let mut events: BTreeMap<&'static str, HandlerCost> = BTreeMap::new();
+        for (_, event, cost) in self.profiled().filter(|(k, _, _)| *k == kind) {
+            events.entry(event).or_default().add(cost);
+        }
+        events
+    }
+
+    /// Every profiled `(actor kind, event kind, cost)` cell.
+    fn profiled(&self) -> impl Iterator<Item = (&str, &'static str, &HandlerCost)> {
+        self.actors
+            .iter()
+            .zip(self.profile.iter().flatten())
+            .flat_map(|(slot, by_event)| {
+                let kind = slot.name.split('-').next().unwrap_or_default();
+                by_event
+                    .iter()
+                    .map(move |(event, cost)| (kind, *event, cost))
+            })
     }
 
     /// Selects the same-instant scheduling policy (see [`TieBreak`]).
@@ -426,14 +451,17 @@ impl World {
         match &mut self.profile {
             None => actor.handle(&mut ctx, event.payload),
             Some(profile) => {
+                let kind = actor.event_kind(&event.payload);
                 let started = Instant::now();
                 actor.handle(&mut ctx, event.payload);
                 let wall = started.elapsed();
                 if profile.len() <= idx {
-                    profile.resize(idx + 1, HandlerCost::default());
+                    profile.resize(idx + 1, BTreeMap::new());
                 }
-                profile[idx].events += 1;
-                profile[idx].wall += wall;
+                profile[idx]
+                    .entry(kind)
+                    .or_default()
+                    .add(&HandlerCost { events: 1, wall });
             }
         }
         let mut pending = ctx.pending;
@@ -533,6 +561,14 @@ mod tests {
             if payload.is::<Bump>() {
                 self.count += 1;
                 self.received_at.push(ctx.now());
+            }
+        }
+
+        fn event_kind(&self, payload: &Payload) -> &'static str {
+            if payload.is::<Bump>() {
+                "bump"
+            } else {
+                "other"
             }
         }
     }
@@ -698,6 +734,23 @@ mod tests {
         assert_eq!((profile["engine"].events, profile["net"].events), (3, 3));
         let profiled: u64 = profile.values().map(|c| c.events).sum();
         assert_eq!(profiled, w.events_processed() - before);
+
+        // The same cost split by the actor's own event labels.
+        w.schedule_now(actors[1], 7u32);
+        w.run_to_quiescence();
+        let engine = w.step_profile_by_event("engine");
+        assert_eq!(
+            engine
+                .iter()
+                .map(|(k, c)| (*k, c.events))
+                .collect::<Vec<_>>(),
+            [("bump", 3), ("other", 1)]
+        );
+        assert_eq!(
+            engine.values().map(|c| c.wall).sum::<Duration>(),
+            w.step_profile()["engine"].wall
+        );
+        assert!(w.step_profile_by_event("disk").is_empty());
     }
 
     #[test]

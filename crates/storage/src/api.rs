@@ -25,7 +25,7 @@ use todr_sim::SimRng;
 use crate::codec;
 use crate::fault::InjectedFault;
 use crate::file::FileStore;
-use crate::store::{LogFault, LogRecord, StableStore, StorageError};
+use crate::store::{LogFault, LogRecord, SharedEntry, StableStore, StorageError};
 
 /// Wall-clock I/O statistics reported by file-backed storage.
 ///
@@ -82,8 +82,15 @@ pub trait Storage: fmt::Debug {
     fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError>;
 
     /// Appends an entry to the log (staged until commit), sealed with
-    /// the current incarnation epoch and a checksum.
-    fn append_log(&mut self, entry: Vec<u8>);
+    /// the current incarnation epoch and a checksum. The record shares
+    /// the entry's bytes and, within one epoch, its checksum.
+    fn append_shared(&mut self, entry: &SharedEntry);
+
+    /// Appends pre-encoded bytes to the log, like
+    /// [`Storage::append_shared`].
+    fn append_log(&mut self, entry: Vec<u8>) {
+        self.append_shared(&SharedEntry::raw(entry));
+    }
 
     /// Sets the incarnation epoch stamped onto subsequent appends.
     fn set_epoch(&mut self, epoch: u64);
@@ -147,8 +154,8 @@ impl Storage for StableStore {
         Ok(self.get_record_raw(key).cloned())
     }
 
-    fn append_log(&mut self, entry: Vec<u8>) {
-        StableStore::append_log(self, entry);
+    fn append_shared(&mut self, entry: &SharedEntry) {
+        StableStore::append_shared(self, entry);
     }
 
     fn set_epoch(&mut self, epoch: u64) {

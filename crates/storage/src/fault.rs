@@ -17,6 +17,8 @@
 //! peers on rejoin). Anything invalid **before** the tail means
 //! acknowledged data is gone, and the only safe answer is fail-stop.
 
+use std::sync::Arc;
+
 use todr_sim::SimRng;
 
 use crate::store::{LogRecord, StableStore};
@@ -69,10 +71,8 @@ impl StableStore {
             .filter(|&i| !self.persisted_log[i].bytes.is_empty())
             .collect();
         let &index = rng.choose(&candidates)?;
-        let bytes = &mut self.persisted_log[index].bytes;
-        let byte = rng.gen_range(bytes.len() as u64) as usize;
-        let bit = rng.gen_range(8) as u8;
-        bytes[byte] ^= 1 << bit;
+        let record = &mut self.persisted_log[index];
+        record.bytes = flip_bit(&record.bytes, rng).0;
         Some(InjectedFault {
             index: index as u64,
         })
@@ -92,7 +92,7 @@ impl StableStore {
         }
         let index = 1 + rng.gen_range(self.persisted_log.len() as u64 - 1) as usize;
         let stale_from = rng.gen_range(index as u64) as usize;
-        let stale_bytes = self.persisted_log[stale_from].bytes.clone();
+        let stale_bytes = Arc::clone(&self.persisted_log[stale_from].bytes);
         self.persisted_log[index].bytes = stale_bytes;
         Some(InjectedFault {
             index: index as u64,
@@ -100,19 +100,34 @@ impl StableStore {
     }
 }
 
-/// Cuts a record's payload at a random boundary strictly inside it,
-/// keeping the original checksum (which therefore no longer matches).
-fn tear(record: LogRecord, rng: &mut SimRng) -> LogRecord {
-    let mut bytes = record.bytes;
-    let cut = if bytes.is_empty() {
+/// A copy of `bytes` with one random bit flipped, and the index of the
+/// byte it is in. The payload may be shared with other stores' records,
+/// so the damage goes to fresh bytes, never to the shared ones.
+pub(crate) fn flip_bit(bytes: &[u8], rng: &mut SimRng) -> (Arc<[u8]>, usize) {
+    let mut rotten = bytes.to_vec();
+    let byte = rng.gen_range(rotten.len() as u64) as usize;
+    let bit = rng.gen_range(8) as u8;
+    rotten[byte] ^= 1 << bit;
+    (rotten.into(), byte)
+}
+
+/// Where a torn append cuts `bytes`: a random boundary strictly inside
+/// the payload.
+pub(crate) fn tear_point(bytes: &[u8], rng: &mut SimRng) -> usize {
+    if bytes.is_empty() {
         0
     } else {
         rng.gen_range(bytes.len() as u64) as usize
-    };
-    bytes.truncate(cut);
+    }
+}
+
+/// Cuts a record's payload at [`tear_point`], keeping the original
+/// checksum (which therefore no longer matches).
+fn tear(record: LogRecord, rng: &mut SimRng) -> LogRecord {
+    let cut = tear_point(&record.bytes, rng);
     LogRecord {
         epoch: record.epoch,
-        bytes,
+        bytes: record.bytes[..cut].into(),
         // The checksum of the *complete* record: the tail of the
         // payload never hit the platter, the header sector did.
         checksum: record.checksum,

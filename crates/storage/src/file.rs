@@ -32,13 +32,14 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use todr_sim::{checksum64, SimRng};
 
 use crate::api::{FileIoStats, Storage};
-use crate::fault::InjectedFault;
-use crate::store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, StorageError};
+use crate::fault::{flip_bit, tear_point, InjectedFault};
+use crate::store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, SharedEntry, StorageError};
 
 /// A persisted log record plus where its frame starts in the log file.
 #[derive(Debug, Clone)]
@@ -345,8 +346,8 @@ impl Storage for FileStore {
         Ok(bytes.cloned())
     }
 
-    fn append_log(&mut self, entry: Vec<u8>) {
-        self.staged_log.push(LogRecord::seal(self.epoch, entry));
+    fn append_shared(&mut self, entry: &SharedEntry) {
+        self.staged_log.push(entry.seal(self.epoch));
     }
 
     fn set_epoch(&mut self, epoch: u64) {
@@ -471,11 +472,7 @@ impl Storage for FileStore {
             if i < torn_at {
                 intact.push(record);
             } else if i == torn_at {
-                let cut = if record.bytes.is_empty() {
-                    0
-                } else {
-                    rng.gen_range(record.bytes.len() as u64) as usize
-                };
+                let cut = tear_point(&record.bytes, rng);
                 torn = Some((record, cut));
             } else {
                 break; // never reached the platter
@@ -511,12 +508,10 @@ impl Storage for FileStore {
             .filter(|&i| !self.persisted_frames[i].record.bytes.is_empty())
             .collect();
         let &index = rng.choose(&candidates)?;
-        let frame_offset = self.persisted_frames[index].offset;
-        let bytes = &mut self.persisted_frames[index].record.bytes;
-        let byte = rng.gen_range(bytes.len() as u64) as usize;
-        let bit = rng.gen_range(8) as u8;
-        bytes[byte] ^= 1 << bit;
-        let flipped = bytes[byte];
+        let frame = &mut self.persisted_frames[index];
+        let (rotten, byte) = flip_bit(&frame.record.bytes, rng);
+        let (frame_offset, flipped) = (frame.offset, rotten[byte]);
+        frame.record.bytes = rotten;
         // Rot the same bit on the platter: payload starts after the
         // 4-byte length and 8-byte epoch of the frame header.
         let path = self.log_path();
@@ -538,7 +533,7 @@ impl Storage for FileStore {
         }
         let index = 1 + rng.gen_range(self.persisted_frames.len() as u64 - 1) as usize;
         let stale_from = rng.gen_range(index as u64) as usize;
-        let stale_bytes = self.persisted_frames[stale_from].record.bytes.clone();
+        let stale_bytes = Arc::clone(&self.persisted_frames[stale_from].record.bytes);
         self.persisted_frames[index].record.bytes = stale_bytes;
         // Payload lengths differ, so the whole file is rewritten with
         // the stale payload under the original (now lying) header.
@@ -624,7 +619,7 @@ fn scan_log_file(path: &Path) -> Result<(Vec<PersistedFrame>, u64), StorageError
         let header_end = pos + 12;
         if header_end > total {
             // Not even a full header landed: a torn, payload-less tail.
-            frames.push(torn_frame(pos as u64, 0, Vec::new()));
+            frames.push(torn_frame(pos as u64, 0, Arc::new([])));
             break;
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
@@ -632,11 +627,11 @@ fn scan_log_file(path: &Path) -> Result<(Vec<PersistedFrame>, u64), StorageError
         let frame_end = header_end + len + 8;
         if frame_end > total {
             let avail = total.saturating_sub(header_end).min(len);
-            let payload = bytes[header_end..header_end + avail].to_vec();
+            let payload = bytes[header_end..header_end + avail].into();
             frames.push(torn_frame(pos as u64, epoch, payload));
             break;
         }
-        let payload = bytes[header_end..header_end + len].to_vec();
+        let payload = bytes[header_end..header_end + len].into();
         let checksum = u64::from_le_bytes(bytes[header_end + len..frame_end].try_into().unwrap());
         frames.push(PersistedFrame {
             offset: pos as u64,
@@ -654,7 +649,7 @@ fn scan_log_file(path: &Path) -> Result<(Vec<PersistedFrame>, u64), StorageError
 /// A synthesized record for a physically incomplete frame. The stored
 /// checksum is the bitwise complement of the true one, so
 /// `LogRecord::is_valid` can never pass.
-fn torn_frame(offset: u64, epoch: u64, payload: Vec<u8>) -> PersistedFrame {
+fn torn_frame(offset: u64, epoch: u64, payload: Arc<[u8]>) -> PersistedFrame {
     let checksum = !LogRecord::compute(epoch, &payload);
     PersistedFrame {
         offset,

@@ -37,7 +37,9 @@
 //! entry is a [`LogRecord`] sealed with a checksum and the writer's
 //! incarnation epoch; [`StableStore::verify_log`] finds the first
 //! invalid record and recovery decides — torn tail (truncate, rejoin,
-//! re-fetch from peers) versus mid-log corruption (fail-stop).
+//! re-fetch from peers) versus mid-log corruption (fail-stop). An entry
+//! every replica logs is encoded once as a [`SharedEntry`]: the records
+//! share its bytes, so the injectors damage copies, never shared bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,4 +66,6 @@ pub use codec::{CodecError, CodecErrorKind};
 pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
 pub use file::FileStore;
-pub use store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, StableStore, StorageError};
+pub use store::{
+    IoError, IoOp, LogFault, LogFaultKind, LogRecord, SharedEntry, StableStore, StorageError,
+};

@@ -1,11 +1,13 @@
 //! The staged/persisted stable store.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use todr_sim::checksum64;
+use todr_sim::checksum64_of;
 
 use crate::codec::{self, CodecError};
 
@@ -81,31 +83,23 @@ pub enum IoOp {
 /// the record (set via [`StableStore::set_epoch`], monotonically
 /// increasing across recoveries); the checksum lets a recovery scan
 /// distinguish a torn final record from mid-log corruption.
+///
+/// The payload is shared, never copied: every store that logs one
+/// [`SharedEntry`] holds the same bytes, which is why the fault
+/// injectors build new bytes instead of damaging them in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// Incarnation epoch of the writer at append time.
     pub epoch: u64,
     /// The application payload.
-    pub bytes: Vec<u8>,
+    pub bytes: Arc<[u8]>,
     /// Checksum over `epoch || bytes` at append time.
     pub checksum: u64,
 }
 
 impl LogRecord {
-    pub(crate) fn seal(epoch: u64, bytes: Vec<u8>) -> Self {
-        let checksum = LogRecord::compute(epoch, &bytes);
-        LogRecord {
-            epoch,
-            bytes,
-            checksum,
-        }
-    }
-
     pub(crate) fn compute(epoch: u64, bytes: &[u8]) -> u64 {
-        let mut buf = Vec::with_capacity(8 + bytes.len());
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(bytes);
-        checksum64(&buf)
+        checksum64_of(&[&epoch.to_le_bytes(), bytes])
     }
 
     /// Whether the stored checksum matches the record's content.
@@ -122,6 +116,58 @@ impl LogRecord {
     /// record codec's encoding of a `T`.
     pub fn decode<T: DeserializeOwned>(&self) -> Result<T, StorageError> {
         codec::from_bytes(&self.bytes).map_err(StorageError::Deserialize)
+    }
+}
+
+/// A log entry encoded once and appended to any number of stores.
+///
+/// Every record sealed from it shares its bytes, and the seal checksum —
+/// a pure function of (epoch, bytes) — is memoised for the last epoch
+/// sealed, so the replicas of one incarnation pay one checksum pass
+/// between them. The bytes are freed with the last record or entry that
+/// holds them.
+#[derive(Debug)]
+pub struct SharedEntry {
+    bytes: Arc<[u8]>,
+    /// `(epoch, checksum)` of the last seal.
+    sealed: Cell<Option<(u64, u64)>>,
+}
+
+impl SharedEntry {
+    /// Encodes `value` as a log entry (read back with
+    /// [`LogRecord::decode`]).
+    pub fn encode<T: Serialize + ?Sized>(value: &T) -> Self {
+        SharedEntry::raw(codec::to_bytes(value))
+    }
+
+    /// An entry of pre-encoded bytes.
+    pub(crate) fn raw(bytes: Vec<u8>) -> Self {
+        SharedEntry {
+            bytes: bytes.into(),
+            sealed: Cell::new(None),
+        }
+    }
+
+    /// The encoded bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The record these bytes make under `epoch`.
+    pub(crate) fn seal(&self, epoch: u64) -> LogRecord {
+        let checksum = match self.sealed.get() {
+            Some((sealed_in, checksum)) if sealed_in == epoch => checksum,
+            _ => {
+                let checksum = LogRecord::compute(epoch, &self.bytes);
+                self.sealed.set(Some((epoch, checksum)));
+                checksum
+            }
+        };
+        LogRecord {
+            epoch,
+            bytes: Arc::clone(&self.bytes),
+            checksum,
+        }
     }
 }
 
@@ -247,7 +293,13 @@ impl StableStore {
     /// Appends an entry to the log (staged until commit), sealed with
     /// the current incarnation epoch and a checksum.
     pub fn append_log(&mut self, entry: Vec<u8>) {
-        self.staged_log.push(LogRecord::seal(self.epoch, entry));
+        self.append_shared(&SharedEntry::raw(entry));
+    }
+
+    /// Appends a shared entry to the log, staged like
+    /// [`StableStore::append_log`]; the record shares its bytes.
+    pub fn append_shared(&mut self, entry: &SharedEntry) {
+        self.staged_log.push(entry.seal(self.epoch));
     }
 
     /// Sets the incarnation epoch stamped onto subsequent appends.
@@ -284,7 +336,7 @@ impl StableStore {
     /// first (checksums and epochs are internal to the record format;
     /// see [`StableStore::log_records`] for the sealed view).
     pub fn log_iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.log_records().map(|r| r.bytes.as_slice())
+        self.log_records().map(|r| &r.bytes[..])
     }
 
     /// Iterates over all visible log entries as sealed [`LogRecord`]s,

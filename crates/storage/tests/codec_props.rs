@@ -80,7 +80,7 @@ fn encode<T: Serialize>(value: &T) -> Vec<u8> {
 fn record(bytes: &[u8]) -> LogRecord {
     LogRecord {
         epoch: 0,
-        bytes: bytes.to_vec(),
+        bytes: bytes.into(),
         checksum: 0,
     }
 }
@@ -133,8 +133,9 @@ where
     };
     for byte in positions {
         for bit in 0..8 {
-            let mut rotten = record(&bytes);
-            rotten.bytes[byte] ^= 1 << bit;
+            let mut flipped = bytes.clone();
+            flipped[byte] ^= 1 << bit;
+            let rotten = record(&flipped);
             let (result, requested) = counting(|| rotten.decode::<T>());
             assert!(
                 requested <= bound,

@@ -55,8 +55,8 @@ fn records_and_log_survive_reopen() {
     );
     let log = store.read_log();
     assert_eq!(log.len(), 2);
-    assert_eq!(log[0].bytes, b"action-1");
-    assert_eq!(log[1].bytes, b"action-2");
+    assert_eq!(&log[0].bytes[..], b"action-1");
+    assert_eq!(&log[1].bytes[..], b"action-2");
     assert!(log.iter().all(|r| r.is_valid()));
     assert_eq!(store.verify_log(), Ok(()));
 }
@@ -200,7 +200,7 @@ fn checkpoint_swaps_generation_atomically() {
     );
     let log = reopened.read_log();
     assert_eq!(log.len(), 1);
-    assert_eq!(log[0].bytes, b"compacted");
+    assert_eq!(&log[0].bytes[..], b"compacted");
     assert_eq!(reopened.verify_log(), Ok(()));
 }
 
@@ -241,7 +241,7 @@ fn interrupted_checkpoint_recovers_previous_state() {
             );
             let log = store.read_log();
             assert_eq!(
-                log.iter().map(|r| r.bytes.clone()).collect::<Vec<_>>(),
+                log.iter().map(|r| r.bytes.to_vec()).collect::<Vec<_>>(),
                 baseline,
                 "{ctx}: old log must be intact"
             );
