@@ -419,7 +419,7 @@ impl ReplicationEngine {
 
     /// Red (locally ordered only) action ids, in `ActionId` order.
     pub fn red_ids(&self) -> Vec<ActionId> {
-        self.k.red_set.iter().copied().collect()
+        self.k.red_bodies().map(|b| b.id).collect()
     }
 
     /// Content digest of the green database.
@@ -455,7 +455,7 @@ impl ReplicationEngine {
 
     /// Number of action bodies currently retained in memory.
     pub fn retained_bodies(&self) -> usize {
-        self.k.actions.len()
+        self.k.retained()
     }
 
     /// Whether this server currently holds a valid vulnerability record
@@ -529,11 +529,11 @@ impl ReplicationEngine {
         );
     }
 
-    /// Refreshes the retained-body observability after the `actions` map
-    /// changed: a gauge with the current level and a histogram sample so
-    /// the peak survives in the export.
+    /// Refreshes the retained-body observability after the retained
+    /// bodies changed: a gauge with the current level and a histogram
+    /// sample so the peak survives in the export.
     fn note_retained(&mut self, ctx: &mut Ctx<'_>) {
-        let n = self.k.actions.len() as u64;
+        let n = self.k.retained() as u64;
         ctx.metrics().set_gauge("core.retained_bodies", n);
         ctx.metrics().record_value("core.retained_bodies_level", n);
     }
@@ -595,10 +595,9 @@ impl ReplicationEngine {
 
     fn drain_stash(&mut self, ctx: &mut Ctx<'_>, creator: NodeId) {
         loop {
-            let cut = self.k.red_cut.get(&creator).copied().unwrap_or(0);
             let next = ActionId {
                 server: creator,
-                index: cut + 1,
+                index: self.k.red_cut(creator) + 1,
             };
             match self.v.stashed.remove(&next) {
                 Some(action) => {
@@ -678,7 +677,7 @@ impl ReplicationEngine {
     /// `MarkYellow`: accept as red and remember in the yellow set.
     fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
         self.mark_red(ctx, action);
-        if self.k.actions.contains_key(&action.id) && !self.k.yellow.set.contains(&action.id) {
+        if self.k.body(&action.id).is_some() && !self.k.yellow.set.contains(&action.id) {
             self.k.yellow.set.push(action.id);
             ctx.metrics().incr("engine.marked_yellow", 1);
             ctx.emit(ProtocolEvent::ActionOrdered {
@@ -813,7 +812,7 @@ impl ReplicationEngine {
             return; // later duplicate join announcements are ignored
         }
         self.k.server_set.insert(joiner);
-        self.k.red_cut.entry(joiner).or_insert(0);
+        self.k.note_creator(joiner);
         // The joiner's green line starts at the join action itself.
         self.k.green_lines.insert(joiner, self.k.green_count);
         self.k.save_records(&mut self.store);
@@ -850,7 +849,7 @@ impl ReplicationEngine {
             db: self.k.db.snapshot(),
             green_count: self.k.green_count,
             green_lines: self.k.green_lines.clone(),
-            red_cut: self.k.green_cut.clone(),
+            red_cut: self.k.green_cuts(),
             server_set: self.k.server_set.clone(),
             prim_component: self.k.prim_component.clone(),
             action_index: 0,
@@ -930,8 +929,7 @@ impl ReplicationEngine {
         // accumulate with no white line to discard them; refuse new
         // local updates at the retention bound instead of growing
         // without limit.
-        if self.cfg.max_retained_bodies > 0 && self.k.actions.len() >= self.cfg.max_retained_bodies
-        {
+        if self.cfg.max_retained_bodies > 0 && self.k.retained() >= self.cfg.max_retained_bodies {
             ctx.metrics().incr("engine.backpressure_rejects", 1);
             return self.reply(
                 ctx,
@@ -1178,7 +1176,7 @@ impl ReplicationEngine {
     /// the action store count as conflicting.
     fn lease_read_conflict(&self, query: &Query) -> bool {
         let reads = read_set(query);
-        self.k.in_flight().any(|id| match self.k.kind_of(id) {
+        self.k.in_flight().any(|(_, kind)| match kind {
             Some(ActionKind::App { update, .. }) => write_set(update).intersects(&reads),
             Some(_) => false, // membership actions write no rows
             None => true,
@@ -1382,7 +1380,7 @@ impl ReplicationEngine {
                 server: self.cfg.me,
                 green_count: self.k.green_count,
                 green_floor: self.k.green_floor,
-                red_cut: self.k.red_cut.clone(),
+                red_cut: self.k.red_cuts(),
             },
             attempt_index: self.k.attempt_index,
             prim_component: self.k.prim_component.clone(),
@@ -1428,7 +1426,7 @@ impl ReplicationEngine {
                 for pos in from..to {
                     let idx = (pos - self.k.green_floor) as usize;
                     let id = self.k.green_tail[idx];
-                    let action = Rc::clone(self.k.actions.get(&id).expect("green body retained"));
+                    let action = Rc::clone(self.k.body(&id).expect("green body retained"));
                     let size = action.size_bytes + 16;
                     ctx.metrics().incr("engine.retransmitted", 1);
                     self.send_group(
@@ -1446,7 +1444,7 @@ impl ReplicationEngine {
                 let msg = EngineMsg::GreenSnapshot {
                     db: self.k.db.snapshot(),
                     green_count: self.k.green_count,
-                    green_cut: self.k.green_cut.clone(),
+                    green_cut: self.k.green_cuts(),
                     green_lines: self.k.green_lines.clone(),
                 };
                 self.send_group(ctx, msg, size);
@@ -1462,10 +1460,9 @@ impl ReplicationEngine {
                     server: creator,
                     index,
                 };
-                if !self.k.red_set.contains(&id) {
+                let Some(action) = self.k.red_body(&id).cloned() else {
                     continue; // green here: covered by the green path
-                }
-                let action = Rc::clone(self.k.actions.get(&id).expect("red body present"));
+                };
                 let size = action.size_bytes + 16;
                 ctx.metrics().incr("engine.retransmitted", 1);
                 self.send_group(
@@ -1674,7 +1671,7 @@ impl ReplicationEngine {
             // positions.
             let yellow_ids = std::mem::take(&mut self.k.yellow.set);
             for id in yellow_ids {
-                let action = self.k.actions.get(&id);
+                let action = self.k.body(&id);
                 let action = Rc::clone(action.expect("yellow body present after exchange"));
                 self.mark_green(ctx, &action);
             }
@@ -1695,9 +1692,8 @@ impl ReplicationEngine {
         self.k.prim_component.departed = departed.copied().collect();
         self.k.attempt_index = 0;
         // OR-2: remaining red actions, ordered by action id.
-        let reds: Vec<ActionId> = self.k.red_set.iter().copied().collect();
-        for id in reds {
-            let action = Rc::clone(self.k.actions.get(&id).expect("red body present"));
+        let reds: Vec<Rc<Body>> = self.k.red_bodies().cloned().collect();
+        for action in reds {
             self.mark_green(ctx, &action);
         }
         // The install is an agreed deterministic computation: every
@@ -1910,8 +1906,8 @@ impl ReplicationEngine {
         }
         self.k
             .in_flight()
-            .filter(|other| other.server != id.server)
-            .any(|other| match self.k.kind_of(other) {
+            .filter(|(other, _)| other.server != id.server)
+            .any(|(_, kind)| match kind {
                 Some(ActionKind::App { query, update }) => {
                     conflicts(class, &classify(update, query.as_ref()))
                 }
@@ -1951,7 +1947,7 @@ impl ReplicationEngine {
         ctx.metrics().incr("engine.fast_commits", 1);
         let latency = ctx.now().saturating_since(p.submitted_at);
         ctx.metrics().observe("engine.fast_commit_latency", latency);
-        let action = self.k.actions.get(&id).cloned();
+        let action = self.k.body(&id).cloned();
         let client = action.as_ref().map_or(0, |a| a.client.0 as u64);
         ctx.emit(ProtocolEvent::FastCommit {
             node: self.cfg.me.index(),
@@ -2252,8 +2248,7 @@ impl ReplicationEngine {
         // Re-accept own unacknowledged actions (A.13).
         let ongoing: Vec<Rc<Body>> = self.k.ongoing.values().cloned().collect();
         for action in ongoing {
-            let have = self.k.red_cut.get(&action.id.server).copied().unwrap_or(0);
-            if have < action.id.index {
+            if self.k.red_cut(action.id.server) < action.id.index {
                 self.mark_red(ctx, &action);
             }
         }
@@ -2423,7 +2418,7 @@ impl std::fmt::Debug for ReplicationEngine {
             .field("me", &self.cfg.me)
             .field("state", &self.state)
             .field("green", &self.k.green_count)
-            .field("red", &self.k.red_set.len())
+            .field("red", &self.k.red_bodies().count())
             .field("prim", &self.k.prim_component.prim_index)
             .finish_non_exhaustive()
     }

@@ -10,7 +10,7 @@
 //! folds the *same* rules over the persisted log, so the state recovery
 //! rebuilds is by construction the state the live path built.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use todr_db::Database;
@@ -31,13 +31,52 @@ pub(crate) enum Accept {
     Ahead,
 }
 
+/// What a replica knows of one creator's actions. Appendix A keeps
+/// `redCut` per creator, and per-creator FIFO (an action is accepted
+/// only as its creator's next, and greened in creator order) makes the
+/// rest follow from two cuts:
+///
+/// * the creator's red actions are exactly `(green, red]`;
+/// * its retained bodies are one contiguous run of indices ending at
+///   `red` — the reds, below them the greens not yet discarded;
+/// * discarding white actions pops the run's front, in green order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct CreatorRecord {
+    /// The highest contiguously accepted index (`redCut`).
+    red: u64,
+    /// The highest green index.
+    green: u64,
+    /// Whether a green mark, an adopted base or a load has put `green`
+    /// on record: only such creators appear in [`Knowledge::green_cuts`].
+    green_on_record: bool,
+    /// The retained bodies, the last one at index `red`.
+    bodies: VecDeque<Rc<Body>>,
+}
+
+impl CreatorRecord {
+    /// The retained body at `index`.
+    fn body(&self, index: u64) -> Option<&Rc<Body>> {
+        let first = self.red + 1 - self.bodies.len() as u64;
+        self.bodies
+            .get(usize::try_from(index.checked_sub(first)?).ok()?)
+    }
+
+    /// The red bodies, `(green, red]`, in index order.
+    fn reds(&self) -> impl Iterator<Item = &Rc<Body>> {
+        let reds = (self.red - self.green) as usize;
+        self.bodies.range(self.bodies.len() - reds..)
+    }
+}
+
 /// Everything a replica mirrors on stable storage; what `recover`
 /// reloads and a crash cannot take away.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Knowledge {
-    /// Retained action bodies, red and not-yet-discarded green (the
+    /// Per creator: the red and green cuts and the retained bodies (the
     /// paper's `actionsQueue`).
-    pub actions: BTreeMap<ActionId, Rc<Body>>,
+    creators: BTreeMap<NodeId, CreatorRecord>,
+    /// Bodies retained over all creators.
+    retained: usize,
     /// Number of green actions: the position of this server's green
     /// line.
     pub green_count: u64,
@@ -47,12 +86,6 @@ pub(crate) struct Knowledge {
     /// Green action ids from `green_floor` on, in global order
     /// (position `green_floor + i`).
     pub green_tail: Vec<ActionId>,
-    /// Per creator, the highest green action index.
-    pub green_cut: BTreeMap<NodeId, u64>,
-    /// Red actions (accepted, not green), in `ActionId` order.
-    pub red_set: BTreeSet<ActionId>,
-    /// Per creator, the highest contiguously accepted index (`redCut`).
-    pub red_cut: BTreeMap<NodeId, u64>,
     /// The green database: every green `App` action applied in order.
     pub db: Database,
     /// The last known primary component (`primComponent`).
@@ -84,13 +117,11 @@ impl Knowledge {
     pub(crate) fn new(server_set: impl IntoIterator<Item = NodeId>) -> Self {
         let server_set: BTreeSet<NodeId> = server_set.into_iter().collect();
         Knowledge {
-            actions: BTreeMap::new(),
+            creators: BTreeMap::new(),
+            retained: 0,
             green_count: 0,
             green_floor: 0,
             green_tail: Vec::new(),
-            green_cut: BTreeMap::new(),
-            red_set: BTreeSet::new(),
-            red_cut: BTreeMap::new(),
             db: Database::new(),
             prim_component: PrimComponent::initial(server_set.iter().copied()),
             attempt_index: 0,
@@ -113,23 +144,77 @@ impl Knowledge {
             .unwrap_or(0)
     }
 
-    /// The kind of a retained action.
-    pub(crate) fn kind_of(&self, id: &ActionId) -> Option<&ActionKind> {
-        self.actions.get(id).map(|a| &a.kind)
+    /// `creator`'s red cut: its highest contiguously accepted index.
+    pub(crate) fn red_cut(&self, creator: NodeId) -> u64 {
+        self.creators.get(&creator).map_or(0, |c| c.red)
     }
 
-    /// Actions whose order is fixed here but not yet green: the red set,
-    /// then the yellow set.
-    pub(crate) fn in_flight(&self) -> impl Iterator<Item = &ActionId> {
-        self.red_set.iter().chain(self.yellow.set.iter())
+    /// Every creator this server has heard of, with its red cut — as a
+    /// state message carries them. A creator first heard of out of
+    /// order, or as a joiner, is present at 0.
+    pub(crate) fn red_cuts(&self) -> BTreeMap<NodeId, u64> {
+        self.creators.iter().map(|(&s, c)| (s, c.red)).collect()
+    }
+
+    /// The green cuts on record, as a base record or snapshot carries
+    /// them.
+    pub(crate) fn green_cuts(&self) -> BTreeMap<NodeId, u64> {
+        self.creators
+            .iter()
+            .filter(|(_, c)| c.green_on_record)
+            .map(|(&s, c)| (s, c.green))
+            .collect()
+    }
+
+    /// Makes `creator` known at red cut 0 (a joiner, before it creates
+    /// anything).
+    pub(crate) fn note_creator(&mut self, creator: NodeId) {
+        self.creators.entry(creator).or_default();
+    }
+
+    /// Number of retained bodies, red and not-yet-discarded green.
+    pub(crate) fn retained(&self) -> usize {
+        self.retained
+    }
+
+    /// A retained body.
+    pub(crate) fn body(&self, id: &ActionId) -> Option<&Rc<Body>> {
+        self.creators.get(&id.server)?.body(id.index)
+    }
+
+    /// `id`'s body, if `id` is red here.
+    pub(crate) fn red_body(&self, id: &ActionId) -> Option<&Rc<Body>> {
+        let creator = self.creators.get(&id.server)?;
+        if id.index <= creator.green {
+            return None;
+        }
+        creator.body(id.index)
+    }
+
+    /// The red set's bodies, in `ActionId` order: per creator,
+    /// `(green, red]`.
+    pub(crate) fn red_bodies(&self) -> impl Iterator<Item = &Rc<Body>> {
+        self.creators.values().flat_map(CreatorRecord::reds)
+    }
+
+    /// Actions whose order is fixed here but not yet green — the red
+    /// set, then the yellow set — with their kind (`None`: no body).
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = (ActionId, Option<&ActionKind>)> {
+        let red = self.red_bodies().map(|b| (b.id, Some(&b.kind)));
+        let yellow = self
+            .yellow
+            .set
+            .iter()
+            .map(|id| (*id, self.body(id).map(|b| &b.kind)));
+        red.chain(yellow)
     }
 
     /// The green database with the red actions replayed over it (the §6
     /// dirty view).
     pub(crate) fn dirty_db(&self) -> Database {
         let mut dirty = self.db.snapshot();
-        for id in &self.red_set {
-            if let Some(ActionKind::App { update, .. }) = self.kind_of(id) {
+        for body in self.red_bodies() {
+            if let ActionKind::App { update, .. } = &body.kind {
                 dirty.apply(update);
             }
         }
@@ -141,16 +226,16 @@ impl Knowledge {
     /// leaves the colouring untouched.
     pub(crate) fn accept_red(&mut self, action: &Rc<Body>) -> Accept {
         let id = action.id;
-        let cut = self.red_cut.entry(id.server).or_insert(0);
-        if id.index > *cut + 1 {
+        let creator = self.creators.entry(id.server).or_default();
+        if id.index > creator.red + 1 {
             return Accept::Ahead;
         }
-        if id.index != *cut + 1 {
+        if id.index != creator.red + 1 {
             return Accept::Duplicate;
         }
-        *cut = id.index;
-        self.actions.insert(id, Rc::clone(action));
-        self.red_set.insert(id);
+        creator.red = id.index;
+        creator.bodies.push_back(Rc::clone(action));
+        self.retained += 1;
         Accept::New
     }
 
@@ -165,17 +250,19 @@ impl Knowledge {
     /// not a benign race.
     pub(crate) fn mark_green(&mut self, action: &Action) -> bool {
         let id = action.id;
-        if self.green_cut.get(&id.server).copied().unwrap_or(0) >= id.index {
+        let creator = self.creators.get_mut(&id.server);
+        let (green, red) = creator.as_ref().map_or((0, 0), |c| (c.green, c.red));
+        if green >= id.index {
             return false;
         }
-        assert!(
-            self.red_cut.get(&id.server).copied().unwrap_or(0) >= id.index,
-            "green mark for unaccepted action {id}"
-        );
-        self.red_set.remove(&id);
+        assert!(red >= id.index, "green mark for unaccepted action {id}");
+        debug_assert_eq!(id.index, green + 1, "green mark out of creator order");
+        if let Some(creator) = creator {
+            creator.green = id.index;
+            creator.green_on_record = true;
+        }
         self.green_tail.push(id);
         self.green_count += 1;
-        self.green_cut.insert(id.server, id.index);
         if let ActionKind::App { update, .. } = &action.kind {
             self.db.apply(update);
         }
@@ -184,12 +271,13 @@ impl Knowledge {
 
     /// Replaces the green prefix with an inherited database state (§5.1
     /// transfer / exchange snapshot fallback). Red actions the snapshot
-    /// already incorporates are dropped.
+    /// already incorporates are dropped, and so is every retained green
+    /// body: the green tail restarts empty.
     pub(crate) fn adopt_base(
         &mut self,
         db: Database,
         green_count: u64,
-        green_cut: &BTreeMap<NodeId, u64>,
+        green_cuts: &BTreeMap<NodeId, u64>,
     ) {
         self.db = db;
         self.green_count = green_count;
@@ -197,17 +285,18 @@ impl Knowledge {
         self.green_tail.clear();
         // Merge cuts: the snapshot may know creators we do not and vice
         // versa.
-        for (server, cut) in green_cut {
-            let entry = self.green_cut.entry(*server).or_insert(0);
-            *entry = (*entry).max(*cut);
-            let red = self.red_cut.entry(*server).or_insert(0);
-            *red = (*red).max(*cut);
+        for (server, &cut) in green_cuts {
+            let creator = self.creators.entry(*server).or_default();
+            creator.green = creator.green.max(cut);
+            creator.green_on_record = true;
+            creator.red = creator.red.max(cut);
         }
-        let cuts = &self.green_cut;
-        self.red_set
-            .retain(|id| id.index > cuts.get(&id.server).copied().unwrap_or(0));
-        self.actions
-            .retain(|id, _| id.index > cuts.get(&id.server).copied().unwrap_or(0));
+        for creator in self.creators.values_mut() {
+            let keep = (creator.red - creator.green) as usize;
+            let drop = creator.bodies.len().saturating_sub(keep);
+            creator.bodies.drain(..drop);
+            self.retained -= drop;
+        }
     }
 
     /// Discards the bodies of **white** actions (§3). Returns how many
@@ -223,7 +312,7 @@ impl Knowledge {
         // never re-based to `white` directly. Re-basing silently breaks
         // `green_floor + green_tail.len() == green_count` whenever the
         // window exceeds the tail (the two quantities then disagree
-        // with the retained-body map, and the green retransmission
+        // with the retained bodies, and the green retransmission
         // indexes the tail with a phantom offset). The debug asserts pin
         // the invariant: the white line never runs ahead of our own
         // green count, so the window is always fully covered by the
@@ -239,17 +328,25 @@ impl Knowledge {
         );
         let mut pruned = 0;
         for id in self.green_tail.drain(..k) {
-            if self.actions.remove(&id).is_some() {
+            // Greens come in creator order, so the oldest retained body
+            // of the creator is this one.
+            let front = self
+                .creators
+                .get_mut(&id.server)
+                .and_then(|c| c.bodies.pop_front());
+            if let Some(body) = front {
+                debug_assert_eq!(body.id, id, "pruned body out of green order");
                 pruned += 1;
             }
         }
+        self.retained -= pruned;
         self.green_floor += k as u64;
         debug_assert_eq!(
             self.green_floor + self.green_tail.len() as u64,
             self.green_count,
             "green floor/tail disagree with the green count"
         );
-        Some(pruned)
+        Some(pruned as u64)
     }
 
     /// What a crashed server still holds in memory of its coloured
@@ -301,8 +398,12 @@ mod tests {
         })
     }
 
-    fn cut(cuts: &BTreeMap<NodeId, u64>, server: u32) -> u64 {
-        cuts.get(&NodeId::new(server)).copied().unwrap_or(0)
+    fn red(k: &Knowledge, server: u32) -> u64 {
+        k.red_cut(NodeId::new(server))
+    }
+
+    fn green(k: &Knowledge, server: u32) -> u64 {
+        k.creators.get(&NodeId::new(server)).map_or(0, |c| c.green)
     }
 
     /// A replica's knowledge and store, driven the way the engine's
@@ -365,10 +466,15 @@ mod tests {
             let mut k = self.k.clone();
             let absorbed = (self.based_at - k.green_floor) as usize;
             for id in k.green_tail.drain(..absorbed) {
-                k.actions.remove(&id);
+                let front = k
+                    .creators
+                    .get_mut(&id.server)
+                    .and_then(|c| c.bodies.pop_front());
+                assert_eq!(front.map(|b| b.id), Some(id));
+                k.retained -= 1;
             }
             k.green_floor = self.based_at;
-            k.red_cut.retain(|_, cut| *cut > 0);
+            k.creators.retain(|_, c| c.red > 0 || c.green_on_record);
             k
         }
     }
@@ -387,7 +493,7 @@ mod tests {
                 match rng.gen_range(16) {
                     // Accept: the creator's next, a duplicate, or ahead.
                     0..=6 => {
-                        let next = cut(&r.k.red_cut, creator) + 1;
+                        let next = red(&r.k, creator) + 1;
                         let index = (next + rng.gen_range(4)).saturating_sub(2).max(1);
                         let verdict = r.accept(&action(creator, index));
                         assert_eq!(verdict == Accept::New, index == next);
@@ -395,11 +501,11 @@ mod tests {
                     // Green the creator's oldest red (per-creator FIFO),
                     // or an already green action (a no-op).
                     7..=10 => {
-                        let next = cut(&r.k.green_cut, creator) + 1;
-                        if next <= cut(&r.k.red_cut, creator) {
+                        let next = green(&r.k, creator) + 1;
+                        if next <= red(&r.k, creator) {
                             assert!(r.green(&action(creator, next)));
                         }
-                        let done = cut(&r.k.green_cut, creator);
+                        let done = green(&r.k, creator);
                         assert!(done == 0 || !r.green(&action(creator, done)));
                     }
                     // Peers' green lines move up; prune below the white line.
@@ -419,7 +525,7 @@ mod tests {
                         let mut donor = r.k.clone();
                         for _ in 0..rng.gen_range(6) {
                             let c = rng.gen_range(CREATORS as u64) as u32;
-                            let a = action(c, cut(&donor.green_cut, c) + 1);
+                            let a = action(c, green(&donor, c) + 1);
                             donor.accept_red(&a);
                             assert!(donor.mark_green(&a));
                         }
@@ -427,7 +533,7 @@ mod tests {
                             r.k.adopt_base(
                                 donor.db.snapshot(),
                                 donor.green_count,
-                                &donor.green_cut,
+                                &donor.green_cuts(),
                             );
                             r.rebase();
                         }
@@ -451,6 +557,147 @@ mod tests {
         }
     }
 
+    /// The representation `Knowledge` had before it kept one record per
+    /// creator — retained bodies, red set, red cut and green cut as four
+    /// maps, each rule written directly against them — as the reference
+    /// the derived views must equal.
+    #[derive(Default)]
+    struct FourMaps {
+        bodies: BTreeMap<ActionId, Rc<Body>>,
+        reds: BTreeSet<ActionId>,
+        red_cuts: BTreeMap<NodeId, u64>,
+        green_cuts: BTreeMap<NodeId, u64>,
+    }
+
+    impl FourMaps {
+        fn accept_red(&mut self, action: &Rc<Body>) -> Accept {
+            let id = action.id;
+            let cut = self.red_cuts.entry(id.server).or_insert(0);
+            if id.index > *cut + 1 {
+                return Accept::Ahead;
+            }
+            if id.index != *cut + 1 {
+                return Accept::Duplicate;
+            }
+            *cut = id.index;
+            self.bodies.insert(id, Rc::clone(action));
+            self.reds.insert(id);
+            Accept::New
+        }
+
+        fn mark_green(&mut self, id: ActionId) -> bool {
+            if self.green_cuts.get(&id.server).copied().unwrap_or(0) >= id.index {
+                return false;
+            }
+            self.reds.remove(&id);
+            self.green_cuts.insert(id.server, id.index);
+            true
+        }
+
+        fn adopt_base(&mut self, green_cuts: &BTreeMap<NodeId, u64>) {
+            for (server, cut) in green_cuts {
+                let green = self.green_cuts.entry(*server).or_insert(0);
+                *green = (*green).max(*cut);
+                let red = self.red_cuts.entry(*server).or_insert(0);
+                *red = (*red).max(*cut);
+            }
+            let cuts = &self.green_cuts;
+            let above = |id: &ActionId| id.index > cuts.get(&id.server).copied().unwrap_or(0);
+            self.reds.retain(|id| above(id));
+            self.bodies.retain(|id, _| above(id));
+        }
+
+        fn assert_equals(&self, k: &Knowledge, context: &str) {
+            let reds: Vec<ActionId> = self.reds.iter().copied().collect();
+            let red_bodies: Vec<ActionId> = k.red_bodies().map(|b| b.id).collect();
+            assert_eq!(red_bodies, reds, "{context}");
+            for server in (0..CREATORS).map(NodeId::new) {
+                let top = self.red_cuts.get(&server).copied().unwrap_or(0) + 2;
+                for index in 0..=top {
+                    let id = ActionId { server, index };
+                    let want = self.bodies.get(&id).map(|b| b.id);
+                    assert_eq!(k.body(&id).map(|b| b.id), want, "{context}: {id}");
+                    let want_red = want.filter(|id| self.reds.contains(id));
+                    assert_eq!(k.red_body(&id).map(|b| b.id), want_red, "{context}: {id}");
+                }
+            }
+            assert_eq!(k.red_cuts(), self.red_cuts, "{context}");
+            assert_eq!(k.green_cuts(), self.green_cuts, "{context}");
+            assert_eq!(k.retained(), self.bodies.len(), "{context}");
+        }
+    }
+
+    /// One record per creator derives the same red set, bodies, cut maps
+    /// (0-valued entries included) and retained count as the four maps
+    /// did, over random accept (next, duplicate, ahead) / green / prune /
+    /// adopt-base / crash sequences.
+    #[test]
+    fn creator_records_equal_the_four_map_model() {
+        for seed in 0..200u64 {
+            let mut rng = SimRng::new(seed);
+            let mut k = Knowledge::new((0..CREATORS).map(NodeId::new));
+            let mut model = FourMaps::default();
+            for step in 0..150 {
+                let creator = rng.gen_range(CREATORS as u64) as u32;
+                let context = format!("seed {seed} step {step}");
+                match rng.gen_range(20) {
+                    0..=7 => {
+                        let next = red(&k, creator) + 1;
+                        let a = action(creator, (next + rng.gen_range(4)).saturating_sub(2));
+                        assert_eq!(k.accept_red(&a), model.accept_red(&a), "{context}");
+                    }
+                    8..=12 => {
+                        let next = green(&k, creator) + 1;
+                        let index = if rng.gen_range(4) == 0 {
+                            next - 1
+                        } else {
+                            next
+                        };
+                        if index <= red(&k, creator) {
+                            let a = action(creator, index);
+                            assert_eq!(k.mark_green(&a), model.mark_green(a.id), "{context}");
+                            let count = k.green_count;
+                            k.green_lines.insert(NodeId::new(ME), count);
+                        }
+                    }
+                    13..=15 => {
+                        for peer in 1..CREATORS {
+                            let line = k.green_lines.entry(NodeId::new(peer)).or_insert(0);
+                            *line += rng.gen_range(k.green_count - *line + 1);
+                        }
+                        let (tail, floor) = (k.green_tail.clone(), k.green_floor);
+                        let pruned = k.prune_white().unwrap_or(0);
+                        let dropped = &tail[..(k.green_floor - floor) as usize];
+                        for id in dropped {
+                            model.bodies.remove(id);
+                        }
+                        assert_eq!(pruned, dropped.len() as u64, "{context}");
+                    }
+                    16..=18 => {
+                        // A donor's cuts: any creator, below, at or above
+                        // ours, 0 included.
+                        let mut cuts = BTreeMap::new();
+                        for c in 0..CREATORS {
+                            if rng.gen_range(2) == 0 {
+                                let reach = red(&k, c) + 3;
+                                cuts.insert(NodeId::new(c), rng.gen_range(reach));
+                            }
+                        }
+                        let count = k.green_count + rng.gen_range(4);
+                        k.adopt_base(Database::new(), count, &cuts);
+                        k.green_lines.insert(NodeId::new(ME), count);
+                        model.adopt_base(&cuts);
+                    }
+                    _ => {
+                        k.forget_colours();
+                        model = FourMaps::default();
+                    }
+                }
+                model.assert_equals(&k, &context);
+            }
+        }
+    }
+
     /// Out-of-order and duplicate acceptance say so and colour nothing.
     #[test]
     fn only_the_creators_next_action_is_accepted() {
@@ -462,20 +709,21 @@ mod tests {
         assert_eq!(k, before);
         // A creator first heard of out of order is known, at cut 0.
         assert_eq!(k.accept_red(&action(1, 2)), Accept::Ahead);
-        assert_eq!(cut(&k.red_cut, 1), 0);
-        assert_eq!((k.actions.len(), k.red_set.len()), (1, 1));
+        assert_eq!(k.red_cuts().get(&NodeId::new(1)), Some(&0));
+        assert_eq!((k.retained(), k.red_bodies().count()), (1, 1));
 
         assert_eq!(k.accept_red(&action(0, 2)), Accept::New);
         assert_eq!(k.accept_red(&action(0, 3)), Accept::New);
-        assert_eq!(cut(&k.red_cut, 0), 3);
+        assert_eq!(red(&k, 0), 3);
 
         assert!(k.mark_green(&action(0, 1)));
         let before = k.clone();
         assert!(!k.mark_green(&action(0, 1)), "already green");
         assert_eq!(k, before);
-        assert_eq!((k.green_count, cut(&k.green_cut, 0)), (1, 1));
+        assert_eq!((k.green_count, green(&k, 0)), (1, 1));
+        assert_eq!(k.green_cuts(), [(NodeId::new(0), 1)].into());
         assert_eq!(k.green_tail, vec![action(0, 1).id]);
-        assert_eq!(k.red_set.len(), 2);
+        assert_eq!(k.red_bodies().count(), 2);
     }
 
     #[test]

@@ -187,12 +187,11 @@ impl Knowledge {
         let base = BaseRef {
             db: &self.db,
             green_count: self.green_count,
-            green_cut: &self.green_cut,
+            green_cut: &self.green_cuts(),
         };
         store.put_record(K_BASE, &base);
         store.truncate_log();
-        for id in &self.red_set {
-            let body = self.actions.get(id).expect("red body present");
+        for body in self.red_bodies() {
             store.append_shared(body.accepted_entry());
         }
     }
@@ -237,29 +236,21 @@ pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge,
         );
     }
     let ongoing: Vec<Action> = record(store, K_ONGOING)?.unwrap_or_default();
-    let mut k = Knowledge {
-        actions: BTreeMap::new(),
-        green_count: base.green_count,
-        green_floor: base.green_count,
-        green_tail: Vec::new(),
-        red_set: BTreeSet::new(),
-        red_cut: base.green_cut.clone(),
-        green_cut: base.green_cut,
-        db: base.db,
-        prim_component: record(store, K_PRIM)?.unwrap_or_else(|| held.prim_component.clone()),
-        attempt_index: record(store, K_ATTEMPT)?.unwrap_or(0),
-        vulnerable: record(store, K_VULNERABLE)?.unwrap_or_else(VulnerableRecord::invalid),
-        yellow: record(store, K_YELLOW)?.unwrap_or_else(YellowRecord::invalid),
-        green_lines: record(store, K_GREEN_LINES)?.unwrap_or_default(),
-        server_set: record(store, K_SERVER_SET)?
-            .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
-            .unwrap_or_else(|| held.server_set.clone()),
-        action_index: record(store, K_ACTION_INDEX)?.unwrap_or(0),
-        ongoing: ongoing
-            .into_iter()
-            .map(|a| (a.id.index, Body::new(a)))
-            .collect(),
-    };
+    let mut k = Knowledge::new([]);
+    k.adopt_base(base.db, base.green_count, &base.green_cut);
+    k.prim_component = record(store, K_PRIM)?.unwrap_or_else(|| held.prim_component.clone());
+    k.attempt_index = record(store, K_ATTEMPT)?.unwrap_or(0);
+    k.vulnerable = record(store, K_VULNERABLE)?.unwrap_or_else(VulnerableRecord::invalid);
+    k.yellow = record(store, K_YELLOW)?.unwrap_or_else(YellowRecord::invalid);
+    k.green_lines = record(store, K_GREEN_LINES)?.unwrap_or_default();
+    k.server_set = record(store, K_SERVER_SET)?
+        .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
+        .unwrap_or_else(|| held.server_set.clone());
+    k.action_index = record(store, K_ACTION_INDEX)?.unwrap_or(0);
+    k.ongoing = ongoing
+        .into_iter()
+        .map(|a| (a.id.index, Body::new(a)))
+        .collect();
     // A verified log is a prefix of what the live rules wrote, so every
     // entry is its creator's next and every green id has its body; the
     // debug asserts say so. (Only the `SkipChecksumVerify` mutation
@@ -271,7 +262,7 @@ pub(crate) fn load(store: &StorageHandle, held: &Knowledge) -> Result<Knowledge,
                 debug_assert_eq!(verdict, Accept::New, "non-contiguous persisted log");
             }
             PersistEntry::Green(id) => {
-                let body = k.actions.get(&id).cloned();
+                let body = k.body(&id).cloned();
                 let newly = body.is_some_and(|action| k.mark_green(&action));
                 debug_assert!(newly, "green regression in persisted log");
             }
@@ -313,7 +304,7 @@ mod tests {
     fn load_from_empty_store_gives_defaults() {
         let store = StorageHandle::sim();
         let st = load(&store).expect("empty store loads");
-        assert!(st.actions.is_empty());
+        assert_eq!(st.retained(), 0);
         assert!(st.green_tail.is_empty());
         assert_eq!(st.attempt_index, 0);
         assert!(!st.vulnerable.valid);
@@ -334,12 +325,12 @@ mod tests {
         let st = load(&store).expect("clean log loads");
         assert_eq!(st.green_tail, vec![a1.id]);
         assert_eq!(
-            st.red_set.iter().copied().collect::<Vec<_>>(),
+            st.red_bodies().map(|b| b.id).collect::<Vec<_>>(),
             vec![a2.id, b1.id] // ActionId order: (n0,2) < (n1,1)
         );
-        assert_eq!(st.red_cut[&NodeId::new(0)], 2);
-        assert_eq!(st.red_cut[&NodeId::new(1)], 1);
-        assert_eq!(st.actions.len(), 3);
+        assert_eq!(st.red_cut(NodeId::new(0)), 2);
+        assert_eq!(st.red_cut(NodeId::new(1)), 1);
+        assert_eq!(st.retained(), 3);
     }
 
     #[test]
@@ -350,8 +341,8 @@ mod tests {
         store.append_shared(action(0, 2).accepted_entry());
         store.crash();
         let st = load(&store).expect("clean log loads");
-        assert_eq!(st.actions.len(), 1);
-        assert_eq!(st.red_cut[&NodeId::new(0)], 1);
+        assert_eq!(st.retained(), 1);
+        assert_eq!(st.red_cut(NodeId::new(0)), 1);
     }
 
     #[test]
@@ -388,7 +379,10 @@ mod tests {
         assert_eq!(st.db, db);
         assert_eq!(st.db.row_version("t", "k"), db.row_version("t", "k"));
         assert_eq!((st.green_count, st.green_floor), (2, 2));
-        assert_eq!((&st.green_cut, &st.red_cut), (&green_cut, &green_cut));
+        assert_eq!(
+            (st.green_cuts(), st.red_cuts()),
+            (green_cut.clone(), green_cut)
+        );
     }
 
     #[test]
@@ -446,6 +440,6 @@ mod tests {
         let index = load(&store).expect_err("torn tail").log_index().unwrap();
         store.truncate_log_from(index);
         let st = load(&store).expect("repaired log loads");
-        assert_eq!(st.actions.len(), 1);
+        assert_eq!(st.retained(), 1);
     }
 }

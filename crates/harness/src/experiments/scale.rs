@@ -26,8 +26,9 @@
 //!    largest full-load engine cell with the world's step profile on,
 //!    reported as each actor kind's share of handler time, and the
 //!    engine's share split by the kind of event it handled (delivery,
-//!    receipt, disk completion, client request, anything else). The
-//!    timed repetitions stay unprofiled.
+//!    receipt, disk completion, client request, anything else), and
+//!    the time the world spends outside every handler. The timed
+//!    repetitions stay unprofiled.
 //!
 //! Emits the machine-readable `BENCH_scale.json` consumed by the CI
 //! scale gate. Virtual-time numbers are deterministic per seed;
@@ -102,6 +103,21 @@ pub struct HostShare {
     pub share: f64,
 }
 
+/// The profiled repetition's host time outside every handler: the
+/// world's event queue and dispatch, its effect buffer, and the
+/// profile's own clock reads.
+#[derive(Debug, Clone, Serialize)]
+pub struct WorldHost {
+    /// Events the world dispatched in the profiled advance.
+    pub events: u64,
+    /// Host milliseconds of the whole profiled advance, rounded to 0.001.
+    pub wall_ms: f64,
+    /// `wall_ms` minus the summed handler time, rounded to 0.001.
+    pub outside_handlers_ms: f64,
+    /// `outside_handlers_ms` over `wall_ms`, rounded to 0.0001.
+    pub share: f64,
+}
+
 /// Membership-change cost at one cluster size.
 #[derive(Debug, Clone, Serialize)]
 pub struct MembershipCost {
@@ -139,6 +155,8 @@ pub struct Scale {
     /// share first. Kernel time (event queue, effect buffer) is outside
     /// every handler and so outside these shares.
     pub host_share_by_actor_kind: Vec<HostShare>,
+    /// The same repetition's time outside those handlers.
+    pub world: WorldHost,
     /// The `engine` row of `host_share_by_actor_kind` split by the kind
     /// of event handled (`ReplicationEngine`'s `Actor::event_kind`),
     /// largest share first.
@@ -201,7 +219,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
-    let (host_share_by_actor_kind, engine_host_by_event_kind) =
+    let (host_share_by_actor_kind, world, engine_host_by_event_kind) =
         profile_engine_cell(largest, max_pack, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
@@ -217,6 +235,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         calibration,
         wall_scaling_ratio,
         host_share_by_actor_kind,
+        world,
         engine_host_by_event_kind,
         cells,
         membership,
@@ -254,21 +273,33 @@ fn loaded_engine_cluster(
 
 /// The full-load engine cell at `n` replicas once more, with the step
 /// profile on for exactly the advance [`engine_cell`] times: handler
-/// time by actor kind, and the engine's by event kind.
+/// time by actor kind, the time outside every handler, and the engine's
+/// handler time by event kind.
 fn profile_engine_cell(
     n: u32,
     max_pack: usize,
     warmup: SimDuration,
     window: SimDuration,
     seed: u64,
-) -> (Vec<HostShare>, Vec<HostShare>) {
+) -> (Vec<HostShare>, WorldHost, Vec<HostShare>) {
     let (mut cluster, _) = loaded_engine_cluster(n, n as usize, None, max_pack, warmup, seed);
     cluster.world.enable_step_profile();
+    let events_before = cluster.world.events_processed();
+    let wall = Instant::now();
     cluster.run_for(warmup + window);
+    let wall = wall.elapsed().as_secs_f64();
     let by_actor = cluster.world.step_profile();
     let by_event = cluster.world.step_profile_by_event("engine");
+    let handlers: f64 = by_actor.values().map(|c| c.wall.as_secs_f64()).sum();
+    let world = WorldHost {
+        events: cluster.world.events_processed() - events_before,
+        wall_ms: round3(wall * 1000.0),
+        outside_handlers_ms: round3((wall - handlers) * 1000.0),
+        share: ((wall - handlers) / wall * 1e4).round() / 1e4,
+    };
     (
         shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
+        world,
         shares(by_event.iter().map(|(kind, cost)| (*kind, cost))),
     )
 }
@@ -545,9 +576,12 @@ impl Scale {
                 .collect();
             super::render_table(&headers, &rows)
         };
+        let w = &self.world;
         format!(
             "Scale sweep (delayed writes, pack {}), sizes {:?}; wall scaling ratio {:.2}\n{}\n\
              Handler time by actor kind ({}x{} engine cell, separate profiled repetition)\n{}\n\
+             Outside every handler (world: queue, dispatch, profile clock): \
+             {:.1} of {:.1} ms ({:.1}%), {:.2} us/event\n\
              Engine handler time by event kind (same repetition)\n{}\n\
              Membership-change cost\n{}",
             self.max_pack,
@@ -557,6 +591,10 @@ impl Scale {
             self.calibration.replicas,
             self.calibration.clients,
             share_table("actor kind", &self.host_share_by_actor_kind),
+            w.outside_handlers_ms,
+            w.wall_ms,
+            w.share * 100.0,
+            w.outside_handlers_ms * 1000.0 / w.events as f64,
             share_table("engine event", &self.engine_host_by_event_kind),
             super::render_table(&m_headers, &m_rows)
         )

@@ -241,6 +241,14 @@ fn scale_profile_accounts_for_every_event_of_the_unprofiled_cell() {
     }
     let share_sum: f64 = kinds.iter().map(|k| k.share).sum();
     assert!((share_sum - 1.0).abs() < 1e-3, "shares sum to {share_sum}");
+    // The world's own time is the rest of the profiled advance.
+    let world = &sweep.world;
+    assert_eq!(world.events, profiled_events);
+    assert!(world.outside_handlers_ms > 0.0 && world.wall_ms > total_ms);
+    assert!(
+        (world.outside_handlers_ms + total_ms - world.wall_ms).abs() < 0.01,
+        "{world:?} vs {total_ms} ms in handlers"
+    );
 
     // The engine's row, split by event kind, adds back up to it.
     let engine = kinds

@@ -2,6 +2,7 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::actor::ActorId;
@@ -128,10 +129,70 @@ impl Ord for QueuedEvent {
     }
 }
 
+/// The world's pending events, popped in `(at, tie, seq)` order.
+///
+/// Most events are due at the instant they are pushed (a handler's
+/// `send_now`). Those that the caller marks `due_now` skip the heap: they
+/// queue on a FIFO lane and are popped from it whenever its front is
+/// earlier than the heap's top. The caller marks an event only when its
+/// `at` is the current instant and its tie key is the constant FIFO one.
+/// Since `seq` rises with every push, and the clock cannot pass an
+/// instant while an event due at it is pending, the lane is then sorted
+/// by `(at, tie, seq)` by construction, and the pop order is exactly the
+/// heap's.
+#[derive(Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<QueuedEvent>,
+    now_lane: VecDeque<QueuedEvent>,
+}
+
+impl EventQueue {
+    pub fn push(&mut self, event: QueuedEvent, due_now: bool) {
+        if due_now {
+            debug_assert!(self.now_lane.back().is_none_or(|last| *last > event));
+            self.now_lane.push_back(event);
+        } else {
+            self.heap.push(event);
+        }
+    }
+
+    /// Whether the next event is the lane's front (`Ord` is reversed:
+    /// the greater event is the earlier).
+    fn lane_first(&self) -> bool {
+        match (self.now_lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) => lane > heap,
+            (lane, _) => lane.is_some(),
+        }
+    }
+
+    pub fn peek(&self) -> Option<&QueuedEvent> {
+        if self.lane_first() {
+            self.now_lane.front()
+        } else {
+            self.heap.peek()
+        }
+    }
+
+    pub fn pop(&mut self) -> Option<QueuedEvent> {
+        if self.lane_first() {
+            self.now_lane.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.heap.len() + self.now_lane.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty() && self.now_lane.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
     #[test]
     fn payload_downcast_roundtrip() {

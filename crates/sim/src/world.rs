@@ -1,11 +1,11 @@
 //! The [`World`]: actor registry, event queue and virtual clock.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use crate::actor::{Actor, ActorId};
-use crate::event::{IntoPayload, Payload, QueuedEvent};
+use crate::event::{EventQueue, IntoPayload, Payload, QueuedEvent};
 use crate::metrics::{MetricsHub, ProtocolEvent};
 use crate::rng::{splitmix64, SimRng};
 use crate::time::{SimDuration, SimTime};
@@ -175,7 +175,7 @@ struct Slot {
 /// events and calls [`World::run_until`] or [`World::run_to_quiescence`].
 pub struct World {
     now: SimTime,
-    queue: BinaryHeap<QueuedEvent>,
+    queue: EventQueue,
     actors: Vec<Slot>,
     rng: SimRng,
     fault_rng: SimRng,
@@ -201,7 +201,7 @@ impl World {
     pub fn new(seed: u64) -> Self {
         World {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             actors: Vec::new(),
             rng: SimRng::new(seed),
             fault_rng: SimRng::new(splitmix64(seed ^ 0xFA01_7FA0_17FA_017F)),
@@ -279,13 +279,17 @@ impl World {
     fn push_event(&mut self, at: SimTime, target: ActorId, payload: Payload) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(QueuedEvent {
+        // A seeded tie key reorders same-instant events, so only FIFO
+        // pushes may take the same-instant lane.
+        let due_now = at == self.now && self.tie_break == TieBreak::Fifo;
+        let event = QueuedEvent {
             at,
             tie: self.tie_break.key(target, at),
             seq,
             target,
             payload,
-        });
+        };
+        self.queue.push(event, due_now);
     }
 
     /// Current virtual time.
@@ -548,6 +552,9 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
 
     struct Counter {
         count: u32,
@@ -916,6 +923,123 @@ mod tests {
         w.schedule(SimTime::from_millis(1), a, Poke);
         w.run_to_quiescence();
         assert_eq!(*order.borrow(), vec![0, 1], "time order is inviolable");
+    }
+
+    /// Every push the kernel was given, keyed by `(at, tie, push order)`:
+    /// the reference its pop order must equal.
+    struct Reference {
+        policy: TieBreak,
+        pending: BTreeSet<(SimTime, u64, u64)>,
+        pushes: u64,
+        delivered: u64,
+        actors: Vec<ActorId>,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: SimTime, target: ActorId) -> Msg {
+            let order = self.pushes;
+            self.pushes += 1;
+            self.pending
+                .insert((at, self.policy.key(target, at), order));
+            Msg(order)
+        }
+    }
+
+    /// A message carrying its push order.
+    struct Msg(u64);
+
+    /// Checks each delivery against the reference, then pushes a few
+    /// more events through a random one of `Ctx`'s scheduling calls.
+    struct Spawner {
+        reference: Rc<RefCell<Reference>>,
+    }
+
+    const PUSH_BUDGET: u64 = 1_500;
+
+    impl Actor for Spawner {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            let Some(Msg(order)) = payload.downcast::<Msg>() else {
+                return;
+            };
+            let mut r = self.reference.borrow_mut();
+            let Some((at, _, first)) = r.pending.pop_first() else {
+                panic!("delivered {order}, but the reference holds nothing")
+            };
+            assert_eq!((ctx.now(), order), (at, first), "pop order");
+            r.delivered += 1;
+            let children = if r.pushes < PUSH_BUDGET {
+                ctx.rng().gen_range(4)
+            } else {
+                0
+            };
+            for _ in 0..children {
+                let target = r.actors[ctx.rng().gen_range(r.actors.len() as u64) as usize];
+                let delay = SimDuration::from_micros([0, 0, 1, 3][ctx.rng().gen_range(4) as usize]);
+                let now = ctx.now();
+                match ctx.rng().gen_range(4) {
+                    0 => ctx.send_now(target, r.push(now, target)),
+                    1 => {
+                        let me = ctx.self_id();
+                        ctx.send_self_now(r.push(now, me));
+                    }
+                    2 => ctx.send_after(delay, target, r.push(now + delay, target)),
+                    _ => ctx.send_at(now + delay, target, r.push(now + delay, target)),
+                }
+            }
+        }
+    }
+
+    /// The same-instant lane changes nothing observable: for random
+    /// actors using every `Ctx` scheduling call, and the harness
+    /// scheduling between `run_until` cuts, deliveries come in the
+    /// reference's `(at, tie, push order)` order, and the clock, the
+    /// pending-event queries and the event count agree with it at every
+    /// cut — under both tie-break policies.
+    #[test]
+    fn pop_order_is_at_tie_then_push_order() {
+        for seed in 0..40u64 {
+            for policy in [TieBreak::Fifo, TieBreak::Seeded(seed)] {
+                let mut w = World::new(seed);
+                w.set_tie_break(policy);
+                let reference = Rc::new(RefCell::new(Reference {
+                    policy,
+                    pending: BTreeSet::new(),
+                    pushes: 0,
+                    delivered: 0,
+                    actors: Vec::new(),
+                }));
+                let actors: Vec<ActorId> = (0..4)
+                    .map(|i| {
+                        let reference = Rc::clone(&reference);
+                        w.add_actor(format!("spawner-{i}"), Spawner { reference })
+                    })
+                    .collect();
+                reference.borrow_mut().actors = actors.clone();
+                let mut rng = SimRng::new(seed ^ 0xC075);
+                for _cut in 0..40 {
+                    for _ in 0..rng.gen_range(4) {
+                        let target = actors[rng.gen_range(4) as usize];
+                        if rng.gen_range(2) == 0 {
+                            let msg = reference.borrow_mut().push(w.now(), target);
+                            w.schedule_now(target, msg);
+                        } else {
+                            let at = w.now() + SimDuration::from_micros(rng.gen_range(4));
+                            let msg = reference.borrow_mut().push(at, target);
+                            w.schedule(at, target, msg);
+                        }
+                    }
+                    w.run_until(w.now() + SimDuration::from_micros(rng.gen_range(3)));
+                    let r = reference.borrow();
+                    assert_eq!(w.next_event_time(), r.pending.first().map(|e| e.0));
+                    assert_eq!(w.has_pending_events(), !r.pending.is_empty());
+                    assert_eq!(w.events_processed(), r.delivered);
+                }
+                w.run_to_quiescence();
+                let r = reference.borrow();
+                assert!(r.pending.is_empty() && !w.has_pending_events());
+                assert_eq!((w.events_processed(), r.pushes), (r.delivered, r.delivered));
+            }
+        }
     }
 
     #[test]
