@@ -1,6 +1,7 @@
 //! The deterministic state-machine database.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{bin, Deserialize, Serialize};
 
@@ -34,17 +35,23 @@ impl Row {
     }
 }
 
-/// One table: every row ever written, ordered by the fingerprint of its
-/// key.
+/// One table: every row ever written, in the order each was first
+/// written, behind a hash index from fingerprint slot to position.
 ///
-/// A put descends one B-tree of integers and overwrites the row in
-/// place. A key whose fingerprint slot is taken by another key goes to
-/// the next free slot (linear probing); rows are never removed, so a
-/// probe ends only at a free slot. Key order is rebuilt only by the
-/// readers that need it: scans and digests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A put is one probe of the index and overwrites the row in place. A
+/// key whose fingerprint slot is taken by another key goes to the next
+/// free slot (linear probing); rows are never removed, so a probe ends
+/// only at a free slot. First-write order is a function of the applied
+/// op sequence, so replicas that applied the same sequence hold their
+/// rows in the same order, and the index is never iterated (a
+/// `HashMap`'s order differs per instance). Key order is rebuilt only
+/// by the readers that need it: scans and digests.
+#[derive(Clone, Default, PartialEq, Eq)]
 struct Table {
-    rows: BTreeMap<u64, Row>,
+    /// Every row ever written, in first-write order.
+    rows: Vec<Row>,
+    /// Fingerprint slot → position in `rows`.
+    slots: HashMap<u64, usize>,
     /// Rows that hold a value.
     live: u64,
 }
@@ -53,7 +60,7 @@ impl Table {
     fn find(&self, key: &str) -> Option<&Row> {
         let mut slot = key_fingerprint(key);
         loop {
-            let row = self.rows.get(&slot)?;
+            let row = &self.rows[*self.slots.get(&slot)?];
             if row.key == key {
                 return Some(row);
             }
@@ -61,26 +68,36 @@ impl Table {
         }
     }
 
-    /// Runs `f` on `key`'s row, placing a row with no value first if the
-    /// key was never written.
+    /// Runs `f` on `key`'s row, appending a row with no value first if
+    /// the key was never written.
     fn with_row<R>(&mut self, key: &str, f: impl FnOnce(&mut Row) -> R) -> R {
         let mut slot = key_fingerprint(key);
-        while let Some(row) = self.rows.get_mut(&slot) {
-            if row.key == key {
-                return counted(&mut self.live, row, f);
+        let at = loop {
+            match self.slots.entry(slot) {
+                Entry::Occupied(taken) => {
+                    let at = *taken.get();
+                    if self.rows[at].key == key {
+                        break at;
+                    }
+                }
+                Entry::Vacant(free) => {
+                    let at = *free.insert(self.rows.len());
+                    self.rows.push(Row {
+                        key: key.to_string(),
+                        value: None,
+                        ts: None,
+                        version: 0,
+                    });
+                    break at;
+                }
             }
             slot = slot.wrapping_add(1);
-        }
-        let row = self.rows.entry(slot).or_insert_with(|| Row {
-            key: key.to_string(),
-            value: None,
-            ts: None,
-            version: 0,
-        });
-        counted(&mut self.live, row, f)
+        };
+        counted(&mut self.live, &mut self.rows[at], f)
     }
 
-    /// Places `rows` (stored in slot order) back into their slots.
+    /// Appends `rows` (stored in first-write order) in that order, which
+    /// gives every row back its position and its slot.
     fn from_rows(rows: Vec<Row>) -> Table {
         let mut table = Table::default();
         for row in rows {
@@ -94,11 +111,22 @@ impl Table {
     fn live_rows(&self) -> Vec<(&str, &Value, Option<u64>)> {
         let mut rows: Vec<_> = self
             .rows
-            .values()
+            .iter()
             .filter_map(|r| Some((r.key.as_str(), r.value.as_ref()?, r.ts)))
             .collect();
         rows.sort_unstable_by_key(|&(key, _, _)| key);
         rows
+    }
+}
+
+/// The rows and the live count, never the index, so that a `{:?}` of a
+/// database is the same in every process.
+impl std::fmt::Debug for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table")
+            .field("rows", &self.rows)
+            .field("live", &self.live)
+            .finish_non_exhaustive()
     }
 }
 
@@ -122,16 +150,17 @@ fn key_fingerprint(key: &str) -> u64 {
     })
 }
 
-/// A table is stored as its rows in slot order; loading places them
-/// again, which puts every row back in its slot.
+/// A table is stored as its rows in first-write order; loading appends
+/// them again in that order, which puts every row back at its position
+/// and in its slot.
 impl Serialize for Table {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.rows.values().map(Serialize::to_value).collect())
+        serde::Value::Seq(self.rows.iter().map(Serialize::to_value).collect())
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
         bin::write_seq(out, self.rows.len());
-        for row in self.rows.values() {
+        for row in &self.rows {
             row.encode(out);
         }
     }
@@ -176,10 +205,10 @@ pub struct TableStats {
 /// engine relies on. Two databases that applied the same op sequence from
 /// the same initial state have equal [`Database::digest`]s.
 ///
-/// A write finds its row, and the row's version counter, in one descent
-/// of an integer-keyed B-tree, and overwriting an existing row with a
-/// value of the same kind allocates nothing. Scans and digests pay for
-/// key order instead: they sort the rows they read.
+/// A write finds its row, and the row's version counter, in one probe
+/// of a hash index, and overwriting an existing row with a value of the
+/// same kind allocates nothing. Scans and digests pay for key order
+/// instead: they sort the rows they read.
 ///
 /// ```
 /// use todr_db::{Database, Op, Value};
@@ -651,7 +680,8 @@ mod tests {
             ts: None,
             version: 1,
         };
-        table.rows.insert(home, squatter.clone());
+        table.rows.push(squatter.clone());
+        table.slots.insert(home, 0);
         table.live = 1;
         for n in 1..=2 {
             table.with_row("b", |row| {
@@ -659,8 +689,12 @@ mod tests {
                 row.value = Some(Value::Int(n));
             });
         }
-        assert_eq!(table.rows[&home], squatter);
-        assert_eq!(table.rows[&home.wrapping_add(1)].key, "b");
+        fn in_slot(table: &Table, slot: u64) -> &Row {
+            &table.rows[table.slots[&slot]]
+        }
+        assert_eq!(in_slot(&table, home), &squatter);
+        assert_eq!(in_slot(&table, home.wrapping_add(1)).key, "b");
+        assert_eq!(table.rows.len(), 2, "`b` appended once, after the squatter");
         let b = table.find("b").map(|b| (b.version, &b.value));
         assert_eq!(
             b,

@@ -26,9 +26,10 @@
 //!    largest full-load engine cell with the world's step profile on,
 //!    reported as each actor kind's share of handler time, and the
 //!    engine's share split by the kind of event it handled (delivery,
-//!    receipt, disk completion, client request, anything else), and
-//!    the time the world spends outside every handler. The timed
-//!    repetitions stay unprofiled.
+//!    receipt, disk completion, client request, anything else), the
+//!    network fabric's split the same way (send fan-out, in-flight
+//!    delivery, control), and the time the world spends outside every
+//!    handler. The timed repetitions stay unprofiled.
 //!
 //! Emits the machine-readable `BENCH_scale.json` consumed by the CI
 //! scale gate. Virtual-time numbers are deterministic per seed;
@@ -91,8 +92,9 @@ pub struct ScaleCell {
 #[derive(Debug, Clone, Serialize)]
 pub struct HostShare {
     /// Actor kind (registered-name prefix: `engine`, `evs`, `net`,
-    /// `disk`, `client`) or engine event kind (`deliver`, `receipt`,
-    /// `disk-done`, `client request`, `timer/other`).
+    /// `disk`, `client`), engine event kind (`deliver`, `receipt`,
+    /// `disk-done`, `client request`, `timer/other`) or fabric event
+    /// kind (`send`, `in-flight`, `control`).
     pub kind: String,
     /// Events of this kind handled (deterministic per seed).
     pub events: u64,
@@ -161,6 +163,9 @@ pub struct Scale {
     /// of event handled (`ReplicationEngine`'s `Actor::event_kind`),
     /// largest share first.
     pub engine_host_by_event_kind: Vec<HostShare>,
+    /// The `net` row split the same way (`NetFabric`'s
+    /// `Actor::event_kind`), largest share first.
+    pub net_host_by_event_kind: Vec<HostShare>,
     /// Every measured cell, size-major.
     pub cells: Vec<ScaleCell>,
     /// Membership-change cost per size.
@@ -219,7 +224,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
-    let (host_share_by_actor_kind, world, engine_host_by_event_kind) =
+    let (host_share_by_actor_kind, world, engine_host_by_event_kind, net_host_by_event_kind) =
         profile_engine_cell(largest, max_pack, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
@@ -237,6 +242,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         host_share_by_actor_kind,
         world,
         engine_host_by_event_kind,
+        net_host_by_event_kind,
         cells,
         membership,
     }
@@ -274,14 +280,14 @@ fn loaded_engine_cluster(
 /// The full-load engine cell at `n` replicas once more, with the step
 /// profile on for exactly the advance [`engine_cell`] times: handler
 /// time by actor kind, the time outside every handler, and the engine's
-/// handler time by event kind.
+/// and the fabric's handler time by event kind.
 fn profile_engine_cell(
     n: u32,
     max_pack: usize,
     warmup: SimDuration,
     window: SimDuration,
     seed: u64,
-) -> (Vec<HostShare>, WorldHost, Vec<HostShare>) {
+) -> (Vec<HostShare>, WorldHost, Vec<HostShare>, Vec<HostShare>) {
     let (mut cluster, _) = loaded_engine_cluster(n, n as usize, None, max_pack, warmup, seed);
     cluster.world.enable_step_profile();
     let events_before = cluster.world.events_processed();
@@ -289,7 +295,10 @@ fn profile_engine_cell(
     cluster.run_for(warmup + window);
     let wall = wall.elapsed().as_secs_f64();
     let by_actor = cluster.world.step_profile();
-    let by_event = cluster.world.step_profile_by_event("engine");
+    let by_event = |kind| {
+        let costs = cluster.world.step_profile_by_event(kind);
+        shares(costs.iter().map(|(kind, cost)| (*kind, cost)))
+    };
     let handlers: f64 = by_actor.values().map(|c| c.wall.as_secs_f64()).sum();
     let world = WorldHost {
         events: cluster.world.events_processed() - events_before,
@@ -300,7 +309,8 @@ fn profile_engine_cell(
     (
         shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
         world,
-        shares(by_event.iter().map(|(kind, cost)| (*kind, cost))),
+        by_event("engine"),
+        by_event("net"),
     )
 }
 
@@ -583,6 +593,7 @@ impl Scale {
              Outside every handler (world: queue, dispatch, profile clock): \
              {:.1} of {:.1} ms ({:.1}%), {:.2} us/event\n\
              Engine handler time by event kind (same repetition)\n{}\n\
+             Fabric handler time by event kind (same repetition)\n{}\n\
              Membership-change cost\n{}",
             self.max_pack,
             self.replica_counts,
@@ -596,6 +607,7 @@ impl Scale {
             w.share * 100.0,
             w.outside_handlers_ms * 1000.0 / w.events as f64,
             share_table("engine event", &self.engine_host_by_event_kind),
+            share_table("net event", &self.net_host_by_event_kind),
             super::render_table(&m_headers, &m_rows)
         )
     }

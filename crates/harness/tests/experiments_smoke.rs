@@ -276,4 +276,20 @@ fn scale_profile_accounts_for_every_event_of_the_unprofiled_cell() {
         (share_sum - 1.0).abs() < 1e-3,
         "event shares sum to {share_sum}"
     );
+
+    // So does the fabric's. (No control row: the cell neither
+    // partitions nor crashes.)
+    let net = kinds.iter().find(|k| k.kind == "net").expect("net row");
+    let by_event = &sweep.net_host_by_event_kind;
+    let labels: Vec<&str> = by_event.iter().map(|k| k.kind.as_str()).collect();
+    assert_eq!(labels.len(), 2, "{labels:?}");
+    for label in ["send", "in-flight"] {
+        assert!(labels.contains(&label), "no {label} row in {labels:?}");
+    }
+    assert_eq!(by_event.iter().map(|k| k.events).sum::<u64>(), net.events);
+    let event_ms: f64 = by_event.iter().map(|k| k.handle_ms).sum();
+    assert!(
+        (event_ms - net.handle_ms).abs() < 0.01,
+        "{event_ms} vs {net:?}"
+    );
 }

@@ -1,8 +1,6 @@
 //! The network fabric actor: applies partitions, loss, latency; delivers
 //! datagrams to endpoint actors.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use todr_sim::{Actor, ActorId, Ctx, Payload, SimTime};
@@ -54,10 +52,12 @@ pub enum NetOp {
     Send {
         /// Sending node.
         src: NodeId,
-        /// Destination nodes. Destinations equal to `src` loop back with
-        /// zero network latency. Shared so a sender multicasting the
-        /// same member list every frame contributes one allocation per
-        /// view, not one per send.
+        /// Destination nodes. Destinations equal to `src` loop back
+        /// with [`NetConfig::loopback`] latency (a constant 5 µs in
+        /// [`NetConfig::lan`] and [`NetConfig::wan`]) and are never
+        /// lost. Shared so a sender multicasting the same member list
+        /// every frame contributes one allocation per view, not one per
+        /// send.
         dsts: Rc<[NodeId]>,
         /// Message body.
         payload: NetPayload,
@@ -185,12 +185,21 @@ impl Default for NetConfig {
 /// scripts partitions and crashes either directly (via
 /// [`World::with_actor`](todr_sim::World::with_actor)) or by scheduling
 /// [`NetOp`] control events.
+///
+/// Per-node state is held in arrays indexed by [`NodeId::index`], and
+/// the per-link FIFO clock in an `n × n` array, so a datagram costs
+/// array loads, never a map lookup.
 pub struct NetFabric {
     config: NetConfig,
-    endpoints: BTreeMap<NodeId, ActorId>,
+    /// Per node index: its endpoint actor, if registered.
+    endpoints: Vec<Option<ActorId>>,
     partitions: PartitionMap,
-    crashed: BTreeSet<NodeId>,
-    last_arrival: BTreeMap<(NodeId, NodeId), SimTime>,
+    /// Per node index: whether it is marked crashed. Indices past the
+    /// end never were.
+    crashed: Vec<bool>,
+    /// Per ordered link `(src, dst)`, at `src * endpoints.len() + dst`:
+    /// the latest arrival scheduled on it.
+    last_arrival: Vec<Option<SimTime>>,
 }
 
 impl NetFabric {
@@ -198,23 +207,35 @@ impl NetFabric {
     pub fn new(config: NetConfig) -> Self {
         NetFabric {
             config,
-            endpoints: BTreeMap::new(),
+            endpoints: Vec::new(),
             partitions: PartitionMap::default(),
-            crashed: BTreeSet::new(),
-            last_arrival: BTreeMap::new(),
+            crashed: Vec::new(),
+            last_arrival: Vec::new(),
         }
     }
 
     /// Registers (or re-points) the endpoint actor for `node`. New nodes
     /// join the fully-connected component.
     pub fn register(&mut self, node: NodeId, endpoint: ActorId) {
-        self.endpoints.insert(node, endpoint);
+        let i = node.index() as usize;
+        let n = self.endpoints.len();
+        if i >= n {
+            // Re-lay the link clocks out for the wider stride.
+            let wide = i + 1;
+            let mut links = vec![None; wide * wide];
+            for src in 0..n {
+                links[src * wide..][..n].copy_from_slice(&self.last_arrival[src * n..][..n]);
+            }
+            self.last_arrival = links;
+            self.endpoints.resize(wide, None);
+        }
+        self.endpoints[i] = Some(endpoint);
         self.partitions.add_node(node);
     }
 
     /// The registered endpoint for `node`, if any.
     pub fn endpoint(&self, node: NodeId) -> Option<ActorId> {
-        self.endpoints.get(&node).copied()
+        self.endpoints.get(node.index() as usize).copied().flatten()
     }
 
     /// Re-partitions connectivity (see [`PartitionMap::split`]).
@@ -234,23 +255,29 @@ impl NetFabric {
 
     /// Marks `node` crashed.
     pub fn crash(&mut self, node: NodeId) {
-        self.crashed.insert(node);
+        let i = node.index() as usize;
+        if i >= self.crashed.len() {
+            self.crashed.resize(i + 1, false);
+        }
+        self.crashed[i] = true;
     }
 
     /// Clears the crashed mark for `node`.
     pub fn recover(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
+        if let Some(crashed) = self.crashed.get_mut(node.index() as usize) {
+            *crashed = false;
+        }
     }
 
     /// Whether `node` is currently marked crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
+        self.crashed.get(node.index() as usize) == Some(&true)
     }
 
     /// Whether `a` and `b` can currently communicate.
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        !self.crashed.contains(&a)
-            && !self.crashed.contains(&b)
+        !self.is_crashed(a)
+            && !self.is_crashed(b)
             && self.partitions.contains(a)
             && self.partitions.contains(b)
             && self.partitions.connected(a, b)
@@ -258,7 +285,7 @@ impl NetFabric {
 
     fn transmit(&mut self, ctx: &mut Ctx<'_>, src: NodeId, dst: NodeId, dgram: Datagram) {
         ctx.metrics().incr("net.sent", 1);
-        if self.crashed.contains(&src) || self.crashed.contains(&dst) {
+        if self.is_crashed(src) || self.is_crashed(dst) {
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         }
@@ -281,15 +308,16 @@ impl NetFabric {
         };
         let delay = model.sample(ctx.rng(), dgram.size_bytes);
         // Enforce per-(src,dst) FIFO: never deliver earlier than a
-        // previously scheduled arrival on the same ordered pair.
+        // previously scheduled arrival on the same ordered pair. Both
+        // ends passed the partition check, so both are registered.
         let mut at = ctx.now() + delay;
-        let key = (src, dst);
-        if let Some(&prev) = self.last_arrival.get(&key) {
+        let link = src.index() as usize * self.endpoints.len() + dst.index() as usize;
+        if let Some(prev) = self.last_arrival[link] {
             if at <= prev {
                 at = prev + todr_sim::SimDuration::from_nanos(1);
             }
         }
-        self.last_arrival.insert(key, at);
+        self.last_arrival[link] = Some(at);
         let self_id = ctx.self_id();
         ctx.send_at(at, self_id, InFlight { dgram });
     }
@@ -297,7 +325,7 @@ impl NetFabric {
     fn deliver(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         // Re-check conditions at arrival time: a partition or crash that
         // happened while the message was in flight drops it.
-        if self.crashed.contains(&dgram.src) || self.crashed.contains(&dgram.dst) {
+        if self.is_crashed(dgram.src) || self.is_crashed(dgram.dst) {
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         }
@@ -305,7 +333,7 @@ impl NetFabric {
             ctx.metrics().incr("net.dropped_partition", 1);
             return;
         }
-        let Some(&endpoint) = self.endpoints.get(&dgram.dst) else {
+        let Some(endpoint) = self.endpoint(dgram.dst) else {
             ctx.metrics().incr("net.dropped_crashed", 1);
             return;
         };
@@ -362,13 +390,29 @@ impl Actor for NetFabric {
             None => panic!("NetFabric received an unknown payload type"),
         }
     }
+
+    /// The step profile's rows: a `Send`'s fan-out, an in-flight
+    /// datagram's delivery, and every control command.
+    fn event_kind(&self, payload: &Payload) -> &'static str {
+        if payload.is::<InFlight>() {
+            "in-flight"
+        } else if matches!(payload.downcast_ref::<NetOp>(), Some(NetOp::Send { .. })) {
+            "send"
+        } else {
+            "control"
+        }
+    }
 }
 
 impl std::fmt::Debug for NetFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let crashed: Vec<NodeId> = (0..self.crashed.len() as u32)
+            .map(NodeId::new)
+            .filter(|&n| self.is_crashed(n))
+            .collect();
         f.debug_struct("NetFabric")
-            .field("endpoints", &self.endpoints.len())
-            .field("crashed", &self.crashed)
+            .field("endpoints", &self.endpoints.iter().flatten().count())
+            .field("crashed", &crashed)
             .finish_non_exhaustive()
     }
 }

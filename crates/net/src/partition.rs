@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// The current partition of the node universe into connected components.
@@ -12,6 +10,9 @@ use crate::node::NodeId;
 /// integer). Two nodes can exchange messages iff they are in the same
 /// component and both are up. Initially all nodes share component `0`
 /// (fully connected).
+///
+/// Components are held per [`NodeId::index`], so a lookup is an array
+/// load, and every walk visits nodes in ascending id order.
 ///
 /// ```
 /// use todr_net::{NodeId, PartitionMap};
@@ -28,27 +29,34 @@ use crate::node::NodeId;
 /// p.merge_all();
 /// assert!(p.connected(n[1], n[2]));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionMap {
-    component: BTreeMap<NodeId, u32>,
+    /// Per node index: its component, `None` if the node was never added.
+    component: Vec<Option<u32>>,
 }
 
 impl PartitionMap {
     /// All `nodes` in one component.
     pub fn fully_connected(nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        PartitionMap {
-            component: nodes.into_iter().map(|n| (n, 0)).collect(),
+        let mut map = PartitionMap::default();
+        for n in nodes {
+            map.add_node(n);
         }
+        map
     }
 
     /// Adds a node (to component 0 by default) if not present.
     pub fn add_node(&mut self, node: NodeId) {
-        self.component.entry(node).or_insert(0);
+        let i = node.index() as usize;
+        if i >= self.component.len() {
+            self.component.resize(i + 1, None);
+        }
+        self.component[i].get_or_insert(0);
     }
 
     /// Whether `node` is known to the map.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.component.contains_key(&node)
+        self.get(node).is_some()
     }
 
     /// Re-partitions the universe into the given `groups`. Nodes not
@@ -58,21 +66,19 @@ impl PartitionMap {
     ///
     /// Panics if a node appears in more than one group or is unknown.
     pub fn split(&mut self, groups: &[Vec<NodeId>]) {
-        let mut assigned: BTreeMap<NodeId, u32> = BTreeMap::new();
+        let mut assigned: Vec<Option<u32>> = vec![None; self.component.len()];
         for (i, group) in groups.iter().enumerate() {
             for &n in group {
-                assert!(
-                    self.component.contains_key(&n),
-                    "unknown node {n} in partition spec"
-                );
-                let prev = assigned.insert(n, i as u32);
+                assert!(self.contains(n), "unknown node {n} in partition spec");
+                let prev = assigned[n.index() as usize].replace(i as u32);
                 assert!(prev.is_none(), "node {n} listed in two partition groups");
             }
         }
         let mut next = groups.len() as u32;
-        for (&n, comp) in self.component.iter_mut() {
-            match assigned.get(&n) {
-                Some(&c) => *comp = c,
+        for (comp, assigned) in self.component.iter_mut().zip(assigned) {
+            let Some(comp) = comp else { continue };
+            match assigned {
+                Some(c) => *comp = c,
                 None => {
                     *comp = next;
                     next += 1;
@@ -83,7 +89,7 @@ impl PartitionMap {
 
     /// Reconnects everything into a single component.
     pub fn merge_all(&mut self) {
-        for comp in self.component.values_mut() {
+        for comp in self.component.iter_mut().flatten() {
             *comp = 0;
         }
     }
@@ -97,7 +103,7 @@ impl PartitionMap {
     pub fn merge(&mut self, a: NodeId, b: NodeId) {
         let ca = self.component_of(a);
         let cb = self.component_of(b);
-        for comp in self.component.values_mut() {
+        for comp in self.component.iter_mut().flatten() {
             if *comp == cb {
                 *comp = ca;
             }
@@ -119,9 +125,7 @@ impl PartitionMap {
     ///
     /// Panics if `node` is unknown.
     pub fn component_of(&self, node: NodeId) -> u32 {
-        *self
-            .component
-            .get(&node)
+        self.get(node)
             .unwrap_or_else(|| panic!("unknown node {node}"))
     }
 
@@ -129,20 +133,31 @@ impl PartitionMap {
     /// in ascending id order.
     pub fn peers_of(&self, node: NodeId) -> Vec<NodeId> {
         let c = self.component_of(node);
-        self.component
-            .iter()
-            .filter(|&(_, &comp)| comp == c)
-            .map(|(&n, _)| n)
+        self.nodes()
+            .filter(|&(_, comp)| comp == c)
+            .map(|(n, _)| n)
             .collect()
     }
 
     /// The full membership grouped by component.
     pub fn components(&self) -> Vec<Vec<NodeId>> {
         let mut by_comp: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for (&n, &c) in &self.component {
+        for (n, c) in self.nodes() {
             by_comp.entry(c).or_default().push(n);
         }
         by_comp.into_values().collect()
+    }
+
+    fn get(&self, node: NodeId) -> Option<u32> {
+        self.component.get(node.index() as usize).copied().flatten()
+    }
+
+    /// Every known node with its component, in ascending id order.
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.component
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| Some((NodeId::new(i as u32), (*c)?)))
     }
 }
 
