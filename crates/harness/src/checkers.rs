@@ -1,10 +1,11 @@
-//! Cross-replica safety checkers: executable versions of the paper's
-//! Theorems 1 and 2 plus the coloring invariants of §3.
+//! Cross-replica safety checkers over state snapshots: executable
+//! versions of the paper's Theorems 1 and 2, database convergence and
+//! the single-primary rule.
 //!
-//! Every invariant has a fallible `verify_*` form returning a typed
-//! [`ConsistencyError`], and a panicking `check_*` wrapper for tests
-//! that want the violation to abort immediately. The cluster-level
-//! entry point is [`try_check_consistency`], which on failure attaches
+//! Every invariant has a fallible `verify_*` form over collected
+//! [`ReplicaView`]s returning a typed [`ConsistencyError`]. The
+//! cluster-level entry point is [`try_check_consistency`] (panicking
+//! twin: [`check_consistency`]), which on failure attaches
 //! the tail of the world's typed [`ProtocolEvent`](todr_sim::ProtocolEvent)
 //! log so a violation report shows *what the protocol did* leading up
 //! to the bad state, not just the bad state itself.
@@ -33,8 +34,6 @@ pub struct ReplicaView {
     pub green_tail: Vec<ActionId>,
     /// Database digest.
     pub db_digest: u64,
-    /// The white line (min green line over the server set).
-    pub white_line: u64,
     /// Index of the last primary component this replica installed (or
     /// adopted); meaningful for the split-brain check only while
     /// `state` claims primary membership.
@@ -80,15 +79,6 @@ pub enum ConsistencyError {
         /// index.
         claims: Vec<(NodeId, u64)>,
     },
-    /// A white line ran ahead of the minimum green count.
-    WhiteLine {
-        /// The offending replica.
-        node: NodeId,
-        /// Its white line.
-        white_line: u64,
-        /// The true minimum green count.
-        min_green: u64,
-    },
 }
 
 impl fmt::Display for ConsistencyError {
@@ -116,14 +106,6 @@ impl fmt::Display for ConsistencyError {
             ConsistencyError::SplitBrain { claims } => {
                 write!(f, "two primary components live at once: {claims:?}")
             }
-            ConsistencyError::WhiteLine {
-                node,
-                white_line,
-                min_green,
-            } => write!(
-                f,
-                "{node} computed white line {white_line} above the minimum green count {min_green}"
-            ),
         }
     }
 }
@@ -187,7 +169,6 @@ pub fn collect_views(cluster: &mut Cluster) -> Vec<ReplicaView> {
                 green_floor: e.green_floor(),
                 green_tail: e.green_tail().to_vec(),
                 db_digest: e.db_digest(),
-                white_line: e.white_line(),
                 prim_index: e.prim_component().prim_index,
             })
         })
@@ -282,81 +263,6 @@ pub fn verify_single_primary(views: &[ReplicaView]) -> Result<(), ConsistencyErr
     Ok(())
 }
 
-/// White-line sanity: no server's white line exceeds any server's green
-/// count (an action cannot be "green everywhere" if someone lacks it).
-pub fn verify_white_line(views: &[ReplicaView]) -> Result<(), ConsistencyError> {
-    // The white line is computed from green *lines*, which are
-    // knowledge-lagged; it must never exceed the true minimum green
-    // count among live members of the server set. Views of crashed
-    // servers are excluded by the caller.
-    let min_green = views.iter().map(|v| v.green_count).min().unwrap_or(0);
-    for v in views {
-        if v.white_line > min_green && views.len() >= 2 {
-            return Err(ConsistencyError::WhiteLine {
-                node: v.node,
-                white_line: v.white_line,
-                min_green,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Panicking wrapper over [`verify_total_order`].
-///
-/// # Panics
-///
-/// Panics on the first violation.
-pub fn check_total_order(views: &[ReplicaView]) {
-    if let Err(e) = verify_total_order(views) {
-        panic!("{e}");
-    }
-}
-
-/// Panicking wrapper over [`verify_fifo_order`].
-///
-/// # Panics
-///
-/// Panics on the first violation.
-pub fn check_fifo_order(views: &[ReplicaView]) {
-    if let Err(e) = verify_fifo_order(views) {
-        panic!("{e}");
-    }
-}
-
-/// Panicking wrapper over [`verify_db_convergence`].
-///
-/// # Panics
-///
-/// Panics on the first violation.
-pub fn check_db_convergence(views: &[ReplicaView]) {
-    if let Err(e) = verify_db_convergence(views) {
-        panic!("{e}");
-    }
-}
-
-/// Panicking wrapper over [`verify_single_primary`].
-///
-/// # Panics
-///
-/// Panics on the first violation.
-pub fn check_single_primary(views: &[ReplicaView]) {
-    if let Err(e) = verify_single_primary(views) {
-        panic!("{e}");
-    }
-}
-
-/// Panicking wrapper over [`verify_white_line`].
-///
-/// # Panics
-///
-/// Panics on the first violation.
-pub fn check_white_line(views: &[ReplicaView]) {
-    if let Err(e) = verify_white_line(views) {
-        panic!("{e}");
-    }
-}
-
 /// Runs every safety check against the live (non-crashed, non-joining)
 /// replicas of the cluster, one replication group at a time (node ids
 /// restart at 0 in every group, and Theorem 1 holds per group),
@@ -444,7 +350,6 @@ mod tests {
                 })
                 .collect(),
             db_digest: 0,
-            white_line: 0,
             prim_index: 0,
         }
     }
@@ -453,15 +358,7 @@ mod tests {
     fn total_order_accepts_consistent_prefixes() {
         let a = view(0, 0, &[(0, 1), (1, 1), (0, 2)]);
         let b = view(1, 0, &[(0, 1), (1, 1)]);
-        check_total_order(&[a, b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "total order violated")]
-    fn total_order_rejects_divergence() {
-        let a = view(0, 0, &[(0, 1), (1, 1)]);
-        let b = view(1, 0, &[(1, 1), (0, 1)]);
-        check_total_order(&[a, b]);
+        assert_eq!(verify_total_order(&[a, b]), Ok(2));
     }
 
     #[test]
@@ -469,6 +366,7 @@ mod tests {
         let a = view(0, 0, &[(0, 1), (1, 1)]);
         let b = view(1, 0, &[(1, 1), (0, 1)]);
         let err = verify_total_order(&[a, b]).unwrap_err();
+        assert!(err.to_string().contains("total order violated"));
         match err {
             ConsistencyError::TotalOrder { position, a, b } => {
                 assert_eq!(position, 0);
@@ -491,24 +389,25 @@ mod tests {
     #[test]
     fn fifo_accepts_contiguous_creators() {
         let v = view(0, 0, &[(0, 1), (1, 1), (0, 2), (1, 2)]);
-        check_fifo_order(&[v]);
+        assert_eq!(verify_fifo_order(&[v]), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "FIFO violated")]
     fn fifo_rejects_gaps() {
         let v = view(0, 0, &[(0, 1), (0, 3)]);
-        check_fifo_order(&[v]);
+        let err = verify_fifo_order(&[v]).unwrap_err();
+        assert!(err.to_string().contains("FIFO violated"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "diverged")]
     fn db_convergence_rejects_digest_mismatch() {
         let mut a = view(0, 0, &[(0, 1)]);
         let mut b = view(1, 0, &[(0, 1)]);
+        assert_eq!(verify_db_convergence(&[a.clone(), b.clone()]), Ok(()));
         a.db_digest = 1;
         b.db_digest = 2;
-        check_db_convergence(&[a, b]);
+        let err = verify_db_convergence(&[a, b]).unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
     }
 
     #[test]
@@ -519,7 +418,7 @@ mod tests {
         a.prim_index = 3;
         b.state = EngineState::RegPrim;
         b.prim_index = 3;
-        check_single_primary(&[a.clone(), b.clone()]);
+        assert_eq!(verify_single_primary(&[a.clone(), b.clone()]), Ok(()));
         b.prim_index = 4;
         assert!(matches!(
             verify_single_primary(&[a, b]),

@@ -16,22 +16,22 @@
 //! baseline cells run with the fast path disabled entirely (byte-
 //! identical to the pre-fast-path engine), so the comparison is against
 //! the protocol actually shipped, not a handicapped twin. Emits the
-//! machine-readable `BENCH_fastpath.json` consumed by the CI
-//! `fastpath-smoke` gate (fast mean ≤ 0.5× green mean at 0% conflict).
+//! machine-readable `BENCH_fastpath.json` consumed by
+//! [`FastSweep::gate`] (fast mean ≤ 0.5× green mean at 0% conflict).
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_core::UpdateReplyPolicy;
 use todr_sim::SimDuration;
 
+use super::{client_totals, round1, round3, Gate, Gated};
 use crate::client::{ClientConfig, Workload};
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::metrics::LatencyStats;
 
 /// Replicas in every cell (the paper's small-LAN size; matches A7).
 pub const N_SERVERS: u32 = 5;
 
 /// One measured cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FastCell {
     /// Concurrent closed-loop clients.
     pub clients: usize,
@@ -56,7 +56,7 @@ pub struct FastCell {
 }
 
 /// Fast-vs-green comparison at 0% conflict for one client count.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FastSpeedup {
     /// Concurrent closed-loop clients.
     pub clients: usize,
@@ -69,7 +69,7 @@ pub struct FastSpeedup {
 }
 
 /// The sweep's data, serialized verbatim into `BENCH_fastpath.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FastSweep {
     /// Replicas in every cell.
     pub n_servers: u32,
@@ -174,13 +174,7 @@ fn measure(
         .map(|i| cluster.attach_client(i % N_SERVERS as usize, client_config.clone()))
         .collect();
     cluster.run_for(warmup + window);
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = cluster.client_stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
+    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
     cluster.check_consistency();
     let hub = cluster.world.metrics();
     let fast_commits = hub.counter("engine.fast_commits");
@@ -204,22 +198,42 @@ fn measure(
     }
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-impl FastSweep {
-    /// Deterministic pretty JSON (the `BENCH_fastpath.json` format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self).expect("fast-path sweep serializes")
+impl Gated for FastSweep {
+    /// The CI gate. The 1-client fast mean must stay ≤ 0.5× the green
+    /// control's (the saved stability round is the extension's claim),
+    /// and every no-conflict fast cell must commit everything fast.
+    /// Against the committed quick `baseline`, the 1-client fast cell's
+    /// throughput must stay within 10 % of it.
+    fn gate(&self, baseline: Option<&FastSweep>) -> Gate {
+        let s1 = self.speedups.iter().find(|s| s.clients == 1);
+        let ratio = s1.map_or(f64::NAN, |s| s.ratio);
+        let fast1 = |s: &FastSweep| {
+            let mut cells = s.cells.iter().filter(|c| c.fast && c.conflict_pct == 0);
+            cells
+                .find(|c| c.clients == 1)
+                .map_or(f64::NAN, |c| c.throughput)
+        };
+        let mut gate = Gate::new(format!(
+            "fastpath gate: 1-client ratio {ratio:?}, fast cell {:?} actions/s",
+            fast1(self)
+        ));
+        let slow = format!("1-client fast path no longer halves latency: ratio {ratio:?} > 0.5");
+        gate.check(ratio <= 0.5, slow);
+        for c in self.cells.iter().filter(|c| c.fast && c.conflict_pct == 0) {
+            let (share, demotions) = (c.fast_share, c.fast_demotions);
+            let demoted = format!(
+                "no-conflict cell demoted: {} clients, share {share:?}, {demotions} demotions",
+                c.clients
+            );
+            gate.check(demotions == 0 && share >= 1.0, demoted);
+        }
+        if let Some(base) = baseline {
+            gate.floor("fast-cell throughput", fast1(self), fast1(base));
+        }
+        gate
     }
 
-    /// The sweep as an aligned text table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let headers = [
             "clients",
             "conflict%",

@@ -1,21 +1,24 @@
 //! Experiment drivers: one per table/figure of the paper's evaluation
-//! (§7), plus the extension experiments listed in DESIGN.md.
+//! (§7), plus the extension experiments listed in DESIGN.md. Each has a
+//! preset run in the [`registry`], which
+//! `cargo run --release --example bench -- <name> [--quick] [--json]`
+//! runs by name.
 //!
-//! | driver | reproduces |
-//! |---|---|
-//! | [`fig5a::run`] | Figure 5(a): throughput vs clients — engine (forced writes) vs COReL vs 2PC, 14 replicas |
-//! | [`fig5b::run`] | Figure 5(b): engine with delayed vs forced writes |
-//! | [`latency::run`] | §7 latency experiment: 1 client × 2000 sequential actions per protocol |
-//! | [`partition::run`] | extension A1: membership-change cost (end-to-end exchange only on view change) |
-//! | [`join::run`] | extension A2: online replica instantiation (§5.1) |
-//! | [`semantics::run`] | extension A3: relaxed query/update semantics under partition (§6) |
-//! | [`ablations`] | extensions A4–A6: loss sweep, LAN-vs-WAN latency, forced-write-latency sweep |
-//! | [`saturation::run`] | extension A7: clients × EVS-packing saturation sweep (`BENCH_saturation.json`) |
-//! | [`recovery::run`] | extension A8: crash-recovery cost under torn writes (checksummed scan + catch-up) |
-//! | [`scale::run`] | extension A9: replicas × clients scale sweep past 14 replicas (`BENCH_scale.json`) |
-//! | [`shard::run`] | extension A10: sharded-group capacity scaling with cross-shard transactions (`BENCH_shard.json`) |
-//! | [`fastpath::run`] | extension A11: commutativity fast-path commit latency vs green across conflict rates (`BENCH_fastpath.json`) |
-//! | [`reads::run`] | extension A12: YCSB-style read mixes across consistency tiers — lease vs ordered linearizable, snapshot, overlay (`BENCH_reads.json`) |
+//! | `bench` name | driver | reproduces |
+//! |---|---|---|
+//! | `fig5a` | [`fig5a::run`] | Figure 5(a): throughput vs clients — engine (forced writes) vs COReL vs 2PC, 14 replicas |
+//! | `fig5b` | [`fig5b::run_packed`] | Figure 5(b): engine with delayed vs forced writes |
+//! | `latency` | [`latency::run`] | §7 latency experiment: 1 client × 2000 sequential actions per protocol |
+//! | `partition` | [`partition::run`] | extension A1: membership-change cost (end-to-end exchange only on view change) |
+//! | `join` | [`join::run`] | extension A2: online replica instantiation (§5.1) |
+//! | `semantics` | [`semantics::run`] | extension A3: relaxed query/update semantics under partition (§6) |
+//! | `ablations` | [`ablations`] | extensions A4–A6: loss sweep, LAN-vs-WAN latency, forced-write-latency sweep |
+//! | `saturation` | [`saturation::run`] | extension A7: clients × EVS-packing saturation sweep (`BENCH_saturation.json`) |
+//! | `recovery`, `recovery-file` | [`recovery::run_with_backend`] | extension A8: crash-recovery cost under torn writes (checksummed scan + catch-up), on the sim or the file backend |
+//! | `scale` | [`scale::run`] | extension A9: replicas × clients scale sweep past 14 replicas (`BENCH_scale.json`) |
+//! | `shard` | [`shard::run`] | extension A10: sharded-group capacity scaling with cross-shard transactions (`BENCH_shard.json`) |
+//! | `fastpath` | [`fastpath::run`] | extension A11: commutativity fast-path commit latency vs green across conflict rates (`BENCH_fastpath.json`) |
+//! | `reads` | [`reads::run`] | extension A12: YCSB-style read mixes across consistency tiers — lease vs ordered linearizable, snapshot, overlay (`BENCH_reads.json`) |
 //!
 //! All results are measured in **virtual time** on the calibrated
 //! simulated substrate (see DESIGN.md §2); the claims to compare against
@@ -31,6 +34,7 @@ pub mod latency;
 pub mod partition;
 pub mod reads;
 pub mod recovery;
+pub mod registry;
 pub mod saturation;
 pub mod scale;
 pub mod semantics;
@@ -38,7 +42,14 @@ pub mod shard;
 
 mod runner;
 
+pub use registry::{load, Gate, Gated};
 pub use runner::{run_workload, run_workload_packed, Protocol, RunResult};
+
+use todr_sim::{SimDuration, SimTime};
+
+use crate::client::ClientStats;
+use crate::cluster::Cluster;
+use crate::metrics::LatencyStats;
 
 /// Renders a sequence of rows as an aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -72,6 +83,45 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line(&mut out, row);
     }
     out
+}
+
+/// Rounds to 0.1, the precision throughputs are reported at.
+fn round1(x: f64) -> f64 {
+    (x * 10.0).round() / 10.0
+}
+
+/// Rounds to 0.001, the precision latencies and ratios are reported at.
+fn round3(x: f64) -> f64 {
+    (x * 1000.0).round() / 1000.0
+}
+
+/// The measured clients' merged commit latencies and their recorded
+/// commits.
+fn client_totals(stats: impl Iterator<Item = ClientStats>) -> (LatencyStats, u64) {
+    let mut latency = LatencyStats::new();
+    let mut committed = 0;
+    for s in stats {
+        latency.merge(&s.latency);
+        committed += s.recorded;
+    }
+    (latency, committed)
+}
+
+/// Advances `cluster` in 10 ms steps until `pred` holds, returning that
+/// instant. Panics if `deadline` passes first.
+fn first_time(
+    cluster: &mut Cluster,
+    deadline: SimTime,
+    mut pred: impl FnMut(&mut Cluster) -> bool,
+) -> SimTime {
+    let step = SimDuration::from_millis(10);
+    loop {
+        if pred(cluster) {
+            return cluster.now();
+        }
+        assert!(cluster.now() < deadline, "condition never became true");
+        cluster.run_for(step);
+    }
 }
 
 #[cfg(test)]

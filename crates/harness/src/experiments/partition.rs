@@ -8,12 +8,12 @@
 //! minority accumulated red and how fast they drained.
 
 use todr_core::EngineState;
-use todr_sim::{SimDuration, SimTime};
+use todr_sim::SimDuration;
 
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
 
-use super::render_table;
+use super::{first_time, render_table};
 
 /// The experiment's data.
 #[derive(Debug, Clone)]
@@ -30,21 +30,6 @@ pub struct PartitionReport {
     pub throughput_before: f64,
     /// Throughput (actions/s) in the majority during the partition.
     pub throughput_during: f64,
-}
-
-fn first_time(
-    cluster: &mut Cluster,
-    deadline: SimTime,
-    mut pred: impl FnMut(&mut Cluster) -> bool,
-) -> SimTime {
-    let step = SimDuration::from_millis(10);
-    loop {
-        if pred(cluster) {
-            return cluster.now();
-        }
-        assert!(cluster.now() < deadline, "condition never became true");
-        cluster.run_for(step);
-    }
 }
 
 /// Runs the experiment.

@@ -16,17 +16,18 @@
 //!   prefix (dirty), no lease required.
 //!
 //! The comparison table divides lease-read mean latency by the ordered
-//! control's at each mix; the CI `reads-smoke` gate requires the 95/5
+//! control's at each mix; [`ReadSweep::gate`] requires the 95/5
 //! ratio ≤ 0.5, total throughput ≥ 0.9× the control, and zero stale
 //! lease reads (re-checked here from the trace, independently of the
 //! todr-check oracle). Emits the machine-readable `BENCH_reads.json`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_core::ReadConsistency;
 use todr_sim::{ProtocolEvent, ReadTier, SimDuration};
 
+use super::{round1, round3, Gate, Gated};
 use crate::client::{ClientConfig, Workload, ZipfianKeys};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
@@ -85,7 +86,7 @@ impl Tier {
 }
 
 /// One measured cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadCell {
     /// Percentage of requests issued as reads.
     pub read_pct: u8,
@@ -123,7 +124,7 @@ pub struct ReadCell {
 }
 
 /// Lease-vs-ordered comparison at one read mix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadComparison {
     /// Percentage of requests issued as reads.
     pub read_pct: u8,
@@ -143,7 +144,7 @@ pub struct ReadComparison {
 }
 
 /// The sweep's data, serialized verbatim into `BENCH_reads.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadSweep {
     /// Replicas in every cell.
     pub n_servers: u32,
@@ -321,22 +322,41 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-impl ReadSweep {
-    /// Deterministic pretty JSON (the `BENCH_reads.json` format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self).expect("read sweep serializes")
+impl Gated for ReadSweep {
+    /// The CI gate. At the 95%-read mix, lease reads must stay ≤ 0.5×
+    /// the ordered control's mean latency (the skipped ordering round
+    /// trip is the extension's claim) and the lease cell's total
+    /// throughput ≥ 0.9× the control's; no cell may serve a stale lease
+    /// read. Against the committed quick `baseline`, the lease cell's
+    /// throughput must stay within 10 % of it.
+    fn gate(&self, baseline: Option<&ReadSweep>) -> Gate {
+        let stale: u64 = self.cells.iter().map(|c| c.stale_lease_reads).sum();
+        let mix = self.comparisons.iter().find(|c| c.read_pct == 95);
+        let (latency, throughput) = mix.map_or((f64::NAN, f64::NAN), |c| {
+            (c.latency_ratio, c.throughput_ratio)
+        });
+        let lease95 = |s: &ReadSweep| {
+            let lease = Tier::LeaseLinearizable.label();
+            let cell = s.cells.iter().find(|c| c.read_pct == 95 && c.tier == lease);
+            cell.map_or(f64::NAN, |c| c.total_throughput)
+        };
+        let mut gate = Gate::new(format!(
+            "reads gate: 95/5 latency ratio {latency:?}, {stale} stale, lease cell {:?} ops/s",
+            lease95(self)
+        ));
+        let slow = format!("lease reads no longer halve read latency: ratio {latency:?} > 0.5");
+        gate.check(latency <= 0.5, slow);
+        let stale_reads = format!("{stale} lease-served reads missed an acknowledged write");
+        gate.check(stale == 0, stale_reads);
+        let starved = format!("lease cell throughput below ordered control: {throughput:?} < 0.9");
+        gate.check(throughput >= 0.9, starved);
+        if let Some(base) = baseline {
+            gate.floor("lease-cell throughput", lease95(self), lease95(base));
+        }
+        gate
     }
 
-    /// The sweep as an aligned text table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let headers = [
             "read%", "tier", "reads/s", "ops/s", "read_ms", "p99_ms", "write_ms", "lease",
             "ordered", "parked", "stale",

@@ -10,12 +10,12 @@
 //! priced in virtual time.
 
 use serde::Serialize;
-use todr_sim::{ProtocolEvent, SimDuration, SimTime};
+use todr_sim::{ProtocolEvent, SimDuration};
 
 use crate::client::ClientConfig;
 use crate::cluster::{BackendKind, Cluster, ClusterConfig};
 
-use super::render_table;
+use super::{first_time, render_table};
 
 /// Aggregated wall-clock disk statistics across every server, reported
 /// only when the cluster ran on [`BackendKind::File`]. This is the real
@@ -66,21 +66,6 @@ pub struct RecoveryReport {
     pub throughput_before: f64,
     /// Throughput (actions/s) while the replica was down.
     pub throughput_during_outage: f64,
-}
-
-fn first_time(
-    cluster: &mut Cluster,
-    deadline: SimTime,
-    mut pred: impl FnMut(&mut Cluster) -> bool,
-) -> SimTime {
-    let step = SimDuration::from_millis(10);
-    loop {
-        if pred(cluster) {
-            return cluster.now();
-        }
-        assert!(cluster.now() < deadline, "condition never became true");
-        cluster.run_for(step);
-    }
 }
 
 /// Runs the experiment on the default deterministic sim backend. The

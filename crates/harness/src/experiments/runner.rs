@@ -8,6 +8,8 @@ use crate::client::{ClientConfig, ClientStats};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
 
+use super::client_totals;
+
 /// Which replication protocol to deploy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
@@ -124,7 +126,7 @@ fn measure<D: Deployment>(
     clients: usize,
     warmup: SimDuration,
     measure: SimDuration,
-) -> (u64, LatencyStats) {
+) -> (LatencyStats, u64) {
     let record_from = deployment.now() + warmup;
     let client_config = ClientConfig {
         record_from,
@@ -134,14 +136,7 @@ fn measure<D: Deployment>(
         .map(|i| deployment.attach(i % n_servers as usize, client_config.clone()))
         .collect();
     deployment.advance(warmup + measure);
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = deployment.stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
-    (committed, latency)
+    client_totals(handles.into_iter().map(|h| deployment.stats(h)))
 }
 
 /// Runs `clients` closed-loop clients against `n_servers` replicas of
@@ -182,7 +177,7 @@ pub fn run_workload_packed(
         config = config.delayed_writes();
     }
 
-    let (committed, latency) = match protocol {
+    let (latency, committed) = match protocol {
         Protocol::Engine { .. } => {
             let mut cluster = Cluster::build(config);
             cluster.settle();

@@ -7,17 +7,17 @@
 //! fixed per-burst CPU overhead, so the ceiling moves toward
 //! `1 / (cpu_per_action - cpu_burst_overhead)`. This sweep measures
 //! where each packing level saturates and emits the machine-readable
-//! `BENCH_saturation.json` the CI regression gate compares against.
+//! `BENCH_saturation.json` its [`Saturation::gate`] compares against.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_sim::SimDuration;
 
+use super::{client_totals, round1, round3, Gate, Gated};
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::metrics::LatencyStats;
 
 /// One measured cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SaturationPoint {
     /// Concurrent closed-loop clients.
     pub clients: usize,
@@ -38,7 +38,7 @@ pub struct SaturationPoint {
 }
 
 /// The located throughput knee: where adding clients stops helping.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Knee {
     /// Packing level of the curve the knee was located on.
     pub max_pack: usize,
@@ -49,7 +49,7 @@ pub struct Knee {
 }
 
 /// The sweep's data, serialized verbatim into `BENCH_saturation.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Saturation {
     /// Replicas deployed.
     pub n_servers: u32,
@@ -141,13 +141,7 @@ fn run_point(
         .map(|i| cluster.attach_client(i % n_servers as usize, client_config.clone()))
         .collect();
     cluster.run_for(warmup + window);
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = cluster.client_stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
+    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
     cluster.check_consistency();
 
     let export = cluster.metrics_export();
@@ -183,22 +177,29 @@ fn run_point(
     }
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-impl Saturation {
-    /// Deterministic pretty JSON (the `BENCH_saturation.json` format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self).expect("saturation data serializes")
+impl Gated for Saturation {
+    /// The CI gate. A full sweep has no absolute bound. Against the
+    /// committed quick `baseline`, the calibration cell must be the
+    /// baseline's and its throughput within 10 % of it.
+    fn gate(&self, baseline: Option<&Saturation>) -> Gate {
+        let now = &self.calibration;
+        let mut gate = Gate::new(format!(
+            "saturation calibration {:?} actions/s @ {}x{}",
+            now.throughput, now.clients, now.max_pack
+        ));
+        if let Some(base) = baseline.map(|b| &b.calibration) {
+            let (cell, was) = ((now.clients, now.max_pack), (base.clients, base.max_pack));
+            let moved = format!(
+                "calibration cell moved: {}x{} vs {}x{}",
+                cell.0, cell.1, was.0, was.1
+            );
+            gate.check(cell == was, moved);
+            gate.floor("calibration throughput", now.throughput, base.throughput);
+        }
+        gate
     }
 
-    /// The sweep as an aligned text table (one row per cell).
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let headers = [
             "clients",
             "max_pack",

@@ -31,18 +31,19 @@
 //!    delivery, control), and the time the world spends outside every
 //!    handler. The timed repetitions stay unprofiled.
 //!
-//! Emits the machine-readable `BENCH_scale.json` consumed by the CI
-//! scale gate. Virtual-time numbers are deterministic per seed;
+//! Emits the machine-readable `BENCH_scale.json` consumed by
+//! [`Scale::gate`]. Virtual-time numbers are deterministic per seed;
 //! `wall_ms`/`events_per_sec` are host measurements and only
-//! meaningful as same-run ratios (which is exactly how the CI gate
+//! meaningful as same-run ratios (which is exactly how the gate
 //! consumes them).
 
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_core::EngineState;
-use todr_sim::{HandlerCost, SimDuration, SimTime};
+use todr_sim::{HandlerCost, SimDuration};
 
+use super::{client_totals, first_time, round1, round3, Gate, Gated};
 use crate::baselines::CorelCluster;
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
@@ -56,7 +57,7 @@ pub const PROTO_ENGINE_ALLACK: &str = "engine-allack";
 pub const PROTO_COREL: &str = "corel";
 
 /// One measured cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScaleCell {
     /// Replicas deployed.
     pub replicas: u32,
@@ -89,7 +90,7 @@ pub struct ScaleCell {
 
 /// One row of a profiled repetition's handler time: an actor kind's
 /// part of all handler time, or an event kind's part of the engine's.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HostShare {
     /// Actor kind (registered-name prefix: `engine`, `evs`, `net`,
     /// `disk`, `client`), engine event kind (`deliver`, `receipt`,
@@ -108,7 +109,7 @@ pub struct HostShare {
 /// The profiled repetition's host time outside every handler: the
 /// world's event queue and dispatch, its effect buffer, and the
 /// profile's own clock reads.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorldHost {
     /// Events the world dispatched in the profiled advance.
     pub events: u64,
@@ -121,7 +122,7 @@ pub struct WorldHost {
 }
 
 /// Membership-change cost at one cluster size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MembershipCost {
     /// Replicas deployed.
     pub replicas: u32,
@@ -132,7 +133,7 @@ pub struct MembershipCost {
 }
 
 /// The sweep's data, serialized verbatim into `BENCH_scale.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scale {
     /// Cluster sizes swept.
     pub replica_counts: Vec<u32>,
@@ -347,13 +348,7 @@ fn engine_cell(
     let wall_secs = wall.elapsed().as_secs_f64();
     let sim_events = cluster.world.events_processed() - events_before;
 
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = cluster.client_stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
+    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
     cluster.check_consistency();
 
     let export = cluster.metrics_export();
@@ -401,13 +396,7 @@ fn corel_cell(
     let wall_secs = wall.elapsed().as_secs_f64();
     let sim_events = cluster.world.events_processed() - events_before;
 
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = cluster.client_stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
+    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
 
     let export = cluster.world.metrics().export();
     let counter = |name: &str| export.counters.get(name).copied().unwrap_or(0);
@@ -500,38 +489,52 @@ fn membership_cost(n: u32, seed: u64) -> MembershipCost {
     }
 }
 
-fn first_time(
-    cluster: &mut Cluster,
-    deadline: SimTime,
-    mut pred: impl FnMut(&mut Cluster) -> bool,
-) -> SimTime {
-    let step = SimDuration::from_millis(10);
-    loop {
-        if pred(cluster) {
-            return cluster.now();
+impl Gated for Scale {
+    /// The CI gate. The engine must stay above COReL at every size.
+    /// Against the committed quick `baseline` the calibration cell must
+    /// be the baseline's, its throughput within 10 % of it, its event
+    /// count at most 10 % higher, and the wall scaling ratio at least
+    /// 0.85× the baseline's (a host measurement, so gated with slack).
+    fn gate(&self, baseline: Option<&Scale>) -> Gate {
+        let now = &self.calibration;
+        let mut gate = Gate::new(format!(
+            "scale gate: {:?} actions/s @ {}x{}, {} events, wall ratio {:?}",
+            now.throughput, now.replicas, now.clients, now.sim_events, self.wall_scaling_ratio
+        ));
+        if let Some(base) = baseline {
+            let bc = &base.calibration;
+            let (cell, was) = ((now.replicas, now.clients), (bc.replicas, bc.clients));
+            let moved = format!(
+                "calibration cell moved: {}x{} vs {}x{}",
+                cell.0, cell.1, was.0, was.1
+            );
+            gate.check(cell == was, moved);
+            gate.floor("virtual-time throughput", now.throughput, bc.throughput);
+            let (events, ceiling) = (now.sim_events, 1.1 * bc.sim_events as f64);
+            let chattier =
+                format!("calibration cell got >10% chattier: {events} > {ceiling:.0} events");
+            gate.check(events as f64 <= ceiling, chattier);
+            let (ratio, floor) = (self.wall_scaling_ratio, 0.85 * base.wall_scaling_ratio);
+            let slower = format!("wall-clock scaling degraded: ratio {ratio:?} < {floor:.3}");
+            gate.check(ratio >= floor, slower);
         }
-        assert!(cluster.now() < deadline, "condition never became true");
-        cluster.run_for(step);
-    }
-}
-
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-impl Scale {
-    /// Deterministic-shape pretty JSON (the `BENCH_scale.json` format;
-    /// wall-clock fields vary by host).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self).expect("scale data serializes")
+        for &n in &self.replica_counts {
+            let throughput = |protocol: &str| {
+                self.cells
+                    .iter()
+                    .find(|c| (c.replicas, c.clients) == (n, n as usize) && c.protocol == protocol)
+                    .map_or(f64::NAN, |c| c.throughput)
+            };
+            let above = throughput(PROTO_ENGINE) > throughput(PROTO_COREL);
+            gate.check(
+                above,
+                format!("engine no longer above COReL at {n} replicas"),
+            );
+        }
+        gate
     }
 
-    /// The sweep as aligned text tables.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let headers = [
             "replicas",
             "clients",

@@ -22,15 +22,14 @@
 //!
 //! Every cell ends with the router drained and all per-group safety
 //! invariants re-verified. Emits the machine-readable `BENCH_shard.json`
-//! consumed by the CI shard gate (quick mode gates 1 → 2 shards at
-//! ≥ 1.35×; the nightly full sweep gates 1 → 4 at ≥ 2.15×).
+//! consumed by [`ShardSweep::gate`].
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_sim::SimDuration;
 
+use super::{client_totals, round1, round3, Gate, Gated};
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::metrics::LatencyStats;
 
 /// Replicas in every group.
 pub const REPLICAS_PER_SHARD: u32 = 3;
@@ -38,9 +37,12 @@ pub const REPLICAS_PER_SHARD: u32 = 3;
 pub const CLIENTS_PER_SHARD: usize = 12;
 /// Out of 1000 requests, how many are cross-shard transactions.
 pub const CROSS_PERMILLE: u32 = 50;
+/// The gate's capacity-speedup floor per shard count, each about 4 %
+/// under the committed full sweep (EXPERIMENTS.md A10).
+pub const SPEEDUP_FLOORS: [(u32, f64); 2] = [(2, 1.35), (4, 2.15)];
 
 /// One measured cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardCell {
     /// Shards deployed (1 for control cells).
     pub shards: u32,
@@ -66,7 +68,7 @@ pub struct ShardCell {
 }
 
 /// Speedup of `S` shards over one group under the same offered load.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardSpeedup {
     /// Shards deployed.
     pub shards: u32,
@@ -75,7 +77,7 @@ pub struct ShardSpeedup {
 }
 
 /// The sweep's data, serialized verbatim into `BENCH_shard.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardSweep {
     /// Shard counts swept.
     pub shard_counts: Vec<u32>,
@@ -177,13 +179,7 @@ fn measure(
         cluster.run_to_router_quiescence(SimDuration::from_secs(30)),
         "router failed to drain after the measurement window"
     );
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for h in handles {
-        let stats = cluster.client_stats(h);
-        latency.merge(&stats.latency);
-        committed += stats.recorded;
-    }
+    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
     cluster.check_consistency();
     let hub = cluster.world.metrics();
     ShardCell {
@@ -200,22 +196,45 @@ fn measure(
     }
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-impl ShardSweep {
-    /// Deterministic pretty JSON (the `BENCH_shard.json` format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self).expect("shard sweep serializes")
+impl Gated for ShardSweep {
+    /// The CI gate. Every swept shard count in [`SPEEDUP_FLOORS`] must
+    /// reach its capacity speedup, and a failure-free sweep must need no
+    /// cross-shard retry. Against the committed quick `baseline`, the
+    /// 2-shard cell's throughput must stay within 10 % of it.
+    fn gate(&self, baseline: Option<&ShardSweep>) -> Gate {
+        let retries: u64 = self.cells.iter().map(|c| c.retries).sum();
+        let speedups: Vec<String> = self
+            .speedups
+            .iter()
+            .filter(|s| s.shards > 1)
+            .map(|s| format!("1→{} {:?}x", s.shards, s.speedup))
+            .collect();
+        let mut gate = Gate::new(format!(
+            "shard gate: speedups {}, {retries} retries",
+            speedups.join(", ")
+        ));
+        for s in &self.speedups {
+            if let Some(&(shards, floor)) = SPEEDUP_FLOORS.iter().find(|f| f.0 == s.shards) {
+                let below = format!(
+                    "{shards}-shard capacity speedup below gate: {:?} < {floor:?}",
+                    s.speedup
+                );
+                gate.check(s.speedup >= floor, below);
+            }
+        }
+        if let Some(base) = baseline {
+            let cell = |s: &ShardSweep| {
+                let cell = s.cells.iter().find(|c| c.shards == 2 && !c.control);
+                cell.map_or(f64::NAN, |c| c.throughput)
+            };
+            gate.floor("2-shard throughput", cell(self), cell(base));
+        }
+        let retried = format!("failure-free sweep needed {retries} cross-shard retries");
+        gate.check(retries == 0, retried);
+        gate
     }
 
-    /// The sweep as an aligned text table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let headers = [
             "shards",
             "replicas",
