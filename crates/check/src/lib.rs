@@ -14,22 +14,29 @@
 //!   one fault vocabulary: it lives in [`todr_harness::fault`], and the
 //!   [`runner`] applies it through the same guarded executor that
 //!   scripted timelines use, so a scripted fault is a replayable case.
-//! * **[`oracle`]** — replays the typed
-//!   [`ProtocolEvent`](todr_sim::ProtocolEvent) log of a finished run
-//!   and checks the paper's service properties over the *whole history*:
+//! * **the trace oracle** — [`todr_harness::oracle`], re-exported here
+//!   as [`check_trace`], [`TraceStats`] and [`TraceViolation`]. It
+//!   checks the paper's service properties over the *whole history* of
+//!   the typed [`ProtocolEvent`](todr_sim::ProtocolEvent) log:
 //!   agreed-order prefix agreement at every green position (Theorem 1),
-//!   color monotonicity (§3), strictly-growing green lines, crash/
-//!   recovery sanity, safe-delivery ⇒ eventual-green at survivors
-//!   (§4.3) and EVS agreed-order delivery agreement. State-at-quiescence
-//!   checks (identical committed prefixes, digests, single primary)
-//!   reuse [`todr_harness::checkers`] through the [`runner`].
+//!   per-creator green FIFO (Theorem 2), color monotonicity (§3),
+//!   strictly-growing green lines, crash/recovery sanity, safe-delivery
+//!   ⇒ eventual-green at survivors (§4.3) and EVS agreed-order delivery
+//!   agreement. The [`runner`] does not replay a log: the cluster
+//!   streams each group's events through its own oracle at every
+//!   consistency check after a hold
+//!   ([`Cluster::try_check_consistency`](todr_harness::cluster::Cluster::try_check_consistency)),
+//!   which adds the two checks only a state snapshot can make (equal
+//!   digests at equal green counts, one primary index), and runs the
+//!   end-of-run clauses once after the heal
+//!   ([`Cluster::try_check_history`](todr_harness::cluster::Cluster::try_check_history)).
 //! * **[`shrink`]** — delta-debugs ([`ddmin`]) a failing
 //!   schedule to a 1-minimal counterexample, which [`artifact`] packages
 //!   as replayable JSON (seed + schedule + event tail + metrics).
 //!
 //! All three serve every shard count: a case runs `S ≥ 1` replication
-//! groups ([`RunOptions::shards`]), the per-group oracles re-run
-//! unchanged on each group's slice of the event log, and with several
+//! groups ([`RunOptions::shards`]), each group's slice of the event log
+//! streams through its own trace oracle, and with several
 //! groups the cross-shard serializability oracle of the [`sharded`]
 //! module ([`check_shard_trace`]) checks atomicity, prepare/commit
 //! phasing, deterministic timestamp merge and pairwise commit-order
@@ -62,7 +69,6 @@
 
 pub mod artifact;
 pub mod explorer;
-pub mod oracle;
 pub mod runner;
 pub mod schedule;
 pub mod sharded;
@@ -70,7 +76,6 @@ pub mod shrink;
 
 pub use artifact::Counterexample;
 pub use explorer::{explore, ExploreConfig, ExploreReport};
-pub use oracle::{check_trace, TraceStats, TraceViolation};
 pub use runner::{
     run_case, tie_break_for, CaseFailure, CasePass, CaseSpec, FailureKind, GroupPass, RunOptions,
 };
@@ -78,3 +83,4 @@ pub use schedule::{generate_schedule, generate_schedule_with};
 pub use sharded::{check_shard_trace, ShardTraceStats, ShardTraceViolation};
 pub use shrink::{ddmin, shrink_case};
 pub use todr_harness::fault::Step;
+pub use todr_harness::oracle::{check_trace, TraceStats, TraceViolation};

@@ -8,27 +8,27 @@
 //! Steps go through the one guarded executor,
 //! [`todr_harness::fault::Faults`], that scripted timelines also use:
 //! they name replicas by *flat* index and act on the group that index
-//! lands in, and the convergence and whole-history checks run once per
-//! replication group plus once across groups
-//! ([`crate::check_shard_trace`]). Every assertion
+//! lands in. The cluster streams each replication group's event log
+//! through its own trace oracle at every check after a hold and runs
+//! the oracles' end-of-run clauses after the heal; the convergence
+//! checks run once per group, and the cross-shard oracle
+//! ([`crate::check_shard_trace`]) once across groups. Every assertion
 //! is converted into a typed [`CaseFailure`] so the Explorer can collect
 //! and the Shrinker can minimize failing cases instead of aborting the
 //! process. Engine panics (a protocol-internal `assert!` firing deep in
 //! a handler) are caught and classified as [`FailureKind::Panic`]: for a
 //! checking tool a panic is a *finding*, not a crash.
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 use todr_core::{EngineState, UpdateReplyPolicy};
-use todr_harness::checkers::ConsistencyViolation;
+use todr_harness::checkers::{ConsistencyError, ConsistencyViolation};
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder};
 use todr_harness::fault::Faults;
 use todr_sim::{MetricsExport, RecordedEvent, SimDuration, TieBreak};
 
-use crate::oracle;
 use crate::sharded::check_shard_trace;
 use crate::Step;
 
@@ -169,10 +169,11 @@ pub struct CasePass {
 pub enum FailureKind {
     /// The initial primary component never formed.
     Settle,
-    /// A step-by-step state invariant broke
-    /// ([`todr_harness::checkers`]).
+    /// A state invariant only a snapshot shows broke at a check
+    /// (database divergence, two primaries; [`todr_harness::checkers`]).
     Consistency,
-    /// A whole-history property broke ([`crate::oracle`]).
+    /// A trace property broke ([`todr_harness::oracle`]), at a check
+    /// after a hold or at the end of the run.
     TraceOracle,
     /// The healed cluster did not converge (survivor count, primary
     /// membership, green counts or database digests).
@@ -219,21 +220,29 @@ impl std::fmt::Display for CaseFailure {
     }
 }
 
-/// How many trailing protocol events a [`CaseFailure`] carries.
-pub const EVENT_TAIL: usize = 32;
-
 fn fail(cluster: &Cluster, kind: FailureKind, message: String) -> Box<CaseFailure> {
     let events = cluster.world.metrics().events();
     let mut failure = worldless(kind, message);
-    failure.event_tail = events[events.len().saturating_sub(EVENT_TAIL)..].to_vec();
+    let tail = ConsistencyViolation::EVENT_TAIL;
+    failure.event_tail = events[events.len().saturating_sub(tail)..].to_vec();
     failure.metrics = Some(cluster.metrics_export());
     failure
 }
 
-fn consistency_fail(cluster: &Cluster, v: ConsistencyViolation) -> Box<CaseFailure> {
+/// A failed cluster check; with several groups the message names the
+/// group.
+fn consistency_fail(cluster: &Cluster, v: ConsistencyViolation, shards: usize) -> Box<CaseFailure> {
+    let kind = match v.error {
+        ConsistencyError::Trace(_) => FailureKind::TraceOracle,
+        _ => FailureKind::Consistency,
+    };
+    let label = match shards {
+        1 => String::new(),
+        _ => format!("group {}: ", v.group),
+    };
     Box::new(CaseFailure {
-        kind: FailureKind::Consistency,
-        message: v.error.to_string(),
+        kind,
+        message: format!("{label}{}", v.error),
         event_tail: v.recent_events,
         metrics: Some(cluster.metrics_export()),
     })
@@ -330,7 +339,7 @@ fn run_case_inner(
     let hold = SimDuration::from_millis(400);
     let timeline = spec.schedule.iter().map(|step| (step.clone(), hold));
     if let Err(v) = faults.run(&mut cluster, timeline) {
-        return Err(consistency_fail(&cluster, *v));
+        return Err(consistency_fail(&cluster, *v, shards));
     }
 
     // Heal: reconnect and recover everyone entitled to return, drain
@@ -349,7 +358,7 @@ fn run_case_inner(
         ));
     }
     if let Err(v) = cluster.try_check_consistency() {
-        return Err(consistency_fail(&cluster, *v));
+        return Err(consistency_fail(&cluster, *v, shards));
     }
 
     // Convergence over each group's surviving membership: every
@@ -413,34 +422,16 @@ fn run_case_inner(
         });
     }
 
-    // Whole-history oracles over the typed event log: per group on the
-    // group's own slice (node ids restart at 0 in every group), then the
-    // cross-shard one over the merged history — vacuous with one group,
-    // which never emits a `CrossShard*` event. The router drained, so
-    // every started transaction must have applied.
+    // The trace oracles' end-of-run clauses, per group over its
+    // survivors, then the cross-shard oracle over the merged history —
+    // vacuous with one group, which never emits a `CrossShard*` event.
+    // The router drained, so every started transaction must have
+    // applied.
+    let green_positions_agreed = match cluster.try_check_history() {
+        Ok(stats) => stats.green_positions_agreed,
+        Err(v) => return Err(consistency_fail(&cluster, *v, shards)),
+    };
     let events = cluster.world.metrics().events();
-    let mut green_positions_agreed = 0;
-    for (g, group) in groups.iter().enumerate() {
-        let scope = cluster
-            .world
-            .actor_scope(cluster.servers[g * (n / shards)].engine);
-        let group_events: Vec<RecordedEvent> = events
-            .iter()
-            .filter(|rec| rec.group == scope)
-            .cloned()
-            .collect();
-        let survivor_nodes: BTreeSet<u32> = group.survivors.iter().copied().collect();
-        match oracle::check_trace(&group_events, &survivor_nodes) {
-            Ok(stats) => green_positions_agreed += stats.green_positions_agreed,
-            Err(v) => {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::TraceOracle,
-                    format!("{}{v}", label(g)),
-                ));
-            }
-        }
-    }
     let shard_stats = match check_shard_trace(events, true) {
         Ok(stats) => stats,
         Err(v) => {

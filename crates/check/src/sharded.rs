@@ -1,11 +1,10 @@
 //! The cross-shard serializability oracle.
 //!
-//! Per group, a sharded deployment needs nothing new — Theorem 1 holds
-//! independently in every group, so [`crate::run_case`] re-runs the
-//! existing state invariants ([`todr_harness::checkers`]) and the
-//! whole-history trace oracle ([`crate::oracle::check_trace`]) once per
-//! group, on the group's own slice of the typed event log (filtered by
-//! the [`RecordedEvent::group`] metric scope: node ids restart at 0 in
+//! Per group, a sharded deployment needs nothing new — Theorems 1 and 2
+//! hold independently in every group, so the cluster keeps one trace
+//! oracle ([`todr_harness::oracle::TraceOracle`]) per group and streams
+//! it the group's own slice of the typed event log (filtered by the
+//! [`RecordedEvent::group`] metric scope: node ids restart at 0 in
 //! every group, so the merged log would alias replicas across groups).
 //!
 //! What *is* new is [`check_shard_trace`]: a pure function over the

@@ -6,10 +6,12 @@
 //! yellow, precisely the unsafe shortcut §3's yellow color exists to
 //! prevent. The Explorer must catch it on a small sweep and shrink the
 //! counterexample to a handful of steps. If every oracle stayed silent
-//! here, the checker would be decorative.
+//! here, the checker would be decorative. The other mutations each aim
+//! at one clause: a checksum-blind recovery, a swapped reloaded green
+//! order, and an installation that greens newest first.
 #![cfg(feature = "chaos-mutations")]
 
-use todr_check::{explore, ExploreConfig, RunOptions};
+use todr_check::{explore, ExploreConfig, FailureKind, RunOptions};
 use todr_core::ChaosMutation;
 
 #[test]
@@ -130,6 +132,108 @@ fn explorer_catches_skipped_checksum_verify_and_shrinks_it() {
         .replay(&config.options)
         .expect_err("replaying a counterexample must fail again");
     assert_eq!(replayed.kind, ce.kind);
+}
+
+/// Sweeps `options` with shrinking on and returns the counterexamples,
+/// printing each.
+fn findings(seed_count: u64, options: RunOptions) -> Vec<todr_check::Counterexample> {
+    let config = ExploreConfig {
+        seed_start: 0,
+        seed_count,
+        perturbations: 1,
+        shrink: true,
+        storage_faults: false,
+        options,
+    };
+    let report = explore(&config, |seed, pert, passed| {
+        eprintln!(
+            "seed {seed} pert {pert}: {}",
+            if passed { "ok" } else { "FAIL" }
+        );
+    })
+    .expect("coherent options");
+    for ce in &report.failures {
+        eprintln!(
+            "counterexample: seed {} pert {} kind {} schedule {:?}: {}",
+            ce.world_seed, ce.perturbation, ce.kind, ce.schedule, ce.message
+        );
+        let replayed = ce
+            .replay(&config.options)
+            .expect_err("replaying a counterexample must fail again");
+        assert_eq!(replayed.kind, ce.kind);
+    }
+    report.failures
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow under debug profile; run with --release"
+)]
+fn explorer_catches_a_swapped_reloaded_green_order_and_shrinks_it() {
+    // A recovery reloads its green order with the last two ids swapped.
+    // No event carries reloaded ids, so only the comparison of the
+    // reloaded prefix with the other replicas' claims can see it, at
+    // the first check after the recovery. Auto-checkpointing is off:
+    // the checkpoint at the next installation would otherwise collect
+    // the reloaded tail before the check looks at it.
+    let failures = findings(
+        4,
+        RunOptions {
+            chaos: Some(ChaosMutation::SwapReloadedGreens),
+            checkpoint_interval: 0,
+            ..RunOptions::default()
+        },
+    );
+    let caught: Vec<_> = failures
+        .iter()
+        .filter(|ce| {
+            ce.kind == FailureKind::TraceOracle && ce.message.contains("green order conflict")
+        })
+        .collect();
+    assert!(
+        !caught.is_empty(),
+        "no swapped reloaded green order was caught as a green order conflict"
+    );
+    let min_len = caught.iter().map(|ce| ce.schedule.len()).min();
+    assert!(min_len <= Some(3), "min shrunk schedule {min_len:?}");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow under debug profile; run with --release"
+)]
+fn explorer_catches_install_newest_first_by_fifo_alone_and_shrinks_it() {
+    // Installation greens its pending actions newest first: every member
+    // greens the same sequence (Theorem 1 holds), but a creator's older
+    // pending action is skipped. Fast-path clients keep several actions
+    // per creator pending across a partition; the Theorem 2 clause alone
+    // must object.
+    let failures = findings(
+        8,
+        RunOptions {
+            chaos: Some(ChaosMutation::InstallNewestFirst),
+            fast_path: true,
+            ..RunOptions::default()
+        },
+    );
+    assert!(
+        failures
+            .iter()
+            .all(|ce| !ce.message.contains("green order conflict")),
+        "Theorem 1 must still hold under InstallNewestFirst"
+    );
+    let caught: Vec<_> = failures
+        .iter()
+        .filter(|ce| ce.kind == FailureKind::TraceOracle && ce.message.contains("FIFO violated"))
+        .collect();
+    assert!(
+        !caught.is_empty(),
+        "the FIFO clause missed every newest-first installation"
+    );
+    let min_len = caught.iter().map(|ce| ce.schedule.len()).min();
+    assert!(min_len <= Some(3), "min shrunk schedule {min_len:?}");
 }
 
 #[test]

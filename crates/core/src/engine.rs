@@ -1658,6 +1658,19 @@ impl ReplicationEngine {
         }
     }
 
+    /// The order `install` greens a pending set in: as given, or newest
+    /// first under the `InstallNewestFirst` chaos mutation. `mark_green`
+    /// skips an action whose creator is already green past it, so newest
+    /// first loses a creator's older pending action from the green order
+    /// — at every member alike.
+    #[cfg(feature = "chaos-mutations")]
+    fn chaos_install_order<T>(&self, mut pending: Vec<T>) -> Vec<T> {
+        if self.cfg.chaos == Some(crate::types::ChaosMutation::InstallNewestFirst) {
+            pending.reverse();
+        }
+        pending
+    }
+
     /// `Install` (CodeSegment A.10).
     fn install(&mut self, ctx: &mut Ctx<'_>) {
         debug_assert!(
@@ -1670,6 +1683,8 @@ impl ReplicationEngine {
             // OR-1.2: the previous primary already fixed these actions'
             // positions.
             let yellow_ids = std::mem::take(&mut self.k.yellow.set);
+            #[cfg(feature = "chaos-mutations")]
+            let yellow_ids = self.chaos_install_order(yellow_ids);
             for id in yellow_ids {
                 let action = self.k.body(&id);
                 let action = Rc::clone(action.expect("yellow body present after exchange"));
@@ -1693,6 +1708,8 @@ impl ReplicationEngine {
         self.k.attempt_index = 0;
         // OR-2: remaining red actions, ordered by action id.
         let reds: Vec<Rc<Body>> = self.k.red_bodies().cloned().collect();
+        #[cfg(feature = "chaos-mutations")]
+        let reds = self.chaos_install_order(reds);
         for action in reds {
             self.mark_green(ctx, &action);
         }
@@ -2243,6 +2260,16 @@ impl ReplicationEngine {
         self.store.set_epoch(incarnation);
 
         self.k = recovered;
+        #[cfg(feature = "chaos-mutations")]
+        if self.cfg.chaos == Some(crate::types::ChaosMutation::SwapReloadedGreens) {
+            // Injected bug: a reloaded green order with its last two
+            // ids swapped. The database was replayed in log order, so
+            // only the green tail (what retransmission serves) is wrong.
+            let n = self.k.green_tail.len();
+            if n >= 2 {
+                self.k.green_tail.swap(n - 2, n - 1);
+            }
+        }
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
 
         // Re-accept own unacknowledged actions (A.13).

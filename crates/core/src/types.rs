@@ -229,6 +229,19 @@ pub enum ChaosMutation {
     /// majority commits new writes, returning stale values that the
     /// `StaleLinearizableRead` oracle in todr-check exists to catch.
     ServeReadWithoutLease,
+    /// Reload the green order from the log with its last two entries
+    /// swapped. The database replays in the right order, so only the
+    /// recovered replica's green tail is wrong, and no event shows it:
+    /// recovery announces a green count, not the ids. The check of the
+    /// reloaded prefix against the other replicas' claims must catch it.
+    SwapReloadedGreens,
+    /// Green the yellow and red sets at installation newest first.
+    /// Every member greens the same sequence, so Theorem 1 still holds,
+    /// but a creator with two pending actions has its older one skipped
+    /// (its green cut is already past it): the green order has a gap in
+    /// that creator's indices, which only the Theorem 2 (FIFO) clause
+    /// sees.
+    InstallNewestFirst,
 }
 
 /// How long a granted read lease remains valid without renewal. A

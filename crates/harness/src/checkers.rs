@@ -1,25 +1,31 @@
-//! Cross-replica safety checkers over state snapshots: executable
-//! versions of the paper's Theorems 1 and 2, database convergence and
-//! the single-primary rule.
+//! Cross-replica safety checks on a live [`Cluster`]: the trace oracle
+//! over the typed event log, plus what only a state snapshot can show.
 //!
-//! Every invariant has a fallible `verify_*` form over collected
-//! [`ReplicaView`]s returning a typed [`ConsistencyError`]. The
-//! cluster-level entry point is [`try_check_consistency`] (panicking
-//! twin: [`check_consistency`]), which on failure attaches
-//! the tail of the world's typed [`ProtocolEvent`](todr_sim::ProtocolEvent)
-//! log so a violation report shows *what the protocol did* leading up
-//! to the bad state, not just the bad state itself.
+//! [`Cluster::try_check_consistency`] feeds each replication group's
+//! [`TraceOracle`](crate::oracle::TraceOracle) the events logged since the previous check, so every
+//! clause of [`crate::oracle`] that holds at each prefix of the history
+//! (Theorems 1 and 2 among them) is checked up to now. It then checks
+//! what the log cannot show: the green ids a recovered replica reloaded
+//! from its own log
+//! ([`TraceOracle::check_reloaded`](crate::oracle::TraceOracle::check_reloaded)), equal database
+//! digests at equal green counts, and one primary index among the
+//! replicas claiming primary membership. [`Cluster::try_check_history`]
+//! adds the oracle's end-of-run clauses. A violation carries the tail of
+//! the offending group's event log, so a report shows *what the
+//! protocol did* leading up to the bad state, not just the bad state.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
-use todr_core::{ActionId, EngineState};
+use todr_core::EngineState;
 use todr_net::NodeId;
 use todr_sim::RecordedEvent;
 
 use crate::cluster::Cluster;
+use crate::oracle::{TraceStats, TraceViolation};
 
-/// A snapshot of one replica's ordering state, for offline comparison.
+/// A snapshot of one replica's state, for the checks the event log
+/// cannot make.
 #[derive(Debug, Clone)]
 pub struct ReplicaView {
     /// The server.
@@ -28,10 +34,6 @@ pub struct ReplicaView {
     pub state: EngineState,
     /// Green action count.
     pub green_count: u64,
-    /// First green position with a retained id.
-    pub green_floor: u64,
-    /// Green ids from `green_floor` on.
-    pub green_tail: Vec<ActionId>,
     /// Database digest.
     pub db_digest: u64,
     /// Index of the last primary component this replica installed (or
@@ -43,27 +45,9 @@ pub struct ReplicaView {
 /// A violated safety invariant, as structured data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsistencyError {
-    /// Theorem 1: two replicas disagree on the action at one green
-    /// position.
-    TotalOrder {
-        /// The green position in dispute.
-        position: u64,
-        /// First replica and the id it holds there.
-        a: (NodeId, ActionId),
-        /// Second replica and the id it holds there.
-        b: (NodeId, ActionId),
-    },
-    /// Theorem 2: a creator's indices jumped inside one green sequence.
-    FifoOrder {
-        /// The replica whose green sequence has the gap.
-        node: NodeId,
-        /// The creator whose indices jumped.
-        creator: NodeId,
-        /// Last index seen before the jump.
-        prev: u64,
-        /// The index that followed it.
-        next: u64,
-    },
+    /// A clause of the trace oracle (Theorem 1, Theorem 2, …; see
+    /// [`TraceViolation`]).
+    Trace(TraceViolation),
     /// Two replicas at the same green count hold different databases.
     DbDivergence {
         /// First replica and its digest.
@@ -84,20 +68,7 @@ pub enum ConsistencyError {
 impl fmt::Display for ConsistencyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConsistencyError::TotalOrder { position, a, b } => write!(
-                f,
-                "total order violated at green position {position}: {} has {}, {} has {}",
-                a.0, a.1, b.0, b.1
-            ),
-            ConsistencyError::FifoOrder {
-                node,
-                creator,
-                prev,
-                next,
-            } => write!(
-                f,
-                "FIFO violated at {node}: creator {creator} jumped {prev} -> {next}"
-            ),
+            ConsistencyError::Trace(v) => write!(f, "{v}"),
             ConsistencyError::DbDivergence { a, b, green_count } => write!(
                 f,
                 "replicas {} and {} diverged at green count {green_count}",
@@ -113,13 +84,16 @@ impl fmt::Display for ConsistencyError {
 impl std::error::Error for ConsistencyError {}
 
 /// A [`ConsistencyError`] packaged with protocol context: the tail of
-/// the typed event log at the moment the violation was detected.
+/// the group's typed event log at the moment the violation was detected.
 #[derive(Debug, Clone)]
 pub struct ConsistencyViolation {
     /// The violated invariant.
     pub error: ConsistencyError,
-    /// The most recent typed protocol events (up to
-    /// [`ConsistencyViolation::EVENT_TAIL`]), oldest first.
+    /// The replication group it broke in.
+    pub group: u32,
+    /// The group's most recent typed protocol events (up to
+    /// [`ConsistencyViolation::EVENT_TAIL`]), oldest first; for a trace
+    /// clause, ending at the violating event.
     pub recent_events: Vec<RecordedEvent>,
 }
 
@@ -152,79 +126,8 @@ pub struct ConsistencyReport {
     pub min_green: u64,
     /// Largest green count among them.
     pub max_green: u64,
-    /// Green positions actually compared pairwise (overlap of retained
-    /// tails).
-    pub positions_compared: u64,
-}
-
-/// Collects every live replica's view.
-pub fn collect_views(cluster: &mut Cluster) -> Vec<ReplicaView> {
-    (0..cluster.servers.len())
-        .map(|i| {
-            let node = cluster.servers[i].node;
-            cluster.with_engine(i, |e| ReplicaView {
-                node,
-                state: e.state(),
-                green_count: e.green_count(),
-                green_floor: e.green_floor(),
-                green_tail: e.green_tail().to_vec(),
-                db_digest: e.db_digest(),
-                prim_index: e.prim_component().prim_index,
-            })
-        })
-        .collect()
-}
-
-/// Theorem 1 (Global Total Order): if two servers both performed their
-/// `i`-th action, those actions are identical. Checked over the overlap
-/// of retained green ids. Returns how many positions were compared.
-pub fn verify_total_order(views: &[ReplicaView]) -> Result<u64, ConsistencyError> {
-    let mut compared = 0;
-    for a in views {
-        for b in views {
-            if a.node >= b.node {
-                continue;
-            }
-            let lo = a.green_floor.max(b.green_floor);
-            let hi = a.green_count.min(b.green_count);
-            for pos in lo..hi {
-                let ia = a.green_tail[(pos - a.green_floor) as usize];
-                let ib = b.green_tail[(pos - b.green_floor) as usize];
-                if ia != ib {
-                    return Err(ConsistencyError::TotalOrder {
-                        position: pos,
-                        a: (a.node, ia),
-                        b: (b.node, ib),
-                    });
-                }
-                compared += 1;
-            }
-        }
-    }
-    Ok(compared)
-}
-
-/// Theorem 2 (Global FIFO Order): within one server's green sequence,
-/// per-creator indices are strictly increasing and contiguous from the
-/// first retained occurrence.
-pub fn verify_fifo_order(views: &[ReplicaView]) -> Result<(), ConsistencyError> {
-    for v in views {
-        let mut last: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for id in &v.green_tail {
-            if let Some(&prev) = last.get(&id.server) {
-                if prev + 1 != id.index {
-                    return Err(ConsistencyError::FifoOrder {
-                        node: v.node,
-                        creator: id.server,
-                        prev,
-                        next: id.index,
-                    });
-                }
-            }
-            last.insert(id.server, id.index);
-        }
-    }
-    Ok(())
+    /// What the trace oracles have covered so far, summed over groups.
+    pub trace: TraceStats,
 }
 
 /// Database determinism: two replicas with the same green count must
@@ -263,72 +166,139 @@ pub fn verify_single_primary(views: &[ReplicaView]) -> Result<(), ConsistencyErr
     Ok(())
 }
 
-/// Runs every safety check against the live (non-crashed, non-joining)
-/// replicas of the cluster, one replication group at a time (node ids
-/// restart at 0 in every group, and Theorem 1 holds per group),
-/// returning what was covered or a violation carrying the offending
-/// group's recent typed protocol events.
-pub fn try_check_consistency(
-    cluster: &mut Cluster,
-) -> Result<ConsistencyReport, Box<ConsistencyViolation>> {
-    let groups: Vec<u32> = cluster.servers.iter().map(|s| s.group).collect();
-    let mut live: Vec<Vec<ReplicaView>> = vec![Vec::new(); cluster.config().shards as usize];
-    for (view, group) in collect_views(cluster).into_iter().zip(groups) {
-        if !matches!(view.state, EngineState::Down | EngineState::Joining) {
-            live[group as usize].push(view);
-        }
+impl Cluster {
+    /// `error`, found in `group`, with the group's last events among the
+    /// first `upto` of the log.
+    fn violation(
+        &self,
+        group: usize,
+        error: ConsistencyError,
+        upto: usize,
+    ) -> Box<ConsistencyViolation> {
+        let scope = self.oracles[group].0;
+        let mut recent_events: Vec<RecordedEvent> = self.world.metrics().events()[..upto]
+            .iter()
+            .rev()
+            .filter(|e| e.group == scope)
+            .take(ConsistencyViolation::EVENT_TAIL)
+            .cloned()
+            .collect();
+        recent_events.reverse();
+        Box::new(ConsistencyViolation {
+            error,
+            group: group as u32,
+            recent_events,
+        })
     }
-    let run = |views: &[ReplicaView]| -> Result<u64, ConsistencyError> {
-        let compared = verify_total_order(views)?;
-        verify_fifo_order(views)?;
-        verify_db_convergence(views)?;
-        verify_single_primary(views)?;
-        Ok(compared)
-    };
-    let mut positions_compared = 0;
-    for (group, views) in live.iter().enumerate() {
-        match run(views) {
-            Ok(compared) => positions_compared += compared,
-            Err(error) => {
-                let member = cluster.servers.iter().find(|s| s.group as usize == group);
-                let scope = cluster
-                    .world
-                    .actor_scope(member.expect("every group has a server").engine);
-                let mut recent_events: Vec<RecordedEvent> = cluster
-                    .world
-                    .metrics()
-                    .events()
-                    .iter()
-                    .rev()
-                    .filter(|e| e.group == scope)
-                    .take(ConsistencyViolation::EVENT_TAIL)
-                    .cloned()
-                    .collect();
-                recent_events.reverse();
-                return Err(Box::new(ConsistencyViolation {
-                    error,
-                    recent_events,
-                }));
+
+    /// Feeds each group's oracle the group's events logged since the
+    /// previous call.
+    fn observe_events(&mut self) -> Result<(), Box<ConsistencyViolation>> {
+        let events = self.world.metrics().events();
+        let from = self.observed;
+        self.observed = events.len();
+        for (k, rec) in events.iter().enumerate().skip(from) {
+            let Some(g) = self.oracles.iter().position(|&(s, _)| s == rec.group) else {
+                continue; // the router's own events
+            };
+            if let Err(v) = self.oracles[g].1.observe(rec) {
+                return Err(self.violation(g, ConsistencyError::Trace(v), k + 1));
             }
         }
+        Ok(())
     }
-    let greens = || live.iter().flatten().map(|v| v.green_count);
-    Ok(ConsistencyReport {
-        replicas_checked: greens().count(),
-        min_green: greens().min().unwrap_or(0),
-        max_green: greens().max().unwrap_or(0),
-        positions_compared,
-    })
-}
 
-/// Panicking wrapper over [`try_check_consistency`].
-///
-/// # Panics
-///
-/// Panics on the first violated invariant.
-pub fn check_consistency(cluster: &mut Cluster) {
-    if let Err(v) = try_check_consistency(cluster) {
-        panic!("{v}");
+    /// Verifies cross-replica safety invariants, group by group: the
+    /// trace oracle over the events logged since the previous check, the
+    /// green ids recovered replicas reloaded, then database convergence
+    /// and the single-primary rule over the live (non-crashed,
+    /// non-joining) replicas. A violation carries the offending group's
+    /// recent typed protocol events as context.
+    pub fn try_check_consistency(
+        &mut self,
+    ) -> Result<ConsistencyReport, Box<ConsistencyViolation>> {
+        self.observe_events()?;
+        let mut live: Vec<Vec<ReplicaView>> = vec![Vec::new(); self.oracles.len()];
+        for i in 0..self.servers.len() {
+            let (node, g) = (self.servers[i].node, self.servers[i].group as usize);
+            let reloaded = self.oracles[g].1.reloaded(node.index());
+            let (view, floor, tail) = self.with_engine(i, |e| {
+                let floor = e.green_floor();
+                let n = (reloaded.saturating_sub(floor) as usize).min(e.green_tail().len());
+                let tail: Vec<(u32, u64)> = e.green_tail()[..n]
+                    .iter()
+                    .map(|id| (id.server.index(), id.index))
+                    .collect();
+                let view = ReplicaView {
+                    node,
+                    state: e.state(),
+                    green_count: e.green_count(),
+                    db_digest: e.db_digest(),
+                    prim_index: e.prim_component().prim_index,
+                };
+                (view, floor, tail)
+            });
+            if matches!(view.state, EngineState::Down | EngineState::Joining) {
+                continue;
+            }
+            if let Err(v) = self.oracles[g].1.check_reloaded(node.index(), floor, &tail) {
+                let upto = self.observed;
+                return Err(self.violation(g, ConsistencyError::Trace(v), upto));
+            }
+            live[g].push(view);
+        }
+        for (g, views) in live.iter().enumerate() {
+            if let Err(error) = verify_db_convergence(views).and(verify_single_primary(views)) {
+                return Err(self.violation(g, error, self.observed));
+            }
+        }
+        let mut trace = TraceStats::default();
+        for (_, oracle) in &self.oracles {
+            trace += oracle.stats();
+        }
+        let greens = || live.iter().flatten().map(|v| v.green_count);
+        Ok(ConsistencyReport {
+            replicas_checked: greens().count(),
+            min_green: greens().min().unwrap_or(0),
+            max_green: greens().max().unwrap_or(0),
+            trace,
+        })
+    }
+
+    /// Asserts cross-replica safety invariants (panicking wrapper over
+    /// [`Cluster::try_check_consistency`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    pub fn check_consistency(&mut self) {
+        if let Err(v) = self.try_check_consistency() {
+            panic!("{v}");
+        }
+    }
+
+    /// Feeds the oracles the rest of the log, then checks their
+    /// end-of-run clauses (durability, eventual green, lease overlap,
+    /// the fast-commit promise) over each group's surviving (not
+    /// [`EngineState::Down`]) replicas. Call it once the run has healed
+    /// and drained; it returns what the whole trace check covered.
+    pub fn try_check_history(&mut self) -> Result<TraceStats, Box<ConsistencyViolation>> {
+        self.observe_events()?;
+        let mut survivors = vec![BTreeSet::new(); self.oracles.len()];
+        for i in 0..self.servers.len() {
+            if self.engine_state(i) != EngineState::Down {
+                let server = &self.servers[i];
+                survivors[server.group as usize].insert(server.node.index());
+            }
+        }
+        let mut stats = TraceStats::default();
+        for (g, survivors) in survivors.iter().enumerate() {
+            match self.oracles[g].1.finish(survivors) {
+                Ok(s) => stats += s,
+                Err(v) => return Err(self.violation(g, ConsistencyError::Trace(v), self.observed)),
+            }
+        }
+        Ok(stats)
     }
 }
 
@@ -336,73 +306,20 @@ pub fn check_consistency(cluster: &mut Cluster) {
 mod tests {
     use super::*;
 
-    fn view(node: u32, floor: u64, tail: &[(u32, u64)]) -> ReplicaView {
+    fn view(node: u32, green_count: u64) -> ReplicaView {
         ReplicaView {
             node: NodeId::new(node),
             state: EngineState::NonPrim,
-            green_count: floor + tail.len() as u64,
-            green_floor: floor,
-            green_tail: tail
-                .iter()
-                .map(|&(s, i)| ActionId {
-                    server: NodeId::new(s),
-                    index: i,
-                })
-                .collect(),
+            green_count,
             db_digest: 0,
             prim_index: 0,
         }
     }
 
     #[test]
-    fn total_order_accepts_consistent_prefixes() {
-        let a = view(0, 0, &[(0, 1), (1, 1), (0, 2)]);
-        let b = view(1, 0, &[(0, 1), (1, 1)]);
-        assert_eq!(verify_total_order(&[a, b]), Ok(2));
-    }
-
-    #[test]
-    fn total_order_violation_is_structured() {
-        let a = view(0, 0, &[(0, 1), (1, 1)]);
-        let b = view(1, 0, &[(1, 1), (0, 1)]);
-        let err = verify_total_order(&[a, b]).unwrap_err();
-        assert!(err.to_string().contains("total order violated"));
-        match err {
-            ConsistencyError::TotalOrder { position, a, b } => {
-                assert_eq!(position, 0);
-                assert_eq!(a.0, NodeId::new(0));
-                assert_eq!(b.0, NodeId::new(1));
-                assert_ne!(a.1, b.1);
-            }
-            other => panic!("wrong error kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn total_order_respects_floors() {
-        // b bootstrapped at position 2: only the overlap is compared.
-        let a = view(0, 0, &[(0, 1), (1, 1), (0, 2)]);
-        let b = view(1, 2, &[(0, 2)]);
-        assert_eq!(verify_total_order(&[a, b]), Ok(1));
-    }
-
-    #[test]
-    fn fifo_accepts_contiguous_creators() {
-        let v = view(0, 0, &[(0, 1), (1, 1), (0, 2), (1, 2)]);
-        assert_eq!(verify_fifo_order(&[v]), Ok(()));
-    }
-
-    #[test]
-    fn fifo_rejects_gaps() {
-        let v = view(0, 0, &[(0, 1), (0, 3)]);
-        let err = verify_fifo_order(&[v]).unwrap_err();
-        assert!(err.to_string().contains("FIFO violated"), "{err}");
-    }
-
-    #[test]
     fn db_convergence_rejects_digest_mismatch() {
-        let mut a = view(0, 0, &[(0, 1)]);
-        let mut b = view(1, 0, &[(0, 1)]);
+        let mut a = view(0, 1);
+        let mut b = view(1, 1);
         assert_eq!(verify_db_convergence(&[a.clone(), b.clone()]), Ok(()));
         a.db_digest = 1;
         b.db_digest = 2;
@@ -412,8 +329,8 @@ mod tests {
 
     #[test]
     fn single_primary_is_pure_over_views() {
-        let mut a = view(0, 0, &[(0, 1)]);
-        let mut b = view(1, 0, &[(0, 1)]);
+        let mut a = view(0, 1);
+        let mut b = view(1, 1);
         a.state = EngineState::RegPrim;
         a.prim_index = 3;
         b.state = EngineState::RegPrim;
@@ -435,6 +352,7 @@ mod tests {
                 b: (NodeId::new(1), 2),
                 green_count: 7,
             },
+            group: 0,
             recent_events: vec![RecordedEvent {
                 at_nanos: 42,
                 actor: 3,

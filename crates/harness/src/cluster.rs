@@ -50,6 +50,7 @@ use todr_storage::{DiskActor, DiskMode, DiskOp, StorageHandle};
 use serde::Serialize;
 
 use crate::client::{ClientConfig, ClientStats, ClosedLoopClient, StartClient};
+use crate::oracle::TraceOracle;
 
 /// Which stable-storage backend every server runs on.
 ///
@@ -608,6 +609,11 @@ pub struct Cluster {
     /// Per-cluster directory holding every server's file-backed store
     /// (`None` on the sim backend). Removed on drop.
     storage_root: Option<PathBuf>,
+    /// Each group's metric scope and the trace oracle its slice of the
+    /// event log streams through, indexed by group.
+    pub(crate) oracles: Vec<(u32, TraceOracle)>,
+    /// How much of the world's event log the oracles have seen.
+    pub(crate) observed: usize,
 }
 
 impl Cluster {
@@ -652,6 +658,8 @@ impl Cluster {
             config,
             clients: Vec::new(),
             storage_root,
+            oracles: Vec::new(),
+            observed: 0,
         };
         let shards = cluster.config.shards;
         let nodes: Vec<NodeId> = (0..cluster.config.n_servers / shards)
@@ -660,13 +668,14 @@ impl Cluster {
         for group in 0..shards {
             // One group reports into the root scope under the historical
             // actor names; several get a `g{i}.` scope each.
-            let fabric_name = if shards == 1 {
-                "net".to_string()
+            let (scope, fabric_name) = if shards == 1 {
+                (0, "net".to_string())
             } else {
                 let scope = cluster.world.register_metric_scope(&format!("g{group}"));
                 cluster.world.set_build_scope(scope);
-                format!("net-g{group}")
+                (scope, format!("net-g{group}"))
             };
+            cluster.oracles.push((scope, TraceOracle::default()));
             let fabric = cluster
                 .world
                 .add_actor(fabric_name, NetFabric::new(cluster.config.net.clone()));
@@ -1093,27 +1102,6 @@ impl Cluster {
     /// Database digest of server `idx`.
     pub fn db_digest(&mut self, idx: usize) -> u64 {
         self.with_engine(idx, |e| e.db_digest())
-    }
-
-    /// Verifies cross-replica safety invariants, group by group
-    /// (Theorem 1 holds per group; see [`crate::checkers`]); a violation
-    /// carries the offending group's recent typed protocol events as
-    /// context.
-    pub fn try_check_consistency(
-        &mut self,
-    ) -> Result<crate::checkers::ConsistencyReport, Box<crate::checkers::ConsistencyViolation>>
-    {
-        crate::checkers::try_check_consistency(self)
-    }
-
-    /// Asserts cross-replica safety invariants (panicking wrapper over
-    /// [`Cluster::try_check_consistency`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant is violated.
-    pub fn check_consistency(&mut self) {
-        crate::checkers::check_consistency(self);
     }
 
     /// Deterministic JSON snapshot of the world's typed observability

@@ -11,6 +11,11 @@
 //! ([`fault::Faults`]), which scripted timelines, the randomized
 //! property tests and todr-check's explored schedules all run through.
 //!
+//! Consistency is checked once: every [`cluster::Cluster`] streams each
+//! replication group's typed event log through its own
+//! [`oracle::TraceOracle`] at each consistency check, beside the few
+//! checks only a state snapshot can make ([`checkers`]).
+//!
 //! The [`experiments`] module contains one driver per table/figure of
 //! the paper's evaluation (§7); the repository examples are thin
 //! wrappers around those drivers.
@@ -39,3 +44,4 @@ pub mod cluster;
 pub mod experiments;
 pub mod fault;
 pub mod metrics;
+pub mod oracle;

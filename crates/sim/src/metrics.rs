@@ -615,7 +615,6 @@ pub struct MetricsHub {
     gauges: Vec<Option<u64>>,
     histograms: Vec<Option<Histogram>>,
     events: Vec<RecordedEvent>,
-    record_events: bool,
     /// Registered scope prefixes (`"g0."`, `"g1."`, …); scope id `i + 1`
     /// maps to `scope_prefixes[i]`. Scope 0 is the implicit root with no
     /// prefix, so a world that never registers a scope behaves — and
@@ -639,7 +638,6 @@ impl MetricsHub {
     /// Creates an empty hub with event recording enabled.
     pub fn new() -> Self {
         MetricsHub {
-            record_events: true,
             // Reserved, not touched: the pages cost nothing until events
             // are written. A log that instead doubles its way up moves
             // megabytes at each step, and where the allocator then puts
@@ -649,13 +647,6 @@ impl MetricsHub {
             events: Vec::with_capacity(EVENT_LOG_RESERVE),
             ..MetricsHub::default()
         }
-    }
-
-    /// Disables (or re-enables) storage of [`ProtocolEvent`]s; counters
-    /// and histograms are unaffected. Long soak runs can turn the log
-    /// off to bound memory.
-    pub fn set_record_events(&mut self, on: bool) {
-        self.record_events = on;
     }
 
     /// Registers a metric scope with the given label and returns its id.
@@ -793,16 +784,15 @@ impl MetricsHub {
         self.histograms.get(slot)?.as_ref()
     }
 
-    /// Appends a typed event (no-op when recording is off).
+    /// Appends a typed event. The log is the input of the consistency
+    /// checks, so it cannot be turned off.
     pub fn emit(&mut self, at: SimTime, actor: ActorId, event: ProtocolEvent) {
-        if self.record_events {
-            self.events.push(RecordedEvent {
-                at_nanos: at.as_nanos(),
-                actor: actor.as_raw(),
-                group: self.active_scope,
-                event,
-            });
-        }
+        self.events.push(RecordedEvent {
+            at_nanos: at.as_nanos(),
+            actor: actor.as_raw(),
+            group: self.active_scope,
+            event,
+        });
     }
 
     /// The full recorded event log, in emission order.
@@ -1113,19 +1103,5 @@ mod tests {
         scoped.set_gauge("depth", 2);
         assert_eq!(build(), build());
         assert_eq!(scoped.export().to_json(), build());
-    }
-
-    #[test]
-    fn disabled_event_log_still_counts_metrics() {
-        let mut hub = MetricsHub::new();
-        hub.set_record_events(false);
-        hub.emit(
-            SimTime::ZERO,
-            ActorId::from_raw(0),
-            ProtocolEvent::RedLineAdvance { node: 1, red: 3 },
-        );
-        hub.incr("x", 1);
-        assert!(hub.events().is_empty());
-        assert_eq!(hub.counter("x"), 1);
     }
 }

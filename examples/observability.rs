@@ -105,8 +105,8 @@ fn main() {
 
     match cluster.try_check_consistency() {
         Ok(r) => println!(
-            "all safety invariants hold ({} replicas, {} green positions compared)",
-            r.replicas_checked, r.positions_compared
+            "all safety invariants hold ({} replicas, {} events checked, {} green positions agreed)",
+            r.replicas_checked, r.trace.events, r.trace.green_positions_agreed
         ),
         Err(v) => panic!("consistency violated: {v}"),
     }

@@ -317,5 +317,5 @@ fn fallible_cluster_api_reports_instead_of_panicking() {
         .expect("healthy cluster is consistent");
     assert_eq!(report.replicas_checked, 3);
     assert!(report.max_green > 0);
-    assert!(report.positions_compared > 0);
+    assert!(report.trace.green_positions_agreed > 0);
 }
