@@ -6,6 +6,7 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
+use todr_db::keys::{write_set, Footprint};
 use todr_db::{Op, Query};
 use todr_net::NodeId;
 use todr_storage::SharedEntry;
@@ -86,13 +87,16 @@ pub struct Action {
 
 /// An action as the replicas share it: one allocation per action, which
 /// every replica that receives the multicast retains instead of a copy
-/// of its own. It also carries the action's two log entries: each is
-/// encoded by the first replica that logs it and shared by every later
-/// one.
+/// of its own. It also carries the action's two log entries and its
+/// write footprint: each is computed by the first replica that needs it
+/// and shared by every later one.
 pub(crate) struct Body {
     action: Action,
     accepted: OnceCell<SharedEntry>,
     greened: OnceCell<SharedEntry>,
+    /// Boxed: only lease reads ask for it, and inline it would grow
+    /// every body by 32 bytes.
+    writes: OnceCell<Box<Footprint>>,
 }
 
 impl Body {
@@ -101,6 +105,7 @@ impl Body {
             action,
             accepted: OnceCell::new(),
             greened: OnceCell::new(),
+            writes: OnceCell::new(),
         })
     }
 
@@ -119,6 +124,16 @@ impl Body {
     pub(crate) fn green_entry(&self) -> &SharedEntry {
         self.greened
             .get_or_init(|| crate::persist::green_entry(self.action.id))
+    }
+
+    /// The rows this action writes. Membership actions write none.
+    pub(crate) fn writes(&self) -> &Footprint {
+        self.writes.get_or_init(|| {
+            Box::new(match self.action.update() {
+                Some(update) => write_set(update),
+                None => Footprint::empty(),
+            })
+        })
     }
 }
 

@@ -6,13 +6,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use todr_db::conflict::{classify, conflicts, ActionClass};
-use todr_db::keys::{read_set, row_fingerprint, write_set};
+use todr_db::keys::{read_set, row_fingerprint};
 use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
 use todr_net::{Datagram, NetOp, NodeId};
 use todr_sim::{
-    Actor, ActorId, ApplyHorizon, CpuMeter, Ctx, EventColor, Footprint, Payload, ProtocolEvent,
-    ReadTier, SimDuration, SimTime,
+    metric, Actor, ActorId, ApplyHorizon, CpuMeter, Ctx, EventColor, Footprint, Payload,
+    ProtocolEvent, ReadTier, SimDuration, SimTime,
 };
 use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, SyncToken};
 
@@ -518,7 +518,7 @@ impl ReplicationEngine {
         self.next_sync_token += 1;
         let token = SyncToken(self.next_sync_token);
         self.v.pending_syncs.insert(token, after);
-        ctx.metrics().incr("engine.syncs_requested", 1);
+        ctx.metrics().incr(metric!("engine.syncs_requested"), 1);
         let me = ctx.self_id();
         ctx.send_now(
             self.disk,
@@ -534,8 +534,9 @@ impl ReplicationEngine {
     /// sample so the peak survives in the export.
     fn note_retained(&mut self, ctx: &mut Ctx<'_>) {
         let n = self.k.retained() as u64;
-        ctx.metrics().set_gauge("core.retained_bodies", n);
-        ctx.metrics().record_value("core.retained_bodies_level", n);
+        ctx.metrics().set_gauge(metric!("core.retained_bodies"), n);
+        ctx.metrics()
+            .record_value(metric!("core.retained_bodies_level"), n);
     }
 
     /// Charges `cost` of CPU arriving now and publishes the new idle
@@ -547,7 +548,7 @@ impl ReplicationEngine {
     }
 
     fn reply(&mut self, ctx: &mut Ctx<'_>, at: SimTime, to: ActorId, reply: ClientReply) {
-        ctx.metrics().incr("engine.replies_sent", 1);
+        ctx.metrics().incr(metric!("engine.replies_sent"), 1);
         ctx.send_at(at.max(ctx.now()), to, reply);
     }
 
@@ -624,7 +625,7 @@ impl ReplicationEngine {
         self.note_retained(ctx);
         self.store.append_shared(action.accepted_entry());
         self.red_line += 1;
-        ctx.metrics().incr("engine.marked_red", 1);
+        ctx.metrics().incr(metric!("engine.marked_red"), 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
             creator: id.server.index(),
@@ -644,7 +645,8 @@ impl ReplicationEngine {
                 if p.policy == UpdateReplyPolicy::OnRed {
                     let p = self.v.pending_replies.remove(&id).expect("just checked");
                     let latency = ctx.now().saturating_since(p.submitted_at);
-                    ctx.metrics().observe("engine.ordering_latency", latency);
+                    ctx.metrics()
+                        .observe(metric!("engine.ordering_latency"), latency);
                     ctx.emit(ProtocolEvent::ClientCommit {
                         client: action.client.0 as u64,
                         latency_nanos: latency.as_nanos(),
@@ -679,7 +681,7 @@ impl ReplicationEngine {
         self.mark_red(ctx, action);
         if self.k.body(&action.id).is_some() && !self.k.yellow.set.contains(&action.id) {
             self.k.yellow.set.push(action.id);
-            ctx.metrics().incr("engine.marked_yellow", 1);
+            ctx.metrics().incr(metric!("engine.marked_yellow"), 1);
             ctx.emit(ProtocolEvent::ActionOrdered {
                 node: self.cfg.me.index(),
                 creator: action.id.server.index(),
@@ -700,7 +702,7 @@ impl ReplicationEngine {
         }
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
         self.store.append_shared(action.green_entry());
-        ctx.metrics().incr("engine.marked_green", 1);
+        ctx.metrics().incr(metric!("engine.marked_green"), 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
             creator: id.server.index(),
@@ -739,7 +741,7 @@ impl ReplicationEngine {
         } else {
             if self.v.green_burst_len > 1 {
                 ctx.metrics()
-                    .record_value("engine.green_burst", self.v.green_burst_len);
+                    .record_value(metric!("engine.green_burst"), self.v.green_burst_len);
             }
             self.v.green_burst_len = 1;
             self.v.last_green_charge = Some(ctx.now());
@@ -756,7 +758,8 @@ impl ReplicationEngine {
             // commit time and cannot double-reply.
             if p.policy != UpdateReplyPolicy::OnRed {
                 let latency = ctx.now().saturating_since(p.submitted_at);
-                ctx.metrics().observe("engine.ordering_latency", latency);
+                ctx.metrics()
+                    .observe(metric!("engine.ordering_latency"), latency);
                 ctx.emit(ProtocolEvent::ClientCommit {
                     client: action.client.0 as u64,
                     latency_nanos: latency.as_nanos(),
@@ -883,7 +886,7 @@ impl ReplicationEngine {
             && !matches!(self.state, EngineState::Down | EngineState::Joining)
         {
             let query = req.query.clone().expect("just checked");
-            ctx.metrics().incr("engine.lease_reads", 1);
+            ctx.metrics().incr(metric!("engine.lease_reads"), 1);
             self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
             let result = self.k.db.query(&query);
             return self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
@@ -930,7 +933,8 @@ impl ReplicationEngine {
         // local updates at the retention bound instead of growing
         // without limit.
         if self.cfg.max_retained_bodies > 0 && self.k.retained() >= self.cfg.max_retained_bodies {
-            ctx.metrics().incr("engine.backpressure_rejects", 1);
+            ctx.metrics()
+                .incr(metric!("engine.backpressure_rejects"), 1);
             return self.reply(
                 ctx,
                 ctx.now(),
@@ -1000,7 +1004,7 @@ impl ReplicationEngine {
             kind,
             size_bytes,
         });
-        ctx.metrics().incr("engine.actions_created", 1);
+        ctx.metrics().incr(metric!("engine.actions_created"), 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
             action_seq: id.index,
@@ -1024,7 +1028,7 @@ impl ReplicationEngine {
         self.v.submit_inflight = true;
         let batch = std::mem::take(&mut self.v.submit_queue);
         ctx.metrics()
-            .record_value("engine.submit_batch", batch.len() as u64);
+            .record_value(metric!("engine.submit_batch"), batch.len() as u64);
         self.request_sync(ctx, AfterSync::Submit(batch));
     }
 
@@ -1085,13 +1089,13 @@ impl ReplicationEngine {
         let query = req.query.clone().expect("query-only request");
         match tier {
             ReadConsistency::GreenSnapshot => {
-                ctx.metrics().incr("engine.snapshot_reads", 1);
+                ctx.metrics().incr(metric!("engine.snapshot_reads"), 1);
                 self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
                 let result = self.k.db.query(&query);
                 self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
             }
             ReadConsistency::RedOverlay => {
-                ctx.metrics().incr("engine.overlay_reads", 1);
+                ctx.metrics().incr(metric!("engine.overlay_reads"), 1);
                 self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
                 let result = self.dirty_view().query(&query);
                 self.answer(ctx, &req, result, true, Some(self.cfg.cpu_per_action / 4));
@@ -1105,7 +1109,7 @@ impl ReplicationEngine {
                 // ordered and answered from the green database at apply
                 // time — in `NonPrim` it turns red and is answered after
                 // the next merge with the primary.
-                ctx.metrics().incr("engine.ordered_reads", 1);
+                ctx.metrics().incr(metric!("engine.ordered_reads"), 1);
                 let mut req = req;
                 req.reply_policy = UpdateReplyPolicy::OnGreen;
                 self.generate_client_action(ctx, req, Some(ReadConsistency::Linearizable));
@@ -1146,11 +1150,11 @@ impl ReplicationEngine {
             _ => return false,
         };
         if self.lease_read_conflict(&query) {
-            ctx.metrics().incr("engine.lease_reads_parked", 1);
+            ctx.metrics().incr(metric!("engine.lease_reads_parked"), 1);
             self.v.parked_lease.push(req.clone());
             return true;
         }
-        ctx.metrics().incr("engine.lease_reads", 1);
+        ctx.metrics().incr(metric!("engine.lease_reads"), 1);
         self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
         let result = self.k.db.query(&query);
         self.answer(ctx, req, result, false, Some(self.cfg.cpu_per_action / 4));
@@ -1176,11 +1180,9 @@ impl ReplicationEngine {
     /// the action store count as conflicting.
     fn lease_read_conflict(&self, query: &Query) -> bool {
         let reads = read_set(query);
-        self.k.in_flight().any(|(_, kind)| match kind {
-            Some(ActionKind::App { update, .. }) => write_set(update).intersects(&reads),
-            Some(_) => false, // membership actions write no rows
-            None => true,
-        })
+        self.k
+            .in_flight()
+            .any(|(_, body)| body.is_none_or(|b| b.writes().intersects(&reads)))
     }
 
     /// Emits the oracle-facing [`ProtocolEvent::ReadServed`] record for
@@ -1232,9 +1234,9 @@ impl ReplicationEngine {
         self.v.lease_epoch = self.conf_epoch;
         self.v.lease_expiry = ctx.now() + LEASE_DURATION;
         if renewal {
-            ctx.metrics().incr("engine.lease_renewals", 1);
+            ctx.metrics().incr(metric!("engine.lease_renewals"), 1);
         } else {
-            ctx.metrics().incr("engine.lease_grants", 1);
+            ctx.metrics().incr(metric!("engine.lease_grants"), 1);
         }
         ctx.emit(ProtocolEvent::LeaseGranted {
             node: self.cfg.me.index(),
@@ -1266,7 +1268,7 @@ impl ReplicationEngine {
     /// an expiration only if the lease was still live.
     fn expire_lease(&mut self, ctx: &mut Ctx<'_>) {
         if self.lease_valid(ctx.now()) {
-            ctx.metrics().incr("engine.lease_expirations", 1);
+            ctx.metrics().incr(metric!("engine.lease_expirations"), 1);
         }
         self.v.lease_expiry = SimTime::ZERO;
     }
@@ -1334,7 +1336,7 @@ impl ReplicationEngine {
         let demoted = self.v.pending_fast.len() as u64;
         if demoted > 0 {
             ctx.metrics()
-                .incr("engine.fast_demotions_on_view_change", demoted);
+                .incr(metric!("engine.fast_demotions_on_view_change"), demoted);
         }
         self.v.pending_fast.clear();
         // Read leases follow the same volatile discipline: any view
@@ -1428,7 +1430,7 @@ impl ReplicationEngine {
                     let id = self.k.green_tail[idx];
                     let action = Rc::clone(self.k.body(&id).expect("green body retained"));
                     let size = action.size_bytes + 16;
-                    ctx.metrics().incr("engine.retransmitted", 1);
+                    ctx.metrics().incr(metric!("engine.retransmitted"), 1);
                     self.send_group(
                         ctx,
                         EngineMsg::Retrans {
@@ -1464,7 +1466,7 @@ impl ReplicationEngine {
                     continue; // green here: covered by the green path
                 };
                 let size = action.size_bytes + 16;
-                ctx.metrics().incr("engine.retransmitted", 1);
+                ctx.metrics().incr(metric!("engine.retransmitted"), 1);
                 self.send_group(
                     ctx,
                     EngineMsg::Retrans {
@@ -1551,7 +1553,7 @@ impl ReplicationEngine {
     /// `End_of_retrans` (CodeSegment A.5) + `ComputeKnowledge` (A.7) +
     /// `IsQuorum` (A.8).
     fn end_of_retrans(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.metrics().incr("engine.exchanges_completed", 1);
+        ctx.metrics().incr(metric!("engine.exchanges_completed"), 1);
         ctx.emit(ProtocolEvent::SyncCompleted {
             node: self.cfg.me.index(),
             actions_recovered: self.v.recovered_this_exchange,
@@ -1730,7 +1732,7 @@ impl ReplicationEngine {
             self.checkpoint();
             self.note_retained(ctx);
         }
-        ctx.metrics().incr("engine.primaries_installed", 1);
+        ctx.metrics().incr(metric!("engine.primaries_installed"), 1);
         self.k.save_records(&mut self.store);
     }
 
@@ -1878,7 +1880,7 @@ impl ReplicationEngine {
         };
         let class = classify(update, query.as_ref());
         if class.unbounded() || self.fast_conflict(&class, id) {
-            ctx.metrics().incr("engine.fast_demotions", 1);
+            ctx.metrics().incr(metric!("engine.fast_demotions"), 1);
             ctx.emit(ProtocolEvent::FastDemoted {
                 node: self.cfg.me.index(),
                 action_seq: id.index,
@@ -1924,7 +1926,7 @@ impl ReplicationEngine {
         self.k
             .in_flight()
             .filter(|(other, _)| other.server != id.server)
-            .any(|(_, kind)| match kind {
+            .any(|(_, body)| match body.map(|b| &b.kind) {
                 Some(ActionKind::App { query, update }) => {
                     conflicts(class, &classify(update, query.as_ref()))
                 }
@@ -1961,9 +1963,10 @@ impl ReplicationEngine {
         let Some(p) = self.v.pending_replies.remove(&id) else {
             return;
         };
-        ctx.metrics().incr("engine.fast_commits", 1);
+        ctx.metrics().incr(metric!("engine.fast_commits"), 1);
         let latency = ctx.now().saturating_since(p.submitted_at);
-        ctx.metrics().observe("engine.fast_commit_latency", latency);
+        ctx.metrics()
+            .observe(metric!("engine.fast_commit_latency"), latency);
         let action = self.k.body(&id).cloned();
         let client = action.as_ref().map_or(0, |a| a.client.0 as u64);
         ctx.emit(ProtocolEvent::FastCommit {
@@ -2127,7 +2130,7 @@ impl ReplicationEngine {
         self.expire_lease(ctx);
         if torn {
             self.store.crash_torn(ctx.fault_rng());
-            ctx.metrics().incr("storage.torn_crashes", 1);
+            ctx.metrics().incr(metric!("storage.torn_crashes"), 1);
         } else {
             self.store.crash();
         }
@@ -2146,7 +2149,7 @@ impl ReplicationEngine {
             StorageFault::StaleSector => self.store.inject_stale_sector(ctx.fault_rng()),
         };
         if injected.is_some() {
-            ctx.metrics().incr("storage.faults_injected", 1);
+            ctx.metrics().incr(metric!("storage.faults_injected"), 1);
         }
     }
 
@@ -2169,7 +2172,8 @@ impl ReplicationEngine {
     /// primary component; staying [`EngineState::Down`] only costs this
     /// replica's availability.
     fn fail_stop(&mut self, ctx: &mut Ctx<'_>, error: RecoveryError) {
-        ctx.metrics().incr("storage.corruption_failstops", 1);
+        ctx.metrics()
+            .incr(metric!("storage.corruption_failstops"), 1);
         ctx.emit(ProtocolEvent::CorruptionDetected {
             node: self.cfg.me.index(),
             log_index: error.log_index(),
@@ -2195,7 +2199,8 @@ impl ReplicationEngine {
                 let is_tail = fault.index + 1 == self.store.log_len() as u64;
                 if is_tail && fault.kind == LogFaultKind::Checksum {
                     self.store.truncate_log_from(fault.index);
-                    ctx.metrics().incr("storage.torn_tails_truncated", 1);
+                    ctx.metrics()
+                        .incr(metric!("storage.torn_tails_truncated"), 1);
                     ctx.emit(ProtocolEvent::TornTailTruncated {
                         node: self.cfg.me.index(),
                         log_index: fault.index,

@@ -198,14 +198,14 @@ impl Knowledge {
     }
 
     /// Actions whose order is fixed here but not yet green — the red
-    /// set, then the yellow set — with their kind (`None`: no body).
-    pub(crate) fn in_flight(&self) -> impl Iterator<Item = (ActionId, Option<&ActionKind>)> {
-        let red = self.red_bodies().map(|b| (b.id, Some(&b.kind)));
+    /// set, then the yellow set — with their body (`None`: not held).
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = (ActionId, Option<&Body>)> {
+        let red = self.red_bodies().map(|b| (b.id, Some(&**b)));
         let yellow = self
             .yellow
             .set
             .iter()
-            .map(|id| (*id, self.body(id).map(|b| &b.kind)));
+            .map(|id| (*id, self.body(id).map(|b| &**b)));
         red.chain(yellow)
     }
 

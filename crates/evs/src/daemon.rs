@@ -4,7 +4,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use todr_net::{Datagram, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, ApplyHorizon, Ctx, Payload, ProtocolEvent, SimDuration};
+use todr_sim::{
+    metric, Actor, ActorId, ApplyHorizon, Ctx, Payload, ProtocolEvent, SimDuration, SimTime,
+};
 
 use crate::channel::{LinkFrame, LinkLayer};
 use crate::fd::FailureDetector;
@@ -192,7 +194,9 @@ pub struct EvsDaemon {
     fabric: ActorId,
     app: ActorId,
     config: EvsConfig,
-    universe: BTreeSet<NodeId>,
+    /// Per [`NodeId::index`]: whether the node is in the universe (the
+    /// configured one, plus every node heard from since).
+    universe: Vec<bool>,
 
     joined: bool,
     down: bool,
@@ -263,12 +267,24 @@ pub struct EvsDaemon {
     link_ack_armed: bool,
 }
 
+/// Adds `node` to a node-indexed universe; whether it is new there.
+fn mark_member(universe: &mut Vec<bool>, node: NodeId) -> bool {
+    let i = node.index() as usize;
+    if i >= universe.len() {
+        universe.resize(i + 1, false);
+    }
+    !std::mem::replace(&mut universe[i], true)
+}
+
 impl EvsDaemon {
     /// Creates a daemon for node `me`, speaking through `fabric`,
     /// delivering upcalls to `app`. Call with an [`EvsCmd::JoinGroup`]
     /// event to activate it.
     pub fn new(me: NodeId, fabric: ActorId, app: ActorId, config: EvsConfig) -> Self {
-        let universe = config.universe.iter().copied().collect();
+        let mut universe = Vec::new();
+        for node in &config.universe {
+            mark_member(&mut universe, *node);
+        }
         let fd = FailureDetector::new(me, config.fail_timeout);
         EvsDaemon {
             me,
@@ -410,7 +426,7 @@ impl EvsDaemon {
         let sent_any = !retx.is_empty();
         if sent_any {
             let burst = retx.len() as u64;
-            ctx.metrics().incr("evs.link_retransmitted", burst);
+            ctx.metrics().incr(metric!("evs.link_retransmitted"), burst);
             ctx.emit(ProtocolEvent::Retransmit {
                 node: self.me.index(),
                 count: burst,
@@ -468,9 +484,9 @@ impl EvsDaemon {
         match &event {
             EvsEvent::Deliver(d) => {
                 if d.in_transitional {
-                    ctx.metrics().incr("evs.delivered_trans", 1);
+                    ctx.metrics().incr(metric!("evs.delivered_trans"), 1);
                 } else {
-                    ctx.metrics().incr("evs.delivered_safe", 1);
+                    ctx.metrics().incr(metric!("evs.delivered_safe"), 1);
                 }
                 ctx.emit(ProtocolEvent::Delivered {
                     node: self.me.index(),
@@ -482,7 +498,7 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::RegConf(c) => {
-                ctx.metrics().incr("evs.views_installed", 1);
+                ctx.metrics().incr(metric!("evs.views_installed"), 1);
                 ctx.emit(ProtocolEvent::ViewInstalled {
                     node: self.me.index(),
                     conf_seq: c.id.seq,
@@ -491,17 +507,17 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::TransConf(c) => {
-                ctx.metrics().incr("evs.transitional_confs", 1);
+                ctx.metrics().incr(metric!("evs.transitional_confs"), 1);
                 ctx.emit(ProtocolEvent::TransitionalConfig {
                     node: self.me.index(),
                     conf_seq: c.id.seq,
                 });
             }
             EvsEvent::Receipt(_) => {
-                ctx.metrics().incr("evs.receipts", 1);
+                ctx.metrics().incr(metric!("evs.receipts"), 1);
             }
             EvsEvent::LeaseRenew(_) => {
-                ctx.metrics().incr("evs.lease_renewals", 1);
+                ctx.metrics().incr(metric!("evs.lease_renewals"), 1);
             }
         }
         ctx.send_now(self.app, event);
@@ -513,7 +529,7 @@ impl EvsDaemon {
 
     fn start_gather(&mut self, ctx: &mut Ctx<'_>) {
         self.attempt += 1;
-        ctx.metrics().incr("evs.gathers_started", 1);
+        ctx.metrics().incr(metric!("evs.gathers_started"), 1);
         let proposal = self.fd.reachable(ctx.now());
         let mut gather = GatherState::new(self.attempt, self.me, proposal.clone());
         // Carry forward what peers already announced: a restart must not
@@ -566,7 +582,7 @@ impl EvsDaemon {
             }
         });
         let coordinator = flush.coordinator;
-        ctx.metrics().incr("evs.flush_rounds", 1);
+        ctx.metrics().incr(metric!("evs.flush_rounds"), 1);
         self.phase = Phase::Flush(flush);
         let info = self.my_flush_info(membership.into());
         self.send_wire_one(ctx, coordinator, info);
@@ -704,7 +720,7 @@ impl EvsDaemon {
             self.pending_out.push_back((payload, size));
             return;
         }
-        ctx.metrics().incr("evs.submitted", 1);
+        ctx.metrics().incr(metric!("evs.submitted"), 1);
         let ordering = self.ordering.as_mut().expect("checked above");
         let coordinator = ordering.coordinator();
         let conf = ordering.conf().id;
@@ -762,9 +778,9 @@ impl EvsDaemon {
         while !self.pack_buf.is_empty() {
             let take = self.pack_buf.len().min(max);
             let items: Rc<[SubmitItem]> = self.pack_buf.drain(..take).collect();
-            ctx.metrics().incr("evs.frames_packed", 1);
+            ctx.metrics().incr(metric!("evs.frames_packed"), 1);
             ctx.metrics()
-                .record_value("evs.actions_per_frame", items.len() as u64);
+                .record_value(metric!("evs.actions_per_frame"), items.len() as u64);
             let ack_upto = self.take_piggyback_ack();
             self.send_wire_one(
                 ctx,
@@ -839,14 +855,14 @@ impl EvsDaemon {
                 .drain(..take)
                 .map(|(since, msg)| {
                     ctx.metrics()
-                        .observe("evs.round_hold", now.saturating_since(since));
+                        .observe(metric!("evs.round_hold"), now.saturating_since(since));
                     msg
                 })
                 .collect();
-            ctx.metrics().incr("evs.frames_packed", 1);
-            ctx.metrics().incr("evs.sequencer_rounds", 1);
+            ctx.metrics().incr(metric!("evs.frames_packed"), 1);
+            ctx.metrics().incr(metric!("evs.sequencer_rounds"), 1);
             ctx.metrics()
-                .record_value("evs.actions_per_frame", msgs.len() as u64);
+                .record_value(metric!("evs.actions_per_frame"), msgs.len() as u64);
             let acker = if self.cumulative {
                 self.ordering.as_mut().expect("coordinating").next_acker()
             } else {
@@ -917,16 +933,20 @@ impl EvsDaemon {
     // frame handling
     // ------------------------------------------------------------
 
-    fn handle_wire(&mut self, ctx: &mut Ctx<'_>, src: NodeId, wire: &EvsWire) {
-        if self.universe.insert(src) {
+    /// Records that a frame from `node` arrived now, adding it to the
+    /// universe if it is new there. Every frame passes here, and all but
+    /// a joiner's first find it a member already.
+    fn heard_from(&mut self, node: NodeId, now: SimTime) {
+        if mark_member(&mut self.universe, node) {
             self.universe_peers = None;
         }
-        self.fd.heard_from(src, ctx.now());
+        self.fd.heard_from(node, now);
+    }
+
+    fn handle_wire(&mut self, ctx: &mut Ctx<'_>, src: NodeId, wire: &EvsWire) {
+        self.heard_from(src, ctx.now());
         if let Some(origin) = wire.origin() {
-            if self.universe.insert(origin) {
-                self.universe_peers = None;
-            }
-            self.fd.heard_from(origin, ctx.now());
+            self.heard_from(origin, ctx.now());
         }
 
         match wire {
@@ -952,7 +972,7 @@ impl EvsDaemon {
                         let stable_upto = ordering.announced_stable();
                         let members = ordering.members_shared();
                         let n = msgs.len() as u64;
-                        ctx.metrics().incr("evs.sequenced", n);
+                        ctx.metrics().incr(metric!("evs.sequenced"), n);
                         if self.config.max_pack <= 1 {
                             // Packing off: one frame in, one frame out.
                             let acker = if self.cumulative {
@@ -1149,7 +1169,7 @@ impl EvsDaemon {
                 let msgs: Rc<[_]> = ordering.msgs_range(*from_seq, *to_seq).into();
                 let burst = msgs.len() as u64 * needy.len() as u64;
                 if burst > 0 {
-                    ctx.metrics().incr("evs.retransmitted", burst);
+                    ctx.metrics().incr(metric!("evs.retransmitted"), burst);
                     ctx.emit(ProtocolEvent::Retransmit {
                         node: self.me.index(),
                         count: burst,
@@ -1297,11 +1317,10 @@ impl EvsDaemon {
         let peers = match &self.universe_peers {
             Some(p) => Rc::clone(p),
             None => {
-                let p: Rc<[NodeId]> = self
-                    .universe
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != self.me)
+                let p: Rc<[NodeId]> = (0u32..)
+                    .zip(&self.universe)
+                    .filter(|&(i, &member)| member && i != self.me.index())
+                    .map(|(i, _)| NodeId::new(i))
                     .collect::<Vec<_>>()
                     .into();
                 self.universe_peers = Some(Rc::clone(&p));
@@ -1408,7 +1427,7 @@ impl EvsDaemon {
         }
         self.last_acked = have;
         self.has_unacked = false;
-        ctx.metrics().incr("evs.acks_sent", 1);
+        ctx.metrics().incr(metric!("evs.acks_sent"), 1);
         let conf = ordering.conf().id;
         let coordinator = ordering.coordinator();
         self.send_wire_one(

@@ -1,6 +1,6 @@
 //! Heartbeat failure detector.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use todr_net::NodeId;
 use todr_sim::{SimDuration, SimTime};
@@ -17,7 +17,9 @@ use todr_sim::{SimDuration, SimTime};
 pub(crate) struct FailureDetector {
     me: NodeId,
     fail_timeout: SimDuration,
-    last_heard: BTreeMap<NodeId, SimTime>,
+    /// Per peer [`NodeId::index`]: when a frame from it last arrived.
+    /// Indices past the end, and `None`, were never heard from.
+    last_heard: Vec<Option<SimTime>>,
 }
 
 impl FailureDetector {
@@ -25,24 +27,28 @@ impl FailureDetector {
         FailureDetector {
             me,
             fail_timeout,
-            last_heard: BTreeMap::new(),
+            last_heard: Vec::new(),
         }
     }
 
     /// Records that a frame from `peer` arrived at `now`.
     pub(crate) fn heard_from(&mut self, peer: NodeId, now: SimTime) {
-        if peer != self.me {
-            self.last_heard.insert(peer, now);
+        if peer == self.me {
+            return;
         }
+        let i = peer.index() as usize;
+        if i >= self.last_heard.len() {
+            self.last_heard.resize(i + 1, None);
+        }
+        self.last_heard[i] = Some(now);
     }
 
     /// The currently reachable set, always including `me`.
     pub(crate) fn reachable(&self, now: SimTime) -> BTreeSet<NodeId> {
-        let mut set: BTreeSet<NodeId> = self
-            .last_heard
-            .iter()
-            .filter(|&(_, &t)| now.saturating_since(t) <= self.fail_timeout)
-            .map(|(&n, _)| n)
+        let mut set: BTreeSet<NodeId> = (0u32..)
+            .zip(&self.last_heard)
+            .filter(|&(_, t)| t.is_some_and(|t| now.saturating_since(t) <= self.fail_timeout))
+            .map(|(i, _)| NodeId::new(i))
             .collect();
         set.insert(self.me);
         set
@@ -64,8 +70,10 @@ impl FailureDetector {
             p == self.me
                 || self
                     .last_heard
-                    .get(&p)
-                    .is_some_and(|&t| now.saturating_since(t) <= window)
+                    .get(p.index() as usize)
+                    .copied()
+                    .flatten()
+                    .is_some_and(|t| now.saturating_since(t) <= window)
         })
     }
 
@@ -150,5 +158,63 @@ mod tests {
         fd.heard_from(n(1), SimTime::from_millis(100));
         fd.reset();
         assert!(!fd.reachable(SimTime::from_millis(100)).contains(&n(1)));
+    }
+
+    /// The node-indexed detector answers exactly as a `BTreeMap` keyed by
+    /// node would, over random runs in which nodes far past the starting
+    /// universe join, the detector restarts, and queries use both
+    /// windows.
+    #[test]
+    fn node_indexed_detector_matches_a_map_reference() {
+        use std::collections::BTreeMap;
+        use todr_sim::SimRng;
+
+        for seed in 0..64 {
+            let mut rng = SimRng::new(seed);
+            let me = n(rng.gen_range(5) as u32);
+            let mut fd = FailureDetector::new(me, TIMEOUT);
+            let mut reference: BTreeMap<NodeId, SimTime> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            // Five initial members; joiners reach index 40.
+            let mut universe = 5;
+            for _ in 0..400 {
+                now += SimDuration::from_millis(rng.gen_range(40));
+                match rng.gen_range(20) {
+                    0 if universe < 40 => universe += 1 + rng.gen_range(6),
+                    1 => {
+                        fd.reset();
+                        reference.clear();
+                    }
+                    _ => {
+                        let peer = n(rng.gen_range(universe) as u32);
+                        fd.heard_from(peer, now);
+                        if peer != me {
+                            reference.insert(peer, now);
+                        }
+                    }
+                }
+                let fresh = |t: SimTime, window| now.saturating_since(t) <= window;
+                let mut expect: BTreeSet<NodeId> = reference
+                    .iter()
+                    .filter(|&(_, &t)| fresh(t, TIMEOUT))
+                    .map(|(&p, _)| p)
+                    .collect();
+                expect.insert(me);
+                assert_eq!(fd.reachable(now), expect, "seed {seed}");
+                let window = SimDuration::from_millis(rng.gen_range(120));
+                let peers: Vec<NodeId> = (0..=universe as u32)
+                    .map(n)
+                    .filter(|_| rng.gen_bool(0.3))
+                    .collect();
+                let all_fresh = peers
+                    .iter()
+                    .all(|p| *p == me || reference.get(p).is_some_and(|&t| fresh(t, window)));
+                assert_eq!(
+                    fd.all_fresh_within(&peers, now, window),
+                    all_fresh,
+                    "seed {seed}"
+                );
+            }
+        }
     }
 }

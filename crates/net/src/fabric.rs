@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use todr_sim::{Actor, ActorId, Ctx, Payload, SimTime};
+use todr_sim::{metric, Actor, ActorId, Ctx, Payload, SimTime};
 
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
@@ -133,12 +133,6 @@ impl std::fmt::Debug for NetOp {
             NetOp::Recover(n) => f.debug_tuple("Recover").field(n).finish(),
         }
     }
-}
-
-/// Internal: a datagram in flight, scheduled back to the fabric so that
-/// partition/crash conditions are re-checked at delivery time.
-struct InFlight {
-    dgram: Datagram,
 }
 
 /// Configuration of the fabric.
@@ -284,13 +278,13 @@ impl NetFabric {
     }
 
     fn transmit(&mut self, ctx: &mut Ctx<'_>, src: NodeId, dst: NodeId, dgram: Datagram) {
-        ctx.metrics().incr("net.sent", 1);
+        ctx.metrics().incr(metric!("net.sent"), 1);
         if self.is_crashed(src) || self.is_crashed(dst) {
-            ctx.metrics().incr("net.dropped_crashed", 1);
+            ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
             return;
         }
         if !self.partitions.connected(src, dst) {
-            ctx.metrics().incr("net.dropped_partition", 1);
+            ctx.metrics().incr(metric!("net.dropped_partition"), 1);
             return;
         }
         // Loopback is in-process: it cannot be lost.
@@ -298,7 +292,7 @@ impl NetFabric {
             && self.config.loss_probability > 0.0
             && ctx.rng().gen_bool(self.config.loss_probability)
         {
-            ctx.metrics().incr("net.dropped_loss", 1);
+            ctx.metrics().incr(metric!("net.dropped_loss"), 1);
             return;
         }
         let model = if src == dst {
@@ -318,43 +312,55 @@ impl NetFabric {
             }
         }
         self.last_arrival[link] = Some(at);
+        // In flight, the datagram is an event back to the fabric, so a
+        // partition or crash is re-checked when it arrives.
         let self_id = ctx.self_id();
-        ctx.send_at(at, self_id, InFlight { dgram });
+        ctx.send_at(at, self_id, dgram);
     }
 
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
-        // Re-check conditions at arrival time: a partition or crash that
-        // happened while the message was in flight drops it.
-        if self.is_crashed(dgram.src) || self.is_crashed(dgram.dst) {
-            ctx.metrics().incr("net.dropped_crashed", 1);
-            return;
-        }
-        if !self.partitions.connected(dgram.src, dgram.dst) {
-            ctx.metrics().incr("net.dropped_partition", 1);
-            return;
-        }
-        let Some(endpoint) = self.endpoint(dgram.dst) else {
-            ctx.metrics().incr("net.dropped_crashed", 1);
+    /// Passes an arrived [`Datagram`] on to its endpoint, in the box it
+    /// travelled in.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let Some(&Datagram {
+            src,
+            dst,
+            size_bytes,
+            sent_at,
+            ..
+        }) = payload.downcast_ref::<Datagram>()
+        else {
             return;
         };
-        let transit = ctx.now().saturating_since(dgram.sent_at);
-        ctx.metrics().incr("net.delivered", 1);
+        // Re-check conditions at arrival time: a partition or crash that
+        // happened while the message was in flight drops it.
+        if self.is_crashed(src) || self.is_crashed(dst) {
+            ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
+            return;
+        }
+        if !self.partitions.connected(src, dst) {
+            ctx.metrics().incr(metric!("net.dropped_partition"), 1);
+            return;
+        }
+        let Some(endpoint) = self.endpoint(dst) else {
+            ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
+            return;
+        };
+        let transit = ctx.now().saturating_since(sent_at);
+        ctx.metrics().incr(metric!("net.delivered"), 1);
         ctx.metrics()
-            .incr("net.bytes_delivered", dgram.size_bytes as u64);
-        ctx.metrics().observe("net.transit_latency", transit);
-        ctx.send_now(endpoint, dgram);
+            .incr(metric!("net.bytes_delivered"), size_bytes as u64);
+        ctx.metrics()
+            .observe(metric!("net.transit_latency"), transit);
+        ctx.send_now(endpoint, payload);
     }
 }
 
 impl Actor for NetFabric {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let payload = match payload.try_downcast::<InFlight>() {
-            Ok(in_flight) => {
-                self.deliver(ctx, in_flight.dgram);
-                return;
-            }
-            Err(p) => p,
-        };
+        if payload.is::<Datagram>() {
+            self.deliver(ctx, payload);
+            return;
+        }
         match payload.downcast::<NetOp>() {
             Some(NetOp::Send {
                 src,
@@ -374,11 +380,11 @@ impl Actor for NetFabric {
                 }
             }
             Some(NetOp::SetPartition(groups)) => {
-                ctx.metrics().incr("net.partition_transitions", 1);
+                ctx.metrics().incr(metric!("net.partition_transitions"), 1);
                 self.set_partition(&groups);
             }
             Some(NetOp::MergeAll) => {
-                ctx.metrics().incr("net.partition_transitions", 1);
+                ctx.metrics().incr(metric!("net.partition_transitions"), 1);
                 self.merge_all();
             }
             Some(NetOp::Crash(n)) => {
@@ -394,7 +400,7 @@ impl Actor for NetFabric {
     /// The step profile's rows: a `Send`'s fan-out, an in-flight
     /// datagram's delivery, and every control command.
     fn event_kind(&self, payload: &Payload) -> &'static str {
-        if payload.is::<InFlight>() {
+        if payload.is::<Datagram>() {
             "in-flight"
         } else if matches!(payload.downcast_ref::<NetOp>(), Some(NetOp::Send { .. })) {
             "send"

@@ -9,7 +9,7 @@ use todr_core::{
 use todr_db::keys::{action_footprint, write_set};
 use todr_db::{Op, Value};
 use todr_net::NodeId;
-use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration, SimTime};
+use todr_sim::{metric, Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration, SimTime};
 
 /// The client id the router stamps on its own protocol submissions
 /// (prepare markers and commit actions).
@@ -289,23 +289,21 @@ impl ShardRouter {
         };
         ctx.send_now(target, req);
         if attempt > 1 {
-            ctx.metrics().incr("shard.retries", 1);
+            ctx.metrics().incr(metric!("shard.retries"), 1);
         }
-        ctx.metrics().incr(
-            if committing {
-                "shard.commits_sent"
-            } else {
-                "shard.prepares_sent"
-            },
-            1,
-        );
+        let sent = if committing {
+            metric!("shard.commits_sent")
+        } else {
+            metric!("shard.prepares_sent")
+        };
+        ctx.metrics().incr(sent, 1);
     }
 
     fn start_cross(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest, groups: Vec<u32>) {
         let writes = match split_update(&req.update, self.config.topology.shards()) {
             Ok(w) => w,
             Err(reason) => {
-                ctx.metrics().incr("shard.rejected", 1);
+                ctx.metrics().incr(metric!("shard.rejected"), 1);
                 ctx.send_now(
                     req.reply_to,
                     ClientReply::Rejected {
@@ -317,7 +315,7 @@ impl ShardRouter {
             }
         };
         if req.query.is_some() {
-            ctx.metrics().incr("shard.rejected", 1);
+            ctx.metrics().incr(metric!("shard.rejected"), 1);
             ctx.send_now(
                 req.reply_to,
                 ClientReply::Rejected {
@@ -329,7 +327,7 @@ impl ShardRouter {
         }
         self.next_txn += 1;
         let txn_id = self.next_txn;
-        ctx.metrics().incr("shard.cross_routed", 1);
+        ctx.metrics().incr(metric!("shard.cross_routed"), 1);
         let participants_mask: u64 = groups.iter().fold(0, |m, &g| m | (1u64 << (g % 64)));
         ctx.emit(ProtocolEvent::CrossShardStart {
             txn: txn_id,
@@ -466,8 +464,8 @@ impl ShardRouter {
             }
             if txn.committed.len() == txn.participants.len() {
                 let latency = ctx.now().saturating_since(txn.submitted_at);
-                ctx.metrics().observe("shard.txn_latency", latency);
-                ctx.metrics().incr("shard.txns_applied", 1);
+                ctx.metrics().observe(metric!("shard.txn_latency"), latency);
+                ctx.metrics().incr(metric!("shard.txns_applied"), 1);
                 ctx.emit(ProtocolEvent::CrossShardApplied { txn: txn_id });
                 let txn = self.txns.remove(&txn_id).expect("finishing a live txn");
                 for state in txn.sub.values() {
@@ -543,7 +541,7 @@ impl Actor for ShardRouter {
                     self.config.topology.shards(),
                 ) {
                     Route::Single(shard) => {
-                        ctx.metrics().incr("shard.single_routed", 1);
+                        ctx.metrics().incr(metric!("shard.single_routed"), 1);
                         let replicas = &self.config.topology.contacts[shard as usize];
                         let target = replicas[req.client.0 as usize % replicas.len()];
                         ctx.send_now(target, req);

@@ -33,13 +33,20 @@ impl Payload {
     /// Wraps a concrete message.
     ///
     /// Wrapping an existing `Payload` is the identity: payloads never
-    /// nest.
+    /// nest, and the box it already has is the one it keeps.
     pub fn new<T: 'static>(value: T) -> Self {
-        let boxed: Box<dyn Any> = Box::new(value);
-        match boxed.downcast::<Payload>() {
-            Ok(p) => *p,
-            Err(inner) => Payload { inner },
+        // Looked at through an `Option` so that a `Payload` can be moved
+        // out by safe code; any other `T` is left where it is.
+        let mut value = Some(value);
+        let nested = (&mut value as &mut dyn Any).downcast_mut::<Option<Payload>>();
+        if let Some(payload) = nested.and_then(Option::take) {
+            return payload;
         }
+        let inner: Box<dyn Any> = match value {
+            Some(value) => Box::new(value),
+            None => Box::new(()), // unreachable: only a `Payload` is taken
+        };
+        Payload { inner }
     }
 
     /// Whether the payload holds a `T`.
@@ -223,6 +230,17 @@ mod tests {
         let p = Payload::new(vec![1, 2, 3]);
         assert_eq!(p.downcast_ref::<Vec<i32>>().unwrap().len(), 3);
         assert!(p.downcast_ref::<String>().is_none());
+    }
+
+    #[test]
+    fn wrapping_a_payload_keeps_its_box() {
+        let addr = |p: &Payload| p.downcast_ref::<Vec<u8>>().map(|v| v as *const Vec<u8>);
+        let p = Payload::new(vec![1u8, 2, 3]);
+        let before = addr(&p);
+        assert!(before.is_some());
+        let q = Payload::new(p);
+        assert_eq!(addr(&q), before);
+        assert_eq!(q.downcast::<Vec<u8>>(), Some(vec![1, 2, 3]));
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub use actor::{Actor, ActorId};
 pub use checksum::{checksum64, checksum64_of};
 pub use event::{IntoPayload, Payload};
 pub use metrics::{
-    EventColor, Footprint, Histogram, HistogramSummary, MetricsExport, MetricsHub, ProtocolEvent,
-    ReadTier, RecordedEvent,
+    EventColor, Footprint, Histogram, HistogramSummary, Metric, MetricName, MetricsExport,
+    MetricsHub, ProtocolEvent, ReadTier, RecordedEvent,
 };
 pub use resource::{ApplyHorizon, CpuMeter};
 pub use rng::SimRng;

@@ -13,7 +13,8 @@
 //!   commits). Checkers assert on these.
 //! * **Counters** — named monotone `u64`s (`"net.sent"`,
 //!   `"evs.retransmitted"`, ...), keyed by a dotted
-//!   `subsystem.metric` convention.
+//!   `subsystem.metric` convention and written through per-call-site
+//!   [`metric!`](crate::metric) handles.
 //! * **Histograms** — fixed log₂-bucket latency distributions with O(1)
 //!   insert and O(#buckets) percentile queries; no per-sample storage
 //!   and no sort-on-query.
@@ -22,13 +23,12 @@
 //! sequence, so for a fixed seed the [`MetricsExport`] (and its JSON
 //! rendering) is byte-identical across runs.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::actor::ActorId;
-use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
 /// Knowledge level of an action as it moves through the engine; mirrors
@@ -519,98 +519,165 @@ pub struct HistogramSummary {
     pub max_nanos: u64,
 }
 
-/// A non-cryptographic hasher for interned-name keys: mixes the written
-/// words through splitmix64. The standard `SipHash` default is
-/// measurably slower on the 16-byte `(ptr, len)` keys the name table
-/// hashes once per metric update.
-#[derive(Debug, Default, Clone)]
-struct NameKeyHasher(u64);
-
-impl Hasher for NameKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = splitmix64(self.0 ^ u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.0 = splitmix64(self.0 ^ v as u64);
-    }
-}
-
-/// Interning table for `&'static str` metric names.
+/// A metric name bound to a dense process-wide id on first use.
 ///
-/// The hot path (`incr` on a name already seen) resolves the name to a
-/// dense slot index by hashing its `(ptr, len)` pair — no byte
-/// comparison, no tree walk. Distinct `&'static str`s with equal bytes
-/// (the same literal in two crates) fall back to a by-content map so
-/// they share one slot; that path runs once per call site, after which
-/// the pointer key is cached.
-#[derive(Debug, Default)]
-struct NameTable {
-    by_ptr: HashMap<(usize, usize), usize, BuildHasherDefault<NameKeyHasher>>,
-    by_name: BTreeMap<&'static str, usize>,
-    names: Vec<&'static str>,
+/// Layers write through handles made by the [`metric!`](crate::metric)
+/// macro, which puts one `static Metric` at each call site: the first
+/// write looks the name up in the process-wide registry, and every later
+/// one is a load of the cached id. The id only indexes a hub's arrays;
+/// it is never exported and never iterated in id order, so the order in
+/// which threads or call sites first touch names cannot reach any
+/// output.
+#[derive(Debug)]
+pub struct Metric {
+    name: &'static str,
+    id: OnceLock<u32>,
 }
 
-impl NameTable {
-    fn slot(&mut self, name: &'static str) -> usize {
-        let key = (name.as_ptr() as usize, name.len());
-        if let Some(&slot) = self.by_ptr.get(&key) {
-            return slot;
+impl Metric {
+    /// A handle for `name`, not yet resolved. Use [`metric!`](crate::metric)
+    /// rather than calling this directly.
+    pub const fn new(name: &'static str) -> Metric {
+        Metric {
+            name,
+            id: OnceLock::new(),
         }
-        let slot = match self.by_name.get(name) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.names.len();
-                self.names.push(name);
-                self.by_name.insert(name, slot);
-                slot
-            }
+    }
+
+    #[inline]
+    fn id(&self) -> u32 {
+        *self.id.get_or_init(|| registry::intern(self.name.into()))
+    }
+}
+
+/// A per-call-site [`Metric`] handle for a literal name:
+/// `ctx.metrics().incr(metric!("net.sent"), 1)`.
+#[macro_export]
+macro_rules! metric {
+    ($name:literal) => {{
+        static METRIC: $crate::Metric = $crate::Metric::new($name);
+        &METRIC
+    }};
+}
+
+/// What a hub write names its metric by: a [`Metric`] handle, or a
+/// `&'static str` the hub resolves through the same registry.
+pub trait MetricName: Copy {
+    /// The dotted name.
+    fn name(self) -> &'static str;
+
+    /// The handle, if this is one.
+    fn handle(self) -> Option<&'static Metric>;
+}
+
+impl MetricName for &'static Metric {
+    fn name(self) -> &'static str {
+        self.name
+    }
+
+    fn handle(self) -> Option<&'static Metric> {
+        Some(self)
+    }
+}
+
+impl MetricName for &'static str {
+    fn name(self) -> &'static str {
+        self
+    }
+
+    fn handle(self) -> Option<&'static Metric> {
+        None
+    }
+}
+
+/// The process-wide name ↔ id registry behind [`Metric`]. Ids are dense
+/// and handed out in first-use order; each name gets exactly one.
+mod registry {
+    use std::borrow::Cow;
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    struct Registry {
+        ids: BTreeMap<&'static str, u32>,
+        names: Vec<&'static str>,
+    }
+
+    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+        ids: BTreeMap::new(),
+        names: Vec::new(),
+    });
+
+    // Every update leaves the registry usable (a name pushed without its
+    // map entry is only an id no one holds), so a guard poisoned by a
+    // panic in another thread is still good.
+    fn lock() -> MutexGuard<'static, Registry> {
+        REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The id of `name`, registering it on first sight. A computed name
+    /// is leaked only then.
+    pub(super) fn intern(name: Cow<'static, str>) -> u32 {
+        let mut reg = lock();
+        if let Some(&id) = reg.ids.get(&*name) {
+            return id;
+        }
+        let id = u32::try_from(reg.names.len())
+            .unwrap_or_else(|_| panic!("more than 2^32 metric names"));
+        let name: &'static str = match name {
+            Cow::Borrowed(name) => name,
+            Cow::Owned(name) => Box::leak(name.into_boxed_str()),
         };
-        self.by_ptr.insert(key, slot);
-        slot
+        reg.names.push(name);
+        reg.ids.insert(name, id);
+        id
     }
 
-    fn lookup(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+    /// The id of `name`, if anything ever registered it.
+    pub(super) fn lookup(name: &str) -> Option<u32> {
+        lock().ids.get(name).copied()
     }
 
-    /// `(name, slot)` pairs in name order — the iteration backbone that
-    /// keeps every reader (and the export) deterministic.
-    fn sorted(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
-        self.by_name.iter().map(|(&k, &v)| (k, v))
+    /// Runs `f` over every registered name, indexed by id.
+    pub(super) fn with_names<R>(f: impl FnOnce(&[&'static str]) -> R) -> R {
+        f(&lock().names)
     }
 }
 
-fn slot_value<T: Clone>(store: &[Option<T>], slot: usize) -> Option<T> {
-    store.get(slot).and_then(|v| v.clone())
+fn slot_value<T: Clone>(store: &[Option<T>], slot: u32) -> Option<T> {
+    store.get(slot as usize).and_then(|v| v.clone())
 }
 
-fn slot_mut<T>(store: &mut Vec<Option<T>>, slot: usize) -> &mut Option<T> {
+fn slot_mut<T>(store: &mut Vec<Option<T>>, slot: u32) -> &mut Option<T> {
+    let slot = slot as usize;
     if store.len() <= slot {
         store.resize_with(slot + 1, || None);
     }
     &mut store[slot]
 }
 
+/// The written entries of `store` as `(name, value)`, in name order —
+/// the one order every reader and the export see.
+fn by_name<T>(store: &[Option<T>]) -> Vec<(&'static str, &T)> {
+    let mut pairs: Vec<_> = registry::with_names(|names| {
+        names
+            .iter()
+            .zip(store)
+            .filter_map(|(&name, v)| Some((name, v.as_ref()?)))
+            .collect()
+    });
+    pairs.sort_unstable_by_key(|&(name, _)| name);
+    pairs
+}
+
 /// The hub collecting counters, histograms and typed events for one
 /// [`World`](crate::World).
 ///
-/// Names are interned into dense slots (an internal name table) so the per-event
-/// hot path (`incr`, `observe_nanos`) is a hash of a pointer pair plus
-/// an array index rather than a `BTreeMap` walk with byte-wise key
-/// comparisons; all read-side iteration goes through the sorted name
-/// index, so exports stay byte-identical to the old representation.
+/// Counters, gauges and histograms sit in arrays indexed by the
+/// metric's process-wide id, so a write through a [`Metric`] handle is
+/// an id load and an array index. All read-side iteration sorts by
+/// name, so exports are independent of the ids.
 #[derive(Debug, Default)]
 pub struct MetricsHub {
-    names: NameTable,
     counters: Vec<Option<u64>>,
     gauges: Vec<Option<u64>>,
     histograms: Vec<Option<Histogram>>,
@@ -620,11 +687,12 @@ pub struct MetricsHub {
     /// prefix, so a world that never registers a scope behaves — and
     /// exports — exactly as before scopes existed.
     scope_prefixes: Vec<&'static str>,
+    /// Per registered scope (at `scope - 1`): root id → the id of the
+    /// prefixed name, filled on the scope's first write to each metric.
+    scoped: Vec<Vec<Option<u32>>>,
     active_scope: u32,
-    /// `(scope, root slot) → prefixed slot` cache so the scoped hot path
-    /// stays one extra hash away from the unscoped one; the prefixed
-    /// name string is built (and leaked) once per pair.
-    scoped_slots: HashMap<(u32, usize), usize, BuildHasherDefault<NameKeyHasher>>,
+    /// Ids of the `&'static str` names this hub was written through.
+    strings: BTreeMap<&'static str, u32>,
 }
 
 /// Events a new hub's log has room for before it has to move: a few
@@ -661,6 +729,7 @@ impl MetricsHub {
     pub fn register_scope(&mut self, label: &str) -> u32 {
         let prefix: &'static str = Box::leak(format!("{label}.").into_boxed_str());
         self.scope_prefixes.push(prefix);
+        self.scoped.push(Vec::new());
         u32::try_from(self.scope_prefixes.len()).expect("too many metric scopes")
     }
 
@@ -691,45 +760,58 @@ impl MetricsHub {
         }
     }
 
-    fn scoped_slot(&mut self, name: &'static str) -> usize {
-        let base = self.names.slot(name);
+    /// The id a write to `name` lands on in the active scope.
+    fn slot(&mut self, name: impl MetricName) -> u32 {
+        let root = match name.handle() {
+            Some(metric) => metric.id(),
+            None => {
+                let name = name.name();
+                *self
+                    .strings
+                    .entry(name)
+                    .or_insert_with(|| registry::intern(name.into()))
+            }
+        };
         if self.active_scope == 0 {
-            return base;
+            return root;
         }
-        let key = (self.active_scope, base);
-        if let Some(&slot) = self.scoped_slots.get(&key) {
-            return slot;
+        let scope = (self.active_scope - 1) as usize;
+        match self.scoped[scope].get(root as usize) {
+            Some(&Some(id)) => id,
+            _ => self.first_scoped_write(scope, root, name.name()),
         }
-        let prefix = self.scope_prefixes[(self.active_scope - 1) as usize];
-        let full: &'static str = Box::leak(format!("{prefix}{name}").into_boxed_str());
-        let slot = self.names.slot(full);
-        self.scoped_slots.insert(key, slot);
-        slot
+    }
+
+    /// Resolves and remembers the prefixed id of `root` in `scope`; once
+    /// per scope and metric.
+    #[cold]
+    fn first_scoped_write(&mut self, scope: usize, root: u32, name: &'static str) -> u32 {
+        let id = registry::intern(format!("{}{name}", self.scope_prefixes[scope]).into());
+        *slot_mut(&mut self.scoped[scope], root) = Some(id);
+        id
     }
 
     /// Adds `n` to the named counter, creating it at zero.
     ///
     /// Names follow a dotted `subsystem.metric` convention
-    /// (`"net.sent"`, `"storage.forced_writes"`); keeping them
-    /// `&'static str` makes call sites cheap and typo-diffable.
-    pub fn incr(&mut self, name: &'static str, n: u64) {
-        let slot = self.scoped_slot(name);
+    /// (`"net.sent"`, `"storage.forced_writes"`); layers name them with
+    /// [`metric!`](crate::metric) handles, which resolve once per call
+    /// site.
+    pub fn incr(&mut self, name: impl MetricName, n: u64) {
+        let slot = self.slot(name);
         *slot_mut(&mut self.counters, slot).get_or_insert(0) += n;
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.names
-            .lookup(name)
+        registry::lookup(name)
             .and_then(|slot| slot_value(&self.counters, slot))
             .unwrap_or(0)
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names
-            .sorted()
-            .filter_map(|(name, slot)| slot_value(&self.counters, slot).map(|v| (name, v)))
+        by_name(&self.counters).into_iter().map(|(k, &v)| (k, v))
     }
 
     /// Sets the named gauge to its current value (last write wins).
@@ -738,50 +820,47 @@ impl MetricsHub {
     /// depths — that can go down as well as up; the export carries the
     /// final value. Pair a gauge with [`Self::record_value`] when the
     /// peak matters too.
-    pub fn set_gauge(&mut self, name: &'static str, value: u64) {
-        let slot = self.scoped_slot(name);
+    pub fn set_gauge(&mut self, name: impl MetricName, value: u64) {
+        let slot = self.slot(name);
         *slot_mut(&mut self.gauges, slot) = Some(value);
     }
 
     /// Current value of a gauge (0 if never set).
     pub fn gauge(&self, name: &str) -> u64 {
-        self.names
-            .lookup(name)
+        registry::lookup(name)
             .and_then(|slot| slot_value(&self.gauges, slot))
             .unwrap_or(0)
     }
 
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names
-            .sorted()
-            .filter_map(|(name, slot)| slot_value(&self.gauges, slot).map(|v| (name, v)))
+        by_name(&self.gauges).into_iter().map(|(k, &v)| (k, v))
     }
 
     /// Records a nanosecond sample into the named histogram.
-    pub fn observe_nanos(&mut self, name: &'static str, nanos: u64) {
-        let slot = self.scoped_slot(name);
+    pub fn observe_nanos(&mut self, name: impl MetricName, nanos: u64) {
+        let slot = self.slot(name);
         slot_mut(&mut self.histograms, slot)
             .get_or_insert_with(Histogram::new)
             .record(nanos);
     }
 
     /// Records a [`SimDuration`] sample into the named histogram.
-    pub fn observe(&mut self, name: &'static str, d: SimDuration) {
+    pub fn observe(&mut self, name: impl MetricName, d: SimDuration) {
         self.observe_nanos(name, d.as_nanos());
     }
 
     /// Records a unit-free sample (a batch size, a queue depth) into the
     /// named histogram. Identical mechanics to [`Self::observe_nanos`];
     /// the separate name keeps call sites honest about units.
-    pub fn record_value(&mut self, name: &'static str, value: u64) {
+    pub fn record_value(&mut self, name: impl MetricName, value: u64) {
         self.observe_nanos(name, value);
     }
 
     /// The named histogram, if any sample was ever recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        let slot = self.names.lookup(name)?;
-        self.histograms.get(slot)?.as_ref()
+        let slot = registry::lookup(name)?;
+        self.histograms.get(slot as usize)?.as_ref()
     }
 
     /// Appends a typed event. The log is the input of the consistency
@@ -821,13 +900,9 @@ impl MetricsHub {
         MetricsExport {
             counters: self.counters().map(|(k, v)| (k.to_string(), v)).collect(),
             gauges: self.gauges().map(|(k, v)| (k.to_string(), v)).collect(),
-            histograms: self
-                .names
-                .sorted()
-                .filter_map(|(name, slot)| {
-                    let h = self.histograms.get(slot)?.as_ref()?;
-                    Some((name.to_string(), h.summary()))
-                })
+            histograms: by_name(&self.histograms)
+                .into_iter()
+                .map(|(name, h)| (name.to_string(), h.summary()))
                 .collect(),
             event_counts: {
                 let mut m: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -1103,5 +1178,93 @@ mod tests {
         scoped.set_gauge("depth", 2);
         assert_eq!(build(), build());
         assert_eq!(scoped.export().to_json(), build());
+    }
+
+    #[test]
+    fn a_handle_and_its_name_share_one_slot_at_the_root_and_in_a_scope() {
+        let mut hub = MetricsHub::new();
+        let g0 = hub.register_scope("g0");
+        hub.incr(crate::metric!("test.shared_slot"), 1);
+        hub.incr("test.shared_slot", 2);
+        hub.observe_nanos(crate::metric!("test.shared_hist"), 5);
+        hub.observe_nanos("test.shared_hist", 7);
+        hub.set_active_scope(g0);
+        hub.incr("test.shared_slot", 10);
+        hub.incr(crate::metric!("test.shared_slot"), 20);
+        hub.set_gauge(crate::metric!("test.shared_level"), 3);
+        hub.set_gauge("test.shared_level", 4);
+        assert_eq!(hub.counter("test.shared_slot"), 3);
+        assert_eq!(hub.counter("g0.test.shared_slot"), 30);
+        assert_eq!(
+            hub.histogram("test.shared_hist").map(Histogram::count),
+            Some(2)
+        );
+        assert_eq!(hub.gauge("g0.test.shared_level"), 4);
+        assert_eq!(hub.counters().count(), 2);
+    }
+
+    #[test]
+    fn names_registered_from_many_threads_get_one_id_each() {
+        let names: Vec<&'static str> = (0..64)
+            .map(|i| &*Box::leak(format!("test.concurrent_{i}").into_boxed_str()))
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (names, start) = (&names, &start);
+                    // Released together, each thread walks the names from
+                    // its own offset, so they race to register every one.
+                    s.spawn(move || {
+                        start.wait();
+                        let mut ids = vec![0; names.len()];
+                        for k in 0..names.len() {
+                            let i = (k + 16 * t) % names.len();
+                            ids[i] = registry::intern(names[i].into());
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        assert!(seen.windows(2).all(|w| w[0] == w[1]));
+        let distinct: std::collections::BTreeSet<u32> = seen[0].iter().copied().collect();
+        assert_eq!(distinct.len(), names.len());
+        for (name, &id) in names.iter().zip(&seen[0]) {
+            assert_eq!(registry::lookup(name), Some(id));
+        }
+    }
+
+    #[test]
+    fn a_hub_written_through_handles_exports_what_one_written_by_name_does() {
+        let mut by_handle = MetricsHub::new();
+        let mut by_name = MetricsHub::new();
+        by_handle.register_scope("g1");
+        by_name.register_scope("g1");
+        // Names are touched in an order unlike their sorted one.
+        for round in 0..3u64 {
+            by_handle.set_active_scope(0);
+            by_name.set_active_scope(0);
+            by_handle.incr(crate::metric!("z.sent"), round);
+            by_name.incr("z.sent", round);
+            by_handle.observe_nanos(crate::metric!("m.latency"), 100 * round);
+            by_name.observe_nanos("m.latency", 100 * round);
+            by_handle.set_gauge(crate::metric!("a.level"), round);
+            by_name.set_gauge("a.level", round);
+            by_handle.set_active_scope(1);
+            by_name.set_active_scope(1);
+            by_handle.incr(crate::metric!("z.sent"), 1);
+            by_name.incr("z.sent", 1);
+            by_handle.record_value(crate::metric!("b.batch"), round + 1);
+            by_name.record_value("b.batch", round + 1);
+        }
+        let json = by_handle.export().to_json();
+        assert_eq!(json, by_name.export().to_json());
+        let counters: Vec<_> = by_handle.counters().map(|(k, _)| k).collect();
+        assert_eq!(counters, vec!["g1.z.sent", "z.sent"]);
     }
 }

@@ -1058,7 +1058,7 @@ mod tests {
         struct Tick;
         impl Actor for Bumper {
             fn handle(&mut self, ctx: &mut Ctx<'_>, _p: Payload) {
-                ctx.metrics().incr("hits", 1);
+                ctx.metrics().incr(crate::metric!("hits"), 1);
                 ctx.emit(ProtocolEvent::RedLineAdvance { node: 0, red: 1 });
             }
         }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration};
+use todr_sim::{metric, Actor, ActorId, Ctx, Payload, SimDuration};
 
 /// Correlates a sync request with its completion notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -126,9 +126,11 @@ impl DiskActor {
         debug_assert!(!self.busy);
         self.busy = true;
         self.in_flight = self.queued.drain(..).collect();
-        ctx.metrics().incr("storage.forced_writes", 1);
-        ctx.metrics()
-            .record_value("storage.group_commit_batch", self.in_flight.len() as u64);
+        ctx.metrics().incr(metric!("storage.forced_writes"), 1);
+        ctx.metrics().record_value(
+            metric!("storage.group_commit_batch"),
+            self.in_flight.len() as u64,
+        );
         ctx.send_self_after(sync_latency, PlatterDone { epoch: self.epoch });
     }
 }
@@ -153,7 +155,7 @@ impl Actor for DiskActor {
         };
         match payload.downcast::<DiskOp>() {
             Some(DiskOp::Sync { token, reply_to }) => {
-                ctx.metrics().incr("storage.sync_requests", 1);
+                ctx.metrics().incr(metric!("storage.sync_requests"), 1);
                 match self.mode {
                     DiskMode::Delayed => {
                         ctx.send_now(reply_to, DiskDone { token });
