@@ -5,8 +5,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use todr_db::conflict::{classify, conflicts, ActionClass};
-use todr_db::keys::{read_set, row_fingerprint};
+use todr_db::conflict::classify;
+use todr_db::keys::row_fingerprint;
 use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
 use todr_net::{Datagram, NetOp, NodeId};
@@ -18,7 +18,9 @@ use todr_storage::{DiskDone, DiskOp, FileIoStats, LogFaultKind, StorageHandle, S
 
 use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
 use crate::exchange::{retrans_plan, GreenPath, MemberProgress, RetransPlan};
+use crate::fastpath::{FastPath, FastReply, Receipt};
 use crate::knowledge::{Accept, Knowledge};
+use crate::lease::{At, LeaseRead, ReadLease};
 use crate::persist::{self, RecoveryError};
 use crate::quorum::{
     compute_knowledge, is_weighted_quorum, KnowledgeInput, PrimComponent, VulnerableRecord,
@@ -26,7 +28,7 @@ use crate::quorum::{
 };
 use crate::semantics::{QuerySemantics, UpdateReplyPolicy};
 use crate::types::{
-    ClientReply, ClientRequest, EngineConfig, EngineCtl, StorageFault, TransferWire, LEASE_DURATION,
+    ClientReply, ClientRequest, EngineConfig, EngineCtl, StorageFault, TransferWire,
 };
 
 /// The engine's protocol state (Figure 4 of the paper, plus the
@@ -132,22 +134,6 @@ struct PendingReply {
     read_tier: Option<ReadConsistency>,
 }
 
-/// Fast-path bookkeeping for one of this server's own in-flight
-/// [`UpdateReplyPolicy::Fast`] actions: which members acknowledged
-/// holding the sequenced action, and the query answer captured at
-/// receipt time (the agreed prefix up to and including the action —
-/// computing it any later would leak receipted successors in).
-#[derive(Debug, Clone)]
-struct FastPending {
-    ackers: BTreeSet<NodeId>,
-    result: Option<QueryResult>,
-    /// When the receipt-time conflict check + dirty-view read finish on
-    /// the CPU. Charged at receipt so the work overlaps the FastAck
-    /// round trip (speculative execution); the commit-time reply just
-    /// waits for it.
-    ready_at: SimTime,
-}
-
 /// Timer for retrying the join bootstrap against another representative.
 struct JoinRetry;
 
@@ -194,29 +180,8 @@ struct Volatile {
 
     // ----- clients -----
     pending_replies: BTreeMap<ActionId, PendingReply>,
-    /// Own [`UpdateReplyPolicy::Fast`] actions waiting for their FastAck
-    /// quorum. Also cleared on any view change: a fast commit is only
-    /// issued inside one uninterrupted regular primary configuration —
-    /// entries that outlive it fall back to the normal green reply.
-    pending_fast: BTreeMap<ActionId, FastPending>,
     buffered_reqs: Vec<ClientRequest>,
     parked_strict: Vec<ClientRequest>,
-
-    // ----- read leases (same discipline as `pending_fast`) -----
-    /// `conf_epoch` at the moment the lease was granted. A lease is only
-    /// valid while this matches the current epoch, so any configuration
-    /// change implicitly revokes it even before the explicit expiry in
-    /// `on_trans_conf` runs.
-    lease_epoch: u64,
-    /// Virtual instant the current read lease drains. Renewed by
-    /// [`EvsEvent::LeaseRenew`] heartbeat evidence; conservatively
-    /// zeroed on any transitional configuration and on crash.
-    lease_expiry: SimTime,
-    /// Lease-tier linearizable reads parked behind a receipted-but-not-
-    /// yet-green write covering their row; re-served as green marks
-    /// land. Moved into `buffered_reqs` on a view change so they re-run
-    /// through the normal (ordered) path after the next install.
-    parked_lease: Vec<ClientRequest>,
 
     // ----- disk -----
     pending_syncs: BTreeMap<SyncToken, AfterSync>,
@@ -264,7 +229,9 @@ struct Volatile {
 /// Its state has three lifetimes, one type each: `Knowledge` is
 /// mirrored on stable storage and reloaded by recovery, `Volatile` is
 /// what a crash loses, and the fields named here deliberately span
-/// incarnations.
+/// incarnations. The read lease and the fast path's quorums are
+/// volatile too, but each is its own type, present only while its
+/// feature is on; a crash revokes the one and clears the other.
 pub struct ReplicationEngine {
     cfg: EngineConfig,
     evs: ActorId,
@@ -290,6 +257,10 @@ pub struct ReplicationEngine {
     horizon: ApplyHorizon,
     k: Knowledge,
     v: Volatile,
+    /// `Some` iff `cfg.read_leases`.
+    lease: Option<ReadLease>,
+    /// `Some` iff `cfg.fast_path`.
+    fast: Option<FastPath>,
 }
 
 /// Figure 4's transition relation, plus the crash edge into `Down` from
@@ -338,6 +309,8 @@ impl ReplicationEngine {
         let mut engine = ReplicationEngine {
             k: Knowledge::new(cfg.server_set.iter().copied()),
             v: Volatile::default(),
+            lease: cfg.read_leases.then(ReadLease::default),
+            fast: cfg.fast_path.then(|| FastPath::new(&cfg)),
             cfg,
             evs,
             disk,
@@ -552,6 +525,27 @@ impl ReplicationEngine {
         ctx.send_at(at.max(ctx.now()), to, reply);
     }
 
+    /// Tells `p`'s client at `at` that its action `id` committed.
+    /// `green_seq` is 0 for a reply sent before global ordering.
+    fn committed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        p: PendingReply,
+        id: ActionId,
+        result: Option<QueryResult>,
+        green_seq: u64,
+    ) {
+        let reply = ClientReply::Committed {
+            request: p.request,
+            action: id,
+            result,
+            submitted_at: p.submitted_at,
+            green_seq,
+        };
+        self.reply(ctx, at, p.reply_to, reply);
+    }
+
     /// Answers a query-only request. `charge` is the CPU the answer
     /// costs (`None`: the weak and dirty semantics answer at once).
     fn answer(
@@ -587,26 +581,17 @@ impl ReplicationEngine {
     /// exchange plan's targets, so stashes drain identically everywhere.
     /// Returns whether the action was newly accepted.
     fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) -> bool {
-        let accepted = self.accept_red(ctx, action);
-        if accepted {
-            self.drain_stash(ctx, action.id.server);
+        if !self.accept_red(ctx, action) {
+            return false;
         }
-        accepted
-    }
-
-    fn drain_stash(&mut self, ctx: &mut Ctx<'_>, creator: NodeId) {
+        let server = action.id.server;
         loop {
-            let next = ActionId {
-                server: creator,
-                index: self.k.red_cut(creator) + 1,
+            let index = self.k.red_cut(server) + 1;
+            let Some(next) = self.v.stashed.remove(&ActionId { server, index }) else {
+                return true;
             };
-            match self.v.stashed.remove(&next) {
-                Some(action) => {
-                    let ok = self.accept_red(ctx, &action);
-                    debug_assert!(ok, "stashed action no longer contiguous");
-                }
-                None => break,
-            }
+            let ok = self.accept_red(ctx, &next);
+            debug_assert!(ok, "stashed action no longer contiguous");
         }
     }
 
@@ -658,18 +643,7 @@ impl ReplicationEngine {
                     // legitimately does not observe it.
                     let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
                     let at = self.charge_cpu(ctx, self.cfg.cpu_per_action);
-                    self.reply(
-                        ctx,
-                        at,
-                        p.reply_to,
-                        ClientReply::Committed {
-                            request: p.request,
-                            action: id,
-                            result,
-                            submitted_at: p.submitted_at,
-                            green_seq: 0, // replied before global ordering
-                        },
-                    );
+                    self.committed(ctx, at, p, id, result, 0);
                 }
             }
         }
@@ -748,9 +722,9 @@ impl ReplicationEngine {
             self.cfg.cpu_per_action
         };
         let done_at = self.charge_cpu(ctx, cost);
-        // A fast-pending action that greens before its FastAck quorum
-        // arrives takes the (better-informed) green reply below.
-        self.v.pending_fast.remove(&id);
+        if let Some(fast) = &mut self.fast {
+            fast.on_green(id);
+        }
         if let Some(p) = self.v.pending_replies.remove(&id) {
             // `OnGreen` replies here by design; `Fast` replies here when
             // it was demoted (conflict) or its quorum never formed —
@@ -772,26 +746,15 @@ impl ReplicationEngine {
                     }
                 }
                 let result = p.query.as_ref().map(|q| self.k.db.query(q));
-                self.reply(
-                    ctx,
-                    done_at,
-                    p.reply_to,
-                    ClientReply::Committed {
-                        request: p.request,
-                        action: id,
-                        result,
-                        submitted_at: p.submitted_at,
-                        green_seq: self.k.green_count,
-                    },
-                );
+                self.committed(ctx, done_at, p, id, result, self.k.green_count);
             }
         }
         // Lease reads parked behind a receipted write re-check their
         // conflict now that another action went green.
-        if !self.v.parked_lease.is_empty() {
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_lease);
-            for req in parked {
-                self.retry_parked_lease_read(ctx, req);
+        if let Some(lease) = &mut self.lease {
+            let at = At(ctx.now(), self.state, self.conf_epoch);
+            for req in lease.unpark(&self.k, at) {
+                self.serve_query(ctx, req);
             }
         }
         // Strict queries parked behind this server's own updates (§6
@@ -903,19 +866,16 @@ impl ReplicationEngine {
                     },
                 );
             }
-            EngineState::RegPrim | EngineState::NonPrim => self.serve_request(ctx, req),
+            EngineState::RegPrim | EngineState::NonPrim => {
+                if matches!(req.update, Op::Noop) && req.query.is_some() {
+                    return self.serve_query(ctx, req);
+                }
+                self.generate_client_action(ctx, req, None)
+            }
             // All other states buffer (Appendix A: "Client req: buffer
             // request").
             _ => self.v.buffered_reqs.push(req),
         }
-    }
-
-    fn serve_request(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
-        let query_only = matches!(req.update, Op::Noop) && req.query.is_some();
-        if query_only {
-            return self.serve_query(ctx, req);
-        }
-        self.generate_client_action(ctx, req, None)
     }
 
     /// Creates, persists, and submits an action for a client request —
@@ -953,7 +913,7 @@ impl ReplicationEngine {
             update: req.update.clone(),
         };
         let id = self.create_action(ctx, req.client, kind, req.size_bytes);
-        if self.cfg.fast_path || self.cfg.read_leases {
+        if self.cfg.consumes_receipts() {
             // Export the static conflict class so the todr-check oracle
             // can replay exactly the relation the engine evaluates.
             let d = classify(&req.update, req.query.as_ref()).digest();
@@ -1087,102 +1047,49 @@ impl ReplicationEngine {
     /// it is never rejected.
     fn serve_tiered_read(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest, tier: ReadConsistency) {
         let query = req.query.clone().expect("query-only request");
+        let cpu = Some(self.cfg.cpu_per_action / 4);
         match tier {
             ReadConsistency::GreenSnapshot => {
                 ctx.metrics().incr(metric!("engine.snapshot_reads"), 1);
                 self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
                 let result = self.k.db.query(&query);
-                self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
+                self.answer(ctx, &req, result, false, cpu);
             }
             ReadConsistency::RedOverlay => {
                 ctx.metrics().incr(metric!("engine.overlay_reads"), 1);
                 self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
                 let result = self.dirty_view().query(&query);
-                self.answer(ctx, &req, result, true, Some(self.cfg.cpu_per_action / 4));
+                self.answer(ctx, &req, result, true, cpu);
             }
             ReadConsistency::Linearizable => {
-                if self.try_lease_read(ctx, &req) {
-                    return;
+                let at = At(ctx.now(), self.state, self.conf_epoch);
+                let read = match &mut self.lease {
+                    Some(lease) => lease.read(&self.k, req, at),
+                    None => LeaseRead::Ordered(req),
+                };
+                match read {
+                    LeaseRead::Serve(req) => {
+                        ctx.metrics().incr(metric!("engine.lease_reads"), 1);
+                        self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
+                        let result = self.k.db.query(&query);
+                        self.answer(ctx, &req, result, false, cpu);
+                    }
+                    LeaseRead::Parked => {
+                        ctx.metrics().incr(metric!("engine.lease_reads_parked"), 1)
+                    }
+                    // The read becomes an ordinary (Noop-update) action,
+                    // totally ordered and answered from the green
+                    // database at apply time — in `NonPrim` it turns red
+                    // and is answered after the next merge with the
+                    // primary.
+                    LeaseRead::Ordered(mut req) => {
+                        ctx.metrics().incr(metric!("engine.ordered_reads"), 1);
+                        req.reply_policy = UpdateReplyPolicy::OnGreen;
+                        self.generate_client_action(ctx, req, Some(tier));
+                    }
                 }
-                // No valid lease: re-route through the ordered path. The
-                // read becomes an ordinary (Noop-update) action, totally
-                // ordered and answered from the green database at apply
-                // time — in `NonPrim` it turns red and is answered after
-                // the next merge with the primary.
-                ctx.metrics().incr(metric!("engine.ordered_reads"), 1);
-                let mut req = req;
-                req.reply_policy = UpdateReplyPolicy::OnGreen;
-                self.generate_client_action(ctx, req, Some(ReadConsistency::Linearizable));
             }
         }
-    }
-
-    /// Whether this engine currently holds a valid read lease: leases
-    /// exist only inside a regular primary configuration, are sealed to
-    /// the epoch they were granted in, and drain [`LEASE_DURATION`] after
-    /// the last grant or heartbeat renewal.
-    fn lease_valid(&self, now: SimTime) -> bool {
-        self.cfg.read_leases
-            && self.state == EngineState::RegPrim
-            && self.v.lease_epoch == self.conf_epoch
-            && now < self.v.lease_expiry
-    }
-
-    /// Attempts to answer a linearizable read locally under the read
-    /// lease. Returns `false` if the caller must fall back to the
-    /// ordered path (no valid lease, or an unbounded query).
-    ///
-    /// Safety of the local answer: an update acknowledged to any client
-    /// was green at its origin, so it was *safe-delivered* there — every
-    /// member of the component had receipted it first. With eager
-    /// receipts on, this engine therefore already holds any acknowledged
-    /// update at least red. Serving from the green prefix alone could
-    /// still miss it, so the read parks behind any receipted-but-not-
-    /// yet-green write covering its row and is re-served as green marks
-    /// land. Unbounded queries (scans, counts, digests) conflict with
-    /// every write footprint and go ordered instead.
-    fn try_lease_read(&mut self, ctx: &mut Ctx<'_>, req: &ClientRequest) -> bool {
-        if !self.lease_valid(ctx.now()) {
-            return false;
-        }
-        let query = match &req.query {
-            Some(q @ Query::Get { .. }) => q.clone(),
-            _ => return false,
-        };
-        if self.lease_read_conflict(&query) {
-            ctx.metrics().incr(metric!("engine.lease_reads_parked"), 1);
-            self.v.parked_lease.push(req.clone());
-            return true;
-        }
-        ctx.metrics().incr(metric!("engine.lease_reads"), 1);
-        self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
-        let result = self.k.db.query(&query);
-        self.answer(ctx, req, result, false, Some(self.cfg.cpu_per_action / 4));
-        true
-    }
-
-    /// Re-serves a lease read that [`Self::try_lease_read`] parked. While
-    /// the lease holds and the conflict lasts it parks again, and is not
-    /// counted again: `engine.lease_reads_parked` counts reads, not
-    /// retries. Otherwise it takes the path a fresh read would.
-    fn retry_parked_lease_read(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
-        let still_blocked = self.lease_valid(ctx.now())
-            && matches!(&req.query, Some(q @ Query::Get { .. }) if self.lease_read_conflict(q));
-        if still_blocked {
-            self.v.parked_lease.push(req);
-        } else {
-            self.serve_query(ctx, req);
-        }
-    }
-
-    /// Whether any receipted-but-not-yet-green in-flight write (red set
-    /// or yellow set) covers a row the query reads. Bodies missing from
-    /// the action store count as conflicting.
-    fn lease_read_conflict(&self, query: &Query) -> bool {
-        let reads = read_set(query);
-        self.k
-            .in_flight()
-            .any(|(_, body)| body.is_none_or(|b| b.writes().intersects(&reads)))
     }
 
     /// Emits the oracle-facing [`ProtocolEvent::ReadServed`] record for
@@ -1190,8 +1097,7 @@ impl ReplicationEngine {
     fn emit_read_served(&mut self, ctx: &mut Ctx<'_>, query: &Query, tier: ReadTier, dirty: bool) {
         if let Query::Get { table, key } = query {
             let version = if dirty {
-                let (table, key) = (table.clone(), key.clone());
-                self.dirty_view().row_version(&table, &key)
+                self.dirty_view().row_version(table, key)
             } else {
                 self.k.db.row_version(table, key)
             };
@@ -1211,10 +1117,9 @@ impl ReplicationEngine {
     /// never reach here, and Noop updates (query-only reads on the
     /// ordered path) are not writes and emit nothing.
     fn note_update_acked(&mut self, ctx: &mut Ctx<'_>, action: &Action) {
-        if !self.cfg.read_leases {
-            return;
-        }
-        if !matches!(&action.kind, ActionKind::App { update, .. } if !matches!(update, Op::Noop)) {
+        let write =
+            matches!(&action.kind, ActionKind::App { update, .. } if !matches!(update, Op::Noop));
+        if self.lease.is_none() || !write {
             return;
         }
         ctx.emit(ProtocolEvent::UpdateAcked {
@@ -1224,15 +1129,21 @@ impl ReplicationEngine {
         });
     }
 
-    /// Grants (or heartbeat-renews) the read lease for the current
-    /// configuration.
-    fn grant_lease(&mut self, ctx: &mut Ctx<'_>, renewal: bool) {
-        let conf_id = match &self.v.conf {
-            Some(conf) => conf.id,
-            None => return,
+    /// Grants the read lease for configuration `conf` at install, or
+    /// renews it on heartbeat evidence, and reports the grant.
+    fn grant_lease(&mut self, ctx: &mut Ctx<'_>, conf: ConfId, renewal: bool) {
+        let at = At(ctx.now(), self.state, self.conf_epoch);
+        let current = self.v.conf.as_ref().map(|c| c.id);
+        let Some(lease) = &mut self.lease else {
+            return;
         };
-        self.v.lease_epoch = self.conf_epoch;
-        self.v.lease_expiry = ctx.now() + LEASE_DURATION;
+        let expires = match renewal {
+            true => lease.renew(at, current, conf),
+            false => Some(lease.grant(at)),
+        };
+        let Some(expires) = expires else {
+            return;
+        };
         if renewal {
             ctx.metrics().incr(metric!("engine.lease_renewals"), 1);
         } else {
@@ -1240,37 +1151,24 @@ impl ReplicationEngine {
         }
         ctx.emit(ProtocolEvent::LeaseGranted {
             node: self.cfg.me.index(),
-            conf_seq: conf_id.seq,
-            coordinator: conf_id.coordinator.index(),
-            expires_nanos: self.v.lease_expiry.as_nanos(),
+            conf_seq: conf.seq,
+            coordinator: conf.coordinator.index(),
+            expires_nanos: expires.as_nanos(),
             renewal,
         });
     }
 
-    /// Heartbeat renewal from the EVS daemon: every member of the
-    /// regular configuration was heard from within two heartbeat
-    /// intervals. Only renews a lease granted in the *same*
-    /// configuration — a renewal that raced a view change is dropped.
-    fn on_lease_renew(&mut self, ctx: &mut Ctx<'_>, conf_id: ConfId) {
-        if !self.cfg.read_leases || self.state != EngineState::RegPrim {
-            return;
-        }
-        if self.v.conf.as_ref().map(|c| c.id) != Some(conf_id) {
-            return;
-        }
-        if self.v.lease_epoch != self.conf_epoch {
-            return; // no lease was granted in this configuration
-        }
-        self.grant_lease(ctx, true);
-    }
-
-    /// Conservatively revokes the lease (view change or crash). Counts
-    /// an expiration only if the lease was still live.
-    fn expire_lease(&mut self, ctx: &mut Ctx<'_>) {
-        if self.lease_valid(ctx.now()) {
+    /// Revokes the read lease, counting an expiration if it was still
+    /// live; returns the reads parked under it.
+    fn revoke_lease(&mut self, ctx: &mut Ctx<'_>) -> Vec<ClientRequest> {
+        let Some(lease) = &mut self.lease else {
+            return Vec::new();
+        };
+        let (live, parked) = lease.revoke(At(ctx.now(), self.state, self.conf_epoch));
+        if live {
             ctx.metrics().incr(metric!("engine.lease_expirations"), 1);
         }
-        self.v.lease_expiry = SimTime::ZERO;
+        parked
     }
 
     /// `Handle_buff_requests` (Appendix A, CodeSegment A.8).
@@ -1330,26 +1228,17 @@ impl ReplicationEngine {
     }
 
     fn on_trans_conf(&mut self, ctx: &mut Ctx<'_>) {
-        // Fast commits are scoped to one uninterrupted regular primary:
-        // quorums still forming do not carry across the view change (the
-        // owed replies fall back to firing on green).
-        let demoted = self.v.pending_fast.len() as u64;
+        // Fast quorums and the read lease are scoped to one uninterrupted
+        // regular primary. Parked lease reads re-run as ordered reads
+        // once the next install (or non-primary transition) releases
+        // the buffer.
+        let demoted = self.fast.as_mut().map_or(0, FastPath::clear);
         if demoted > 0 {
             ctx.metrics()
                 .incr(metric!("engine.fast_demotions_on_view_change"), demoted);
         }
-        self.v.pending_fast.clear();
-        // Read leases follow the same volatile discipline: any view
-        // change revokes them before the membership protocol even
-        // decides what the next component looks like.
-        self.expire_lease(ctx);
-        if !self.v.parked_lease.is_empty() {
-            // Parked lease reads re-enter the normal request path after
-            // the next install (or non-primary transition) releases the
-            // buffer — they fall back to the ordered read there.
-            let parked: Vec<ClientRequest> = std::mem::take(&mut self.v.parked_lease);
-            self.v.buffered_reqs.extend(parked);
-        }
+        let parked = self.revoke_lease(ctx);
+        self.v.buffered_reqs.extend(parked);
         match self.state {
             EngineState::RegPrim => self.set_state(EngineState::TransPrim),
             EngineState::Construct => self.set_state(EngineState::No),
@@ -1423,25 +1312,17 @@ impl ReplicationEngine {
 
     /// `Retrans` (our role in the deterministic plan).
     fn perform_retrans(&mut self, ctx: &mut Ctx<'_>, plan: &RetransPlan) {
+        let me = self.cfg.me;
+        let mut resend: Vec<(Rc<Body>, Option<u64>)> = Vec::new();
         match plan.green {
-            GreenPath::Retrans(sender, from, to) if sender == self.cfg.me => {
+            GreenPath::Retrans(sender, from, to) if sender == me => {
                 for pos in from..to {
-                    let idx = (pos - self.k.green_floor) as usize;
-                    let id = self.k.green_tail[idx];
-                    let action = Rc::clone(self.k.body(&id).expect("green body retained"));
-                    let size = action.size_bytes + 16;
-                    ctx.metrics().incr(metric!("engine.retransmitted"), 1);
-                    self.send_group(
-                        ctx,
-                        EngineMsg::Retrans {
-                            action,
-                            green_pos: Some(pos),
-                        },
-                        size,
-                    );
+                    let id = self.k.green_tail[(pos - self.k.green_floor) as usize];
+                    let action = self.k.body(&id).expect("green body retained");
+                    resend.push((Rc::clone(action), Some(pos)));
                 }
             }
-            GreenPath::Snapshot(sender) if sender == self.cfg.me => {
+            GreenPath::Snapshot(sender) if sender == me => {
                 let size = 512 + self.k.db.row_count() as u32 * 64;
                 let msg = EngineMsg::GreenSnapshot {
                     db: self.k.db.snapshot(),
@@ -1453,72 +1334,44 @@ impl ReplicationEngine {
             }
             _ => {}
         }
-        for &(sender, creator, from, to) in &plan.red {
-            if sender != self.cfg.me {
-                continue;
-            }
-            for index in from..=to {
-                let id = ActionId {
-                    server: creator,
-                    index,
-                };
-                let Some(action) = self.k.red_body(&id).cloned() else {
-                    continue; // green here: covered by the green path
-                };
-                let size = action.size_bytes + 16;
-                ctx.metrics().incr(metric!("engine.retransmitted"), 1);
-                self.send_group(
-                    ctx,
-                    EngineMsg::Retrans {
-                        action,
-                        green_pos: None,
-                    },
-                    size,
-                );
-            }
+        for &(_, server, from, to) in plan.red.iter().filter(|red| red.0 == me) {
+            // An action green here is covered by the green path.
+            let reds = (from..=to).filter_map(|index| self.k.red_body(&ActionId { server, index }));
+            resend.extend(reds.map(|action| (Rc::clone(action), None)));
         }
-        self.send_group(
-            ctx,
-            EngineMsg::RetransDone {
-                server: self.cfg.me,
-            },
-            32,
-        );
+        for (action, green_pos) in resend {
+            let size = action.size_bytes + 16;
+            ctx.metrics().incr(metric!("engine.retransmitted"), 1);
+            self.send_group(ctx, EngineMsg::Retrans { action, green_pos }, size);
+        }
+        self.send_group(ctx, EngineMsg::RetransDone { server: me }, 32);
     }
 
     fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, green_pos: Option<u64>) {
         self.v.recovered_this_exchange += 1;
         match green_pos {
-            Some(pos) => {
-                if pos < self.k.green_count {
-                    // Already green here; nothing to do.
-                } else if pos == self.k.green_count {
-                    self.mark_green(ctx, action);
-                } else {
-                    panic!(
-                        "green retransmission gap at {}: got pos {pos}, have {}",
-                        self.cfg.me, self.k.green_count
-                    );
-                }
-            }
-            None => {
-                self.mark_red(ctx, action);
-            }
+            None => _ = self.mark_red(ctx, action),
+            Some(pos) if pos < self.k.green_count => {} // already green here
+            Some(pos) if pos == self.k.green_count => self.mark_green(ctx, action),
+            Some(pos) => panic!(
+                "green retransmission gap at {}: got pos {pos}, have {}",
+                self.cfg.me, self.k.green_count
+            ),
         }
     }
 
     fn on_green_snapshot(
         &mut self,
-        db: Database,
+        db: &Database,
         green_count: u64,
-        green_cut: BTreeMap<NodeId, u64>,
-        green_lines: BTreeMap<NodeId, u64>,
+        green_cut: &BTreeMap<NodeId, u64>,
+        green_lines: &BTreeMap<NodeId, u64>,
     ) {
         if green_count <= self.k.green_count {
             return; // we are at least as advanced
         }
-        self.adopt_base(db, green_count, &green_cut);
-        for (server, line) in green_lines {
+        self.adopt_base(db.clone(), green_count, green_cut);
+        for (&server, &line) in green_lines {
             let entry = self.k.green_lines.entry(server).or_insert(0);
             *entry = (*entry).max(line);
         }
@@ -1615,49 +1468,39 @@ impl ReplicationEngine {
         let Some(current) = &self.v.conf else {
             return;
         };
-        if conf != current.id {
+        // In `No`, these are CPCs delivered in the transitional
+        // configuration.
+        let voting = matches!(self.state, EngineState::Construct | EngineState::No);
+        if conf != current.id || !voting {
             return;
         }
-        match self.state {
-            EngineState::Construct => {
-                self.v.cpc_received.insert(server);
-                let members = current.members.clone();
-                if members.iter().all(|m| self.v.cpc_received.contains(m)) {
-                    // A.9: everyone voted; install.
-                    for m in &members {
-                        self.k.green_lines.insert(*m, self.k.green_count);
-                    }
-                    self.install(ctx);
-                    if self.departed {
-                        // Our own PERSISTENT_LEAVE turned green during
-                        // the installation's red conversion: we are out
-                        // of the system ("if (Action.leave_id ==
-                        // serverId) exit") and must not claim the
-                        // primary we just helped create.
-                        return;
-                    }
-                    self.set_state(EngineState::RegPrim);
-                    if self.cfg.read_leases {
-                        // The install greened everything a quorum of the
-                        // previous primary knew; any update acknowledged
-                        // anywhere is now in our green prefix, so the
-                        // lease can start here.
-                        self.grant_lease(ctx, false);
-                    }
-                    let epoch = self.conf_epoch;
-                    self.request_sync(ctx, AfterSync::Installed { epoch });
-                }
-            }
-            EngineState::No => {
-                // CPCs delivered in the transitional configuration.
-                self.v.cpc_received.insert(server);
-                let members = current.members.clone();
-                if members.iter().all(|m| self.v.cpc_received.contains(m)) {
-                    self.set_state(EngineState::Un);
-                }
-            }
-            _ => {}
+        self.v.cpc_received.insert(server);
+        let members = current.members.clone();
+        if !members.iter().all(|m| self.v.cpc_received.contains(m)) {
+            return;
         }
+        if self.state == EngineState::No {
+            return self.set_state(EngineState::Un);
+        }
+        // A.9: everyone voted; install.
+        for m in &members {
+            self.k.green_lines.insert(*m, self.k.green_count);
+        }
+        self.install(ctx);
+        if self.departed {
+            // Our own PERSISTENT_LEAVE turned green during the
+            // installation's red conversion: we are out of the system
+            // ("if (Action.leave_id == serverId) exit") and must not
+            // claim the primary we just helped create.
+            return;
+        }
+        self.set_state(EngineState::RegPrim);
+        // The install greened everything a quorum of the previous
+        // primary knew; any update acknowledged anywhere is now in our
+        // green prefix, so the lease can start here.
+        self.grant_lease(ctx, conf, false);
+        let epoch = self.conf_epoch;
+        self.request_sync(ctx, AfterSync::Installed { epoch });
     }
 
     /// The order `install` greens a pending set in: as given, or newest
@@ -1758,15 +1601,8 @@ impl ReplicationEngine {
                 green_count,
                 green_cut,
                 green_lines,
-            } => {
-                let (db, green_count) = (db.clone(), *green_count);
-                let (green_cut, green_lines) = (green_cut.clone(), green_lines.clone());
-                self.on_green_snapshot(db, green_count, green_cut, green_lines);
-            }
-            EngineMsg::RetransDone { server } => {
-                let server = *server;
-                self.on_retrans_done(ctx, server);
-            }
+            } => self.on_green_snapshot(db, *green_count, green_cut, green_lines),
+            EngineMsg::RetransDone { server } => self.on_retrans_done(ctx, *server),
         }
     }
 
@@ -1825,27 +1661,15 @@ impl ReplicationEngine {
     }
 
     // ============================================================
-    // commit fast path (CURP-style, gated on `EngineConfig::fast_path`)
+    // commit fast path (CURP-style, see `crate::fastpath`)
     // ============================================================
 
-    /// An eager EVS receipt: the message's agreed-order position is
-    /// fixed and this daemon holds it, but safe delivery has not been
-    /// announced yet. Receipts arrive in agreed order, one stability
-    /// round before the corresponding [`Self::on_delivery`].
-    ///
-    /// In the regular primary configuration the receipt is this
-    /// server's earliest proof an action exists, so it marks the action
-    /// red immediately (the later safe delivery greens it as before).
-    /// For another member's action it answers the origin with a
-    /// point-to-point [`TransferWire::FastAck`]; for an own
-    /// [`UpdateReplyPolicy::Fast`] action it runs the in-flight
-    /// conflict check and either opens a [`FastPending`] quorum or
-    /// demotes the request to the normal wait-for-green reply.
+    /// An eager EVS receipt: the action's agreed-order position is fixed
+    /// one stability round before [`Self::on_delivery`]. In the regular
+    /// primary configuration it marks the action red at once, which is
+    /// all read leases need; then the fast path decides it.
     fn on_receipt(&mut self, ctx: &mut Ctx<'_>, delivery: todr_evs::Delivery) {
-        // Read leases consume receipts too: the park-behind-receipted-
-        // writes check of `try_lease_read` needs every in-flight action
-        // marked red at receipt time, even with the fast path off.
-        if !(self.cfg.fast_path || self.cfg.read_leases)
+        if !self.cfg.consumes_receipts()
             || self.state != EngineState::RegPrim
             || delivery.in_transitional
         {
@@ -1858,108 +1682,49 @@ impl ReplicationEngine {
             return; // joins/leaves always take the full green path
         }
         self.mark_red(ctx, action);
-        if !self.cfg.fast_path {
-            return; // lease-only mode: receipts mark red, nothing else
-        }
-        let id = action.id;
-        if id.server != self.cfg.me {
-            // Tell the origin we hold the sequenced action. Direct
-            // unicast: skips the coordinator round-trip *and* the
-            // ack-batching delay of the stability protocol.
-            self.send_transfer(ctx, id.server, TransferWire::FastAck { id });
+        let Some(fast) = &self.fast else {
             return;
-        }
-        // Own action coming back sequenced: decide its commit path.
+        };
+        let id = action.id;
         let pending = self.v.pending_replies.get(&id);
         let wants_fast = pending.is_some_and(|p| p.policy == UpdateReplyPolicy::Fast);
-        if !wants_fast {
-            return;
-        }
-        let ActionKind::App { query, update } = &action.kind else {
-            return;
-        };
-        let class = classify(update, query.as_ref());
-        if class.unbounded() || self.fast_conflict(&class, id) {
-            ctx.metrics().incr(metric!("engine.fast_demotions"), 1);
-            ctx.emit(ProtocolEvent::FastDemoted {
-                node: self.cfg.me.index(),
-                action_seq: id.index,
-            });
-            return; // pending reply stays; it fires on green
-        }
-        // Capture the answer now: the dirty view is the green prefix
-        // plus every receipted in-flight action — i.e. the agreed order
-        // up to this action, exactly. None of the in-flight actions
-        // conflicts with this one, so their mutual order (and anything
-        // sequenced later) cannot change this answer.
-        let result = query.as_ref().map(|q| self.dirty_view().query(q));
-        // Charge the check + read now so the CPU work overlaps the
-        // FastAck round trip instead of serializing behind it.
-        let ready_at = self.charge_cpu(ctx, self.cfg.cpu_per_action / 4);
-        let me = self.cfg.me;
-        self.v.pending_fast.insert(
-            id,
-            FastPending {
-                ackers: BTreeSet::from([me]),
-                result,
-                ready_at,
-            },
-        );
-        // A single-member primary is its own quorum.
-        self.try_fast_commit(ctx, id);
-    }
-
-    /// Whether `class` conflicts with any in-flight (red or
-    /// yellow-not-green) action from a *different* creator. Same-creator
-    /// actions are skipped: per-creator FIFO fixes their order relative
-    /// to this action on every path, so they are not a reordering
-    /// hazard. Conservative: an in-flight body that is not a plain app
-    /// action (or is missing) counts as conflicting.
-    fn fast_conflict(&self, class: &ActionClass, id: ActionId) -> bool {
-        #[cfg(feature = "chaos-mutations")]
-        if self.cfg.chaos == Some(crate::types::ChaosMutation::SkipConflictCheck) {
-            // Injected bug: promise the fast commit regardless of what
-            // is in flight. The FastCommitRevoked oracle must catch the
-            // reply this issues against a conflicting concurrent action.
-            return false;
-        }
-        self.k
-            .in_flight()
-            .filter(|(other, _)| other.server != id.server)
-            .any(|(_, body)| match body.map(|b| &b.kind) {
-                Some(ActionKind::App { query, update }) => {
-                    conflicts(class, &classify(update, query.as_ref()))
-                }
-                _ => true,
-            })
-    }
-
-    /// Issues the fast commit if the ackers of `id` form a weighted
-    /// quorum of the current primary component.
-    fn try_fast_commit(&mut self, ctx: &mut Ctx<'_>, id: ActionId) {
-        let Some(fp) = self.v.pending_fast.get(&id) else {
-            return;
-        };
-        let ackers: Vec<NodeId> = fp.ackers.iter().copied().collect();
-        let quorum_ok = if self.cfg.read_leases {
-            // With read leases active, a fast quorum is not enough: any
-            // member could answer a lease read for this row the instant
-            // the client learns of the commit, so *every* member of the
-            // current configuration must hold the action first. (Members
-            // of older configurations cannot: their lease died at least
-            // `fail_timeout - 2·hb - LEASE_DURATION` before this
-            // configuration could have installed.)
-            match &self.v.conf {
-                Some(conf) => conf.members.iter().all(|m| fp.ackers.contains(m)),
-                None => false,
+        match fast.on_receipt(&self.k, action, self.cfg.me, wants_fast) {
+            // Direct unicast: skips the coordinator round trip *and* the
+            // ack-batching delay of the stability protocol.
+            Receipt::Ack => self.send_transfer(ctx, id.server, TransferWire::FastAck { id }),
+            Receipt::Skip => {}
+            Receipt::Demote => {
+                ctx.metrics().incr(metric!("engine.fast_demotions"), 1);
+                ctx.emit(ProtocolEvent::FastDemoted {
+                    node: self.cfg.me.index(),
+                    action_seq: id.index,
+                });
             }
-        } else {
-            is_weighted_quorum(&ackers, &self.k.prim_component, &self.cfg.weights)
-        };
-        if !quorum_ok {
-            return;
+            Receipt::Open(query) => {
+                let result = query.map(|q| self.dirty_view().query(q));
+                // Charge the check + read now so the CPU work overlaps
+                // the FastAck round trip instead of serializing behind it.
+                let ready_at = self.charge_cpu(ctx, self.cfg.cpu_per_action / 4);
+                if let Some(fast) = &mut self.fast {
+                    fast.open(id, FastReply { result, ready_at });
+                }
+                // A single-member primary is its own quorum.
+                self.on_fast_ack(ctx, id.server, id);
+            }
         }
-        let fp = self.v.pending_fast.remove(&id).expect("just present");
+    }
+
+    /// Member `src` holds own action `id`: once that completes its
+    /// quorum, the fast commit is sent. Its reply does not execute the
+    /// update — green apply does that on every replica — and its CPU
+    /// cost was charged at receipt.
+    fn on_fast_ack(&mut self, ctx: &mut Ctx<'_>, src: NodeId, id: ActionId) {
+        let members = self.v.conf.as_ref().map(|c| &c.members[..]);
+        let (prim, weights, state) = (&self.k.prim_component, &self.cfg.weights, self.state);
+        let ack = |f: &mut FastPath| f.on_ack(src, id, state, members, prim, weights);
+        let Some(reply) = self.fast.as_mut().and_then(ack) else {
+            return;
+        };
         let Some(p) = self.v.pending_replies.remove(&id) else {
             return;
         };
@@ -1980,36 +1745,7 @@ impl ReplicationEngine {
         if let Some(action) = &action {
             self.note_update_acked(ctx, action);
         }
-        // The reply doesn't execute the update — that happens at green
-        // apply on every replica regardless — and its own CPU cost (the
-        // conflict check + dirty-view read) was charged at receipt time,
-        // overlapped with the FastAck round trip.
-        let at = fp.ready_at;
-        self.reply(
-            ctx,
-            at,
-            p.reply_to,
-            ClientReply::Committed {
-                request: p.request,
-                action: id,
-                result: fp.result,
-                submitted_at: p.submitted_at,
-                green_seq: 0, // replied before global ordering
-            },
-        );
-    }
-
-    /// A peer acknowledged holding one of our sequenced fast-path
-    /// actions.
-    fn on_fast_ack(&mut self, ctx: &mut Ctx<'_>, src: NodeId, id: ActionId) {
-        if !self.cfg.fast_path || self.state != EngineState::RegPrim {
-            return; // stale ack from before a view change
-        }
-        let Some(fp) = self.v.pending_fast.get_mut(&id) else {
-            return; // demoted, already committed, or cleared
-        };
-        fp.ackers.insert(src);
-        self.try_fast_commit(ctx, id);
+        self.committed(ctx, reply.ready_at, p, id, reply.result, 0);
     }
 
     // ============================================================
@@ -2089,30 +1825,17 @@ impl ReplicationEngine {
     // ============================================================
 
     fn on_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: EngineCtl) {
-        match ctl {
-            EngineCtl::Crash => self.crash(ctx, false),
-            EngineCtl::CrashTorn => self.crash(ctx, true),
-            EngineCtl::Recover => self.recover(ctx),
-            EngineCtl::InjectFault { fault } => self.inject_fault(ctx, fault),
-            EngineCtl::StartJoin { via } => self.start_join(ctx, via),
-            EngineCtl::Leave => {
-                if matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
-                    self.generate_internal_action(
-                        ctx,
-                        ActionKind::PersistentLeave {
-                            leaver: self.cfg.me,
-                        },
-                    );
-                }
-            }
-            EngineCtl::RemoveReplica { dead } => {
-                if matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
-                    self.generate_internal_action(
-                        ctx,
-                        ActionKind::PersistentLeave { leaver: dead },
-                    );
-                }
-            }
+        let leaver = match ctl {
+            EngineCtl::Crash => return self.crash(ctx, false),
+            EngineCtl::CrashTorn => return self.crash(ctx, true),
+            EngineCtl::Recover => return self.recover(ctx),
+            EngineCtl::InjectFault { fault } => return self.inject_fault(ctx, fault),
+            EngineCtl::StartJoin { via } => return self.start_join(ctx, via),
+            EngineCtl::Leave => self.cfg.me,
+            EngineCtl::RemoveReplica { dead } => dead,
+        };
+        if matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
+            self.generate_internal_action(ctx, ActionKind::PersistentLeave { leaver });
         }
     }
 
@@ -2125,9 +1848,12 @@ impl ReplicationEngine {
         ctx.emit(ProtocolEvent::EngineCrashed {
             node: self.cfg.me.index(),
         });
-        // Revoke the read lease while the pre-crash state is still
-        // visible (counts an expiration if it was live).
-        self.expire_lease(ctx);
+        // Revoke the lease while the pre-crash state is still visible;
+        // the reads parked under it are lost with `Volatile`.
+        self.revoke_lease(ctx);
+        if let Some(fast) = &mut self.fast {
+            fast.clear();
+        }
         if torn {
             self.store.crash_torn(ctx.fault_rng());
             ctx.metrics().incr(metric!("storage.torn_crashes"), 1);
@@ -2373,57 +2099,36 @@ impl ReplicationEngine {
 
 impl Actor for ReplicationEngine {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let down = self.state == EngineState::Down;
         let payload = match payload.try_downcast::<EvsEvent>() {
-            Ok(event) => {
-                if self.state == EngineState::Down {
-                    return;
-                }
-                match event {
-                    EvsEvent::RegConf(conf) => self.on_reg_conf(ctx, conf),
-                    EvsEvent::TransConf(_) => self.on_trans_conf(ctx),
-                    EvsEvent::Deliver(d) => self.on_delivery(ctx, d),
-                    EvsEvent::Receipt(d) => self.on_receipt(ctx, d),
-                    EvsEvent::LeaseRenew(conf_id) => self.on_lease_renew(ctx, conf_id),
-                }
-                return;
-            }
+            Ok(_) if down => return,
+            Ok(EvsEvent::RegConf(conf)) => return self.on_reg_conf(ctx, conf),
+            Ok(EvsEvent::TransConf(_)) => return self.on_trans_conf(ctx),
+            Ok(EvsEvent::Deliver(d)) => return self.on_delivery(ctx, d),
+            Ok(EvsEvent::Receipt(d)) => return self.on_receipt(ctx, d),
+            Ok(EvsEvent::LeaseRenew(conf)) => return self.grant_lease(ctx, conf, true),
             Err(p) => p,
         };
-        let payload = match payload.try_downcast::<DiskDone>() {
-            Ok(done) => {
-                if self.state != EngineState::Down {
-                    self.on_disk_done(ctx, done.token);
-                }
-                return;
+        if let Some(done) = payload.downcast_ref::<DiskDone>() {
+            if !down {
+                self.on_disk_done(ctx, done.token);
             }
-            Err(p) => p,
-        };
+            return;
+        }
         let payload = match payload.try_downcast::<ClientRequest>() {
-            Ok(req) => {
-                self.on_client_request(ctx, req);
-                return;
-            }
+            Ok(req) => return self.on_client_request(ctx, req),
             Err(p) => p,
         };
-        let payload = match payload.try_downcast::<Datagram>() {
-            Ok(dgram) => {
-                if self.state == EngineState::Down {
-                    return;
-                }
-                if let Some(wire) = dgram.payload.downcast_ref::<TransferWire>() {
-                    self.on_transfer(ctx, dgram.src, wire);
-                }
-                return;
+        if let Some(dgram) = payload.downcast_ref::<Datagram>() {
+            match dgram.payload.downcast_ref::<TransferWire>() {
+                Some(wire) if !down => self.on_transfer(ctx, dgram.src, wire),
+                _ => {}
             }
-            Err(p) => p,
-        };
-        let payload = match payload.try_downcast::<JoinRetry>() {
-            Ok(_) => {
-                self.on_join_retry(ctx);
-                return;
-            }
-            Err(p) => p,
-        };
+            return;
+        }
+        if payload.is::<JoinRetry>() {
+            return self.on_join_retry(ctx);
+        }
         match payload.downcast::<EngineCtl>() {
             Some(ctl) => self.on_ctl(ctx, ctl),
             None => panic!("ReplicationEngine received an unknown payload type"),

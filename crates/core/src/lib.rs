@@ -53,7 +53,9 @@
 mod action;
 mod engine;
 mod exchange;
+mod fastpath;
 mod knowledge;
+mod lease;
 mod persist;
 pub mod quorum;
 mod semantics;

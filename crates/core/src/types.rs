@@ -280,20 +280,17 @@ pub struct EngineConfig {
     /// with [`UpdateReplyPolicy::Fast`] whose footprint is disjoint
     /// from every in-flight action are acknowledged after one forced
     /// write plus one multicast round (sequencing + FastAck quorum),
-    /// without waiting for safe delivery / green ordering. Requires the
-    /// EVS daemon to run with `eager_receipts`. Off by default — the
-    /// default configuration's event streams stay byte-identical.
+    /// without waiting for safe delivery / green ordering (see
+    /// [`EngineConfig::consumes_receipts`]). Off by default.
     pub fast_path: bool,
     /// Enable LARK-style **read leases**: inside a regular primary
     /// configuration every member grants itself an epoch-sealed lease
     /// (renewed by `EvsEvent::LeaseRenew` heartbeat evidence, expired
-    /// conservatively on any view change — the same volatile discipline
-    /// as the fast path's witness state) and answers
+    /// conservatively on any view change) and answers
     /// [`ReadConsistency::Linearizable`] queries locally, parking
-    /// behind receipted-but-not-yet-green conflicting writes. Requires
-    /// the EVS daemon to run with `eager_receipts` and
-    /// `lease_heartbeats`. Off by default — the default configuration's
-    /// event streams stay byte-identical.
+    /// behind receipted-but-not-yet-green conflicting writes. The EVS
+    /// daemon must run with `lease_heartbeats` (and see
+    /// [`EngineConfig::consumes_receipts`]). Off by default.
     pub read_leases: bool,
     /// Auto-checkpoint period, in green actions: every `interval`-th
     /// green action triggers white-line garbage collection and log
@@ -322,6 +319,14 @@ impl EngineConfig {
             #[cfg(feature = "chaos-mutations")]
             chaos: None,
         }
+    }
+
+    /// Whether the engine consumes eager EVS receipts: the fast path
+    /// decides its commits on them, and read leases park behind the
+    /// writes they mark red. The node's EVS daemon must then run with
+    /// `eager_receipts`.
+    pub fn consumes_receipts(&self) -> bool {
+        self.fast_path || self.read_leases
     }
 }
 

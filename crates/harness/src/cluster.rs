@@ -710,26 +710,6 @@ impl Cluster {
         let (world, config) = (&mut self.world, &self.config);
         let fabric = self.fabrics[group as usize];
         let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
-        // Daemon and engine reference each other; allocate the engine
-        // slot first by predicting its id is not possible, so wire via a
-        // two-step: create daemon with a placeholder app id, then the
-        // engine, then point the daemon at the engine.
-        let evs_config = EvsConfig {
-            universe: server_set.to_vec(),
-            hb_interval: config.hb_interval,
-            fail_timeout: config.fail_timeout,
-            ack_delay: config.ack_delay,
-            reliable_links: config.reliable_links,
-            max_pack: config.max_pack,
-            cumulative_ack_threshold: config.cumulative_ack_threshold,
-            eager_receipts: config.fast_path || config.read_leases,
-            lease_heartbeats: config.read_leases,
-            ..EvsConfig::default()
-        };
-        let daemon = world.add_actor(
-            format!("evs-{node}"),
-            EvsDaemon::new(node, fabric, ActorId::from_raw(0), evs_config),
-        );
         let mut engine_config = EngineConfig::new(node, server_set.to_vec());
         engine_config.cpu_per_action = config.cpu_per_action;
         engine_config.checkpoint_interval = config.checkpoint_interval;
@@ -746,6 +726,26 @@ impl Cluster {
             .iter()
             .map(|(&idx, &w)| (NodeId::new(idx), w))
             .collect();
+        // Daemon and engine reference each other; allocate the engine
+        // slot first by predicting its id is not possible, so wire via a
+        // two-step: create daemon with a placeholder app id, then the
+        // engine, then point the daemon at the engine.
+        let evs_config = EvsConfig {
+            universe: server_set.to_vec(),
+            hb_interval: config.hb_interval,
+            fail_timeout: config.fail_timeout,
+            ack_delay: config.ack_delay,
+            reliable_links: config.reliable_links,
+            max_pack: config.max_pack,
+            cumulative_ack_threshold: config.cumulative_ack_threshold,
+            eager_receipts: engine_config.consumes_receipts(),
+            lease_heartbeats: config.read_leases,
+            ..EvsConfig::default()
+        };
+        let daemon = world.add_actor(
+            format!("evs-{node}"),
+            EvsDaemon::new(node, fabric, ActorId::from_raw(0), evs_config),
+        );
         let store = match &self.storage_root {
             None => StorageHandle::sim(),
             Some(root) => {

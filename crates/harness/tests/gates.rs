@@ -247,12 +247,20 @@ fn reads_gate_covers_every_bound() {
                 .latency_ratio = v
         },
     );
+    let lease = |c: &ReadCell| c.read_pct == 95 && c.tier == "lease-linearizable";
+    let lease_reads = base.cells.iter().find(|c| lease(c)).unwrap().lease_reads;
     edge(
         &base,
         gate,
-        "missed an acknowledged write",
-        step(0.0),
-        |s, v| s.cells[0].stale_lease_reads = v as u64,
+        "escaped the staleness audit",
+        step(lease_reads as f64),
+        |s, v| {
+            s.cells
+                .iter_mut()
+                .find(|c| lease(c))
+                .unwrap()
+                .lease_reads_checked = v as u64
+        },
     );
     edge(
         &base,
@@ -267,7 +275,6 @@ fn reads_gate_covers_every_bound() {
                 .throughput_ratio = v
         },
     );
-    let lease = |c: &ReadCell| c.read_pct == 95 && c.tier == "lease-linearizable";
     let floor = 0.9
         * base
             .cells
