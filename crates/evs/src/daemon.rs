@@ -207,7 +207,7 @@ pub struct EvsDaemon {
     max_conf_seq: u64,
     pending_out: VecDeque<(Rc<dyn std::any::Any>, u32)>,
     /// Registered-but-unsent submissions awaiting packing into one
-    /// `Submit` frame (only used when `config.max_pack > 1`). Every item
+    /// `Submit` frame (at `config.max_pack` 1 each leaves at once). Every item
     /// here is also in the ordering's unsequenced map, so dropping the
     /// buffer on a view change loses nothing — the install path
     /// re-submits via `take_unsequenced`. A `PackTick` is pending
@@ -722,31 +722,16 @@ impl EvsDaemon {
         }
         ctx.metrics().incr(metric!("evs.submitted"), 1);
         let ordering = self.ordering.as_mut().expect("checked above");
-        let coordinator = ordering.coordinator();
-        let conf = ordering.conf().id;
         let local_seq = ordering.register_submission(Rc::clone(&payload), size);
         let item = SubmitItem {
             local_seq,
             payload,
             size,
         };
-        if self.config.max_pack <= 1 {
-            // Packing off: the historical one-frame-per-message path.
-            let ack_upto = self.take_piggyback_ack();
-            self.send_wire_one(
-                ctx,
-                coordinator,
-                EvsWire::Submit {
-                    conf,
-                    sender: self.me,
-                    ack_upto,
-                    items: vec![item].into(),
-                },
-            );
-            return;
-        }
         let opens = self.pack_buf.is_empty();
         self.pack_buf.push(item);
+        // Unpacked (`max_pack` 1), every submission fills its frame here
+        // and no `PackTick` is armed.
         if self.pack_buf.len() >= self.config.max_pack {
             self.flush_pack(ctx);
         } else if opens {
@@ -969,54 +954,35 @@ impl EvsDaemon {
                             announce = ordering.on_ack(*sender, *ack_upto);
                         }
                         let msgs = ordering.sequence_batch(*sender, items);
-                        let stable_upto = ordering.announced_stable();
-                        let members = ordering.members_shared();
                         let n = msgs.len() as u64;
                         ctx.metrics().incr(metric!("evs.sequenced"), n);
-                        if self.config.max_pack <= 1 {
-                            // Packing off: one frame in, one frame out.
-                            let acker = if self.cumulative {
-                                self.ordering.as_mut().expect("just used").next_acker()
-                            } else {
-                                None
-                            };
-                            self.send_wire_to(
-                                ctx,
-                                members,
-                                EvsWire::Sequenced {
-                                    conf: *conf,
-                                    stable_upto,
-                                    acker,
-                                    msgs: msgs.into(),
-                                },
-                            );
-                        } else {
-                            // Sequencer round: hold the messages up to
-                            // one pack window so submissions from many
-                            // senders ride one packed multicast (and
-                            // receivers deliver them as one burst) —
-                            // unless the stream is too sparse for a
-                            // second submission to arrive inside it.
-                            let now = ctx.now();
-                            let idle = now.saturating_since(self.last_submit_at) >= PACK_WINDOW;
-                            self.last_submit_at = now;
-                            self.seq_buf.extend(msgs.into_iter().map(|m| (now, m)));
-                            if self.seq_round_ends.is_none() && !idle {
-                                // Past two windows of queued apply work,
-                                // run until the queue is one window from
-                                // draining: the frame lands as it frees,
-                                // so the hold is free and the burst
-                                // shares one overhead.
-                                let backlog = self.apply_horizon.backlog(now);
-                                let hold = PACK_WINDOW.max(backlog.saturating_sub(PACK_WINDOW));
-                                self.seq_round_ends = Some(now + hold);
-                                ctx.send_self_after(hold, SeqPackTick);
-                            }
-                            if self.seq_round_ends.is_none()
-                                || self.seq_buf.len() >= self.config.max_pack
-                            {
-                                self.flush_seq_pack(ctx);
-                            }
+                        // Sequencer round: hold the messages up to one
+                        // pack window so submissions from many senders
+                        // ride one packed multicast (and receivers
+                        // deliver them as one burst) — unless the stream
+                        // is too sparse for a second submission to
+                        // arrive inside it, or frames carry one message
+                        // (`max_pack` 1), when the round closes at once.
+                        let now = ctx.now();
+                        let idle = now.saturating_since(self.last_submit_at) >= PACK_WINDOW;
+                        self.last_submit_at = now;
+                        self.seq_buf.extend(msgs.into_iter().map(|m| (now, m)));
+                        let packs = self.config.max_pack > 1;
+                        if packs && self.seq_round_ends.is_none() && !idle {
+                            // Past two windows of queued apply work, run
+                            // until the queue is one window from
+                            // draining: the frame lands as it frees, so
+                            // the hold is free and the burst shares one
+                            // overhead.
+                            let backlog = self.apply_horizon.backlog(now);
+                            let hold = PACK_WINDOW.max(backlog.saturating_sub(PACK_WINDOW));
+                            self.seq_round_ends = Some(now + hold);
+                            ctx.send_self_after(hold, SeqPackTick);
+                        }
+                        if self.seq_round_ends.is_none()
+                            || self.seq_buf.len() >= self.config.max_pack
+                        {
+                            self.flush_seq_pack(ctx);
                         }
                     }
                 }

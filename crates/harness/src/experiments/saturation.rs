@@ -29,9 +29,10 @@ pub struct SaturationPoint {
     pub committed: u64,
     /// Mean commit latency in milliseconds, rounded to 0.001.
     pub mean_latency_ms: f64,
-    /// Packed wire frames sent (0 when packing is disabled).
+    /// Wire frames sent, `Submit` and `Sequenced` alike (one action
+    /// each at `max_pack` 1).
     pub frames_packed: u64,
-    /// Mean submissions per packed frame (0 when packing is disabled).
+    /// Mean messages per sequencer-round frame (1.0 at `max_pack` 1).
     pub mean_actions_per_frame: f64,
     /// Mean submissions per forced-write batch at the engines.
     pub mean_submit_batch: f64,
