@@ -2014,7 +2014,7 @@ impl ReplicationEngine {
         self.k.save_records(&mut self.store);
         self.k.save_ongoing(&mut self.store);
         self.request_sync(ctx, AfterSync::Noop);
-        ctx.send_now(self.evs, EvsCmd::Restart);
+        ctx.send_now(self.evs, EvsCmd::JoinGroup);
         ctx.emit(ProtocolEvent::EngineRecovered {
             node: self.cfg.me.index(),
             green: self.k.green_count,

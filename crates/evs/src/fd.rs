@@ -76,11 +76,6 @@ impl FailureDetector {
                     .is_some_and(|t| now.saturating_since(t) <= window)
         })
     }
-
-    /// Drops all knowledge (on daemon restart after a crash).
-    pub(crate) fn reset(&mut self) {
-        self.last_heard.clear();
-    }
 }
 
 #[cfg(test)]
@@ -152,14 +147,6 @@ mod tests {
         assert!(fd.all_fresh_within(&[n(0)], SimTime::from_secs(100), window));
     }
 
-    #[test]
-    fn reset_forgets_everyone() {
-        let mut fd = FailureDetector::new(n(0), TIMEOUT);
-        fd.heard_from(n(1), SimTime::from_millis(100));
-        fd.reset();
-        assert!(!fd.reachable(SimTime::from_millis(100)).contains(&n(1)));
-    }
-
     /// The node-indexed detector answers exactly as a `BTreeMap` keyed by
     /// node would, over random runs in which nodes far past the starting
     /// universe join, the detector restarts, and queries use both
@@ -182,7 +169,7 @@ mod tests {
                 match rng.gen_range(20) {
                     0 if universe < 40 => universe += 1 + rng.gen_range(6),
                     1 => {
-                        fd.reset();
+                        fd = FailureDetector::new(me, TIMEOUT);
                         reference.clear();
                     }
                     _ => {

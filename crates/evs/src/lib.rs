@@ -46,14 +46,12 @@
 mod channel;
 mod daemon;
 mod fd;
-pub mod frame;
 mod membership;
 mod order;
+mod sequencer;
+mod stability;
 mod types;
 mod wire;
 
 pub use daemon::{EvsCmd, EvsConfig, EvsDaemon};
-pub use frame::{
-    Frame, FrameError, SequencedFrame, SequencedItemFrame, SubmitFrame, SubmitItemFrame,
-};
 pub use types::{ConfId, Configuration, Delivery, EvsEvent};

@@ -166,14 +166,13 @@ pub(crate) enum EvsWire {
     },
 }
 
-/// Modelled overhead of one EVS frame on the wire. The byte codec in
-/// [`crate::frame`] emits exactly this many header bytes, so the model
-/// and the real encoding agree.
+/// Modelled overhead of one EVS frame on the wire: a fixed header
+/// (frame kind, configuration, sender or acker, ack or stability line,
+/// item count).
 pub(crate) const HEADER_BYTES: u32 = 48;
 
 /// Modelled per-item sub-header cost inside a packed data frame (the
-/// first item rides free under [`HEADER_BYTES`]). Matches the encoded
-/// submit-item sub-header in [`crate::frame`].
+/// first item rides free under [`HEADER_BYTES`]).
 pub(crate) const SUBHEADER_BYTES: u32 = 16;
 
 impl EvsWire {

@@ -280,243 +280,3 @@ fn cumulative_ack_stability_never_outruns_the_membership() {
         scenario_with_ack_threshold(n, seed, 0.0, msgs, cut, cut_delay_us, 0);
     }
 }
-
-// ---------------------------------------------------------------------
-// Byte-codec properties for the packed wire frames (todr_evs::frame).
-// ---------------------------------------------------------------------
-
-mod frame_props {
-    use todr_evs::{
-        ConfId, Frame, FrameError, SequencedFrame, SequencedItemFrame, SubmitFrame, SubmitItemFrame,
-    };
-    use todr_net::NodeId;
-    use todr_sim::SimRng;
-
-    fn random_payload(rng: &mut SimRng) -> Vec<u8> {
-        let len = rng.gen_range(64) as usize;
-        let mut bytes = vec![0u8; len];
-        rng.fill_bytes(&mut bytes);
-        bytes
-    }
-
-    fn random_frame(rng: &mut SimRng) -> Frame {
-        let conf = ConfId {
-            seq: rng.gen_range(1 << 20),
-            coordinator: NodeId::new(rng.gen_range(16) as u32),
-        };
-        let items = rng.gen_range(5) as usize;
-        if rng.gen_bool(0.5) {
-            Frame::Submit(SubmitFrame {
-                conf,
-                sender: NodeId::new(rng.gen_range(16) as u32),
-                ack_upto: rng.gen_range(1 << 16),
-                items: (0..items)
-                    .map(|i| SubmitItemFrame {
-                        local_seq: 1 + i as u64,
-                        payload: random_payload(rng),
-                    })
-                    .collect(),
-            })
-        } else {
-            let base = rng.gen_range(1 << 16);
-            Frame::Sequenced(SequencedFrame {
-                conf,
-                stable_upto: rng.gen_range(1 << 16),
-                acker: rng
-                    .gen_bool(0.5)
-                    .then(|| NodeId::new(rng.gen_range(16) as u32)),
-                msgs: (0..items)
-                    .map(|i| SequencedItemFrame {
-                        seq: base + i as u64,
-                        sender: NodeId::new(rng.gen_range(16) as u32),
-                        local_seq: 1 + rng.gen_range(1 << 10),
-                        payload: random_payload(rng),
-                    })
-                    .collect(),
-            })
-        }
-    }
-
-    /// The corner cases of the packed layout: zero items (the count
-    /// field drives the decode loop, so an empty frame is legal),
-    /// one item, and a one-item frame whose payload is itself empty.
-    fn edge_frames() -> Vec<Frame> {
-        let conf = ConfId {
-            seq: 7,
-            coordinator: NodeId::new(2),
-        };
-        vec![
-            Frame::Submit(SubmitFrame {
-                conf,
-                sender: NodeId::new(1),
-                ack_upto: 9,
-                items: vec![],
-            }),
-            Frame::Sequenced(SequencedFrame {
-                conf,
-                stable_upto: 4,
-                acker: Some(NodeId::new(3)),
-                msgs: vec![],
-            }),
-            Frame::Submit(SubmitFrame {
-                conf,
-                sender: NodeId::new(1),
-                ack_upto: 0,
-                items: vec![SubmitItemFrame {
-                    local_seq: 1,
-                    payload: vec![0xAB; 5],
-                }],
-            }),
-            Frame::Submit(SubmitFrame {
-                conf,
-                sender: NodeId::new(1),
-                ack_upto: 0,
-                items: vec![SubmitItemFrame {
-                    local_seq: 1,
-                    payload: vec![],
-                }],
-            }),
-            Frame::Sequenced(SequencedFrame {
-                conf,
-                stable_upto: 0,
-                acker: None,
-                msgs: vec![SequencedItemFrame {
-                    seq: 1,
-                    sender: NodeId::new(4),
-                    local_seq: 1,
-                    payload: vec![],
-                }],
-            }),
-        ]
-    }
-
-    #[test]
-    fn frames_round_trip() {
-        let mut rng = SimRng::new(0xF4A3E);
-        for _ in 0..200 {
-            let frame = random_frame(&mut rng);
-            let bytes = frame.encode();
-            assert_eq!(Frame::decode(&bytes).expect("round trip"), frame);
-        }
-    }
-
-    #[test]
-    fn empty_and_single_item_frames_round_trip() {
-        // The size model charges sub-headers as `items - 1` (saturating),
-        // so the 0- and 1-item encodings are the layouts most likely to
-        // drift from the decoder. Pin them explicitly rather than hoping
-        // the random generator covers them.
-        for frame in edge_frames() {
-            let bytes = frame.encode();
-            assert_eq!(
-                Frame::decode(&bytes).expect("edge frame round trip"),
-                frame,
-                "edge frame failed to round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn edge_frames_resist_truncation_and_bit_flips() {
-        // The same torn-buffer and corruption sweeps the random corpus
-        // gets, applied to the 0-/1-item frames: an empty frame is just
-        // header + trailer, so any slip in the count-driven decode loop
-        // or trailer arithmetic shows up here first.
-        for frame in edge_frames() {
-            let bytes = frame.encode();
-            for cut in 0..bytes.len() {
-                assert!(
-                    Frame::decode(&bytes[..cut]).is_err(),
-                    "prefix of {cut}/{} bytes decoded",
-                    bytes.len()
-                );
-            }
-            for i in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut bad = bytes.clone();
-                    bad[i] ^= 1 << bit;
-                    assert!(
-                        Frame::decode(&bad).is_err(),
-                        "bit {bit} of byte {i}/{} flipped and still decoded",
-                        bytes.len()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_rejected() {
-        // A torn buffer — any strict prefix, down to the empty one —
-        // must never decode: the checksum trailer covers the whole
-        // frame, so the only accepted byte string is the complete one.
-        let mut rng = SimRng::new(0x7047);
-        for _ in 0..24 {
-            let frame = random_frame(&mut rng);
-            let bytes = frame.encode();
-            for cut in 0..bytes.len() {
-                assert!(
-                    Frame::decode(&bytes[..cut]).is_err(),
-                    "prefix of {cut}/{} bytes decoded",
-                    bytes.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_rejected() {
-        // Exhaustively over a couple of frames: no single-bit
-        // corruption anywhere (header, item sub-headers, payloads,
-        // trailer) yields a frame that decodes as valid.
-        let mut rng = SimRng::new(0xB17F);
-        for _ in 0..4 {
-            let frame = random_frame(&mut rng);
-            let bytes = frame.encode();
-            for i in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut bad = bytes.clone();
-                    bad[i] ^= 1 << bit;
-                    assert!(
-                        Frame::decode(&bad).is_err(),
-                        "bit {bit} of byte {i}/{} flipped and still decoded",
-                        bytes.len()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn random_byte_stretches_are_rejected() {
-        // Fuzz-shaped garbage (including buffers that start with the
-        // right magic) never decodes and never panics.
-        let mut rng = SimRng::new(0x6A2BA6E);
-        for _ in 0..500 {
-            let len = rng.gen_range(256) as usize;
-            let mut bytes = vec![0u8; len];
-            rng.fill_bytes(&mut bytes);
-            if len >= 2 && rng.gen_bool(0.5) {
-                bytes[0] = 0x51;
-                bytes[1] = 0xEF;
-            }
-            assert!(Frame::decode(&bytes).is_err());
-        }
-    }
-
-    #[test]
-    fn rejection_reasons_are_typed() {
-        let frame = random_frame(&mut SimRng::new(1));
-        let bytes = frame.encode();
-        assert!(matches!(
-            Frame::decode(&bytes[..10]),
-            Err(FrameError::TooShort { have: 10 })
-        ));
-        let mut flipped = bytes.clone();
-        *flipped.last_mut().unwrap() ^= 1;
-        assert!(matches!(
-            Frame::decode(&flipped),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-    }
-}
