@@ -82,3 +82,39 @@ fn loss_costs_throughput_but_not_safety() {
         "loss should cost throughput: clean {clean} vs lossy {lossy}"
     );
 }
+
+#[test]
+fn crash_and_quick_recovery_over_reliable_links() {
+    // A replica that recovers within a few milliseconds of its crash
+    // meets peers still numbering their link frames for its dead
+    // incarnation; none of those frames may reach the new one.
+    for seed in 1..=3 {
+        for gap_us in [0, 100, 500, 1_000, 3_000, 10_000, 100_000] {
+            let config = ClusterConfig::builder(3, seed)
+                .reliable_links(true)
+                .build()
+                .expect("valid config");
+            let mut cluster = Cluster::build(config);
+            cluster.settle();
+            for i in 0..3 {
+                cluster.attach_client(i, ClientConfig::default());
+            }
+            cluster.run_for(SimDuration::from_millis(300));
+            cluster.crash(1);
+            cluster.run_for(SimDuration::from_micros(gap_us));
+            cluster.recover(1);
+            cluster.run_for(SimDuration::from_secs(1));
+            cluster.stop_clients();
+            cluster.run_for(SimDuration::from_secs(1));
+            let cell = format!("seed {seed}, gap {gap_us} µs");
+            cluster
+                .try_check_consistency()
+                .unwrap_or_else(|v| panic!("{cell}: {v}"));
+            let g0 = cluster.green_count(0);
+            assert!(g0 > 0, "{cell}: nothing committed");
+            for i in 1..3 {
+                assert_eq!(cluster.green_count(i), g0, "{cell}: server {i} diverged");
+            }
+        }
+    }
+}
