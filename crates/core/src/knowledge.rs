@@ -16,7 +16,7 @@ use std::rc::Rc;
 use todr_db::Database;
 use todr_net::NodeId;
 
-use crate::action::{Action, ActionId, ActionKind, Body};
+use crate::action::{ActionId, ActionKind, Body};
 use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 
 /// The verdict of [`Knowledge::accept_red`].
@@ -86,7 +86,9 @@ pub(crate) struct Knowledge {
     /// Green action ids from `green_floor` on, in global order
     /// (position `green_floor + i`).
     pub green_tail: Vec<ActionId>,
-    /// The green database: every green `App` action applied in order.
+    /// The green database: every green `App` action applied in order. A
+    /// shared version: replicas that greened the same actions from the
+    /// same version hold one.
     pub db: Database,
     /// The last known primary component (`primComponent`).
     pub prim_component: PrimComponent,
@@ -221,7 +223,8 @@ impl Knowledge {
     }
 
     /// The green database with the red actions replayed over it (the §6
-    /// dirty view).
+    /// dirty view). Plain applies: a red replay neither reads nor fills
+    /// a body's green memo.
     pub(crate) fn dirty_db(&self) -> Database {
         let mut dirty = self.db.snapshot();
         for body in self.red_bodies() {
@@ -251,15 +254,16 @@ impl Knowledge {
     }
 
     /// `MarkGreen`: places an accepted action on top of the green order
-    /// and applies it to the database. Returns `false` (and changes
-    /// nothing) if it is already green.
+    /// and applies it to the database, through the body's memo
+    /// ([`Body::apply_green`]). Returns `false` (and changes nothing) if
+    /// it is already green.
     ///
     /// # Panics
     ///
     /// If the action was never accepted: green streams respect
     /// per-creator FIFO, so a contiguity gap here is a protocol bug,
     /// not a benign race.
-    pub(crate) fn mark_green(&mut self, action: &Action) -> bool {
+    pub(crate) fn mark_green(&mut self, action: &Body) -> bool {
         let id = action.id;
         let creator = self.creators.get_mut(&id.server);
         let (green, red) = creator.as_ref().map_or((0, 0), |c| (c.green, c.red));
@@ -274,9 +278,7 @@ impl Knowledge {
         }
         self.green_tail.push(id);
         self.green_count += 1;
-        if let ActionKind::App { update, .. } = &action.kind {
-            self.db.apply(update);
-        }
+        action.apply_green(&mut self.db, self.server_set.len());
         true
     }
 
@@ -378,7 +380,7 @@ impl Knowledge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ClientId;
+    use crate::action::{Action, ClientId};
     use crate::persist;
     use todr_db::Op;
     use todr_sim::SimRng;

@@ -23,7 +23,7 @@ use std::fmt;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use todr_net::NodeId;
-use todr_storage::{LogFaultKind, SharedEntry, StorageHandle};
+use todr_storage::{encode_record, LogFaultKind, SharedEntry, StorageHandle};
 
 use crate::action::{Action, ActionId, Body};
 use crate::knowledge::{Accept, Knowledge};
@@ -183,13 +183,23 @@ impl Knowledge {
 
     /// Compacts persistence: the current green state becomes the base
     /// record and the log restarts with the red bodies on top of it.
+    ///
+    /// The record is a function of the database version, the green
+    /// count and the green cuts, so it is encoded once per version
+    /// ([`todr_db::Database::encode_once`], keyed by the other two) and
+    /// every replica that checkpoints that version at that count and
+    /// those cuts stores the same bytes.
     pub(crate) fn save_base(&self, store: &mut StorageHandle) {
-        let base = BaseRef {
-            db: &self.db,
-            green_count: self.green_count,
-            green_cut: &self.green_cuts(),
-        };
-        store.put_record(K_BASE, &base);
+        let green_cut = self.green_cuts();
+        let key = encode_record(&(self.green_count, &green_cut));
+        let bytes = self.db.encode_once(&key, || {
+            encode_record(&BaseRef {
+                db: &self.db,
+                green_count: self.green_count,
+                green_cut: &green_cut,
+            })
+        });
+        store.put_record_shared(K_BASE, bytes);
         store.truncate_log();
         for body in self.red_bodies() {
             store.append_shared(body.accepted_entry());

@@ -1,7 +1,10 @@
 //! The deterministic state-machine database.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::{bin, Deserialize, Serialize};
 
@@ -11,16 +14,25 @@ use crate::value::Value;
 
 /// A row that has been written: its key, its value (none once deleted),
 /// the timestamp of the timestamped update that last wrote it, and its
-/// write version.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// write version. The key is shared by every version's copy of the row.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 struct Row {
-    key: String,
+    key: Rc<str>,
     /// `None` once deleted. The row itself stays: its version keeps
     /// counting, and probes for keys placed after it still pass through.
     value: Option<Value>,
     ts: Option<u64>,
     /// Applied writes that have touched the row; see
     /// [`Database::row_version`].
+    version: u64,
+}
+
+/// [`Row`] as stored: the same fields, the key read as a `String`.
+#[derive(Deserialize)]
+struct StoredRow {
+    key: String,
+    value: Option<Value>,
+    ts: Option<u64>,
     version: u64,
 }
 
@@ -35,33 +47,99 @@ impl Row {
     }
 }
 
-/// One table: every row ever written, in the order each was first
-/// written, behind a hash index from fingerprint slot to position.
+/// A row in its table: the fingerprint slot it sits in and its position
+/// in first-write order.
+#[derive(Clone, PartialEq, Eq)]
+struct Entry {
+    slot: u64,
+    pos: u64,
+    row: Row,
+}
+
+/// Slot bits one trie level consumes.
+const BITS: u32 = 5;
+
+/// A trie node: one child per value of the next five slot bits.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Branch([Option<Child>; 1 << BITS]);
+
+/// A leaf holds the one taken slot under its prefix; a branch holds
+/// two or more. Versions share both by reference.
+#[derive(Clone, PartialEq, Eq)]
+enum Child {
+    Leaf(Rc<Entry>),
+    Branch(Rc<Branch>),
+}
+
+/// The child of a level-`shift` node that `slot` descends into.
+fn index(slot: u64, shift: u32) -> usize {
+    // Two slots that reach the same node agree below `shift`, and
+    // distinct slots differ somewhere, so no descent passes bit 63.
+    ((slot >> shift) & ((1 << BITS) - 1)) as usize
+}
+
+/// `slot`'s entry below `node`, inserting `make()` if the slot is free.
+/// Every node on the way, and the entry, is first copied out of any
+/// other version that shares it (path copying).
+fn entry_mut(node: &mut Branch, slot: u64, shift: u32, make: impl FnOnce() -> Entry) -> &mut Entry {
+    let child = &mut node.0[index(slot, shift)];
+    if let Some(Child::Leaf(resident)) = child {
+        let at = resident.slot;
+        if at != slot {
+            // Two slots share this prefix: the resident moves down a level.
+            let mut below = Branch::default();
+            below.0[index(at, shift + BITS)] = child.take();
+            *child = Some(Child::Branch(Rc::new(below)));
+        }
+    }
+    match child {
+        Some(Child::Branch(below)) => entry_mut(Rc::make_mut(below), slot, shift + BITS, make),
+        Some(Child::Leaf(entry)) => Rc::make_mut(entry),
+        None => match child.insert(Child::Leaf(Rc::new(make()))) {
+            Child::Leaf(entry) => Rc::make_mut(entry),
+            Child::Branch(_) => unreachable!("a leaf was just stored"),
+        },
+    }
+}
+
+/// One table: every row ever written, each in its fingerprint slot of a
+/// persistent hash trie and tagged with its first-write position.
 ///
-/// A put is one probe of the index and overwrites the row in place. A
-/// key whose fingerprint slot is taken by another key goes to the next
-/// free slot (linear probing); rows are never removed, so a probe ends
-/// only at a free slot. First-write order is a function of the applied
-/// op sequence, so replicas that applied the same sequence hold their
-/// rows in the same order, and the index is never iterated (a
-/// `HashMap`'s order differs per instance). Key order is rebuilt only
-/// by the readers that need it: scans and digests.
+/// A put is one probe and path-copies the few nodes above its row, so a
+/// new version shares every other node with the one it was made from,
+/// and a clone is one reference count. A key whose fingerprint slot is
+/// taken by another key goes to the next free slot (linear probing);
+/// rows are never removed, so a probe ends only at a free slot, and the
+/// trie's shape is a function of the slots taken. First-write order is
+/// a function of the applied op sequence, so replicas that applied the
+/// same sequence encode their rows in the same order; key order is
+/// rebuilt only by the readers that need it: scans and digests.
 #[derive(Clone, Default, PartialEq, Eq)]
 struct Table {
-    /// Every row ever written, in first-write order.
-    rows: Vec<Row>,
-    /// Fingerprint slot → position in `rows`.
-    slots: HashMap<u64, usize>,
+    root: Rc<Branch>,
+    /// Rows ever written: the position the next new row takes.
+    len: u64,
     /// Rows that hold a value.
     live: u64,
 }
 
 impl Table {
+    /// The entry in `slot`, if the slot is taken.
+    fn entry(&self, slot: u64) -> Option<&Entry> {
+        let (mut node, mut shift) = (&*self.root, 0);
+        loop {
+            match node.0[index(slot, shift)].as_ref()? {
+                Child::Leaf(entry) => return (entry.slot == slot).then_some(&**entry),
+                Child::Branch(below) => (node, shift) = (below, shift + BITS),
+            }
+        }
+    }
+
     fn find(&self, key: &str) -> Option<&Row> {
         let mut slot = key_fingerprint(key);
         loop {
-            let row = &self.rows[*self.slots.get(&slot)?];
-            if row.key == key {
+            let row = &self.entry(slot)?.row;
+            if *row.key == *key {
                 return Some(row);
             }
             slot = slot.wrapping_add(1);
@@ -72,59 +150,86 @@ impl Table {
     /// the key was never written.
     fn with_row<R>(&mut self, key: &str, f: impl FnOnce(&mut Row) -> R) -> R {
         let mut slot = key_fingerprint(key);
-        let at = loop {
-            match self.slots.entry(slot) {
-                Entry::Occupied(taken) => {
-                    let at = *taken.get();
-                    if self.rows[at].key == key {
-                        break at;
-                    }
-                }
-                Entry::Vacant(free) => {
-                    let at = *free.insert(self.rows.len());
-                    self.rows.push(Row {
-                        key: key.to_string(),
-                        value: None,
-                        ts: None,
-                        version: 0,
-                    });
-                    break at;
-                }
+        while let Some(taken) = self.entry(slot) {
+            if *taken.row.key == *key {
+                break;
             }
             slot = slot.wrapping_add(1);
-        };
-        counted(&mut self.live, &mut self.rows[at], f)
+        }
+        let pos = self.len;
+        let entry = entry_mut(Rc::make_mut(&mut self.root), slot, 0, || Entry {
+            slot,
+            pos,
+            row: Row {
+                key: key.into(),
+                value: None,
+                ts: None,
+                version: 0,
+            },
+        });
+        if entry.pos == pos {
+            self.len += 1;
+        }
+        counted(&mut self.live, &mut entry.row, f)
     }
 
     /// Appends `rows` (stored in first-write order) in that order, which
     /// gives every row back its position and its slot.
-    fn from_rows(rows: Vec<Row>) -> Table {
+    fn from_rows(rows: Vec<StoredRow>) -> Table {
         let mut table = Table::default();
-        for row in rows {
-            let key = row.key.clone();
+        for stored in rows {
+            let key: Rc<str> = stored.key.into();
+            let row = Row {
+                key: Rc::clone(&key),
+                value: stored.value,
+                ts: stored.ts,
+                version: stored.version,
+            };
             table.with_row(&key, |slot| *slot = row);
         }
         table
     }
 
+    /// Every entry, in trie order.
+    fn entries(&self) -> Vec<&Entry> {
+        fn walk<'a>(node: &'a Branch, out: &mut Vec<&'a Entry>) {
+            for child in node.0.iter().flatten() {
+                match child {
+                    Child::Leaf(entry) => out.push(entry),
+                    Child::Branch(below) => walk(below, out),
+                }
+            }
+        }
+        let mut entries = Vec::with_capacity(self.len as usize);
+        walk(&self.root, &mut entries);
+        entries
+    }
+
+    /// Every row, in first-write order.
+    fn rows(&self) -> Vec<&Row> {
+        let mut entries = self.entries();
+        entries.sort_unstable_by_key(|e| e.pos);
+        entries.into_iter().map(|e| &e.row).collect()
+    }
+
     /// The rows that hold a value, in key order.
     fn live_rows(&self) -> Vec<(&str, &Value, Option<u64>)> {
         let mut rows: Vec<_> = self
-            .rows
-            .iter()
-            .filter_map(|r| Some((r.key.as_str(), r.value.as_ref()?, r.ts)))
+            .entries()
+            .into_iter()
+            .filter_map(|e| Some((&*e.row.key, e.row.value.as_ref()?, e.row.ts)))
             .collect();
         rows.sort_unstable_by_key(|&(key, _, _)| key);
         rows
     }
 }
 
-/// The rows and the live count, never the index, so that a `{:?}` of a
-/// database is the same in every process.
+/// The rows in first-write order and the live count, never the trie, so
+/// that a `{:?}` of a database is the same in every process.
 impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Table")
-            .field("rows", &self.rows)
+            .field("rows", &self.rows())
             .field("live", &self.live)
             .finish_non_exhaustive()
     }
@@ -155,27 +260,23 @@ fn key_fingerprint(key: &str) -> u64 {
 /// and in its slot.
 impl Serialize for Table {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.rows.iter().map(Serialize::to_value).collect())
+        self.rows().to_value()
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        bin::write_seq(out, self.rows.len());
-        for row in &self.rows {
-            row.encode(out);
-        }
+        self.rows().encode(out);
     }
 }
 
 impl Deserialize for Table {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<Row>::from_value(v).map(Table::from_rows)
+        Vec::<StoredRow>::from_value(v).map(Table::from_rows)
     }
 
     fn decode(r: &mut bin::Reader<'_>) -> Result<Self, bin::Error> {
-        Vec::<Row>::decode(r).map(Table::from_rows)
+        Vec::<StoredRow>::decode(r).map(Table::from_rows)
     }
 }
-
 /// Whether an applied operation took effect or deterministically aborted.
 ///
 /// Aborts are not errors: they are a database state transition that every
@@ -198,17 +299,58 @@ pub struct TableStats {
     pub rows: u64,
 }
 
-/// An in-memory, deterministic, snapshot-able database.
+/// A database version's content and what is memoised on it.
+#[derive(Clone, Default)]
+struct Version {
+    /// See [`Database::version`].
+    id: u64,
+    tables: BTreeMap<Rc<str>, Table>,
+    applied: u64,
+    aborted: u64,
+    /// The first [`Database::encode_once`] on this version.
+    encoded: OnceCell<Encoding>,
+}
+
+/// An encoding memoised on a version: the caller's key, then the bytes.
+type Encoding = (Arc<[u8]>, Arc<[u8]>);
+
+/// A fresh version id; 0 is the empty database's.
+fn mint() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The stored form: the fields of the version's content, in order.
+#[derive(Serialize)]
+struct Stored<'a> {
+    tables: &'a BTreeMap<Rc<str>, Table>,
+    applied: u64,
+    aborted: u64,
+}
+
+/// [`Stored`], read back.
+#[derive(Deserialize)]
+struct Loaded {
+    tables: BTreeMap<String, Table>,
+    applied: u64,
+    aborted: u64,
+}
+
+/// An in-memory, deterministic database: one immutable, structurally
+/// shared version of the state.
 ///
 /// All mutation goes through [`Database::apply`], which is a pure function
 /// of `(current state, op)` — the state-machine property the replication
 /// engine relies on. Two databases that applied the same op sequence from
 /// the same initial state have equal [`Database::digest`]s.
 ///
-/// A write finds its row, and the row's version counter, in one probe
-/// of a hash index, and overwriting an existing row with a value of the
-/// same kind allocates nothing. Scans and digests pay for key order
-/// instead: they sort the rows they read.
+/// A value is a handle on a version: a clone (or [`Database::snapshot`])
+/// is one reference count and names the same [`Database::version`]. An
+/// apply makes a new version that shares every table node with the old
+/// one except the path to each row it writes, and a handle that is the
+/// only one on its version edits it in place. A write finds its row, and
+/// the row's version counter, in one probe of a hash trie; scans and
+/// digests pay for key order instead: they sort the rows they read.
 ///
 /// ```
 /// use todr_db::{Database, Op, Value};
@@ -221,25 +363,119 @@ pub struct TableStats {
 /// }
 /// assert_eq!(a.digest(), b.digest());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Database {
-    tables: BTreeMap<String, Table>,
-    applied: u64,
-    aborted: u64,
+#[derive(Clone, Default)]
+pub struct Database(Rc<Version>);
+
+/// Content equality; handles on one version are equal at once.
+impl PartialEq for Database {
+    fn eq(&self, other: &Database) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        a.id == b.id || (a.tables == b.tables && a.applied == b.applied && a.aborted == b.aborted)
+    }
+}
+
+impl Eq for Database {}
+
+/// The content, never the version id, so that a `{:?}` of a database
+/// is the same in every process.
+impl std::fmt::Debug for Database {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Database")
+            .field("tables", &self.0.tables)
+            .field("applied", &self.0.applied)
+            .field("aborted", &self.0.aborted)
+            .finish()
+    }
+}
+
+impl Serialize for Database {
+    fn to_value(&self) -> serde::Value {
+        self.stored().to_value()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.stored().encode(out);
+    }
+}
+
+/// A decoded database is a version of its own.
+impl Deserialize for Database {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Loaded::from_value(v).map(Database::loaded)
+    }
+
+    fn decode(r: &mut bin::Reader<'_>) -> Result<Self, bin::Error> {
+        Loaded::decode(r).map(Database::loaded)
+    }
 }
 
 impl Database {
-    /// An empty database.
+    /// An empty database. Every empty database is the one version 0.
     pub fn new() -> Self {
         Database::default()
+    }
+
+    fn stored(&self) -> Stored<'_> {
+        Stored {
+            tables: &self.0.tables,
+            applied: self.0.applied,
+            aborted: self.0.aborted,
+        }
+    }
+
+    fn loaded(l: Loaded) -> Database {
+        Database(Rc::new(Version {
+            id: mint(),
+            tables: l
+                .tables
+                .into_iter()
+                .map(|(name, t)| (name.into(), t))
+                .collect(),
+            applied: l.applied,
+            aborted: l.aborted,
+            encoded: OnceCell::new(),
+        }))
+    }
+
+    /// This version's id: a process-local name, equal for two handles
+    /// only if they hold equal content. A clone keeps it; every edit,
+    /// and every decode, makes a version with a fresh one. It never
+    /// reaches an output.
+    pub fn version(&self) -> u64 {
+        self.0.id
+    }
+
+    /// The version to edit: this handle's own, copied first if another
+    /// handle shares it, under a fresh id and with no memo.
+    fn edit(&mut self) -> &mut Version {
+        let version = Rc::make_mut(&mut self.0);
+        version.id = mint();
+        version.encoded.take();
+        version
+    }
+
+    /// The bytes `encode` makes of this version together with `key`,
+    /// shared: the first call on a version encodes and keeps the bytes,
+    /// and a later call with the same key, through any handle on the
+    /// version, takes them. A call with another key encodes for itself.
+    /// `encode` must depend on nothing but this version's content and
+    /// what `key` says.
+    pub fn encode_once(&self, key: &Arc<[u8]>, encode: impl FnOnce() -> Arc<[u8]>) -> Arc<[u8]> {
+        let memo = &self.0.encoded;
+        match memo.get() {
+            Some((held, bytes)) if held == key => Arc::clone(bytes),
+            Some(_) => encode(),
+            None => Arc::clone(&memo.get_or_init(|| (Arc::clone(key), encode())).1),
+        }
     }
 
     /// Applies an update operation; deterministic in state and op.
     pub fn apply(&mut self, op: &Op) -> ApplyOutcome {
         let outcome = self.apply_inner(op);
+        let version = self.edit();
         match outcome {
-            ApplyOutcome::Applied => self.applied += 1,
-            ApplyOutcome::Aborted => self.aborted += 1,
+            ApplyOutcome::Applied => version.applied += 1,
+            ApplyOutcome::Aborted => version.aborted += 1,
         }
         outcome
     }
@@ -309,9 +545,10 @@ impl Database {
     /// Runs `f` on row `(table, key)`, creating the table and an empty
     /// row as needed, and counts the write in the row's version.
     fn write<R>(&mut self, table: &str, key: &str, f: impl FnOnce(&mut Row) -> R) -> R {
-        let rows = match self.tables.get_mut(table) {
+        let tables = &mut self.edit().tables;
+        let rows = match tables.get_mut(table) {
             Some(rows) => rows,
-            None => self.tables.entry(table.to_string()).or_default(),
+            None => tables.entry(table.into()).or_default(),
         };
         rows.with_row(key, |row| {
             row.version += 1;
@@ -325,8 +562,9 @@ impl Database {
             Query::Get { table, key } => QueryResult::Value(self.get(table, key).cloned()),
             Query::Scan { table, prefix } => {
                 let rows = self
+                    .0
                     .tables
-                    .get(table)
+                    .get(table.as_str())
                     .map(|t| {
                         t.live_rows()
                             .into_iter()
@@ -338,7 +576,7 @@ impl Database {
                 QueryResult::Rows(rows)
             }
             Query::Count { table } => {
-                QueryResult::Count(self.tables.get(table).map_or(0, |t| t.live))
+                QueryResult::Count(self.0.tables.get(table.as_str()).map_or(0, |t| t.live))
             }
             Query::Digest => QueryResult::Digest(self.digest()),
         }
@@ -346,7 +584,7 @@ impl Database {
 
     /// Direct read of a cell (used by stored procedures and tests).
     pub fn get(&self, table: &str, key: &str) -> Option<&Value> {
-        self.tables.get(table)?.find(key)?.value.as_ref()
+        self.0.tables.get(table)?.find(key)?.value.as_ref()
     }
 
     /// Direct write of a cell (used by stored procedures).
@@ -366,7 +604,8 @@ impl Database {
     /// observability, not replicated content: [`Database::digest`]
     /// leaves them out.
     pub fn row_version(&self, table: &str, key: &str) -> u64 {
-        self.tables
+        self.0
+            .tables
             .get(table)
             .and_then(|t| t.find(key))
             .map_or(0, |row| row.version)
@@ -383,7 +622,7 @@ impl Database {
             }
         }
         let mut h: u64 = 0xcbf29ce484222325;
-        for (table, rows) in self.tables.iter().filter(|(_, t)| t.live > 0) {
+        for (table, rows) in self.0.tables.iter().filter(|(_, t)| t.live > 0) {
             eat(&mut h, table.as_bytes());
             eat(&mut h, &[0xfe]);
             for (key, value, ts) in rows.live_rows() {
@@ -400,39 +639,39 @@ impl Database {
 
     /// Number of successfully applied ops (excludes aborts).
     pub fn applied_count(&self) -> u64 {
-        self.applied
+        self.0.applied
     }
 
     /// Number of deterministically aborted ops.
     pub fn aborted_count(&self) -> u64 {
-        self.aborted
+        self.0.aborted
     }
 
     /// Total number of rows across all tables.
     pub fn row_count(&self) -> u64 {
-        self.tables.values().map(|t| t.live).sum()
+        self.0.tables.values().map(|t| t.live).sum()
     }
 
     /// Per-table statistics, in table-name order.
     pub fn table_stats(&self) -> Vec<TableStats> {
-        self.tables
+        self.0
+            .tables
             .iter()
             .filter(|(_, t)| t.live > 0)
             .map(|(name, t)| TableStats {
-                name: name.clone(),
+                name: name.to_string(),
                 rows: t.live,
             })
             .collect()
     }
 
-    /// A deep snapshot for state transfer to a joining replica. (In the
-    /// simulation the snapshot is a clone; a production engine would
-    /// stream it.)
+    /// A snapshot for state transfer to a joining replica: a handle on
+    /// this version, one reference count, which later applies to either
+    /// handle leave alone. (A production engine would stream it.)
     pub fn snapshot(&self) -> Database {
         self.clone()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,21 +919,26 @@ mod tests {
             ts: None,
             version: 1,
         };
-        table.rows.push(squatter.clone());
-        table.slots.insert(home, 0);
-        table.live = 1;
+        let root = Rc::make_mut(&mut table.root);
+        entry_mut(root, home, 0, || Entry {
+            slot: home,
+            pos: 0,
+            row: squatter.clone(),
+        });
+        (table.len, table.live) = (1, 1);
         for n in 1..=2 {
             table.with_row("b", |row| {
                 row.version += 1;
                 row.value = Some(Value::Int(n));
             });
         }
-        fn in_slot(table: &Table, slot: u64) -> &Row {
-            &table.rows[table.slots[&slot]]
-        }
-        assert_eq!(in_slot(&table, home), &squatter);
-        assert_eq!(in_slot(&table, home.wrapping_add(1)).key, "b");
-        assert_eq!(table.rows.len(), 2, "`b` appended once, after the squatter");
+        let in_slot = |slot| table.entry(slot).map(|e| (e.pos, &e.row));
+        assert_eq!(in_slot(home), Some((0, &squatter)));
+        assert_eq!(
+            in_slot(home.wrapping_add(1)).map(|(pos, row)| (pos, &*row.key)),
+            Some((1, "b"))
+        );
+        assert_eq!(table.len, 2, "`b` appended once, after the squatter");
         let b = table.find("b").map(|b| (b.version, &b.value));
         assert_eq!(
             b,

@@ -476,6 +476,10 @@ struct Fast {
     acked: bool,
 }
 
+/// A greened action with a footprint: its green position, then its
+/// `(creator, seq)`.
+type PlacedGreen = (u64, (u32, u64));
+
 /// Every trace oracle as one fold over the event log.
 ///
 /// [`observe`](Self::observe) checks the clauses that hold at every
@@ -549,13 +553,14 @@ pub struct TraceOracle {
     // an origin had seen a conflicting action before it promised a fast
     // commit.
     first_seen: BTreeMap<(u32, u32), Vec<u64>>,
-    // Fingerprint -> greened actions touching it (read or write side),
-    // so the end-of-run revocation scan is bucket-local instead of
-    // quadratic over the full green history.
-    greens_by_fp: BTreeMap<u64, Vec<(u32, u64)>>,
+    // Fingerprint -> (green position, action) of the greened actions
+    // touching it (read or write side), so the end-of-run revocation
+    // scan is bucket-local instead of quadratic over the full green
+    // history, and skips a later green before looking it up.
+    greens_by_fp: BTreeMap<u64, Vec<PlacedGreen>>,
     // Greened actions with an unbounded footprint side: they conflict
     // with (nearly) everything, so every revocation scan visits them.
-    unbounded_greens: Vec<(u32, u64)>,
+    unbounded_greens: Vec<PlacedGreen>,
 
     // --- Read-lease oracle state. Inert unless the run emitted
     // `ReadServed`/`UpdateAcked`/`LeaseGranted` events (read leases on).
@@ -685,18 +690,23 @@ impl TraceOracle {
                     match Claim::get(&self.global_green, position) {
                         None => {
                             Claim::set(&mut self.global_green, position, Claim { node, id });
-                            if let Some(f) = self.footprints.get_mut(&id) {
-                                f.position.get_or_insert(position);
+                            let first_green = self
+                                .footprints
+                                .get_mut(&id)
+                                .filter(|f| f.position.is_none());
+                            if let Some(f) = first_green {
+                                f.position = Some(position);
                                 let fd = &f.digest;
+                                let entry = (position, id);
                                 if fd.writes_unbounded || fd.reads_unbounded {
-                                    self.unbounded_greens.push(id);
+                                    self.unbounded_greens.push(entry);
                                 }
                                 let mut fps: Vec<u64> =
                                     fd.writes.iter().chain(fd.reads.iter()).copied().collect();
                                 fps.sort_unstable();
                                 fps.dedup();
                                 for fp in fps {
-                                    self.greens_by_fp.entry(fp).or_default().push(id);
+                                    self.greens_by_fp.entry(fp).or_default().push(entry);
                                 }
                             }
                         }
@@ -1114,42 +1124,42 @@ impl TraceOracle {
                 return Err(TraceViolation::FastCommitNeverGreen { action: f });
             };
             let fd = &fast.digest;
-            // Bucket-local candidate set: conflicting predecessors must
+            // Bucket-local candidates: conflicting predecessors must
             // share a row fingerprint with `f` or carry an unbounded
-            // side.
-            let mut candidates: BTreeSet<(u32, u64)> = BTreeSet::new();
-            for fp in fd.writes.iter().chain(fd.reads.iter()) {
-                if let Some(bucket) = self.greens_by_fp.get(fp) {
-                    candidates.extend(bucket.iter().copied());
-                }
-            }
-            candidates.extend(self.unbounded_greens.iter().copied());
-            for g in candidates {
-                if g.0 == f.0 {
-                    continue; // per-creator FIFO fixes same-creator order
-                }
-                let Some((pg, gd)) = self
-                    .footprints
-                    .get(&g)
-                    .and_then(|g| Some((g.position?, &g.digest)))
-                else {
-                    continue;
-                };
+            // side. The buckets are scanned in place (a green may sit in
+            // several), and the violator reported is the smallest
+            // action id, whichever bucket names it first.
+            let buckets = fd.writes.iter().chain(fd.reads.iter());
+            let buckets = buckets.filter_map(|fp| self.greens_by_fp.get(fp));
+            let mut revoked: Option<((u32, u64), u64)> = None;
+            for &(pg, g) in buckets.chain([&self.unbounded_greens]).flatten() {
                 if pg >= pf {
                     continue; // ordered after the fast commit: harmless
                 }
+                if g.0 == f.0 {
+                    continue; // per-creator FIFO fixes same-creator order
+                }
+                if revoked.is_some_and(|(r, _)| r <= g) {
+                    continue; // a smaller violator is already known
+                }
+                let Some(gd) = self.footprints.get(&g).map(|g| &g.digest) else {
+                    continue;
+                };
                 if !digests_conflict(fd, gd) {
                     continue;
                 }
                 let seen = self.first_seen(f.0, g);
                 if seen.is_none_or(|s| s >= receipt_idx) {
-                    return Err(TraceViolation::FastCommitRevoked {
-                        action: f,
-                        position: pf,
-                        other: g,
-                        other_position: pg,
-                    });
+                    revoked = Some((g, pg));
                 }
+            }
+            if let Some((other, other_position)) = revoked {
+                return Err(TraceViolation::FastCommitRevoked {
+                    action: f,
+                    position: pf,
+                    other,
+                    other_position,
+                });
             }
         }
 

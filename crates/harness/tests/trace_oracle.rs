@@ -387,6 +387,41 @@ fn conflicting_unseen_predecessor_in_green_order_revokes_the_commit() {
 }
 
 #[test]
+fn of_several_revoking_predecessors_the_smallest_action_is_named() {
+    // (0,1) writes rows 7 and 8. (2,1) on row 7 and (1,1) on row 8 both
+    // green before it, unseen at its receipt. Row 7's bucket meets (2,1)
+    // first; the violation still names the smallest action, (1,1).
+    let mut events = vec![
+        rec(E::ActionFootprint(Box::new(Footprint {
+            node: 0,
+            action_seq: 1,
+            writes: vec![7, 8],
+            writes_unbounded: false,
+            reads: vec![],
+            reads_unbounded: false,
+            commutative: false,
+            timestamped: false,
+        }))),
+        footprint(2, 1, 7),
+        footprint(1, 1, 8),
+        red(0, 0, 1),
+        fast_commit(0, 1),
+    ];
+    events.extend(green_mark(2, 2, 1, 1)); // (2,1) greens at position 0
+    events.extend(green_mark(2, 1, 1, 2)); // (1,1) greens at position 1
+    events.extend(green_mark(2, 0, 1, 3)); // (0,1) greens at position 2
+    assert!(matches!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::FastCommitRevoked {
+            action: (0, 1),
+            position: 2,
+            other: (1, 1),
+            other_position: 1,
+        }
+    ));
+}
+
+#[test]
 fn conflicting_predecessor_seen_before_receipt_is_fine_once_green() {
     // Same shape, but node 0 greened the conflicting (1,1) BEFORE
     // its own receipt check: the dirty view already included it,

@@ -17,6 +17,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -70,8 +71,16 @@ impl FileIoStats {
 /// the deterministic fault RNG stream in the same draw order, so a
 /// seeded schedule injures the same logical record on either one.
 pub trait Storage: fmt::Debug {
-    /// Stages pre-serialized record bytes under `key`.
-    fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>);
+    /// Stages pre-serialized record bytes under `key`. The store keeps
+    /// the shared bytes themselves, so stores handed one record (every
+    /// replica checkpointing one database version) hold one copy.
+    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>);
+
+    /// Stages pre-serialized record bytes under `key`, like
+    /// [`Storage::put_record_shared`].
+    fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
+        self.put_record_shared(key, bytes.into());
+    }
 
     /// Reads a record's bytes, seeing staged writes (read-your-writes).
     ///
@@ -146,12 +155,12 @@ pub trait Storage: fmt::Debug {
 }
 
 impl Storage for StableStore {
-    fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
+    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
         self.put_record_raw(key, bytes);
     }
 
     fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        Ok(self.get_record_raw(key).cloned())
+        Ok(self.get_record_raw(key).map(<[u8]>::to_vec))
     }
 
     fn append_shared(&mut self, entry: &SharedEntry) {
@@ -245,7 +254,7 @@ impl StorageHandle {
 
     /// Stages a typed record under `key`, replacing any previous value.
     pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.0.put_record_bytes(key, codec::to_bytes(value));
+        self.0.put_record_shared(key, codec::to_shared(value));
     }
 
     /// Reads a typed record, seeing staged writes.
@@ -267,7 +276,7 @@ impl StorageHandle {
     /// Appends a typed entry to the log (read back with
     /// [`LogRecord::decode`]).
     pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
-        self.0.append_log(codec::to_bytes(value));
+        self.0.append_shared(&SharedEntry::encode(value));
     }
 }
 

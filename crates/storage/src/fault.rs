@@ -58,7 +58,7 @@ impl StableStore {
                 break; // never reached the platter
             }
         }
-        self.staged_records.clear();
+        self.drop_staged_records();
         self.staged_truncate = false;
     }
 

@@ -56,14 +56,14 @@ struct PersistedFrame {
 pub struct FileStore {
     dir: PathBuf,
     generation: u64,
-    persisted_records: BTreeMap<String, Vec<u8>>,
+    persisted_records: BTreeMap<String, Arc<[u8]>>,
     /// Set when the checkpoint file on disk failed its checksum: every
     /// record read errors until a fresh checkpoint replaces it.
     records_fault: Option<IoError>,
     persisted_frames: Vec<PersistedFrame>,
     /// Byte length of the live region of the log file.
     log_end: u64,
-    staged_records: BTreeMap<String, Vec<u8>>,
+    staged_records: BTreeMap<String, Arc<[u8]>>,
     staged_log: Vec<LogRecord>,
     staged_truncate: bool,
     epoch: u64,
@@ -240,7 +240,7 @@ impl FileStore {
 
     /// Serializes and atomically replaces the live checkpoint file with
     /// the persisted map plus staged overlays.
-    fn merged_records(&self) -> BTreeMap<String, Vec<u8>> {
+    fn merged_records(&self) -> BTreeMap<String, Arc<[u8]>> {
         let mut merged = self.persisted_records.clone();
         merged.extend(self.staged_records.clone());
         merged
@@ -331,7 +331,7 @@ impl FileStore {
 }
 
 impl Storage for FileStore {
-    fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
+    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
         self.staged_records.insert(key.to_string(), bytes);
     }
 
@@ -343,7 +343,7 @@ impl Storage for FileStore {
             .staged_records
             .get(key)
             .or_else(|| self.persisted_records.get(key));
-        Ok(bytes.cloned())
+        Ok(bytes.map(|b| b.to_vec()))
     }
 
     fn append_shared(&mut self, entry: &SharedEntry) {
@@ -664,7 +664,7 @@ fn torn_frame(offset: u64, epoch: u64, payload: Arc<[u8]>) -> PersistedFrame {
 /// Checkpoint file format: `[count: u64 LE]` then per record
 /// `[klen: u32 LE][key][vlen: u32 LE][value]`, sealed with a trailing
 /// `checksum64` over everything before it.
-fn encode_records_file(records: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+fn encode_records_file(records: &BTreeMap<String, Arc<[u8]>>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for (key, value) in records {
@@ -684,7 +684,7 @@ fn encode_records_file(records: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
 #[allow(clippy::type_complexity)]
 fn read_records_file(
     path: &Path,
-) -> Result<(BTreeMap<String, Vec<u8>>, Option<IoError>), StorageError> {
+) -> Result<(BTreeMap<String, Arc<[u8]>>, Option<IoError>), StorageError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((BTreeMap::new(), None)),
@@ -716,7 +716,7 @@ fn read_records_file(
         let Some((value, next)) = read_chunk(body, next) else {
             return Ok((BTreeMap::new(), Some(fault("checkpoint entry truncated"))));
         };
-        records.insert(key, value);
+        records.insert(key, value.into());
         pos = next;
     }
     Ok((records, None))

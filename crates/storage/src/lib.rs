@@ -62,7 +62,7 @@ mod file;
 mod store;
 
 pub use api::{FileIoStats, Storage, StorageHandle};
-pub use codec::{CodecError, CodecErrorKind};
+pub use codec::{to_shared as encode_record, CodecError, CodecErrorKind};
 pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
 pub use file::FileStore;

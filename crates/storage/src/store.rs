@@ -137,11 +137,11 @@ impl SharedEntry {
     /// Encodes `value` as a log entry (read back with
     /// [`LogRecord::decode`]).
     pub fn encode<T: Serialize + ?Sized>(value: &T) -> Self {
-        SharedEntry::raw(codec::to_bytes(value))
+        SharedEntry::raw(codec::to_shared(value))
     }
 
     /// An entry of pre-encoded bytes.
-    pub(crate) fn raw(bytes: Vec<u8>) -> Self {
+    pub(crate) fn raw(bytes: impl Into<Arc<[u8]>>) -> Self {
         SharedEntry {
             bytes: bytes.into(),
             sealed: Cell::new(None),
@@ -240,9 +240,10 @@ impl fmt::Display for LogFault {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct StableStore {
-    pub(crate) persisted_records: BTreeMap<String, Vec<u8>>,
+    /// Named records by key. The bytes are shared: stores handed one
+    /// record hold one copy.
+    pub(crate) records: BTreeMap<String, Record>,
     pub(crate) persisted_log: Vec<LogRecord>,
-    pub(crate) staged_records: BTreeMap<String, Vec<u8>>,
     pub(crate) staged_log: Vec<LogRecord>,
     /// A staged truncation: the persisted log is replaced by
     /// `staged_log` at the next commit (until then reads see only the
@@ -250,6 +251,13 @@ pub struct StableStore {
     pub(crate) staged_truncate: bool,
     /// Incarnation epoch stamped onto every appended log record.
     pub(crate) epoch: u64,
+}
+
+/// A named record: its persisted bytes and the bytes staged over them.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Record {
+    persisted: Option<Arc<[u8]>>,
+    staged: Option<Arc<[u8]>>,
 }
 
 impl StableStore {
@@ -260,19 +268,39 @@ impl StableStore {
 
     /// Stages a typed record under `key`, replacing any previous value.
     pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.put_record_raw(key, codec::to_bytes(value));
+        self.put_record_raw(key, codec::to_shared(value));
     }
 
-    /// Stages pre-serialized record bytes under `key`.
-    pub(crate) fn put_record_raw(&mut self, key: &str, bytes: Vec<u8>) {
-        self.staged_records.insert(key.to_string(), bytes);
+    /// Stages pre-serialized record bytes under `key`, sharing them.
+    pub(crate) fn put_record_raw(&mut self, key: &str, bytes: Arc<[u8]>) {
+        match self.records.get_mut(key) {
+            Some(record) => record.staged = Some(bytes),
+            None => {
+                let staged = Some(bytes);
+                let record = Record {
+                    persisted: None,
+                    staged,
+                };
+                self.records.insert(key.to_string(), record);
+            }
+        }
     }
 
     /// Reads a record's raw bytes, seeing staged writes.
-    pub(crate) fn get_record_raw(&self, key: &str) -> Option<&Vec<u8>> {
-        self.staged_records
-            .get(key)
-            .or_else(|| self.persisted_records.get(key))
+    pub(crate) fn get_record_raw(&self, key: &str) -> Option<&[u8]> {
+        let record = self.records.get(key)?;
+        record
+            .staged
+            .as_ref()
+            .or(record.persisted.as_ref())
+            .map(|b| &b[..])
+    }
+
+    /// Drops every staged record write.
+    pub(crate) fn drop_staged_records(&mut self) {
+        for record in self.records.values_mut() {
+            record.staged = None;
+        }
     }
 
     /// Reads a typed record, seeing staged writes (read-your-writes).
@@ -320,7 +348,7 @@ impl StableStore {
 
     /// Appends a typed entry to the log.
     pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
-        self.append_log(codec::to_bytes(value));
+        self.append_shared(&SharedEntry::encode(value));
     }
 
     /// Number of log entries visible to the writer (persisted + staged).
@@ -415,8 +443,10 @@ impl StableStore {
     /// Moves all staged mutations to the persisted image. Called when a
     /// simulated platter write completes.
     pub fn commit_staged(&mut self) {
-        for (key, bytes) in std::mem::take(&mut self.staged_records) {
-            self.persisted_records.insert(key, bytes);
+        for record in self.records.values_mut() {
+            if let Some(bytes) = record.staged.take() {
+                record.persisted = Some(bytes);
+            }
         }
         if self.staged_truncate {
             self.persisted_log = std::mem::take(&mut self.staged_log);
@@ -428,13 +458,14 @@ impl StableStore {
 
     /// Whether any staged (not yet durable) mutations exist.
     pub fn has_staged(&self) -> bool {
-        !self.staged_records.is_empty() || !self.staged_log.is_empty() || self.staged_truncate
+        let staged_record = self.records.values().any(|r| r.staged.is_some());
+        staged_record || !self.staged_log.is_empty() || self.staged_truncate
     }
 
     /// Simulates a power failure: staged mutations are lost, the
     /// persisted image survives.
     pub fn crash(&mut self) {
-        self.staged_records.clear();
+        self.drop_staged_records();
         self.staged_log.clear();
         self.staged_truncate = false;
     }

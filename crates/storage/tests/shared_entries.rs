@@ -2,10 +2,14 @@
 //! [`SharedEntry`] holds the same bytes, so a fault injected into one
 //! store must damage a copy, never the bytes the others hold — and the
 //! sealed checksum must be the one a store that encodes and seals on its
-//! own computes.
+//! own computes. The same holds for a named record many stores are
+//! handed as one shared blob (every replica's checkpoint of one database
+//! version).
+
+use std::sync::Arc;
 
 use todr_sim::SimRng;
-use todr_storage::{FileStore, SharedEntry, StableStore, Storage};
+use todr_storage::{encode_record, FileStore, SharedEntry, StableStore, Storage};
 
 fn bodies() -> Vec<SharedEntry> {
     (0..4)
@@ -107,5 +111,46 @@ fn a_shared_seal_has_the_pinned_checksum() {
         store.append_shared(&entry);
         assert_eq!(checksum(&store), pinned, "epoch {epoch}");
         assert_eq!(store.verify_log(), Ok(()));
+    }
+}
+
+/// A torn crash, a bit flip or a stale sector at one store changes no
+/// other store's copy of a shared checkpoint record, durable or staged:
+/// the injectors replace the payloads they damage and never write into
+/// a record's bytes.
+#[test]
+fn damage_to_one_store_leaves_shared_record_bytes_alone() {
+    let entries = bodies();
+    let durable = encode_record(&("green database version", 40u64));
+    let staged = encode_record(&("green database version", 48u64));
+    let (durable_bytes, staged_bytes) = (durable.to_vec(), staged.to_vec());
+    for seed in 0..64u64 {
+        let mut rng = SimRng::new(seed);
+        let (mut hurt, mut clean) = (StableStore::new(), StableStore::new());
+        for store in [&mut hurt, &mut clean] {
+            store.put_record_shared("base", Arc::clone(&durable));
+            log_all(store, &entries);
+            store.put_record_shared("base", Arc::clone(&staged));
+        }
+
+        hurt.crash_torn(&mut rng);
+        hurt.inject_bit_flip(&mut rng)
+            .expect("durable records to rot");
+        hurt.inject_stale_sector(&mut rng)
+            .expect("an earlier sector");
+        assert!(
+            hurt.verify_log().is_err(),
+            "seed {seed}: damage went unseen"
+        );
+        let base = |store: &StableStore| store.get_record_bytes("base").expect("sim store reads");
+        assert_eq!(base(&hurt), Some(durable_bytes.clone()), "seed {seed}");
+        assert_eq!(base(&clean), Some(staged_bytes.clone()), "seed {seed}");
+        clean.crash();
+        assert_eq!(base(&clean), Some(durable_bytes.clone()), "seed {seed}");
+        assert_eq!(
+            (&durable[..], &staged[..]),
+            (&durable_bytes[..], &staged_bytes[..]),
+            "seed {seed}: the shared record bytes changed"
+        );
     }
 }
