@@ -194,6 +194,9 @@ struct Volatile {
     /// not turned green yet (suppresses duplicate announcements while
     /// the joiner retries its bootstrap).
     pending_joins: BTreeSet<NodeId>,
+    /// Green marks were made since the last `GreenLineAdvance` (see
+    /// `announce_green_line`).
+    green_unannounced: bool,
 }
 
 /// The replication engine for one server.
@@ -226,8 +229,7 @@ pub struct ReplicationEngine {
     /// Never reused, so a completion from a previous incarnation cannot
     /// match a token this one is waiting on.
     next_sync_token: u64,
-    /// See [`ReplicationEngine::red_line`]; not reset by a crash, so the
-    /// heights `RedLineAdvance` reports only ever rise.
+    /// See [`ReplicationEngine::red_line`]; not reset by a crash.
     red_line: u64,
     departed: bool,
     /// Why the last [`EngineCtl::Recover`] fail-stopped, if it did.
@@ -356,7 +358,7 @@ impl ReplicationEngine {
     }
 
     /// Actions this server has ever marked red, across incarnations (the
-    /// height of its last [`ProtocolEvent::RedLineAdvance`]).
+    /// number of its `ActionOrdered { color: Red }` events).
     pub fn red_line(&self) -> u64 {
         self.red_line
     }
@@ -638,10 +640,6 @@ impl ReplicationEngine {
         self.store.append_shared(action.accepted_entry());
         self.red_line += 1;
         self.note_ordered(ctx, id, EventColor::Red);
-        ctx.emit(ProtocolEvent::RedLineAdvance {
-            node: self.cfg.me.index(),
-            red: self.red_line,
-        });
         self.v.dirty_db = None;
         if id.server == self.cfg.me {
             self.k.ongoing.remove(&id.index);
@@ -692,10 +690,7 @@ impl ReplicationEngine {
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
         self.store.append_shared(action.green_entry());
         self.note_ordered(ctx, id, EventColor::Green);
-        ctx.emit(ProtocolEvent::GreenLineAdvance {
-            node: self.cfg.me.index(),
-            green: self.k.green_count,
-        });
+        self.v.green_unannounced = true;
         self.v.dirty_db = None;
         // `Knowledge::mark_green` applied an `App` body to the database;
         // the membership structures are this server's business.
@@ -736,6 +731,21 @@ impl ReplicationEngine {
             }
         }
         self.release_strict(ctx);
+    }
+
+    /// Announces the green line if marks were made since the last
+    /// announcement: one [`ProtocolEvent::GreenLineAdvance`] closes them
+    /// all, the `k` marks sitting at the `k` positions up to the line.
+    /// Runs at the end of each delivery batch and of every other event,
+    /// before a base jump and before the engine stops, so no instant
+    /// ends with a mark unannounced.
+    fn announce_green_line(&mut self, ctx: &mut Ctx<'_>) {
+        if std::mem::take(&mut self.v.green_unannounced) {
+            ctx.emit(ProtocolEvent::GreenLineAdvance {
+                node: self.cfg.me.index(),
+                green: self.k.green_count,
+            });
+        }
     }
 
     /// CodeSegment 5.1, green `PERSISTENT_JOIN`.
@@ -1300,6 +1310,7 @@ impl ReplicationEngine {
 
     fn on_green_snapshot(
         &mut self,
+        ctx: &mut Ctx<'_>,
         db: &Database,
         green_count: u64,
         green_cut: &BTreeMap<NodeId, u64>,
@@ -1308,7 +1319,7 @@ impl ReplicationEngine {
         if green_count <= self.k.green_count {
             return; // we are at least as advanced
         }
-        self.adopt_base(db.clone(), green_count, green_cut);
+        self.adopt_base(ctx, db.clone(), green_count, green_cut);
         for (&server, &line) in green_lines {
             self.k.raise_green_line(server, line);
         }
@@ -1320,7 +1331,17 @@ impl ReplicationEngine {
     /// transfer / exchange snapshot fallback). Red actions the snapshot
     /// already incorporates are dropped; the rest are re-logged on the
     /// fresh base.
-    fn adopt_base(&mut self, db: Database, green_count: u64, green_cut: &BTreeMap<NodeId, u64>) {
+    ///
+    /// The marks made before the jump are announced first: the jump
+    /// itself shows as the next announcement skipping positions.
+    fn adopt_base(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        db: Database,
+        green_count: u64,
+        green_cut: &BTreeMap<NodeId, u64>,
+    ) {
+        self.announce_green_line(ctx);
         self.k.adopt_base(db, green_count, green_cut);
         self.v.dirty_db = None;
         self.k.save_base(&mut self.store);
@@ -1537,7 +1558,7 @@ impl ReplicationEngine {
                 green_count,
                 green_cut,
                 green_lines,
-            } => self.on_green_snapshot(db, *green_count, green_cut, green_lines),
+            } => self.on_green_snapshot(ctx, db, *green_count, green_cut, green_lines),
             EngineMsg::RetransDone { server } => self.on_retrans_done(ctx, *server),
         }
     }
@@ -1764,6 +1785,7 @@ impl ReplicationEngine {
     }
 
     fn crash(&mut self, ctx: &mut Ctx<'_>, torn: bool) {
+        self.announce_green_line(ctx);
         ctx.emit(ProtocolEvent::EngineCrashed {
             node: self.cfg.me.index(),
         });
@@ -1930,7 +1952,7 @@ impl ReplicationEngine {
                 if self.state != EngineState::Joining {
                     return;
                 }
-                self.adopt_base(db.clone(), *green_count, red_cut);
+                self.adopt_base(ctx, db.clone(), *green_count, red_cut);
                 self.k.green_lines = green_lines.clone();
                 self.k.green_lines.insert(self.cfg.me, self.k.green_count);
                 self.k.server_set = server_set.clone();
@@ -1944,10 +1966,9 @@ impl ReplicationEngine {
             }
         }
     }
-}
 
-impl Actor for ReplicationEngine {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+    /// Routes one event to its handler.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let down = self.state == EngineState::Down;
         let payload = match payload.try_downcast::<EvsEvent>() {
             Ok(_) if down => return,
@@ -1981,6 +2002,22 @@ impl Actor for ReplicationEngine {
         match payload.downcast::<EngineCtl>() {
             Some(ctl) => self.on_ctl(ctx, ctl),
             None => panic!("ReplicationEngine received an unknown payload type"),
+        }
+    }
+}
+
+impl Actor for ReplicationEngine {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let mid_batch = matches!(
+            payload.downcast_ref::<EvsEvent>(),
+            Some(EvsEvent::Deliver(d)) if !d.last_in_batch
+        );
+        self.dispatch(ctx, payload);
+        // Nothing else reaches the engine inside a delivery batch, so
+        // its green marks are announced once, at its end, or as soon as
+        // the engine stops mid-batch (a stopped engine ignores the rest).
+        if !mid_batch || self.state == EngineState::Down {
+            self.announce_green_line(ctx);
         }
     }
 

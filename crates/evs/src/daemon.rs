@@ -434,7 +434,12 @@ impl EvsDaemon {
         ctx.send_now(self.app, event);
     }
 
-    fn emit_all(&mut self, ctx: &mut Ctx<'_>, deliveries: Vec<Delivery>) {
+    /// Hands `deliveries` to the application as one batch, the last
+    /// flagged [`Delivery::last_in_batch`].
+    fn emit_all(&mut self, ctx: &mut Ctx<'_>, mut deliveries: Vec<Delivery>) {
+        if let Some(last) = deliveries.last_mut() {
+            last.last_in_batch = true;
+        }
         for d in deliveries {
             self.emit(ctx, EvsEvent::Deliver(d));
         }
@@ -870,6 +875,7 @@ impl EvsDaemon {
                     conf_id: conf,
                     seq: m.seq,
                     in_transitional: false,
+                    last_in_batch: false,
                 };
                 self.emit(ctx, EvsEvent::Receipt(receipt));
             }

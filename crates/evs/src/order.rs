@@ -285,6 +285,7 @@ impl ConfOrdering {
                 conf_id: self.conf.id,
                 seq,
                 in_transitional: false,
+                last_in_batch: false,
             });
         }
         out
@@ -342,6 +343,7 @@ impl ConfOrdering {
                 conf_id: self.conf.id,
                 seq,
                 in_transitional: true,
+                last_in_batch: false,
             });
         }
         out

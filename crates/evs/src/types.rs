@@ -106,6 +106,11 @@ pub struct Delivery {
     /// configuration — ordered, but possibly missing at members of
     /// `conf_id` that went to a different component.
     pub in_transitional: bool,
+    /// Set on the final delivery of each batch the daemon hands over at
+    /// once. A batch's deliveries reach the application back to back at
+    /// one instant, with nothing else of its in between, so it may
+    /// defer per-batch work until it sees this flag.
+    pub last_in_batch: bool,
 }
 
 impl fmt::Debug for Delivery {
@@ -115,6 +120,7 @@ impl fmt::Debug for Delivery {
             .field("conf_id", &self.conf_id)
             .field("seq", &self.seq)
             .field("in_transitional", &self.in_transitional)
+            .field("last_in_batch", &self.last_in_batch)
             .finish_non_exhaustive()
     }
 }

@@ -66,24 +66,16 @@ pub enum TraceViolation {
         /// The lower color announced later.
         got: EventColor,
     },
-    /// A green line moved backwards (or stalled on a re-announcement)
-    /// within one engine incarnation — the global persistent order is a
-    /// strictly growing prefix.
+    /// A green line moved backwards, stalled on a re-announcement, or
+    /// rose by less than the green marks it closes, within one engine
+    /// incarnation — the global persistent order is a strictly growing
+    /// prefix, one position per mark.
     GreenLineRegression {
         /// Reporting replica.
         node: u32,
         /// The green line it had reached.
         from: u64,
-        /// The non-increasing value announced later.
-        to: u64,
-    },
-    /// A red line moved backwards within one engine incarnation.
-    RedLineRegression {
-        /// Reporting replica.
-        node: u32,
-        /// The red line it had reached.
-        from: u64,
-        /// The smaller value announced later.
+        /// The value announced later.
         to: u64,
     },
     /// A recovery restored a green count *larger* than the green line
@@ -259,9 +251,6 @@ impl fmt::Display for TraceViolation {
             ),
             TraceViolation::GreenLineRegression { node, from, to } => {
                 write!(f, "green line at node {node} went {from} -> {to}")
-            }
-            TraceViolation::RedLineRegression { node, from, to } => {
-                write!(f, "red line at node {node} went {from} -> {to}")
             }
             TraceViolation::RecoveryOvershoot {
                 node,
@@ -490,7 +479,7 @@ type PlacedGreen = (u64, (u32, u64));
 /// as you like: the verdict and [`TraceStats`] do not depend on where
 /// the log was cut.
 ///
-/// Per-incarnation state (colors, green/red lines, green runs, delivery
+/// Per-incarnation state (colors, green lines, green runs, delivery
 /// slots) is reset at each [`ProtocolEvent::EngineCrashed`], because a
 /// recovering engine legitimately re-announces persisted actions from
 /// red upwards. The cross-replica green-position map is **never** reset:
@@ -509,9 +498,9 @@ pub struct TraceOracle {
     stats: TraceStats,
     // position -> its first claim ([`Claim::NONE`] while unclaimed)
     global_green: Vec<Claim>,
-    // node -> (creator, action_seq) of the last green mark awaiting its
-    // GreenLineAdvance (emitted back-to-back by the engine).
-    pending_green: BTreeMap<u32, (u32, u64)>,
+    // node -> (creator, action_seq) of each green mark since its last
+    // GreenLineAdvance, in mark order: the next advance places them.
+    pending_green: BTreeMap<u32, Vec<(u32, u64)>>,
     // node -> action -> highest color this incarnation, until it is
     // folded into `green_runs`
     colors: BTreeMap<u32, BTreeMap<(u32, u64), EventColor>>,
@@ -519,9 +508,8 @@ pub struct TraceOracle {
     // incarnation since the last base adoption: every seq in between is
     // green there (Theorem 2)
     green_runs: BTreeMap<u32, BTreeMap<u32, (u64, u64)>>,
-    // node -> last announced green/red line this incarnation
+    // node -> last announced green line this incarnation
     green_line: BTreeMap<u32, u64>,
-    red_line: BTreeMap<u32, u64>,
     // node -> largest green line ever announced (across incarnations)
     best_green: BTreeMap<u32, u64>,
     // node -> green line at the latest event affecting it (advances and
@@ -621,7 +609,7 @@ impl TraceOracle {
                     per_node.insert(id, color);
                 }
                 if color == EventColor::Green {
-                    self.pending_green.insert(node, id);
+                    self.pending_green.entry(node).or_default().push(id);
                 }
                 if self.footprints.contains_key(&id) {
                     let seen = self.first_seen.entry((node, creator)).or_default();
@@ -670,77 +658,39 @@ impl TraceOracle {
                 }
             }
             ProtocolEvent::GreenLineAdvance { node, green } => {
+                // The advance closes the k marks made since the last one:
+                // in mark order, they hold the k green positions just
+                // below the announced line.
+                let mut marks = self.pending_green.remove(&node).unwrap_or_default();
+                let k = marks.len() as u64;
                 let prev_line = self.green_line.get(&node).copied();
-                if let Some(prev) = prev_line {
-                    if green <= prev {
-                        return Err(TraceViolation::GreenLineRegression {
-                            node,
-                            from: prev,
-                            to: green,
-                        });
-                    }
+                let regressed = match prev_line {
+                    Some(prev) => green < prev + k.max(1),
+                    None => green < k,
+                };
+                if regressed {
+                    return Err(TraceViolation::GreenLineRegression {
+                        node,
+                        from: prev_line.unwrap_or(0),
+                        to: green,
+                    });
                 }
                 self.green_line.insert(node, green);
                 self.final_green.insert(node, green);
                 let best = self.best_green.entry(node).or_insert(0);
                 *best = (*best).max(green);
-                if let Some(id) = self.pending_green.remove(&node) {
-                    self.fold_green(node, id, prev_line.is_some_and(|p| green > p + 1))?;
-                    let position = green - 1;
-                    match Claim::get(&self.global_green, position) {
-                        None => {
-                            Claim::set(&mut self.global_green, position, Claim { node, id });
-                            let first_green = self
-                                .footprints
-                                .get_mut(&id)
-                                .filter(|f| f.position.is_none());
-                            if let Some(f) = first_green {
-                                f.position = Some(position);
-                                let fd = &f.digest;
-                                let entry = (position, id);
-                                if fd.writes_unbounded || fd.reads_unbounded {
-                                    self.unbounded_greens.push(entry);
-                                }
-                                let mut fps: Vec<u64> =
-                                    fd.writes.iter().chain(fd.reads.iter()).copied().collect();
-                                fps.sort_unstable();
-                                fps.dedup();
-                                for fp in fps {
-                                    self.greens_by_fp.entry(fp).or_default().push(entry);
-                                }
-                            }
-                        }
-                        Some(first) => {
-                            if first.id != id {
-                                return Err(TraceViolation::GreenOrderConflict {
-                                    position,
-                                    a: (first.node, first.id),
-                                    b: (node, id),
-                                });
-                            }
-                            self.stats.green_positions_agreed += 1;
-                        }
-                    }
+                let mut rebased = prev_line.is_some_and(|p| green > p + k);
+                for (position, id) in (green - k..).zip(marks.drain(..)) {
+                    self.fold_green(node, id, std::mem::take(&mut rebased))?;
+                    self.claim_green(node, position, id)?;
                 }
-            }
-            ProtocolEvent::RedLineAdvance { node, red } => {
-                if let Some(&prev) = self.red_line.get(&node) {
-                    if red < prev {
-                        return Err(TraceViolation::RedLineRegression {
-                            node,
-                            from: prev,
-                            to: red,
-                        });
-                    }
-                }
-                self.red_line.insert(node, red);
+                self.pending_green.insert(node, marks);
             }
             ProtocolEvent::EngineCrashed { node } => {
                 self.colors.remove(&node);
                 self.green_runs.remove(&node);
                 self.pending_green.remove(&node);
                 self.green_line.remove(&node);
-                self.red_line.remove(&node);
                 self.reloaded.remove(&node);
                 self.inflight.remove(&node);
                 self.deliv_seq.retain(|&(n, _, _), _| n != node);
@@ -935,12 +885,54 @@ impl TraceOracle {
         Ok(())
     }
 
+    /// Theorem 1 where a green mark meets its `GreenLineAdvance`: the
+    /// first claim on `position` wins, and every later one must name the
+    /// same action.
+    fn claim_green(
+        &mut self,
+        node: u32,
+        position: u64,
+        id: (u32, u64),
+    ) -> Result<(), TraceViolation> {
+        let Some(first) = Claim::get(&self.global_green, position) else {
+            Claim::set(&mut self.global_green, position, Claim { node, id });
+            let first_green = self
+                .footprints
+                .get_mut(&id)
+                .filter(|f| f.position.is_none());
+            if let Some(f) = first_green {
+                f.position = Some(position);
+                let fd = &f.digest;
+                let entry = (position, id);
+                if fd.writes_unbounded || fd.reads_unbounded {
+                    self.unbounded_greens.push(entry);
+                }
+                let mut fps: Vec<u64> = fd.writes.iter().chain(fd.reads.iter()).copied().collect();
+                fps.sort_unstable();
+                fps.dedup();
+                for fp in fps {
+                    self.greens_by_fp.entry(fp).or_default().push(entry);
+                }
+            }
+            return Ok(());
+        };
+        if first.id != id {
+            return Err(TraceViolation::GreenOrderConflict {
+                position,
+                a: (first.node, first.id),
+                b: (node, id),
+            });
+        }
+        self.stats.green_positions_agreed += 1;
+        Ok(())
+    }
+
     /// Theorem 2 where a green mark meets its `GreenLineAdvance`: within
     /// one incarnation, each creator's green indices at `node` are
     /// contiguous. A base adoption emits no event of its own; it shows
-    /// as an advance that skips positions (`rebased`), after which every
-    /// creator's run starts afresh. The action's color folds into the
-    /// run.
+    /// as an advance that skips positions (`rebased`, applied to the
+    /// first mark it closes), after which every creator's run starts
+    /// afresh. The action's color folds into the run.
     fn fold_green(
         &mut self,
         node: u32,

@@ -19,15 +19,23 @@ fn rec(event: E) -> RecordedEvent {
 }
 
 fn green_mark(node: u32, creator: u32, action_seq: u64, green: u64) -> Vec<RecordedEvent> {
-    vec![
+    green_batch(node, &[(creator, action_seq)], green)
+}
+
+/// Greens `ids` at `node` as one delivery batch: the marks, then one
+/// advance to `green`.
+fn green_batch(node: u32, ids: &[(u32, u64)], green: u64) -> Vec<RecordedEvent> {
+    let marks = ids.iter().map(|&(creator, action_seq)| {
         rec(E::ActionOrdered {
             node,
             creator,
             action_seq,
             color: EventColor::Green,
-        }),
-        rec(E::GreenLineAdvance { node, green }),
-    ]
+        })
+    });
+    marks
+        .chain([rec(E::GreenLineAdvance { node, green })])
+        .collect()
 }
 
 #[test]
@@ -768,6 +776,123 @@ fn a_green_folded_into_its_run_still_regresses() {
             ..
         }
     ));
+}
+
+// --- one advance per delivery batch ---
+
+#[test]
+fn a_batch_closed_by_one_advance_claims_its_positions_in_order() {
+    let ids = [(0, 1), (1, 1), (0, 2)];
+    let mut events = green_batch(0, &ids, 3);
+    events.extend(green_run(1, &ids));
+    let stats = check_trace(&events, &BTreeSet::new()).unwrap();
+    assert_eq!(stats.green_positions_agreed, 3);
+}
+
+#[test]
+fn a_different_action_at_a_batch_position_conflicts() {
+    let mut events = green_batch(0, &[(0, 1), (1, 1), (0, 2)], 3);
+    events.extend(green_run(1, &[(0, 1), (2, 1)]));
+    assert_eq!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::GreenOrderConflict {
+            position: 1,
+            a: (0, (1, 1)),
+            b: (1, (2, 1)),
+        }
+    );
+}
+
+#[test]
+fn a_creator_gap_inside_a_batch_is_a_fifo_gap() {
+    let events = green_batch(0, &[(0, 1), (1, 1), (0, 3)], 3);
+    assert_eq!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::FifoGap {
+            node: 0,
+            creator: 0,
+            prev: 1,
+            next: 3,
+        }
+    );
+}
+
+#[test]
+fn an_advance_after_a_flush_then_adopt_jump_clears_the_runs() {
+    // The engine announces its marks before adopting a base, so the
+    // jump shows in the next batch's advance: 2 + 2 marks announced as
+    // 10 means positions 2..8 came with the base.
+    let mut events = green_batch(0, &[(1, 1), (1, 2)], 2);
+    events.extend(green_batch(0, &[(1, 9), (1, 10)], 10));
+    check_trace(&events, &BTreeSet::new()).unwrap();
+    // The same marks announced without the skip are a gap.
+    let mut gap = green_batch(0, &[(1, 1), (1, 2)], 2);
+    gap.extend(green_batch(0, &[(1, 9), (1, 10)], 4));
+    assert!(matches!(
+        check_trace(&gap, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::FifoGap {
+            prev: 2,
+            next: 9,
+            ..
+        }
+    ));
+    // The runs restart before the batch's first mark only: a gap
+    // inside the batch that jumped is still a gap.
+    let mut inner = green_batch(0, &[(1, 1), (1, 2)], 2);
+    inner.extend(green_batch(0, &[(1, 9), (1, 11)], 11));
+    assert!(matches!(
+        check_trace(&inner, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::FifoGap {
+            prev: 9,
+            next: 11,
+            ..
+        }
+    ));
+}
+
+#[test]
+fn an_advance_short_of_its_marks_regresses() {
+    let mut events = green_run(0, &[(0, 1)]);
+    events.extend(green_batch(0, &[(0, 2), (0, 3)], 2));
+    assert_eq!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::GreenLineRegression {
+            node: 0,
+            from: 1,
+            to: 2,
+        }
+    );
+    // A first advance cannot close more marks than positions either.
+    let events = green_batch(0, &[(0, 1), (0, 2)], 1);
+    assert!(matches!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::GreenLineRegression { to: 1, .. }
+    ));
+}
+
+#[test]
+fn a_coalesced_log_gives_one_verdict_wherever_it_is_cut() {
+    // Three replicas green the same five actions in differently cut
+    // batches; every split of the log into two observed chunks, open
+    // batches included, must end in the one-shot replay's verdict.
+    let ids = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)];
+    let mut events = green_batch(0, &ids[..2], 2);
+    events.extend(green_batch(1, &ids, 5));
+    events.extend(green_batch(0, &ids[2..], 5));
+    events.extend(green_run(2, &ids));
+    let survivors: BTreeSet<u32> = (0..3).collect();
+    let whole = check_trace(&events, &survivors).unwrap();
+    assert_eq!(whole.green_positions_agreed, 10);
+    for cut in 0..=events.len() {
+        let mut oracle = TraceOracle::default();
+        for e in &events[..cut] {
+            oracle.observe(e).unwrap();
+        }
+        for e in &events[cut..] {
+            oracle.observe(e).unwrap();
+        }
+        assert_eq!(oracle.finish(&survivors), Ok(whole), "cut at {cut}");
+    }
 }
 
 // --- the reloaded prefix: green ids a recovery restores silently ---

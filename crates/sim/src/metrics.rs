@@ -90,19 +90,15 @@ pub enum ProtocolEvent {
         /// The color the action reached.
         color: EventColor,
     },
-    /// The green line (global persistent order prefix) advanced.
+    /// The green line (global persistent order prefix) advanced. One
+    /// announcement closes every green mark the replica made since its
+    /// previous one (a whole EVS delivery batch): the `k` marks sit at
+    /// positions `green - k + 1 ..= green`, in mark order.
     GreenLineAdvance {
         /// Reporting replica.
         node: u32,
         /// New green line position (actions applied).
         green: u64,
-    },
-    /// The red line (locally ordered prefix) advanced.
-    RedLineAdvance {
-        /// Reporting replica.
-        node: u32,
-        /// New red line position.
-        red: u64,
     },
     /// A state-transfer / exchange round completed at this replica.
     SyncCompleted {
@@ -336,36 +332,68 @@ pub enum ReadTier {
     RedOverlay,
 }
 
+/// Every [`ProtocolEvent::kind`], indexed by variant.
+const KINDS: [&str; 24] = [
+    "view-installed",
+    "transitional-config",
+    "action-created",
+    "action-ordered",
+    "green-line-advance",
+    "sync-completed",
+    "retransmit",
+    "client-commit",
+    "engine-crashed",
+    "engine-recovered",
+    "delivered",
+    "torn-tail-truncated",
+    "corruption-detected",
+    "cross-shard-start",
+    "cross-shard-prepared",
+    "cross-shard-merged",
+    "cross-shard-committed",
+    "cross-shard-applied",
+    "action-footprint",
+    "fast-commit",
+    "fast-demoted",
+    "read-served",
+    "update-acked",
+    "lease-granted",
+];
+
 impl ProtocolEvent {
     /// Stable kebab-case name of the event kind (used as a grouping key
     /// in exports and assertions).
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// The variant's index into [`KINDS`].
+    fn kind_index(&self) -> usize {
         match self {
-            ProtocolEvent::ViewInstalled { .. } => "view-installed",
-            ProtocolEvent::TransitionalConfig { .. } => "transitional-config",
-            ProtocolEvent::ActionCreated { .. } => "action-created",
-            ProtocolEvent::ActionOrdered { .. } => "action-ordered",
-            ProtocolEvent::GreenLineAdvance { .. } => "green-line-advance",
-            ProtocolEvent::RedLineAdvance { .. } => "red-line-advance",
-            ProtocolEvent::SyncCompleted { .. } => "sync-completed",
-            ProtocolEvent::Retransmit { .. } => "retransmit",
-            ProtocolEvent::ClientCommit { .. } => "client-commit",
-            ProtocolEvent::EngineCrashed { .. } => "engine-crashed",
-            ProtocolEvent::EngineRecovered { .. } => "engine-recovered",
-            ProtocolEvent::Delivered { .. } => "delivered",
-            ProtocolEvent::TornTailTruncated { .. } => "torn-tail-truncated",
-            ProtocolEvent::CorruptionDetected { .. } => "corruption-detected",
-            ProtocolEvent::CrossShardStart { .. } => "cross-shard-start",
-            ProtocolEvent::CrossShardPrepared { .. } => "cross-shard-prepared",
-            ProtocolEvent::CrossShardMerged { .. } => "cross-shard-merged",
-            ProtocolEvent::CrossShardCommitted { .. } => "cross-shard-committed",
-            ProtocolEvent::CrossShardApplied { .. } => "cross-shard-applied",
-            ProtocolEvent::ActionFootprint(_) => "action-footprint",
-            ProtocolEvent::FastCommit { .. } => "fast-commit",
-            ProtocolEvent::FastDemoted { .. } => "fast-demoted",
-            ProtocolEvent::ReadServed { .. } => "read-served",
-            ProtocolEvent::UpdateAcked { .. } => "update-acked",
-            ProtocolEvent::LeaseGranted { .. } => "lease-granted",
+            ProtocolEvent::ViewInstalled { .. } => 0,
+            ProtocolEvent::TransitionalConfig { .. } => 1,
+            ProtocolEvent::ActionCreated { .. } => 2,
+            ProtocolEvent::ActionOrdered { .. } => 3,
+            ProtocolEvent::GreenLineAdvance { .. } => 4,
+            ProtocolEvent::SyncCompleted { .. } => 5,
+            ProtocolEvent::Retransmit { .. } => 6,
+            ProtocolEvent::ClientCommit { .. } => 7,
+            ProtocolEvent::EngineCrashed { .. } => 8,
+            ProtocolEvent::EngineRecovered { .. } => 9,
+            ProtocolEvent::Delivered { .. } => 10,
+            ProtocolEvent::TornTailTruncated { .. } => 11,
+            ProtocolEvent::CorruptionDetected { .. } => 12,
+            ProtocolEvent::CrossShardStart { .. } => 13,
+            ProtocolEvent::CrossShardPrepared { .. } => 14,
+            ProtocolEvent::CrossShardMerged { .. } => 15,
+            ProtocolEvent::CrossShardCommitted { .. } => 16,
+            ProtocolEvent::CrossShardApplied { .. } => 17,
+            ProtocolEvent::ActionFootprint(_) => 18,
+            ProtocolEvent::FastCommit { .. } => 19,
+            ProtocolEvent::FastDemoted { .. } => 20,
+            ProtocolEvent::ReadServed { .. } => 21,
+            ProtocolEvent::UpdateAcked { .. } => 22,
+            ProtocolEvent::LeaseGranted { .. } => 23,
         }
     }
 }
@@ -682,6 +710,8 @@ pub struct MetricsHub {
     gauges: Vec<Option<u64>>,
     histograms: Vec<Option<Histogram>>,
     events: Vec<RecordedEvent>,
+    /// Events logged per kind, indexed like [`KINDS`].
+    event_counts: [u64; KINDS.len()],
     /// Registered scope prefixes (`"g0."`, `"g1."`, …); scope id `i + 1`
     /// maps to `scope_prefixes[i]`. Scope 0 is the implicit root with no
     /// prefix, so a world that never registers a scope behaves — and
@@ -697,9 +727,11 @@ pub struct MetricsHub {
 
 /// Events a new hub's log has room for before it has to move: a few
 /// virtual seconds of a paper-scale (14-replica) run, in about 25 MB of
-/// address space. A log that outgrows it by a little (the benchmark's
-/// 7-replica fault cell logs 270 k events) moves once, and the move is
-/// what makes peak memory flap between seeds.
+/// address space. At seed 42 the benchmark's 7-replica fault cell logs
+/// 191 k events and its lease-read cell 514 k, so neither moves; its
+/// saturated 14-replica cell (1.06 M) and its 56-replica cell (704 k)
+/// outgrow the reserve and move, and where the moved log lands is what
+/// makes peak memory differ between seeds.
 const EVENT_LOG_RESERVE: usize = 1 << 19;
 
 impl MetricsHub {
@@ -866,6 +898,7 @@ impl MetricsHub {
     /// Appends a typed event. The log is the input of the consistency
     /// checks, so it cannot be turned off.
     pub fn emit(&mut self, at: SimTime, actor: ActorId, event: ProtocolEvent) {
+        self.event_counts[event.kind_index()] += 1;
         self.events.push(RecordedEvent {
             at_nanos: at.as_nanos(),
             actor: actor.as_raw(),
@@ -889,10 +922,10 @@ impl MetricsHub {
 
     /// Number of recorded events of the given [`ProtocolEvent::kind`].
     pub fn count_events(&self, kind: &str) -> u64 {
-        self.events
+        KINDS
             .iter()
-            .filter(|r| r.event.kind() == kind)
-            .count() as u64
+            .position(|&k| k == kind)
+            .map_or(0, |i| self.event_counts[i])
     }
 
     /// Snapshots the hub into the serializable export form.
@@ -904,13 +937,12 @@ impl MetricsHub {
                 .into_iter()
                 .map(|(name, h)| (name.to_string(), h.summary()))
                 .collect(),
-            event_counts: {
-                let mut m: BTreeMap<&'static str, u64> = BTreeMap::new();
-                for r in &self.events {
-                    *m.entry(r.event.kind()).or_insert(0) += 1;
-                }
-                m.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-            },
+            event_counts: KINDS
+                .iter()
+                .zip(self.event_counts)
+                .filter(|&(_, n)| n > 0)
+                .map(|(k, n)| (k.to_string(), n))
+                .collect(),
             events_recorded: self.events.len() as u64,
         }
     }
@@ -1053,6 +1085,16 @@ mod tests {
         );
         assert_eq!(hub.events().len(), 2);
         assert_eq!(hub.count_events("retransmit"), 1);
+        assert_eq!(hub.count_events("no-such-kind"), 0);
+        // Kinds with no event are left out of the export.
+        let counts: Vec<_> = hub.export().event_counts.into_iter().collect();
+        assert_eq!(
+            counts,
+            [
+                ("green-line-advance".to_string(), 1),
+                ("retransmit".to_string(), 1)
+            ]
+        );
         assert_eq!(
             hub.events_where(
                 |e| matches!(e, ProtocolEvent::GreenLineAdvance { green, .. } if *green == 7)
@@ -1101,11 +1143,11 @@ mod tests {
              \"commutative\":false,\"timestamped\":true}}"
             )
         );
-        // Variant index 19, then a record of the eight fields.
+        // Variant index 18, then a record of the eight fields.
         let bytes = serde::bin::to_vec(&event);
         assert_eq!(
             bytes,
-            [177, 13, 19, 12, 8, 3, 1, 3, 2, 8, 1, 3, 3, 1, 8, 0, 2, 1, 2]
+            [177, 13, 18, 12, 8, 3, 1, 3, 2, 8, 1, 3, 3, 1, 8, 0, 2, 1, 2]
         );
         assert_eq!(serde::bin::from_slice(&bytes).ok(), Some(event));
     }
@@ -1141,13 +1183,13 @@ mod tests {
         hub.emit(
             SimTime::ZERO,
             ActorId::from_raw(0),
-            ProtocolEvent::RedLineAdvance { node: 0, red: 1 },
+            ProtocolEvent::Retransmit { node: 0, count: 1 },
         );
         hub.set_active_scope(g1);
         hub.emit(
             SimTime::ZERO,
             ActorId::from_raw(1),
-            ProtocolEvent::RedLineAdvance { node: 0, red: 2 },
+            ProtocolEvent::Retransmit { node: 0, count: 2 },
         );
         assert_eq!(hub.events()[0].group, 0);
         assert_eq!(hub.events()[1].group, g1);

@@ -1059,7 +1059,7 @@ mod tests {
         impl Actor for Bumper {
             fn handle(&mut self, ctx: &mut Ctx<'_>, _p: Payload) {
                 ctx.metrics().incr(crate::metric!("hits"), 1);
-                ctx.emit(ProtocolEvent::RedLineAdvance { node: 0, red: 1 });
+                ctx.emit(ProtocolEvent::Retransmit { node: 0, count: 1 });
             }
         }
         let mut w = World::new(0);
