@@ -169,7 +169,7 @@ struct TxnTrace {
     prepared: BTreeMap<u32, u64>,
     ts: Option<u64>,
     /// group → (green position, submission attempt).
-    committed: BTreeMap<u32, (u64, u32)>,
+    committed: BTreeMap<u32, (u64, u16)>,
     applied: bool,
 }
 

@@ -801,10 +801,7 @@ impl ReplicationEngine {
     }
 
     fn dirty_view(&mut self) -> &Database {
-        if self.v.dirty_db.is_none() {
-            self.v.dirty_db = Some(self.k.dirty_db());
-        }
-        self.v.dirty_db.as_ref().expect("just built")
+        self.v.dirty_db.get_or_insert_with(|| self.k.dirty_db())
     }
 
     // ============================================================
@@ -819,16 +816,16 @@ impl ReplicationEngine {
         // becomes a stale read the moment it is partitioned away and
         // the surviving primary commits past it.
         #[cfg(feature = "chaos-mutations")]
-        if self.cfg.chaos == Some(crate::types::ChaosMutation::ServeReadWithoutLease)
-            && req.read_consistency == Some(ReadConsistency::Linearizable)
-            && matches!(req.update, Op::Noop)
-            && req.query.is_some()
-            && !matches!(self.state, EngineState::Down | EngineState::Joining)
-        {
-            let query = req.query.clone().expect("just checked");
+        if let (Some(query), true) = (
+            &req.query,
+            self.cfg.chaos == Some(crate::types::ChaosMutation::ServeReadWithoutLease)
+                && req.read_consistency == Some(ReadConsistency::Linearizable)
+                && matches!(req.update, Op::Noop)
+                && !matches!(self.state, EngineState::Down | EngineState::Joining),
+        ) {
             ctx.metrics().incr(metric!("engine.lease_reads"), 1);
-            self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
-            let result = self.k.db.query(&query);
+            self.emit_read_served(ctx, query, ReadTier::LeaseLinearizable, false);
+            let result = self.k.db.query(query);
             return self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
         }
         match self.state {
@@ -954,11 +951,11 @@ impl ReplicationEngine {
     }
 
     fn serve_query(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
+        let query = req.query.clone().expect("query-only request");
         // Consistency-tiered reads bypass the legacy semantics switch.
         if let Some(tier) = req.read_consistency {
-            return self.serve_tiered_read(ctx, req, tier);
+            return self.serve_tiered_read(ctx, req, query, tier);
         }
-        let query = req.query.clone().expect("query-only request");
         match req.query_semantics {
             QuerySemantics::Strict => {
                 // Strict answers require the primary component (§6:
@@ -998,8 +995,13 @@ impl ReplicationEngine {
     /// expose). `Linearizable` is answered locally under a valid read
     /// lease, and otherwise re-routed through the ordered action path —
     /// it is never rejected.
-    fn serve_tiered_read(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest, tier: ReadConsistency) {
-        let query = req.query.clone().expect("query-only request");
+    fn serve_tiered_read(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: ClientRequest,
+        query: Query,
+        tier: ReadConsistency,
+    ) {
         let cpu = Some(self.cfg.cpu_per_action / 4);
         match tier {
             ReadConsistency::GreenSnapshot => {

@@ -16,7 +16,7 @@ use crate::membership::{
 use crate::order::ConfOrdering;
 use crate::sequencer::{Pack, Sequencer};
 use crate::stability::{AckDuty, AckStep};
-use crate::types::{ConfId, Configuration, Delivery, EvsEvent};
+use crate::types::{log_slot, ConfId, Configuration, Delivery, EvsEvent};
 use crate::wire::{EvsWire, SequencedMsg, SubmitItem, TransGroup};
 
 /// Tuning knobs of an [`EvsDaemon`].
@@ -213,7 +213,7 @@ pub struct EvsDaemon {
     attempt: u64,
     /// Highest configuration installed, so a replayed `Install` from
     /// before a crash is never taken for a new one.
-    max_conf_seq: u64,
+    max_conf_seq: u32,
     /// When this node's application processor next goes idle: sets how
     /// long a sequencer round runs (zero backlog if never wired).
     apply_horizon: ApplyHorizon,
@@ -403,7 +403,7 @@ impl EvsDaemon {
                     node: self.me.index(),
                     conf_seq: d.conf_id.seq,
                     coordinator: d.conf_id.coordinator.index(),
-                    seq: d.seq,
+                    seq: log_slot(d.seq),
                     sender: d.sender.index(),
                     in_transitional: d.in_transitional,
                 });

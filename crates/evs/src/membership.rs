@@ -87,7 +87,7 @@ pub(crate) struct FlushInfoRec {
     pub old_conf: ConfId,
     pub have_upto: u64,
     pub stable_upto: u64,
-    pub max_conf_seq: u64,
+    pub max_conf_seq: u32,
 }
 
 /// State of the flush phase.
@@ -141,7 +141,7 @@ pub(crate) enum FlushDecision {
     /// All groups are equalized: install.
     Install {
         /// Sequence number for the new configuration's id.
-        new_conf_seq: u64,
+        new_conf_seq: u32,
         /// Per-old-configuration transitional groups.
         groups: Vec<TransGroup>,
     },
@@ -225,14 +225,14 @@ mod tests {
         ids.iter().map(|&i| n(i)).collect()
     }
 
-    fn conf_id(seq: u64, coord: u32) -> ConfId {
+    fn conf_id(seq: u32, coord: u32) -> ConfId {
         ConfId {
             seq,
             coordinator: n(coord),
         }
     }
 
-    fn info(old: ConfId, have: u64, stable: u64, max_seq: u64) -> FlushInfoRec {
+    fn info(old: ConfId, have: u64, stable: u64, max_seq: u32) -> FlushInfoRec {
         FlushInfoRec {
             old_conf: old,
             have_upto: have,

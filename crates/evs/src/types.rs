@@ -17,8 +17,9 @@ use todr_net::NodeId;
 /// history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ConfId {
-    /// Monotonically growing configuration sequence number.
-    pub seq: u64,
+    /// Monotonically growing configuration sequence number: a daemon
+    /// installs at most `u32::MAX` configurations.
+    pub seq: u32,
     /// The coordinator that installed the configuration.
     pub coordinator: NodeId,
 }
@@ -111,6 +112,14 @@ pub struct Delivery {
     /// one instant, with nothing else of its in between, so it may
     /// defer per-batch work until it sees this flag.
     pub last_in_batch: bool,
+}
+
+/// A delivery slot as the event log records it. Slots count in `u64`;
+/// the log's `u32` saturates, so a configuration past `u32::MAX`
+/// messages repeats slot `u32::MAX` and fails the trace oracle's
+/// slot-order check instead of aliasing an earlier slot.
+pub(crate) fn log_slot(seq: u64) -> u32 {
+    u32::try_from(seq).unwrap_or(u32::MAX)
 }
 
 impl fmt::Debug for Delivery {
@@ -212,5 +221,13 @@ mod tests {
             coordinator: n(1),
         };
         assert_eq!(id.to_string(), "conf(3,n1)");
+    }
+
+    #[test]
+    fn log_slot_is_exact_up_to_u32_max_then_saturates() {
+        assert_eq!(log_slot(0), 0);
+        assert_eq!(log_slot(u64::from(u32::MAX)), u32::MAX);
+        assert_eq!(log_slot(u64::from(u32::MAX) + 1), u32::MAX);
+        assert_eq!(log_slot(u64::MAX), u32::MAX);
     }
 }

@@ -140,7 +140,7 @@ pub(crate) enum EvsWire {
         stable_upto: u64,
         /// Highest configuration sequence number the member has seen
         /// (input to the new configuration's id).
-        max_conf_seq: u64,
+        max_conf_seq: u32,
     },
     /// Coordinator → a member holding messages others lack: retransmit
     /// `from_seq..=to_seq` of `old_conf` to `needy`.

@@ -6,7 +6,9 @@ use std::rc::Rc;
 
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsConfig, EvsDaemon, EvsEvent};
 use todr_net::{NetConfig, NetFabric, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, ApplyHorizon, Ctx, Payload, SimDuration, SimTime, World};
+use todr_sim::{
+    Actor, ActorId, ApplyHorizon, Ctx, Payload, ProtocolEvent, SimDuration, SimTime, World,
+};
 
 /// Records every EVS upcall, with the payload decoded as `u64`.
 #[derive(Default)]
@@ -279,7 +281,7 @@ fn virtual_synchrony_members_moving_together_deliver_same_set() {
         // Compare the (conf, seq, sender, value) multiset — the safe/
         // transitional flag may legitimately differ per member.
         let key = |v: &Vec<Rec>| {
-            let mut k: Vec<(u64, u64, NodeId, u64)> = v
+            let mut k: Vec<(u32, u64, NodeId, u64)> = v
                 .iter()
                 .map(|r| (old_conf(r), r.seq, r.sender, r.value))
                 .collect();
@@ -331,6 +333,83 @@ fn safe_delivery_trichotomy() {
             }
         }
     }
+}
+
+/// The event log narrows a delivery's configuration number and slot to
+/// `u32`; through a partition (with messages mid-flight, so some land
+/// in transitional configurations) and a merge, each node's `Delivered`
+/// events still carry exactly what its application was handed, one
+/// event per delivery, in delivery order.
+#[test]
+fn delivered_events_carry_exactly_the_applications_deliveries() {
+    let mut c = Cluster::new(5, 6);
+    c.run_for(SETTLE);
+    let burst = |c: &mut Cluster, base: u64| {
+        for i in 0..5usize {
+            for v in 0..10u64 {
+                c.send_from(i, base + (i as u64) * 100 + v);
+            }
+        }
+    };
+    burst(&mut c, 0);
+    c.run_for(SimDuration::from_micros(300));
+    c.partition(&[c.nodes[..2].to_vec(), c.nodes[2..].to_vec()]);
+    c.run_for(SETTLE);
+    burst(&mut c, 1_000);
+    c.run_for(SimDuration::from_millis(200));
+    c.merge_all();
+    c.run_for(SETTLE);
+    burst(&mut c, 2_000);
+    c.run_for(SimDuration::from_millis(300));
+
+    type Fields = (u32, u32, u64, u32, bool);
+    let mut logged: Vec<Vec<Fields>> = vec![Vec::new(); 5];
+    for rec in c.world.metrics().events() {
+        if let ProtocolEvent::Delivered {
+            node,
+            conf_seq,
+            coordinator,
+            seq,
+            sender,
+            in_transitional,
+        } = rec.event
+        {
+            logged[node as usize].push((
+                conf_seq,
+                coordinator,
+                u64::from(seq),
+                sender,
+                in_transitional,
+            ));
+        }
+    }
+    let (mut transitional, mut confs) = (0, std::collections::BTreeSet::new());
+    for (i, logged) in logged.iter().enumerate() {
+        let handed: Vec<Fields> = c
+            .deliveries(i)
+            .iter()
+            .map(|r| {
+                (
+                    r.conf.seq,
+                    r.conf.coordinator.index(),
+                    r.seq,
+                    r.sender.index(),
+                    r.in_transitional,
+                )
+            })
+            .collect();
+        assert_eq!(
+            logged, &handed,
+            "node {i}'s log differs from its deliveries"
+        );
+        transitional += handed.iter().filter(|d| d.4).count();
+        confs.extend(handed.iter().map(|d| (d.0, d.1)));
+    }
+    assert!(
+        transitional > 0,
+        "no delivery landed in a transitional configuration"
+    );
+    assert!(confs.len() >= 3, "partition and merge installed {confs:?}");
 }
 
 #[test]
@@ -580,7 +659,7 @@ fn no_duplicate_deliveries_within_a_configuration() {
     c.run_for(SimDuration::from_millis(400));
     for i in 0..4 {
         let recs = c.deliveries(i);
-        let mut keys: Vec<(u64, u64)> = recs.iter().map(|r| (r.conf.seq, r.seq)).collect();
+        let mut keys: Vec<(u32, u64)> = recs.iter().map(|r| (r.conf.seq, r.seq)).collect();
         keys.sort();
         let before = keys.len();
         keys.dedup();

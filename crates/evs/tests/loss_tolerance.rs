@@ -10,7 +10,7 @@ use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration, World};
 
 #[derive(Default)]
 struct Sink {
-    deliveries: Vec<(u64, u64, bool)>, // (conf seq, seq, transitional)
+    deliveries: Vec<(u32, u64, bool)>, // (conf seq, seq, transitional)
     values: Vec<u64>,
 }
 

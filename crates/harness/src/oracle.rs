@@ -725,6 +725,7 @@ impl TraceOracle {
                 sender,
                 in_transitional: _,
             } => {
+                let (conf_seq, seq) = (u64::from(conf_seq), u64::from(seq));
                 let slots = self.deliveries.entry((conf_seq, coordinator)).or_default();
                 match Claim::get(slots, seq) {
                     None => {
@@ -877,7 +878,7 @@ impl TraceOracle {
                     start: rec.at_nanos,
                     expires: expires_nanos,
                     node,
-                    conf: (conf_seq, coordinator),
+                    conf: (u64::from(conf_seq), coordinator),
                 });
             }
             _ => {}

@@ -470,7 +470,7 @@ fn read_served(node: u32, key_fp: u64, tier: ReadTier, version: u64) -> Recorded
     })
 }
 
-fn lease(at: u64, node: u32, conf: (u64, u32), expires: u64) -> RecordedEvent {
+fn lease(at: u64, node: u32, conf: (u32, u32), expires: u64) -> RecordedEvent {
     rec_at(
         at,
         E::LeaseGranted {

@@ -139,7 +139,10 @@ pub struct RouterTick;
 /// One in-flight protocol submission to a group.
 #[derive(Debug, Clone, Copy)]
 struct SubState {
-    attempt: u32,
+    /// Submissions so far, the current one included. Saturates (at the
+    /// default `retry_timeout`, after 36 virtual hours of retries), so
+    /// a phase that keeps failing never reads as a first attempt.
+    attempt: u16,
     /// Router request id of the outstanding copy (`None` while backing
     /// off after a rejection).
     rid: Option<u64>,
@@ -214,7 +217,7 @@ impl ShardRouter {
         self.txns.len()
     }
 
-    fn contact(&self, txn: u64, group: u32, attempt: u32) -> ActorId {
+    fn contact(&self, txn: u64, group: u32, attempt: u16) -> ActorId {
         let replicas = &self.config.topology.contacts[group as usize];
         let mix = txn
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -268,7 +271,7 @@ impl ShardRouter {
         if let Some(old) = state.rid.take() {
             self.outstanding.remove(&old);
         }
-        state.attempt += 1;
+        state.attempt = state.attempt.saturating_add(1);
         state.rid = Some(rid);
         state.deadline = ctx.now() + self.config.retry_timeout;
         let attempt = state.attempt;

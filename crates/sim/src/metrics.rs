@@ -48,9 +48,11 @@ pub enum EventColor {
 
 /// A typed protocol transition, emitted by the instrumented subsystems.
 ///
-/// Fields are primitives (`u32` node ids, `u64` sequence numbers) so the
-/// kernel stays dependency-free; the emitting layer converts its own
-/// ids. `node` is always the *reporting* replica.
+/// Fields are primitives (`u32` node ids, configuration numbers and
+/// delivery slots, `u64` action sequences and positions) so the kernel
+/// stays dependency-free; the emitting layer converts its own ids.
+/// `node` is always the *reporting* replica. Every variant fits in
+/// 24 bytes; the one that does not is boxed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProtocolEvent {
     /// A group-communication daemon installed a regular configuration.
@@ -58,7 +60,7 @@ pub enum ProtocolEvent {
         /// Reporting replica.
         node: u32,
         /// Configuration sequence number.
-        conf_seq: u64,
+        conf_seq: u32,
         /// Coordinator that installed the configuration.
         coordinator: u32,
         /// Number of members in the new configuration.
@@ -70,7 +72,7 @@ pub enum ProtocolEvent {
         /// Reporting replica.
         node: u32,
         /// Configuration sequence number being left.
-        conf_seq: u64,
+        conf_seq: u32,
     },
     /// The engine created a new action from a client request.
     ActionCreated {
@@ -144,11 +146,14 @@ pub enum ProtocolEvent {
         node: u32,
         /// Sequence number of the configuration the message was
         /// sequenced in.
-        conf_seq: u64,
+        conf_seq: u32,
         /// Coordinator of that configuration (disambiguates conf ids).
         coordinator: u32,
-        /// Agreed-order slot within the configuration.
-        seq: u64,
+        /// Agreed-order slot within the configuration. The daemon counts
+        /// slots in `u64` and saturates here, so a configuration past
+        /// `u32::MAX` messages fails the slot-order check instead of
+        /// aliasing an earlier slot.
+        seq: u32,
         /// The node whose daemon originally submitted the message.
         sender: u32,
         /// Whether delivery happened in the transitional configuration.
@@ -215,7 +220,7 @@ pub enum ProtocolEvent {
         /// retries can land at later positions while an earlier attempt
         /// already applied the writes, so order oracles only trust
         /// first-attempt positions.
-        attempt: u32,
+        attempt: u16,
     },
     /// Every participating group committed: the transaction is applied
     /// across the database and the client was answered.
@@ -282,7 +287,7 @@ pub enum ProtocolEvent {
         /// The lease-holding replica.
         node: u32,
         /// Sequence number of the configuration the lease is sealed to.
-        conf_seq: u64,
+        conf_seq: u32,
         /// Coordinator of that configuration (disambiguates conf ids).
         coordinator: u32,
         /// Virtual-time nanosecond at which the lease expires unless
@@ -415,7 +420,9 @@ pub struct RecordedEvent {
 }
 
 // The log holds tens of events per action; keep each entry this small.
-const _: () = assert!(std::mem::size_of::<RecordedEvent>() == 48);
+// `ActionOrdered` (two ids, a `u64` and a colour) sets the floor.
+const _: () = assert!(std::mem::size_of::<ProtocolEvent>() == 24);
+const _: () = assert!(std::mem::size_of::<RecordedEvent>() == 40);
 
 /// A fixed-bucket latency histogram over `u64` nanosecond samples.
 ///
@@ -726,12 +733,12 @@ pub struct MetricsHub {
 }
 
 /// Events a new hub's log has room for before it has to move: a few
-/// virtual seconds of a paper-scale (14-replica) run, in about 25 MB of
-/// address space. At seed 42 the benchmark's 7-replica fault cell logs
-/// 191 k events and its lease-read cell 514 k, so neither moves; its
-/// saturated 14-replica cell (1.06 M) and its 56-replica cell (704 k)
-/// outgrow the reserve and move, and where the moved log lands is what
-/// makes peak memory differ between seeds.
+/// virtual seconds of a paper-scale (14-replica) run, in 21 MB (20 MiB)
+/// of address space at 40 bytes an entry. At seed 42 the benchmark's
+/// 7-replica fault cell logs 191 k events and its lease-read cell
+/// 514 k, so neither moves; its saturated 14-replica cell (1.06 M) and
+/// its 56-replica cell (704 k) outgrow the reserve and move, and where
+/// the moved log lands is what makes peak memory differ between seeds.
 const EVENT_LOG_RESERVE: usize = 1 << 19;
 
 impl MetricsHub {
@@ -1150,6 +1157,74 @@ mod tests {
             [177, 13, 18, 12, 8, 3, 1, 3, 2, 8, 1, 3, 3, 1, 8, 0, 2, 1, 2]
         );
         assert_eq!(serde::bin::from_slice(&bytes).ok(), Some(event));
+    }
+
+    /// Both forms write integers by value, not by width, so the events
+    /// narrowed to `u32`/`u16` fields keep the bytes the `u64`/`u32`
+    /// fields produced: logs and counterexample artifacts written by
+    /// the wider types still load.
+    #[test]
+    fn narrowed_events_keep_their_serialised_forms() {
+        let cases: [(ProtocolEvent, &str, &[u8]); 4] = [
+            (
+                ProtocolEvent::Delivered {
+                    node: 2,
+                    conf_seq: 300,
+                    coordinator: 1,
+                    seq: u32::MAX,
+                    sender: 3,
+                    in_transitional: true,
+                },
+                "{\"Delivered\":{\"node\":2,\"conf_seq\":300,\"coordinator\":1,\
+                 \"seq\":4294967295,\"sender\":3,\"in_transitional\":true}}",
+                &[
+                    177, 13, 10, 12, 6, 3, 2, 3, 172, 2, 3, 1, 3, 255, 255, 255, 255, 15, 3, 3, 2,
+                ],
+            ),
+            (
+                ProtocolEvent::LeaseGranted {
+                    node: 4,
+                    conf_seq: 7,
+                    coordinator: 0,
+                    expires_nanos: 5_000_000_000,
+                    renewal: false,
+                },
+                "{\"LeaseGranted\":{\"node\":4,\"conf_seq\":7,\"coordinator\":0,\
+                 \"expires_nanos\":5000000000,\"renewal\":false}}",
+                &[
+                    177, 13, 23, 12, 5, 3, 4, 3, 7, 3, 0, 3, 128, 228, 151, 208, 18, 1,
+                ],
+            ),
+            (
+                ProtocolEvent::CrossShardCommitted {
+                    txn: 9,
+                    group: 1,
+                    green_seq: 1 << 40,
+                    attempt: 2,
+                },
+                "{\"CrossShardCommitted\":{\"txn\":9,\"group\":1,\
+                 \"green_seq\":1099511627776,\"attempt\":2}}",
+                &[
+                    177, 13, 16, 12, 4, 3, 9, 3, 1, 3, 128, 128, 128, 128, 128, 32, 3, 2,
+                ],
+            ),
+            (
+                ProtocolEvent::ViewInstalled {
+                    node: 0,
+                    conf_seq: 128,
+                    coordinator: 0,
+                    members: 5,
+                },
+                "{\"ViewInstalled\":{\"node\":0,\"conf_seq\":128,\"coordinator\":0,\"members\":5}}",
+                &[177, 13, 0, 12, 4, 3, 0, 3, 128, 1, 3, 0, 3, 5],
+            ),
+        ];
+        for (event, json, bin) in cases {
+            assert_eq!(serde::json::to_string(&event).ok().as_deref(), Some(json));
+            assert_eq!(serde::bin::to_vec(&event), bin);
+            assert_eq!(serde::json::from_str(json).ok(), Some(event.clone()));
+            assert_eq!(serde::bin::from_slice(bin).ok(), Some(event));
+        }
     }
 
     #[test]
