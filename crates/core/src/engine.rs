@@ -357,8 +357,9 @@ impl ReplicationEngine {
         self.k.green_count
     }
 
-    /// Actions this server has ever marked red, across incarnations (the
-    /// number of its `ActionOrdered { color: Red }` events).
+    /// Actions this server has ever marked red, across incarnations: its
+    /// red acceptances, each announced by a Red mark or folded into the
+    /// same step's Green (see `mark_green`).
     pub fn red_line(&self) -> u64 {
         self.red_line
     }
@@ -608,9 +609,11 @@ impl ReplicationEngine {
     /// in the agreed order) are stashed and re-tried as the creator's
     /// cut advances; by the install barrier every member has reached the
     /// exchange plan's targets, so stashes drain identically everywhere.
-    /// Returns whether the action was newly accepted.
-    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) -> bool {
-        if !self.accept_red(ctx, action) {
+    /// Returns whether the action was newly accepted. `announce: false`
+    /// leaves the action's own Red mark to the caller's Green; stashed
+    /// successors are always announced.
+    fn mark_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, announce: bool) -> bool {
+        if !self.accept_red(ctx, action, announce) {
             return false;
         }
         let server = action.id.server;
@@ -619,12 +622,12 @@ impl ReplicationEngine {
             let Some(next) = self.v.stashed.remove(&ActionId { server, index }) else {
                 return true;
             };
-            let ok = self.accept_red(ctx, &next);
+            let ok = self.accept_red(ctx, &next, true);
             debug_assert!(ok, "stashed action no longer contiguous");
         }
     }
 
-    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) -> bool {
+    fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, announce: bool) -> bool {
         let id = action.id;
         match self.k.accept_red(action) {
             Accept::New => {}
@@ -639,7 +642,11 @@ impl ReplicationEngine {
         self.note_retained(ctx);
         self.store.append_shared(action.accepted_entry());
         self.red_line += 1;
-        self.note_ordered(ctx, id, EventColor::Red);
+        if announce {
+            self.note_ordered(ctx, id, EventColor::Red);
+        } else {
+            ctx.metrics().incr(metric!("engine.marked_red"), 1);
+        }
         self.v.dirty_db = None;
         if id.server == self.cfg.me {
             self.k.ongoing.remove(&id.index);
@@ -671,7 +678,7 @@ impl ReplicationEngine {
 
     /// `MarkYellow`: accept as red and remember in the yellow set.
     fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
-        self.mark_red(ctx, action);
+        self.mark_red(ctx, action, true);
         if self.k.body(&action.id).is_some() && !self.k.yellow.set.contains(&action.id) {
             self.k.yellow.set.push(action.id);
             self.note_ordered(ctx, action.id, EventColor::Yellow);
@@ -681,9 +688,20 @@ impl ReplicationEngine {
 
     /// `MarkGreen`: place the action on top of the green order and apply
     /// it to the database.
+    ///
+    /// One event per fact: a red acceptance made here turns green in this
+    /// same step, so its Green stands for both marks and no Red is
+    /// logged — unless this server is the action's origin, whose Red is
+    /// the action's receipt (the `OnRed` commit point), or a stashed
+    /// successor's Red would fall between the two.
     fn mark_green(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
-        self.mark_red(ctx, action);
         let id = action.id;
+        let next = ActionId {
+            server: id.server,
+            index: id.index + 1,
+        };
+        let fold = id.server != self.cfg.me && !self.v.stashed.contains_key(&next);
+        self.mark_red(ctx, action, !fold);
         if !self.k.mark_green(action) {
             return; // already green
         }
@@ -1300,7 +1318,7 @@ impl ReplicationEngine {
     fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, green_pos: Option<u64>) {
         self.v.recovered_this_exchange += 1;
         match green_pos {
-            None => _ = self.mark_red(ctx, action),
+            None => _ = self.mark_red(ctx, action, true),
             Some(pos) if pos < self.k.green_count => {} // already green here
             Some(pos) if pos == self.k.green_count => self.mark_green(ctx, action),
             Some(pos) => panic!(
@@ -1588,7 +1606,7 @@ impl ReplicationEngine {
                 self.mark_yellow(ctx, action);
             }
             EngineState::NonPrim | EngineState::ExchangeStates | EngineState::ExchangeActions => {
-                self.mark_red(ctx, action);
+                self.mark_red(ctx, action, true);
             }
             EngineState::Un => {
                 // A.12: an action here proves some server installed the
@@ -1637,7 +1655,7 @@ impl ReplicationEngine {
         if action.is_reconfiguration() {
             return; // joins/leaves always take the full green path
         }
-        self.mark_red(ctx, action);
+        self.mark_red(ctx, action, true);
         let Some(fast) = &self.fast else {
             return;
         };
@@ -1880,7 +1898,7 @@ impl ReplicationEngine {
         let ongoing: Vec<Rc<Body>> = self.k.ongoing.values().cloned().collect();
         for action in ongoing {
             if self.k.red_cut(action.id.server) < action.id.index {
-                self.mark_red(ctx, &action);
+                self.mark_red(ctx, &action, true);
             }
         }
         self.set_state(EngineState::NonPrim);

@@ -415,6 +415,77 @@ struct LeaseGrant {
     conf: (u64, u32),
 }
 
+/// How far past its dense end a [`Slots`] still grows its vector: a new
+/// index beyond it is kept in the sparse map, so one event can make the
+/// oracle allocate at most this many entries, whatever index it names.
+const DENSE_WINDOW: u64 = 1 << 12;
+
+/// A value with a reserved "nothing here" state, so [`Slots`] can keep
+/// its dense part unwrapped.
+trait Vacant: Copy + PartialEq {
+    const VACANT: Self;
+}
+
+impl Vacant for u64 {
+    const VACANT: u64 = 0;
+}
+
+/// Values keyed by an index that runs densely from 0 or 1 (a green
+/// position, a delivery slot, a creator-local sequence): a vector,
+/// grown only by new indices within [`DENSE_WINDOW`] of its end, and a
+/// map for any index beyond. An index far ahead (a replayed log's tail,
+/// a corrupted slot) is thus recorded, not rejected, in constant space:
+/// the verdict never depends on where an index lands.
+#[derive(Debug)]
+struct Slots<T> {
+    dense: Vec<T>,
+    // Indices set while beyond the vector's reach. Once the vector has
+    // grown over one, a later set of it lands in the vector and wins.
+    sparse: BTreeMap<u64, T>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T: Vacant> Slots<T> {
+    /// The value at `index`, if one was set.
+    fn get(&self, index: u64) -> Option<T> {
+        let dense = usize::try_from(index).ok().and_then(|i| self.dense.get(i));
+        match dense {
+            Some(&v) if v != T::VACANT => Some(v),
+            _ => self.sparse.get(&index).copied(),
+        }
+    }
+
+    /// Sets the value at `index`.
+    fn set(&mut self, index: u64, value: T) {
+        let reach = self.dense.len() as u64 + DENSE_WINDOW;
+        match usize::try_from(index) {
+            Ok(i) if index < reach => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, T::VACANT);
+                }
+                self.dense[i] = value;
+            }
+            _ => {
+                self.sparse.insert(index, value);
+            }
+        }
+    }
+
+    /// One past the highest index set (0 if none).
+    fn end(&self) -> u64 {
+        let sparse_end = self.sparse.last_key_value().map_or(0, |(&i, _)| i + 1);
+        sparse_end.max(self.dense.len() as u64)
+    }
+}
+
 /// The first claim on a green position or delivery slot: who made it
 /// and what it named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,27 +494,12 @@ struct Claim {
     id: (u32, u64),
 }
 
-impl Claim {
+impl Vacant for Claim {
     /// An unclaimed entry.
-    const NONE: Claim = Claim {
+    const VACANT: Claim = Claim {
         node: u32::MAX,
         id: (0, 0),
     };
-
-    /// The claim at `index`, if any.
-    fn get(claims: &[Claim], index: u64) -> Option<Claim> {
-        let claim = *claims.get(usize::try_from(index).ok()?)?;
-        (claim.node != u32::MAX).then_some(claim)
-    }
-
-    /// Records `claim` at the unclaimed `index`.
-    fn set(claims: &mut Vec<Claim>, index: u64, claim: Claim) {
-        let index = index as usize;
-        if claims.len() <= index {
-            claims.resize(index + 1, Claim::NONE);
-        }
-        claims[index] = claim;
-    }
 }
 
 /// What the fast-path clauses know of one action with a footprint.
@@ -479,6 +535,15 @@ type PlacedGreen = (u64, (u32, u64));
 /// as you like: the verdict and [`TraceStats`] do not depend on where
 /// the log was cut.
 ///
+/// A Green with no earlier mark of its action at that node is accepted:
+/// a replica that accepts an action as red and greens it in the same
+/// step logs the Green alone (the fold). The folded Green sits right
+/// where the Red would have been, with nothing in between, so the
+/// in-flight set and the order of first orderings are what the Red
+/// would have given (the action was never in flight between two
+/// events), and a later lower color is still a
+/// [`TraceViolation::ColorRegression`].
+///
 /// Per-incarnation state (colors, green lines, green runs, delivery
 /// slots) is reset at each [`ProtocolEvent::EngineCrashed`], because a
 /// recovering engine legitimately re-announces persisted actions from
@@ -492,12 +557,14 @@ type PlacedGreen = (u64, (u32, u64));
 /// stands for it; the fast-path state holds only actions that exported
 /// an [`ProtocolEvent::ActionFootprint`]. Whatever is kept per green
 /// position, delivery slot or creator index sits in a vector indexed by
-/// it, since those run densely from 0 or 1.
+/// it, since those run densely from 0 or 1; an index far past the
+/// highest one seen goes to a map beside it instead, so what one event
+/// allocates does not depend on the index it names.
 #[derive(Debug, Default)]
 pub struct TraceOracle {
     stats: TraceStats,
-    // position -> its first claim ([`Claim::NONE`] while unclaimed)
-    global_green: Vec<Claim>,
+    // position -> its first claim
+    global_green: Slots<Claim>,
     // node -> (creator, action_seq) of each green mark since its last
     // GreenLineAdvance, in mark order: the next advance places them.
     pending_green: BTreeMap<u32, Vec<(u32, u64)>>,
@@ -521,8 +588,8 @@ pub struct TraceOracle {
     // adoption replaces them)
     reloaded: BTreeMap<u32, u64>,
     // (conf_seq, coordinator) -> slot -> its first delivery: the node
-    // and, in `id.0`, the sender ([`Claim::NONE`] while undelivered)
-    deliveries: BTreeMap<(u64, u32), Vec<Claim>>,
+    // and, in `id.0`, the sender
+    deliveries: BTreeMap<(u64, u32), Slots<Claim>>,
     // (node, conf_seq, coordinator) -> last delivered slot
     deliv_seq: BTreeMap<(u32, u64, u32), u64>,
 
@@ -540,7 +607,7 @@ pub struct TraceOracle {
     // footprint. Cumulative across incarnations: used to decide whether
     // an origin had seen a conflicting action before it promised a fast
     // commit.
-    first_seen: BTreeMap<(u32, u32), Vec<u64>>,
+    first_seen: BTreeMap<(u32, u32), Slots<u64>>,
     // Fingerprint -> (green position, action) of the greened actions
     // touching it (read or write side), so the end-of-run revocation
     // scan is bucket-local instead of quadratic over the full green
@@ -613,12 +680,8 @@ impl TraceOracle {
                 }
                 if self.footprints.contains_key(&id) {
                     let seen = self.first_seen.entry((node, creator)).or_default();
-                    let slot = action_seq as usize;
-                    if seen.len() <= slot {
-                        seen.resize(slot + 1, 0);
-                    }
-                    if seen[slot] == 0 {
-                        seen[slot] = event_idx;
+                    if seen.get(action_seq).is_none() {
+                        seen.set(action_seq, event_idx);
                     }
                 }
                 let node_inflight = self.inflight.entry(node).or_default();
@@ -727,10 +790,10 @@ impl TraceOracle {
             } => {
                 let (conf_seq, seq) = (u64::from(conf_seq), u64::from(seq));
                 let slots = self.deliveries.entry((conf_seq, coordinator)).or_default();
-                match Claim::get(slots, seq) {
+                match slots.get(seq) {
                     None => {
                         let id = (sender, 0);
-                        Claim::set(slots, seq, Claim { node, id });
+                        slots.set(seq, Claim { node, id });
                     }
                     Some(first) => {
                         if first.id.0 != sender {
@@ -895,8 +958,8 @@ impl TraceOracle {
         position: u64,
         id: (u32, u64),
     ) -> Result<(), TraceViolation> {
-        let Some(first) = Claim::get(&self.global_green, position) else {
-            Claim::set(&mut self.global_green, position, Claim { node, id });
+        let Some(first) = self.global_green.get(position) else {
+            self.global_green.set(position, Claim { node, id });
             let first_green = self
                 .footprints
                 .get_mut(&id)
@@ -971,9 +1034,7 @@ impl TraceOracle {
     /// Index of the first event that ordered `id` at `node`, if one did
     /// and `id` has a footprint.
     fn first_seen(&self, node: u32, (creator, seq): (u32, u64)) -> Option<u64> {
-        let seen = self.first_seen.get(&(node, creator))?;
-        let idx = *seen.get(usize::try_from(seq).ok()?)?;
-        (idx != 0).then_some(idx)
+        self.first_seen.get(&(node, creator))?.get(seq)
     }
 
     /// The green count `node`'s latest recovery reloaded from its own
@@ -998,7 +1059,7 @@ impl TraceOracle {
     ) -> Result<(), TraceViolation> {
         let mut last: BTreeMap<u32, u64> = BTreeMap::new();
         for (position, &id) in (floor..).zip(tail) {
-            if let Some(first) = Claim::get(&self.global_green, position) {
+            if let Some(first) = self.global_green.get(position) {
                 if first.id != id {
                     return Err(TraceViolation::GreenOrderConflict {
                         position,
@@ -1087,8 +1148,8 @@ impl TraceOracle {
         // final green line — a green action is never lost, no matter
         // what crashes, torn writes or (single) stale sectors the run
         // injected.
-        if !self.global_green.is_empty() {
-            let needed = self.global_green.len() as u64;
+        let needed = self.global_green.end();
+        if needed > 0 {
             for &node in survivors {
                 let have = self.final_green.get(&node).copied().unwrap_or(0);
                 if have < needed {

@@ -6,7 +6,9 @@
 //! that copies per replica again shows up here as a count, independent
 //! of how fast the machine is. The lease-read path: a
 //! YCSB-shaped cluster may make no more allocations per answered
-//! operation, so a per-read allocation shows up the same way.
+//! operation, so a per-read allocation shows up the same way. The event
+//! log: the same 7 × 7 window may record no more typed events per green
+//! mark per replica than it does today.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,6 +88,46 @@ fn green_delivery_allocations_per_replica_stay_bounded() {
     assert!(
         per_green <= CEILING,
         "{per_green:.3} allocations per green per replica (ceiling {CEILING})"
+    );
+}
+
+/// Typed events recorded per green mark per replica in the window below,
+/// as measured when the ceiling was set: 2.8159. The count is
+/// deterministic, so a change that logs one more event per action per
+/// replica (a red mark the same step's green stands for, say) fails here.
+const EVENTS_CEILING: f64 = 2.816;
+
+/// The event log is most of a long run's memory: it is kept whole for the
+/// trace oracle, so its length per action is what a run costs.
+#[test]
+fn events_per_green_per_replica_stay_bounded() {
+    let config = ClusterConfig::builder(REPLICAS as u32, 42)
+        .delayed_writes()
+        .packing(8)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    for i in 0..REPLICAS {
+        cluster.attach_client(i, ClientConfig::default());
+    }
+    cluster.run_for(SimDuration::from_secs(1));
+
+    let greens = |c: &mut Cluster| (0..REPLICAS).map(|i| c.green_count(i)).sum::<u64>();
+    let before = greens(&mut cluster);
+    let recorded = |c: &Cluster| c.world.metrics().events().len() as u64;
+    let events_before = recorded(&cluster);
+    cluster.run_for(SimDuration::from_secs(1));
+    let events = recorded(&cluster) - events_before;
+    let replica_greens = greens(&mut cluster) - before;
+    cluster.check_consistency();
+
+    assert!(replica_greens > 10_000, "{replica_greens} green marks");
+    let per_green = events as f64 / replica_greens as f64;
+    println!("{events} events / {replica_greens} replica greens = {per_green:.4}");
+    assert!(
+        per_green <= EVENTS_CEILING,
+        "{per_green:.4} events per green per replica (ceiling {EVENTS_CEILING})"
     );
 }
 

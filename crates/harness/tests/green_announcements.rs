@@ -5,6 +5,10 @@
 //! replica at each instant. So every green mark is announced at its own
 //! instant, and each announcement is the previous line plus the marks
 //! since it, unless a base adoption skipped positions.
+//!
+//! And how many ordering events an action leaves: a replica that accepts
+//! an action as red and greens it in the same step logs the Green alone,
+//! so without eager receipts only the origin logs a Red.
 
 use std::collections::BTreeMap;
 
@@ -128,4 +132,101 @@ fn every_instant_ends_with_its_green_marks_announced() {
     cluster
         .try_check_history()
         .unwrap_or_else(|v| panic!("{v}"));
+}
+
+const N: u32 = 5;
+const PER_CLIENT: u64 = 40;
+
+/// What the actions created in a steady primary of `N` replicas (one
+/// client per replica, `PER_CLIENT` requests each) left in the log.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Shape {
+    created: u64,
+    delivered: u64,
+    red: u64,
+    red_at_origin: u64,
+    green: u64,
+}
+
+fn event_shape(config: ClusterConfig) -> Shape {
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    let from = cluster.world.metrics().events().len();
+    let client = ClientConfig {
+        max_requests: Some(PER_CLIENT),
+        ..ClientConfig::default()
+    };
+    let clients: Vec<_> = (0..N as usize)
+        .map(|i| cluster.attach_client(i, client.clone()))
+        .collect();
+    cluster.run_for(SimDuration::from_secs(3));
+    for c in clients {
+        assert_eq!(cluster.client_stats(c).committed, PER_CLIENT);
+    }
+    cluster.check_consistency();
+    let mut shape = Shape::default();
+    for rec in &cluster.world.metrics().events()[from..] {
+        match rec.event {
+            E::ActionCreated { .. } => shape.created += 1,
+            E::Delivered { .. } => shape.delivered += 1,
+            E::ActionOrdered {
+                node,
+                creator,
+                color: EventColor::Red,
+                ..
+            } => {
+                shape.red += 1;
+                shape.red_at_origin += u64::from(node == creator);
+            }
+            E::ActionOrdered {
+                color: EventColor::Green,
+                ..
+            } => shape.green += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(shape.created, u64::from(N) * PER_CLIENT);
+    shape
+}
+
+#[test]
+fn without_eager_receipts_only_the_origin_logs_a_red() {
+    let config = ClusterConfig::builder(N, 42)
+        .delayed_writes()
+        .packing(8)
+        .build()
+        .expect("coherent config");
+    let shape = event_shape(config);
+    let a = shape.created;
+    let n = u64::from(N);
+    assert_eq!(
+        shape,
+        Shape {
+            created: a,
+            delivered: n * a,
+            red: a,
+            red_at_origin: a,
+            green: n * a,
+        }
+    );
+}
+
+#[test]
+fn with_eager_receipts_every_replica_logs_a_red() {
+    let n = u64::from(N);
+    for (fast_path, read_leases) in [(true, false), (false, true)] {
+        let config = ClusterConfig::builder(N, 42)
+            .delayed_writes()
+            .fast_path(fast_path)
+            .read_leases(read_leases)
+            .build()
+            .expect("coherent config");
+        let shape = event_shape(config);
+        let a = shape.created;
+        assert_eq!(
+            (shape.red, shape.red_at_origin, shape.green),
+            (n * a, a, n * a),
+            "fast path {fast_path}, read leases {read_leases}: {shape:?}"
+        );
+    }
 }

@@ -216,6 +216,38 @@ fn delivery_sender_mismatch_is_caught() {
 }
 
 #[test]
+fn a_slot_claimed_far_ahead_is_checked_once_the_others_catch_up() {
+    let d = |node, seq, sender| {
+        rec(E::Delivered {
+            node,
+            conf_seq: 3,
+            coordinator: 0,
+            seq,
+            sender,
+            in_transitional: false,
+        })
+    };
+    // Node 0's first delivery is far past any claimed slot; node 1 then
+    // delivers every slot up to and past it, agreeing at 5000.
+    let mut events = vec![d(0, 5000, 4)];
+    events.extend((1..=5001).map(|seq| d(1, seq, 4)));
+    let stats = check_trace(&events, &BTreeSet::new()).unwrap();
+    assert_eq!(stats.deliveries_agreed, 1);
+    // A third node that disagrees at 5000 meets node 0's claim.
+    events.push(d(2, 5000, 9));
+    assert_eq!(
+        check_trace(&events, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::DeliveryMismatch {
+            conf_seq: 3,
+            coordinator: 0,
+            seq: 5000,
+            a: (0, 4),
+            b: (2, 9),
+        }
+    );
+}
+
+#[test]
 fn delivery_slots_strictly_increase_per_node_and_conf() {
     let d = |seq| {
         rec(E::Delivered {
@@ -776,6 +808,43 @@ fn a_green_folded_into_its_run_still_regresses() {
             ..
         }
     ));
+}
+
+// --- a red mark folded into the same step's green ---
+
+#[test]
+fn a_folded_green_is_accepted() {
+    // The origin logs its Red (the receipt); the other replicas accept
+    // the action as red and green it in one step, and log the Green
+    // alone.
+    let mut events = vec![red(0, 0, 1)];
+    for node in 0..3 {
+        events.extend(green_mark(node, 0, 1, 1));
+    }
+    let survivors: BTreeSet<u32> = (0..3).collect();
+    let stats = check_trace(&events, &survivors).unwrap();
+    assert_eq!(stats.green_positions_agreed, 2);
+}
+
+#[test]
+fn a_red_after_a_folded_green_regresses() {
+    let folded = green_mark(1, 0, 1, 1);
+    let regression = TraceViolation::ColorRegression {
+        node: 1,
+        creator: 0,
+        action_seq: 1,
+        had: EventColor::Green,
+        got: EventColor::Red,
+    };
+    // Before its advance closes the mark, and after.
+    for closed in [1, folded.len()] {
+        let mut events = folded[..closed].to_vec();
+        events.push(red(1, 0, 1));
+        assert_eq!(
+            check_trace(&events, &BTreeSet::new()).unwrap_err(),
+            regression
+        );
+    }
 }
 
 // --- one advance per delivery batch ---

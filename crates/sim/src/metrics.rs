@@ -82,6 +82,12 @@ pub enum ProtocolEvent {
         action_seq: u64,
     },
     /// An action reached a (new) color at this replica.
+    ///
+    /// A color may be announced without the ones below it: where a red
+    /// acceptance turns green in the same step, the Green stands for
+    /// both marks and no Red is logged. The action's origin always logs
+    /// its Red (the action's receipt), and so does every replica where
+    /// the action stays red past that step.
     ActionOrdered {
         /// Reporting replica.
         node: u32,

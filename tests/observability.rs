@@ -3,7 +3,7 @@
 //! typed [`ProtocolEvent`] log (instead of grepping the free-text
 //! trace).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use todr::core::{ReadConsistency, UpdateReplyPolicy};
 use todr::harness::client::{ClientConfig, ZipfianKeys};
@@ -141,6 +141,75 @@ fn typed_events_replace_trace_grepping() {
     assert!(commits.iter().all(|&l| l >= 1_000_000), "commit under 1ms");
 }
 
+/// Sums each typed event that stands for a hub counter per replica and
+/// checks the sums against the hub. Returns the folded greens counted:
+/// a Green at a node with no earlier mark of its action this
+/// incarnation also stands for the red acceptance folded into it.
+fn assert_per_replica_events_sum(cluster: &Cluster, counters: &[&str]) -> u64 {
+    let hub = cluster.world.metrics();
+    let mut per_replica: BTreeMap<&str, BTreeMap<u32, u64>> = BTreeMap::new();
+    let mut marked: BTreeSet<(u32, u32, u64)> = BTreeSet::new();
+    let mut folds = 0;
+    for rec in hub.events() {
+        let (counter, node) = match rec.event {
+            ProtocolEvent::FastCommit { node, .. } => ("engine.fast_commits", node),
+            ProtocolEvent::FastDemoted { node, .. } => ("engine.fast_demotions", node),
+            ProtocolEvent::ReadServed {
+                node,
+                tier: ReadTier::LeaseLinearizable,
+                ..
+            } => ("engine.lease_reads", node),
+            ProtocolEvent::LeaseGranted {
+                node,
+                renewal: false,
+                ..
+            } => ("engine.lease_grants", node),
+            ProtocolEvent::LeaseGranted {
+                node,
+                renewal: true,
+                ..
+            } => ("engine.lease_renewals", node),
+            ProtocolEvent::ActionOrdered {
+                node,
+                creator,
+                action_seq,
+                color,
+            } => {
+                let first = marked.insert((node, creator, action_seq));
+                match color {
+                    EventColor::Red => ("engine.marked_red", node),
+                    EventColor::Green if first => {
+                        folds += 1;
+                        ("engine.marked_red", node)
+                    }
+                    _ => continue,
+                }
+            }
+            ProtocolEvent::EngineCrashed { node } => {
+                marked.retain(|&(n, _, _)| n != node);
+                continue;
+            }
+            _ => continue,
+        };
+        *per_replica
+            .entry(counter)
+            .or_default()
+            .entry(node)
+            .or_default() += 1;
+    }
+    for &counter in counters {
+        let by_node = per_replica.remove(counter).unwrap_or_default();
+        let summed: u64 = by_node.values().sum();
+        assert!(summed > 0, "no {counter} event: the check is vacuous");
+        assert_eq!(
+            summed,
+            hub.counter(counter),
+            "{counter}: per-replica events {by_node:?} disagree with the hub"
+        );
+    }
+    folds
+}
+
 #[test]
 fn per_replica_events_sum_to_the_hub_counters() {
     // Per-replica questions are answered from the typed events filtered
@@ -169,58 +238,31 @@ fn per_replica_events_sum_to_the_hub_counters() {
         );
     }
     cluster.run_for(SimDuration::from_secs(2));
+    assert_per_replica_events_sum(
+        &cluster,
+        &[
+            "engine.fast_commits",
+            "engine.fast_demotions",
+            "engine.lease_reads",
+            "engine.lease_grants",
+            "engine.lease_renewals",
+            "engine.marked_red",
+        ],
+    );
+    cluster.check_consistency();
+}
 
-    let hub = cluster.world.metrics();
-    let mut per_replica: BTreeMap<&str, BTreeMap<u32, u64>> = BTreeMap::new();
-    for rec in hub.events() {
-        let (counter, node) = match rec.event {
-            ProtocolEvent::FastCommit { node, .. } => ("engine.fast_commits", node),
-            ProtocolEvent::FastDemoted { node, .. } => ("engine.fast_demotions", node),
-            ProtocolEvent::ReadServed {
-                node,
-                tier: ReadTier::LeaseLinearizable,
-                ..
-            } => ("engine.lease_reads", node),
-            ProtocolEvent::LeaseGranted {
-                node,
-                renewal: false,
-                ..
-            } => ("engine.lease_grants", node),
-            ProtocolEvent::LeaseGranted {
-                node,
-                renewal: true,
-                ..
-            } => ("engine.lease_renewals", node),
-            ProtocolEvent::ActionOrdered {
-                node,
-                color: EventColor::Red,
-                ..
-            } => ("engine.marked_red", node),
-            _ => continue,
-        };
-        *per_replica
-            .entry(counter)
-            .or_default()
-            .entry(node)
-            .or_default() += 1;
-    }
-    for counter in [
-        "engine.fast_commits",
-        "engine.fast_demotions",
-        "engine.lease_reads",
-        "engine.lease_grants",
-        "engine.lease_renewals",
-        "engine.marked_red",
-    ] {
-        let by_node = per_replica.remove(counter).unwrap_or_default();
-        let summed: u64 = by_node.values().sum();
-        assert!(summed > 0, "no {counter} event: the check is vacuous");
-        assert_eq!(
-            summed,
-            hub.counter(counter),
-            "{counter}: per-replica events {by_node:?} disagree with the hub"
-        );
-    }
+#[test]
+fn folded_red_marks_sum_to_the_hub_counter() {
+    // Without eager receipts a replica other than the origin accepts an
+    // action as red and greens it in one step, and logs only the Green.
+    let config = ClusterConfig::builder(5, 19)
+        .delayed_writes()
+        .build()
+        .expect("coherent config");
+    let mut cluster = run_loaded_cluster(config, 2);
+    let folds = assert_per_replica_events_sum(&cluster, &["engine.marked_red"]);
+    assert!(folds > 0, "no red mark was folded into its green");
     cluster.check_consistency();
 }
 
