@@ -1,7 +1,8 @@
 //! What the engine writes to stable storage and how it recovers.
 //!
 //! The engine persists two kinds of data through its
-//! [`StorageHandle`] (any [`todr_storage::Storage`] backend):
+//! [`StorageHandle`] (the sim store's image, mirrored to files on the
+//! file backend):
 //!
 //! * an **append-only log** of [`PersistEntry`] values — every action
 //!   body once (when first accepted, i.e. marked red) and every green

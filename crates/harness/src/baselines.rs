@@ -1,5 +1,6 @@
-//! Deployment builders for the baseline protocols (2PC, COReL), mirroring
-//! [`crate::cluster::Cluster`] for the engine.
+//! Deployments of the baseline protocols (2PC, COReL), mirroring
+//! [`crate::cluster::Cluster`] for the engine: one type, with a
+//! constructor per protocol.
 
 use todr_baselines::{CorelConfig, CorelServer, TpcConfig, TpcServer};
 use todr_evs::{EvsCmd, EvsConfig, EvsDaemon};
@@ -8,96 +9,42 @@ use todr_sim::{ActorId, SimDuration, World};
 use todr_storage::DiskActor;
 
 use crate::client::{ClientConfig, ClientStats, ClosedLoopClient, StartClient};
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClientHandle, ClusterConfig};
 
-/// A deployment of [`TpcServer`]s.
-pub struct TpcCluster {
+/// A deployment of [`TpcServer`]s or of [`CorelServer`]s, one per node,
+/// each with its own disk, on one shared fabric.
+pub struct BaselineCluster {
     /// The simulation world.
     pub world: World,
     /// The shared fabric.
     pub fabric: ActorId,
-    /// Per-server engine actors.
+    /// Per-server protocol actors.
     pub servers: Vec<ActorId>,
-    clients: Vec<ActorId>,
+    /// Per-server EVS daemons (COReL only).
+    daemons: Vec<ActorId>,
+    clients: Vec<ClientHandle>,
 }
 
-impl TpcCluster {
+impl BaselineCluster {
     /// Builds `n_servers` two-phase-commit replicas.
-    pub fn build(config: &ClusterConfig) -> Self {
-        let mut world = World::new(config.seed);
-        world.set_event_limit(500_000_000);
-        let fabric = world.add_actor("net", NetFabric::new(config.net.clone()));
-        let nodes: Vec<NodeId> = (0..config.n_servers).map(NodeId::new).collect();
-        let mut servers = Vec::new();
-        for &node in &nodes {
-            let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
-            let mut tpc_config = TpcConfig::new(node, nodes.clone());
+    pub fn tpc(config: &ClusterConfig) -> Self {
+        BaselineCluster::build(config, |world, node, nodes, fabric, disk| {
+            let mut tpc_config = TpcConfig::new(node, nodes.to_vec());
             tpc_config.cpu_per_action = config.cpu_per_action;
             let server = world.add_actor(
                 format!("tpc-{node}"),
                 TpcServer::new(tpc_config, fabric, disk),
             );
-            world.with_actor(fabric, |f: &mut NetFabric| f.register(node, server));
-            servers.push(server);
-        }
-        TpcCluster {
-            world,
-            fabric,
-            servers,
-            clients: Vec::new(),
-        }
+            (server, None)
+        })
     }
 
-    /// Attaches and starts a closed-loop client on server `idx`.
-    pub fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ActorId {
-        let id = todr_core::ClientId(self.clients.len() as u32 + 1);
-        let client = self.world.add_actor(
-            format!("client-{}", id.0),
-            ClosedLoopClient::new(id, self.servers[idx], 1, config),
-        );
-        self.world.schedule_now(client, StartClient);
-        self.clients.push(client);
-        client
-    }
-
-    /// A client's progress.
-    pub fn client_stats(&mut self, client: ActorId) -> ClientStats {
-        self.world
-            .with_actor(client, |c: &mut ClosedLoopClient| c.stats().clone())
-    }
-
-    /// Runs for a span of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.world.now() + d;
-        self.world.run_until(deadline);
-    }
-}
-
-/// A deployment of [`CorelServer`]s over the EVS layer.
-pub struct CorelCluster {
-    /// The simulation world.
-    pub world: World,
-    /// The shared fabric.
-    pub fabric: ActorId,
-    /// Per-server engine actors.
-    pub servers: Vec<ActorId>,
-    daemons: Vec<ActorId>,
-    clients: Vec<ActorId>,
-}
-
-impl CorelCluster {
-    /// Builds `n_servers` COReL replicas and joins them to the group.
-    pub fn build(config: &ClusterConfig) -> Self {
-        let mut world = World::new(config.seed);
-        world.set_event_limit(500_000_000);
-        let fabric = world.add_actor("net", NetFabric::new(config.net.clone()));
-        let nodes: Vec<NodeId> = (0..config.n_servers).map(NodeId::new).collect();
-        let mut servers = Vec::new();
-        let mut daemons = Vec::new();
-        for &node in &nodes {
-            let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
+    /// Builds `n_servers` COReL replicas over the EVS layer and joins
+    /// them to the group.
+    pub fn corel(config: &ClusterConfig) -> Self {
+        let mut cluster = BaselineCluster::build(config, |world, node, nodes, fabric, disk| {
             let evs_config = EvsConfig {
-                universe: nodes.clone(),
+                universe: nodes.to_vec(),
                 hb_interval: config.hb_interval,
                 fail_timeout: config.fail_timeout,
                 ack_delay: config.ack_delay,
@@ -111,21 +58,48 @@ impl CorelCluster {
                 format!("evs-{node}"),
                 EvsDaemon::new(node, fabric, ActorId::from_raw(0), evs_config),
             );
-            let mut corel_config = CorelConfig::new(node, nodes.clone());
+            let mut corel_config = CorelConfig::new(node, nodes.to_vec());
             corel_config.cpu_per_action = config.cpu_per_action;
             let server = world.add_actor(
                 format!("corel-{node}"),
                 CorelServer::new(corel_config, daemon, fabric, disk),
             );
             world.with_actor(daemon, |d: &mut EvsDaemon| d.set_app(server));
-            world.with_actor(fabric, |f: &mut NetFabric| f.register(node, daemon));
+            (server, Some(daemon))
+        });
+        for &daemon in &cluster.daemons {
+            cluster.world.schedule_now(daemon, EvsCmd::JoinGroup);
+        }
+        cluster
+    }
+
+    /// The world, the fabric and a disk per node; `add_server` adds a
+    /// node's protocol actor and, if it talks through one, its EVS
+    /// daemon, which the fabric then delivers to instead.
+    fn build(
+        config: &ClusterConfig,
+        mut add_server: impl FnMut(
+            &mut World,
+            NodeId,
+            &[NodeId],
+            ActorId,
+            ActorId,
+        ) -> (ActorId, Option<ActorId>),
+    ) -> Self {
+        let mut world = World::new(config.seed);
+        world.set_event_limit(500_000_000);
+        let fabric = world.add_actor("net", NetFabric::new(config.net.clone()));
+        let nodes: Vec<NodeId> = (0..config.n_servers).map(NodeId::new).collect();
+        let (mut servers, mut daemons) = (Vec::new(), Vec::new());
+        for &node in &nodes {
+            let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
+            let (server, daemon) = add_server(&mut world, node, &nodes, fabric, disk);
+            let endpoint = daemon.unwrap_or(server);
+            world.with_actor(fabric, |f: &mut NetFabric| f.register(node, endpoint));
             servers.push(server);
-            daemons.push(daemon);
+            daemons.extend(daemon);
         }
-        for &daemon in &daemons {
-            world.schedule_now(daemon, EvsCmd::JoinGroup);
-        }
-        CorelCluster {
+        BaselineCluster {
             world,
             fabric,
             servers,
@@ -134,14 +108,15 @@ impl CorelCluster {
         }
     }
 
-    /// Waits for the group to converge on the full membership.
+    /// Waits for the COReL group to converge on the full membership (a
+    /// 2PC deployment has no group to wait for).
     ///
     /// # Panics
     ///
     /// Panics if the group does not converge within 5 seconds.
     pub fn settle(&mut self) {
         let deadline = self.world.now() + SimDuration::from_secs(5);
-        loop {
+        while !self.daemons.is_empty() {
             self.run_for(SimDuration::from_millis(100));
             let converged = self.daemons.iter().all(|&d| {
                 self.world.with_actor(d, |dd: &mut EvsDaemon| {
@@ -159,21 +134,21 @@ impl CorelCluster {
     }
 
     /// Attaches and starts a closed-loop client on server `idx`.
-    pub fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ActorId {
+    pub fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ClientHandle {
         let id = todr_core::ClientId(self.clients.len() as u32 + 1);
         let client = self.world.add_actor(
             format!("client-{}", id.0),
             ClosedLoopClient::new(id, self.servers[idx], 1, config),
         );
         self.world.schedule_now(client, StartClient);
-        self.clients.push(client);
-        client
+        let handle = ClientHandle(client);
+        self.clients.push(handle);
+        handle
     }
 
     /// A client's progress.
-    pub fn client_stats(&mut self, client: ActorId) -> ClientStats {
-        self.world
-            .with_actor(client, |c: &mut ClosedLoopClient| c.stats().clone())
+    pub fn client_stats(&mut self, client: ClientHandle) -> ClientStats {
+        client.stats(&mut self.world)
     }
 
     /// Runs for a span of virtual time.

@@ -537,13 +537,18 @@ impl ClusterConfigBuilder {
 /// handing an arbitrary [`ActorId`] (a server's engine, a disk) to the
 /// stats accessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClientHandle(ActorId);
+pub struct ClientHandle(pub(crate) ActorId);
 
 impl ClientHandle {
     /// The underlying actor id, for advanced scripting against
     /// [`Cluster::world`].
     pub fn actor_id(self) -> ActorId {
         self.0
+    }
+
+    /// The client's progress, read from the world it runs in.
+    pub(crate) fn stats(self, world: &mut World) -> ClientStats {
+        world.with_actor(self.0, |c: &mut ClosedLoopClient| c.stats().clone())
     }
 }
 
@@ -1037,8 +1042,7 @@ impl Cluster {
 
     /// A client's progress.
     pub fn client_stats(&mut self, client: ClientHandle) -> ClientStats {
-        self.world
-            .with_actor(client.0, |c: &mut ClosedLoopClient| c.stats().clone())
+        client.stats(&mut self.world)
     }
 
     /// All attached clients.

@@ -15,7 +15,7 @@
 use todr_net::NetConfig;
 use todr_sim::SimDuration;
 
-use crate::baselines::{CorelCluster, TpcCluster};
+use crate::baselines::BaselineCluster;
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
 use todr_storage::DiskMode;
@@ -124,7 +124,7 @@ pub fn wan_latency(n_servers: u32, actions: u64, seed: u64) -> Vec<WanRow> {
     let run_corel = |net: NetConfig| -> f64 {
         let mut config = ClusterConfig::new(n_servers, seed);
         config.net = net;
-        let mut cluster = CorelCluster::build(&config);
+        let mut cluster = BaselineCluster::corel(&config);
         cluster.settle();
         let client = cluster.attach_client(
             0,
@@ -139,7 +139,7 @@ pub fn wan_latency(n_servers: u32, actions: u64, seed: u64) -> Vec<WanRow> {
     let run_tpc = |net: NetConfig| -> f64 {
         let mut config = ClusterConfig::new(n_servers, seed);
         config.net = net;
-        let mut cluster = TpcCluster::build(&config);
+        let mut cluster = BaselineCluster::tpc(&config);
         let client = cluster.attach_client(
             0,
             ClientConfig {

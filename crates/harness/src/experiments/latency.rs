@@ -9,7 +9,7 @@
 
 use todr_sim::SimDuration;
 
-use crate::baselines::{CorelCluster, TpcCluster};
+use crate::baselines::BaselineCluster;
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
@@ -67,7 +67,7 @@ pub fn run(n_servers: u32, actions: u64, seed: u64) -> LatencyTable {
 
     // COReL.
     {
-        let mut cluster = CorelCluster::build(&ClusterConfig::new(n_servers, seed));
+        let mut cluster = BaselineCluster::corel(&ClusterConfig::new(n_servers, seed));
         cluster.settle();
         let client = cluster.attach_client(0, client_config.clone());
         cluster.run_for(budget);
@@ -81,7 +81,7 @@ pub fn run(n_servers: u32, actions: u64, seed: u64) -> LatencyTable {
 
     // 2PC.
     {
-        let mut cluster = TpcCluster::build(&ClusterConfig::new(n_servers, seed));
+        let mut cluster = BaselineCluster::tpc(&ClusterConfig::new(n_servers, seed));
         let client = cluster.attach_client(0, client_config);
         cluster.run_for(budget);
         let stats = cluster.client_stats(client);

@@ -1,11 +1,11 @@
 //! The shared workload runner: build a deployment of the chosen
 //! protocol, attach closed-loop clients, warm up, measure.
 
-use todr_sim::{ActorId, SimDuration, SimTime};
+use todr_sim::{SimDuration, World};
 
-use crate::baselines::{CorelCluster, TpcCluster};
-use crate::client::{ClientConfig, ClientStats};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::baselines::BaselineCluster;
+use crate::client::ClientConfig;
+use crate::cluster::{ClientHandle, Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
 
 use super::client_totals;
@@ -62,81 +62,50 @@ impl RunResult {
     }
 }
 
-/// The operations the measurement loop needs from any deployment — the
-/// engine cluster and both baseline clusters expose the same surface.
+/// What differs between the deployments the measurement loop drives:
+/// the engine cluster and the baseline cluster attach clients to
+/// different actors, in one world each.
 trait Deployment {
-    type Handle: Copy;
-    fn attach(&mut self, idx: usize, config: ClientConfig) -> Self::Handle;
-    fn stats(&mut self, client: Self::Handle) -> ClientStats;
-    fn advance(&mut self, d: SimDuration);
-    fn now(&self) -> SimTime;
+    fn world(&mut self) -> &mut World;
+    fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ClientHandle;
 }
 
 impl Deployment for Cluster {
-    type Handle = crate::cluster::ClientHandle;
-    fn attach(&mut self, idx: usize, config: ClientConfig) -> Self::Handle {
-        self.attach_client(idx, config)
+    fn world(&mut self) -> &mut World {
+        &mut self.world
     }
-    fn stats(&mut self, client: Self::Handle) -> ClientStats {
-        self.client_stats(client)
-    }
-    fn advance(&mut self, d: SimDuration) {
-        self.run_for(d);
-    }
-    fn now(&self) -> SimTime {
-        Cluster::now(self)
+    fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ClientHandle {
+        Cluster::attach_client(self, idx, config)
     }
 }
 
-impl Deployment for CorelCluster {
-    type Handle = ActorId;
-    fn attach(&mut self, idx: usize, config: ClientConfig) -> ActorId {
-        self.attach_client(idx, config)
+impl Deployment for BaselineCluster {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
     }
-    fn stats(&mut self, client: ActorId) -> ClientStats {
-        self.client_stats(client)
-    }
-    fn advance(&mut self, d: SimDuration) {
-        self.run_for(d);
-    }
-    fn now(&self) -> SimTime {
-        self.world.now()
+    fn attach_client(&mut self, idx: usize, config: ClientConfig) -> ClientHandle {
+        BaselineCluster::attach_client(self, idx, config)
     }
 }
 
-impl Deployment for TpcCluster {
-    type Handle = ActorId;
-    fn attach(&mut self, idx: usize, config: ClientConfig) -> ActorId {
-        self.attach_client(idx, config)
-    }
-    fn stats(&mut self, client: ActorId) -> ClientStats {
-        self.client_stats(client)
-    }
-    fn advance(&mut self, d: SimDuration) {
-        self.run_for(d);
-    }
-    fn now(&self) -> SimTime {
-        self.world.now()
-    }
-}
-
-fn measure<D: Deployment>(
-    deployment: &mut D,
+fn measure(
+    deployment: &mut impl Deployment,
     n_servers: u32,
     clients: usize,
     warmup: SimDuration,
     measure: SimDuration,
 ) -> (LatencyStats, u64) {
-    let record_from = deployment.now() + warmup;
+    let record_from = deployment.world().now() + warmup;
     let client_config = ClientConfig {
         record_from,
         ..ClientConfig::default()
     };
-    let handles: Vec<D::Handle> = (0..clients)
-        .map(|i| deployment.attach(i % n_servers as usize, client_config.clone()))
+    let handles: Vec<ClientHandle> = (0..clients)
+        .map(|i| deployment.attach_client(i % n_servers as usize, client_config.clone()))
         .collect();
-    deployment.advance(warmup + measure);
-    client_totals(handles.into_iter().map(|h| deployment.stats(h)))
+    let world = deployment.world();
+    world.run_until(world.now() + warmup + measure);
+    client_totals(handles.into_iter().map(|h| h.stats(world)))
 }
 
 /// Runs `clients` closed-loop clients against `n_servers` replicas of
@@ -186,12 +155,12 @@ pub fn run_workload_packed(
             result
         }
         Protocol::Corel => {
-            let mut cluster = CorelCluster::build(&config);
+            let mut cluster = BaselineCluster::corel(&config);
             cluster.settle();
             measure(&mut cluster, n_servers, clients, warmup, window)
         }
         Protocol::Tpc => {
-            let mut cluster = TpcCluster::build(&config);
+            let mut cluster = BaselineCluster::tpc(&config);
             measure(&mut cluster, n_servers, clients, warmup, window)
         }
     };

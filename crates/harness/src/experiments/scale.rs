@@ -44,7 +44,7 @@ use todr_core::EngineState;
 use todr_sim::{HandlerCost, SimDuration};
 
 use super::{client_totals, first_time, round1, round3, Gate, Gated};
-use crate::baselines::CorelCluster;
+use crate::baselines::BaselineCluster;
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::LatencyStats;
@@ -380,7 +380,7 @@ fn corel_cell(
     seed: u64,
 ) -> ScaleCell {
     let config = ClusterConfig::new(n, seed);
-    let mut cluster = CorelCluster::build(&config);
+    let mut cluster = BaselineCluster::corel(&config);
     cluster.settle();
     let client_config = ClientConfig {
         record_from: cluster.world.now() + warmup,

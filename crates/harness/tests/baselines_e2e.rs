@@ -2,14 +2,14 @@
 //! the paper's §7 comparison).
 
 use todr_baselines::{CorelServer, TpcServer};
-use todr_harness::baselines::{CorelCluster, TpcCluster};
+use todr_harness::baselines::BaselineCluster;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::ClusterConfig;
 use todr_sim::SimDuration;
 
 #[test]
 fn tpc_commits_and_replicas_converge() {
-    let mut cluster = TpcCluster::build(&ClusterConfig::new(4, 1));
+    let mut cluster = BaselineCluster::tpc(&ClusterConfig::new(4, 1));
     let clients: Vec<_> = (0..4)
         .map(|i| cluster.attach_client(i, ClientConfig::default()))
         .collect();
@@ -38,7 +38,7 @@ fn tpc_commits_and_replicas_converge() {
 
 #[test]
 fn tpc_latency_reflects_two_forced_writes() {
-    let mut cluster = TpcCluster::build(&ClusterConfig::new(5, 2));
+    let mut cluster = BaselineCluster::tpc(&ClusterConfig::new(5, 2));
     let client = cluster.attach_client(
         0,
         ClientConfig {
@@ -58,7 +58,7 @@ fn tpc_latency_reflects_two_forced_writes() {
 
 #[test]
 fn corel_commits_in_total_order_and_converges() {
-    let mut cluster = CorelCluster::build(&ClusterConfig::new(4, 3));
+    let mut cluster = BaselineCluster::corel(&ClusterConfig::new(4, 3));
     cluster.settle();
     let clients: Vec<_> = (0..4)
         .map(|i| cluster.attach_client(i, ClientConfig::default()))
@@ -87,7 +87,7 @@ fn corel_commits_in_total_order_and_converges() {
 
 #[test]
 fn corel_latency_is_one_forced_write_plus_ack_round() {
-    let mut cluster = CorelCluster::build(&ClusterConfig::new(5, 4));
+    let mut cluster = BaselineCluster::corel(&ClusterConfig::new(5, 4));
     cluster.settle();
     let client = cluster.attach_client(
         0,
@@ -109,7 +109,7 @@ fn corel_latency_is_one_forced_write_plus_ack_round() {
 #[test]
 fn corel_acks_scale_with_servers() {
     // The cost the engine eliminates: n ack multicasts per action.
-    let mut cluster = CorelCluster::build(&ClusterConfig::new(6, 5));
+    let mut cluster = BaselineCluster::corel(&ClusterConfig::new(6, 5));
     cluster.settle();
     let client = cluster.attach_client(
         0,

@@ -5,7 +5,7 @@
 //! forced writes and ~3n unicasts in the critical path.
 
 use todr_baselines::{CorelServer, TpcServer};
-use todr_harness::baselines::{CorelCluster, TpcCluster};
+use todr_harness::baselines::BaselineCluster;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_sim::{SimDuration, World};
@@ -52,7 +52,7 @@ fn engine_pays_one_forced_write_per_action_at_the_origin_only() {
 
 #[test]
 fn corel_pays_a_forced_write_at_every_server_per_action() {
-    let mut cluster = CorelCluster::build(&ClusterConfig::new(N, 62));
+    let mut cluster = BaselineCluster::corel(&ClusterConfig::new(N, 62));
     cluster.settle();
     let client = cluster.attach_client(0, client_config());
     cluster.run_for(SimDuration::from_secs(4));
@@ -74,7 +74,7 @@ fn corel_pays_a_forced_write_at_every_server_per_action() {
 
 #[test]
 fn tpc_pays_two_forced_writes_in_the_critical_path() {
-    let mut cluster = TpcCluster::build(&ClusterConfig::new(N, 63));
+    let mut cluster = BaselineCluster::tpc(&ClusterConfig::new(N, 63));
     let client = cluster.attach_client(0, client_config());
     cluster.run_for(SimDuration::from_secs(5));
     assert_eq!(cluster.client_stats(client).committed, ACTIONS);
@@ -107,7 +107,7 @@ fn engine_network_cost_beats_corel_per_action() {
         sent(&cluster.world) - before
     };
     let corel_msgs = {
-        let mut cluster = CorelCluster::build(&ClusterConfig::new(N, 64));
+        let mut cluster = BaselineCluster::corel(&ClusterConfig::new(N, 64));
         cluster.settle();
         let before = sent(&cluster.world);
         let client = cluster.attach_client(0, client_config());

@@ -1,37 +1,41 @@
-//! The pluggable [`Storage`] trait and its typed [`StorageHandle`] wrapper.
+//! [`StorageHandle`]: the one store the engine holds — a
+//! [`StableStore`] image plus, on the file backend, a mirror of it on
+//! disk.
 //!
-//! The engine's durability contract (paper §4: one forced write per
-//! action, staged until the platter acknowledges) is captured here as a
-//! byte-oriented object-safe trait with two implementations:
+//! The image is the only staged/persisted state machine. Staging
+//! (record puts, appends, the epoch, a checkpoint's truncation) touches
+//! the image alone. Every step that changes what is persisted — a
+//! commit, a crash, a fault, a recovery-time truncation — runs the
+//! image's own code, and the mirror, when there is one, then puts the
+//! result on disk:
 //!
-//! * [`StableStore`] — the deterministic in-memory simulation backend.
-//!   Default everywhere; the only backend todr-check may use, because
-//!   schedule replay requires byte-identical fault injection.
-//! * [`FileStore`](crate::FileStore) — a real append-only checksummed
-//!   log file plus an atomically-renamed record checkpoint. Same record
-//!   framing ([`LogRecord`]), same recovery contract (torn tail →
-//!   truncate; mid-log fault → fail-stop), real `fsync` cost.
+//! * a commit writes what the image is about to persist (frames, the
+//!   records file, the generation flip of a checkpoint), then commits
+//!   the image;
+//! * a crash (torn or not) runs on the image, the mirror writes what
+//!   reached the platter, and the image is reloaded from disk as a
+//!   reopen would see it;
+//! * a bit flip or stale sector damages the image, and the mirror
+//!   rewrites the damaged log bytes.
 //!
-//! The trait works in raw bytes so it stays dyn-compatible; the typed
-//! codec lives on [`StorageHandle`], which the engine owns.
+//! So recovery and the oracles run unchanged on either backend: the
+//! fault RNG draws are the image's, made once.
 
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 use todr_sim::SimRng;
 
-use crate::codec;
 use crate::fault::InjectedFault;
-use crate::file::FileStore;
-use crate::store::{LogFault, LogRecord, SharedEntry, StableStore, StorageError};
+use crate::file::FileMirror;
+use crate::store::{LogRecord, SharedEntry, StableStore, StorageError};
 
 /// Wall-clock I/O statistics reported by file-backed storage.
 ///
-/// The sim backend reports `None` from [`Storage::io_stats`]: its costs
-/// are virtual time charged by `DiskActor`, not host syscalls.
+/// The sim backend reports `None` from [`StorageHandle::io_stats`]: its
+/// costs are virtual time charged by `DiskActor`, not host syscalls.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FileIoStats {
     /// Number of `fsync`/`File::sync_all` calls issued.
@@ -55,185 +59,25 @@ impl FileIoStats {
     }
 }
 
-/// Stable storage as the replication engine sees it: named records plus
-/// an append-only epoch-sealed log, with **staged/persisted** crash
-/// semantics.
+/// Stable storage as the engine sees it: a [`StableStore`] image and,
+/// on the file backend, its mirror on disk.
 ///
-/// Everything mutable is staged until [`Storage::commit_staged`] — the
-/// moment the backend makes it durable (a simulated platter write for
-/// [`StableStore`], real `fsync`/rename for `FileStore`) — and a
-/// [`Storage::crash`] discards whatever was staged, exactly like a
-/// power failure emptying an OS page cache.
-///
-/// Fault injection (`crash_torn`, `inject_bit_flip`,
-/// `inject_stale_sector`) is part of the trait so the recovery oracles
-/// run unchanged against every backend; both implementations consume
-/// the deterministic fault RNG stream in the same draw order, so a
-/// seeded schedule injures the same logical record on either one.
-pub trait Storage: fmt::Debug {
-    /// Stages pre-serialized record bytes under `key`. The store keeps
-    /// the shared bytes themselves, so stores handed one record (every
-    /// replica checkpointing one database version) hold one copy.
-    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>);
-
-    /// Stages pre-serialized record bytes under `key`, like
-    /// [`Storage::put_record_shared`].
-    fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
-        self.put_record_shared(key, bytes.into());
-    }
-
-    /// Reads a record's bytes, seeing staged writes (read-your-writes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Io`] if the backend cannot serve the
-    /// record (e.g. a corrupt checkpoint file on disk).
-    fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError>;
-
-    /// Appends an entry to the log (staged until commit), sealed with
-    /// the current incarnation epoch and a checksum. The record shares
-    /// the entry's bytes and, within one epoch, its checksum.
-    fn append_shared(&mut self, entry: &SharedEntry);
-
-    /// Appends pre-encoded bytes to the log, like
-    /// [`Storage::append_shared`].
-    fn append_log(&mut self, entry: Vec<u8>) {
-        self.append_shared(&SharedEntry::raw(entry));
-    }
-
-    /// Sets the incarnation epoch stamped onto subsequent appends.
-    fn set_epoch(&mut self, epoch: u64);
-
-    /// The current incarnation epoch.
-    fn epoch(&self) -> u64;
-
-    /// Number of log entries visible to the writer (persisted + staged).
-    fn log_len(&self) -> usize;
-
-    /// All visible log entries as sealed records, oldest first.
-    fn read_log(&self) -> Vec<LogRecord>;
-
-    /// Scans the **persisted** log for the first invalid record.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`LogFault`] found, if any.
-    fn verify_log(&self) -> Result<(), LogFault>;
-
-    /// Drops every persisted log record at `index` and beyond — the
-    /// recovery-time repair after a torn final record.
-    fn truncate_log_from(&mut self, index: u64);
-
-    /// Truncates the log, staged until the next commit (checkpoint).
-    fn truncate_log(&mut self);
-
-    /// Makes all staged mutations durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Io`] if the backend failed to persist
-    /// (file backend only; the sim store cannot fail).
-    fn commit_staged(&mut self) -> Result<(), StorageError>;
-
-    /// Simulates/forces a power failure: staged mutations are lost.
-    fn crash(&mut self);
-
-    /// Power failure that tears the in-flight log append mid-record.
-    fn crash_torn(&mut self, rng: &mut SimRng);
-
-    /// Flips one random bit in one persisted log record's payload.
-    fn inject_bit_flip(&mut self, rng: &mut SimRng) -> Option<InjectedFault>;
-
-    /// Serves one persisted log record's payload from an earlier record
-    /// while keeping its header current.
-    fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault>;
-
-    /// Wall-clock I/O statistics, for backends that touch a real disk.
-    fn io_stats(&self) -> Option<FileIoStats> {
-        None
-    }
-}
-
-impl Storage for StableStore {
-    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
-        self.put_record_raw(key, bytes);
-    }
-
-    fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        Ok(self.get_record_raw(key).map(<[u8]>::to_vec))
-    }
-
-    fn append_shared(&mut self, entry: &SharedEntry) {
-        StableStore::append_shared(self, entry);
-    }
-
-    fn set_epoch(&mut self, epoch: u64) {
-        StableStore::set_epoch(self, epoch);
-    }
-
-    fn epoch(&self) -> u64 {
-        StableStore::epoch(self)
-    }
-
-    fn log_len(&self) -> usize {
-        StableStore::log_len(self)
-    }
-
-    fn read_log(&self) -> Vec<LogRecord> {
-        self.log_records().cloned().collect()
-    }
-
-    fn verify_log(&self) -> Result<(), LogFault> {
-        StableStore::verify_log(self)
-    }
-
-    fn truncate_log_from(&mut self, index: u64) {
-        StableStore::truncate_log_from(self, index);
-    }
-
-    fn truncate_log(&mut self) {
-        StableStore::truncate_log(self);
-    }
-
-    fn commit_staged(&mut self) -> Result<(), StorageError> {
-        StableStore::commit_staged(self);
-        Ok(())
-    }
-
-    fn crash(&mut self) {
-        StableStore::crash(self);
-    }
-
-    fn crash_torn(&mut self, rng: &mut SimRng) {
-        StableStore::crash_torn(self, rng);
-    }
-
-    fn inject_bit_flip(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        StableStore::inject_bit_flip(self, rng)
-    }
-
-    fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        StableStore::inject_stale_sector(self, rng)
-    }
-}
-
-/// A boxed [`Storage`] backend with the typed codec layered on top.
-///
-/// The engine owns one of these; which backend lives inside is chosen
-/// at cluster-build time (`ClusterConfig::builder().backend(..)`).
-#[derive(Debug)]
-pub struct StorageHandle(Box<dyn Storage + Send>);
-
-impl Default for StorageHandle {
-    fn default() -> Self {
-        StorageHandle::sim()
-    }
+/// Which backend it is gets chosen at cluster-build time
+/// (`ClusterConfig::builder().backend(..)`). Reads go straight to the
+/// image through `Deref` ([`StableStore::verify_log`],
+/// [`StableStore::log_len`], [`StableStore::get_record`], ...); every
+/// mutation goes through the handle, so the mirror sees each one that
+/// reaches the platter.
+#[derive(Debug, Default)]
+pub struct StorageHandle {
+    image: StableStore,
+    mirror: Option<FileMirror>,
 }
 
 impl StorageHandle {
     /// The deterministic in-memory simulation backend (the default).
     pub fn sim() -> Self {
-        StorageHandle(Box::new(StableStore::new()))
+        StorageHandle::default()
     }
 
     /// A file-backed store rooted at `dir` (created if missing; an
@@ -242,58 +86,150 @@ impl StorageHandle {
     /// # Errors
     ///
     /// Returns [`StorageError::Io`] if the directory or its files
-    /// cannot be created or read.
-    pub fn file(dir: impl Into<std::path::PathBuf>) -> Result<Self, StorageError> {
-        Ok(StorageHandle(Box::new(FileStore::open(dir.into())?)))
-    }
-
-    /// Wraps an arbitrary backend.
-    pub fn from_backend(backend: Box<dyn Storage + Send>) -> Self {
-        StorageHandle(backend)
+    /// cannot be created or read. A *corrupt* checkpoint or log is not
+    /// an open error: it surfaces through
+    /// [`StableStore::get_record_bytes`] / [`StableStore::verify_log`],
+    /// so the engine's recovery path makes the fail-stop decision.
+    pub fn file(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
+        let (mirror, image) = FileMirror::open(dir.into())?;
+        let mirror = Some(mirror);
+        Ok(StorageHandle { image, mirror })
     }
 
     /// Stages a typed record under `key`, replacing any previous value.
     pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.0.put_record_shared(key, codec::to_shared(value));
+        self.image.put_record(key, value);
     }
 
-    /// Reads a typed record, seeing staged writes.
+    /// Stages pre-serialized record bytes under `key`, sharing them
+    /// (see [`StableStore::put_record_shared`]).
+    pub fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
+        self.image.put_record_shared(key, bytes);
+    }
+
+    /// Stages pre-serialized record bytes under `key`.
+    pub fn put_record_bytes(&mut self, key: &str, bytes: Vec<u8>) {
+        self.image.put_record_shared(key, bytes.into());
+    }
+
+    /// Appends an entry to the log (staged until commit), sealed with
+    /// the current incarnation epoch and a checksum. The record shares
+    /// the entry's bytes and, within one epoch, its checksum.
+    pub fn append_shared(&mut self, entry: &SharedEntry) {
+        self.image.append_shared(entry);
+    }
+
+    /// Appends pre-encoded bytes to the log, like
+    /// [`StorageHandle::append_shared`].
+    pub fn append_log(&mut self, entry: Vec<u8>) {
+        self.image.append_log(entry);
+    }
+
+    /// Sets the incarnation epoch stamped onto subsequent appends.
+    pub fn set_epoch(&mut self, epoch: u64) {
+        self.image.set_epoch(epoch);
+    }
+
+    /// Truncates the log, staged until the next commit (checkpoint).
+    pub fn truncate_log(&mut self) {
+        self.image.truncate_log();
+    }
+
+    /// All visible log entries as sealed records, oldest first.
+    pub fn read_log(&self) -> Vec<LogRecord> {
+        self.image.log_records().cloned().collect()
+    }
+
+    /// Makes all staged mutations durable.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Deserialize`] if the stored bytes fail
-    /// to decode as `T`, or [`StorageError::Io`] if the backend cannot
-    /// serve them.
-    pub fn get_record<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>, StorageError> {
-        match self.0.get_record_bytes(key)? {
-            Some(b) => codec::from_bytes(&b)
-                .map(Some)
-                .map_err(StorageError::Deserialize),
-            None => Ok(None),
+    /// Returns [`StorageError::Io`] if the file backend failed to
+    /// persist; the image then keeps everything staged. The sim store
+    /// cannot fail.
+    pub fn commit_staged(&mut self) -> Result<(), StorageError> {
+        match &mut self.mirror {
+            Some(mirror) => mirror.commit(&mut self.image),
+            None => {
+                self.image.commit_staged();
+                Ok(())
+            }
         }
     }
 
-    /// Appends a typed entry to the log (read back with
-    /// [`LogRecord::decode`]).
-    pub fn append_log_typed<T: Serialize + ?Sized>(&mut self, value: &T) {
-        self.0.append_shared(&SharedEntry::encode(value));
+    /// A power failure: staged mutations are lost.
+    pub fn crash(&mut self) {
+        self.image.crash();
+        if let Some(mirror) = &mut self.mirror {
+            mirror.reload(&mut self.image);
+        }
+    }
+
+    /// A power failure that tears the in-flight log append mid-record
+    /// (see [`StableStore::crash_torn`]).
+    pub fn crash_torn(&mut self, rng: &mut SimRng) {
+        match &mut self.mirror {
+            Some(mirror) => mirror.crash_torn(&mut self.image, rng),
+            None => self.image.crash_torn(rng),
+        }
+    }
+
+    /// Flips one random bit in one persisted log record's payload (see
+    /// [`StableStore::inject_bit_flip`]).
+    pub fn inject_bit_flip(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
+        let fault = self.image.inject_bit_flip(rng)?;
+        self.rewrite_log_from(fault.index);
+        Some(fault)
+    }
+
+    /// Serves one persisted log record's payload from an earlier record
+    /// under its current header (see [`StableStore::inject_stale_sector`]).
+    pub fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
+        let fault = self.image.inject_stale_sector(rng)?;
+        self.rewrite_log_from(fault.index);
+        Some(fault)
+    }
+
+    /// Drops every persisted log record at `index` and beyond — the
+    /// recovery-time repair after a torn final record.
+    pub fn truncate_log_from(&mut self, index: u64) {
+        self.image.truncate_log_from(index);
+        self.rewrite_log_from(index);
+    }
+
+    /// Puts the image's persisted log from record `index` on onto the
+    /// disk. Fault injection and repair are best effort: an I/O error
+    /// leaves the file as the next reopen finds it.
+    fn rewrite_log_from(&mut self, index: u64) {
+        if let Some(mirror) = &mut self.mirror {
+            let log = &self.image.persisted_log;
+            let index = (index as usize).min(log.len());
+            let _ = mirror.write_log(index, &log[index..], &[]);
+        }
+    }
+
+    /// Wall-clock I/O statistics, for the backend that touches a real
+    /// disk.
+    pub fn io_stats(&self) -> Option<FileIoStats> {
+        self.mirror.as_ref().map(FileMirror::io_stats)
+    }
+
+    /// Test hook, file backend only: the next checkpointing
+    /// [`StorageHandle::commit_staged`] powers off after the new
+    /// generation's files are written and fsynced but before the
+    /// `CURRENT` pointer flips — the window an atomic rename protects.
+    pub fn arm_checkpoint_crash(&mut self) {
+        if let Some(mirror) = &mut self.mirror {
+            mirror.arm_checkpoint_crash();
+        }
     }
 }
 
-/// Everything byte-level — the log, the epoch, `commit_staged`, crash
-/// and fault injection — is the backend's own [`Storage`] method,
-/// reached through the handle.
 impl Deref for StorageHandle {
-    type Target = dyn Storage + Send;
+    type Target = StableStore;
 
-    fn deref(&self) -> &Self::Target {
-        self.0.as_ref()
-    }
-}
-
-impl DerefMut for StorageHandle {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.0.as_mut()
+    fn deref(&self) -> &StableStore {
+        &self.image
     }
 }
 

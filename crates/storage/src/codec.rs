@@ -28,13 +28,13 @@ const SCRATCH_KEEP: usize = 64 << 10;
 /// Encodes a value for storage as shareable bytes — what
 /// [`StorageHandle::put_record`] stages and [`SharedEntry::encode`]
 /// logs, for a caller that shares them through
-/// [`Storage::put_record_shared`]. The same bytes as
+/// [`StorageHandle::put_record_shared`]. The same bytes as
 /// `serde::bin::to_vec`, in one allocation: the document is written into
 /// a reused buffer first.
 ///
 /// [`StorageHandle::put_record`]: crate::StorageHandle::put_record
 /// [`SharedEntry::encode`]: crate::SharedEntry::encode
-/// [`Storage::put_record_shared`]: crate::Storage::put_record_shared
+/// [`StorageHandle::put_record_shared`]: crate::StorageHandle::put_record_shared
 pub fn to_shared<T: Serialize + ?Sized>(value: &T) -> Arc<[u8]> {
     let mut out = SCRATCH.take();
     out.clear();

@@ -8,6 +8,9 @@
 //! [`StableStore`], driven by the simulation's dedicated fault RNG
 //! stream (`Ctx::fault_rng`) so every run replays byte-identically and
 //! a faulty run shares all non-fault events with its fault-free twin.
+//! A file-backed [`StorageHandle`](crate::StorageHandle) runs these
+//! same methods on its image and then writes the damage to disk, so
+//! each fault and its RNG draws exist once.
 //!
 //! The recovery contract these faults exercise (see
 //! `todr-core::persist`): a torn **final** record is expected — the
@@ -72,7 +75,7 @@ impl StableStore {
             .collect();
         let &index = rng.choose(&candidates)?;
         let record = &mut self.persisted_log[index];
-        record.bytes = flip_bit(&record.bytes, rng).0;
+        record.bytes = flip_bit(&record.bytes, rng);
         Some(InjectedFault {
             index: index as u64,
         })
@@ -100,38 +103,25 @@ impl StableStore {
     }
 }
 
-/// A copy of `bytes` with one random bit flipped, and the index of the
-/// byte it is in. The payload may be shared with other stores' records,
-/// so the damage goes to fresh bytes, never to the shared ones.
-pub(crate) fn flip_bit(bytes: &[u8], rng: &mut SimRng) -> (Arc<[u8]>, usize) {
+/// A copy of `bytes` with one random bit flipped. The payload may be
+/// shared with other stores' records, so the damage goes to fresh
+/// bytes, never to the shared ones.
+fn flip_bit(bytes: &[u8], rng: &mut SimRng) -> Arc<[u8]> {
     let mut rotten = bytes.to_vec();
     let byte = rng.gen_range(rotten.len() as u64) as usize;
     let bit = rng.gen_range(8) as u8;
     rotten[byte] ^= 1 << bit;
-    (rotten.into(), byte)
+    rotten.into()
 }
 
-/// Where a torn append cuts `bytes`: a random boundary strictly inside
-/// the payload.
-pub(crate) fn tear_point(bytes: &[u8], rng: &mut SimRng) -> usize {
-    if bytes.is_empty() {
-        0
-    } else {
-        rng.gen_range(bytes.len() as u64) as usize
-    }
-}
-
-/// Cuts a record's payload at [`tear_point`], keeping the original
-/// checksum (which therefore no longer matches).
+/// Cuts a record's payload at a random boundary strictly inside it;
+/// its checksum never lands (see [`LogRecord::torn`]).
 fn tear(record: LogRecord, rng: &mut SimRng) -> LogRecord {
-    let cut = tear_point(&record.bytes, rng);
-    LogRecord {
-        epoch: record.epoch,
-        bytes: record.bytes[..cut].into(),
-        // The checksum of the *complete* record: the tail of the
-        // payload never hit the platter, the header sector did.
-        checksum: record.checksum,
-    }
+    let cut = match record.bytes.len() {
+        0 => 0,
+        len => rng.gen_range(len as u64) as usize,
+    };
+    LogRecord::torn(record.epoch, &record.bytes[..cut])
 }
 
 #[cfg(test)]
@@ -179,6 +169,20 @@ mod tests {
             assert_eq!(store.verify_log(), Ok(()));
             assert!(store.log_len() >= 2);
         }
+    }
+
+    #[test]
+    fn a_torn_empty_entry_still_fails_its_checksum() {
+        let mut store = store_with_durable(&[b"durable"]);
+        store.append_log(Vec::new());
+        store.crash_torn(&mut rng());
+        assert_eq!(
+            store.verify_log(),
+            Err(LogFault {
+                index: 1,
+                kind: LogFaultKind::Checksum,
+            })
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! `FileStore` — real file-backed stable storage.
+//! The file mirror: a [`StableStore`] image's persisted state on disk.
 //!
-//! The same staged/persisted contract as the simulated [`StableStore`],
-//! implemented on an actual directory:
+//! The mirror keeps no staged state and makes no fault decisions; the
+//! image does both (see [`StorageHandle`](crate::StorageHandle)). The
+//! mirror only does the I/O, on an actual directory:
 //!
 //! ```text
 //! <dir>/CURRENT       "g=<n>\n" — which generation is live
@@ -37,98 +38,60 @@ use std::time::Instant;
 
 use todr_sim::{checksum64, SimRng};
 
-use crate::api::{FileIoStats, Storage};
-use crate::fault::{flip_bit, tear_point, InjectedFault};
-use crate::store::{IoError, IoOp, LogFault, LogFaultKind, LogRecord, SharedEntry, StorageError};
+use crate::api::FileIoStats;
+use crate::store::{IoError, IoOp, LogRecord, StableStore, StorageError};
 
-/// A persisted log record plus where its frame starts in the log file.
-#[derive(Debug, Clone)]
-struct PersistedFrame {
-    offset: u64,
-    record: LogRecord,
-}
-
-/// File-backed stable storage with the [`StableStore`] crash semantics
-/// on real bytes. See the module docs for the on-disk layout.
-///
-/// [`StableStore`]: crate::StableStore
+/// Where a [`StableStore`] image's persisted state lives on disk. See
+/// the module docs for the layout.
 #[derive(Debug)]
-pub struct FileStore {
+pub(crate) struct FileMirror {
     dir: PathBuf,
     generation: u64,
-    persisted_records: BTreeMap<String, Arc<[u8]>>,
-    /// Set when the checkpoint file on disk failed its checksum: every
-    /// record read errors until a fresh checkpoint replaces it.
-    records_fault: Option<IoError>,
-    persisted_frames: Vec<PersistedFrame>,
-    /// Byte length of the live region of the log file.
-    log_end: u64,
-    staged_records: BTreeMap<String, Arc<[u8]>>,
-    staged_log: Vec<LogRecord>,
-    staged_truncate: bool,
-    epoch: u64,
+    /// Frame boundaries in the live log file: persisted record `i`
+    /// starts at `offsets[i]`, and the last entry is where the live
+    /// region ends.
+    offsets: Vec<u64>,
     io: FileIoStats,
     /// Test hook: the next checkpoint commit powers off after writing
     /// the new generation's files but *before* flipping `CURRENT`.
     checkpoint_crash_armed: bool,
 }
 
-impl FileStore {
-    /// Opens (or initialises) a file store rooted at `dir`.
-    ///
-    /// Recovers whatever a previous incarnation left behind: reads the
-    /// live generation named by `CURRENT`, sweeps `*.tmp` files and
-    /// orphan generations from interrupted checkpoints, scans the log
-    /// for a torn tail, and verifies the checkpoint's checksum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Io`] if the directory or `CURRENT`
-    /// cannot be created or read. A *corrupt* checkpoint or log is not
-    /// an open error — it is surfaced through
-    /// [`Storage::get_record_bytes`] / [`Storage::verify_log`] so the
-    /// engine's recovery path makes the fail-stop decision.
-    pub fn open(dir: PathBuf) -> Result<Self, StorageError> {
+impl FileMirror {
+    /// Opens (or initialises) the store rooted at `dir` and loads the
+    /// image a previous incarnation left there: the live generation
+    /// named by `CURRENT`, after sweeping `*.tmp` files and orphan
+    /// generations from interrupted checkpoints.
+    pub(crate) fn open(dir: PathBuf) -> Result<(Self, StableStore), StorageError> {
         fs::create_dir_all(&dir).map_err(|e| io_err(IoOp::Create, &dir, e))?;
         let current = dir.join("CURRENT");
         let generation = match fs::read_to_string(&current) {
-            Ok(text) => parse_current(&text)
-                .ok_or_else(|| io_err_msg(IoOp::Read, &current, "malformed CURRENT pointer"))?,
+            Ok(text) => parse_current(&text).ok_or_else(|| {
+                StorageError::Io(io_error(IoOp::Read, &current, "malformed CURRENT pointer"))
+            })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 write_current(&dir, 0)?;
                 0
             }
             Err(e) => return Err(io_err(IoOp::Read, &current, e)),
         };
-        let mut store = FileStore {
+        let mut mirror = FileMirror {
             dir,
             generation,
-            persisted_records: BTreeMap::new(),
-            records_fault: None,
-            persisted_frames: Vec::new(),
-            log_end: 0,
-            staged_records: BTreeMap::new(),
-            staged_log: Vec::new(),
-            staged_truncate: false,
-            epoch: 0,
+            offsets: vec![0],
             io: FileIoStats::default(),
             checkpoint_crash_armed: false,
         };
-        store.sweep_orphans();
-        store.reload()?;
-        Ok(store)
+        mirror.sweep_orphans();
+        let image = mirror.load()?;
+        Ok((mirror, image))
     }
 
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    pub(crate) fn io_stats(&self) -> FileIoStats {
+        self.io
     }
 
-    /// Arms the checkpoint-crash test hook: the next checkpointing
-    /// [`Storage::commit_staged`] simulates a power failure after the
-    /// new generation's files are written and fsynced but before the
-    /// `CURRENT` pointer flips — the window an atomic rename protects.
-    pub fn arm_checkpoint_crash(&mut self) {
+    pub(crate) fn arm_checkpoint_crash(&mut self) {
         self.checkpoint_crash_armed = true;
     }
 
@@ -138,6 +101,11 @@ impl FileStore {
 
     fn records_path(&self) -> PathBuf {
         self.dir.join(format!("records-{}", self.generation))
+    }
+
+    /// Number of persisted log records on disk.
+    fn frames(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// Removes `*.tmp` files and files of non-live generations — the
@@ -162,16 +130,133 @@ impl FileStore {
         }
     }
 
-    /// Rebuilds the in-memory image of the persisted state from the
-    /// live generation's files. Staged state and the incarnation epoch
-    /// are untouched.
-    fn reload(&mut self) -> Result<(), StorageError> {
-        let (records, fault) = read_records_file(&self.records_path())?;
-        self.persisted_records = records;
-        self.records_fault = fault;
-        let (frames, log_end) = scan_log_file(&self.log_path())?;
-        self.persisted_frames = frames;
-        self.log_end = log_end;
+    /// The image a reopen finds in the live generation's files: a torn
+    /// tail scanned as a record that cannot verify, and a checkpoint
+    /// that fails its checksum as a fault on every record read.
+    fn load(&mut self) -> Result<StableStore, StorageError> {
+        let path = self.records_path();
+        let (records, records_fault) = match read_file(&path)?.as_deref().map(decode_records) {
+            None => (BTreeMap::new(), None),
+            Some(Ok(records)) => (records, None),
+            Some(Err(detail)) => (BTreeMap::new(), Some(io_error(IoOp::Read, &path, detail))),
+        };
+        let (log, offsets) = scan_log(&read_file(&self.log_path())?.unwrap_or_default());
+        self.offsets = offsets;
+        Ok(StableStore::reopened(records, log, records_fault))
+    }
+
+    /// Replaces `image` with what the disk holds, as a reopen would see
+    /// it, keeping its incarnation epoch. An unreadable disk leaves an
+    /// empty image.
+    pub(crate) fn reload(&mut self, image: &mut StableStore) {
+        let epoch = image.epoch();
+        *image = self.load().unwrap_or_else(|_| {
+            self.offsets = vec![0];
+            StableStore::new()
+        });
+        image.set_epoch(epoch);
+    }
+
+    /// Writes what `image` is about to persist, then commits it: the
+    /// staged frames and the records file, or on a staged truncation a
+    /// whole new generation.
+    pub(crate) fn commit(&mut self, image: &mut StableStore) -> Result<(), StorageError> {
+        if image.staged_truncate {
+            return self.checkpoint(image);
+        }
+        if !image.staged_log.is_empty() {
+            self.write_log(self.frames(), &image.staged_log, &[])?;
+        }
+        if image.has_staged_records() {
+            let path = self.records_path();
+            self.atomic_write(&path, &encode_records_file(image))?;
+            image.records_fault = None;
+        }
+        image.commit_staged();
+        Ok(())
+    }
+
+    /// The checkpointing commit: writes the next generation's record and
+    /// log files, then flips `CURRENT` atomically.
+    fn checkpoint(&mut self, image: &mut StableStore) -> Result<(), StorageError> {
+        let next = self.generation + 1;
+        let records_path = self.dir.join(format!("records-{next}"));
+        let log_path = self.dir.join(format!("log-{next}"));
+        // Both files are invisible until CURRENT names generation
+        // `next`, so they can be written in place (clobbering any
+        // orphan from a previously interrupted checkpoint).
+        self.write_synced(&records_path, &encode_records_file(image))?;
+        let (log, ends) = encode_frames(&image.staged_log, 0);
+        self.write_synced(&log_path, &log)?;
+
+        if std::mem::take(&mut self.checkpoint_crash_armed) {
+            // Simulated power failure in the vulnerable window: the new
+            // generation is fully on disk but CURRENT still names the
+            // old one, so the store must come back on the old state.
+            image.crash();
+            self.reload(image);
+            return Ok(());
+        }
+
+        write_current(&self.dir, next)?;
+        self.sync_dir()?;
+        let _ = fs::remove_file(self.log_path());
+        let _ = fs::remove_file(self.records_path());
+        self.generation = next;
+        self.offsets = std::iter::once(0).chain(ends).collect();
+        image.records_fault = None;
+        image.commit_staged();
+        Ok(())
+    }
+
+    /// Runs the image's torn crash, writes what reached the platter —
+    /// the intact prefix as complete frames, then the torn record as a
+    /// physically short one — and reloads the image from disk.
+    pub(crate) fn crash_torn(&mut self, image: &mut StableStore, rng: &mut SimRng) {
+        let staged = image.staged_log.clone();
+        let index = image.persisted_log.len();
+        image.crash_torn(rng);
+        if let Some((torn, intact)) = image.persisted_log[index..].split_last() {
+            // The header names the full payload, but only the bytes
+            // that landed (and no checksum) follow it.
+            let full = staged[intact.len()].bytes.len() as u32;
+            let mut short = full.to_le_bytes().to_vec();
+            short.extend_from_slice(&torn.epoch.to_le_bytes());
+            short.extend_from_slice(&torn.bytes);
+            let _ = self.write_log(index, intact, &short);
+        }
+        self.reload(image);
+    }
+
+    /// Keeps the live log file's first `index` frames, writes `records`
+    /// as the frames after them and then the raw `tail`, and fsyncs.
+    pub(crate) fn write_log(
+        &mut self,
+        index: usize,
+        records: &[LogRecord],
+        tail: &[u8],
+    ) -> Result<(), StorageError> {
+        let index = index.min(self.frames());
+        let start = self.offsets[index];
+        let (mut bytes, ends) = encode_frames(records, start);
+        bytes.extend_from_slice(tail);
+        let path = self.log_path();
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&path)
+            .map_err(|e| io_err(IoOp::Open, &path, e))?;
+        file.set_len(start)
+            .map_err(|e| io_err(IoOp::Truncate, &path, e))?;
+        file.seek(SeekFrom::Start(start))
+            .map_err(|e| io_err(IoOp::Seek, &path, e))?;
+        file.write_all(&bytes)
+            .map_err(|e| io_err(IoOp::Write, &path, e))?;
+        self.io.file_bytes_written += bytes.len() as u64;
+        self.sync_file(&file, &path)?;
+        self.offsets.truncate(index + 1);
+        self.offsets.extend(ends);
         Ok(())
     }
 
@@ -194,357 +279,21 @@ impl FileStore {
         self.sync_file(&handle, &dir)
     }
 
+    /// Writes `bytes` as the whole of `path` and fsyncs it.
+    fn write_synced(&mut self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+        let mut file = File::create(path).map_err(|e| io_err(IoOp::Create, path, e))?;
+        file.write_all(bytes)
+            .map_err(|e| io_err(IoOp::Write, path, e))?;
+        self.io.file_bytes_written += bytes.len() as u64;
+        self.sync_file(&file, path)
+    }
+
     /// Writes `bytes` to `<path>.tmp`, fsyncs, and renames over `path`.
     fn atomic_write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         let tmp = tmp_path(path);
-        let mut file = File::create(&tmp).map_err(|e| io_err(IoOp::Create, &tmp, e))?;
-        file.write_all(bytes)
-            .map_err(|e| io_err(IoOp::Write, &tmp, e))?;
-        self.io.file_bytes_written += bytes.len() as u64;
-        self.sync_file(&file, &tmp)?;
+        self.write_synced(&tmp, bytes)?;
         fs::rename(&tmp, path).map_err(|e| io_err(IoOp::Rename, path, e))?;
         self.sync_dir()
-    }
-
-    /// Appends `frames` to the live log file and fsyncs, updating the
-    /// in-memory mirror.
-    fn append_frames(&mut self, records: Vec<LogRecord>) -> Result<(), StorageError> {
-        let path = self.log_path();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(IoOp::Open, &path, e))?;
-        // A previous torn tail may still occupy bytes past `log_end`;
-        // honest appends must not land after garbage.
-        file.set_len(self.log_end)
-            .map_err(|e| io_err(IoOp::Truncate, &path, e))?;
-        for record in records {
-            let frame = encode_frame(&record);
-            file.write_all(&frame)
-                .map_err(|e| io_err(IoOp::Write, &path, e))?;
-            self.io.file_bytes_written += frame.len() as u64;
-            self.persisted_frames.push(PersistedFrame {
-                offset: self.log_end,
-                record,
-            });
-            self.log_end += frame.len() as u64;
-        }
-        self.sync_file(&file, &path)
-    }
-
-    /// Whether any staged (not yet durable) mutations exist.
-    pub fn has_staged(&self) -> bool {
-        !self.staged_records.is_empty() || !self.staged_log.is_empty() || self.staged_truncate
-    }
-
-    /// Serializes and atomically replaces the live checkpoint file with
-    /// the persisted map plus staged overlays.
-    fn merged_records(&self) -> BTreeMap<String, Arc<[u8]>> {
-        let mut merged = self.persisted_records.clone();
-        merged.extend(self.staged_records.clone());
-        merged
-    }
-
-    /// The checkpointing commit: writes the next generation's record and
-    /// log files, then flips `CURRENT` atomically.
-    fn commit_checkpoint(&mut self) -> Result<(), StorageError> {
-        let next = self.generation + 1;
-        let records = self.merged_records();
-        let records_path = self.dir.join(format!("records-{next}"));
-        let log_path = self.dir.join(format!("log-{next}"));
-
-        // Both files are invisible until CURRENT names generation
-        // `next`, so they can be written in place (clobbering any
-        // orphan from a previously interrupted checkpoint).
-        let bytes = encode_records_file(&records);
-        let mut file =
-            File::create(&records_path).map_err(|e| io_err(IoOp::Create, &records_path, e))?;
-        file.write_all(&bytes)
-            .map_err(|e| io_err(IoOp::Write, &records_path, e))?;
-        self.io.file_bytes_written += bytes.len() as u64;
-        self.sync_file(&file, &records_path)?;
-
-        let mut log_bytes = Vec::new();
-        for record in &self.staged_log {
-            log_bytes.extend_from_slice(&encode_frame(record));
-        }
-        let mut file = File::create(&log_path).map_err(|e| io_err(IoOp::Create, &log_path, e))?;
-        file.write_all(&log_bytes)
-            .map_err(|e| io_err(IoOp::Write, &log_path, e))?;
-        self.io.file_bytes_written += log_bytes.len() as u64;
-        self.sync_file(&file, &log_path)?;
-
-        if self.checkpoint_crash_armed {
-            // Simulated power failure in the vulnerable window: the new
-            // generation is fully on disk but CURRENT still names the
-            // old one, so the store must come back on the old state.
-            self.checkpoint_crash_armed = false;
-            Storage::crash(self);
-            return Ok(());
-        }
-
-        write_current(&self.dir, next)?;
-        self.sync_dir()?;
-        let old_log = self.log_path();
-        let old_records = self.records_path();
-        let _ = fs::remove_file(old_log);
-        let _ = fs::remove_file(old_records);
-
-        self.generation = next;
-        self.persisted_records = records;
-        self.records_fault = None;
-        self.persisted_frames = Vec::new();
-        self.log_end = 0;
-        let mut offset = 0u64;
-        for record in std::mem::take(&mut self.staged_log) {
-            let frame_len = frame_len(&record) as u64;
-            self.persisted_frames
-                .push(PersistedFrame { offset, record });
-            offset += frame_len;
-        }
-        self.log_end = offset;
-        self.staged_records.clear();
-        self.staged_truncate = false;
-        Ok(())
-    }
-
-    /// Rewrites the live log file from the (possibly damaged) in-memory
-    /// frames — used by fault injection, which deliberately bypasses
-    /// the crash-safe paths.
-    fn rewrite_log(&mut self) -> Result<(), StorageError> {
-        let path = self.log_path();
-        let mut bytes = Vec::new();
-        let mut offset = 0u64;
-        for frame in &mut self.persisted_frames {
-            let encoded = encode_frame(&frame.record);
-            frame.offset = offset;
-            offset += encoded.len() as u64;
-            bytes.extend_from_slice(&encoded);
-        }
-        self.log_end = offset;
-        let mut file = File::create(&path).map_err(|e| io_err(IoOp::Create, &path, e))?;
-        file.write_all(&bytes)
-            .map_err(|e| io_err(IoOp::Write, &path, e))?;
-        self.sync_file(&file, &path)
-    }
-}
-
-impl Storage for FileStore {
-    fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
-        self.staged_records.insert(key.to_string(), bytes);
-    }
-
-    fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        if let Some(fault) = &self.records_fault {
-            return Err(StorageError::Io(fault.clone()));
-        }
-        let bytes = self
-            .staged_records
-            .get(key)
-            .or_else(|| self.persisted_records.get(key));
-        Ok(bytes.map(|b| b.to_vec()))
-    }
-
-    fn append_shared(&mut self, entry: &SharedEntry) {
-        self.staged_log.push(entry.seal(self.epoch));
-    }
-
-    fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn log_len(&self) -> usize {
-        if self.staged_truncate {
-            self.staged_log.len()
-        } else {
-            self.persisted_frames.len() + self.staged_log.len()
-        }
-    }
-
-    fn read_log(&self) -> Vec<LogRecord> {
-        let persisted = if self.staged_truncate {
-            &[][..]
-        } else {
-            &self.persisted_frames[..]
-        };
-        persisted
-            .iter()
-            .map(|f| f.record.clone())
-            .chain(self.staged_log.iter().cloned())
-            .collect()
-    }
-
-    fn verify_log(&self) -> Result<(), LogFault> {
-        let mut prev_epoch = 0u64;
-        for (index, frame) in self.persisted_frames.iter().enumerate() {
-            if !frame.record.is_valid() {
-                return Err(LogFault {
-                    index: index as u64,
-                    kind: LogFaultKind::Checksum,
-                });
-            }
-            if frame.record.epoch < prev_epoch {
-                return Err(LogFault {
-                    index: index as u64,
-                    kind: LogFaultKind::EpochRegression,
-                });
-            }
-            prev_epoch = frame.record.epoch;
-        }
-        Ok(())
-    }
-
-    fn truncate_log_from(&mut self, index: u64) {
-        debug_assert!(
-            !self.has_staged(),
-            "truncate_log_from is a recovery-time repair; staged data should be gone"
-        );
-        let index = index as usize;
-        if index >= self.persisted_frames.len() {
-            return;
-        }
-        let new_end = self.persisted_frames[index].offset;
-        self.persisted_frames.truncate(index);
-        self.log_end = new_end;
-        let path = self.log_path();
-        // Physically cut the file so a re-open agrees with the repair.
-        if let Ok(file) = OpenOptions::new().write(true).open(&path) {
-            if file.set_len(new_end).is_ok() {
-                let _ = self.sync_file(&file, &path);
-            }
-        }
-    }
-
-    fn truncate_log(&mut self) {
-        self.staged_truncate = true;
-        self.staged_log.clear();
-    }
-
-    fn commit_staged(&mut self) -> Result<(), StorageError> {
-        if self.staged_truncate {
-            return self.commit_checkpoint();
-        }
-        if !self.staged_log.is_empty() {
-            let staged = std::mem::take(&mut self.staged_log);
-            self.append_frames(staged)?;
-        }
-        if !self.staged_records.is_empty() {
-            let merged = self.merged_records();
-            let bytes = encode_records_file(&merged);
-            let path = self.records_path();
-            self.atomic_write(&path, &bytes)?;
-            self.persisted_records = merged;
-            self.records_fault = None;
-            self.staged_records.clear();
-        }
-        Ok(())
-    }
-
-    fn crash(&mut self) {
-        self.staged_records.clear();
-        self.staged_log.clear();
-        self.staged_truncate = false;
-        // What survives is whatever the live generation's files hold.
-        if self.reload().is_err() {
-            self.persisted_records = BTreeMap::new();
-            self.persisted_frames = Vec::new();
-            self.log_end = 0;
-        }
-    }
-
-    fn crash_torn(&mut self, rng: &mut SimRng) {
-        if self.staged_truncate || self.staged_log.is_empty() {
-            Storage::crash(self);
-            return;
-        }
-        // Same RNG draw order as the sim backend, so a seeded schedule
-        // injures the same logical record on either backend.
-        let staged = std::mem::take(&mut self.staged_log);
-        let torn_at = rng.gen_range(staged.len() as u64) as usize;
-        let mut intact = Vec::new();
-        let mut torn: Option<(LogRecord, usize)> = None;
-        for (i, record) in staged.into_iter().enumerate() {
-            if i < torn_at {
-                intact.push(record);
-            } else if i == torn_at {
-                let cut = tear_point(&record.bytes, rng);
-                torn = Some((record, cut));
-            } else {
-                break; // never reached the platter
-            }
-        }
-        // The intact prefix lands as complete frames...
-        if !intact.is_empty() {
-            let _ = self.append_frames(intact);
-        }
-        // ...then the torn frame: its length header names the full
-        // payload, but only `cut` bytes (and no checksum) follow — a
-        // physically short final frame, exactly what a power failure
-        // leaves.
-        if let Some((record, cut)) = torn {
-            let path = self.log_path();
-            if let Ok(mut file) = OpenOptions::new().create(true).append(true).open(&path) {
-                let mut partial = Vec::with_capacity(12 + cut);
-                partial.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
-                partial.extend_from_slice(&record.epoch.to_le_bytes());
-                partial.extend_from_slice(&record.bytes[..cut]);
-                let _ = file.write_all(&partial);
-                let _ = self.sync_file(&file, &path);
-            }
-        }
-        self.staged_records.clear();
-        self.staged_truncate = false;
-        // Come back exactly as a re-open would see the disk.
-        let _ = self.reload();
-    }
-
-    fn inject_bit_flip(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        let candidates: Vec<usize> = (0..self.persisted_frames.len())
-            .filter(|&i| !self.persisted_frames[i].record.bytes.is_empty())
-            .collect();
-        let &index = rng.choose(&candidates)?;
-        let frame = &mut self.persisted_frames[index];
-        let (rotten, byte) = flip_bit(&frame.record.bytes, rng);
-        let (frame_offset, flipped) = (frame.offset, rotten[byte]);
-        frame.record.bytes = rotten;
-        // Rot the same bit on the platter: payload starts after the
-        // 4-byte length and 8-byte epoch of the frame header.
-        let path = self.log_path();
-        let pos = frame_offset + 12 + byte as u64;
-        if let Ok(mut file) = OpenOptions::new().read(true).write(true).open(&path) {
-            if file.seek(SeekFrom::Start(pos)).is_ok() {
-                let _ = file.write_all(&[flipped]);
-                let _ = self.sync_file(&file, &path);
-            }
-        }
-        Some(InjectedFault {
-            index: index as u64,
-        })
-    }
-
-    fn inject_stale_sector(&mut self, rng: &mut SimRng) -> Option<InjectedFault> {
-        if self.persisted_frames.len() < 2 {
-            return None;
-        }
-        let index = 1 + rng.gen_range(self.persisted_frames.len() as u64 - 1) as usize;
-        let stale_from = rng.gen_range(index as u64) as usize;
-        let stale_bytes = Arc::clone(&self.persisted_frames[stale_from].record.bytes);
-        self.persisted_frames[index].record.bytes = stale_bytes;
-        // Payload lengths differ, so the whole file is rewritten with
-        // the stale payload under the original (now lying) header.
-        let _ = self.rewrite_log();
-        Some(InjectedFault {
-            index: index as u64,
-        })
-    }
-
-    fn io_stats(&self) -> Option<FileIoStats> {
-        Some(self.io)
     }
 }
 
@@ -554,20 +303,25 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn io_err(op: IoOp, path: &Path, e: std::io::Error) -> StorageError {
-    StorageError::Io(IoError {
-        op,
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })
-}
-
-fn io_err_msg(op: IoOp, path: &Path, detail: &str) -> StorageError {
-    StorageError::Io(IoError {
+fn io_error(op: IoOp, path: &Path, detail: impl ToString) -> IoError {
+    IoError {
         op,
         path: path.display().to_string(),
         detail: detail.to_string(),
-    })
+    }
+}
+
+fn io_err(op: IoOp, path: &Path, e: std::io::Error) -> StorageError {
+    StorageError::Io(io_error(op, path, e))
+}
+
+/// A file's bytes, or `None` if it does not exist.
+fn read_file(path: &Path) -> Result<Option<Vec<u8>>, StorageError> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(IoOp::Read, path, e)),
+    }
 }
 
 fn parse_current(text: &str) -> Option<u64> {
@@ -586,88 +340,97 @@ fn write_current(dir: &Path, generation: u64) -> Result<(), StorageError> {
     Ok(())
 }
 
-fn frame_len(record: &LogRecord) -> usize {
-    4 + 8 + record.bytes.len() + 8
+/// The frames of `records`, each `[len: u32 LE][epoch: u64 LE]
+/// [payload][checksum: u64 LE]`, and the file offset each one ends at
+/// when written at `start`.
+fn encode_frames(records: &[LogRecord], start: u64) -> (Vec<u8>, Vec<u64>) {
+    let mut bytes = Vec::new();
+    let mut ends = Vec::with_capacity(records.len());
+    for record in records {
+        bytes.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&record.epoch.to_le_bytes());
+        bytes.extend_from_slice(&record.bytes);
+        bytes.extend_from_slice(&record.checksum.to_le_bytes());
+        ends.push(start + bytes.len() as u64);
+    }
+    (bytes, ends)
 }
 
-/// `[len: u32 LE][epoch: u64 LE][payload][checksum: u64 LE]`.
-fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(frame_len(record));
-    frame.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&record.epoch.to_le_bytes());
-    frame.extend_from_slice(&record.bytes);
-    frame.extend_from_slice(&record.checksum.to_le_bytes());
-    frame
+/// Little-endian fields off the front of a byte slice; every read is
+/// `None` once the bytes run out.
+struct LeReader<'a>(&'a [u8]);
+
+impl<'a> LeReader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `[len: u32 LE][bytes]` chunk.
+    fn chunk(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()?;
+        self.take(len as usize)
+    }
 }
 
-/// Scans a log file into sealed records plus the file's byte length.
+/// Scans a log file into sealed records and their frame boundaries.
 ///
-/// A physically incomplete final frame (torn write) is surfaced as a
-/// record whose checksum is guaranteed not to match, so the caller's
-/// `verify_log` reports a tail `Checksum` fault — the same shape the
-/// sim backend produces for a torn crash.
-fn scan_log_file(path: &Path) -> Result<(Vec<PersistedFrame>, u64), StorageError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(io_err(IoOp::Read, path, e)),
-    };
-    let total = bytes.len();
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < total {
-        let header_end = pos + 12;
-        if header_end > total {
-            // Not even a full header landed: a torn, payload-less tail.
-            frames.push(torn_frame(pos as u64, 0, Arc::new([])));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let epoch = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let frame_end = header_end + len + 8;
-        if frame_end > total {
-            let avail = total.saturating_sub(header_end).min(len);
-            let payload = bytes[header_end..header_end + avail].into();
-            frames.push(torn_frame(pos as u64, epoch, payload));
-            break;
-        }
-        let payload = bytes[header_end..header_end + len].into();
-        let checksum = u64::from_le_bytes(bytes[header_end + len..frame_end].try_into().unwrap());
-        frames.push(PersistedFrame {
-            offset: pos as u64,
-            record: LogRecord {
-                epoch,
-                bytes: payload,
-                checksum,
-            },
+/// A physically incomplete final frame (torn write) is surfaced as the
+/// [`LogRecord::torn`] record the image's own torn crash leaves, so
+/// `verify_log` reports the same tail `Checksum` fault on either
+/// backend.
+fn scan_log(bytes: &[u8]) -> (Vec<LogRecord>, Vec<u64>) {
+    let mut reader = LeReader(bytes);
+    let (mut log, mut offsets) = (Vec::new(), vec![0]);
+    while !reader.0.is_empty() {
+        let record = read_frame(&mut reader).unwrap_or_else(|(epoch, payload)| {
+            reader.0 = &[];
+            LogRecord::torn(epoch, payload)
         });
-        pos = frame_end;
+        log.push(record);
+        offsets.push((bytes.len() - reader.0.len()) as u64);
     }
-    Ok((frames, total as u64))
+    (log, offsets)
 }
 
-/// A synthesized record for a physically incomplete frame. The stored
-/// checksum is the bitwise complement of the true one, so
-/// `LogRecord::is_valid` can never pass.
-fn torn_frame(offset: u64, epoch: u64, payload: Arc<[u8]>) -> PersistedFrame {
-    let checksum = !LogRecord::compute(epoch, &payload);
-    PersistedFrame {
-        offset,
-        record: LogRecord {
-            epoch,
-            bytes: payload,
-            checksum,
-        },
-    }
+/// Reads one frame, or the epoch and payload bytes of a torn one.
+fn read_frame<'a>(reader: &mut LeReader<'a>) -> Result<LogRecord, (u64, &'a [u8])> {
+    let (Some(len), Some(epoch)) = (reader.u32(), reader.u64()) else {
+        // Not even a full header landed: a torn, payload-less tail.
+        return Err((0, &[]));
+    };
+    let Some(payload) = reader.take(len as usize) else {
+        return Err((epoch, reader.0));
+    };
+    let checksum = reader.u64().ok_or((epoch, payload))?;
+    Ok(LogRecord {
+        epoch,
+        bytes: payload.into(),
+        checksum,
+    })
 }
 
 /// Checkpoint file format: `[count: u64 LE]` then per record
 /// `[klen: u32 LE][key][vlen: u32 LE][value]`, sealed with a trailing
-/// `checksum64` over everything before it.
-fn encode_records_file(records: &BTreeMap<String, Arc<[u8]>>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for (key, value) in records {
+/// `checksum64` over everything before it. The map is the image's
+/// records as the commit leaves them.
+fn encode_records_file(image: &StableStore) -> Vec<u8> {
+    let count = image.records_after_commit().count() as u64;
+    let mut out = count.to_le_bytes().to_vec();
+    for (key, value) in image.records_after_commit() {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
         out.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -678,61 +441,26 @@ fn encode_records_file(records: &BTreeMap<String, Arc<[u8]>>) -> Vec<u8> {
     out
 }
 
-/// Reads a checkpoint file. A missing file is an empty map; a corrupt
-/// one yields the fault to report on every record read (recovery
-/// fail-stops on it), not an open error.
-#[allow(clippy::type_complexity)]
-fn read_records_file(
-    path: &Path,
-) -> Result<(BTreeMap<String, Arc<[u8]>>, Option<IoError>), StorageError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((BTreeMap::new(), None)),
-        Err(e) => return Err(io_err(IoOp::Read, path, e)),
-    };
-    let fault = |detail: &str| IoError {
-        op: IoOp::Read,
-        path: path.display().to_string(),
-        detail: detail.to_string(),
-    };
+/// Decodes a checkpoint file, or says what is wrong with it. A corrupt
+/// one is not an open error: recovery fail-stops on the fault every
+/// record read reports.
+fn decode_records(bytes: &[u8]) -> Result<BTreeMap<String, Arc<[u8]>>, &'static str> {
+    const TRUNCATED: &str = "checkpoint entry truncated";
     if bytes.len() < 16 {
-        return Ok((BTreeMap::new(), Some(fault("checkpoint file truncated"))));
+        return Err("checkpoint file truncated");
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if checksum64(body) != stored {
-        return Ok((BTreeMap::new(), Some(fault("checkpoint checksum mismatch"))));
+    if LeReader(trailer).u64() != Some(checksum64(body)) {
+        return Err("checkpoint checksum mismatch");
     }
+    let mut reader = LeReader(body);
+    let count = reader.u64().ok_or(TRUNCATED)?;
     let mut records = BTreeMap::new();
-    let count = u64::from_le_bytes(body[..8].try_into().unwrap());
-    let mut pos = 8usize;
     for _ in 0..count {
-        let Some((key, next)) = read_chunk(body, pos) else {
-            return Ok((BTreeMap::new(), Some(fault("checkpoint entry truncated"))));
-        };
-        let Ok(key) = String::from_utf8(key) else {
-            return Ok((BTreeMap::new(), Some(fault("checkpoint key not UTF-8"))));
-        };
-        let Some((value, next)) = read_chunk(body, next) else {
-            return Ok((BTreeMap::new(), Some(fault("checkpoint entry truncated"))));
-        };
-        records.insert(key, value.into());
-        pos = next;
+        let key = reader.chunk().ok_or(TRUNCATED)?;
+        let key = std::str::from_utf8(key).map_err(|_| "checkpoint key not UTF-8")?;
+        let value = reader.chunk().ok_or(TRUNCATED)?;
+        records.insert(key.to_string(), value.into());
     }
-    Ok((records, None))
-}
-
-/// Reads a `[len: u32 LE][bytes]` chunk at `pos`, returning the bytes
-/// and the position after them.
-fn read_chunk(body: &[u8], pos: usize) -> Option<(Vec<u8>, usize)> {
-    let len_end = pos.checked_add(4)?;
-    if len_end > body.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[pos..len_end].try_into().unwrap()) as usize;
-    let end = len_end.checked_add(len)?;
-    if end > body.len() {
-        return None;
-    }
-    Some((body[len_end..end].to_vec(), end))
+    Ok(records)
 }

@@ -44,15 +44,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! ## Pluggable backends
+//! ## One state machine, two media
 //!
-//! The store surface is abstracted behind the [`Storage`] trait, with
-//! [`StableStore`] (deterministic sim, the default) and [`FileStore`]
-//! (real files: framed checksummed log + atomically-renamed record
-//! checkpoint) as implementations. The engine holds a boxed backend via
-//! [`StorageHandle`], which layers the typed record codec on top: a
-//! compact binary format (see `codec.rs` and `serde::bin`) that only
-//! this crate names, so no caller depends on what the bytes look like.
+//! [`StableStore`] is the only staged/persisted state machine. The
+//! engine holds a [`StorageHandle`]: a `StableStore` image and, on the
+//! file backend, a mirror of it on disk (a framed checksummed log plus
+//! an atomically-renamed record checkpoint). The mirror does only I/O:
+//! each commit, crash and fault runs the image's own code once and the
+//! mirror then writes its effect, so recovery and the oracles see the
+//! same image on either backend. Records are typed at the edges
+//! through a compact binary codec (see `codec.rs` and `serde::bin`)
+//! that only this crate names, so no caller depends on what the bytes
+//! look like.
 
 mod api;
 mod codec;
@@ -61,11 +64,10 @@ mod fault;
 mod file;
 mod store;
 
-pub use api::{FileIoStats, Storage, StorageHandle};
+pub use api::{FileIoStats, StorageHandle};
 pub use codec::{to_shared as encode_record, CodecError, CodecErrorKind};
 pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
-pub use file::FileStore;
 pub use store::{
     IoError, IoOp, LogFault, LogFaultKind, LogRecord, SharedEntry, StableStore, StorageError,
 };

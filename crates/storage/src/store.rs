@@ -102,13 +102,27 @@ impl LogRecord {
         checksum64_of(&[&epoch.to_le_bytes(), bytes])
     }
 
+    /// The record a write cut short leaves: the payload bytes that
+    /// landed under a checksum that never did. The stored checksum is
+    /// the complement of the true one, so the record can never verify,
+    /// even when nothing of the payload landed.
+    pub(crate) fn torn(epoch: u64, bytes: &[u8]) -> Self {
+        let checksum = !LogRecord::compute(epoch, bytes);
+        let bytes = bytes.into();
+        LogRecord {
+            epoch,
+            bytes,
+            checksum,
+        }
+    }
+
     /// Whether the stored checksum matches the record's content.
     pub fn is_valid(&self) -> bool {
         self.checksum == LogRecord::compute(self.epoch, &self.bytes)
     }
 
     /// Decodes the payload as a `T` written by
-    /// [`StorageHandle::append_log_typed`](crate::StorageHandle::append_log_typed).
+    /// [`StableStore::append_log_typed`].
     ///
     /// # Errors
     ///
@@ -251,6 +265,10 @@ pub struct StableStore {
     pub(crate) staged_truncate: bool,
     /// Incarnation epoch stamped onto every appended log record.
     pub(crate) epoch: u64,
+    /// Set when the persisted record map could not be read back (a
+    /// file checkpoint failed its checksum): every record read errors
+    /// until a commit persists a fresh map.
+    pub(crate) records_fault: Option<IoError>,
 }
 
 /// A named record: its persisted bytes and the bytes staged over them.
@@ -260,19 +278,54 @@ pub(crate) struct Record {
     staged: Option<Arc<[u8]>>,
 }
 
+impl Record {
+    /// The bytes a reader sees: staged over persisted.
+    fn current(&self) -> Option<&[u8]> {
+        self.staged
+            .as_ref()
+            .or(self.persisted.as_ref())
+            .map(|b| &b[..])
+    }
+}
+
 impl StableStore {
     /// An empty store.
     pub fn new() -> Self {
         StableStore::default()
     }
 
-    /// Stages a typed record under `key`, replacing any previous value.
-    pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.put_record_raw(key, codec::to_shared(value));
+    /// The image a reopen finds on disk: `records` and `log` persisted,
+    /// nothing staged.
+    pub(crate) fn reopened(
+        records: BTreeMap<String, Arc<[u8]>>,
+        persisted_log: Vec<LogRecord>,
+        records_fault: Option<IoError>,
+    ) -> Self {
+        let records = records
+            .into_iter()
+            .map(|(key, bytes)| {
+                let staged = None;
+                let persisted = Some(bytes);
+                (key, Record { persisted, staged })
+            })
+            .collect();
+        StableStore {
+            records,
+            persisted_log,
+            records_fault,
+            ..StableStore::default()
+        }
     }
 
-    /// Stages pre-serialized record bytes under `key`, sharing them.
-    pub(crate) fn put_record_raw(&mut self, key: &str, bytes: Arc<[u8]>) {
+    /// Stages a typed record under `key`, replacing any previous value.
+    pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.put_record_shared(key, codec::to_shared(value));
+    }
+
+    /// Stages pre-serialized record bytes under `key`. The store keeps
+    /// the shared bytes themselves, so stores handed one record (every
+    /// replica checkpointing one database version) hold one copy.
+    pub fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
         match self.records.get_mut(key) {
             Some(record) => record.staged = Some(bytes),
             None => {
@@ -286,14 +339,24 @@ impl StableStore {
         }
     }
 
+    /// Every record as the next commit leaves it: staged bytes over
+    /// persisted ones.
+    pub(crate) fn records_after_commit(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        let records = self.records.iter();
+        records.filter_map(|(key, record)| Some((key.as_str(), record.current()?)))
+    }
+
     /// Reads a record's raw bytes, seeing staged writes.
-    pub(crate) fn get_record_raw(&self, key: &str) -> Option<&[u8]> {
-        let record = self.records.get(key)?;
-        record
-            .staged
-            .as_ref()
-            .or(record.persisted.as_ref())
-            .map(|b| &b[..])
+    fn record_bytes(&self, key: &str) -> Result<Option<&[u8]>, StorageError> {
+        if let Some(fault) = &self.records_fault {
+            return Err(StorageError::Io(fault.clone()));
+        }
+        Ok(self.records.get(key).and_then(Record::current))
+    }
+
+    /// Whether any record write is staged.
+    pub(crate) fn has_staged_records(&self) -> bool {
+        self.records.values().any(|r| r.staged.is_some())
     }
 
     /// Drops every staged record write.
@@ -303,14 +366,25 @@ impl StableStore {
         }
     }
 
+    /// Reads a record's bytes, seeing staged writes (read-your-writes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::Io`] if the persisted record map could
+    /// not be read back (a corrupt checkpoint file).
+    pub fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        Ok(self.record_bytes(key)?.map(<[u8]>::to_vec))
+    }
+
     /// Reads a typed record, seeing staged writes (read-your-writes).
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::Deserialize`] if the stored bytes fail to
-    /// deserialize as `T`.
+    /// deserialize as `T`, or [`StorageError::Io`] as
+    /// [`StableStore::get_record_bytes`] does.
     pub fn get_record<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>, StorageError> {
-        match self.get_record_raw(key) {
+        match self.record_bytes(key)? {
             Some(b) => codec::from_bytes(b)
                 .map(Some)
                 .map_err(StorageError::Deserialize),
@@ -458,8 +532,7 @@ impl StableStore {
 
     /// Whether any staged (not yet durable) mutations exist.
     pub fn has_staged(&self) -> bool {
-        let staged_record = self.records.values().any(|r| r.staged.is_some());
-        staged_record || !self.staged_log.is_empty() || self.staged_truncate
+        self.has_staged_records() || !self.staged_log.is_empty() || self.staged_truncate
     }
 
     /// Simulates a power failure: staged mutations are lost, the

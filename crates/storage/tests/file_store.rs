@@ -1,4 +1,4 @@
-//! `FileStore` crash-consistency tests on real files.
+//! File-backed `StorageHandle` crash-consistency tests on real files.
 //!
 //! Everything here runs in a throwaway directory under the OS temp dir;
 //! each test gets its own so they can run in parallel.
@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use todr_sim::SimRng;
-use todr_storage::{FileStore, LogFaultKind, StableStore, Storage, StorageError, StorageHandle};
+use todr_storage::{LogFaultKind, StorageError, StorageHandle};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -34,8 +34,8 @@ impl Drop for TempDir {
     }
 }
 
-fn open(dir: &TempDir) -> FileStore {
-    FileStore::open(dir.path()).expect("open file store")
+fn open(dir: &TempDir) -> StorageHandle {
+    StorageHandle::file(dir.path()).expect("open file store")
 }
 
 #[test]
@@ -233,7 +233,7 @@ fn interrupted_checkpoint_recovers_previous_state() {
         store.arm_checkpoint_crash();
         store.commit_staged().unwrap();
 
-        let check = |store: &FileStore, ctx: &str| {
+        let check = |store: &StorageHandle, ctx: &str| {
             assert_eq!(
                 store.get_record_bytes("base").unwrap(),
                 Some(format!("base-{seed}").into_bytes()),
@@ -284,29 +284,72 @@ fn corrupt_checkpoint_file_fails_record_reads() {
     }
 }
 
+/// The same operations on either backend, building a two-record
+/// sealed log across a checkpoint and an epoch change.
+fn seal_log(handle: &mut StorageHandle) {
+    handle.set_epoch(2);
+    handle.append_log(b"alpha".to_vec());
+    handle.append_log(b"beta".to_vec());
+    handle.commit_staged().unwrap();
+    handle.truncate_log();
+    handle.append_log(b"gamma".to_vec());
+    handle.commit_staged().unwrap();
+    handle.set_epoch(3);
+    handle.append_log(b"delta".to_vec());
+    handle.commit_staged().unwrap();
+}
+
 /// The two backends must agree byte-for-byte on the sealed log a given
-/// operation sequence produces — that is what lets recovery logic and
-/// oracles run unchanged against either.
+/// operation sequence produces, and on every fault a seeded schedule
+/// injects into it — that is what lets recovery logic and oracles run
+/// unchanged against either.
 #[test]
 fn file_and_sim_backends_agree_on_sealed_log() {
     let dir = TempDir::new("parity");
     let mut file = StorageHandle::file(dir.path()).unwrap();
-    let mut sim = StorageHandle::from_backend(Box::new(StableStore::new()));
-    for handle in [&mut file, &mut sim] {
-        handle.set_epoch(2);
-        handle.append_log(b"alpha".to_vec());
-        handle.append_log(b"beta".to_vec());
-        handle.commit_staged().unwrap();
-        handle.truncate_log();
-        handle.append_log(b"gamma".to_vec());
-        handle.commit_staged().unwrap();
-        handle.set_epoch(3);
-        handle.append_log(b"delta".to_vec());
-        handle.commit_staged().unwrap();
-    }
+    let mut sim = StorageHandle::sim();
+    seal_log(&mut file);
+    seal_log(&mut sim);
     assert_eq!(file.read_log(), sim.read_log());
     assert_eq!(file.verify_log(), Ok(()));
     assert_eq!(file.epoch(), sim.epoch());
+
+    for seed in 0..16u64 {
+        let dir = TempDir::new("parity-faults");
+        let mut file = StorageHandle::file(dir.path()).unwrap();
+        let mut sim = StorageHandle::sim();
+        let (mut file_rng, mut sim_rng) = (SimRng::new(seed), SimRng::new(seed));
+        for handle in [&mut file, &mut sim] {
+            seal_log(handle);
+            handle.append_log(b"epsilon-in-flight".to_vec());
+            handle.append_log(b"zeta-in-flight".to_vec());
+        }
+        file.crash_torn(&mut file_rng);
+        sim.crash_torn(&mut sim_rng);
+        assert_eq!(file.read_log(), sim.read_log(), "seed {seed}: torn");
+        assert_eq!(file.verify_log(), sim.verify_log(), "seed {seed}: torn");
+        assert!(
+            sim.verify_log().is_err(),
+            "seed {seed}: the tear went unseen"
+        );
+        let flipped = file.inject_bit_flip(&mut file_rng);
+        assert_eq!(flipped, sim.inject_bit_flip(&mut sim_rng), "seed {seed}");
+        assert!(flipped.is_some(), "seed {seed}: nothing to rot");
+        let stale = file.inject_stale_sector(&mut file_rng);
+        assert_eq!(stale, sim.inject_stale_sector(&mut sim_rng), "seed {seed}");
+        assert!(stale.is_some(), "seed {seed}: no earlier sector");
+        assert_eq!(file.read_log(), sim.read_log(), "seed {seed}: damaged");
+        assert_eq!(file.verify_log(), sim.verify_log(), "seed {seed}: damaged");
+
+        drop(file);
+        let reopened = StorageHandle::file(dir.path()).unwrap();
+        assert_eq!(reopened.read_log(), sim.read_log(), "seed {seed}: reopened");
+        assert_eq!(
+            reopened.verify_log(),
+            sim.verify_log(),
+            "seed {seed}: reopened"
+        );
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use todr_sim::SimRng;
-use todr_storage::{encode_record, FileStore, SharedEntry, StableStore, Storage};
+use todr_storage::{encode_record, SharedEntry, StableStore, StorageHandle};
 
 fn bodies() -> Vec<SharedEntry> {
     (0..4)
@@ -66,10 +66,10 @@ fn a_file_store_damages_its_copy_too() {
     let dir = std::env::temp_dir().join(format!("todr-shared-entries-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let entries = bodies();
-    let mut file = FileStore::open(dir.clone()).expect("open file store");
+    let mut file = StorageHandle::file(dir.clone()).expect("open file store");
     let mut clean = StableStore::new();
     for entry in &entries {
-        Storage::append_shared(&mut file, entry);
+        file.append_shared(entry);
         clean.append_shared(entry);
     }
     file.commit_staged().expect("file commit");
@@ -79,7 +79,7 @@ fn a_file_store_damages_its_copy_too() {
         .expect("durable records to rot");
     file.inject_stale_sector(&mut rng)
         .expect("an earlier sector");
-    assert!(Storage::verify_log(&file).is_err());
+    assert!(file.verify_log().is_err());
     assert_eq!(clean.verify_log(), Ok(()));
     let shared: Vec<&[u8]> = entries.iter().map(SharedEntry::bytes).collect();
     assert_eq!(clean.log_iter().collect::<Vec<_>>(), shared);
