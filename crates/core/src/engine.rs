@@ -116,6 +116,9 @@ enum AfterSync {
     EnterNonPrim { epoch: u64 },
     /// Join bootstrap persisted: join the replicated group.
     JoinedReady,
+    /// The green line `line` is durable: advertise it to the rest of
+    /// the server set.
+    AdvertiseGreenLine { line: u64 },
     /// Nothing further.
     Noop,
 }
@@ -197,6 +200,11 @@ struct Volatile {
     /// Green marks were made since the last `GreenLineAdvance` (see
     /// `announce_green_line`).
     green_unannounced: bool,
+    /// The last green line this incarnation advertised, on a created
+    /// action or by [`TransferWire::GreenLine`] (see
+    /// `advertise_green_line`); recovery restarts it at the reloaded
+    /// green count.
+    advertised: u64,
 }
 
 /// The replication engine for one server.
@@ -456,18 +464,23 @@ impl ReplicationEngine {
         );
     }
 
-    fn send_transfer(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, msg: TransferWire) {
-        // Transfer messages ride the fabric directly (point-to-point,
-        // outside the group), addressed to the peer's EVS daemon which
-        // forwards non-group traffic to its engine.
+    fn send_transfer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dsts: impl Into<Rc<[NodeId]>>,
+        msg: TransferWire,
+    ) {
+        // Transfer messages ride the fabric directly (outside the
+        // group), addressed to the peers' EVS daemons which forward
+        // non-group traffic to their engines.
         let size = match &msg {
             TransferWire::JoinRequest { .. } => 64,
             TransferWire::Snapshot { db, .. } => 512 + db.row_count() as u32 * 64,
-            TransferWire::FastAck { .. } => 32,
+            TransferWire::FastAck { .. } | TransferWire::GreenLine { .. } => 32,
         };
         ctx.send_now(
             self.fabric,
-            NetOp::unicast(self.cfg.me, dst, Rc::new(msg), size),
+            NetOp::multicast_shared(self.cfg.me, dsts.into(), Rc::new(msg), size),
         );
     }
 
@@ -723,6 +736,7 @@ impl ReplicationEngine {
             self.checkpoint();
             self.note_retained(ctx);
         }
+        self.advertise_green_line(ctx);
         // Charge the CPU (a same-instant burst shares its overhead); the
         // waiting client (origin server only) hears once that is done.
         let full = self.cfg.cpu_per_action;
@@ -763,6 +777,46 @@ impl ReplicationEngine {
                 node: self.cfg.me.index(),
                 green: self.k.green_count,
             });
+        }
+    }
+
+    /// Makes this server's green line known to the others when no
+    /// created action has carried it for a whole checkpoint interval
+    /// (§3: the white line is the minimum of everyone's line, so one
+    /// replica that never creates an action pins it, and with it every
+    /// body, forever). Only in the regular primary, where greens
+    /// advance, and never with GC off. The line goes out once a forced
+    /// write makes it durable — as an action's piggybacked line is — so
+    /// no peer prunes bodies this server could still need after a
+    /// crash.
+    fn advertise_green_line(&mut self, ctx: &mut Ctx<'_>) {
+        let interval = self.cfg.checkpoint_interval;
+        let line = self.k.green_count;
+        if interval == 0
+            || self.state != EngineState::RegPrim
+            || line < self.v.advertised + interval
+        {
+            return;
+        }
+        self.v.advertised = line;
+        self.request_sync(ctx, AfterSync::AdvertiseGreenLine { line });
+    }
+
+    /// The durable `line` goes to the rest of the server set, straight
+    /// over the fabric (see [`TransferWire::GreenLine`]).
+    fn send_green_line(&mut self, ctx: &mut Ctx<'_>, line: u64) {
+        let me = self.cfg.me;
+        let peers: Vec<NodeId> = self
+            .k
+            .server_set
+            .iter()
+            .copied()
+            .filter(|&s| s != me)
+            .collect();
+        if !peers.is_empty() {
+            ctx.metrics()
+                .incr(metric!("engine.green_lines_advertised"), 1);
+            self.send_transfer(ctx, peers, TransferWire::GreenLine { line });
         }
     }
 
@@ -815,7 +869,7 @@ impl ReplicationEngine {
             prim_component: self.k.prim_component.clone(),
             action_index: 0,
         };
-        self.send_transfer(ctx, joiner, snapshot);
+        self.send_transfer(ctx, [joiner], snapshot);
     }
 
     fn dirty_view(&mut self) -> &Database {
@@ -933,6 +987,7 @@ impl ReplicationEngine {
             server: self.cfg.me,
             index: self.k.action_index,
         };
+        self.v.advertised = self.v.advertised.max(self.k.green_count);
         let action = Body::new(Action {
             id,
             green_line: self.k.green_count,
@@ -1353,7 +1408,12 @@ impl ReplicationEngine {
     /// fresh base.
     ///
     /// The marks made before the jump are announced first: the jump
-    /// itself shows as the next announcement skipping positions.
+    /// itself shows as the next announcement skipping positions. In an
+    /// exchange, each creator whose green cut the base raises gets a
+    /// [`ProtocolEvent::BaseSubsumed`]: no green mark will name the
+    /// actions it greens here, whether this server held them red or
+    /// yellow or never saw them. A joiner's bootstrap holds nothing and
+    /// has answered no client, so it logs none.
     fn adopt_base(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1362,7 +1422,16 @@ impl ReplicationEngine {
         green_cut: &BTreeMap<NodeId, u64>,
     ) {
         self.announce_green_line(ctx);
-        self.k.adopt_base(db, green_count, green_cut);
+        let raised = self.k.adopt_base(db, green_count, green_cut);
+        if self.state != EngineState::Joining {
+            for (creator, cut) in raised {
+                ctx.emit(ProtocolEvent::BaseSubsumed {
+                    node: self.cfg.me.index(),
+                    creator: creator.index(),
+                    cut,
+                });
+            }
+        }
         self.v.dirty_db = None;
         self.k.save_base(&mut self.store);
     }
@@ -1508,6 +1577,9 @@ impl ReplicationEngine {
             #[cfg(feature = "chaos-mutations")]
             let yellow_ids = self.chaos_install_order(yellow_ids);
             for id in yellow_ids {
+                if self.k.is_green(&id) {
+                    continue; // in a base adopted since, its body dropped
+                }
                 let action = self.k.body(&id);
                 let action = Rc::clone(action.expect("yellow body present after exchange"));
                 self.mark_green(ctx, &action);
@@ -1665,7 +1737,7 @@ impl ReplicationEngine {
         match fast.on_receipt(&self.k, action, self.cfg.me, wants_fast) {
             // Direct unicast: skips the coordinator round trip *and* the
             // ack-batching delay of the stability protocol.
-            Receipt::Ack => self.send_transfer(ctx, id.server, TransferWire::FastAck { id }),
+            Receipt::Ack => self.send_transfer(ctx, [id.server], TransferWire::FastAck { id }),
             Receipt::Skip => {}
             Receipt::Demote => {
                 ctx.metrics().incr(metric!("engine.fast_demotions"), 1);
@@ -1776,6 +1848,7 @@ impl ReplicationEngine {
                     ctx.send_now(self.evs, EvsCmd::JoinGroup);
                 }
             }
+            AfterSync::AdvertiseGreenLine { line } => self.send_green_line(ctx, line),
             AfterSync::Noop => {}
         }
     }
@@ -1893,6 +1966,7 @@ impl ReplicationEngine {
             }
         }
         self.k.green_lines.insert(self.cfg.me, self.k.green_count);
+        self.v.advertised = self.k.green_count;
 
         // Re-accept own unacknowledged actions (A.13).
         let ongoing: Vec<Rc<Body>> = self.k.ongoing.values().cloned().collect();
@@ -1921,7 +1995,7 @@ impl ReplicationEngine {
         }
         self.v.join_target_idx = 0;
         let me = self.cfg.me;
-        self.send_transfer(ctx, via, TransferWire::JoinRequest { joiner: me });
+        self.send_transfer(ctx, [via], TransferWire::JoinRequest { joiner: me });
         ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
     }
 
@@ -1935,7 +2009,7 @@ impl ReplicationEngine {
         self.v.join_target_idx = (self.v.join_target_idx + 1) % self.v.join_targets.len();
         let target = self.v.join_targets[self.v.join_target_idx];
         let me = self.cfg.me;
-        self.send_transfer(ctx, target, TransferWire::JoinRequest { joiner: me });
+        self.send_transfer(ctx, [target], TransferWire::JoinRequest { joiner: me });
         ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
     }
 
@@ -1960,6 +2034,11 @@ impl ReplicationEngine {
                 }
             }
             TransferWire::FastAck { id } => self.on_fast_ack(ctx, src, *id),
+            TransferWire::GreenLine { line } => {
+                if self.k.server_set.contains(&src) {
+                    self.k.raise_green_line(src, *line);
+                }
+            }
             TransferWire::Snapshot {
                 db,
                 green_count,

@@ -157,6 +157,13 @@ impl Knowledge {
         self.creators.get(&creator).map_or(0, |c| c.red)
     }
 
+    /// Whether `id` is green here.
+    pub(crate) fn is_green(&self, id: &ActionId) -> bool {
+        self.creators
+            .get(&id.server)
+            .is_some_and(|c| id.index <= c.green)
+    }
+
     /// Whether every action of `creator` accepted here is green.
     pub(crate) fn all_green(&self, creator: NodeId) -> bool {
         self.creators.get(&creator).is_none_or(|c| c.red == c.green)
@@ -284,22 +291,31 @@ impl Knowledge {
 
     /// Replaces the green prefix with an inherited database state (§5.1
     /// transfer / exchange snapshot fallback). Red actions the snapshot
-    /// already incorporates are dropped, and so is every retained green
-    /// body: the green tail restarts empty.
+    /// already incorporates are dropped, from the red set and from the
+    /// yellow record, and so is every retained green body: the green
+    /// tail restarts empty.
+    ///
+    /// Returns the creators whose green cut the base raises, with the
+    /// new cut: the actions (red, yellow or never seen here) it greens
+    /// without a green mark.
     pub(crate) fn adopt_base(
         &mut self,
         db: Database,
         green_count: u64,
         green_cuts: &BTreeMap<NodeId, u64>,
-    ) {
+    ) -> Vec<(NodeId, u64)> {
         self.db = db;
         self.green_count = green_count;
         self.green_floor = green_count;
         self.green_tail.clear();
         // Merge cuts: the snapshot may know creators we do not and vice
         // versa.
+        let mut raised = Vec::new();
         for (server, &cut) in green_cuts {
             let creator = self.creators.entry(*server).or_default();
+            if cut > creator.green {
+                raised.push((*server, cut));
+            }
             creator.green = creator.green.max(cut);
             creator.green_on_record = true;
             creator.red = creator.red.max(cut);
@@ -310,6 +326,11 @@ impl Knowledge {
             creator.bodies.drain(..drop);
             self.retained -= drop;
         }
+        let creators = &self.creators;
+        self.yellow
+            .set
+            .retain(|id| creators.get(&id.server).is_none_or(|c| id.index > c.green));
+        raised
     }
 
     /// Discards the bodies of **white** actions (§3). Returns how many
@@ -417,6 +438,35 @@ mod tests {
 
     fn green(k: &Knowledge, server: u32) -> u64 {
         k.creators.get(&NodeId::new(server)).map_or(0, |c| c.green)
+    }
+
+    /// An adopted base greens what it covers without a green mark: the
+    /// subsumed reds leave the red set and the yellow record, and every
+    /// creator whose cut it raises is reported, held or not.
+    #[test]
+    fn adopt_base_reports_raised_cuts_and_drops_subsumed_yellows() {
+        let mut k = Knowledge::new((0..CREATORS).map(NodeId::new));
+        for index in 1..=3 {
+            assert_eq!(k.accept_red(&action(1, index)), Accept::New);
+        }
+        assert!(k.mark_green(&action(1, 1)));
+        k.yellow = YellowRecord {
+            valid: true,
+            set: (2..=3).map(|index| action(1, index).id).collect(),
+        };
+        let cuts = BTreeMap::from([(NodeId::new(1), 2), (NodeId::new(2), 4)]);
+        let raised = k.adopt_base(Database::new(), 6, &cuts);
+        assert_eq!(raised, vec![(NodeId::new(1), 2), (NodeId::new(2), 4)]);
+        assert!(k.yellow.valid);
+        assert_eq!(k.yellow.set, vec![action(1, 3).id]);
+        assert_eq!(
+            k.red_bodies().map(|b| b.id).collect::<Vec<_>>(),
+            k.yellow.set
+        );
+        assert!(k.is_green(&action(1, 2).id) && !k.is_green(&action(1, 3).id));
+        assert_eq!(k.retained(), 1);
+        // A base at or below what is held raises nothing.
+        assert!(k.adopt_base(Database::new(), 6, &cuts).is_empty());
     }
 
     /// A replica's knowledge and store, driven the way the engine's

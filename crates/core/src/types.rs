@@ -150,8 +150,9 @@ pub enum StorageFault {
     StaleSector,
 }
 
-/// Messages exchanged directly (outside the group) for the online-join
-/// database transfer.
+/// Messages exchanged directly over the fabric, outside the group: the
+/// online-join database transfer, fast-path acks and green-line
+/// advertisements.
 #[derive(Debug, Clone)]
 pub enum TransferWire {
     /// Joiner → member: please represent me (or resume my transfer).
@@ -189,6 +190,17 @@ pub enum TransferWire {
     FastAck {
         /// The receipted action.
         id: ActionId,
+    },
+    /// Member → rest of the server set: "my green line has durably
+    /// reached `line`". The advertisement of a replica that created no
+    /// action (whose `green_line` field is the paper's carrier) for a
+    /// whole checkpoint interval, so the white line can pass it. Sent
+    /// only after a forced write covering the line, and over the fabric
+    /// like [`TransferWire::FastAck`]: no sequencer round, so it never
+    /// holds up anyone's action.
+    GreenLine {
+        /// The sender's durable green count.
+        line: u64,
     },
 }
 

@@ -608,6 +608,10 @@ pub struct TraceOracle {
     // an origin had seen a conflicting action before it promised a fast
     // commit.
     first_seen: BTreeMap<(u32, u32), Slots<u64>>,
+    // (node, creator) -> (event index, cut) of each base adopted there
+    // that raised the creator's green cut: the actions up to the cut are
+    // seen from that index on, with no event ordering them.
+    base_cuts: BTreeMap<(u32, u32), Vec<(u64, u64)>>,
     // Fingerprint -> (green position, action) of the greened actions
     // touching it (read or write side), so the end-of-run revocation
     // scan is bucket-local instead of quadratic over the full green
@@ -870,6 +874,23 @@ impl TraceOracle {
                     }
                 }
             }
+            ProtocolEvent::BaseSubsumed { node, creator, cut } => {
+                // The adopted base made every action of `creator` up to
+                // `cut` green at `node` without a green mark: they are
+                // seen there from now on, and what the node held red or
+                // yellow of them is resolved and out of its in-flight set.
+                self.base_cuts
+                    .entry((node, creator))
+                    .or_default()
+                    .push((event_idx, cut));
+                let above_cut = |&(c, seq): &(u32, u64)| c != creator || seq > cut;
+                if let Some(per_node) = self.colors.get_mut(&node) {
+                    per_node.retain(|id, _| above_cut(id));
+                }
+                if let Some(node_inflight) = self.inflight.get_mut(&node) {
+                    node_inflight.retain(above_cut);
+                }
+            }
             ProtocolEvent::TransitionalConfig { node, .. } => {
                 self.lease_cuts
                     .entry(node)
@@ -993,10 +1014,10 @@ impl TraceOracle {
 
     /// Theorem 2 where a green mark meets its `GreenLineAdvance`: within
     /// one incarnation, each creator's green indices at `node` are
-    /// contiguous. A base adoption emits no event of its own; it shows
-    /// as an advance that skips positions (`rebased`, applied to the
-    /// first mark it closes), after which every creator's run starts
-    /// afresh. The action's color folds into the run.
+    /// contiguous. A base adoption's jump shows as an advance that skips
+    /// positions (`rebased`, applied to the first mark it closes), after
+    /// which every creator's run starts afresh. The action's color folds
+    /// into the run.
     fn fold_green(
         &mut self,
         node: u32,
@@ -1035,6 +1056,18 @@ impl TraceOracle {
     /// and `id` has a footprint.
     fn first_seen(&self, node: u32, (creator, seq): (u32, u64)) -> Option<u64> {
         self.first_seen.get(&(node, creator))?.get(seq)
+    }
+
+    /// Index of the first event after which `node` held `id`: the first
+    /// that ordered it there, or a base adopted there that covers it.
+    fn seen_at(&self, node: u32, (creator, seq): (u32, u64)) -> Option<u64> {
+        let adopted = self.base_cuts.get(&(node, creator)).and_then(|cuts| {
+            cuts.iter()
+                .find(|&&(_, cut)| cut >= seq)
+                .map(|&(idx, _)| idx)
+        });
+        let ordered = self.first_seen(node, (creator, seq));
+        ordered.into_iter().chain(adopted).min()
     }
 
     /// The green count `node`'s latest recovery reloaded from its own
@@ -1202,7 +1235,7 @@ impl TraceOracle {
                 if !digests_conflict(fd, gd) {
                     continue;
                 }
-                let seen = self.first_seen(f.0, g);
+                let seen = self.seen_at(f.0, g);
                 if seen.is_none_or(|s| s >= receipt_idx) {
                     revoked = Some((g, pg));
                 }

@@ -152,6 +152,64 @@ fn unresolved_yellow_flagged_only_for_survivors() {
     ));
 }
 
+fn yellow(node: u32, creator: u32, action_seq: u64) -> RecordedEvent {
+    rec(E::ActionOrdered {
+        node,
+        creator,
+        action_seq,
+        color: EventColor::Yellow,
+    })
+}
+
+#[test]
+fn a_yellow_covered_by_an_adopted_base_is_resolved() {
+    // Node 2 holds (0, 7) yellow, then adopts a base whose cut for
+    // creator 0 is 7: the action is green there with no green mark.
+    let events = vec![
+        yellow(2, 0, 7),
+        rec(E::BaseSubsumed {
+            node: 2,
+            creator: 0,
+            cut: 7,
+        }),
+    ];
+    let survivors: BTreeSet<u32> = [2].into_iter().collect();
+    check_trace(&events, &survivors).unwrap();
+}
+
+#[test]
+fn a_yellow_above_the_adopted_cut_stays_unresolved() {
+    // The cut covers (0, 7) only; (0, 8) and another creator's yellow at
+    // the same index are still unresolved, and so is the same action at
+    // another node.
+    for (uncovered, expect) in [
+        (yellow(2, 0, 8), (2, 0, 8)),
+        (yellow(2, 1, 7), (2, 1, 7)),
+        (yellow(1, 0, 7), (1, 0, 7)),
+    ] {
+        let events = vec![
+            yellow(2, 0, 7),
+            uncovered,
+            rec(E::BaseSubsumed {
+                node: 2,
+                creator: 0,
+                cut: 7,
+            }),
+        ];
+        let survivors: BTreeSet<u32> = [1, 2].into_iter().collect();
+        let err = check_trace(&events, &survivors).unwrap_err();
+        let TraceViolation::UnresolvedYellow {
+            node,
+            creator,
+            action_seq,
+        } = err
+        else {
+            panic!("expected an unresolved yellow, got {err:?}");
+        };
+        assert_eq!((node, creator, action_seq), expect);
+    }
+}
+
 #[test]
 fn lost_green_action_is_caught_at_survivors() {
     // Node 0 greens two positions, crashes, and recovers from a
@@ -324,6 +382,27 @@ fn fast_commit_with_conflicting_inflight_action_is_flagged() {
 }
 
 #[test]
+fn an_inflight_action_subsumed_by_a_base_no_longer_blocks_the_fast_commit() {
+    // Node 1's conflicting write is red at node 0 until node 0 adopts a
+    // base holding it green: it is then ordered, not in flight.
+    let mut events = vec![
+        footprint(0, 1, 7),
+        footprint(1, 1, 7),
+        red(0, 1, 1),
+        rec(E::BaseSubsumed {
+            node: 0,
+            creator: 1,
+            cut: 1,
+        }),
+        red(0, 0, 1),
+        fast_commit(0, 1),
+    ];
+    events.extend(green_mark(0, 0, 1, 1));
+    let stats = check_trace(&events, &BTreeSet::new()).unwrap();
+    assert_eq!(stats.fast_commits_checked, 1);
+}
+
+#[test]
 fn disjoint_inflight_actions_do_not_block_the_fast_commit() {
     let mut events = vec![
         footprint(0, 1, 7),
@@ -459,6 +538,38 @@ fn of_several_revoking_predecessors_the_smallest_action_is_named() {
             other_position: 1,
         }
     ));
+}
+
+#[test]
+fn a_predecessor_in_a_base_adopted_before_receipt_was_seen() {
+    // Node 0 never orders (1, 1); it gets it green in a base. Adopted
+    // before node 0's receipt, the base is what its answer saw; adopted
+    // after it, (1, 1) was unseen and its earlier position revokes.
+    let base = rec(E::BaseSubsumed {
+        node: 0,
+        creator: 1,
+        cut: 1,
+    });
+    let receipt = [footprint(0, 1, 7), red(0, 0, 1), fast_commit(0, 1)];
+    let mut greens = green_mark(1, 1, 1, 1);
+    greens.extend(green_mark(1, 0, 1, 2));
+    for (adopted_first, revoked) in [(true, false), (false, true)] {
+        let mut events = vec![footprint(1, 1, 7)];
+        if adopted_first {
+            events.push(base.clone());
+        }
+        events.extend(receipt.iter().cloned());
+        if !adopted_first {
+            events.push(base.clone());
+        }
+        events.extend(greens.iter().cloned());
+        let verdict = check_trace(&events, &BTreeSet::new());
+        assert_eq!(
+            matches!(verdict, Err(TraceViolation::FastCommitRevoked { .. })),
+            revoked,
+            "{verdict:?}"
+        );
+    }
 }
 
 #[test]

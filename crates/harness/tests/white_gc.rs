@@ -2,6 +2,7 @@
 //! are discarded from memory and the persisted log is compacted —
 //! without ever breaking exchange retransmission or crash recovery.
 
+use todr_core::EngineState;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_sim::SimDuration;
@@ -10,8 +11,10 @@ use todr_sim::SimDuration;
 fn white_line_advances_and_bodies_are_pruned() {
     let mut cluster = Cluster::build(ClusterConfig::new(3, 1));
     cluster.settle();
-    // Green lines are advertised on created actions (the paper's
-    // `green_line` field), so every server gets a client.
+    // Every server gets a client, so every green line rides the
+    // actions its server creates (the paper's `green_line` field); the
+    // single-writer tests below cover idle replicas, which advertise
+    // their line on their own.
     let clients: Vec<_> = (0..3)
         .map(|i| cluster.attach_client(i, ClientConfig::default()))
         .collect();
@@ -94,7 +97,7 @@ fn recovery_from_compacted_log() {
     cluster.run_for(SimDuration::from_secs(3));
     assert_eq!(
         cluster.engine_state(2),
-        todr_core::EngineState::RegPrim,
+        EngineState::RegPrim,
         "recovered server did not rejoin the primary"
     );
     // Quiesce before comparing.
@@ -211,4 +214,112 @@ fn manual_checkpoint_reports_pruned_count() {
     assert!(pruned > 0, "manual checkpoint pruned nothing");
     assert!(floor > 0);
     cluster.check_consistency();
+}
+
+/// Regression: with one writer the idle replicas never create an
+/// action, so no piggybacked `green_line` ever carries their lines and
+/// the white line stayed at 0. Every body was kept until
+/// `max_retained_bodies`, after which every request was refused with
+/// "retry later", forever: here, 64 commits and then only rejections.
+/// Idle replicas now advertise their durable green line once per
+/// checkpoint interval, so GC keeps the retained bodies near two
+/// intervals and the writer is never refused.
+#[test]
+fn single_writer_is_never_wedged_by_retention() {
+    const INTERVAL: u64 = 16;
+    let config = ClusterConfig::builder(3, 5)
+        .max_retained_bodies(64)
+        .checkpoint_interval(INTERVAL)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    let mut client = cluster.attach_client(0, ClientConfig::default());
+    for _ in 0..20 {
+        cluster.run_for(SimDuration::from_secs(1));
+        // A closed loop stops at its first rejection: keep retrying
+        // with a fresh client.
+        if cluster.client_stats(client).rejected > 0 {
+            client = cluster.attach_client(0, ClientConfig::default());
+        }
+    }
+    let (mut committed, mut rejected) = (0, 0);
+    for c in cluster.clients().to_vec() {
+        let stats = cluster.client_stats(c);
+        committed += stats.committed;
+        rejected += stats.rejected;
+    }
+    assert_eq!(
+        rejected, 0,
+        "the writer was refused after {committed} commits"
+    );
+    assert!(committed > 1000, "only {committed} commits in 20 s");
+    for i in 0..3 {
+        let (white, retained) = cluster.with_engine(i, |e| (e.white_line(), e.retained_bodies()));
+        assert!(white > 0, "white line stuck at 0 on server {i}");
+        assert!(
+            retained as u64 <= 2 * INTERVAL + 4,
+            "server {i} retains {retained} bodies"
+        );
+    }
+    assert!(
+        cluster
+            .world
+            .metrics()
+            .counter("engine.green_lines_advertised")
+            > 0
+    );
+    cluster.check_consistency();
+    cluster
+        .try_check_history()
+        .unwrap_or_else(|v| panic!("{v}"));
+}
+
+/// An idle replica whose advertised line let the others prune crashes
+/// with a torn tail while the writer goes on; it recovers at a green
+/// count no lower than the line it advertised, and the exchange brings
+/// it level from the bodies the others still hold.
+#[test]
+fn single_writer_gc_survives_a_torn_crash_of_an_idle_replica() {
+    const INTERVAL: u64 = 16;
+    let config = ClusterConfig::builder(3, 6)
+        .checkpoint_interval(INTERVAL)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    let client = cluster.attach_client(0, ClientConfig::default());
+    cluster.run_for(SimDuration::from_secs(3));
+    for i in 0..3 {
+        let floor = cluster.with_engine(i, |e| e.green_floor());
+        assert!(floor > 0, "server {i} never pruned");
+    }
+
+    cluster.crash_torn(2);
+    cluster.run_for(SimDuration::from_secs(2));
+    cluster.recover(2);
+    cluster.run_for(SimDuration::from_secs(3));
+    assert_eq!(cluster.engine_state(2), EngineState::RegPrim);
+    let white_before_stop = cluster.with_engine(0, |e| e.white_line());
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster.stop_clients();
+    cluster.run_for(SimDuration::from_secs(2));
+
+    let stats = cluster.client_stats(client);
+    assert_eq!(stats.rejected, 0);
+    let g0 = cluster.green_count(0);
+    for i in 1..3 {
+        assert_eq!(cluster.green_count(i), g0, "server {i} diverged");
+        assert_eq!(cluster.db_digest(i), cluster.db_digest(0));
+    }
+    // GC resumed past the crash: the recovered replica advertises again.
+    let white = cluster.with_engine(0, |e| e.white_line());
+    assert!(
+        white >= white_before_stop && white + 2 * INTERVAL >= g0,
+        "white line {white} trails green {g0}"
+    );
+    cluster.check_consistency();
+    cluster
+        .try_check_history()
+        .unwrap_or_else(|v| panic!("{v}"));
 }

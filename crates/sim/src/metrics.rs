@@ -302,6 +302,19 @@ pub enum ProtocolEvent {
         /// `true` for a heartbeat renewal of an existing lease.
         renewal: bool,
     },
+    /// A replica adopted, in an exchange, a base (a green-state
+    /// snapshot) that raises its green cut for `creator` to `cut`: every
+    /// action of `creator` up to `cut` is now green there, those it held
+    /// red or yellow and those it never saw, with no green mark naming
+    /// them. Emitted once per creator the base raises, and only then.
+    BaseSubsumed {
+        /// The adopting replica.
+        node: u32,
+        /// Creator of the subsumed actions.
+        creator: u32,
+        /// The creator's green cut in the adopted base.
+        cut: u64,
+    },
 }
 
 /// The payload of [`ProtocolEvent::ActionFootprint`]. Row identities are
@@ -344,7 +357,7 @@ pub enum ReadTier {
 }
 
 /// Every [`ProtocolEvent::kind`], indexed by variant.
-const KINDS: [&str; 24] = [
+const KINDS: [&str; 25] = [
     "view-installed",
     "transitional-config",
     "action-created",
@@ -369,6 +382,7 @@ const KINDS: [&str; 24] = [
     "read-served",
     "update-acked",
     "lease-granted",
+    "base-subsumed",
 ];
 
 impl ProtocolEvent {
@@ -405,6 +419,7 @@ impl ProtocolEvent {
             ProtocolEvent::ReadServed { .. } => 21,
             ProtocolEvent::UpdateAcked { .. } => 22,
             ProtocolEvent::LeaseGranted { .. } => 23,
+            ProtocolEvent::BaseSubsumed { .. } => 24,
         }
     }
 }
