@@ -117,7 +117,7 @@ impl Counterexample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use todr_sim::ProtocolEvent;
+    use todr_sim::{DeliveredRun, ProtocolEvent};
 
     fn sample() -> Counterexample {
         Counterexample {
@@ -129,12 +129,27 @@ mod tests {
             shards: 1,
             kind: FailureKind::Consistency,
             message: "total order violated at green position 7".into(),
-            event_tail: vec![RecordedEvent {
-                at_nanos: 42,
-                actor: 9,
-                group: 0,
-                event: ProtocolEvent::GreenLineAdvance { node: 1, green: 8 },
-            }],
+            event_tail: vec![
+                RecordedEvent {
+                    at_nanos: 42,
+                    actor: 9,
+                    group: 0,
+                    event: ProtocolEvent::GreenLineAdvance { node: 1, green: 8 },
+                },
+                RecordedEvent {
+                    at_nanos: 43,
+                    actor: 10,
+                    group: 0,
+                    event: ProtocolEvent::DeliveredRun(DeliveredRun::new(
+                        1,
+                        4,
+                        0,
+                        17,
+                        false,
+                        &[2, 0, 2],
+                    )),
+                },
+            ],
             metrics: None,
         }
     }

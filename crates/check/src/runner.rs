@@ -410,6 +410,17 @@ fn run_case_inner(
                     format!("survivor {i} database digest diverged"),
                 ));
             }
+            // Every request a survivor accepted in its current
+            // incarnation was answered: the clients stopped and the run
+            // drained, so an owed reply is one no commit will ever send.
+            let owed = cluster.owed_replies(i);
+            if owed > 0 {
+                return Err(fail(
+                    &cluster,
+                    FailureKind::Convergence,
+                    format!("survivor {i} still owes {owed} client replies after the drain"),
+                ));
+            }
         }
         groups.push(GroupPass {
             // Ascending: within a group, flat order is node-id order.

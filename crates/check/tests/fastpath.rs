@@ -131,6 +131,14 @@ fn replay_gc_case(checkpoint_interval: u64, schedule: Vec<Step>) {
 /// adopt a snapshot whose green cut covered it. No event said so, so the
 /// trace oracle still saw the action yellow at quiescence; the engine
 /// kept its id in the yellow record with the body gone.
+///
+/// Regression, same case: node 0 had accepted (0, 74) from its own
+/// client and still owed the reply when the base greened the action.
+/// No green mark would ever take it, so the closed-loop client waited
+/// forever, and the run passed because nothing asked. `run_case` now
+/// fails a run in which a survivor (node 0 among them) still owes a
+/// reply after the drain, so every request node 0 accepted here must
+/// have been answered.
 #[test]
 #[cfg_attr(
     debug_assertions,

@@ -392,6 +392,13 @@ impl ReplicationEngine {
         self.k.db.digest()
     }
 
+    /// Client replies this incarnation still owes: requests it accepted
+    /// whose actions have not reached their commit point here yet. Zero
+    /// once every accepted request has been answered.
+    pub fn owed_replies(&self) -> usize {
+        self.v.pending_replies.len()
+    }
+
     /// Read-only view of the green database.
     pub fn db(&self) -> &Database {
         &self.k.db
@@ -1414,6 +1421,10 @@ impl ReplicationEngine {
     /// actions it greens here, whether this server held them red or
     /// yellow or never saw them. A joiner's bootstrap holds nothing and
     /// has answered no client, so it logs none.
+    ///
+    /// No green mark will name this server's own actions the base
+    /// greens, so the replies it still owes for them are answered here,
+    /// as committed at green, against the adopted state.
     fn adopt_base(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1422,6 +1433,13 @@ impl ReplicationEngine {
         green_cut: &BTreeMap<NodeId, u64>,
     ) {
         self.announce_green_line(ctx);
+        let me = self.cfg.me;
+        let own = |index| ActionId { server: me, index };
+        let cut = green_cut.get(&me).copied().unwrap_or(0);
+        let owed: Vec<(ActionId, Option<Rc<Body>>)> = (self.v.pending_replies)
+            .range(own(0)..=own(cut))
+            .map(|(&id, _)| (id, self.k.body(&id).cloned()))
+            .collect();
         let raised = self.k.adopt_base(db, green_count, green_cut);
         if self.state != EngineState::Joining {
             for (creator, cut) in raised {
@@ -1434,6 +1452,13 @@ impl ReplicationEngine {
         }
         self.v.dirty_db = None;
         self.k.save_base(&mut self.store);
+        for (id, body) in owed {
+            if let Some(p) = self.v.pending_replies.remove(&id) {
+                let answer = (ctx.now(), p.query.as_ref().map(|q| self.k.db.query(q)));
+                let action = body.as_deref().map(Body::action);
+                self.reply_committed(ctx, CommitPoint::Green, id, action, p, answer);
+            }
+        }
     }
 
     fn on_retrans_done(&mut self, ctx: &mut Ctx<'_>, server: NodeId) {

@@ -16,7 +16,7 @@ use crate::membership::{
 use crate::order::ConfOrdering;
 use crate::sequencer::{Pack, Sequencer};
 use crate::stability::{AckDuty, AckStep};
-use crate::types::{log_slot, ConfId, Configuration, Delivery, EvsEvent};
+use crate::types::{log_slot, run_len, ConfId, Configuration, Delivery, EvsEvent};
 use crate::wire::{EvsWire, SequencedMsg, SubmitItem, TransGroup};
 
 /// Tuning knobs of an [`EvsDaemon`].
@@ -399,14 +399,6 @@ impl EvsDaemon {
                 } else {
                     ctx.metrics().incr(metric!("evs.delivered_safe"), 1);
                 }
-                ctx.emit(ProtocolEvent::Delivered {
-                    node: self.me.index(),
-                    conf_seq: d.conf_id.seq,
-                    coordinator: d.conf_id.coordinator.index(),
-                    seq: log_slot(d.seq),
-                    sender: d.sender.index(),
-                    in_transitional: d.in_transitional,
-                });
             }
             EvsEvent::RegConf(c) => {
                 ctx.metrics().incr(metric!("evs.views_installed"), 1);
@@ -435,10 +427,37 @@ impl EvsDaemon {
     }
 
     /// Hands `deliveries` to the application as one batch, the last
-    /// flagged [`Delivery::last_in_batch`].
+    /// flagged [`Delivery::last_in_batch`]. The log gets one
+    /// [`ProtocolEvent::DeliveredRun`] per run of two or more
+    /// ([`run_len`]) and a [`ProtocolEvent::Delivered`] per lone
+    /// delivery, all ahead of the batch (the application sees none of it
+    /// before this returns, so the log's order is the deliveries').
     fn emit_all(&mut self, ctx: &mut Ctx<'_>, mut deliveries: Vec<Delivery>) {
         if let Some(last) = deliveries.last_mut() {
             last.last_in_batch = true;
+        }
+        let node = self.me.index();
+        let mut rest = &deliveries[..];
+        while !rest.is_empty() {
+            let (run, tail) = rest.split_at(run_len(rest));
+            let d = &run[0];
+            let (conf_seq, coordinator) = (d.conf_id.seq, d.conf_id.coordinator.index());
+            let event = if let [_, _, ..] = run {
+                let head = (conf_seq, coordinator, log_slot(d.seq), d.in_transitional);
+                let senders = run.iter().map(|d| d.sender.index());
+                ProtocolEvent::DeliveredRun(ctx.metrics().delivered_run(node, head, senders))
+            } else {
+                ProtocolEvent::Delivered {
+                    node,
+                    conf_seq,
+                    coordinator,
+                    seq: log_slot(d.seq),
+                    sender: d.sender.index(),
+                    in_transitional: d.in_transitional,
+                }
+            };
+            ctx.emit(event);
+            rest = tail;
         }
         for d in deliveries {
             self.emit(ctx, EvsEvent::Deliver(d));

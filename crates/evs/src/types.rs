@@ -122,6 +122,28 @@ pub(crate) fn log_slot(seq: u64) -> u32 {
     u32::try_from(seq).unwrap_or(u32::MAX)
 }
 
+/// How many deliveries at the head of `batch` the event log can keep as
+/// one run: consecutive slots of one configuration, all in the regular
+/// or all in the transitional configuration, each below the log's
+/// `u32::MAX` saturation. At least 1 unless `batch` is empty.
+pub(crate) fn run_len(batch: &[Delivery]) -> usize {
+    let Some(first) = batch.first() else {
+        return 0;
+    };
+    let same_run = |(i, d): (usize, &Delivery)| {
+        d.conf_id == first.conf_id
+            && d.in_transitional == first.in_transitional
+            && first.seq.checked_add(i as u64) == Some(d.seq)
+            && d.seq < u64::from(u32::MAX)
+    };
+    1 + batch
+        .iter()
+        .enumerate()
+        .skip(1)
+        .take_while(|&p| same_run(p))
+        .count()
+}
+
 impl fmt::Debug for Delivery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Delivery")
@@ -221,6 +243,38 @@ mod tests {
             coordinator: n(1),
         };
         assert_eq!(id.to_string(), "conf(3,n1)");
+    }
+
+    #[test]
+    fn a_run_is_consecutive_slots_of_one_configuration_below_saturation() {
+        let conf = |seq| ConfId {
+            seq,
+            coordinator: n(0),
+        };
+        let d = |c: u32, seq: u64, in_transitional: bool| Delivery {
+            sender: n(1),
+            payload: Rc::new(()),
+            conf_id: conf(c),
+            seq,
+            in_transitional,
+            last_in_batch: false,
+        };
+        let max = u64::from(u32::MAX);
+        assert_eq!(run_len(&[]), 0);
+        assert_eq!(run_len(&[d(1, 5, false)]), 1);
+        assert_eq!(
+            run_len(&[d(1, 5, false), d(1, 6, false), d(1, 7, false)]),
+            3
+        );
+        // A gap, another configuration or the transitional flag ends it.
+        assert_eq!(run_len(&[d(1, 5, false), d(1, 7, false)]), 1);
+        assert_eq!(run_len(&[d(1, 5, false), d(2, 6, false)]), 1);
+        assert_eq!(run_len(&[d(1, 5, false), d(1, 6, true)]), 1);
+        assert_eq!(run_len(&[d(1, 5, true), d(1, 6, true), d(1, 8, true)]), 2);
+        // Slot u32::MAX and beyond saturate in the log: singles only.
+        assert_eq!(run_len(&[d(1, max - 2, false), d(1, max - 1, false)]), 2);
+        assert_eq!(run_len(&[d(1, max - 1, false), d(1, max, false)]), 1);
+        assert_eq!(run_len(&[d(1, max, false), d(1, max + 1, false)]), 1);
     }
 
     #[test]

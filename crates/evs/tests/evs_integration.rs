@@ -337,9 +337,10 @@ fn safe_delivery_trichotomy() {
 
 /// The event log narrows a delivery's configuration number and slot to
 /// `u32`; through a partition (with messages mid-flight, so some land
-/// in transitional configurations) and a merge, each node's `Delivered`
-/// events still carry exactly what its application was handed, one
-/// event per delivery, in delivery order.
+/// in transitional configurations) and a merge, each node's logged
+/// deliveries (`Delivered` singles and `DeliveredRun`s, read slot by
+/// slot) still carry exactly what its application was handed, in
+/// delivery order.
 #[test]
 fn delivered_events_carry_exactly_the_applications_deliveries() {
     let mut c = Cluster::new(5, 6);
@@ -364,25 +365,20 @@ fn delivered_events_carry_exactly_the_applications_deliveries() {
 
     type Fields = (u32, u32, u64, u32, bool);
     let mut logged: Vec<Vec<Fields>> = vec![Vec::new(); 5];
+    let mut runs = 0;
     for rec in c.world.metrics().events() {
-        if let ProtocolEvent::Delivered {
-            node,
-            conf_seq,
-            coordinator,
-            seq,
-            sender,
-            in_transitional,
-        } = rec.event
-        {
-            logged[node as usize].push((
-                conf_seq,
-                coordinator,
-                u64::from(seq),
-                sender,
-                in_transitional,
+        runs += usize::from(matches!(rec.event, ProtocolEvent::DeliveredRun(_)));
+        for d in rec.event.delivered_slots() {
+            logged[d.node as usize].push((
+                d.conf_seq,
+                d.coordinator,
+                u64::from(d.seq),
+                d.sender,
+                d.in_transitional,
             ));
         }
     }
+    assert!(runs > 0, "no batch logged as a run");
     let (mut transitional, mut confs) = (0, std::collections::BTreeSet::new());
     for (i, logged) in logged.iter().enumerate() {
         let handed: Vec<Fields> = c

@@ -1108,6 +1108,12 @@ impl Cluster {
         self.with_engine(idx, |e| e.db_digest())
     }
 
+    /// Client replies server `idx` still owes
+    /// ([`ReplicationEngine::owed_replies`]).
+    pub fn owed_replies(&mut self, idx: usize) -> usize {
+        self.with_engine(idx, |e| e.owed_replies())
+    }
+
     /// Deterministic JSON snapshot of the world's typed observability
     /// bus: every counter and latency histogram recorded by the net,
     /// EVS, storage and engine layers (under each group's `g{i}.` prefix

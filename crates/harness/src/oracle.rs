@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use todr_db::conflict::{digests_conflict, ClassDigest};
-use todr_sim::{EventColor, ProtocolEvent, ReadTier, RecordedEvent};
+use todr_sim::{DeliveredSlot, EventColor, ProtocolEvent, ReadTier, RecordedEvent};
 
 /// A violated trace property.
 ///
@@ -481,7 +481,8 @@ impl<T: Vacant> Slots<T> {
 
     /// One past the highest index set (0 if none).
     fn end(&self) -> u64 {
-        let sparse_end = self.sparse.last_key_value().map_or(0, |(&i, _)| i + 1);
+        let last = self.sparse.last_key_value();
+        let sparse_end = last.map_or(0, |(&i, _)| i.saturating_add(1));
         sparse_end.max(self.dense.len() as u64)
     }
 }
@@ -642,6 +643,47 @@ impl TraceOracle {
         self.stats
     }
 
+    /// The EVS agreed-order clauses for one delivered slot: every member
+    /// of a configuration delivers the same sender at a slot, and one
+    /// member's slots in a configuration strictly increase. A run is
+    /// checked slot by slot, so its verdict is that of its singles.
+    fn observe_delivery(&mut self, d: DeliveredSlot) -> Result<(), TraceViolation> {
+        let (node, coordinator, sender) = (d.node, d.coordinator, d.sender);
+        let (conf_seq, seq) = (u64::from(d.conf_seq), u64::from(d.seq));
+        let slots = self.deliveries.entry((conf_seq, coordinator)).or_default();
+        match slots.get(seq) {
+            None => {
+                let id = (sender, 0);
+                slots.set(seq, Claim { node, id });
+            }
+            Some(first) => {
+                if first.id.0 != sender {
+                    return Err(TraceViolation::DeliveryMismatch {
+                        conf_seq,
+                        coordinator,
+                        seq,
+                        a: (first.node, first.id.0),
+                        b: (node, sender),
+                    });
+                }
+                self.stats.deliveries_agreed += 1;
+            }
+        }
+        if let Some(&prev) = self.deliv_seq.get(&(node, conf_seq, coordinator)) {
+            if seq <= prev {
+                return Err(TraceViolation::DeliverySeqRegression {
+                    node,
+                    conf_seq,
+                    coordinator,
+                    from: prev,
+                    to: seq,
+                });
+            }
+        }
+        self.deliv_seq.insert((node, conf_seq, coordinator), seq);
+        Ok(())
+    }
+
     /// Checks one more event against every clause that holds at each
     /// prefix of the history.
     pub fn observe(&mut self, rec: &RecordedEvent) -> Result<(), TraceViolation> {
@@ -731,8 +773,9 @@ impl TraceOracle {
                 let mut marks = self.pending_green.remove(&node).unwrap_or_default();
                 let k = marks.len() as u64;
                 let prev_line = self.green_line.get(&node).copied();
+                // Line arithmetic checked: a replayed log can name any line.
                 let regressed = match prev_line {
-                    Some(prev) => green < prev + k.max(1),
+                    Some(prev) => prev.checked_add(k.max(1)).is_none_or(|next| green < next),
                     None => green < k,
                 };
                 if regressed {
@@ -747,7 +790,7 @@ impl TraceOracle {
                 let best = self.best_green.entry(node).or_insert(0);
                 *best = (*best).max(green);
                 let mut rebased = prev_line.is_some_and(|p| green > p + k);
-                for (position, id) in (green - k..).zip(marks.drain(..)) {
+                for (position, id) in (green - k..green).zip(marks.drain(..)) {
                     self.fold_green(node, id, std::mem::take(&mut rebased))?;
                     self.claim_green(node, position, id)?;
                 }
@@ -784,46 +827,10 @@ impl TraceOracle {
                 self.final_green.insert(node, green);
                 self.reloaded.insert(node, green);
             }
-            ProtocolEvent::Delivered {
-                node,
-                conf_seq,
-                coordinator,
-                seq,
-                sender,
-                in_transitional: _,
-            } => {
-                let (conf_seq, seq) = (u64::from(conf_seq), u64::from(seq));
-                let slots = self.deliveries.entry((conf_seq, coordinator)).or_default();
-                match slots.get(seq) {
-                    None => {
-                        let id = (sender, 0);
-                        slots.set(seq, Claim { node, id });
-                    }
-                    Some(first) => {
-                        if first.id.0 != sender {
-                            return Err(TraceViolation::DeliveryMismatch {
-                                conf_seq,
-                                coordinator,
-                                seq,
-                                a: (first.node, first.id.0),
-                                b: (node, sender),
-                            });
-                        }
-                        self.stats.deliveries_agreed += 1;
-                    }
+            ProtocolEvent::Delivered { .. } | ProtocolEvent::DeliveredRun(_) => {
+                for slot in rec.event.delivered_slots() {
+                    self.observe_delivery(slot)?;
                 }
-                if let Some(&prev) = self.deliv_seq.get(&(node, conf_seq, coordinator)) {
-                    if seq <= prev {
-                        return Err(TraceViolation::DeliverySeqRegression {
-                            node,
-                            conf_seq,
-                            coordinator,
-                            from: prev,
-                            to: seq,
-                        });
-                    }
-                }
-                self.deliv_seq.insert((node, conf_seq, coordinator), seq);
             }
             ProtocolEvent::ActionFootprint(ref f) => {
                 let id = (f.node, f.action_seq);
@@ -1032,7 +1039,7 @@ impl TraceOracle {
         match runs.entry(creator) {
             Entry::Occupied(mut run) => {
                 let (lo, hi) = *run.get();
-                if seq != hi + 1 {
+                if hi.checked_add(1) != Some(seq) {
                     return Err(TraceViolation::FifoGap {
                         node,
                         creator,
@@ -1091,7 +1098,7 @@ impl TraceOracle {
         tail: &[(u32, u64)],
     ) -> Result<(), TraceViolation> {
         let mut last: BTreeMap<u32, u64> = BTreeMap::new();
-        for (position, &id) in (floor..).zip(tail) {
+        for (position, &id) in (floor..=u64::MAX).zip(tail) {
             if let Some(first) = self.global_green.get(position) {
                 if first.id != id {
                     return Err(TraceViolation::GreenOrderConflict {
@@ -1102,7 +1109,7 @@ impl TraceOracle {
                 }
             }
             if let Some(prev) = last.insert(id.0, id.1) {
-                if prev + 1 != id.1 {
+                if prev.checked_add(1) != Some(id.1) {
                     return Err(TraceViolation::FifoGap {
                         node,
                         creator: id.0,
@@ -1115,7 +1122,7 @@ impl TraceOracle {
         let runs = self.green_runs.get(&node);
         for (creator, prev) in last {
             if let Some(&(next, _)) = runs.and_then(|r| r.get(&creator)) {
-                if prev + 1 != next {
+                if prev.checked_add(1) != Some(next) {
                     return Err(TraceViolation::FifoGap {
                         node,
                         creator,

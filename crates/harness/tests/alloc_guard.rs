@@ -92,10 +92,11 @@ fn green_delivery_allocations_per_replica_stay_bounded() {
 }
 
 /// Typed events recorded per green mark per replica in the window below,
-/// as measured when the ceiling was set: 2.8159. The count is
+/// as measured when the ceiling was set: 2.2033 (2.8159 before a
+/// delivery batch's run of slots was logged as one event). The count is
 /// deterministic, so a change that logs one more event per action per
 /// replica (a red mark the same step's green stands for, say) fails here.
-const EVENTS_CEILING: f64 = 2.816;
+const EVENTS_CEILING: f64 = 2.204;
 
 /// The event log is most of a long run's memory: it is kept whole for the
 /// trace oracle, so its length per action is what a run costs.

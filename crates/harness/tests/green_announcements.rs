@@ -166,9 +166,9 @@ fn event_shape(config: ClusterConfig) -> Shape {
     cluster.check_consistency();
     let mut shape = Shape::default();
     for rec in &cluster.world.metrics().events()[from..] {
+        shape.delivered += rec.event.delivered_slots().count() as u64;
         match rec.event {
             E::ActionCreated { .. } => shape.created += 1,
-            E::Delivered { .. } => shape.delivered += 1,
             E::ActionOrdered {
                 node,
                 creator,

@@ -6,13 +6,22 @@
 //! slots near `u32::MAX` aborted it. Each log below is checked at small
 //! and at huge indices: the verdict is the same, and so is the peak of
 //! live heap bytes, up to one map node.
+//!
+//! The fuzz test at the end feeds `check_trace` recorded, mutated and
+//! random logs, hostile delivery runs among them: each must end in a
+//! verdict, inside a fixed budget of heap bytes per event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
+use todr_harness::client::ClientConfig;
+use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::oracle::{check_trace, TraceStats, TraceViolation};
-use todr_sim::{EventColor, Footprint, ProtocolEvent as E, RecordedEvent};
+use todr_sim::{
+    DeliveredRun, EventColor, Footprint, ProtocolEvent as E, ReadTier, RecordedEvent, SimDuration,
+    SimRng,
+};
 
 struct PeakAlloc;
 
@@ -233,4 +242,307 @@ fn a_footprinted_action_with_a_huge_seq_is_tracked_in_constant_space() {
             })
         },
     );
+}
+
+// --- fuzzing the oracle ---
+
+/// Peak live heap bytes `check_trace` may hold per event of its input,
+/// beyond [`BASE_BYTES`], a delivery run counting once per slot it
+/// stands for (the oracle keeps a claim per slot, in either form). Its
+/// largest holding is a 24-byte claim per green position and per
+/// delivery slot, in vectors that grow by doubling; a reallocation
+/// holds old and new at once, so a vector just past a power of two
+/// peaks at 72 bytes per claim.
+const BYTES_PER_EVENT: u64 = 80;
+
+/// What the oracle holds whatever the log's length: the first node of
+/// each of its maps, per replica where it keeps one per replica.
+const BASE_BYTES: u64 = 64 << 10;
+
+/// Cases, each drawn from its own fixed seed, so every run checks the
+/// same logs; sized to take seconds in a debug build.
+const CASES: u64 = 2_000;
+
+/// Five replicas, packing 8, a bounded closed-loop client each: a log
+/// whose delivery batches are runs.
+fn recorded_log() -> Vec<RecordedEvent> {
+    let config = ClusterConfig::builder(5, 42)
+        .delayed_writes()
+        .packing(8)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    let client = ClientConfig {
+        max_requests: Some(40),
+        ..ClientConfig::default()
+    };
+    for i in 0..5 {
+        cluster.attach_client(i, client.clone());
+    }
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster.world.metrics().events().to_vec()
+}
+
+/// An index or slot: mostly small, so clauses meet; sometimes at an edge.
+fn num(rng: &mut SimRng) -> u64 {
+    match rng.gen_range(8) {
+        0 => *rng
+            .choose(&[0, u64::from(u32::MAX) - 1, u64::from(u32::MAX), u64::MAX])
+            .unwrap_or(&0),
+        1 => rng.next_u64(),
+        _ => rng.gen_range(12),
+    }
+}
+
+fn small(rng: &mut SimRng) -> u32 {
+    u32::try_from(num(rng)).unwrap_or(u32::MAX)
+}
+
+/// A run at `node` of `len` senders from slot `first`.
+fn hostile_run(rng: &mut SimRng, node: u32, first: u32, len: usize) -> E {
+    let senders: Vec<u32> = (0..len).map(|_| rng.gen_range(5) as u32).collect();
+    E::DeliveredRun(DeliveredRun::new(
+        node,
+        small(rng),
+        small(rng) % 5,
+        first,
+        rng.gen_bool(0.2),
+        &senders,
+    ))
+}
+
+/// One event of any kind the oracle reads, with fields drawn by [`num`].
+fn random_event(rng: &mut SimRng) -> E {
+    let node = rng.gen_range(5) as u32;
+    let color = *rng
+        .choose(&[
+            EventColor::Red,
+            EventColor::Yellow,
+            EventColor::Green,
+            EventColor::White,
+        ])
+        .unwrap_or(&EventColor::Red);
+    match rng.gen_range(14) {
+        0 => E::ActionOrdered {
+            node,
+            creator: rng.gen_range(5) as u32,
+            action_seq: num(rng),
+            color,
+        },
+        1 => E::GreenLineAdvance {
+            node,
+            green: num(rng),
+        },
+        2 => E::Delivered {
+            node,
+            conf_seq: small(rng),
+            coordinator: small(rng) % 5,
+            seq: small(rng),
+            sender: rng.gen_range(5) as u32,
+            in_transitional: rng.gen_bool(0.2),
+        },
+        3 => {
+            let (first, len) = (small(rng), 2 + rng.gen_range(6) as usize);
+            hostile_run(rng, node, first, len)
+        }
+        4 => E::EngineCrashed { node },
+        5 => E::EngineRecovered {
+            node,
+            green: num(rng),
+        },
+        6 => E::BaseSubsumed {
+            node,
+            creator: rng.gen_range(5) as u32,
+            cut: num(rng),
+        },
+        7 => E::ActionFootprint(Box::new(Footprint {
+            node,
+            action_seq: num(rng),
+            writes: vec![rng.gen_range(4)],
+            writes_unbounded: rng.gen_bool(0.1),
+            reads: vec![],
+            reads_unbounded: rng.gen_bool(0.1),
+            commutative: false,
+            timestamped: false,
+        })),
+        8 => E::FastCommit {
+            node,
+            action_seq: num(rng),
+        },
+        9 => E::UpdateAcked {
+            node,
+            creator: node,
+            action_seq: num(rng),
+        },
+        10 => E::ReadServed {
+            node,
+            key_fp: rng.gen_range(4),
+            tier: ReadTier::LeaseLinearizable,
+            version: num(rng),
+        },
+        11 => E::LeaseGranted {
+            node,
+            conf_seq: small(rng),
+            coordinator: small(rng) % 5,
+            expires_nanos: num(rng),
+            renewal: rng.gen_bool(0.5),
+        },
+        12 => E::TransitionalConfig {
+            node,
+            conf_seq: small(rng),
+        },
+        _ => E::ViewInstalled {
+            node,
+            conf_seq: small(rng),
+            coordinator: small(rng) % 5,
+            members: 5,
+        },
+    }
+}
+
+/// Re-encodes `r` with one byte changed; the decoder must answer, and an
+/// event it accepts joins the stream.
+fn flip_a_byte(rng: &mut SimRng, r: &RecordedEvent) -> Option<RecordedEvent> {
+    let mut bytes = serde::bin::to_vec(r);
+    let at = 1 + rng.gen_range(bytes.len() as u64 - 1) as usize;
+    bytes[at] = rng.next_u64() as u8;
+    serde::bin::from_slice(&bytes).ok()
+}
+
+/// Applies one mutation to `log`.
+fn mutate(rng: &mut SimRng, log: &mut Vec<RecordedEvent>) {
+    let at =
+        |rng: &mut SimRng, log: &Vec<RecordedEvent>| rng.gen_range(log.len() as u64 + 1) as usize;
+    let i = at(rng, log).min(log.len().saturating_sub(1));
+    match rng.gen_range(7) {
+        0 if !log.is_empty() => {
+            log.remove(i);
+        }
+        1 if !log.is_empty() => {
+            let copy = log[i].clone();
+            let j = at(rng, log);
+            log.insert(j, copy);
+        }
+        2 if !log.is_empty() => {
+            let j = at(rng, log).min(log.len() - 1);
+            log.swap(i, j);
+        }
+        3 if !log.is_empty() => {
+            if let Some(changed) = flip_a_byte(rng, &log[i]) {
+                log[i] = changed;
+            }
+        }
+        4 => {
+            // A run overlapping one already logged, at another node or
+            // the same one, shifted by a few slots.
+            let runs: Vec<&DeliveredRun> = log
+                .iter()
+                .filter_map(|r| match &r.event {
+                    E::DeliveredRun(run) => Some(run),
+                    _ => None,
+                })
+                .collect();
+            if let Some(run) = rng.choose(&runs) {
+                let node = rng.gen_range(5) as u32;
+                let first = run.first_seq().saturating_add(rng.gen_range(3) as u32);
+                let mut senders: Vec<u32> = run.senders().collect();
+                if rng.gen_bool(0.5) && senders.len() >= 2 {
+                    senders.swap(0, 1);
+                }
+                let event = E::DeliveredRun(DeliveredRun::new(
+                    node,
+                    run.conf_seq(),
+                    run.coordinator(),
+                    first,
+                    run.in_transitional(),
+                    &senders,
+                ));
+                log.insert(at(rng, log), rec(event));
+            }
+        }
+        5 => {
+            let first = u32::MAX - rng.gen_range(8) as u32;
+            let len = 2 + rng.gen_range(64) as usize;
+            let node = rng.gen_range(5) as u32;
+            let event = hostile_run(rng, node, first, len);
+            log.insert(at(rng, log), rec(event));
+        }
+        _ => {
+            let event = random_event(rng);
+            log.insert(at(rng, log), rec(event));
+        }
+    }
+}
+
+/// Events a log counts for the budget: a run once per slot.
+fn weight(log: &[RecordedEvent]) -> u64 {
+    log.iter()
+        .map(|r| r.event.delivered_slots().count().max(1) as u64)
+        .sum()
+}
+
+/// Checks `log` and its allocation budget; returns whether it passed.
+fn verdict_within_budget(case: u64, log: &[RecordedEvent], survivors: &[u32]) -> bool {
+    let (verdict, peak) = checked(log, survivors);
+    let budget = BASE_BYTES + BYTES_PER_EVENT * weight(log);
+    assert!(
+        peak <= budget,
+        "case {case}: {peak} B at peak for {} events (weight {}), budget {budget} B",
+        log.len(),
+        weight(log)
+    );
+    verdict.is_ok()
+}
+
+#[test]
+fn fuzzed_logs_end_in_a_verdict_within_the_byte_budget() {
+    let recorded = recorded_log();
+    assert!(
+        recorded
+            .iter()
+            .any(|r| matches!(r.event, E::DeliveredRun(_))),
+        "the recorded log holds no delivery run"
+    );
+    let all = [0, 1, 2, 3, 4];
+    assert!(verdict_within_budget(0, &recorded, &all));
+
+    // Hostile runs on their own: a million senders from slot 0, and
+    // from just below the u32::MAX saturation.
+    let mut rng = SimRng::new(20);
+    for (case, first) in [(1, 0), (2, u32::MAX - 5)] {
+        let big = hostile_run(&mut rng, 0, first, 1_000_000);
+        let log = [rec(big.clone()), rec(big)];
+        verdict_within_budget(case, &log, &[]);
+    }
+
+    let (mut passed, mut violated) = (0, 0);
+    for case in 3..CASES {
+        let mut rng = SimRng::new(case);
+        let mut log = if case % 4 == 0 {
+            let len = rng.gen_range(400) as usize;
+            (0..len).map(|_| rec(random_event(&mut rng))).collect()
+        } else {
+            // A prefix: the recorded log cut anywhere passes the
+            // clauses that hold at every prefix, so what those find is
+            // what the mutations did.
+            let len = rng.gen_range(recorded.len() as u64 + 1) as usize;
+            recorded[..len].to_vec()
+        };
+        for _ in 0..1 + rng.gen_range(4) {
+            mutate(&mut rng, &mut log);
+        }
+        // Half the cases check the end-of-run clauses over survivors.
+        let survivors: Vec<u32> = match rng.gen_bool(0.5) {
+            true => all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect(),
+            false => Vec::new(),
+        };
+        if verdict_within_budget(case, &log, &survivors) {
+            passed += 1;
+        } else {
+            violated += 1;
+        }
+    }
+    println!("{passed} logs passed, {violated} ended in a typed violation");
+    assert!(passed > 0 && violated > 0, "the cases never reach one side");
 }

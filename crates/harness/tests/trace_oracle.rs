@@ -7,7 +7,9 @@ use todr_harness::client::{ClientConfig, ZipfianKeys};
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::fault::{Faults, Step};
 use todr_harness::oracle::{check_trace, TraceOracle, TraceStats, TraceViolation};
-use todr_sim::{EventColor, Footprint, ProtocolEvent as E, ReadTier, RecordedEvent, SimDuration};
+use todr_sim::{
+    DeliveredRun, EventColor, Footprint, ProtocolEvent as E, ReadTier, RecordedEvent, SimDuration,
+};
 
 fn rec(event: E) -> RecordedEvent {
     RecordedEvent {
@@ -322,6 +324,144 @@ fn delivery_slots_strictly_increase_per_node_and_conf() {
         check_trace(&[d(2), d(2)], &BTreeSet::new()).unwrap_err(),
         TraceViolation::DeliverySeqRegression { .. }
     ));
+}
+
+// --- delivery runs: a run's verdict is that of its singles ---
+
+/// A delivery at `node` in configuration (3, 0).
+fn single(node: u32, seq: u32, sender: u32) -> RecordedEvent {
+    rec(E::Delivered {
+        node,
+        conf_seq: 3,
+        coordinator: 0,
+        seq,
+        sender,
+        in_transitional: false,
+    })
+}
+
+/// A run of deliveries at `node` in configuration (3, 0).
+fn run(node: u32, first_seq: u32, senders: &[u32]) -> RecordedEvent {
+    rec(E::DeliveredRun(DeliveredRun::new(
+        node, 3, 0, first_seq, false, senders,
+    )))
+}
+
+/// The singles a run stands for, slots saturating as the log's do.
+fn singles(node: u32, first_seq: u32, senders: &[u32]) -> Vec<RecordedEvent> {
+    (0..)
+        .zip(senders)
+        .map(|(i, &sender)| single(node, first_seq.saturating_add(i), sender))
+        .collect()
+}
+
+fn mismatch(seq: u64, a: (u32, u32), b: (u32, u32)) -> TraceViolation {
+    TraceViolation::DeliveryMismatch {
+        conf_seq: 3,
+        coordinator: 0,
+        seq,
+        a,
+        b,
+    }
+}
+
+fn regression(from: u64, to: u64) -> TraceViolation {
+    TraceViolation::DeliverySeqRegression {
+        node: 0,
+        conf_seq: 3,
+        coordinator: 0,
+        from,
+        to,
+    }
+}
+
+#[test]
+fn a_run_and_a_single_that_disagree_at_one_slot_mismatch() {
+    let none = BTreeSet::new();
+    let agreed = check_trace(&[run(0, 10, &[4, 5, 6]), single(1, 11, 5)], &none);
+    assert_eq!(agreed.unwrap().deliveries_agreed, 1);
+    assert_eq!(
+        check_trace(&[run(0, 10, &[4, 5, 6]), single(1, 11, 9)], &none),
+        Err(mismatch(11, (0, 5), (1, 9)))
+    );
+    assert_eq!(
+        check_trace(&[single(1, 11, 9), run(0, 10, &[4, 5, 6])], &none),
+        Err(mismatch(11, (1, 9), (0, 5)))
+    );
+}
+
+#[test]
+fn a_run_that_swaps_two_senders_of_another_members_run_mismatches() {
+    let none = BTreeSet::new();
+    let same = check_trace(
+        &[run(0, 10, &[4, 5, 6, 7]), run(1, 10, &[4, 5, 6, 7])],
+        &none,
+    );
+    assert_eq!(same.unwrap().deliveries_agreed, 4);
+    assert_eq!(
+        check_trace(
+            &[run(0, 10, &[4, 5, 6, 7]), run(1, 10, &[4, 6, 5, 7])],
+            &none
+        ),
+        Err(mismatch(11, (0, 5), (1, 6)))
+    );
+    // Offset runs overlap in part and are checked where they overlap.
+    assert_eq!(
+        check_trace(&[run(0, 10, &[4, 5, 6]), run(1, 11, &[5, 7])], &none),
+        Err(mismatch(12, (0, 6), (1, 7)))
+    );
+}
+
+#[test]
+fn a_run_overlapping_the_same_members_earlier_deliveries_regresses() {
+    let none = BTreeSet::new();
+    assert_eq!(
+        check_trace(&[run(0, 10, &[1, 2, 3]), run(0, 12, &[3, 4])], &none),
+        Err(regression(12, 12))
+    );
+    assert_eq!(
+        check_trace(&[single(0, 11, 2), run(0, 10, &[1, 2])], &none),
+        Err(regression(11, 10))
+    );
+    assert_eq!(
+        check_trace(&[run(0, 10, &[1, 2]), single(0, 11, 2)], &none),
+        Err(regression(11, 11))
+    );
+    let ahead = [run(0, 10, &[1, 2]), single(0, 12, 3), run(0, 13, &[4, 5])];
+    check_trace(&ahead, &none).unwrap();
+}
+
+#[test]
+fn a_run_near_u32_max_gets_the_verdict_of_its_singles() {
+    let none = BTreeSet::new();
+    let max = u32::MAX;
+    for (first, senders) in [
+        (max - 3, &[1, 2, 3][..]),
+        (max - 1, &[1, 2, 3]),
+        (max, &[1, 2]),
+    ] {
+        let as_run = check_trace(&[run(0, first, senders), run(1, first, senders)], &none);
+        let mut spelled = singles(0, first, senders);
+        spelled.extend(singles(1, first, senders));
+        let as_singles = check_trace(&spelled, &none);
+        assert_eq!(
+            as_run.map(|s| s.deliveries_agreed),
+            as_singles.map(|s| s.deliveries_agreed),
+            "run of {} from {first}",
+            senders.len()
+        );
+    }
+    // Past the saturation a run repeats slot u32::MAX, as its singles
+    // do: a different sender there mismatches, the same one regresses.
+    let max = u64::from(max);
+    assert_eq!(
+        check_trace(&[run(0, u32::MAX - 1, &[1, 2, 3])], &none),
+        Err(mismatch(max, (0, 2), (0, 3)))
+    );
+    assert_eq!(
+        check_trace(&[run(0, u32::MAX - 1, &[1, 2, 2])], &none),
+        Err(regression(max, max))
+    );
 }
 
 // --- fast-path oracle clauses ---

@@ -57,6 +57,7 @@
 
 mod actor;
 mod checksum;
+mod delivery;
 mod event;
 pub mod metrics;
 mod resource;
@@ -66,6 +67,7 @@ mod world;
 
 pub use actor::{Actor, ActorId};
 pub use checksum::{checksum64, checksum64_of};
+pub use delivery::{DeliveredRun, DeliveredSlot};
 pub use event::{IntoPayload, Payload};
 pub use metrics::{
     EventColor, Footprint, Histogram, HistogramSummary, Metric, MetricName, MetricsExport,

@@ -29,6 +29,7 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use crate::actor::ActorId;
+use crate::delivery::{DeliveredRun, DeliveredSlot, RunTable};
 use crate::time::{SimDuration, SimTime};
 
 /// Knowledge level of an action as it moves through the engine; mirrors
@@ -52,7 +53,8 @@ pub enum EventColor {
 /// delivery slots, `u64` action sequences and positions) so the kernel
 /// stays dependency-free; the emitting layer converts its own ids.
 /// `node` is always the *reporting* replica. Every variant fits in
-/// 24 bytes; the one that does not is boxed.
+/// 24 bytes: the footprint is boxed, and a delivery run's senders sit
+/// in the hub's run table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProtocolEvent {
     /// A group-communication daemon installed a regular configuration.
@@ -147,6 +149,9 @@ pub enum ProtocolEvent {
     /// The group-communication layer delivered an application message
     /// in agreed order. Oracles cross-check that all members of a
     /// configuration deliver the same sender at the same sequence slot.
+    /// A run of two or more deliveries is one
+    /// [`ProtocolEvent::DeliveredRun`] instead; read both through
+    /// [`ProtocolEvent::delivered_slots`].
     Delivered {
         /// Reporting replica.
         node: u32,
@@ -315,6 +320,14 @@ pub enum ProtocolEvent {
         /// The creator's green cut in the adopted base.
         cut: u64,
     },
+    /// A run of two or more agreed-order deliveries handed over at once:
+    /// consecutive slots of one configuration, below the `u32::MAX`
+    /// saturation, all in the regular or all in the transitional
+    /// configuration. It stands for the [`ProtocolEvent::Delivered`]
+    /// events of its slots and serialises as a struct variant of
+    /// `node`, `conf_seq`, `coordinator`, `first_seq`,
+    /// `in_transitional` and `senders`.
+    DeliveredRun(DeliveredRun),
 }
 
 /// The payload of [`ProtocolEvent::ActionFootprint`]. Row identities are
@@ -357,7 +370,7 @@ pub enum ReadTier {
 }
 
 /// Every [`ProtocolEvent::kind`], indexed by variant.
-const KINDS: [&str; 25] = [
+const KINDS: [&str; 26] = [
     "view-installed",
     "transitional-config",
     "action-created",
@@ -383,6 +396,7 @@ const KINDS: [&str; 25] = [
     "update-acked",
     "lease-granted",
     "base-subsumed",
+    "delivered-run",
 ];
 
 impl ProtocolEvent {
@@ -420,7 +434,39 @@ impl ProtocolEvent {
             ProtocolEvent::UpdateAcked { .. } => 22,
             ProtocolEvent::LeaseGranted { .. } => 23,
             ProtocolEvent::BaseSubsumed { .. } => 24,
+            ProtocolEvent::DeliveredRun(_) => 25,
         }
+    }
+
+    /// Every agreed-order delivery this event records, in slot order:
+    /// one for a [`ProtocolEvent::Delivered`], the run's for a
+    /// [`ProtocolEvent::DeliveredRun`], none for any other kind.
+    pub fn delivered_slots(&self) -> impl Iterator<Item = DeliveredSlot> + '_ {
+        let (single, run) = match *self {
+            ProtocolEvent::Delivered {
+                node,
+                conf_seq,
+                coordinator,
+                seq,
+                sender,
+                in_transitional,
+            } => {
+                let slot = DeliveredSlot {
+                    node,
+                    conf_seq,
+                    coordinator,
+                    seq,
+                    sender,
+                    in_transitional,
+                };
+                (Some(slot), None)
+            }
+            ProtocolEvent::DeliveredRun(ref run) => (None, Some(run)),
+            _ => (None, None),
+        };
+        single
+            .into_iter()
+            .chain(run.into_iter().flat_map(DeliveredRun::slots))
     }
 }
 
@@ -738,6 +784,8 @@ pub struct MetricsHub {
     gauges: Vec<Option<u64>>,
     histograms: Vec<Option<Histogram>>,
     events: Vec<RecordedEvent>,
+    /// The senders of the logged delivery runs.
+    runs: RunTable,
     /// Events logged per kind, indexed like [`KINDS`].
     event_counts: [u64; KINDS.len()],
     /// Registered scope prefixes (`"g0."`, `"g1."`, …); scope id `i + 1`
@@ -755,10 +803,10 @@ pub struct MetricsHub {
 
 /// Events a new hub's log has room for before it has to move: a few
 /// virtual seconds of a paper-scale (14-replica) run, in 21 MB (20 MiB)
-/// of address space at 40 bytes an entry. At seed 42 the benchmark's
-/// 7-replica fault cell logs 191 k events and its lease-read cell
-/// 514 k, so neither moves; its saturated 14-replica cell (1.06 M) and
-/// its 56-replica cell (704 k) outgrow the reserve and move, and where
+/// of address space at 40 bytes an entry. At seed 42 every benchmark
+/// cell fits: the saturated 14-replica cell logs 520 k events, the
+/// lease-read cell 496 k, the 56-replica cell 289 k and the 7-replica
+/// fault cell 116 k. A log that outgrows the reserve moves, and where
 /// the moved log lands is what makes peak memory differ between seeds.
 const EVENT_LOG_RESERVE: usize = 1 << 19;
 
@@ -921,6 +969,21 @@ impl MetricsHub {
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         let slot = registry::lookup(name)?;
         self.histograms.get(slot as usize)?.as_ref()
+    }
+
+    /// A run of agreed-order deliveries at `node`, stored in this hub's
+    /// run table, for the caller to log as
+    /// [`ProtocolEvent::DeliveredRun`]. `head` is the run's
+    /// `(conf_seq, coordinator, first_seq, in_transitional)`; `senders`
+    /// are in slot order, at most `u32::MAX` of them kept. Where another
+    /// member just reported an equal run, the new one shares its words.
+    pub fn delivered_run(
+        &mut self,
+        node: u32,
+        head: (u32, u32, u32, bool),
+        senders: impl ExactSizeIterator<Item = u32>,
+    ) -> DeliveredRun {
+        self.runs.push(node, head, senders)
     }
 
     /// Appends a typed event. The log is the input of the consistency
@@ -1178,6 +1241,28 @@ mod tests {
             [177, 13, 18, 12, 8, 3, 1, 3, 2, 8, 1, 3, 3, 1, 8, 0, 2, 1, 2]
         );
         assert_eq!(serde::bin::from_slice(&bytes).ok(), Some(event));
+    }
+
+    #[test]
+    fn delivered_run_event_renders_as_a_struct_variant() {
+        let run = crate::DeliveredRun::new(2, 300, 1, 7, false, &[3, 0, 3]);
+        let event = ProtocolEvent::DeliveredRun(run);
+        assert_eq!(
+            serde::json::to_string(&event).ok().as_deref(),
+            Some(
+                "{\"DeliveredRun\":{\"node\":2,\"conf_seq\":300,\"coordinator\":1,\
+                 \"first_seq\":7,\"in_transitional\":false,\"senders\":[3,0,3]}}"
+            )
+        );
+        // Variant index 25, then a record of the six fields.
+        let bytes = serde::bin::to_vec(&event);
+        assert_eq!(
+            bytes,
+            [177, 13, 25, 12, 6, 3, 2, 3, 172, 2, 3, 1, 3, 7, 1, 8, 3, 3, 3, 3, 0, 3, 3]
+        );
+        assert_eq!(serde::bin::from_slice(&bytes).ok(), Some(event.clone()));
+        let json = serde::json::to_string(&event).unwrap_or_default();
+        assert_eq!(serde::json::from_str(&json).ok(), Some(event));
     }
 
     /// Both forms write integers by value, not by width, so the events

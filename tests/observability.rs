@@ -144,13 +144,25 @@ fn typed_events_replace_trace_grepping() {
 /// Sums each typed event that stands for a hub counter per replica and
 /// checks the sums against the hub. Returns the folded greens counted:
 /// a Green at a node with no earlier mark of its action this
-/// incarnation also stands for the red acceptance folded into it.
+/// incarnation also stands for the red acceptance folded into it. A
+/// delivery run stands for one delivery per slot.
 fn assert_per_replica_events_sum(cluster: &Cluster, counters: &[&str]) -> u64 {
     let hub = cluster.world.metrics();
     let mut per_replica: BTreeMap<&str, BTreeMap<u32, u64>> = BTreeMap::new();
     let mut marked: BTreeSet<(u32, u32, u64)> = BTreeSet::new();
     let mut folds = 0;
     for rec in hub.events() {
+        for d in rec.event.delivered_slots() {
+            let counter = match d.in_transitional {
+                false => "evs.delivered_safe",
+                true => "evs.delivered_trans",
+            };
+            *per_replica
+                .entry(counter)
+                .or_default()
+                .entry(d.node)
+                .or_default() += 1;
+        }
         let (counter, node) = match rec.event {
             ProtocolEvent::FastCommit { node, .. } => ("engine.fast_commits", node),
             ProtocolEvent::FastDemoted { node, .. } => ("engine.fast_demotions", node),
@@ -247,6 +259,7 @@ fn per_replica_events_sum_to_the_hub_counters() {
             "engine.lease_grants",
             "engine.lease_renewals",
             "engine.marked_red",
+            "evs.delivered_safe",
         ],
     );
     cluster.check_consistency();
@@ -261,7 +274,8 @@ fn folded_red_marks_sum_to_the_hub_counter() {
         .build()
         .expect("coherent config");
     let mut cluster = run_loaded_cluster(config, 2);
-    let folds = assert_per_replica_events_sum(&cluster, &["engine.marked_red"]);
+    let folds =
+        assert_per_replica_events_sum(&cluster, &["engine.marked_red", "evs.delivered_safe"]);
     assert!(folds > 0, "no red mark was folded into its green");
     cluster.check_consistency();
 }
