@@ -420,11 +420,6 @@ impl ReplicationEngine {
         self.k.white_line()
     }
 
-    /// Whether this server believes it is in the primary component.
-    pub fn in_primary(&self) -> bool {
-        matches!(self.state, EngineState::RegPrim | EngineState::TransPrim)
-    }
-
     /// Number of action bodies currently retained in memory.
     pub fn retained_bodies(&self) -> usize {
         self.k.retained()

@@ -162,13 +162,6 @@ impl VulnerableRecord {
             accounted: BTreeSet::new(),
         }
     }
-
-    /// Whether `other` describes the same attempt.
-    pub fn same_attempt(&self, other: &VulnerableRecord) -> bool {
-        self.prim_index == other.prim_index
-            && self.attempt_index == other.attempt_index
-            && self.set == other.set
-    }
 }
 
 /// The yellow record: actions delivered in a transitional configuration

@@ -14,13 +14,13 @@
 
 use todr_net::NetConfig;
 use todr_sim::SimDuration;
-
-use crate::baselines::BaselineCluster;
-use crate::client::ClientConfig;
-use crate::cluster::{Cluster, ClusterConfig};
 use todr_storage::DiskMode;
 
-use super::render_table;
+use crate::client::ClientConfig;
+use crate::cluster::ClusterConfig;
+
+use super::runner::{closed_loop, deploy, engine};
+use super::{render_table, Protocol};
 
 /// One point of the loss sweep.
 #[derive(Debug, Clone)]
@@ -48,29 +48,18 @@ pub fn loss_sweep(
             if loss > 0.0 {
                 config = config.lossy(loss);
             }
-            let mut cluster = Cluster::build(config);
-            cluster.settle();
-            let record_from = cluster.now() + warmup;
-            let handles: Vec<_> = (0..clients)
-                .map(|i| {
-                    cluster.attach_client(
-                        i % n_servers as usize,
-                        ClientConfig {
-                            record_from,
-                            ..ClientConfig::default()
-                        },
-                    )
-                })
-                .collect();
-            cluster.run_for(warmup + measure);
+            let mut cluster = engine(config);
+            let measured = closed_loop(
+                &mut cluster,
+                clients,
+                ClientConfig::default(),
+                warmup,
+                measure,
+            );
             cluster.check_consistency();
-            let committed: u64 = handles
-                .iter()
-                .map(|&h| cluster.client_stats(h).recorded)
-                .sum();
             LossPoint {
                 loss,
-                throughput: committed as f64 / measure.as_secs_f64(),
+                throughput: measured.totals().1 as f64 / measure.as_secs_f64(),
             }
         })
         .collect()
@@ -106,70 +95,33 @@ pub struct WanRow {
 
 /// Measures single-client mean latency per protocol on LAN vs WAN.
 pub fn wan_latency(n_servers: u32, actions: u64, seed: u64) -> Vec<WanRow> {
-    let run_engine = |net: NetConfig| -> f64 {
-        let mut config = ClusterConfig::new(n_servers, seed);
-        config.net = net;
-        let mut cluster = Cluster::build(config);
-        cluster.settle();
-        let client = cluster.attach_client(
-            0,
-            ClientConfig {
-                max_requests: Some(actions),
-                ..ClientConfig::default()
-            },
-        );
-        cluster.run_for(SimDuration::from_secs(2 + actions / 4));
-        cluster.client_stats(client).latency.mean().as_millis_f64()
-    };
-    let run_corel = |net: NetConfig| -> f64 {
-        let mut config = ClusterConfig::new(n_servers, seed);
-        config.net = net;
-        let mut cluster = BaselineCluster::corel(&config);
-        cluster.settle();
-        let client = cluster.attach_client(
-            0,
-            ClientConfig {
-                max_requests: Some(actions),
-                ..ClientConfig::default()
-            },
-        );
-        cluster.run_for(SimDuration::from_secs(2 + actions / 4));
-        cluster.client_stats(client).latency.mean().as_millis_f64()
-    };
-    let run_tpc = |net: NetConfig| -> f64 {
-        let mut config = ClusterConfig::new(n_servers, seed);
-        config.net = net;
-        let mut cluster = BaselineCluster::tpc(&config);
-        let client = cluster.attach_client(
-            0,
-            ClientConfig {
-                max_requests: Some(actions),
-                ..ClientConfig::default()
-            },
-        );
-        cluster.run_for(SimDuration::from_secs(2 + actions / 4));
-        cluster.client_stats(client).latency.mean().as_millis_f64()
+    let mean_ms = |protocol, net: NetConfig| -> f64 {
+        let config = ClusterConfig {
+            net,
+            ..ClusterConfig::new(n_servers, seed)
+        };
+        let client = ClientConfig {
+            max_requests: Some(actions),
+            ..ClientConfig::default()
+        };
+        let budget = SimDuration::from_secs(2 + actions / 4);
+        let mut deployment = deploy(protocol, config);
+        let measured = closed_loop(&mut *deployment, 1, client, SimDuration::ZERO, budget);
+        measured.stats[0].latency.mean().as_millis_f64()
     };
 
     // WAN without random loss isolates the latency effect.
     let wan = NetConfig::wan(0.0);
-    vec![
-        WanRow {
-            protocol: "Engine",
-            lan_ms: run_engine(NetConfig::lan()),
-            wan_ms: run_engine(wan.clone()),
-        },
-        WanRow {
-            protocol: "COReL",
-            lan_ms: run_corel(NetConfig::lan()),
-            wan_ms: run_corel(wan.clone()),
-        },
-        WanRow {
-            protocol: "2PC",
-            lan_ms: run_tpc(NetConfig::lan()),
-            wan_ms: run_tpc(wan),
-        },
-    ]
+    let labels = ["Engine", "COReL", "2PC"];
+    Protocol::PAPER
+        .into_iter()
+        .zip(labels)
+        .map(|(protocol, label)| WanRow {
+            protocol: label,
+            lan_ms: mean_ms(protocol, NetConfig::lan()),
+            wan_ms: mean_ms(protocol, wan.clone()),
+        })
+        .collect()
 }
 
 /// Renders the WAN comparison.
@@ -212,28 +164,19 @@ pub fn fsync_sweep(
 ) -> Vec<FsyncPoint> {
     let warmup = SimDuration::from_millis(500);
     let run = |mode: DiskMode| -> f64 {
-        let mut config = ClusterConfig::new(n_servers, seed);
-        config.disk_mode = mode;
-        let mut cluster = Cluster::build(config);
-        cluster.settle();
-        let record_from = cluster.now() + warmup;
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                cluster.attach_client(
-                    i % n_servers as usize,
-                    ClientConfig {
-                        record_from,
-                        ..ClientConfig::default()
-                    },
-                )
-            })
-            .collect();
-        cluster.run_for(warmup + measure);
-        let committed: u64 = handles
-            .iter()
-            .map(|&h| cluster.client_stats(h).recorded)
-            .sum();
-        committed as f64 / measure.as_secs_f64()
+        let config = ClusterConfig {
+            disk_mode: mode,
+            ..ClusterConfig::new(n_servers, seed)
+        };
+        let mut cluster = engine(config);
+        let measured = closed_loop(
+            &mut cluster,
+            clients,
+            ClientConfig::default(),
+            warmup,
+            measure,
+        );
+        measured.totals().1 as f64 / measure.as_secs_f64()
     };
     let delayed = run(DiskMode::Delayed);
     sync_ms

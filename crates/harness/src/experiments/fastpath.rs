@@ -23,9 +23,10 @@ use serde::{Deserialize, Serialize};
 use todr_core::UpdateReplyPolicy;
 use todr_sim::SimDuration;
 
-use super::{client_totals, round1, round3, Gate, Gated};
+use super::runner::{closed_loop, engine};
+use super::{round1, round3, Gate, Gated};
 use crate::client::{ClientConfig, Workload};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::ClusterConfig;
 
 /// Replicas in every cell (the paper's small-LAN size; matches A7).
 pub const N_SERVERS: u32 = 5;
@@ -152,29 +153,23 @@ fn measure(
 ) -> FastCell {
     // A7's configuration (delayed writes, no packing) so the green
     // baseline reproduces the ~3.25 ms figure the issue quotes.
-    let config = ClusterConfig::builder(N_SERVERS, seed)
-        .delayed_writes()
-        .fast_path(fast)
-        .build()
-        .expect("coherent fast-path sweep config");
-    let mut cluster = Cluster::build(config);
-    cluster.settle();
-    let client_config = ClientConfig {
+    let config = ClusterConfig {
+        fast_path: fast,
+        ..ClusterConfig::new(N_SERVERS, seed).delayed_writes()
+    };
+    let mut cluster = engine(config);
+    let template = ClientConfig {
         workload: Workload::Updates,
         reply_policy: if fast {
             UpdateReplyPolicy::Fast
         } else {
             UpdateReplyPolicy::OnGreen
         },
-        record_from: cluster.now() + warmup,
         conflict_pct,
         ..ClientConfig::default()
     };
-    let handles: Vec<_> = (0..clients)
-        .map(|i| cluster.attach_client(i % N_SERVERS as usize, client_config.clone()))
-        .collect();
-    cluster.run_for(warmup + window);
-    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
+    let measured = closed_loop(&mut cluster, clients, template, warmup, window);
+    let (latency, committed) = measured.totals();
     cluster.check_consistency();
     let hub = cluster.world.metrics();
     let fast_commits = hub.counter("engine.fast_commits");

@@ -10,7 +10,7 @@
 
 use todr_sim::SimDuration;
 
-use super::{render_table, run_workload, Protocol, RunResult};
+use super::{render_table, run_workload, Protocol};
 
 /// One throughput curve.
 #[derive(Debug, Clone)]
@@ -37,50 +37,65 @@ pub struct Fig5a {
 /// (the paper sweeps 1..=14); `measure` is the virtual measurement
 /// window per point.
 pub fn run(n_servers: u32, client_counts: &[usize], measure: SimDuration, seed: u64) -> Fig5a {
-    let warmup = SimDuration::from_millis(500);
-    let protocols = [
-        Protocol::Engine {
-            delayed_writes: false,
-        },
-        Protocol::Corel,
-        Protocol::Tpc,
-    ];
-    let mut curves = Vec::new();
-    for protocol in protocols {
-        let mut points = Vec::new();
-        for &clients in client_counts {
-            let result: RunResult =
-                run_workload(protocol, n_servers, clients, warmup, measure, seed);
-            points.push((clients, result.throughput));
-        }
-        curves.push(Curve {
-            protocol,
-            label: protocol.label(),
-            points,
-        });
-    }
+    let variants = Protocol::PAPER.map(|p| (p, p.label(), 1));
+    let curves = curves(&variants, n_servers, client_counts, measure, seed);
     Fig5a { n_servers, curves }
+}
+
+/// One curve per `(protocol, label, max_pack)` variant: its throughput
+/// at each client count, after a 500 ms warm-up.
+pub(super) fn curves(
+    variants: &[(Protocol, &'static str, usize)],
+    n_servers: u32,
+    client_counts: &[usize],
+    measure: SimDuration,
+    seed: u64,
+) -> Vec<Curve> {
+    let warmup = SimDuration::from_millis(500);
+    let point = |protocol, max_pack, clients| {
+        let result = run_workload(
+            protocol, n_servers, clients, max_pack, warmup, measure, seed,
+        );
+        (clients, result.throughput)
+    };
+    variants
+        .iter()
+        .map(|&(protocol, label, max_pack)| Curve {
+            protocol,
+            label,
+            points: client_counts
+                .iter()
+                .map(|&clients| point(protocol, max_pack, clients))
+                .collect(),
+        })
+        .collect()
+}
+
+/// `curves` as an aligned text table under `title`, one row per client
+/// count.
+pub(super) fn curve_table(title: String, curves: &[Curve]) -> String {
+    let headers: Vec<&str> = std::iter::once("clients")
+        .chain(curves.iter().map(|c| c.label))
+        .collect();
+    let n_points = curves.first().map_or(0, |c| c.points.len());
+    let mut rows = Vec::new();
+    for i in 0..n_points {
+        let mut row = vec![curves[0].points[i].0.to_string()];
+        for curve in curves {
+            row.push(format!("{:.0}", curve.points[i].1));
+        }
+        rows.push(row);
+    }
+    format!("{title}\n{}", render_table(&headers, &rows))
 }
 
 impl Fig5a {
     /// The figure as an aligned text table (one row per client count).
     pub fn to_table(&self) -> String {
-        let headers: Vec<&str> = std::iter::once("clients")
-            .chain(self.curves.iter().map(|c| c.label))
-            .collect();
-        let n_points = self.curves.first().map_or(0, |c| c.points.len());
-        let mut rows = Vec::new();
-        for i in 0..n_points {
-            let mut row = vec![self.curves[0].points[i].0.to_string()];
-            for curve in &self.curves {
-                row.push(format!("{:.0}", curve.points[i].1));
-            }
-            rows.push(row);
-        }
-        format!(
-            "Figure 5(a): throughput (actions/second), {} replicas\n{}",
-            self.n_servers,
-            render_table(&headers, &rows)
-        )
+        let title = format!(
+            "Figure 5(a): throughput (actions/second), {} replicas",
+            self.n_servers
+        );
+        curve_table(title, &self.curves)
     }
 }

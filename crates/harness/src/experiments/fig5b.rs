@@ -9,8 +9,8 @@
 
 use todr_sim::SimDuration;
 
-use super::fig5a::Curve;
-use super::{render_table, run_workload, run_workload_packed, Protocol};
+use super::fig5a::{curve_table, curves, Curve};
+use super::Protocol;
 
 /// The figure's data.
 #[derive(Debug, Clone)]
@@ -23,34 +23,13 @@ pub struct Fig5b {
 
 /// Runs the experiment.
 pub fn run(n_servers: u32, client_counts: &[usize], measure: SimDuration, seed: u64) -> Fig5b {
-    let warmup = SimDuration::from_millis(500);
-    let protocols = [
-        Protocol::Engine {
-            delayed_writes: true,
-        },
-        Protocol::Engine {
-            delayed_writes: false,
-        },
-    ];
-    let mut curves = Vec::new();
-    for protocol in protocols {
-        let mut points = Vec::new();
-        for &clients in client_counts {
-            let result = run_workload(protocol, n_servers, clients, warmup, measure, seed);
-            points.push((clients, result.throughput));
-        }
-        curves.push(Curve {
-            protocol,
-            label: protocol.label(),
-            points,
-        });
-    }
-    Fig5b { n_servers, curves }
+    run_packed(n_servers, client_counts, measure, seed, 1)
 }
 
-/// Runs the experiment with a third curve: the delayed-writes engine
-/// with EVS message packing up to `max_pack` submissions per frame —
-/// the configuration that lifts the figure's CPU-bound ceiling.
+/// Runs the experiment; a `max_pack` above 1 adds a third curve: the
+/// delayed-writes engine with EVS message packing up to `max_pack`
+/// submissions per frame — the configuration that lifts the figure's
+/// CPU-bound ceiling.
 pub fn run_packed(
     n_servers: u32,
     client_counts: &[usize],
@@ -58,45 +37,27 @@ pub fn run_packed(
     seed: u64,
     max_pack: usize,
 ) -> Fig5b {
-    let warmup = SimDuration::from_millis(500);
-    let mut fig = run(n_servers, client_counts, measure, seed);
-    let protocol = Protocol::Engine {
+    let delayed = Protocol::Engine {
         delayed_writes: true,
     };
-    let mut points = Vec::new();
-    for &clients in client_counts {
-        let result = run_workload_packed(
-            protocol, n_servers, clients, max_pack, warmup, measure, seed,
-        );
-        points.push((clients, result.throughput));
+    let forced = Protocol::Engine {
+        delayed_writes: false,
+    };
+    let mut variants = vec![(delayed, delayed.label(), 1), (forced, forced.label(), 1)];
+    if max_pack > 1 {
+        variants.push((delayed, "Engine (delayed writes, packed)", max_pack));
     }
-    fig.curves.push(Curve {
-        protocol,
-        label: "Engine (delayed writes, packed)",
-        points,
-    });
-    fig
+    let curves = curves(&variants, n_servers, client_counts, measure, seed);
+    Fig5b { n_servers, curves }
 }
 
 impl Fig5b {
     /// The figure as an aligned text table.
     pub fn to_table(&self) -> String {
-        let headers: Vec<&str> = std::iter::once("clients")
-            .chain(self.curves.iter().map(|c| c.label))
-            .collect();
-        let n_points = self.curves.first().map_or(0, |c| c.points.len());
-        let mut rows = Vec::new();
-        for i in 0..n_points {
-            let mut row = vec![self.curves[0].points[i].0.to_string()];
-            for curve in &self.curves {
-                row.push(format!("{:.0}", curve.points[i].1));
-            }
-            rows.push(row);
-        }
-        format!(
-            "Figure 5(b): impact of forced disk writes (actions/second), {} replicas\n{}",
-            self.n_servers,
-            render_table(&headers, &rows)
-        )
+        let title = format!(
+            "Figure 5(b): impact of forced disk writes (actions/second), {} replicas",
+            self.n_servers
+        );
+        curve_table(title, &self.curves)
     }
 }

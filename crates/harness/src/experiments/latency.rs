@@ -9,11 +9,11 @@
 
 use todr_sim::SimDuration;
 
-use crate::baselines::BaselineCluster;
 use crate::client::ClientConfig;
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::ClusterConfig;
 use crate::metrics::LatencyStats;
 
+use super::runner::{closed_loop, deploy};
 use super::{render_table, Protocol};
 
 /// One protocol's latency summary.
@@ -47,51 +47,25 @@ pub fn run(n_servers: u32, actions: u64, seed: u64) -> LatencyTable {
         max_requests: Some(actions),
         ..ClientConfig::default()
     };
-    let mut rows = Vec::new();
-
-    // Engine (forced writes).
-    {
-        let mut cluster = Cluster::build(ClusterConfig::new(n_servers, seed));
-        cluster.settle();
-        let client = cluster.attach_client(0, client_config.clone());
-        cluster.run_for(budget);
-        let stats = cluster.client_stats(client);
-        rows.push(LatencyRow {
-            protocol: Protocol::Engine {
-                delayed_writes: false,
-            },
-            actions: stats.committed,
-            latency: stats.latency,
-        });
-    }
-
-    // COReL.
-    {
-        let mut cluster = BaselineCluster::corel(&ClusterConfig::new(n_servers, seed));
-        cluster.settle();
-        let client = cluster.attach_client(0, client_config.clone());
-        cluster.run_for(budget);
-        let stats = cluster.client_stats(client);
-        rows.push(LatencyRow {
-            protocol: Protocol::Corel,
-            actions: stats.committed,
-            latency: stats.latency,
-        });
-    }
-
-    // 2PC.
-    {
-        let mut cluster = BaselineCluster::tpc(&ClusterConfig::new(n_servers, seed));
-        let client = cluster.attach_client(0, client_config);
-        cluster.run_for(budget);
-        let stats = cluster.client_stats(client);
-        rows.push(LatencyRow {
-            protocol: Protocol::Tpc,
-            actions: stats.committed,
-            latency: stats.latency,
-        });
-    }
-
+    let rows = Protocol::PAPER
+        .into_iter()
+        .map(|protocol| {
+            let mut deployment = deploy(protocol, ClusterConfig::new(n_servers, seed));
+            let measured = closed_loop(
+                &mut *deployment,
+                1,
+                client_config.clone(),
+                SimDuration::ZERO,
+                budget,
+            );
+            let stats = &measured.stats[0];
+            LatencyRow {
+                protocol,
+                actions: stats.committed,
+                latency: stats.latency.clone(),
+            }
+        })
+        .collect();
     LatencyTable {
         n_servers,
         actions,

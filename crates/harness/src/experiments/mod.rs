@@ -20,6 +20,17 @@
 //! | `fastpath` | [`fastpath::run`] | extension A11: commutativity fast-path commit latency vs green across conflict rates (`BENCH_fastpath.json`) |
 //! | `reads` | [`reads::run`] | extension A12: YCSB-style read mixes across consistency tiers — lease vs ordered linearizable, snapshot, overlay (`BENCH_reads.json`) |
 //!
+//! The measured drivers share one load model, paper §7's: closed-loop
+//! clients spread round-robin over the replicas, a warm-up, then a
+//! measured window. The private `runner` module implements it once:
+//! `deploy` builds and readies a [`Protocol`]'s deployment (the engine
+//! and COReL settle into their group; 2PC has none), and `closed_loop`
+//! attaches the clients from a template — routed through the shard
+//! router for a shard-pool one — runs the window and returns their
+//! stats. [`run_workload`] is that path with default clients. The
+//! scripted timelines (`partition`, `join`, `recovery`, `semantics`)
+//! drive a cluster directly.
+//!
 //! All results are measured in **virtual time** on the calibrated
 //! simulated substrate (see DESIGN.md §2); the claims to compare against
 //! the paper are the *shapes* — who wins, by what factor, where the
@@ -43,13 +54,11 @@ pub mod shard;
 mod runner;
 
 pub use registry::{load, Gate, Gated};
-pub use runner::{run_workload, run_workload_packed, Protocol, RunResult};
+pub use runner::{run_workload, Protocol, RunResult};
 
 use todr_sim::{SimDuration, SimTime};
 
-use crate::client::ClientStats;
 use crate::cluster::Cluster;
-use crate::metrics::LatencyStats;
 
 /// Renders a sequence of rows as an aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -93,18 +102,6 @@ fn round1(x: f64) -> f64 {
 /// Rounds to 0.001, the precision latencies and ratios are reported at.
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
-}
-
-/// The measured clients' merged commit latencies and their recorded
-/// commits.
-fn client_totals(stats: impl Iterator<Item = ClientStats>) -> (LatencyStats, u64) {
-    let mut latency = LatencyStats::new();
-    let mut committed = 0;
-    for s in stats {
-        latency.merge(&s.latency);
-        committed += s.recorded;
-    }
-    (latency, committed)
 }
 
 /// Advances `cluster` in 10 ms steps until `pred` holds, returning that

@@ -25,9 +25,10 @@ use serde::{Deserialize, Serialize};
 use todr_core::ReadConsistency;
 use todr_sim::SimDuration;
 
+use super::runner::{closed_loop, engine};
 use super::{round1, round3, Gate, Gated};
 use crate::client::{ClientConfig, Workload, ZipfianKeys};
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::ClusterConfig;
 use crate::metrics::LatencyStats;
 
 /// Replicas in every cell (the paper's small-LAN size; matches A7/A11).
@@ -217,34 +218,24 @@ fn measure(
 ) -> ReadCell {
     // A7's configuration (delayed writes, no packing) so the ordered
     // control reproduces the A11 green-latency figures.
-    let config = ClusterConfig::builder(N_SERVERS, seed)
-        .delayed_writes()
-        .read_leases(tier.leases())
-        .build()
-        .expect("coherent read-sweep config");
-    let mut cluster = Cluster::build(config);
-    cluster.settle();
-    let client_config = ClientConfig {
+    let config = ClusterConfig {
+        read_leases: tier.leases(),
+        ..ClusterConfig::new(N_SERVERS, seed).delayed_writes()
+    };
+    let mut cluster = engine(config);
+    let template = ClientConfig {
         workload: Workload::Updates,
-        record_from: cluster.now() + warmup,
         read_pct,
         read_consistency: Some(tier.consistency()),
         zipfian: Some(ZipfianKeys::ycsb(ZIPF_KEYS)),
         ..ClientConfig::default()
     };
-    let handles: Vec<_> = (0..clients)
-        .map(|i| cluster.attach_client(i % N_SERVERS as usize, client_config.clone()))
-        .collect();
-    cluster.run_for(warmup + window);
-    let mut read_latency = LatencyStats::new();
-    let mut write_latency = LatencyStats::new();
-    let (mut reads, mut writes) = (0u64, 0u64);
-    for h in handles {
-        let stats = cluster.client_stats(h);
+    let measured = closed_loop(&mut cluster, clients, template, warmup, window);
+    let (write_latency, writes) = measured.totals();
+    let (mut read_latency, mut reads) = (LatencyStats::new(), 0);
+    for stats in &measured.stats {
         read_latency.merge(&stats.read_latency);
         reads += stats.reads_recorded;
-        write_latency.merge(&stats.latency);
-        writes += stats.recorded;
     }
     let audit = cluster
         .try_check_consistency()

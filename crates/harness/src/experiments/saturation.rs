@@ -12,9 +12,10 @@
 use serde::{Deserialize, Serialize};
 use todr_sim::SimDuration;
 
-use super::{client_totals, round1, round3, Gate, Gated};
+use super::runner::{closed_loop, engine};
+use super::{round1, round3, Gate, Gated};
 use crate::client::ClientConfig;
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::ClusterConfig;
 
 /// One measured cell of the sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -127,22 +128,18 @@ fn run_point(
     window: SimDuration,
     seed: u64,
 ) -> SaturationPoint {
-    let config = ClusterConfig::builder(n_servers, seed)
+    let config = ClusterConfig::new(n_servers, seed)
         .delayed_writes()
-        .packing(max_pack)
-        .build()
-        .expect("coherent saturation config");
-    let mut cluster = Cluster::build(config);
-    cluster.settle();
-    let client_config = ClientConfig {
-        record_from: cluster.now() + warmup,
-        ..ClientConfig::default()
-    };
-    let handles: Vec<_> = (0..clients)
-        .map(|i| cluster.attach_client(i % n_servers as usize, client_config.clone()))
-        .collect();
-    cluster.run_for(warmup + window);
-    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
+        .packing(max_pack);
+    let mut cluster = engine(config);
+    let measured = closed_loop(
+        &mut cluster,
+        clients,
+        ClientConfig::default(),
+        warmup,
+        window,
+    );
+    let (latency, committed) = measured.totals();
     cluster.check_consistency();
 
     let export = cluster.metrics_export();

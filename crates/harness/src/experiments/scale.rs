@@ -37,17 +37,14 @@
 //! meaningful as same-run ratios (which is exactly how the gate
 //! consumes them).
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 use todr_core::EngineState;
 use todr_sim::{HandlerCost, SimDuration};
 
-use super::{client_totals, first_time, round1, round3, Gate, Gated};
-use crate::baselines::BaselineCluster;
+use super::runner::{closed_loop, deploy};
+use super::{first_time, round1, round3, Gate, Gated, Protocol};
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::metrics::LatencyStats;
 
 /// Stability protocol variant a [`ScaleCell`] was measured under.
 pub const PROTO_ENGINE: &str = "engine";
@@ -55,6 +52,14 @@ pub const PROTO_ENGINE: &str = "engine";
 pub const PROTO_ENGINE_ALLACK: &str = "engine-allack";
 /// The COReL baseline.
 pub const PROTO_COREL: &str = "corel";
+
+/// EVS packing level of every engine cell.
+const MAX_PACK: usize = 8;
+
+/// The engine variant every engine cell runs.
+const ENGINE: Protocol = Protocol::Engine {
+    delayed_writes: true,
+};
 
 /// One measured cell of the sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -178,29 +183,21 @@ pub struct Scale {
 /// engine and COReL at full load, plus a partition/merge round.
 pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
     let warmup = SimDuration::from_millis(500);
-    let max_pack = 8;
+    let cell = |n, clients, protocol, ack_threshold| {
+        measured_cell(n, clients, protocol, ack_threshold, warmup, window, seed)
+    };
     let mut cells = Vec::new();
     let mut membership = Vec::new();
     for &n in replica_counts {
         let full = n as usize;
         let half = (full / 2).max(1);
         for clients in [half, full] {
-            cells.push(engine_cell(
-                n, clients, None, max_pack, warmup, window, seed,
-            ));
+            cells.push(cell(n, clients, ENGINE, None));
         }
         // Gap attribution: the identical workload with cumulative acks
         // disabled (all-ack stability at every size).
-        cells.push(engine_cell(
-            n,
-            full,
-            Some(usize::MAX),
-            max_pack,
-            warmup,
-            window,
-            seed,
-        ));
-        cells.push(corel_cell(n, full, warmup, window, seed));
+        cells.push(cell(n, full, ENGINE, Some(usize::MAX)));
+        cells.push(cell(n, full, Protocol::Corel, None));
         membership.push(membership_cost(n, seed));
     }
 
@@ -219,14 +216,12 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
     // ever slows a sample down.
     let best_rate = |n: u32| -> f64 {
         (0..2)
-            .map(|_| {
-                engine_cell(n, n as usize, None, max_pack, warmup, window, seed).events_per_sec
-            })
+            .map(|_| cell(n, n as usize, ENGINE, None).events_per_sec)
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
     let (host_share_by_actor_kind, world, engine_host_by_event_kind, net_host_by_event_kind) =
-        profile_engine_cell(largest, max_pack, warmup, window, seed);
+        profile_engine_cell(largest, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
     } else {
@@ -237,7 +232,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         replica_counts: replica_counts.to_vec(),
         seed,
         window_secs: window.as_secs_f64(),
-        max_pack,
+        max_pack: MAX_PACK,
         calibration,
         wall_scaling_ratio,
         host_share_by_actor_kind,
@@ -249,67 +244,42 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
     }
 }
 
-/// A settled engine deployment with its closed-loop clients attached,
-/// about to start the measured advance.
-fn loaded_engine_cluster(
-    n: u32,
-    clients: usize,
-    ack_threshold: Option<usize>,
-    max_pack: usize,
-    warmup: SimDuration,
-    seed: u64,
-) -> (Cluster, Vec<crate::cluster::ClientHandle>) {
-    let mut builder = ClusterConfig::builder(n, seed)
-        .delayed_writes()
-        .packing(max_pack);
-    if let Some(threshold) = ack_threshold {
-        builder = builder.cumulative_ack_threshold(threshold);
-    }
-    let config = builder.build().expect("coherent scale config");
-    let mut cluster = Cluster::build(config);
-    cluster.settle();
-    let client_config = ClientConfig {
-        record_from: cluster.now() + warmup,
-        ..ClientConfig::default()
-    };
-    let handles = (0..clients)
-        .map(|i| cluster.attach_client(i % n as usize, client_config.clone()))
-        .collect();
-    (cluster, handles)
-}
-
 /// The full-load engine cell at `n` replicas once more, with the step
-/// profile on for exactly the advance [`engine_cell`] times: handler
+/// profile on for exactly the advance [`measured_cell`] times: handler
 /// time by actor kind, the time outside every handler, and the engine's
 /// and the fabric's handler time by event kind.
 fn profile_engine_cell(
     n: u32,
-    max_pack: usize,
     warmup: SimDuration,
     window: SimDuration,
     seed: u64,
 ) -> (Vec<HostShare>, WorldHost, Vec<HostShare>, Vec<HostShare>) {
-    let (mut cluster, _) = loaded_engine_cluster(n, n as usize, None, max_pack, warmup, seed);
-    cluster.world.enable_step_profile();
-    let events_before = cluster.world.events_processed();
-    let wall = Instant::now();
-    cluster.run_for(warmup + window);
-    let wall = wall.elapsed().as_secs_f64();
-    let by_actor = cluster.world.step_profile();
+    let mut deployment = deploy(ENGINE, ClusterConfig::new(n, seed).packing(MAX_PACK));
+    deployment.world().enable_step_profile();
+    let measured = closed_loop(
+        &mut *deployment,
+        n as usize,
+        ClientConfig::default(),
+        warmup,
+        window,
+    );
+    let world = deployment.world();
+    let by_actor = world.step_profile();
     let by_event = |kind| {
-        let costs = cluster.world.step_profile_by_event(kind);
+        let costs = world.step_profile_by_event(kind);
         shares(costs.iter().map(|(kind, cost)| (*kind, cost)))
     };
+    let wall = measured.wall_secs;
     let handlers: f64 = by_actor.values().map(|c| c.wall.as_secs_f64()).sum();
-    let world = WorldHost {
-        events: cluster.world.events_processed() - events_before,
+    let host = WorldHost {
+        events: measured.sim_events,
         wall_ms: round3(wall * 1000.0),
         outside_handlers_ms: round3((wall - handlers) * 1000.0),
         share: ((wall - handlers) / wall * 1e4).round() / 1e4,
     };
     (
         shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
-        world,
+        host,
         by_event("engine"),
         by_event("net"),
     )
@@ -330,112 +300,51 @@ fn shares<'a>(costs: impl Iterator<Item = (&'a str, &'a HandlerCost)> + Clone) -
     rows
 }
 
-fn engine_cell(
+/// One measured cell: `clients` closed-loop clients against `n`
+/// replicas of `protocol`, at EVS packing [`MAX_PACK`] and with
+/// `ack_threshold` as the cumulative-ack threshold if set (COReL
+/// ignores both).
+fn measured_cell(
     n: u32,
     clients: usize,
+    protocol: Protocol,
     ack_threshold: Option<usize>,
-    max_pack: usize,
     warmup: SimDuration,
     window: SimDuration,
     seed: u64,
 ) -> ScaleCell {
-    let (mut cluster, handles) =
-        loaded_engine_cluster(n, clients, ack_threshold, max_pack, warmup, seed);
-
-    let events_before = cluster.world.events_processed();
-    let wall = Instant::now();
-    cluster.run_for(warmup + window);
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let sim_events = cluster.world.events_processed() - events_before;
-
-    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
-    cluster.check_consistency();
-
-    let export = cluster.metrics_export();
-    let counter = |name: &str| export.counters.get(name).copied().unwrap_or(0);
-    let protocol = if ack_threshold == Some(usize::MAX) {
-        PROTO_ENGINE_ALLACK
-    } else {
-        PROTO_ENGINE
-    };
-    cell(
-        n,
+    let mut config = ClusterConfig::new(n, seed).packing(MAX_PACK);
+    if let Some(threshold) = ack_threshold {
+        config.cumulative_ack_threshold = threshold;
+    }
+    let mut deployment = deploy(protocol, config);
+    let measured = closed_loop(
+        &mut *deployment,
         clients,
-        protocol,
-        committed,
-        &latency,
+        ClientConfig::default(),
+        warmup,
         window,
-        counter("evs.acks_sent"),
-        counter("net.delivered"),
-        sim_events,
-        wall_secs,
-    )
-}
+    );
+    let (latency, committed) = measured.totals();
+    deployment.check();
 
-fn corel_cell(
-    n: u32,
-    clients: usize,
-    warmup: SimDuration,
-    window: SimDuration,
-    seed: u64,
-) -> ScaleCell {
-    let config = ClusterConfig::new(n, seed);
-    let mut cluster = BaselineCluster::corel(&config);
-    cluster.settle();
-    let client_config = ClientConfig {
-        record_from: cluster.world.now() + warmup,
-        ..ClientConfig::default()
-    };
-    let handles: Vec<_> = (0..clients)
-        .map(|i| cluster.attach_client(i % n as usize, client_config.clone()))
-        .collect();
-
-    let events_before = cluster.world.events_processed();
-    let wall = Instant::now();
-    cluster.run_for(warmup + window);
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let sim_events = cluster.world.events_processed() - events_before;
-
-    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
-
-    let export = cluster.world.metrics().export();
+    let export = deployment.world().metrics().export();
     let counter = |name: &str| export.counters.get(name).copied().unwrap_or(0);
-    cell(
-        n,
-        clients,
-        PROTO_COREL,
-        committed,
-        &latency,
-        window,
-        counter("evs.acks_sent"),
-        counter("net.delivered"),
-        sim_events,
-        wall_secs,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cell(
-    n: u32,
-    clients: usize,
-    protocol: &str,
-    committed: u64,
-    latency: &LatencyStats,
-    window: SimDuration,
-    acks_sent: u64,
-    datagrams_delivered: u64,
-    sim_events: u64,
-    wall_secs: f64,
-) -> ScaleCell {
+    let (sim_events, wall_secs) = (measured.sim_events, measured.wall_secs);
+    let label = match (protocol, ack_threshold) {
+        (Protocol::Corel, _) => PROTO_COREL,
+        (_, Some(usize::MAX)) => PROTO_ENGINE_ALLACK,
+        _ => PROTO_ENGINE,
+    };
     ScaleCell {
         replicas: n,
         clients,
-        protocol: protocol.to_string(),
+        protocol: label.to_string(),
         throughput: round1(committed as f64 / window.as_secs_f64()),
         committed,
         mean_latency_ms: round3(latency.mean().as_millis_f64()),
-        acks_sent,
-        datagrams_delivered,
+        acks_sent: counter("evs.acks_sent"),
+        datagrams_delivered: counter("net.delivered"),
         sim_events,
         wall_ms: round3(wall_secs * 1000.0),
         events_per_sec: if wall_secs > 0.0 {

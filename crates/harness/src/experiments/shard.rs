@@ -27,9 +27,10 @@
 use serde::{Deserialize, Serialize};
 use todr_sim::SimDuration;
 
-use super::{client_totals, round1, round3, Gate, Gated};
+use super::runner::{closed_loop, engine};
+use super::{round1, round3, Gate, Gated};
 use crate::client::ClientConfig;
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::ClusterConfig;
 
 /// Replicas in every group.
 pub const REPLICAS_PER_SHARD: u32 = 3;
@@ -155,31 +156,21 @@ fn measure(
     window: SimDuration,
     seed: u64,
 ) -> ShardCell {
-    let config = ClusterConfig::builder(shards * REPLICAS_PER_SHARD, seed)
-        .shards(shards)
-        .delayed_writes()
-        .packing(8)
-        .build()
-        .expect("coherent shard sweep config");
-    let mut cluster = Cluster::build(config);
-    cluster.settle();
+    let config = ClusterConfig {
+        shards,
+        ..ClusterConfig::new(shards * REPLICAS_PER_SHARD, seed)
+            .delayed_writes()
+            .packing(8)
+    };
+    let mut cluster = engine(config);
     // Routed even in the one-group control cells, so both sides of the
     // speedup pay the router hop.
-    let client_config = ClientConfig {
+    let template = ClientConfig {
         cross_permille: Some(CROSS_PERMILLE),
-        record_from: cluster.now() + warmup,
         ..ClientConfig::default()
     };
-    let handles: Vec<_> = (0..clients)
-        .map(|_| cluster.attach_routed_client(client_config.clone()))
-        .collect();
-    cluster.run_for(warmup + window);
-    cluster.stop_clients();
-    assert!(
-        cluster.run_to_router_quiescence(SimDuration::from_secs(30)),
-        "router failed to drain after the measurement window"
-    );
-    let (latency, committed) = client_totals(handles.into_iter().map(|h| cluster.client_stats(h)));
+    let measured = closed_loop(&mut cluster, clients, template, warmup, window);
+    let (latency, committed) = measured.totals();
     cluster.check_consistency();
     let hub = cluster.world.metrics();
     ShardCell {

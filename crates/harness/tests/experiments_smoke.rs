@@ -6,8 +6,7 @@ use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::experiments::Protocol;
 use todr_harness::experiments::{
-    fig5a, fig5b, join, latency, partition, recovery, run_workload, run_workload_packed, scale,
-    semantics,
+    fig5a, fig5b, join, latency, partition, recovery, run_workload, scale, semantics,
 };
 use todr_sim::{ApplyHorizon, MetricsExport, SimDuration};
 
@@ -114,8 +113,8 @@ fn packing_costs_a_lone_client_nothing() {
     };
     let warmup = SimDuration::from_millis(500);
     let window = SimDuration::from_secs(1);
-    let unpacked = run_workload(delayed, 14, 1, warmup, window, 42);
-    let packed = run_workload_packed(delayed, 14, 1, 8, warmup, window, 42);
+    let unpacked = run_workload(delayed, 14, 1, 1, warmup, window, 42);
+    let packed = run_workload(delayed, 14, 1, 8, warmup, window, 42);
     assert!(
         packed.throughput >= unpacked.throughput,
         "packed {} < unpacked {} actions/s at one client",

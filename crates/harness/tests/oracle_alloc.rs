@@ -7,21 +7,28 @@
 //! and at huge indices: the verdict is the same, and so is the peak of
 //! live heap bytes, up to one map node.
 //!
-//! The fuzz test at the end feeds `check_trace` recorded, mutated and
-//! random logs, hostile delivery runs among them: each must end in a
-//! verdict, inside a fixed budget of heap bytes per event.
+//! The fuzz tests at the end feed `check_trace` recorded, mutated and
+//! random logs, hostile delivery runs among them, and the JSON decoders
+//! mutated renderings of the recorded log's events and of its metrics
+//! export: each must end in a verdict or a typed error, inside a fixed
+//! budget of heap bytes per event or per input byte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
+#[path = "support/json_mutation.rs"]
+mod json_mutation;
+
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::oracle::{check_trace, TraceStats, TraceViolation};
 use todr_sim::{
-    DeliveredRun, EventColor, Footprint, ProtocolEvent as E, ReadTier, RecordedEvent, SimDuration,
-    SimRng,
+    DeliveredRun, EventColor, Footprint, MetricsExport, ProtocolEvent as E, ReadTier,
+    RecordedEvent, SimDuration, SimRng,
 };
+
+use json_mutation::mutate_json;
 
 struct PeakAlloc;
 
@@ -74,14 +81,19 @@ const MAP_NODE: u64 = 1024;
 
 type Verdict = Result<TraceStats, TraceViolation>;
 
-/// `check_trace`'s verdict on `events`, and the most heap bytes it held
-/// at once beyond what was live when it started.
-fn checked(events: &[RecordedEvent], survivors: &[u32]) -> (Verdict, u64) {
-    let survivors: BTreeSet<u32> = survivors.iter().copied().collect();
+/// `f`'s result, and the most heap bytes it held at once beyond what
+/// was live when it started.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(base));
-    let verdict = check_trace(events, &survivors);
-    (verdict, PEAK.with(Cell::get) - base)
+    let out = f();
+    (out, PEAK.with(Cell::get) - base)
+}
+
+/// `check_trace`'s verdict on `events`, and its peak heap bytes.
+fn checked(events: &[RecordedEvent], survivors: &[u32]) -> (Verdict, u64) {
+    let survivors: BTreeSet<u32> = survivors.iter().copied().collect();
+    peak_of(|| check_trace(events, &survivors))
 }
 
 /// Checks the log `shape` builds at the `near` indices and at each of
@@ -263,9 +275,9 @@ const BASE_BYTES: u64 = 64 << 10;
 /// same logs; sized to take seconds in a debug build.
 const CASES: u64 = 2_000;
 
-/// Five replicas, packing 8, a bounded closed-loop client each: a log
-/// whose delivery batches are runs.
-fn recorded_log() -> Vec<RecordedEvent> {
+/// Five replicas, packing 8, a bounded closed-loop client each: a
+/// cluster whose log's delivery batches are runs.
+fn recorded_cluster() -> Cluster {
     let config = ClusterConfig::builder(5, 42)
         .delayed_writes()
         .packing(8)
@@ -281,7 +293,11 @@ fn recorded_log() -> Vec<RecordedEvent> {
         cluster.attach_client(i, client.clone());
     }
     cluster.run_for(SimDuration::from_secs(1));
-    cluster.world.metrics().events().to_vec()
+    cluster
+}
+
+fn recorded_log() -> Vec<RecordedEvent> {
+    recorded_cluster().world.metrics().events().to_vec()
 }
 
 /// An index or slot: mostly small, so clauses meet; sometimes at an edge.
@@ -545,4 +561,60 @@ fn fuzzed_logs_end_in_a_verdict_within_the_byte_budget() {
     }
     println!("{passed} logs passed, {violated} ended in a typed violation");
     assert!(passed > 0 && violated > 0, "the cases never reach one side");
+}
+
+// --- fuzzing the JSON decoders ---
+
+/// Peak live heap bytes a JSON decode may hold per byte of its input,
+/// beyond [`BASE_BYTES`]. Its largest holding is the parsed value tree:
+/// one 32-byte `Value` per two input bytes at the densest (`0,`), in
+/// vectors that grow by doubling, so up to 48 B per input byte while a
+/// reallocation holds old and new at once. The decoded type is built
+/// while the tree is alive; its maps and strings stay under the
+/// remaining 16 B per byte.
+const JSON_BYTES_PER_BYTE: u64 = 64;
+
+/// JSON cases, each drawn from its own fixed seed; sized to take seconds
+/// in a debug build.
+const JSON_CASES: u64 = 20_000;
+
+#[test]
+fn fuzzed_json_renderings_decode_or_fail_typed_within_the_byte_budget() {
+    let cluster = recorded_cluster();
+    let events = cluster.world.metrics().events();
+    let export = cluster.metrics_export().to_json();
+    let (mut decoded, mut rejected) = (0, 0);
+    for case in 0..JSON_CASES {
+        let mut rng = SimRng::new(case);
+        // One case in eight mutates the export, the rest a logged event.
+        let is_export = case % 8 == 0;
+        let mut json = match rng.choose(events) {
+            Some(event) if !is_export => serde::json::to_vec(event).expect("events render"),
+            _ => export.clone().into_bytes(),
+        };
+        for _ in 0..1 + rng.gen_range(3) {
+            mutate_json(&mut rng, &mut json);
+        }
+        let text = String::from_utf8_lossy(&json);
+        let (ok, peak) = match is_export {
+            true => peak_of(|| MetricsExport::from_json(&text).is_ok()),
+            false => peak_of(|| serde::json::from_str::<RecordedEvent>(&text).is_ok()),
+        };
+        let budget = BASE_BYTES + JSON_BYTES_PER_BYTE * text.len() as u64;
+        assert!(
+            peak <= budget,
+            "case {case}: {peak} B at peak for {} input bytes, budget {budget} B",
+            text.len()
+        );
+        if ok {
+            decoded += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    println!("{decoded} renderings decoded, {rejected} ended in a typed error");
+    assert!(
+        decoded > 0 && rejected > 0,
+        "the cases never reach one side"
+    );
 }

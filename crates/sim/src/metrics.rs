@@ -859,15 +859,6 @@ impl MetricsHub {
         self.active_scope
     }
 
-    /// The name prefix of a registered scope (`""` for the root).
-    pub fn scope_prefix(&self, scope: u32) -> &'static str {
-        if scope == 0 {
-            ""
-        } else {
-            self.scope_prefixes[(scope - 1) as usize]
-        }
-    }
-
     /// The id a write to `name` lands on in the active scope.
     fn slot(&mut self, name: impl MetricName) -> u32 {
         let root = match name.handle() {

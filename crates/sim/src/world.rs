@@ -406,17 +406,6 @@ impl World {
         self.schedule(now, target, payload);
     }
 
-    /// Schedules `payload` for `target` after `delay`.
-    pub fn schedule_after<P: IntoPayload>(
-        &mut self,
-        delay: SimDuration,
-        target: ActorId,
-        payload: P,
-    ) {
-        let at = self.now + delay;
-        self.schedule(at, target, payload);
-    }
-
     /// Processes the next event, if any. Returns `false` when the queue is
     /// empty.
     ///
@@ -519,12 +508,6 @@ impl World {
     /// The world's metrics hub: typed events, counters and histograms.
     pub fn metrics(&self) -> &MetricsHub {
         &self.metrics
-    }
-
-    /// Mutable access to the metrics hub (e.g. to disable event
-    /// recording, or for harness code to record its own samples).
-    pub fn metrics_mut(&mut self) -> &mut MetricsHub {
-        &mut self.metrics
     }
 
     /// Whether any events remain queued.
