@@ -17,18 +17,15 @@ use todr_sim::{
 use todr_storage::{DiskDone, DiskOp, FileIoStats, StorageHandle, SyncToken};
 
 use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
-use crate::exchange::{retrans_plan, GreenPath, MemberProgress, RetransPlan};
+use crate::exchange::{GreenPath, Round, StateMsg};
 use crate::fastpath::{FastPath, FastReply, Receipt};
 use crate::knowledge::{Accept, Knowledge};
 use crate::lease::{At, LeaseRead, ReadLease};
 use crate::persist::{self, RecoveryError};
-use crate::quorum::{
-    compute_knowledge, is_weighted_quorum, KnowledgeInput, PrimComponent, VulnerableRecord,
-    YellowRecord,
-};
+use crate::quorum::PrimComponent;
 use crate::semantics::{take_reply, CommitPoint, PendingReply, QuerySemantics, UpdateReplyPolicy};
 use crate::types::{
-    ClientReply, ClientRequest, EngineConfig, EngineCtl, StorageFault, TransferWire,
+    ClientReply, ClientRequest, EngineConfig, EngineCtl, GreenBase, StorageFault, TransferWire,
 };
 
 /// The engine's protocol state (Figure 4 of the paper, plus the
@@ -79,26 +76,9 @@ pub(crate) enum EngineMsg {
     },
     /// Exchange-phase green-state snapshot (fallback when the
     /// most-updated member lacks bodies — see [`crate::exchange`]).
-    GreenSnapshot {
-        db: Database,
-        green_count: u64,
-        green_cut: BTreeMap<NodeId, u64>,
-        green_lines: BTreeMap<NodeId, u64>,
-    },
+    GreenSnapshot(GreenBase),
     /// End-of-retransmission marker.
     RetransDone { server: NodeId },
-}
-
-/// The paper's State message.
-#[derive(Debug, Clone)]
-pub(crate) struct StateMsg {
-    pub server: NodeId,
-    pub conf: ConfId,
-    pub progress: MemberProgress,
-    pub attempt_index: u64,
-    pub prim_component: PrimComponent,
-    pub vulnerable: VulnerableRecord,
-    pub yellow: YellowRecord,
 }
 
 /// What to do when a forced write completes.
@@ -110,10 +90,9 @@ enum AfterSync {
     SendState { epoch: u64 },
     /// Send our CPC vote.
     SendCpc { epoch: u64 },
-    /// Primary installed: release buffered client requests.
-    Installed { epoch: u64 },
-    /// Exchange ended without quorum: release buffered client requests.
-    EnterNonPrim { epoch: u64 },
+    /// The exchange ended, in a new primary or not: release buffered
+    /// client requests.
+    ExchangeEnded { epoch: u64 },
     /// Join bootstrap persisted: join the replicated group.
     JoinedReady,
     /// The green line `line` is durable: advertise it to the rest of
@@ -134,9 +113,6 @@ struct JoinRetry;
 /// burst is a single action and the model reduces exactly to the
 /// historical per-action charge.
 const CPU_BURST_OVERHEAD: SimDuration = SimDuration::from_micros(230);
-/// Modelled size of a State message in bytes (before its per-creator
-/// and per-yellow-action entries).
-const STATE_MSG_BYTES: u32 = 256;
 /// Modelled size of a CPC message in bytes.
 const CPC_MSG_BYTES: u32 = 64;
 
@@ -157,15 +133,8 @@ struct Volatile {
     /// demand and dropped whenever a colour changes.
     dirty_db: Option<Database>,
 
-    // ----- configuration / exchange -----
-    conf: Option<Configuration>,
-    state_msgs: BTreeMap<NodeId, StateMsg>,
-    plan: Option<RetransPlan>,
-    /// Actions received via retransmission since the exchange began;
-    /// reported in the `SyncCompleted` observability event.
-    recovered_this_exchange: u64,
-    retrans_done: BTreeSet<NodeId>,
-    cpc_received: BTreeSet<NodeId>,
+    /// The current configuration's exchange round.
+    round: Option<Round>,
 
     // ----- clients -----
     pending_replies: BTreeMap<ActionId, PendingReply>,
@@ -477,7 +446,7 @@ impl ReplicationEngine {
         // non-group traffic to their engines.
         let size = match &msg {
             TransferWire::JoinRequest { .. } => 64,
-            TransferWire::Snapshot { db, .. } => 512 + db.row_count() as u32 * 64,
+            TransferWire::Snapshot { base, .. } => base.size_bytes(),
             TransferWire::FastAck { .. } | TransferWire::GreenLine { .. } => 32,
         };
         ctx.send_now(
@@ -863,13 +832,9 @@ impl ReplicationEngine {
 
     fn send_snapshot_to(&mut self, ctx: &mut Ctx<'_>, joiner: NodeId) {
         let snapshot = TransferWire::Snapshot {
-            db: self.k.db.snapshot(),
-            green_count: self.k.green_count,
-            green_lines: self.k.green_lines.clone(),
-            red_cut: self.k.green_cuts(),
+            base: self.k.green_base(),
             server_set: self.k.server_set.clone(),
             prim_component: self.k.prim_component.clone(),
-            action_index: 0,
         };
         self.send_transfer(ctx, [joiner], snapshot);
     }
@@ -1163,7 +1128,7 @@ impl ReplicationEngine {
     /// renews it on heartbeat evidence, and reports the grant.
     fn grant_lease(&mut self, ctx: &mut Ctx<'_>, conf: ConfId, renewal: bool) {
         let at = At(ctx.now(), self.state, self.conf_epoch);
-        let current = self.v.conf.as_ref().map(|c| c.id);
+        let current = self.v.round.as_ref().map(|r| r.conf().id);
         let Some(lease) = &mut self.lease else {
             return;
         };
@@ -1223,33 +1188,30 @@ impl ReplicationEngine {
     // view changes & exchange
     // ============================================================
 
+    /// A regular configuration: its fresh [`Round`] starts, and we
+    /// `Shift_to_exchange_states` (CodeSegment A.5).
     fn on_reg_conf(&mut self, ctx: &mut Ctx<'_>, conf: Configuration) {
         self.conf_epoch += 1;
-        self.v.conf = Some(conf);
+        self.v.round = Some(Round::new(conf, self.v.round.take()));
         match self.state {
+            EngineState::Down | EngineState::Joining => return,
+            // A.3: vulnerable invalid (we received every message of the
+            // primary up to the cut), yellow becomes valid.
             EngineState::TransPrim => {
-                // A.3: vulnerable invalid (we received every message of
-                // the primary up to the cut), yellow becomes valid.
                 self.k.vulnerable.valid = false;
                 self.k.yellow.valid = true;
-                self.shift_to_exchange_states(ctx);
             }
-            EngineState::No => {
-                // A.11: nobody can have installed (case 3).
-                self.k.vulnerable.valid = false;
-                self.shift_to_exchange_states(ctx);
-            }
-            EngineState::Un | EngineState::NonPrim => {
-                // A.12 / A.1: vulnerability (if any) stays as is — the
-                // `?` transition of Figure 4.
-                self.shift_to_exchange_states(ctx);
-            }
-            EngineState::Down | EngineState::Joining => {}
-            other => panic!(
-                "RegConf cannot arrive in {:?} (EVS delivers TransConf first)",
-                other
-            ),
+            // A.11: nobody can have installed (case 3).
+            EngineState::No => self.k.vulnerable.valid = false,
+            // A.12 / A.1: vulnerability (if any) stays as is — the `?`
+            // transition of Figure 4.
+            EngineState::Un | EngineState::NonPrim => {}
+            other => panic!("RegConf cannot arrive in {other:?} (EVS delivers TransConf first)"),
         }
+        self.set_state(EngineState::ExchangeStates);
+        self.k.save_records(&mut self.store);
+        let epoch = self.conf_epoch;
+        self.request_sync(ctx, AfterSync::SendState { epoch });
     }
 
     fn on_trans_conf(&mut self, ctx: &mut Ctx<'_>) {
@@ -1276,104 +1238,36 @@ impl ReplicationEngine {
         }
     }
 
-    /// `Shift_to_exchange_states` (CodeSegment A.5).
-    fn shift_to_exchange_states(&mut self, ctx: &mut Ctx<'_>) {
-        self.v.state_msgs.clear();
-        self.v.plan = None;
-        self.v.retrans_done.clear();
-        self.v.cpc_received.clear();
-        self.set_state(EngineState::ExchangeStates);
-        self.k.save_records(&mut self.store);
-        let epoch = self.conf_epoch;
-        self.request_sync(ctx, AfterSync::SendState { epoch });
-    }
-
-    fn my_state_msg(&self) -> StateMsg {
-        StateMsg {
-            server: self.cfg.me,
-            conf: self.v.conf.as_ref().expect("in a configuration").id,
-            progress: MemberProgress {
-                server: self.cfg.me,
-                green_count: self.k.green_count,
-                green_floor: self.k.green_floor,
-                red_cut: self.k.red_cuts(),
-            },
-            attempt_index: self.k.attempt_index,
-            prim_component: self.k.prim_component.clone(),
-            vulnerable: self.k.vulnerable.clone(),
-            yellow: self.k.yellow.clone(),
-        }
-    }
-
-    fn on_state_msg(&mut self, ctx: &mut Ctx<'_>, sm: StateMsg) {
-        if self.state != EngineState::ExchangeStates {
+    /// A State message. Once every member's is in, `Retrans`: our role
+    /// in the deterministic plan, closed by our `RetransDone` marker.
+    fn on_state_msg(&mut self, ctx: &mut Ctx<'_>, sm: &StateMsg) {
+        let exchanging = self.state == EngineState::ExchangeStates;
+        let round = self.v.round.as_mut().filter(|_| exchanging);
+        let Some(plan) = round.and_then(|r| r.on_state(sm.clone())) else {
             return;
-        }
-        let conf = self.v.conf.as_ref().expect("in a configuration");
-        if sm.conf != conf.id {
-            return;
-        }
-        self.v.state_msgs.insert(sm.server, sm);
-        let members = conf.members.clone();
-        if members.iter().all(|m| self.v.state_msgs.contains_key(m)) {
-            self.on_all_states(ctx);
-        }
-    }
-
-    fn on_all_states(&mut self, ctx: &mut Ctx<'_>) {
-        let msgs = self.v.state_msgs.values();
-        let progress: Vec<MemberProgress> = msgs.map(|sm| sm.progress.clone()).collect();
-        let plan = retrans_plan(&progress);
+        };
         self.set_state(EngineState::ExchangeActions);
-        if plan.senders.contains(&self.cfg.me) {
-            self.perform_retrans(ctx, &plan);
-        }
-        let empty = plan.is_empty();
-        self.v.plan = Some(plan);
-        if empty {
-            self.end_of_retrans(ctx);
-        }
-    }
-
-    /// `Retrans` (our role in the deterministic plan).
-    fn perform_retrans(&mut self, ctx: &mut Ctx<'_>, plan: &RetransPlan) {
         let me = self.cfg.me;
-        let mut resend: Vec<(Rc<Body>, Option<u64>)> = Vec::new();
-        match plan.green {
-            GreenPath::Retrans(sender, from, to) if sender == me => {
-                for pos in from..to {
-                    let id = self.k.green_tail[(pos - self.k.green_floor) as usize];
-                    let action = self.k.body(&id).expect("green body retained");
-                    resend.push((Rc::clone(action), Some(pos)));
-                }
-            }
-            GreenPath::Snapshot(sender) if sender == me => {
-                let size = 512 + self.k.db.row_count() as u32 * 64;
-                let msg = EngineMsg::GreenSnapshot {
-                    db: self.k.db.snapshot(),
-                    green_count: self.k.green_count,
-                    green_cut: self.k.green_cuts(),
-                    green_lines: self.k.green_lines.clone(),
-                };
-                self.send_group(ctx, msg, size);
-            }
-            _ => {}
+        if plan.green == GreenPath::Snapshot(me) {
+            let base = self.k.green_base();
+            let size = base.size_bytes();
+            self.send_group(ctx, EngineMsg::GreenSnapshot(base), size);
         }
-        for &(_, server, from, to) in plan.red.iter().filter(|red| red.0 == me) {
-            // An action green here is covered by the green path.
-            let reds = (from..=to).filter_map(|index| self.k.red_body(&ActionId { server, index }));
-            resend.extend(reds.map(|action| (Rc::clone(action), None)));
-        }
-        for (action, green_pos) in resend {
+        for (action, green_pos) in plan.retrans_of(me, &self.k) {
             let size = action.size_bytes + 16;
             ctx.metrics().incr(metric!("engine.retransmitted"), 1);
             self.send_group(ctx, EngineMsg::Retrans { action, green_pos }, size);
         }
-        self.send_group(ctx, EngineMsg::RetransDone { server: me }, 32);
+        if plan.senders.contains(&me) {
+            self.send_group(ctx, EngineMsg::RetransDone { server: me }, 32);
+        }
+        if plan.is_empty() {
+            self.end_of_retrans(ctx);
+        }
     }
 
     fn on_retrans(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, green_pos: Option<u64>) {
-        self.v.recovered_this_exchange += 1;
+        self.v.round.iter_mut().for_each(|r| r.recovered += 1);
         match green_pos {
             None => _ = self.mark_red(ctx, action, true),
             Some(pos) if pos < self.k.green_count => {} // already green here
@@ -1385,29 +1279,10 @@ impl ReplicationEngine {
         }
     }
 
-    fn on_green_snapshot(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        db: &Database,
-        green_count: u64,
-        green_cut: &BTreeMap<NodeId, u64>,
-        green_lines: &BTreeMap<NodeId, u64>,
-    ) {
-        if green_count <= self.k.green_count {
-            return; // we are at least as advanced
-        }
-        self.adopt_base(ctx, db.clone(), green_count, green_cut);
-        for (&server, &line) in green_lines {
-            self.k.raise_green_line(server, line);
-        }
-        self.k.green_lines.insert(self.cfg.me, self.k.green_count);
-        self.k.save_records(&mut self.store);
-    }
-
     /// Replaces the green prefix with an inherited database state (§5.1
     /// transfer / exchange snapshot fallback). Red actions the snapshot
     /// already incorporates are dropped; the rest are re-logged on the
-    /// fresh base.
+    /// fresh base. The caller merges the base's green lines.
     ///
     /// The marks made before the jump are announced first: the jump
     /// itself shows as the next announcement skipping positions. In an
@@ -1420,22 +1295,18 @@ impl ReplicationEngine {
     /// No green mark will name this server's own actions the base
     /// greens, so the replies it still owes for them are answered here,
     /// as committed at green, against the adopted state.
-    fn adopt_base(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        db: Database,
-        green_count: u64,
-        green_cut: &BTreeMap<NodeId, u64>,
-    ) {
+    fn adopt_base(&mut self, ctx: &mut Ctx<'_>, base: &GreenBase) {
         self.announce_green_line(ctx);
         let me = self.cfg.me;
         let own = |index| ActionId { server: me, index };
-        let cut = green_cut.get(&me).copied().unwrap_or(0);
+        let cut = base.green_cut.get(&me).copied().unwrap_or(0);
         let owed: Vec<(ActionId, Option<Rc<Body>>)> = (self.v.pending_replies)
             .range(own(0)..=own(cut))
             .map(|(&id, _)| (id, self.k.body(&id).cloned()))
             .collect();
-        let raised = self.k.adopt_base(db, green_count, green_cut);
+        let raised = self
+            .k
+            .adopt_base(base.db.clone(), base.green_count, &base.green_cut);
         if self.state != EngineState::Joining {
             for (creator, cut) in raised {
                 ctx.emit(ProtocolEvent::BaseSubsumed {
@@ -1456,101 +1327,45 @@ impl ReplicationEngine {
         }
     }
 
-    fn on_retrans_done(&mut self, ctx: &mut Ctx<'_>, server: NodeId) {
-        if self.state != EngineState::ExchangeActions {
-            return;
-        }
-        self.v.retrans_done.insert(server);
-        let done = match &self.v.plan {
-            Some(plan) => plan.senders.iter().all(|s| self.v.retrans_done.contains(s)),
-            None => false,
-        };
-        if done {
-            self.end_of_retrans(ctx);
-        }
-    }
-
     /// `End_of_retrans` (CodeSegment A.5) + `ComputeKnowledge` (A.7) +
     /// `IsQuorum` (A.8).
     fn end_of_retrans(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(round) = &mut self.v.round else {
+            return;
+        };
         ctx.metrics().incr(metric!("engine.exchanges_completed"), 1);
         ctx.emit(ProtocolEvent::SyncCompleted {
             node: self.cfg.me.index(),
-            actions_recovered: self.v.recovered_this_exchange,
+            actions_recovered: std::mem::take(&mut round.recovered),
         });
-        self.v.recovered_this_exchange = 0;
-        // Incorporate green lines from the state messages.
-        for sm in self.v.state_msgs.values() {
-            self.k.raise_green_line(sm.server, sm.progress.green_count);
-        }
-
-        let msgs = self.v.state_msgs.values();
-        let inputs: Vec<KnowledgeInput> = msgs
-            .map(|sm| KnowledgeInput {
-                server: sm.server,
-                prim_component: sm.prim_component.clone(),
-                attempt_index: sm.attempt_index,
-                vulnerable: sm.vulnerable.clone(),
-                yellow: sm.yellow.clone(),
-            })
-            .collect();
-        let knowledge = compute_knowledge(&inputs);
-        self.k.prim_component = knowledge.prim_component.clone();
-        self.k.attempt_index = knowledge.attempt_index;
-        self.k.yellow = knowledge.yellow.clone();
-        self.k.vulnerable = knowledge.resolved_vulnerable[&self.cfg.me].clone();
-
-        let conf = self.v.conf.as_ref().expect("in a configuration");
-        let conf_members = conf.members.clone();
-        let any_vulnerable = conf_members.iter().any(|m| {
-            knowledge
-                .resolved_vulnerable
-                .get(m)
-                .is_some_and(|v| v.valid)
-        });
-        let quorum = !any_vulnerable
-            && is_weighted_quorum(&conf_members, &self.k.prim_component, &self.cfg.weights);
-
-        if quorum {
-            self.k.attempt_index += 1;
-            self.k.vulnerable = VulnerableRecord::new_attempt(
-                self.k.prim_component.prim_index,
-                self.k.attempt_index,
-                conf_members.iter().copied(),
-            );
+        let epoch = self.conf_epoch;
+        let after = if round.conclude(&mut self.k, self.cfg.me, &self.cfg.weights) {
             self.set_state(EngineState::Construct);
-            self.k.save_records(&mut self.store);
-            let epoch = self.conf_epoch;
-            self.request_sync(ctx, AfterSync::SendCpc { epoch });
+            AfterSync::SendCpc { epoch }
         } else {
             self.set_state(EngineState::NonPrim);
-            self.k.save_records(&mut self.store);
-            let epoch = self.conf_epoch;
-            self.request_sync(ctx, AfterSync::EnterNonPrim { epoch });
-        }
+            AfterSync::ExchangeEnded { epoch }
+        };
+        self.k.save_records(&mut self.store);
+        self.request_sync(ctx, after);
     }
 
     fn on_cpc(&mut self, ctx: &mut Ctx<'_>, server: NodeId, conf: ConfId) {
-        let Some(current) = &self.v.conf else {
-            return;
-        };
         // In `No`, these are CPCs delivered in the transitional
         // configuration.
         let voting = matches!(self.state, EngineState::Construct | EngineState::No);
-        if conf != current.id || !voting {
+        let Some(round) = self.v.round.as_mut().filter(|_| voting) else {
             return;
-        }
-        self.v.cpc_received.insert(server);
-        let members = current.members.clone();
-        if !members.iter().all(|m| self.v.cpc_received.contains(m)) {
+        };
+        if !round.on_cpc(server, conf) {
             return;
         }
         if self.state == EngineState::No {
             return self.set_state(EngineState::Un);
         }
         // A.9: everyone voted; install.
-        for m in &members {
-            self.k.green_lines.insert(*m, self.k.green_count);
+        for &m in &round.conf().members {
+            self.k.green_lines.insert(m, self.k.green_count);
         }
         self.install(ctx);
         if self.departed {
@@ -1566,7 +1381,7 @@ impl ReplicationEngine {
         // green prefix, so the lease can start here.
         self.grant_lease(ctx, conf, false);
         let epoch = self.conf_epoch;
-        self.request_sync(ctx, AfterSync::Installed { epoch });
+        self.request_sync(ctx, AfterSync::ExchangeEnded { epoch });
     }
 
     /// The order `install` greens a pending set in: as given, or newest
@@ -1605,21 +1420,7 @@ impl ReplicationEngine {
                 self.mark_green(ctx, &action);
             }
         }
-        self.k.yellow = YellowRecord::invalid();
-        self.k.prim_component.prim_index += 1;
-        self.k.prim_component.attempt_index = self.k.attempt_index;
-        self.k.prim_component.servers = self.k.vulnerable.set.clone();
-        // The install re-bases the quorum membership. A member whose
-        // leave went green during this very installation (via the
-        // yellow/red conversion above) is still a view member, so it
-        // lands in `servers` — but it exits the moment the install
-        // completes and must not count toward future quorums. This is
-        // agreed state: all members green the identical yellow/red sets
-        // here, so they bake the identical discount.
-        let servers = &self.k.prim_component.servers;
-        let departed = servers.intersection(&self.v.departed_servers);
-        self.k.prim_component.departed = departed.copied().collect();
-        self.k.attempt_index = 0;
+        self.k.install_prim(&self.v.departed_servers);
         // OR-2: remaining red actions, ordered by action id.
         let reds: Vec<Rc<Body>> = self.k.red_bodies().cloned().collect();
         #[cfg(feature = "chaos-mutations")]
@@ -1627,19 +1428,12 @@ impl ReplicationEngine {
         for action in reds {
             self.mark_green(ctx, &action);
         }
-        // The install is an agreed deterministic computation: every
-        // member greens the identical yellow/red sets above, so each
-        // one's green line is known to land at this same count. Record
-        // that and checkpoint, or the white line stays pinned at the
-        // pre-install count until client traffic happens to advance it
-        // — which never comes if a long partition left every replica
-        // at its retention cap, wedging the whole system in
-        // backpressure rejection.
-        for m in &self.k.prim_component.servers {
-            if !self.v.departed_servers.contains(m) {
-                self.k.green_lines.insert(*m, self.k.green_count);
-            }
-        }
+        // Record every member's green line and checkpoint, or the white
+        // line stays pinned at the pre-install count until client traffic
+        // happens to advance it — which never comes if a long partition
+        // left every replica at its retention cap, wedging the whole
+        // system in backpressure rejection.
+        self.k.level_green_lines(&self.v.departed_servers);
         if self.cfg.checkpoint_interval > 0 {
             self.checkpoint();
             self.note_retained(ctx);
@@ -1659,19 +1453,29 @@ impl ReplicationEngine {
             .expect("engine received a non-engine group message");
         match msg {
             EngineMsg::Action(action) => self.on_action(ctx, action, delivery.in_transitional),
-            EngineMsg::State(sm) => self.on_state_msg(ctx, sm.clone()),
+            EngineMsg::State(sm) => self.on_state_msg(ctx, sm),
             EngineMsg::Cpc { server, conf } => self.on_cpc(ctx, *server, *conf),
             // In any state: late retransmissions (e.g. delivered in a
             // transitional batch after we aborted the exchange) still
             // carry monotone knowledge.
             EngineMsg::Retrans { action, green_pos } => self.on_retrans(ctx, action, *green_pos),
-            EngineMsg::GreenSnapshot {
-                db,
-                green_count,
-                green_cut,
-                green_lines,
-            } => self.on_green_snapshot(ctx, db, *green_count, green_cut, green_lines),
-            EngineMsg::RetransDone { server } => self.on_retrans_done(ctx, *server),
+            // The snapshot fallback: adopt the base if it is ahead of ours.
+            EngineMsg::GreenSnapshot(base) if base.green_count > self.k.green_count => {
+                self.adopt_base(ctx, base);
+                for (&server, &line) in &base.green_lines {
+                    self.k.raise_green_line(server, line);
+                }
+                self.k.green_lines.insert(self.cfg.me, self.k.green_count);
+                self.k.save_records(&mut self.store);
+            }
+            EngineMsg::GreenSnapshot(_) => {} // we are at least as advanced
+            EngineMsg::RetransDone { server } => {
+                let exchanging = self.state == EngineState::ExchangeActions;
+                let round = self.v.round.as_mut().filter(|_| exchanging);
+                if round.is_some_and(|r| r.on_retrans_done(*server)) {
+                    self.end_of_retrans(ctx);
+                }
+            }
         }
     }
 
@@ -1710,17 +1514,10 @@ impl ReplicationEngine {
                 self.mark_yellow(ctx, action);
                 self.set_state(EngineState::TransPrim);
             }
-            EngineState::No => {
-                panic!(
-                    "action delivered in No state at {} — violates total-order reasoning",
-                    self.cfg.me
-                );
-            }
-            EngineState::Construct => {
-                panic!(
-                    "action delivered in Construct state at {} — CPCs must precede it",
-                    self.cfg.me
-                );
+            // Total order puts every CPC before any action of the new
+            // primary.
+            state @ (EngineState::No | EngineState::Construct) => {
+                panic!("action delivered in {state:?} at {}", self.cfg.me)
             }
             EngineState::Down | EngineState::Joining => {}
         }
@@ -1785,7 +1582,7 @@ impl ReplicationEngine {
     /// update — green apply does that on every replica — and its CPU
     /// cost was charged at receipt.
     fn on_fast_ack(&mut self, ctx: &mut Ctx<'_>, src: NodeId, id: ActionId) {
-        let members = self.v.conf.as_ref().map(|c| &c.members[..]);
+        let members = self.v.round.as_ref().map(|r| &r.conf().members[..]);
         let (prim, weights, state) = (&self.k.prim_component, &self.cfg.weights, self.state);
         let ack = |f: &mut FastPath| f.on_ack(src, id, state, members, prim, weights);
         let Some(reply) = self.fast.as_mut().and_then(ack) else {
@@ -1803,6 +1600,13 @@ impl ReplicationEngine {
     // ============================================================
     // disk completions
     // ============================================================
+
+    /// The current configuration, if a sync from `epoch` completes in it and in `state`.
+    fn still_in(&self, epoch: u64, state: EngineState) -> Option<ConfId> {
+        let current = epoch == self.conf_epoch && self.state == state;
+        let round = self.v.round.as_ref().filter(|_| current);
+        round.map(|r| r.conf().id)
+    }
 
     fn on_disk_done(&mut self, ctx: &mut Ctx<'_>, token: SyncToken) {
         // Only a completion we are actually waiting on may promote the
@@ -1839,23 +1643,19 @@ impl ReplicationEngine {
                 }
             }
             AfterSync::SendState { epoch } => {
-                if epoch == self.conf_epoch && self.state == EngineState::ExchangeStates {
-                    let sm = self.my_state_msg();
-                    let size = STATE_MSG_BYTES
-                        + (sm.progress.red_cut.len() as u32) * 12
-                        + (sm.yellow.set.len() as u32) * 12;
+                if let Some(conf) = self.still_in(epoch, EngineState::ExchangeStates) {
+                    let sm = StateMsg::new(conf, self.cfg.me, &self.k);
+                    let size = sm.size_bytes();
                     self.send_group(ctx, EngineMsg::State(sm), size);
                 }
             }
             AfterSync::SendCpc { epoch } => {
-                if epoch == self.conf_epoch && self.state == EngineState::Construct {
-                    let conf = self.v.conf.as_ref().expect("in a configuration").id;
-                    let me = self.cfg.me;
-                    let size = CPC_MSG_BYTES;
-                    self.send_group(ctx, EngineMsg::Cpc { server: me, conf }, size);
+                if let Some(conf) = self.still_in(epoch, EngineState::Construct) {
+                    let server = self.cfg.me;
+                    self.send_group(ctx, EngineMsg::Cpc { server, conf }, CPC_MSG_BYTES);
                 }
             }
-            AfterSync::Installed { epoch } | AfterSync::EnterNonPrim { epoch } => {
+            AfterSync::ExchangeEnded { epoch } => {
                 if epoch == self.conf_epoch
                     && matches!(self.state, EngineState::RegPrim | EngineState::NonPrim)
                 {
@@ -2060,24 +1860,19 @@ impl ReplicationEngine {
                 }
             }
             TransferWire::Snapshot {
-                db,
-                green_count,
-                green_lines,
-                red_cut,
+                base,
                 server_set,
                 prim_component,
-                action_index,
             } => {
                 if self.state != EngineState::Joining {
                     return;
                 }
-                self.adopt_base(ctx, db.clone(), *green_count, red_cut);
-                self.k.green_lines = green_lines.clone();
+                self.adopt_base(ctx, base);
+                self.k.green_lines = base.green_lines.clone();
                 self.k.green_lines.insert(self.cfg.me, self.k.green_count);
                 self.k.server_set = server_set.clone();
                 self.k.server_set.insert(self.cfg.me);
                 self.k.prim_component = prim_component.clone();
-                self.k.action_index = (*action_index).max(self.k.action_index);
                 self.k.save_records(&mut self.store);
                 self.k.save_ongoing(&mut self.store);
                 // Persist the inherited state, then join the group.

@@ -18,6 +18,7 @@ use todr_net::NodeId;
 
 use crate::action::{ActionId, ActionKind, Body};
 use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
+use crate::types::GreenBase;
 
 /// The verdict of [`Knowledge::accept_red`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,6 +187,16 @@ impl Knowledge {
             .collect()
     }
 
+    /// The green state, for another replica to adopt.
+    pub(crate) fn green_base(&self) -> GreenBase {
+        GreenBase {
+            db: self.db.snapshot(),
+            green_count: self.green_count,
+            green_cut: self.green_cuts(),
+            green_lines: self.green_lines.clone(),
+        }
+    }
+
     /// Makes `creator` known at red cut 0 (a joiner, before it creates
     /// anything).
     pub(crate) fn note_creator(&mut self, creator: NodeId) {
@@ -331,6 +342,32 @@ impl Knowledge {
             .set
             .retain(|id| creators.get(&id.server).is_none_or(|c| id.index > c.green));
         raised
+    }
+
+    /// `Install` (A.10), between the yellow and the red conversion: the
+    /// attempt this server voted for becomes the primary component. A
+    /// member whose leave went green during this very installation is
+    /// still a view member, so it lands in `servers` — but it exits the
+    /// moment the install completes and must not count toward future
+    /// quorums. Every member greens the identical sets, so all bake the
+    /// identical discount from `departed`.
+    pub(crate) fn install_prim(&mut self, departed: &BTreeSet<NodeId>) {
+        self.yellow = YellowRecord::invalid();
+        let prim = &mut self.prim_component;
+        prim.prim_index += 1;
+        prim.attempt_index = self.attempt_index;
+        prim.servers = self.vulnerable.set.clone();
+        prim.departed = prim.servers.intersection(departed).copied().collect();
+        self.attempt_index = 0;
+    }
+
+    /// Sets the green line of every member of the just-installed
+    /// primary but the `departed` to this server's green count: each one
+    /// greened the identical sets, so its line lands at the same count.
+    pub(crate) fn level_green_lines(&mut self, departed: &BTreeSet<NodeId>) {
+        for &m in self.prim_component.servers.difference(departed) {
+            self.green_lines.insert(m, self.green_count);
+        }
     }
 
     /// Discards the bodies of **white** actions (§3). Returns how many

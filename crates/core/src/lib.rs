@@ -69,7 +69,7 @@ pub use quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 pub use semantics::{QuerySemantics, UpdateReplyPolicy};
 pub use todr_db::ReadConsistency;
 pub use types::{
-    ClientReply, ClientRequest, Color, EngineConfig, EngineCtl, RequestId, StorageFault,
+    ClientReply, ClientRequest, Color, EngineConfig, EngineCtl, GreenBase, RequestId, StorageFault,
     TransferWire, LEASE_DURATION,
 };
 

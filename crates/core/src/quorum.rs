@@ -227,7 +227,7 @@ pub struct KnowledgeInput {
 
 /// Output of [`compute_knowledge`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Knowledge {
+pub struct ComputedKnowledge {
     /// The most advanced primary component among the participants.
     pub prim_component: PrimComponent,
     /// Servers that reported that primary component.
@@ -244,49 +244,36 @@ pub struct Knowledge {
 
 /// The exchange phase's `ComputeKnowledge` (Appendix A, CodeSegment A.7),
 /// as a pure function over the collected state messages.
-pub fn compute_knowledge(inputs: &[KnowledgeInput]) -> Knowledge {
+pub fn compute_knowledge<'a>(
+    inputs: impl IntoIterator<Item = &'a KnowledgeInput>,
+) -> ComputedKnowledge {
+    let inputs: Vec<&KnowledgeInput> = inputs.into_iter().collect();
     assert!(!inputs.is_empty(), "compute_knowledge needs >= 1 input");
 
-    // 1. Most advanced primary component and its group.
-    let best_version = inputs
+    // 1. Most advanced primary component and the group reporting it.
+    let best = inputs.iter().map(|i| i.prim_component.version()).max();
+    let updated: Vec<&KnowledgeInput> = inputs
         .iter()
-        .map(|i| i.prim_component.version())
-        .max()
-        .expect("non-empty");
-    let mut prim_component = inputs
-        .iter()
-        .find(|i| i.prim_component.version() == best_version)
-        .expect("non-empty")
-        .prim_component
-        .clone();
+        .copied()
+        .filter(|i| Some(i.prim_component.version()) == best)
+        .collect();
+    let mut prim_component = updated[0].prim_component.clone();
     // Same-version reporters agree on the installed membership but may
     // differ on whether the (unique) first post-install departure has
     // been greened locally yet; the union propagates it.
-    for i in inputs {
-        if i.prim_component.version() == best_version {
-            prim_component
-                .departed
-                .extend(i.prim_component.departed.iter().copied());
-        }
+    for i in &updated {
+        let departed = i.prim_component.departed.iter().copied();
+        prim_component.departed.extend(departed);
     }
-    let updated_group: BTreeSet<NodeId> = inputs
-        .iter()
-        .filter(|i| i.prim_component.version() == best_version)
-        .map(|i| i.server)
-        .collect();
-    let attempt_index = inputs
-        .iter()
-        .filter(|i| updated_group.contains(&i.server))
-        .map(|i| i.attempt_index)
-        .max()
-        .unwrap_or(0);
+    let updated_group: BTreeSet<NodeId> = updated.iter().map(|i| i.server).collect();
+    let attempt_index = updated.iter().map(|i| i.attempt_index).max().unwrap_or(0);
 
     // 2. Combined yellow: intersection of valid yellow sets within the
     // updated group. (Yellow actions of an *older* primary are obsolete:
     // a newer primary already decided the order past them.)
-    let valid_yellows: Vec<&YellowRecord> = inputs
+    let valid_yellows: Vec<&YellowRecord> = updated
         .iter()
-        .filter(|i| updated_group.contains(&i.server) && i.yellow.valid)
+        .filter(|i| i.yellow.valid)
         .map(|i| &i.yellow)
         .collect();
     let yellow = if valid_yellows.is_empty() {
@@ -304,15 +291,15 @@ pub fn compute_knowledge(inputs: &[KnowledgeInput]) -> Knowledge {
 
     // 3./4. Vulnerability resolution.
     let mut resolved_vulnerable = BTreeMap::new();
-    for input in inputs {
+    for input in &inputs {
         let mut v = input.vulnerable.clone();
         if v.valid {
-            resolve_vulnerable(&mut v, inputs, &prim_component);
+            resolve_vulnerable(&mut v, &inputs, &prim_component);
         }
         resolved_vulnerable.insert(input.server, v);
     }
 
-    Knowledge {
+    ComputedKnowledge {
         prim_component,
         updated_group,
         attempt_index,
@@ -323,7 +310,7 @@ pub fn compute_knowledge(inputs: &[KnowledgeInput]) -> Knowledge {
 
 fn resolve_vulnerable(
     v: &mut VulnerableRecord,
-    inputs: &[KnowledgeInput],
+    inputs: &[&KnowledgeInput],
     best_prim: &PrimComponent,
 ) {
     // Rule (a): the attempt (or something later) completed, and a

@@ -150,6 +150,29 @@ pub enum StorageFault {
     StaleSector,
 }
 
+/// A green database state and what adopting it takes: the base a
+/// joiner's representative ships (§5.1) and an exchange's snapshot
+/// fallback multicasts. Each receiver merges `green_lines` its own way.
+#[derive(Debug, Clone)]
+pub struct GreenBase {
+    /// Green database snapshot.
+    pub db: Database,
+    /// Number of green actions incorporated in `db`.
+    pub green_count: u64,
+    /// Per creator, the green cut `db` incorporates (for duplicate
+    /// suppression of already-incorporated actions).
+    pub green_cut: BTreeMap<NodeId, u64>,
+    /// Green lines as known at the sender.
+    pub green_lines: BTreeMap<NodeId, u64>,
+}
+
+impl GreenBase {
+    /// Modelled wire size in bytes.
+    pub fn size_bytes(&self) -> u32 {
+        512 + self.db.row_count() as u32 * 64
+    }
+}
+
 /// Messages exchanged directly over the fabric, outside the group: the
 /// online-join database transfer, fast-path acks and green-line
 /// advertisements.
@@ -160,25 +183,15 @@ pub enum TransferWire {
         /// The joining server.
         joiner: NodeId,
     },
-    /// Representative → joiner: the current green database state and the
+    /// Representative → joiner: the current green base and the
     /// bookkeeping needed to start replicating.
     Snapshot {
-        /// Green database snapshot.
-        db: Database,
-        /// Number of green actions incorporated in `db`.
-        green_count: u64,
-        /// Green lines as known at the representative.
-        green_lines: BTreeMap<NodeId, u64>,
-        /// Red cut at the representative's green point (for duplicate
-        /// suppression of already-incorporated actions).
-        red_cut: BTreeMap<NodeId, u64>,
+        /// The representative's green state.
+        base: GreenBase,
         /// The server set including the joiner.
         server_set: BTreeSet<NodeId>,
         /// The representative's last known primary component.
         prim_component: PrimComponent,
-        /// The joiner's own creator counter starting point (0 for new
-        /// replicas).
-        action_index: u64,
     },
     /// Member → action origin: "I hold the sequenced action `id`" — an
     /// eager-receipt acknowledgement for the commit fast path. The

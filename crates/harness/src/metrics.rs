@@ -1,19 +1,17 @@
 //! Latency and throughput accounting in virtual time.
 //!
-//! [`LatencyStats`] is a thin [`SimDuration`]-typed facade over the
-//! kernel's fixed-bucket [`Histogram`]: O(1) insert, O(64) percentile
-//! queries, no sample vector to sort. Percentiles are therefore bucket
-//! upper bounds (a ≤2× overestimate, clamped to the exact maximum) —
-//! the right bias for latency budgets, and cheap enough to query inside
-//! hot experiment loops.
+//! [`LatencyStats`] keeps every sample, so its percentiles are exact
+//! order statistics by nearest rank — the definition the benchmark's
+//! `stats::percentile` uses — rather than histogram bucket bounds. A
+//! sample costs 8 bytes, and a percentile query sorts a copy.
 
-use todr_sim::{Histogram, HistogramSummary, SimDuration, SimTime};
+use todr_sim::{SimDuration, SimTime};
 
-/// A latency recorder with summary statistics, backed by a log₂-bucket
-/// histogram.
+/// A latency recorder with summary statistics over its kept samples.
 #[derive(Debug, Default, Clone)]
 pub struct LatencyStats {
-    hist: Histogram,
+    /// Every recorded sample, in nanoseconds, in recording order.
+    samples: Vec<u64>,
 }
 
 impl LatencyStats {
@@ -24,44 +22,47 @@ impl LatencyStats {
 
     /// Records one sample.
     pub fn record(&mut self, sample: SimDuration) {
-        self.hist.record_duration(sample);
+        self.samples.push(sample.as_nanos());
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.hist.count()
+        self.samples.len() as u64
     }
 
-    /// Arithmetic mean (exact), or zero if empty.
+    /// Arithmetic mean (the sum saturates at `u64::MAX` nanoseconds),
+    /// or zero if empty.
     pub fn mean(&self) -> SimDuration {
-        SimDuration::from_nanos(self.hist.mean_nanos())
+        let sum = self
+            .samples
+            .iter()
+            .fold(0u64, |sum, &s| sum.saturating_add(s));
+        SimDuration::from_nanos(sum.checked_div(self.count()).unwrap_or(0))
     }
 
-    /// The `p`-th percentile (0-100) as the upper bound of the bucket
-    /// holding that rank, clamped to the exact maximum; zero if empty.
+    /// The `p`-th percentile (0-100) by nearest rank: the smallest sample
+    /// with at least `p` percent of the samples at or below it (the
+    /// minimum for `p` = 0); zero if empty.
     pub fn percentile(&self, p: f64) -> SimDuration {
-        SimDuration::from_nanos(self.hist.quantile_nanos(p / 100.0))
+        let n = self.samples.len();
+        if n == 0 {
+            return SimDuration::ZERO;
+        }
+        // `ceil(p% of n)`, less an epsilon so that binary rounding of `p`
+        // cannot push the rank one up.
+        let rank = ((p / 100.0 * n as f64 - 1e-9).ceil() as usize).clamp(1, n);
+        let mut samples = self.samples.clone();
+        SimDuration::from_nanos(*samples.select_nth_unstable(rank - 1).1)
     }
 
-    /// Maximum sample (exact), or zero if empty.
+    /// Maximum sample, or zero if empty.
     pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.hist.max_nanos())
+        SimDuration::from_nanos(self.samples.iter().copied().max().unwrap_or(0))
     }
 
-    /// Merges another recorder's samples into this one.
+    /// Appends another recorder's samples to this one's.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.hist.merge(&other.hist);
-    }
-
-    /// The `count / mean / p50 / p95 / p99 / max` summary used in
-    /// metric exports.
-    pub fn summary(&self) -> HistogramSummary {
-        self.hist.summary()
-    }
-
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
+        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -93,26 +94,66 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_is_exact_and_percentiles_are_bucketed() {
+    fn mean_max_and_percentiles_are_exact() {
         let mut stats = LatencyStats::new();
         for ms in [10u64, 20, 30, 40, 50] {
             stats.record(SimDuration::from_millis(ms));
         }
         assert_eq!(stats.count(), 5);
-        // Mean and max are tracked exactly.
         assert_eq!(stats.mean(), SimDuration::from_millis(30));
         assert_eq!(stats.max(), SimDuration::from_millis(50));
-        // Percentiles report the bucket upper bound: never below the
-        // true value, at most 2× above it.
-        for (p, exact_ms) in [(10.0, 10u64), (50.0, 30), (99.0, 50)] {
-            let exact = SimDuration::from_millis(exact_ms);
-            let got = stats.percentile(p);
-            assert!(got >= exact, "p{p} = {got} below the true value {exact}");
-            assert!(
-                got.as_nanos() <= exact.as_nanos() * 2,
-                "p{p} = {got} more than 2x the true value {exact}"
-            );
+        for (p, ms) in [(0.0, 10u64), (10.0, 10), (20.0, 10), (50.0, 30), (99.0, 50)] {
+            assert_eq!(stats.percentile(p), SimDuration::from_millis(ms), "p{p}");
         }
+    }
+
+    /// The nearest-rank percentile, straight from its definition: the
+    /// smallest sample with at least `p` percent of all at or below it.
+    fn nearest_rank(samples: &[u64], p: f64) -> u64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len() as f64;
+        let at_or_below = |x: u64| sorted.iter().filter(|&&s| s <= x).count() as f64;
+        let first = sorted
+            .iter()
+            .find(|&&x| at_or_below(x) * 100.0 >= p * n - 1e-6);
+        *first.unwrap_or(&sorted[0])
+    }
+
+    #[test]
+    fn percentile_is_the_nearest_rank_of_the_samples() {
+        // A fixed pseudo-random sequence with repeats and a long tail.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let samples: Vec<u64> = (0..997)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 1_000) * (x % 7 + 1) * 1_000
+            })
+            .collect();
+        let mut stats = LatencyStats::new();
+        for &s in &samples {
+            stats.record(SimDuration::from_nanos(s));
+        }
+        for p in [0.0, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0] {
+            let want = nearest_rank(&samples, p);
+            assert_eq!(stats.percentile(p).as_nanos(), want, "p{p}");
+        }
+        // A merge concatenates: the percentiles are those of the union.
+        let (left, right) = samples.split_at(400);
+        let mut merged = LatencyStats::new();
+        for part in [left, right] {
+            let mut stats = LatencyStats::new();
+            part.iter()
+                .for_each(|&s| stats.record(SimDuration::from_nanos(s)));
+            merged.merge(&stats);
+        }
+        assert_eq!(merged.count(), samples.len() as u64);
+        assert_eq!(
+            merged.percentile(99.0).as_nanos(),
+            nearest_rank(&samples, 99.0)
+        );
     }
 
     #[test]
@@ -142,19 +183,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn summary_matches_accessors() {
-        let mut stats = LatencyStats::new();
-        for ms in [5u64, 10, 15] {
-            stats.record(SimDuration::from_millis(ms));
-        }
-        let s = stats.summary();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean_nanos, stats.mean().as_nanos());
-        assert_eq!(s.max_nanos, stats.max().as_nanos());
-        assert_eq!(s.p50_nanos, stats.percentile(50.0).as_nanos());
     }
 
     #[test]

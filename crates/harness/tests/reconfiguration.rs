@@ -4,7 +4,7 @@
 use todr_core::EngineState;
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
-use todr_sim::SimDuration;
+use todr_sim::{ProtocolEvent, SimDuration};
 
 #[test]
 fn weighted_voting_lets_a_heavy_server_carry_the_quorum() {
@@ -126,4 +126,52 @@ fn removed_replica_cannot_rejoin_as_itself() {
     cluster.run_for(SimDuration::from_secs(1));
     assert_eq!(cluster.engine_state(2), EngineState::Down);
     cluster.check_consistency();
+}
+
+/// The exchange's snapshot fallback, served by a joiner. Replica C is
+/// cut off at green g₀; J then joins at green G > g₀, so its green floor
+/// is G and it holds no body below it. When {J, C} split away together,
+/// no member can send C the missing suffix as actions, and the exchange
+/// takes `GreenPath::Snapshot` from J: C adopts J's green base.
+#[test]
+fn joiner_serves_its_green_base_to_a_laggard() {
+    let mut cluster = Cluster::build(ClusterConfig::new(3, 26));
+    cluster.settle();
+    cluster.attach_client(0, ClientConfig::default());
+    cluster.run_for(SimDuration::from_secs(1));
+
+    // 1. C is partitioned away at g₀.
+    let c = 2;
+    cluster.partition(&[vec![0, 1], vec![c]]);
+    cluster.run_for(SimDuration::from_secs(1));
+    let g0 = cluster.green_count(c);
+
+    // 2. J joins through the primary; its green floor is its base.
+    let j = cluster.add_joiner(0);
+    cluster.partition(&[vec![0, 1, j], vec![c]]);
+    cluster.run_for(SimDuration::from_secs(3));
+    assert_eq!(cluster.engine_state(j), EngineState::RegPrim);
+    let floor = cluster.with_engine(j, |e| e.green_floor());
+    assert!(floor > g0, "J's floor {floor} is not above C's green {g0}");
+
+    // 3. {J, C} split away from the rest.
+    let seen = cluster.world.metrics().events().len();
+    cluster.partition(&[vec![0, 1], vec![c, j]]);
+    cluster.run_for(SimDuration::from_secs(3));
+    assert!(cluster.green_count(c) > g0, "C did not catch up");
+    assert_eq!(cluster.green_count(c), cluster.green_count(j));
+    assert_eq!(cluster.db_digest(c), cluster.db_digest(j));
+    let node = cluster.servers[c].node.index();
+    let subsumed = cluster.world.metrics().events()[seen..]
+        .iter()
+        .any(|r| matches!(r.event, ProtocolEvent::BaseSubsumed { node: n, .. } if n == node));
+    assert!(subsumed, "C adopted J's base without a BaseSubsumed");
+    cluster.check_consistency();
+
+    // Heal and drain: the history's end-of-run clauses hold too.
+    cluster.merge_all();
+    cluster.stop_clients();
+    cluster.run_for(SimDuration::from_secs(3));
+    cluster.check_consistency();
+    cluster.try_check_history().expect("history holds");
 }
