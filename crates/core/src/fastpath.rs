@@ -204,7 +204,7 @@ mod tests {
     }
 
     fn knowledge(in_flight: &[Rc<Body>]) -> Knowledge {
-        let mut k = Knowledge::new(members());
+        let mut k = Knowledge::new(NodeId::new(0), members());
         for body in in_flight {
             assert!(matches!(k.accept_red(body), Accept::New));
         }

@@ -153,7 +153,7 @@ mod tests {
     }
 
     fn nothing_in_flight() -> Knowledge {
-        Knowledge::new((0..3).map(NodeId::new))
+        Knowledge::new(NodeId::new(0), (0..3).map(NodeId::new))
     }
 
     /// Server 1's put to `key`, receipted (red) but not green.
