@@ -150,7 +150,7 @@ pub fn run_with_backend(
     // backend only; the sim backend reports no host syscalls).
     let mut disk: Option<DiskWallClock> = None;
     for i in 0..n_servers as usize {
-        if let Some(io) = cluster.with_engine(i, |e| e.storage_io_stats()) {
+        if let Some(io) = cluster.with_engine(i, |e| e.storage().io_stats()) {
             let d = disk.get_or_insert(DiskWallClock {
                 fsyncs: 0,
                 mean_fsync_micros: 0.0,

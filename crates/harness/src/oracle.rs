@@ -789,9 +789,16 @@ impl TraceOracle {
                 self.final_green.insert(node, green);
                 let best = self.best_green.entry(node).or_insert(0);
                 *best = (*best).max(green);
-                let mut rebased = prev_line.is_some_and(|p| green > p + k);
+                // An advance that skips positions announces a base
+                // adoption's jump, with or without marks to close: every
+                // creator's run restarts before the first mark, and the
+                // base replaces the reloaded prefix.
+                if prev_line.is_some_and(|p| green > p + k) {
+                    self.green_runs.remove(&node);
+                    self.reloaded.remove(&node);
+                }
                 for (position, id) in (green - k..green).zip(marks.drain(..)) {
-                    self.fold_green(node, id, std::mem::take(&mut rebased))?;
+                    self.fold_green(node, id)?;
                     self.claim_green(node, position, id)?;
                 }
                 self.pending_green.insert(node, marks);
@@ -1021,21 +1028,10 @@ impl TraceOracle {
 
     /// Theorem 2 where a green mark meets its `GreenLineAdvance`: within
     /// one incarnation, each creator's green indices at `node` are
-    /// contiguous. A base adoption's jump shows as an advance that skips
-    /// positions (`rebased`, applied to the first mark it closes), after
-    /// which every creator's run starts afresh. The action's color folds
-    /// into the run.
-    fn fold_green(
-        &mut self,
-        node: u32,
-        (creator, seq): (u32, u64),
-        rebased: bool,
-    ) -> Result<(), TraceViolation> {
+    /// contiguous since the last base adoption (an advance that skips
+    /// positions). The action's color folds into the run.
+    fn fold_green(&mut self, node: u32, (creator, seq): (u32, u64)) -> Result<(), TraceViolation> {
         let runs = self.green_runs.entry(node).or_default();
-        if rebased {
-            runs.clear();
-            self.reloaded.remove(&node);
-        }
         match runs.entry(creator) {
             Entry::Occupied(mut run) => {
                 let (lo, hi) = *run.get();

@@ -102,7 +102,7 @@ fn crash_recover_case(point: CrashPoint, seed: u64) {
 
     // The forced writes actually hit the platter: real fsyncs happened.
     let stats = cluster
-        .with_engine(0, |e| e.storage_io_stats())
+        .with_engine(0, |e| e.storage().io_stats())
         .expect("file backend reports io stats");
     assert!(stats.fsyncs > 0, "no real fsync was issued");
 }

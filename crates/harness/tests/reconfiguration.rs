@@ -132,9 +132,18 @@ fn removed_replica_cannot_rejoin_as_itself() {
 /// cut off at green g₀; J then joins at green G > g₀, so its green floor
 /// is G and it holds no body below it. When {J, C} split away together,
 /// no member can send C the missing suffix as actions, and the exchange
-/// takes `GreenPath::Snapshot` from J: C adopts J's green base.
+/// takes `GreenPath::Snapshot` from J: C adopts J's green base. With the
+/// clients stopped before the split, C greens nothing after the base,
+/// so only the jump's own announcement tells the history where C's
+/// green line ended.
 #[test]
 fn joiner_serves_its_green_base_to_a_laggard() {
+    for stop_before_split in [false, true] {
+        laggard_adopts_the_joiners_base(stop_before_split);
+    }
+}
+
+fn laggard_adopts_the_joiners_base(stop_before_split: bool) {
     let mut cluster = Cluster::build(ClusterConfig::new(3, 26));
     cluster.settle();
     cluster.attach_client(0, ClientConfig::default());
@@ -155,6 +164,10 @@ fn joiner_serves_its_green_base_to_a_laggard() {
     assert!(floor > g0, "J's floor {floor} is not above C's green {g0}");
 
     // 3. {J, C} split away from the rest.
+    if stop_before_split {
+        cluster.stop_clients();
+        cluster.run_for(SimDuration::from_secs(1));
+    }
     let seen = cluster.world.metrics().events().len();
     cluster.partition(&[vec![0, 1], vec![c, j]]);
     cluster.run_for(SimDuration::from_secs(3));

@@ -1171,6 +1171,29 @@ fn an_advance_after_a_flush_then_adopt_jump_clears_the_runs() {
 }
 
 #[test]
+fn a_jump_announced_without_marks_restarts_the_runs() {
+    // Node 0 greens (1, 1) and (1, 2), adopts a base that holds
+    // positions up to 6 and creator 1 up to index 6, and announces the
+    // jump with no mark of its own. Creator 1's next green is index 7.
+    let mut events = green_batch(0, &[(1, 1), (1, 2)], 2);
+    events.extend(green_batch(0, &[], 6));
+    events.extend(green_mark(0, 1, 7, 7));
+    check_trace(&events, &BTreeSet::new()).unwrap();
+    // A marks-free advance to the line already announced still
+    // regresses.
+    let mut same = green_batch(0, &[(1, 1), (1, 2)], 2);
+    same.extend(green_batch(0, &[], 2));
+    assert_eq!(
+        check_trace(&same, &BTreeSet::new()).unwrap_err(),
+        TraceViolation::GreenLineRegression {
+            node: 0,
+            from: 2,
+            to: 2,
+        }
+    );
+}
+
+#[test]
 fn an_advance_short_of_its_marks_regresses() {
     let mut events = green_run(0, &[(0, 1)]);
     events.extend(green_batch(0, &[(0, 2), (0, 3)], 2));
@@ -1289,6 +1312,10 @@ fn reloaded_greens_must_be_fifo_and_run_into_the_new_greens() {
 fn a_base_adoption_replaces_the_reloaded_prefix() {
     let mut events = recovered_history();
     events.extend(green_mark(1, 1, 4, 7)); // skips positions 3..6
+    assert_eq!(fed(&events).reloaded(1), 0);
+    // So does a jump announced with no mark.
+    let mut events = recovered_history();
+    events.extend(green_batch(1, &[], 6));
     assert_eq!(fed(&events).reloaded(1), 0);
 }
 

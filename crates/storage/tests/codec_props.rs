@@ -14,7 +14,8 @@ use std::fmt::Debug;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use todr_core::{
-    Action, ActionId, ActionKind, ClientId, PrimComponent, VulnerableRecord, YellowRecord,
+    Action, ActionId, ActionKind, ClientId, GreenBase, PrimComponent, VulnerableRecord,
+    YellowRecord,
 };
 use todr_db::{Database, Op, Query, Value};
 use todr_net::NodeId;
@@ -243,15 +244,6 @@ fn actions_of_every_kind_survive_hostile_input_checks() {
     check_hostile_input_properties(&queue);
 }
 
-/// The shape of the engine's base record (`todr-core` keeps the type
-/// private): a database with its row-version clock, and the green cuts.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
-struct Base {
-    db: Database,
-    green_count: u64,
-    green_cut: BTreeMap<NodeId, u64>,
-}
-
 #[test]
 fn base_record_over_a_populated_database_survives_hostile_input_checks() {
     let mut db = Database::new();
@@ -268,12 +260,14 @@ fn base_record_over_a_populated_database_survives_hostile_input_checks() {
         ts: 9,
     });
     assert!(db.row_version("accounts", "k3") >= 2, "versions populated");
-    let base = Base {
+    // The engine's base record: a database with its row-version clock,
+    // the green count and the green cuts.
+    let base = GreenBase {
         db,
         green_count: 27,
         green_cut: [(node(0), 20), (node(1), 7)].into(),
     };
-    let back: Base = decode(&encode(&base)).expect("round trip");
+    let back: GreenBase = decode(&encode(&base)).expect("round trip");
     assert_eq!(
         back.db.row_version("accounts", "k3"),
         base.db.row_version("accounts", "k3")
