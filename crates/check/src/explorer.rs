@@ -58,6 +58,9 @@ pub struct ExploreReport {
     pub cases_run: u64,
     /// Cases that passed every oracle.
     pub passed: u64,
+    /// Clients the passing cases' crashes left stalled, summed
+    /// ([`crate::CasePass::stalled_clients`]).
+    pub stalled_clients: u64,
     /// One (shrunk) replayable artifact per failing case.
     pub failures: Vec<Counterexample>,
 }
@@ -85,7 +88,7 @@ pub fn explore(
     // Coherence never depends on the seed or the perturbation.
     config.options.cluster_builder(0, 0).build()?;
     let mut cases_run = 0u64;
-    let mut passed = 0u64;
+    let (mut passed, mut stalled_clients) = (0u64, 0u64);
     let mut failures = Vec::new();
     for explorer_seed in config.seed_start..config.seed_start.saturating_add(config.seed_count) {
         // One schedule per explorer seed, drawn exactly like the
@@ -102,8 +105,9 @@ pub fn explore(
             };
             cases_run += 1;
             match run_case(&spec, &config.options) {
-                Ok(_) => {
+                Ok(pass) => {
                     passed += 1;
+                    stalled_clients += pass.stalled_clients;
                     progress(explorer_seed, perturbation, true);
                 }
                 Err(failure) => {
@@ -135,6 +139,7 @@ pub fn explore(
     Ok(ExploreReport {
         cases_run,
         passed,
+        stalled_clients,
         failures,
     })
 }

@@ -160,6 +160,10 @@ pub struct CasePass {
     pub cross_txns: u64,
     /// Commit-order comparisons the cross-shard oracle performed.
     pub commit_pairs_checked: u64,
+    /// Closed-loop clients still waiting on a reply after the drain:
+    /// each one a crashed replica left stalled (a client has no timeout
+    /// and never re-sends). Reported, not yet a failure.
+    pub stalled_clients: u64,
     /// Compact deterministic JSON of the world's metrics export.
     pub metrics_json: String,
 }
@@ -455,6 +459,7 @@ fn run_case_inner(
         green_positions_agreed,
         cross_txns: shard_stats.txns_applied,
         commit_pairs_checked: shard_stats.commit_pairs_checked,
+        stalled_clients: cluster.stalled_clients() as u64,
         metrics_json: cluster.metrics_export().to_json(),
     })
 }

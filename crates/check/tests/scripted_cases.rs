@@ -50,6 +50,33 @@ fn scripted_partition_and_removal_are_a_replayable_case() {
     assert_eq!(replayed, pass);
 }
 
+/// A crash under closed-loop load loses its replica's owed reply, and
+/// the client waiting on it never issues again: the case passes (no
+/// oracle covers it yet) and reports the stall.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow under debug profile; run with --release"
+)]
+fn a_crash_under_load_reports_the_client_it_left_stalled() {
+    let options = RunOptions::default();
+    let run = |schedule| {
+        let spec = CaseSpec {
+            seed: 27,
+            perturbation: 0,
+            schedule,
+        };
+        run_case(&spec, &options).unwrap_or_else(|f| panic!("{f}"))
+    };
+    let crashed = run(vec![
+        Step::Crash { server: 1 },
+        Step::Recover { server: 1 },
+        Step::Quiet,
+    ]);
+    assert_eq!(crashed.stalled_clients, 1);
+    assert_eq!(run(vec![Step::Quiet]).stalled_clients, 0);
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,

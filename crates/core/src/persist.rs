@@ -325,6 +325,7 @@ mod tests {
     use std::collections::BTreeMap;
     use std::rc::Rc;
     use todr_db::Op;
+    use todr_storage::seal_record;
 
     /// Loads on top of a replica that was configured with no servers.
     fn load(store: &StorageHandle) -> Result<Knowledge, RecoveryError> {
@@ -433,13 +434,14 @@ mod tests {
 
     #[test]
     fn a_saved_base_is_the_pinned_record() {
-        assert_eq!(&encode_record(&pinned_base())[..], &BASE_BYTES[..]);
+        let sealed = seal_record(&BASE_BYTES);
+        assert_eq!(&encode_record(&pinned_base())[..], &sealed[..]);
         let mut k = Knowledge::new(NodeId::new(0), []);
         k.adopt_base(pinned_base(), &BTreeMap::new());
         let mut store = StorageHandle::sim();
         k.save_base(&mut store);
         let saved = store.get_record_bytes(K_BASE);
-        assert!(matches!(saved, Ok(Some(bytes)) if bytes == BASE_BYTES));
+        assert!(matches!(saved, Ok(Some(bytes)) if bytes == sealed));
     }
 
     #[test]
@@ -463,7 +465,7 @@ mod tests {
     fn the_pinned_record_loads_as_its_base() {
         let base = pinned_base();
         let mut store = StorageHandle::sim();
-        store.put_record_bytes(K_BASE, BASE_BYTES.to_vec());
+        store.put_record_bytes(K_BASE, seal_record(&BASE_BYTES));
         let st = load(&store).expect("base loads");
         assert_eq!(st.green_base(), base);
         assert_eq!(st.db.row_version("t", "k"), base.db.row_version("t", "k"));
@@ -473,10 +475,30 @@ mod tests {
     }
 
     #[test]
+    fn a_record_whose_seal_fails_is_corrupt() {
+        let sealed = seal_record(&BASE_BYTES);
+        for (at, bit) in [(0, 0), (BASE_BYTES.len() / 2, 3), (sealed.len() - 1, 7)] {
+            let mut damaged = sealed.clone();
+            damaged[at] ^= 1 << bit;
+            for bytes in [damaged, sealed[..sealed.len() - 1].to_vec()] {
+                let mut store = StorageHandle::sim();
+                store.put_record_bytes(K_BASE, bytes);
+                match load(&store) {
+                    Err(RecoveryError::CorruptRecord { key, detail }) => {
+                        assert_eq!(key, K_BASE);
+                        assert!(detail.contains("checksum"), "{detail}");
+                    }
+                    other => panic!("{at}.{bit}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_record_directory_written_as_json_fails_with_a_typed_error() {
         // What the store held before the binary codec: JSON text.
         let mut store = StorageHandle::sim();
-        store.put_record_bytes(K_ATTEMPT, b"7".to_vec());
+        store.put_record_bytes(K_ATTEMPT, seal_record(b"7"));
         match load(&store).expect_err("JSON record must not be misread") {
             RecoveryError::CorruptRecord { key, .. } => assert_eq!(key, K_ATTEMPT),
             other => panic!("unexpected error {other:?}"),

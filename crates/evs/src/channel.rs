@@ -260,7 +260,10 @@ mod tests {
     }
 
     fn wire() -> Rc<EvsWire> {
-        Rc::new(EvsWire::Heartbeat { from: n(9) })
+        Rc::new(EvsWire::Stable {
+            conf: crate::types::ConfId::initial(n(9)),
+            upto: 1,
+        })
     }
 
     fn pipe(a: &mut LinkLayer, b: &mut LinkLayer, from: NodeId, frame: &LinkFrame) -> RecvOutcome {

@@ -3,9 +3,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use todr_net::{Datagram, NetOp, NodeId};
+use todr_net::{Datagram, NetOp, NodeId, ProbeInbox};
 use todr_sim::{
-    metric, Actor, ActorId, ApplyHorizon, Ctx, Payload, ProtocolEvent, SimDuration, SimTime,
+    metric, Actor, ActorId, ApplyHorizon, Ctx, MetricsHub, Payload, ProtocolEvent, SimDuration,
+    SimTime,
 };
 
 use crate::channel::{LinkFrame, LinkLayer};
@@ -17,14 +18,15 @@ use crate::order::ConfOrdering;
 use crate::sequencer::{Pack, Sequencer};
 use crate::stability::{AckDuty, AckStep};
 use crate::types::{log_slot, run_len, ConfId, Configuration, Delivery, EvsEvent};
-use crate::wire::{EvsWire, SequencedMsg, SubmitItem, TransGroup};
+use crate::wire::{EvsWire, SequencedMsg, SubmitItem, TransGroup, HEADER_BYTES};
 
 /// Tuning knobs of an [`EvsDaemon`].
 #[derive(Debug, Clone)]
 pub struct EvsConfig {
     /// All nodes this daemon initially knows about (it also learns new
     /// ones from their traffic). Heartbeats go to the whole universe so
-    /// merged partitions and newly started nodes are discovered.
+    /// merged partitions and newly started nodes are discovered; they
+    /// are fabric probes ([`NetOp::Probe`]), not frames.
     pub universe: Vec<NodeId>,
     /// Heartbeat / failure-detector evaluation period.
     pub hb_interval: SimDuration,
@@ -34,7 +36,7 @@ pub struct EvsConfig {
     /// this period per member, trading a small amount of safe-delivery
     /// latency for far fewer messages under load.
     pub ack_delay: SimDuration,
-    /// Run every non-heartbeat frame through per-peer reliable (ARQ)
+    /// Run every frame through per-peer reliable (ARQ)
     /// channels, tolerating random message loss on the fabric. Off by
     /// default: a loss-free fabric is already reliable FIFO, and the
     /// extra acknowledgements would only distort the experiments.
@@ -135,7 +137,7 @@ impl std::fmt::Debug for EvsCmd {
 }
 
 // The daemon's timers: zero-sized, so arming one allocates nothing.
-/// Timer: heartbeat + failure-detector evaluation.
+/// Timer: heartbeat probe + failure-detector evaluation.
 struct FdTick;
 /// Timer: flush the batched acknowledgement.
 struct AckTick;
@@ -208,6 +210,10 @@ pub struct EvsDaemon {
     /// Heartbeat destinations, cached from `universe` (rebuilding them
     /// every `hb_interval` was measurable at large n).
     universe_peers: Option<Rc<[NodeId]>>,
+    /// Where the fabric records the heartbeat probes sent to this node;
+    /// attached with this daemon's own first probe. Folded before every
+    /// failure-detector read and every reset (see [`Self::fold_probes`]).
+    probes: ProbeInbox,
     /// Membership attempts: the incarnation number, so post-recovery
     /// Joins (and link epochs) are not mistaken for stale ones.
     attempt: u64,
@@ -251,6 +257,7 @@ impl EvsDaemon {
             app,
             universe,
             universe_peers: None,
+            probes: ProbeInbox::default(),
             attempt: 0,
             max_conf_seq: 0,
             apply_horizon: ApplyHorizon::default(),
@@ -303,11 +310,7 @@ impl EvsDaemon {
             return;
         }
         let size = wire.wire_size();
-        // Heartbeats are idempotent probes and stay outside the reliable
-        // channels (retransmitting them to dead peers would be pure
-        // waste); so does loopback, which the fabric never drops.
-        let reliable = self.config.reliable_links && !matches!(wire, EvsWire::Heartbeat { .. });
-        if !reliable {
+        if !self.config.reliable_links {
             ctx.send_now(
                 self.fabric,
                 NetOp::multicast_shared(self.me, dsts, Rc::new(wire), size),
@@ -316,6 +319,7 @@ impl EvsDaemon {
         }
         let wire = Rc::new(wire);
         for &dst in dsts.iter() {
+            // Loopback stays outside the channels: the fabric never drops it.
             let (frame, bytes): (Rc<dyn std::any::Any>, _) = if dst == self.me {
                 (Rc::clone(&wire) as _, size)
             } else {
@@ -338,8 +342,10 @@ impl EvsDaemon {
         // Retransmit only to currently reachable peers; queues for
         // unreachable ones stay paused (see LinkLayer::retransmissions)
         // and resume when connectivity returns.
-        let reachable = self.vol.fd.reachable(ctx.now());
-        let retx = self.vol.link.retransmissions(&|p| reachable.contains(&p));
+        let now = ctx.now();
+        self.fold_probes(now, ctx.metrics());
+        let fd = &self.vol.fd;
+        let retx = self.vol.link.retransmissions(&|p| fd.is_reachable(p, now));
         let sent_any = !retx.is_empty();
         if sent_any {
             let burst = retx.len() as u64;
@@ -381,14 +387,6 @@ impl EvsDaemon {
 
     fn send_wire_one(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, wire: EvsWire) {
         self.send_wire_to(ctx, Rc::new([dst]), wire);
-    }
-
-    fn member_set(&self) -> BTreeSet<NodeId> {
-        self.vol
-            .ordering
-            .as_ref()
-            .map(|o| o.conf().members.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     fn emit(&mut self, ctx: &mut Ctx<'_>, event: EvsEvent) {
@@ -467,6 +465,7 @@ impl EvsDaemon {
     fn start_gather(&mut self, ctx: &mut Ctx<'_>) {
         self.attempt += 1;
         ctx.metrics().incr(metric!("evs.gathers_started"), 1);
+        self.fold_probes(ctx.now(), ctx.metrics());
         let proposal = self.vol.fd.reachable(ctx.now());
         let mut gather = GatherState::new(self.attempt, self.me, proposal.clone());
         // Carry forward what peers already announced: a restart must not
@@ -759,14 +758,32 @@ impl EvsDaemon {
         }
     }
 
-    /// Records that a frame from `node` arrived now, adding it to the
-    /// universe if it is new there. Every frame passes here, and all but
-    /// a joiner's first find it a member already.
-    fn heard_from(&mut self, node: NodeId, now: SimTime) {
+    /// Records that a frame from `node` arrived at `at`, adding it to
+    /// the universe if it is new there. Every frame and every delivered
+    /// probe passes here, and all but a joiner's first find it a member
+    /// already.
+    fn heard_from(&mut self, node: NodeId, at: SimTime) {
         if mark_member(&mut self.universe, node) {
             self.universe_peers = None;
         }
-        self.vol.fd.heard_from(node, now);
+        self.vol.fd.heard_from(node, at);
+    }
+
+    /// Folds the heartbeat probes that landed strictly before `before`
+    /// (see [`ProbeInbox::fold`]): counts each one, and — only while
+    /// joined and up, as the frame would have been handled — hears its
+    /// sender at its arrival. This daemon's state changes only at a
+    /// reset, which folds first, so every probe meets the state it
+    /// arrived under. A timer queued before a probe landed at the same
+    /// instant would have run before its hand-off, hence "strictly".
+    fn fold_probes(&mut self, before: SimTime, metrics: &mut MetricsHub) {
+        let probes = self.probes.clone();
+        let listening = self.vol.joined && !self.vol.down;
+        probes.fold(before, metrics, |src, at| {
+            if listening {
+                self.heard_from(src, at);
+            }
+        });
     }
 
     fn handle_wire(&mut self, ctx: &mut Ctx<'_>, src: NodeId, wire: &EvsWire) {
@@ -775,7 +792,6 @@ impl EvsDaemon {
             self.heard_from(origin, ctx.now());
         }
         match wire {
-            EvsWire::Heartbeat { .. } => {}
             EvsWire::Submit {
                 conf,
                 sender,
@@ -915,6 +931,7 @@ impl EvsDaemon {
         proposal: BTreeSet<NodeId>,
     ) {
         let now = ctx.now();
+        self.fold_probes(now, ctx.metrics());
         let regather = match &mut self.vol.phase {
             // A member that keeps announcing exactly our membership long
             // after we installed missed the install (e.g. restarted its
@@ -922,14 +939,15 @@ impl EvsDaemon {
             // to bring it back in. A fresh install is exempt — the
             // straggler's install is usually still on the wire.
             Phase::Steady => {
-                proposal != self.member_set()
+                let members = self.vol.ordering.as_ref().map(|o| &o.conf().members[..]);
+                !proposal.iter().eq(members.unwrap_or_default())
                     || now.saturating_since(self.vol.installed_at) > self.config.fail_timeout
             }
             Phase::Gather(gather) => {
                 gather.record_join(from, attempt, proposal);
                 // Receiving a join may itself have revealed a new
                 // reachable peer; refresh our own proposal.
-                if gather.proposal != self.vol.fd.reachable(now) {
+                if !self.vol.fd.reachable_is(&gather.proposal, now) {
                     self.start_gather(ctx);
                 } else {
                     self.check_gather_convergence(ctx);
@@ -1063,6 +1081,9 @@ impl EvsDaemon {
             return;
         }
         ctx.send_self_after(self.config.hb_interval, FdTick);
+        let now = ctx.now();
+        // Probes first: one may name a node new to the universe.
+        self.fold_probes(now, ctx.metrics());
 
         // Heartbeat the whole universe so detached/merged/new nodes can
         // find us. The destination list is cached across ticks and
@@ -1076,38 +1097,41 @@ impl EvsDaemon {
                 .map(|(i, _)| NodeId::new(i))
                 .collect()
         });
-        let peers = Rc::clone(peers);
-        self.send_wire_to(ctx, peers, EvsWire::Heartbeat { from: self.me });
+        // Sent even to no one: the probe also attaches this node's inbox,
+        // so a node that knows no peer still hears a newcomer's.
+        let probe = NetOp::Probe {
+            src: self.me,
+            dsts: Rc::clone(peers),
+            size_bytes: HEADER_BYTES,
+            inbox: self.probes.clone(),
+        };
+        ctx.send_now(self.fabric, probe);
 
-        let now = ctx.now();
-        let reachable = self.vol.fd.reachable(now);
+        let fd = &self.vol.fd;
         match &self.vol.phase {
-            Phase::Steady => {
-                let members = self.member_set();
-                let conf = self.vol.ordering.as_ref().map(|o| o.conf().id);
-                match conf {
-                    Some(conf) if reachable == members => {
-                        // Renew read leases only on fresh, direct
-                        // evidence: every member heard within two
-                        // heartbeat intervals (much tighter than
-                        // fail_timeout, so renewal stops well before the
-                        // membership protocol reacts).
-                        let window = self.config.hb_interval * 2;
-                        if self.config.lease_heartbeats
-                            && self.vol.fd.all_fresh_within(&members, now, window)
-                        {
-                            self.emit(ctx, EvsEvent::LeaseRenew(conf));
-                        }
+            Phase::Steady => match &self.vol.ordering {
+                Some(o) if fd.reachable_is(&o.conf().members, now) => {
+                    // Renew read leases only on fresh, direct evidence:
+                    // every member heard within two heartbeat intervals
+                    // (much tighter than fail_timeout, so renewal stops
+                    // well before the membership protocol reacts).
+                    let window = self.config.hb_interval * 2;
+                    let conf = o.conf();
+                    if self.config.lease_heartbeats
+                        && fd.all_fresh_within(&conf.members, now, window)
+                    {
+                        let id = conf.id;
+                        self.emit(ctx, EvsEvent::LeaseRenew(id));
                     }
-                    _ => self.start_gather(ctx),
                 }
-            }
-            Phase::Gather(g) if g.proposal == reachable => {
+                _ => self.start_gather(ctx),
+            },
+            Phase::Gather(g) if fd.reachable_is(&g.proposal, now) => {
                 // Nudge stragglers: re-announce our proposal.
                 let (attempt, proposal) = (g.attempt, g.proposal.clone());
                 self.announce_join(ctx, attempt, proposal);
             }
-            Phase::Flush(f) if reachable.iter().eq(&f.membership) => {}
+            Phase::Flush(f) if fd.reachable_is(&f.membership, now) => {}
             Phase::Gather(_) | Phase::Flush(_) => self.start_gather(ctx),
         }
     }
@@ -1122,8 +1146,10 @@ impl EvsDaemon {
     }
 
     /// Starts a new incarnation: all volatile state goes, and the
-    /// sequencer's rounds with it.
-    fn reset(&mut self) {
+    /// sequencer's rounds with it. The probes that landed under the old
+    /// one are folded under it first.
+    fn reset(&mut self, ctx: &mut Ctx<'_>) {
+        self.fold_probes(ctx.now(), ctx.metrics());
         // The next gather bumps `attempt`, so `attempt + 1` is the new
         // incarnation's first (and stable) link epoch.
         self.vol = Volatile::new(self.me, &self.config, self.attempt + 1);
@@ -1141,7 +1167,7 @@ impl EvsDaemon {
                 }
             }
             EvsCmd::JoinGroup => {
-                self.reset();
+                self.reset(ctx);
                 self.vol.joined = true;
                 if !self.fd_timer_armed {
                     self.fd_timer_armed = true;
@@ -1149,9 +1175,9 @@ impl EvsDaemon {
                 }
                 self.start_gather(ctx);
             }
-            EvsCmd::LeaveGroup => self.reset(),
+            EvsCmd::LeaveGroup => self.reset(ctx),
             EvsCmd::Crash => {
-                self.reset();
+                self.reset(ctx);
                 self.vol.down = true;
             }
         }
@@ -1223,6 +1249,40 @@ impl Actor for EvsDaemon {
             Some(cmd) => self.on_cmd(ctx, cmd),
             None => panic!("EvsDaemon received an unknown payload type"),
         }
+    }
+
+    /// The step profile's rows: one per frame kind (a frame inside a
+    /// reliable-link envelope is `link`), one per timer, and the
+    /// application's commands.
+    fn event_kind(&self, payload: &Payload) -> &'static str {
+        if let Some(dgram) = payload.downcast_ref::<Datagram>() {
+            return match dgram.payload.downcast_ref::<EvsWire>() {
+                Some(wire) => wire.kind(),
+                None if dgram.payload.is::<LinkFrame>() => "link",
+                None => "app-datagram",
+            };
+        }
+        if payload.is::<FdTick>() {
+            "fd-tick"
+        } else if payload.is::<AckTick>() {
+            "ack-tick"
+        } else if payload.is::<RetxTick>() {
+            "retx-tick"
+        } else if payload.is::<LinkAckTick>() {
+            "link-ack-tick"
+        } else if payload.is::<PackTick>() {
+            "pack-tick"
+        } else if payload.is::<SeqPackTick>() {
+            "seq-pack-tick"
+        } else {
+            "cmd"
+        }
+    }
+
+    /// Folds every probe that landed up to and including `now`: all
+    /// their hand-offs would have run by the time the world paused.
+    fn on_pause(&mut self, now: SimTime, metrics: &mut MetricsHub) {
+        self.fold_probes(now + SimDuration::from_nanos(1), metrics);
     }
 }
 

@@ -7,7 +7,8 @@ use todr_sim::{SimDuration, SimTime};
 
 /// Tracks which peers this daemon has heard from recently.
 ///
-/// Every received frame refreshes the sender's entry; a peer is
+/// Every received frame and every folded probe refreshes the sender's
+/// entry; a peer is
 /// *reachable* while its last-heard time is within `fail_timeout`. The
 /// daemon compares the reachable set against its installed configuration
 /// on every tick and starts a membership round on any difference — this
@@ -31,8 +32,10 @@ impl FailureDetector {
         }
     }
 
-    /// Records that a frame from `peer` arrived at `now`.
-    pub(crate) fn heard_from(&mut self, peer: NodeId, now: SimTime) {
+    /// Records that a frame from `peer` arrived at `at`. A probe is
+    /// folded after it arrived, possibly after a later frame from the
+    /// same peer, so this never moves an entry back.
+    pub(crate) fn heard_from(&mut self, peer: NodeId, at: SimTime) {
         if peer == self.me {
             return;
         }
@@ -40,18 +43,46 @@ impl FailureDetector {
         if i >= self.last_heard.len() {
             self.last_heard.resize(i + 1, None);
         }
-        self.last_heard[i] = Some(now);
+        let last = &mut self.last_heard[i];
+        *last = Some(last.map_or(at, |t| t.max(at)));
+    }
+
+    /// The currently reachable nodes in ascending order, `me` included.
+    fn reachable_nodes(&self, now: SimTime) -> impl Iterator<Item = NodeId> + '_ {
+        let me = self.me.index() as usize;
+        (0..self.last_heard.len().max(me + 1))
+            .filter(move |&i| i == me || self.fresh(i, now, self.fail_timeout))
+            .map(|i| NodeId::new(i as u32))
+    }
+
+    /// Whether the peer at index `i` was heard within `window` of `now`.
+    fn fresh(&self, i: usize, now: SimTime, window: SimDuration) -> bool {
+        self.last_heard
+            .get(i)
+            .copied()
+            .flatten()
+            .is_some_and(|t| now.saturating_since(t) <= window)
     }
 
     /// The currently reachable set, always including `me`.
     pub(crate) fn reachable(&self, now: SimTime) -> BTreeSet<NodeId> {
-        let mut set: BTreeSet<NodeId> = (0u32..)
-            .zip(&self.last_heard)
-            .filter(|&(_, t)| t.is_some_and(|t| now.saturating_since(t) <= self.fail_timeout))
-            .map(|(i, _)| NodeId::new(i))
-            .collect();
-        set.insert(self.me);
-        set
+        self.reachable_nodes(now).collect()
+    }
+
+    /// Whether the reachable set is exactly `nodes`, given in ascending
+    /// order without repeats — the per-tick comparison, without building
+    /// the set.
+    pub(crate) fn reachable_is<'a>(
+        &self,
+        nodes: impl IntoIterator<Item = &'a NodeId>,
+        now: SimTime,
+    ) -> bool {
+        self.reachable_nodes(now).eq(nodes.into_iter().copied())
+    }
+
+    /// Whether `peer` is currently reachable (`me` always is).
+    pub(crate) fn is_reachable(&self, peer: NodeId, now: SimTime) -> bool {
+        peer == self.me || self.fresh(peer.index() as usize, now, self.fail_timeout)
     }
 
     /// Whether *every* node in `peers` was heard from within `window`
@@ -66,15 +97,9 @@ impl FailureDetector {
         now: SimTime,
         window: SimDuration,
     ) -> bool {
-        peers.into_iter().all(|&p| {
-            p == self.me
-                || self
-                    .last_heard
-                    .get(p.index() as usize)
-                    .copied()
-                    .flatten()
-                    .is_some_and(|t| now.saturating_since(t) <= window)
-        })
+        peers
+            .into_iter()
+            .all(|&p| p == self.me || self.fresh(p.index() as usize, now, window))
     }
 }
 
@@ -122,6 +147,18 @@ mod tests {
         fd.heard_from(n(1), SimTime::from_millis(100));
         fd.heard_from(n(1), SimTime::from_millis(400));
         assert!(fd.reachable(SimTime::from_millis(550)).contains(&n(1)));
+    }
+
+    #[test]
+    fn a_probe_folded_after_a_later_frame_never_lowers_last_heard() {
+        let mut fd = FailureDetector::new(n(0), TIMEOUT);
+        // A data frame from n(1) is handled at 300 ms; the probe n(1)
+        // sent earlier landed at 120 ms and is folded only now.
+        fd.heard_from(n(1), SimTime::from_millis(300));
+        fd.heard_from(n(1), SimTime::from_millis(120));
+        assert!(fd.reachable(SimTime::from_millis(450)).contains(&n(1)));
+        let window = SimDuration::from_millis(100);
+        assert!(fd.all_fresh_within(&[n(1)], SimTime::from_millis(390), window));
     }
 
     #[test]
@@ -188,6 +225,18 @@ mod tests {
                     .collect();
                 expect.insert(me);
                 assert_eq!(fd.reachable(now), expect, "seed {seed}");
+                assert!(fd.reachable_is(&expect, now), "seed {seed}");
+                let mut other = expect.clone();
+                let probe = n(rng.gen_range(universe + 1) as u32);
+                if !other.remove(&probe) {
+                    other.insert(probe);
+                }
+                assert!(!fd.reachable_is(&other, now), "seed {seed}");
+                assert_eq!(
+                    fd.is_reachable(probe, now),
+                    expect.contains(&probe),
+                    "seed {seed}"
+                );
                 let window = SimDuration::from_millis(rng.gen_range(120));
                 let peers: Vec<NodeId> = (0..=universe as u32)
                     .map(n)

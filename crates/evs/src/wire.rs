@@ -74,10 +74,10 @@ pub(crate) struct TransGroup {
 /// Sizes: data-bearing frames carry the application payload size plus
 /// [`HEADER_BYTES`]; control frames are costed at [`HEADER_BYTES`].
 #[derive(Debug, Clone)]
+///
+/// Heartbeats are not frames: they go as fabric probes
+/// ([`todr_net::NetOp::Probe`]), costed at [`HEADER_BYTES`].
 pub(crate) enum EvsWire {
-    /// Liveness probe; also how merged partitions discover each other.
-    Heartbeat { from: NodeId },
-
     // ----- total order within a regular configuration -----
     /// Sender → coordinator: please sequence these messages (one or
     /// more, packed into a single frame per sequencer round — the Spread
@@ -180,7 +180,6 @@ impl EvsWire {
     /// bookkeeping).
     pub(crate) fn origin(&self) -> Option<NodeId> {
         match self {
-            EvsWire::Heartbeat { from } => Some(*from),
             EvsWire::Submit { sender, .. } => Some(*sender),
             EvsWire::Ack { from, .. } => Some(*from),
             EvsWire::Join { from, .. } => Some(*from),
@@ -189,6 +188,21 @@ impl EvsWire {
             // coordinator; Retrans from the holder. The datagram source
             // covers those cases.
             _ => None,
+        }
+    }
+
+    /// The frame's kind, as a row label of the daemon's step profile.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            EvsWire::Submit { .. } => "submit",
+            EvsWire::Sequenced { .. } => "sequenced",
+            EvsWire::Ack { .. } => "ack",
+            EvsWire::Stable { .. } => "stable",
+            EvsWire::Join { .. } => "join",
+            EvsWire::FlushInfo { .. } => "flush-info",
+            EvsWire::RetransReq { .. } => "retrans-req",
+            EvsWire::Retrans { .. } => "retrans",
+            EvsWire::Install { .. } => "install",
         }
     }
 
@@ -242,8 +256,11 @@ mod tests {
             items: vec![item(1, 200)].into(),
         };
         assert_eq!(submit.wire_size(), 248);
-        let hb = EvsWire::Heartbeat { from: n(0) };
-        assert_eq!(hb.wire_size(), HEADER_BYTES);
+        let stable = EvsWire::Stable {
+            conf: ConfId::initial(n(0)),
+            upto: 4,
+        };
+        assert_eq!(stable.wire_size(), HEADER_BYTES);
     }
 
     #[test]
@@ -316,8 +333,12 @@ mod tests {
 
     #[test]
     fn origin_identifies_sender_frames() {
-        let hb = EvsWire::Heartbeat { from: n(3) };
-        assert_eq!(hb.origin(), Some(n(3)));
+        let ack = EvsWire::Ack {
+            conf: ConfId::initial(n(0)),
+            from: n(3),
+            upto: 4,
+        };
+        assert_eq!(ack.origin(), Some(n(3)));
         let stable = EvsWire::Stable {
             conf: ConfId::initial(n(0)),
             upto: 4,

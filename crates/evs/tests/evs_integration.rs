@@ -158,16 +158,17 @@ impl Cluster {
     }
 
     fn partition(&mut self, groups: &[Vec<NodeId>]) {
-        let groups = groups.to_vec();
+        let (groups, now) = (groups.to_vec(), self.world.now());
         self.world
             .with_actor(self.fabric, move |f: &mut NetFabric| {
-                f.set_partition(&groups)
+                f.set_partition(&groups, now)
             });
     }
 
     fn merge_all(&mut self) {
+        let now = self.world.now();
         self.world
-            .with_actor(self.fabric, |f: &mut NetFabric| f.merge_all());
+            .with_actor(self.fabric, |f: &mut NetFabric| f.merge_all(now));
     }
 }
 

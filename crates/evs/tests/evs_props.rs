@@ -216,17 +216,18 @@ fn scenario_with_ack_threshold(
         .run_until(setup.world.now() + SimDuration::from_micros(cut_delay_us));
     if cut > 0 && cut < n as usize {
         let (a, b) = (setup.nodes[..cut].to_vec(), setup.nodes[cut..].to_vec());
-        let fabric = setup.fabric;
-        setup
-            .world
-            .with_actor(fabric, move |f: &mut NetFabric| f.set_partition(&[a, b]));
+        let (fabric, now) = (setup.fabric, setup.world.now());
+        setup.world.with_actor(fabric, move |f: &mut NetFabric| {
+            f.set_partition(&[a, b], now)
+        });
     }
     setup
         .world
         .run_until(setup.world.now() + SimDuration::from_secs(1));
+    let now = setup.world.now();
     setup
         .world
-        .with_actor(setup.fabric, |f: &mut NetFabric| f.merge_all());
+        .with_actor(setup.fabric, |f: &mut NetFabric| f.merge_all(now));
     setup
         .world
         .run_until(setup.world.now() + SimDuration::from_secs(2));

@@ -127,15 +127,17 @@ fn partition_and_merge_still_work_with_loss() {
 
     let nodes: Vec<NodeId> = (0..5).map(NodeId::new).collect();
     let (a, b) = (nodes[..3].to_vec(), nodes[3..].to_vec());
+    let now = c.world.now();
     c.world.with_actor(c.fabric, move |f: &mut NetFabric| {
-        f.set_partition(&[a, b]);
+        f.set_partition(&[a, b], now);
     });
     c.world.run_until(c.world.now() + SimDuration::from_secs(2));
     assert_eq!(conf_of(&mut c, 0).expect("conf").members.len(), 3);
     assert_eq!(conf_of(&mut c, 4).expect("conf").members.len(), 2);
 
+    let now = c.world.now();
     c.world
-        .with_actor(c.fabric, |f: &mut NetFabric| f.merge_all());
+        .with_actor(c.fabric, |f: &mut NetFabric| f.merge_all(now));
     c.world.run_until(c.world.now() + SimDuration::from_secs(3));
     let conf = conf_of(&mut c, 0).expect("conf");
     assert_eq!(conf.members.len(), 5, "merge failed under loss");

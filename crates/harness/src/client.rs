@@ -218,6 +218,14 @@ impl ClosedLoopClient {
         &self.stats
     }
 
+    /// Whether a request it issued is still unanswered (committed, read
+    /// or rejected). After a stop and a drain, such a client is stalled
+    /// for good: it has no timeout and never re-sends.
+    pub fn awaiting_reply(&self) -> bool {
+        let s = &self.stats;
+        self.next_request > s.committed + s.reads + s.rejected
+    }
+
     /// Stops the closed loop: no further requests are issued after the
     /// one currently outstanding (used to quiesce a cluster before
     /// convergence checks).

@@ -851,6 +851,7 @@ impl Cluster {
     /// per-group, so a set spanning groups connects nothing across
     /// them); a group none of whose servers is named is left untouched.
     pub fn partition(&mut self, sets: &[Vec<usize>]) {
+        let now = self.world.now();
         for (group, &fabric) in self.fabrics.iter().enumerate() {
             let node_sets: Vec<Vec<NodeId>> = sets
                 .iter()
@@ -864,17 +865,19 @@ impl Cluster {
                 .filter(|set| !set.is_empty())
                 .collect();
             if !node_sets.is_empty() {
-                self.world
-                    .with_actor(fabric, move |f: &mut NetFabric| f.set_partition(&node_sets));
+                self.world.with_actor(fabric, move |f: &mut NetFabric| {
+                    f.set_partition(&node_sets, now)
+                });
             }
         }
     }
 
     /// Reconnects all partitions, in every group.
     pub fn merge_all(&mut self) {
+        let now = self.world.now();
         for &fabric in &self.fabrics {
             self.world
-                .with_actor(fabric, |f: &mut NetFabric| f.merge_all());
+                .with_actor(fabric, |f: &mut NetFabric| f.merge_all(now));
         }
     }
 
@@ -897,9 +900,9 @@ impl Cluster {
     }
 
     fn crash_with(&mut self, idx: usize, ctl: EngineCtl) {
-        let s = self.servers[idx];
+        let (s, now) = (self.servers[idx], self.world.now());
         self.world
-            .with_actor(s.fabric, move |f: &mut NetFabric| f.crash(s.node));
+            .with_actor(s.fabric, move |f: &mut NetFabric| f.crash(s.node, now));
         self.world.schedule_now(s.daemon, EvsCmd::Crash);
         self.world.schedule_now(s.engine, ctl);
         self.world.schedule_now(s.disk, DiskOp::Reset);
@@ -934,9 +937,9 @@ impl Cluster {
 
     /// Recovers server `idx` from its stable storage.
     pub fn recover(&mut self, idx: usize) {
-        let s = self.servers[idx];
+        let (s, now) = (self.servers[idx], self.world.now());
         self.world
-            .with_actor(s.fabric, move |f: &mut NetFabric| f.recover(s.node));
+            .with_actor(s.fabric, move |f: &mut NetFabric| f.recover(s.node, now));
         self.world.schedule_now(s.engine, EngineCtl::Recover);
     }
 
@@ -1057,6 +1060,18 @@ impl Cluster {
             self.world
                 .with_actor(handle.0, |c: &mut ClosedLoopClient| c.stop());
         }
+    }
+
+    /// How many attached clients still await a reply. After
+    /// [`Cluster::stop_clients`] and a drain, each is a client a crash
+    /// left stalled: the crashed replica's owed reply went with it, and a
+    /// closed-loop client neither times out nor re-sends.
+    pub fn stalled_clients(&mut self) -> usize {
+        let world = &mut self.world;
+        self.clients
+            .iter()
+            .filter(|h| world.with_actor(h.0, |c: &mut ClosedLoopClient| c.awaiting_reply()))
+            .count()
     }
 
     /// Runs until the router has no cross-shard transaction in flight

@@ -172,6 +172,10 @@ pub struct Scale {
     /// The `net` row split the same way (`NetFabric`'s
     /// `Actor::event_kind`), largest share first.
     pub net_host_by_event_kind: Vec<HostShare>,
+    /// The `evs` row split the same way (`EvsDaemon`'s
+    /// `Actor::event_kind`: one row per frame kind and per timer),
+    /// largest share first.
+    pub evs_host_by_event_kind: Vec<HostShare>,
     /// Every measured cell, size-major.
     pub cells: Vec<ScaleCell>,
     /// Membership-change cost per size.
@@ -220,8 +224,7 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
             .fold(engine_full(n).events_per_sec, f64::max)
     };
     let (largest_rate, smallest_rate) = (best_rate(largest), best_rate(smallest));
-    let (host_share_by_actor_kind, world, engine_host_by_event_kind, net_host_by_event_kind) =
-        profile_engine_cell(largest, warmup, window, seed);
+    let profile = profile_engine_cell(largest, warmup, window, seed);
     let wall_scaling_ratio = if smallest_rate > 0.0 {
         round3(largest_rate / smallest_rate)
     } else {
@@ -235,25 +238,30 @@ pub fn run(replica_counts: &[u32], window: SimDuration, seed: u64) -> Scale {
         max_pack: MAX_PACK,
         calibration,
         wall_scaling_ratio,
-        host_share_by_actor_kind,
-        world,
-        engine_host_by_event_kind,
-        net_host_by_event_kind,
+        host_share_by_actor_kind: profile.by_actor,
+        world: profile.world,
+        engine_host_by_event_kind: profile.engine,
+        net_host_by_event_kind: profile.net,
+        evs_host_by_event_kind: profile.evs,
         cells,
         membership,
     }
 }
 
+/// What [`profile_engine_cell`] measured.
+struct Profile {
+    by_actor: Vec<HostShare>,
+    world: WorldHost,
+    engine: Vec<HostShare>,
+    net: Vec<HostShare>,
+    evs: Vec<HostShare>,
+}
+
 /// The full-load engine cell at `n` replicas once more, with the step
 /// profile on for exactly the advance [`measured_cell`] times: handler
-/// time by actor kind, the time outside every handler, and the engine's
-/// and the fabric's handler time by event kind.
-fn profile_engine_cell(
-    n: u32,
-    warmup: SimDuration,
-    window: SimDuration,
-    seed: u64,
-) -> (Vec<HostShare>, WorldHost, Vec<HostShare>, Vec<HostShare>) {
+/// time by actor kind, the time outside every handler, and the engine's,
+/// the fabric's and the EVS daemons' handler time by event kind.
+fn profile_engine_cell(n: u32, warmup: SimDuration, window: SimDuration, seed: u64) -> Profile {
     let mut deployment = deploy(ENGINE, ClusterConfig::new(n, seed).packing(MAX_PACK));
     deployment.world().enable_step_profile();
     let measured = closed_loop(
@@ -277,12 +285,13 @@ fn profile_engine_cell(
         outside_handlers_ms: round3((wall - handlers) * 1000.0),
         share: ((wall - handlers) / wall * 1e4).round() / 1e4,
     };
-    (
-        shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
-        host,
-        by_event("engine"),
-        by_event("net"),
-    )
+    Profile {
+        by_actor: shares(by_actor.iter().map(|(kind, cost)| (kind.as_str(), cost))),
+        world: host,
+        engine: by_event("engine"),
+        net: by_event("net"),
+        evs: by_event("evs"),
+    }
 }
 
 /// One table of [`HostShare`] rows, largest share first.
@@ -506,6 +515,7 @@ impl Gated for Scale {
              {:.1} of {:.1} ms ({:.1}%), {:.2} us/event\n\
              Engine handler time by event kind (same repetition)\n{}\n\
              Fabric handler time by event kind (same repetition)\n{}\n\
+             EVS handler time by event kind (same repetition)\n{}\n\
              Membership-change cost\n{}",
             self.max_pack,
             self.replica_counts,
@@ -520,6 +530,7 @@ impl Gated for Scale {
             w.outside_handlers_ms * 1000.0 / w.events as f64,
             share_table("engine event", &self.engine_host_by_event_kind),
             share_table("net event", &self.net_host_by_event_kind),
+            share_table("evs event", &self.evs_host_by_event_kind),
             super::render_table(&m_headers, &m_rows)
         )
     }

@@ -276,19 +276,43 @@ fn scale_profile_accounts_for_every_event_of_the_unprofiled_cell() {
         "event shares sum to {share_sum}"
     );
 
-    // So does the fabric's. (No control row: the cell neither
-    // partitions nor crashes.)
-    let net = kinds.iter().find(|k| k.kind == "net").expect("net row");
-    let by_event = &sweep.net_host_by_event_kind;
-    let labels: Vec<&str> = by_event.iter().map(|k| k.kind.as_str()).collect();
-    assert_eq!(labels.len(), 2, "{labels:?}");
-    for label in ["send", "in-flight"] {
-        assert!(labels.contains(&label), "no {label} row in {labels:?}");
+    // So do the fabric's and the daemons'. (No control row: the cell
+    // neither partitions nor crashes.)
+    for (kind, by_event, rows) in [
+        (
+            "net",
+            &sweep.net_host_by_event_kind,
+            &["send", "in-flight", "probe"][..],
+        ),
+        (
+            "evs",
+            &sweep.evs_host_by_event_kind,
+            &[
+                "fd-tick",
+                "submit",
+                "sequenced",
+                "stable",
+                "ack-tick",
+                "cmd",
+            ][..],
+        ),
+    ] {
+        let row = kinds.iter().find(|k| k.kind == kind).expect("actor row");
+        let labels: Vec<&str> = by_event.iter().map(|k| k.kind.as_str()).collect();
+        if kind == "net" {
+            assert_eq!(labels.len(), rows.len(), "{labels:?}");
+        }
+        for label in rows {
+            assert!(
+                labels.contains(label),
+                "no {kind} {label} row in {labels:?}"
+            );
+        }
+        assert_eq!(by_event.iter().map(|k| k.events).sum::<u64>(), row.events);
+        let event_ms: f64 = by_event.iter().map(|k| k.handle_ms).sum();
+        assert!(
+            (event_ms - row.handle_ms).abs() < 0.01,
+            "{event_ms} vs {row:?}"
+        );
     }
-    assert_eq!(by_event.iter().map(|k| k.events).sum::<u64>(), net.events);
-    let event_ms: f64 = by_event.iter().map(|k| k.handle_ms).sum();
-    assert!(
-        (event_ms - net.handle_ms).abs() < 0.01,
-        "{event_ms} vs {net:?}"
-    );
 }

@@ -10,7 +10,9 @@
 //! small checkpoint interval, replica 2 crashes twice, and what its
 //! stable storage holds after each crash is a starting image. Each case
 //! copies one into a fresh sim store, damages the copy, and recovers an
-//! engine over it in a world of its own. The file-directory forms of the
+//! engine over it in a world of its own. Named records are sealed, so a
+//! flipped bit or a cut inside one is a typed fail-stop naming the
+//! record, never a recovery to some other database. The file-directory forms of the
 //! same damage (a missing or swapped `CURRENT`, a records file from
 //! another generation) are not covered here.
 
@@ -99,8 +101,9 @@ const KEYS: [&str; 10] = [
     "incarnation",
 ];
 
-/// What stable storage holds: the named records present, and the log as
-/// (incarnation epoch, payload) pairs, oldest first.
+/// What stable storage holds: the named records present, as stored
+/// (seal included), and the log as (incarnation epoch, payload) pairs,
+/// oldest first.
 #[derive(Clone, Debug)]
 struct Image {
     records: Vec<(&'static str, Vec<u8>)>,
@@ -304,15 +307,24 @@ fn recovery_over_damaged_images_recovers_or_fails_typed() {
         );
 
         for (key, bytes) in &image.records {
+            let fails_on_its_seal = |name: &str, outcome| match outcome {
+                Some(Err(RecoveryError::CorruptRecord { key: named, detail })) => {
+                    assert_eq!(named, *key, "{name}");
+                    assert!(detail.contains("checksum"), "{name}: {detail}");
+                }
+                other => panic!("{name}: {other:?}"),
+            };
             for at in positions(bytes.len()) {
                 for bit in [0, 7] {
                     let damaged = image.with_record(key, Some(flipped(bytes, at, bit)));
-                    _ = tally.run(&format!("{which} {key} flip {at}.{bit}"), &damaged);
+                    let name = format!("{which} {key} flip {at}.{bit}");
+                    fails_on_its_seal(&name, tally.run(&name, &damaged));
                 }
             }
             for cut in cuts(bytes.len()) {
                 let torn = image.with_record(key, Some(bytes[..cut].to_vec()));
-                _ = tally.run(&format!("{which} {key} cut {cut}"), &torn);
+                let name = format!("{which} {key} cut {cut}");
+                fails_on_its_seal(&name, tally.run(&name, &torn));
             }
         }
 

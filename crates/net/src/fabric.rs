@@ -1,13 +1,14 @@
 //! The network fabric actor: applies partitions, loss, latency; delivers
-//! datagrams to endpoint actors.
+//! datagrams to endpoint actors and probes to their inboxes.
 
 use std::rc::Rc;
 
-use todr_sim::{metric, Actor, ActorId, Ctx, Payload, SimTime};
+use todr_sim::{metric, Actor, ActorId, Ctx, MetricsHub, Payload, SimDuration, SimTime};
 
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
 use crate::partition::PartitionMap;
+use crate::probe::{count_landing, Fate, ProbeInbox};
 
 /// A type-erased, reference-counted message body.
 ///
@@ -63,6 +64,21 @@ pub enum NetOp {
         payload: NetPayload,
         /// Modelled wire size in bytes.
         size_bytes: u32,
+    },
+    /// Send a liveness probe from `src` to each node in `dsts` (see
+    /// [`ProbeInbox`]): counted, lost, delayed and FIFO-ordered exactly
+    /// like a [`NetOp::Send`], but recorded in each destination's inbox
+    /// instead of being delivered as an event. Never to `src` itself.
+    Probe {
+        /// Sending node.
+        src: NodeId,
+        /// Destination nodes, shared like [`NetOp::Send`]'s.
+        dsts: Rc<[NodeId]>,
+        /// Modelled wire size in bytes.
+        size_bytes: u32,
+        /// The sender's own inbox: the fabric records probes *to* `src`
+        /// there from now on.
+        inbox: ProbeInbox,
     },
     /// Re-partition the universe (see [`PartitionMap::split`]).
     SetPartition(Vec<Vec<NodeId>>),
@@ -127,6 +143,17 @@ impl std::fmt::Debug for NetOp {
                 .field("dsts", dsts)
                 .field("size_bytes", size_bytes)
                 .finish_non_exhaustive(),
+            NetOp::Probe {
+                src,
+                dsts,
+                size_bytes,
+                ..
+            } => f
+                .debug_struct("Probe")
+                .field("src", src)
+                .field("dsts", dsts)
+                .field("size_bytes", size_bytes)
+                .finish_non_exhaustive(),
             NetOp::SetPartition(groups) => f.debug_tuple("SetPartition").field(groups).finish(),
             NetOp::MergeAll => f.write_str("MergeAll"),
             NetOp::Crash(n) => f.debug_tuple("Crash").field(n).finish(),
@@ -183,6 +210,10 @@ impl Default for NetConfig {
 /// Per-node state is held in arrays indexed by [`NodeId::index`], and
 /// the per-link FIFO clock in an `n × n` array, so a datagram costs
 /// array loads, never a map lookup.
+///
+/// Every topology change takes the instant it happens at: probes still
+/// in flight then have their fate re-decided, as a datagram's would be
+/// at its arrival.
 pub struct NetFabric {
     config: NetConfig,
     /// Per node index: its endpoint actor, if registered.
@@ -194,6 +225,26 @@ pub struct NetFabric {
     /// Per ordered link `(src, dst)`, at `src * endpoints.len() + dst`:
     /// the latest arrival scheduled on it.
     last_arrival: Vec<Option<SimTime>>,
+    /// Per node index: the inbox its probes are recorded in.
+    inboxes: Vec<Option<Inbox>>,
+}
+
+/// Where probes to one node are recorded.
+enum Inbox {
+    /// The inbox its endpoint attached with its own first probe; the
+    /// endpoint folds it.
+    Attached(ProbeInbox),
+    /// One the fabric opened for probes that came first; nobody reads
+    /// it, so the fabric counts what lands in it when the world pauses.
+    Opened(ProbeInbox),
+}
+
+impl Inbox {
+    fn get(&self) -> &ProbeInbox {
+        match self {
+            Inbox::Attached(inbox) | Inbox::Opened(inbox) => inbox,
+        }
+    }
 }
 
 impl NetFabric {
@@ -205,6 +256,7 @@ impl NetFabric {
             partitions: PartitionMap::default(),
             crashed: Vec::new(),
             last_arrival: Vec::new(),
+            inboxes: Vec::new(),
         }
     }
 
@@ -232,14 +284,17 @@ impl NetFabric {
         self.endpoints.get(node.index() as usize).copied().flatten()
     }
 
-    /// Re-partitions connectivity (see [`PartitionMap::split`]).
-    pub fn set_partition(&mut self, groups: &[Vec<NodeId>]) {
+    /// Re-partitions connectivity (see [`PartitionMap::split`]) at
+    /// instant `at`.
+    pub fn set_partition(&mut self, groups: &[Vec<NodeId>], at: SimTime) {
         self.partitions.split(groups);
+        self.redecide_probes(at);
     }
 
-    /// Reconnects all components.
-    pub fn merge_all(&mut self) {
+    /// Reconnects all components at instant `at`.
+    pub fn merge_all(&mut self, at: SimTime) {
         self.partitions.merge_all();
+        self.redecide_probes(at);
     }
 
     /// Read access to the current partition map.
@@ -247,20 +302,22 @@ impl NetFabric {
         &self.partitions
     }
 
-    /// Marks `node` crashed.
-    pub fn crash(&mut self, node: NodeId) {
+    /// Marks `node` crashed at instant `at`.
+    pub fn crash(&mut self, node: NodeId, at: SimTime) {
         let i = node.index() as usize;
         if i >= self.crashed.len() {
             self.crashed.resize(i + 1, false);
         }
         self.crashed[i] = true;
+        self.redecide_probes(at);
     }
 
-    /// Clears the crashed mark for `node`.
-    pub fn recover(&mut self, node: NodeId) {
+    /// Clears the crashed mark for `node` at instant `at`.
+    pub fn recover(&mut self, node: NodeId, at: SimTime) {
         if let Some(crashed) = self.crashed.get_mut(node.index() as usize) {
             *crashed = false;
         }
+        self.redecide_probes(at);
     }
 
     /// Whether `node` is currently marked crashed.
@@ -277,15 +334,25 @@ impl NetFabric {
             && self.partitions.connected(a, b)
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, src: NodeId, dst: NodeId, dgram: Datagram) {
+    /// Sends one datagram or probe from `src` to `dst` into the fabric:
+    /// counts it, drops it if the link is down now or the loss draw says
+    /// so, and otherwise returns its arrival instant — latency sampled,
+    /// then held behind the latest arrival on the same ordered link.
+    fn launch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        dst: NodeId,
+        size_bytes: u32,
+    ) -> Option<SimTime> {
         ctx.metrics().incr(metric!("net.sent"), 1);
         if self.is_crashed(src) || self.is_crashed(dst) {
             ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
-            return;
+            return None;
         }
         if !self.partitions.connected(src, dst) {
             ctx.metrics().incr(metric!("net.dropped_partition"), 1);
-            return;
+            return None;
         }
         // Loopback is in-process: it cannot be lost.
         if src != dst
@@ -293,14 +360,14 @@ impl NetFabric {
             && ctx.rng().gen_bool(self.config.loss_probability)
         {
             ctx.metrics().incr(metric!("net.dropped_loss"), 1);
-            return;
+            return None;
         }
         let model = if src == dst {
             &self.config.loopback
         } else {
             &self.config.latency
         };
-        let delay = model.sample(ctx.rng(), dgram.size_bytes);
+        let delay = model.sample(ctx.rng(), size_bytes);
         // Enforce per-(src,dst) FIFO: never deliver earlier than a
         // previously scheduled arrival on the same ordered pair. Both
         // ends passed the partition check, so both are registered.
@@ -308,14 +375,72 @@ impl NetFabric {
         let link = src.index() as usize * self.endpoints.len() + dst.index() as usize;
         if let Some(prev) = self.last_arrival[link] {
             if at <= prev {
-                at = prev + todr_sim::SimDuration::from_nanos(1);
+                at = prev + SimDuration::from_nanos(1);
             }
         }
         self.last_arrival[link] = Some(at);
-        // In flight, the datagram is an event back to the fabric, so a
-        // partition or crash is re-checked when it arrives.
-        let self_id = ctx.self_id();
-        ctx.send_at(at, self_id, dgram);
+        Some(at)
+    }
+
+    /// What a message from `src` meets on landing at `dst` under the
+    /// current topology: crash marks, then the partition, then whether
+    /// `dst` has an endpoint.
+    fn fate(&self, src: NodeId, dst: NodeId) -> Fate {
+        if self.is_crashed(src) || self.is_crashed(dst) {
+            Fate::DropCrashed
+        } else if !self.partitions.connected(src, dst) {
+            Fate::DropPartition
+        } else if self.endpoint(dst).is_none() {
+            Fate::DropCrashed
+        } else {
+            Fate::Deliver
+        }
+    }
+
+    /// Re-decides, under the topology that holds from `at` on, the fate
+    /// of every probe that lands after `at`.
+    fn redecide_probes(&mut self, at: SimTime) {
+        for (i, inbox) in self.inboxes.iter().enumerate() {
+            if let Some(inbox) = inbox {
+                let dst = NodeId::new(i as u32);
+                inbox.get().redecide(at, |src| self.fate(src, dst));
+            }
+        }
+    }
+
+    /// The slot of `node`'s inbox.
+    fn inbox_slot(&mut self, node: NodeId) -> &mut Option<Inbox> {
+        let i = node.index() as usize;
+        if i >= self.inboxes.len() {
+            self.inboxes.resize_with(i + 1, || None);
+        }
+        &mut self.inboxes[i]
+    }
+
+    /// Makes `inbox` the one probes to `node` are recorded in. Probes an
+    /// inbox the fabric opened still holds in flight move over; those
+    /// that already landed reached no listener and are counted now.
+    fn attach(&mut self, ctx: &mut Ctx<'_>, node: NodeId, inbox: ProbeInbox) {
+        let slot = self.inbox_slot(node);
+        match slot {
+            Some(Inbox::Attached(current)) if current.same(&inbox) => return,
+            Some(old) => inbox.take_over(old.get(), ctx.now(), ctx.metrics()),
+            None => {}
+        }
+        *slot = Some(Inbox::Attached(inbox));
+    }
+
+    fn probe(&mut self, ctx: &mut Ctx<'_>, src: NodeId, dsts: &[NodeId], size_bytes: u32) {
+        let now = ctx.now();
+        for &dst in dsts {
+            debug_assert_ne!(src, dst, "a node never probes itself");
+            if let Some(at) = self.launch(ctx, src, dst, size_bytes) {
+                let inbox = self
+                    .inbox_slot(dst)
+                    .get_or_insert_with(|| Inbox::Opened(ProbeInbox::default()));
+                inbox.get().record(now, ctx.metrics(), src, at, size_bytes);
+            }
+        }
     }
 
     /// Passes an arrived [`Datagram`] on to its endpoint, in the box it
@@ -333,25 +458,13 @@ impl NetFabric {
         };
         // Re-check conditions at arrival time: a partition or crash that
         // happened while the message was in flight drops it.
-        if self.is_crashed(src) || self.is_crashed(dst) {
-            ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
-            return;
-        }
-        if !self.partitions.connected(src, dst) {
-            ctx.metrics().incr(metric!("net.dropped_partition"), 1);
-            return;
-        }
-        let Some(endpoint) = self.endpoint(dst) else {
-            ctx.metrics().incr(metric!("net.dropped_crashed"), 1);
-            return;
-        };
+        let fate = self.fate(src, dst);
         let transit = ctx.now().saturating_since(sent_at);
-        ctx.metrics().incr(metric!("net.delivered"), 1);
-        ctx.metrics()
-            .incr(metric!("net.bytes_delivered"), size_bytes as u64);
-        ctx.metrics()
-            .observe(metric!("net.transit_latency"), transit);
-        ctx.send_now(endpoint, payload);
+        if count_landing(ctx.metrics(), fate, size_bytes, transit) {
+            if let Some(endpoint) = self.endpoint(dst) {
+                ctx.send_now(endpoint, payload);
+            }
+        }
     }
 }
 
@@ -368,44 +481,70 @@ impl Actor for NetFabric {
                 payload,
                 size_bytes,
             }) => {
+                let self_id = ctx.self_id();
                 for &dst in dsts.iter() {
-                    let dgram = Datagram {
-                        src,
-                        dst,
-                        payload: Rc::clone(&payload),
-                        size_bytes,
-                        sent_at: ctx.now(),
-                    };
-                    self.transmit(ctx, src, dst, dgram);
+                    if let Some(at) = self.launch(ctx, src, dst, size_bytes) {
+                        // In flight, the datagram is an event back to the
+                        // fabric, so a partition or crash is re-checked
+                        // when it arrives.
+                        let dgram = Datagram {
+                            src,
+                            dst,
+                            payload: Rc::clone(&payload),
+                            size_bytes,
+                            sent_at: ctx.now(),
+                        };
+                        ctx.send_at(at, self_id, dgram);
+                    }
                 }
+            }
+            Some(NetOp::Probe {
+                src,
+                dsts,
+                size_bytes,
+                inbox,
+            }) => {
+                self.attach(ctx, src, inbox);
+                self.probe(ctx, src, &dsts, size_bytes);
             }
             Some(NetOp::SetPartition(groups)) => {
                 ctx.metrics().incr(metric!("net.partition_transitions"), 1);
-                self.set_partition(&groups);
+                self.set_partition(&groups, ctx.now());
             }
             Some(NetOp::MergeAll) => {
                 ctx.metrics().incr(metric!("net.partition_transitions"), 1);
-                self.merge_all();
+                self.merge_all(ctx.now());
             }
             Some(NetOp::Crash(n)) => {
-                self.crash(n);
+                self.crash(n, ctx.now());
             }
             Some(NetOp::Recover(n)) => {
-                self.recover(n);
+                self.recover(n, ctx.now());
             }
             None => panic!("NetFabric received an unknown payload type"),
         }
     }
 
-    /// The step profile's rows: a `Send`'s fan-out, an in-flight
-    /// datagram's delivery, and every control command.
+    /// The step profile's rows: a `Send`'s fan-out, a `Probe`'s, an
+    /// in-flight datagram's delivery, and every control command.
     fn event_kind(&self, payload: &Payload) -> &'static str {
         if payload.is::<Datagram>() {
-            "in-flight"
-        } else if matches!(payload.downcast_ref::<NetOp>(), Some(NetOp::Send { .. })) {
-            "send"
-        } else {
-            "control"
+            return "in-flight";
+        }
+        match payload.downcast_ref::<NetOp>() {
+            Some(NetOp::Send { .. }) => "send",
+            Some(NetOp::Probe { .. }) => "probe",
+            _ => "control",
+        }
+    }
+
+    /// Counts the probes that landed, up to and including `now`, in
+    /// inboxes no endpoint has attached.
+    fn on_pause(&mut self, now: SimTime, metrics: &mut MetricsHub) {
+        for inbox in self.inboxes.iter().flatten() {
+            if let Inbox::Opened(inbox) = inbox {
+                inbox.fold(now + SimDuration::from_nanos(1), metrics, |_, _| {});
+            }
         }
     }
 }
@@ -490,7 +629,10 @@ mod tests {
     fn partition_drops_cross_component_traffic() {
         let (mut world, fabric, nodes, sinks) = setup(4);
         world.with_actor(fabric, |f: &mut NetFabric| {
-            f.set_partition(&[vec![nodes[0], nodes[1]], vec![nodes[2], nodes[3]]]);
+            f.set_partition(
+                &[vec![nodes[0], nodes[1]], vec![nodes[2], nodes[3]]],
+                SimTime::ZERO,
+            );
         });
         world.schedule_now(
             fabric,
@@ -523,7 +665,7 @@ mod tests {
     #[test]
     fn crashed_node_receives_and_sends_nothing() {
         let (mut world, fabric, nodes, sinks) = setup(2);
-        world.with_actor(fabric, |f: &mut NetFabric| f.crash(nodes[1]));
+        world.with_actor(fabric, |f: &mut NetFabric| f.crash(nodes[1], SimTime::ZERO));
         world.schedule_now(
             fabric,
             NetOp::unicast(nodes[0], nodes[1], Rc::new(1u32), 100),
@@ -536,7 +678,8 @@ mod tests {
         world.with_actor(sinks[0], |s: &mut Sink| assert!(s.got.is_empty()));
         world.with_actor(sinks[1], |s: &mut Sink| assert!(s.got.is_empty()));
         // Recovery restores traffic.
-        world.with_actor(fabric, |f: &mut NetFabric| f.recover(nodes[1]));
+        let now = world.now();
+        world.with_actor(fabric, |f: &mut NetFabric| f.recover(nodes[1], now));
         world.schedule_now(
             fabric,
             NetOp::unicast(nodes[0], nodes[1], Rc::new(3u32), 100),
@@ -618,6 +761,77 @@ mod tests {
             let vals: Vec<u32> = s.got.iter().map(|&(_, v, _)| v).collect();
             assert_eq!(vals, vec![2]);
         });
+    }
+
+    /// What node 1 hears of the probe node 0 sends it at time zero, with
+    /// `script` run against the fabric in its flight; the world, and the
+    /// counts of both nodes' probes (folded into a hub of their own, as
+    /// a sink that does not listen for probes leaves them unread).
+    fn probe_through(
+        script: &[(u64, NetOp)],
+    ) -> (Vec<(NodeId, SimTime)>, World, todr_sim::MetricsHub) {
+        let (mut world, fabric, nodes, _) = setup(2);
+        let inboxes = [ProbeInbox::default(), ProbeInbox::default()];
+        // Each side attaches its inbox with a probe of its own.
+        for (i, inbox) in inboxes.iter().enumerate() {
+            let probe = NetOp::Probe {
+                src: nodes[i],
+                dsts: Rc::new([nodes[1 - i]]),
+                size_bytes: 48,
+                inbox: inbox.clone(),
+            };
+            world.schedule_now(fabric, probe);
+        }
+        for (at_us, op) in script {
+            world.schedule(SimTime::from_micros(*at_us), fabric, clone_op(op));
+        }
+        world.run_until(SimTime::from_millis(1));
+        let (mut heard, mut hub) = (Vec::new(), todr_sim::MetricsHub::new());
+        inboxes[0].fold(world.now(), &mut hub, |_, _| {});
+        inboxes[1].fold(world.now(), &mut hub, |src, at| heard.push((src, at)));
+        (heard, world, hub)
+    }
+
+    fn clone_op(op: &NetOp) -> NetOp {
+        match op {
+            NetOp::SetPartition(g) => NetOp::SetPartition(g.clone()),
+            NetOp::MergeAll => NetOp::MergeAll,
+            NetOp::Crash(n) => NetOp::Crash(*n),
+            NetOp::Recover(n) => NetOp::Recover(*n),
+            _ => unreachable!("control ops only"),
+        }
+    }
+
+    #[test]
+    fn probes_land_in_the_inbox_and_are_counted_like_datagrams() {
+        let (heard, world, hub) = probe_through(&[]);
+        assert_eq!(heard.len(), 1);
+        assert_eq!(heard[0].0, NodeId::new(0));
+        assert!(heard[0].1 >= SimTime::from_micros(100));
+        assert_eq!(world.metrics().counter("net.sent"), 2);
+        assert_eq!(hub.counter("net.delivered"), 2);
+        assert_eq!(hub.counter("net.bytes_delivered"), 96);
+        let transit = hub.histogram("net.transit_latency");
+        assert_eq!(transit.map(|h| h.count()), Some(2));
+        // No arrival or hand-off events: only the two probe ops.
+        assert_eq!(world.events_processed(), 2);
+    }
+
+    #[test]
+    fn a_cut_in_flight_drops_a_probe_and_its_undo_restores_it() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let cut = || NetOp::SetPartition(vec![vec![a], vec![b]]);
+        let (heard, _, hub) = probe_through(&[(10, cut())]);
+        assert!(heard.is_empty());
+        assert_eq!(hub.counter("net.dropped_partition"), 2);
+        let (heard, _, _) = probe_through(&[(10, cut()), (20, NetOp::MergeAll)]);
+        assert_eq!(heard.len(), 1, "the undo lands before the probe");
+        let (heard, _, hub) = probe_through(&[(10, NetOp::Crash(b)), (20, NetOp::Recover(b))]);
+        assert_eq!(heard.len(), 1);
+        assert_eq!(hub.counter("net.dropped_crashed"), 0);
+        let (heard, _, hub) = probe_through(&[(10, NetOp::Crash(b))]);
+        assert!(heard.is_empty());
+        assert_eq!(hub.counter("net.dropped_crashed"), 2);
     }
 
     #[test]

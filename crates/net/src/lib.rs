@@ -20,6 +20,10 @@
 //! reorders two messages between the same two nodes, matching switched-LAN
 //! behaviour and simplifying the layers above.
 //!
+//! A failure detector's heartbeats go as [`NetOp::Probe`]s: same counting,
+//! loss, latency and FIFO clock as a datagram, but recorded in the
+//! receiver's [`ProbeInbox`] rather than delivered as an event.
+//!
 //! ```
 //! use todr_net::{Datagram, NetFabric, NetConfig, NetOp, NodeId};
 //! use todr_sim::{Actor, Ctx, Payload, World};
@@ -55,8 +59,10 @@ mod fabric;
 mod latency;
 mod node;
 mod partition;
+mod probe;
 
 pub use fabric::{Datagram, NetConfig, NetFabric, NetOp, NetPayload};
 pub use latency::LatencyModel;
 pub use node::NodeId;
 pub use partition::PartitionMap;
+pub use probe::ProbeInbox;

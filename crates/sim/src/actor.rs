@@ -5,6 +5,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::event::Payload;
+use crate::metrics::MetricsHub;
+use crate::time::SimTime;
 use crate::world::Ctx;
 
 /// Identifier of an actor registered in a [`World`](crate::World).
@@ -68,6 +70,19 @@ pub trait Actor: std::any::Any {
     fn event_kind(&self, payload: &Payload) -> &'static str {
         let _ = payload;
         "all"
+    }
+
+    /// Called when the world pauses — at the end of
+    /// [`World::run_until`](crate::World::run_until) (and so
+    /// [`World::run_for`](crate::World::run_for)) and
+    /// [`World::run_to_quiescence`](crate::World::run_to_quiescence) —
+    /// with every event up to `now` processed. An actor that accounts
+    /// for something lazily, without an event of its own, brings its
+    /// metrics up to `now` here, so whatever the driver reads between
+    /// runs is exact. It cannot schedule anything. Writes land in the
+    /// actor's metric scope.
+    fn on_pause(&mut self, now: SimTime, metrics: &mut MetricsHub) {
+        let _ = (now, metrics);
     }
 }
 

@@ -66,7 +66,7 @@ mod time;
 mod world;
 
 pub use actor::{Actor, ActorId};
-pub use checksum::{checksum64, checksum64_of};
+pub use checksum::{checksum64, checksum64_of, checksum64_words};
 pub use delivery::{DeliveredRun, DeliveredSlot};
 pub use event::{IntoPayload, Payload};
 pub use metrics::{

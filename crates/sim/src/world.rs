@@ -469,14 +469,17 @@ impl World {
         true
     }
 
-    /// Runs until the queue is empty.
+    /// Runs until the queue is empty, then pauses (see
+    /// [`Actor::on_pause`]).
     pub fn run_to_quiescence(&mut self) {
         while self.step() {}
+        self.pause();
     }
 
     /// Runs until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed) or the queue empties. The clock is
-    /// advanced to `deadline` even if the queue empties earlier.
+    /// advanced to `deadline` even if the queue empties earlier. Then
+    /// pauses (see [`Actor::on_pause`]).
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(next) = self.queue.peek() {
             if next.at > deadline {
@@ -487,6 +490,19 @@ impl World {
         if self.now < deadline {
             self.now = deadline;
         }
+        self.pause();
+    }
+
+    /// Lets every actor bring its lazily kept metrics up to now.
+    fn pause(&mut self) {
+        let now = self.now;
+        for slot in &mut self.actors {
+            if let Some(actor) = slot.actor.as_mut() {
+                self.metrics.set_active_scope(slot.scope);
+                actor.on_pause(now, &mut self.metrics);
+            }
+        }
+        self.metrics.set_active_scope(0);
     }
 
     /// Runs for `duration` of virtual time from now.
@@ -669,6 +685,34 @@ mod tests {
         assert!(w.has_pending_events());
         w.run_to_quiescence();
         w.with_actor(a, |c: &mut Counter| assert_eq!(c.count, 2));
+    }
+
+    #[test]
+    fn every_actor_is_told_when_the_world_pauses_in_its_scope() {
+        struct Lazy {
+            pauses: Vec<SimTime>,
+        }
+        impl Actor for Lazy {
+            fn handle(&mut self, _: &mut Ctx<'_>, _: Payload) {}
+            fn on_pause(&mut self, now: SimTime, metrics: &mut MetricsHub) {
+                self.pauses.push(now);
+                metrics.incr("lazy.pauses", 1);
+            }
+        }
+        let mut w = World::new(0);
+        let scope = w.register_metric_scope("g1");
+        w.set_build_scope(scope);
+        let a = w.add_actor("lazy", Lazy { pauses: Vec::new() });
+        w.schedule(SimTime::from_millis(5), a, Bump);
+        w.run_until(SimTime::from_millis(2));
+        w.run_to_quiescence();
+        // A bare step is not a pause.
+        w.schedule_now(a, Bump);
+        w.step();
+        let pauses = w.with_actor(a, |l: &mut Lazy| l.pauses.clone());
+        assert_eq!(pauses, [SimTime::from_millis(2), SimTime::from_millis(5)]);
+        assert_eq!(w.metrics().counter("g1.lazy.pauses"), 2);
+        assert_eq!(w.metrics().counter("lazy.pauses"), 0);
     }
 
     #[test]

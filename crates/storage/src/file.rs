@@ -460,6 +460,9 @@ fn decode_records(bytes: &[u8]) -> Result<BTreeMap<String, Arc<[u8]>>, &'static 
         let key = reader.chunk().ok_or(TRUNCATED)?;
         let key = std::str::from_utf8(key).map_err(|_| "checkpoint key not UTF-8")?;
         let value = reader.chunk().ok_or(TRUNCATED)?;
+        if crate::codec::unseal(value).is_none() {
+            return Err("checkpoint record checksum mismatch");
+        }
         records.insert(key.to_string(), value.into());
     }
     Ok(records)

@@ -40,6 +40,10 @@
 //! re-fetch from peers) versus mid-log corruption (fail-stop). An entry
 //! every replica logs is encoded once as a [`SharedEntry`]: the records
 //! share its bytes, so the injectors damage copies, never shared bytes.
+//! A named record is sealed too, with a checksum at the end of its own
+//! bytes ([`encode_record`]); a record whose seal fails reads as
+//! [`StorageError::RecordChecksum`], and a file checkpoint holding one
+//! fails at reopen.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +69,7 @@ mod file;
 mod store;
 
 pub use api::{FileIoStats, StorageHandle};
-pub use codec::{to_shared as encode_record, CodecError, CodecErrorKind};
+pub use codec::{encode_record, seal_record, CodecError, CodecErrorKind};
 pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
 pub use store::{

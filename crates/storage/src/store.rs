@@ -21,6 +21,9 @@ pub enum StorageError {
     Deserialize(CodecError),
     /// A file-backend I/O operation failed.
     Io(IoError),
+    /// A named record's seal does not match its bytes (bit rot, a cut
+    /// record, or bytes that were never sealed).
+    RecordChecksum,
 }
 
 impl fmt::Display for StorageError {
@@ -28,6 +31,7 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Deserialize(e) => write!(f, "record failed to deserialize: {e}"),
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
+            StorageError::RecordChecksum => write!(f, "record checksum mismatch"),
         }
     }
 }
@@ -317,14 +321,17 @@ impl StableStore {
         }
     }
 
-    /// Stages a typed record under `key`, replacing any previous value.
+    /// Stages a typed record under `key`, sealed, replacing any previous
+    /// value.
     pub fn put_record<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.put_record_shared(key, codec::to_shared(value));
+        self.put_record_shared(key, codec::encode_record(value));
     }
 
-    /// Stages pre-serialized record bytes under `key`. The store keeps
-    /// the shared bytes themselves, so stores handed one record (every
-    /// replica checkpointing one database version) hold one copy.
+    /// Stages stored record bytes under `key` — a sealed record from
+    /// [`crate::encode_record`], or whatever else the caller means the
+    /// disk to hold. The store keeps the shared bytes themselves, so
+    /// stores handed one record (every replica checkpointing one
+    /// database version) hold one copy, and its seal.
     pub fn put_record_shared(&mut self, key: &str, bytes: Arc<[u8]>) {
         match self.records.get_mut(key) {
             Some(record) => record.staged = Some(bytes),
@@ -366,7 +373,8 @@ impl StableStore {
         }
     }
 
-    /// Reads a record's bytes, seeing staged writes (read-your-writes).
+    /// Reads a record's stored bytes, seal included, seeing staged
+    /// writes (read-your-writes).
     ///
     /// # Errors
     ///
@@ -380,16 +388,18 @@ impl StableStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Deserialize`] if the stored bytes fail to
-    /// deserialize as `T`, or [`StorageError::Io`] as
+    /// Returns [`StorageError::RecordChecksum`] if the stored bytes fail
+    /// their seal, [`StorageError::Deserialize`] if the sealed document
+    /// fails to deserialize as `T`, or [`StorageError::Io`] as
     /// [`StableStore::get_record_bytes`] does.
     pub fn get_record<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>, StorageError> {
-        match self.record_bytes(key)? {
-            Some(b) => codec::from_bytes(b)
-                .map(Some)
-                .map_err(StorageError::Deserialize),
-            None => Ok(None),
-        }
+        let Some(stored) = self.record_bytes(key)? else {
+            return Ok(None);
+        };
+        let document = codec::unseal(stored).ok_or(StorageError::RecordChecksum)?;
+        codec::from_bytes(document)
+            .map(Some)
+            .map_err(StorageError::Deserialize)
     }
 
     /// Appends an entry to the log (staged until commit), sealed with

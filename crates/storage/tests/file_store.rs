@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use todr_sim::SimRng;
-use todr_storage::{LogFaultKind, StorageError, StorageHandle};
+use todr_storage::{seal_record, LogFaultKind, StorageError, StorageHandle};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -43,7 +43,7 @@ fn records_and_log_survive_reopen() {
     let dir = TempDir::new("reopen");
     {
         let mut store = open(&dir);
-        store.put_record_bytes("base", b"v1".to_vec());
+        store.put_record_bytes("base", seal_record(b"v1"));
         store.append_log(b"action-1".to_vec());
         store.append_log(b"action-2".to_vec());
         store.commit_staged().unwrap();
@@ -51,7 +51,7 @@ fn records_and_log_survive_reopen() {
     let store = open(&dir);
     assert_eq!(
         store.get_record_bytes("base").unwrap(),
-        Some(b"v1".to_vec())
+        Some(seal_record(b"v1"))
     );
     let log = store.read_log();
     assert_eq!(log.len(), 2);
@@ -65,10 +65,10 @@ fn records_and_log_survive_reopen() {
 fn staged_data_is_lost_on_crash_and_on_reopen() {
     let dir = TempDir::new("staged");
     let mut store = open(&dir);
-    store.put_record_bytes("durable", b"yes".to_vec());
+    store.put_record_bytes("durable", seal_record(b"yes"));
     store.append_log(b"durable-entry".to_vec());
     store.commit_staged().unwrap();
-    store.put_record_bytes("staged", b"no".to_vec());
+    store.put_record_bytes("staged", seal_record(b"no"));
     store.append_log(b"staged-entry".to_vec());
 
     store.crash();
@@ -79,7 +79,7 @@ fn staged_data_is_lost_on_crash_and_on_reopen() {
     assert_eq!(reopened.get_record_bytes("staged").unwrap(), None);
     assert_eq!(
         reopened.get_record_bytes("durable").unwrap(),
-        Some(b"yes".to_vec())
+        Some(seal_record(b"yes"))
     );
     assert_eq!(reopened.log_len(), 1);
 }
@@ -183,11 +183,11 @@ fn checkpoint_swaps_generation_atomically() {
     let mut store = open(&dir);
     store.append_log(b"old-1".to_vec());
     store.append_log(b"old-2".to_vec());
-    store.put_record_bytes("base", b"v1".to_vec());
+    store.put_record_bytes("base", seal_record(b"v1"));
     store.commit_staged().unwrap();
 
     // Checkpoint: replace the base, truncate + relog the tail.
-    store.put_record_bytes("base", b"v2".to_vec());
+    store.put_record_bytes("base", seal_record(b"v2"));
     store.truncate_log();
     store.append_log(b"compacted".to_vec());
     store.commit_staged().unwrap();
@@ -196,7 +196,7 @@ fn checkpoint_swaps_generation_atomically() {
     let reopened = open(&dir);
     assert_eq!(
         reopened.get_record_bytes("base").unwrap(),
-        Some(b"v2".to_vec())
+        Some(seal_record(b"v2"))
     );
     let log = reopened.read_log();
     assert_eq!(log.len(), 1);
@@ -223,11 +223,11 @@ fn interrupted_checkpoint_recovers_previous_state() {
             baseline.push(entry.clone());
             store.append_log(entry);
         }
-        store.put_record_bytes("base", format!("base-{seed}").into_bytes());
+        store.put_record_bytes("base", seal_record(format!("base-{seed}").as_bytes()));
         store.commit_staged().unwrap();
 
         // A checkpoint that powers off in the vulnerable window.
-        store.put_record_bytes("base", b"NEW-BASE-MUST-NOT-SURVIVE".to_vec());
+        store.put_record_bytes("base", seal_record(b"NEW-BASE-MUST-NOT-SURVIVE"));
         store.truncate_log();
         store.append_log(b"NEW-TAIL-MUST-NOT-SURVIVE".to_vec());
         store.arm_checkpoint_crash();
@@ -236,7 +236,7 @@ fn interrupted_checkpoint_recovers_previous_state() {
         let check = |store: &StorageHandle, ctx: &str| {
             assert_eq!(
                 store.get_record_bytes("base").unwrap(),
-                Some(format!("base-{seed}").into_bytes()),
+                Some(seal_record(format!("base-{seed}").as_bytes())),
                 "{ctx}: old base must be live"
             );
             let log = store.read_log();
@@ -262,12 +262,32 @@ fn interrupted_checkpoint_recovers_previous_state() {
     }
 }
 
+/// A record whose seal fails — here, bytes never sealed — makes the
+/// checkpoint that holds it fail at reopen, like one that rotted on disk.
+#[test]
+fn a_checkpoint_holding_an_unsealed_record_fails_record_reads() {
+    let dir = TempDir::new("unsealed-record");
+    {
+        let mut store = open(&dir);
+        store.put_record_bytes("base", b"no seal".to_vec());
+        store.commit_staged().unwrap();
+        assert_eq!(
+            store.get_record::<String>("base"),
+            Err(StorageError::RecordChecksum)
+        );
+    }
+    match open(&dir).get_record_bytes("base") {
+        Err(StorageError::Io(e)) => assert!(e.detail.contains("checksum")),
+        other => panic!("expected Io error, got {other:?}"),
+    }
+}
+
 #[test]
 fn corrupt_checkpoint_file_fails_record_reads() {
     let dir = TempDir::new("corrupt-records");
     {
         let mut store = open(&dir);
-        store.put_record_bytes("base", b"value-bytes-to-damage".to_vec());
+        store.put_record_bytes("base", seal_record(b"value-bytes-to-damage"));
         store.commit_staged().unwrap();
     }
     // Rot one payload byte of the checkpoint on disk.

@@ -83,10 +83,11 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "\n{} case(s) run, {} passed, {} counterexample(s)",
+        "\n{} case(s) run, {} passed, {} counterexample(s); {} client(s) left stalled by a crash",
         report.cases_run,
         report.passed,
-        report.failures.len()
+        report.failures.len(),
+        report.stalled_clients
     );
     if report.all_passed() {
         return ExitCode::SUCCESS;
