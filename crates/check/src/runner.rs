@@ -416,7 +416,7 @@ fn run_case_inner(
             }
             // Every request a survivor accepted in its current
             // incarnation was answered: the clients stopped and the run
-            // drained, so an owed reply is one no commit will ever send.
+            // drained, so an owed reply is one nothing will ever send.
             let owed = cluster.owed_replies(i);
             if owed > 0 {
                 return Err(fail(

@@ -157,15 +157,14 @@ struct Volatile {
     /// change had already moved us out of `RegPrim`/`NonPrim`. Sending
     /// them mid-exchange would interleave an action into the membership
     /// protocol's agreed sequence (a `Construct`-state member could
-    /// receive it before the full CPC set); they are durable in
-    /// `ongoing` and go out at the next install, where total order
+    /// receive it before the full CPC set); they are durable in the
+    /// own-action queue and go out at the next install, where total order
     /// guarantees every receiver has already delivered all CPCs.
     deferred_submits: Vec<Rc<Body>>,
 
     // ----- misc -----
     cpu: CpuMeter,
     join_targets: Vec<NodeId>,
-    join_target_idx: usize,
     /// Joiners we have already announced with a PERSISTENT_JOIN that has
     /// not turned green yet (suppresses duplicate announcements while
     /// the joiner retries its bootstrap).
@@ -365,11 +364,12 @@ impl ReplicationEngine {
         self.k.db.digest()
     }
 
-    /// Client replies this incarnation still owes: requests it accepted
-    /// whose actions have not reached their commit point here yet. Zero
-    /// once every accepted request has been answered.
+    /// Client requests this incarnation accepted and has not answered:
+    /// updates short of their commit point here, strict queries parked
+    /// behind its own updates, requests buffered during an exchange.
     pub fn owed_replies(&self) -> usize {
-        self.v.pending_replies.len()
+        let v = &self.v;
+        v.pending_replies.len() + v.parked_strict.len() + v.buffered_reqs.len()
     }
 
     /// Read-only view of the green database.
@@ -636,14 +636,10 @@ impl ReplicationEngine {
             ctx.metrics().incr(metric!("engine.marked_red"), 1);
         }
         self.v.dirty_db = None;
-        if id.server == self.cfg.me {
-            self.k.ongoing.remove(&id.index);
-            self.k.save_ongoing(&mut self.store);
-            if let Some(p) = take_reply(&mut self.v.pending_replies, id, CommitPoint::Red) {
-                let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
-                let answer = (self.charge_cpu(ctx, self.cfg.cpu_per_action), result);
-                self.reply_committed(ctx, CommitPoint::Red, id, Some(action), p, answer);
-            }
+        if let Some(p) = take_reply(&mut self.v.pending_replies, id, CommitPoint::Red) {
+            let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
+            let answer = (self.charge_cpu(ctx, self.cfg.cpu_per_action), result);
+            self.reply_committed(ctx, CommitPoint::Red, id, Some(action), p, answer);
         }
         true
     }
@@ -941,12 +937,10 @@ impl ReplicationEngine {
                 read_tier,
             },
         );
-        self.flush_submit_queue(ctx);
     }
 
-    /// Creates this server's next action, records it in the
-    /// `ongoingQueue` and queues it for `** sync to disk, then generate`
-    /// (the caller flushes the queue).
+    /// Creates this server's next action ([`Knowledge::create_action`])
+    /// and submits it: `** sync to disk, then generate`.
     fn create_action(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -954,27 +948,16 @@ impl ReplicationEngine {
         kind: ActionKind,
         size_bytes: u32,
     ) -> ActionId {
-        self.k.action_index += 1;
-        let id = ActionId {
-            server: self.cfg.me,
-            index: self.k.action_index,
-        };
         self.v.advertised = self.v.advertised.max(self.k.green_count);
-        let action = Body::new(Action {
-            id,
-            green_line: self.k.green_count,
-            client,
-            kind,
-            size_bytes,
-        });
+        let action = self.k.create_action(client, kind, size_bytes);
+        let id = action.id;
         ctx.metrics().incr(metric!("engine.actions_created"), 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
             action_seq: id.index,
         });
-        self.k.ongoing.insert(id.index, Rc::clone(&action));
-        self.k.save_ongoing(&mut self.store);
         self.v.submit_queue.push(action);
+        self.flush_submit_queue(ctx);
         id
     }
 
@@ -1010,7 +993,7 @@ impl ReplicationEngine {
                 // be answered as soon as all previous actions generated
                 // by this server were applied to the database, without
                 // the need to generate and order an action message".
-                if self.state != EngineState::RegPrim || self.strict_blocked() {
+                if self.state != EngineState::RegPrim || !self.k.own_actions_green() {
                     self.v.parked_strict.push(req);
                     return;
                 }
@@ -1110,18 +1093,11 @@ impl ReplicationEngine {
         }
     }
 
-    /// Whether a strict query must wait behind this server's own
-    /// updates (§6 session causality): until every action it created is
-    /// green, not merely answered — a fast commit answers while red.
-    fn strict_blocked(&self) -> bool {
-        !self.k.ongoing.is_empty() || !self.k.all_green(self.cfg.me)
-    }
-
     /// Answers the parked strict queries once this server is in the
     /// primary component and none is blocked any more.
     fn release_strict(&mut self, ctx: &mut Ctx<'_>) {
         let parked = !self.v.parked_strict.is_empty();
-        if !parked || self.state != EngineState::RegPrim || self.strict_blocked() {
+        if !parked || self.state != EngineState::RegPrim || !self.k.own_actions_green() {
             return;
         }
         for req in std::mem::take(&mut self.v.parked_strict) {
@@ -1623,8 +1599,7 @@ impl ReplicationEngine {
         // A backend I/O failure here means the host disk broke under
         // us — there is no protocol-level answer to that, so stop hard
         // rather than acknowledge durability that does not exist.
-        self.store
-            .commit_staged()
+        persist::commit(&mut self.store, &mut self.k)
             .expect("storage backend failed to persist staged state");
         match after {
             AfterSync::Submit(actions) => {
@@ -1637,10 +1612,10 @@ impl ReplicationEngine {
                     self.flush_submit_queue(ctx);
                 } else {
                     // A configuration change overtook this forced
-                    // write. The actions are durable in `ongoing`, but
-                    // generating them now would inject an action into
-                    // the new configuration's agreed sequence *after*
-                    // our state message — a member already in
+                    // write. The actions are durable in the own-action
+                    // queue, but generating them now would inject an
+                    // action into the new configuration's agreed sequence
+                    // *after* our state message — a member already in
                     // `Construct` could then deliver it before the full
                     // CPC set. Hold them until the next install.
                     self.v.deferred_submits.extend(actions);
@@ -1693,7 +1668,6 @@ impl ReplicationEngine {
         };
         if matches!(self.state, EngineState::RegPrim | EngineState::NonPrim) {
             self.create_action(ctx, ClientId(0), ActionKind::PersistentLeave { leaver }, 64);
-            self.flush_submit_queue(ctx);
         }
     }
 
@@ -1788,13 +1762,11 @@ impl ReplicationEngine {
         self.v.advertised = self.k.green_count;
 
         // Re-accept own unacknowledged actions (A.13).
-        let ongoing: Vec<Rc<Body>> = self.k.ongoing.values().cloned().collect();
-        for action in ongoing {
+        for action in self.k.own_queue().cloned().collect::<Vec<_>>() {
             self.mark_red(ctx, &action, true);
         }
         self.set_state(EngineState::NonPrim);
         self.k.save_records(&mut self.store);
-        self.k.save_ongoing(&mut self.store);
         self.request_sync(ctx, AfterSync::Noop);
         ctx.send_now(self.evs, EvsCmd::JoinGroup);
         ctx.emit(ProtocolEvent::EngineRecovered {
@@ -1810,10 +1782,7 @@ impl ReplicationEngine {
         if let Some(pos) = self.v.join_targets.iter().position(|&n| n == via) {
             self.v.join_targets.swap(0, pos);
         }
-        self.v.join_target_idx = 0;
-        let me = self.cfg.me;
-        self.send_transfer(ctx, [via], TransferWire::JoinRequest { joiner: me });
-        ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
+        self.request_join(ctx, via);
     }
 
     fn on_join_retry(&mut self, ctx: &mut Ctx<'_>) {
@@ -1823,8 +1792,12 @@ impl ReplicationEngine {
         // "If the initial peer fails or a network partition occurs
         // before the transfer is finished, the new server will try to
         // establish a connection with a different member" (§5.1).
-        self.v.join_target_idx = (self.v.join_target_idx + 1) % self.v.join_targets.len();
-        let target = self.v.join_targets[self.v.join_target_idx];
+        self.v.join_targets.rotate_left(1);
+        self.request_join(ctx, self.v.join_targets[0]);
+    }
+
+    /// Asks `target` for the join transfer and arms the 500 ms retry.
+    fn request_join(&mut self, ctx: &mut Ctx<'_>, target: NodeId) {
         let me = self.cfg.me;
         self.send_transfer(ctx, [target], TransferWire::JoinRequest { joiner: me });
         ctx.send_self_after(SimDuration::from_millis(500), JoinRetry);
@@ -1848,7 +1821,6 @@ impl ReplicationEngine {
                     // announcements from other representatives are
                     // ignored when they turn green (CodeSegment 5.1).
                     self.create_action(ctx, ClientId(0), ActionKind::PersistentJoin { joiner }, 64);
-                    self.flush_submit_queue(ctx);
                 }
             }
             TransferWire::FastAck { id } => self.on_fast_ack(ctx, src, *id),
@@ -1870,7 +1842,6 @@ impl ReplicationEngine {
                 self.k.server_set.insert(self.cfg.me);
                 self.k.prim_component = prim_component.clone();
                 self.adopt_base(ctx, base, green_lines);
-                self.k.save_ongoing(&mut self.store);
                 // Persist the inherited state, then join the group.
                 self.request_sync(ctx, AfterSync::JoinedReady);
             }

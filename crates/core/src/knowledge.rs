@@ -16,7 +16,7 @@ use std::rc::Rc;
 use todr_db::Database;
 use todr_net::NodeId;
 
-use crate::action::{ActionId, ActionKind, Body};
+use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
 use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 use crate::types::GreenBase;
 
@@ -106,11 +106,16 @@ pub(crate) struct Knowledge {
     pub green_lines: BTreeMap<NodeId, u64>,
     /// The current replica set (`serverSet`).
     pub server_set: BTreeSet<NodeId>,
-    /// This server's creator counter (`actionIndex`).
-    pub action_index: u64,
-    /// Own created-but-not-yet-red actions by creator-local index (the
-    /// paper's `ongoingQueue`, persisted as a `Vec` in index order).
-    pub ongoing: BTreeMap<u64, Rc<Body>>,
+    /// This server's created-but-not-yet-red actions by index (the
+    /// paper's `ongoingQueue`), all above its red cut: each rule that
+    /// moves the cut drops what it covers (`trim_ongoing`).
+    ongoing: BTreeMap<u64, Rc<Body>>,
+    /// The highest index this server created (`actionIndex`), committed
+    /// with the queue: a recovered log can end below an action already
+    /// sent (a faulty final record is cut as a torn write).
+    action_index: u64,
+    /// Whether `ongoing` changed since a commit last staged it.
+    ongoing_changed: bool,
 }
 
 impl Knowledge {
@@ -132,8 +137,9 @@ impl Knowledge {
             yellow: YellowRecord::invalid(),
             green_lines: BTreeMap::new(),
             server_set,
-            action_index: 0,
             ongoing: BTreeMap::new(),
+            action_index: 0,
+            ongoing_changed: false,
         }
     }
 
@@ -171,9 +177,69 @@ impl Knowledge {
             .is_some_and(|c| id.index <= c.green)
     }
 
-    /// Whether every action of `creator` accepted here is green.
-    pub(crate) fn all_green(&self, creator: NodeId) -> bool {
-        self.creators.get(&creator).is_none_or(|c| c.red == c.green)
+    /// Whether every action this server created is green here, where a
+    /// strict query waits for it (§6; a fast commit answers while red).
+    pub(crate) fn own_actions_green(&self) -> bool {
+        let own = self.creators.get(&self.me);
+        self.ongoing.is_empty() && own.is_none_or(|c| c.red == c.green)
+    }
+
+    /// Creates this server's next action, carrying its green line, and
+    /// queues it until it is red here. Its index is above every index
+    /// this server used: the counter, the queue and the red cut each
+    /// bound them, and a crash can lose either of the first two's last
+    /// commit or the log's last record, never all three.
+    pub(crate) fn create_action(
+        &mut self,
+        client: ClientId,
+        kind: ActionKind,
+        size_bytes: u32,
+    ) -> Rc<Body> {
+        let queued = self.ongoing.last_key_value().map_or(0, |(&index, _)| index);
+        let server = self.me;
+        let index = self.action_index.max(self.red_cut(server)).max(queued) + 1;
+        self.action_index = index;
+        let action = Body::new(Action {
+            id: ActionId { server, index },
+            green_line: self.green_count,
+            client,
+            kind,
+            size_bytes,
+        });
+        self.ongoing.insert(index, Rc::clone(&action));
+        self.ongoing_changed = true;
+        action
+    }
+
+    /// The queued own actions, in index order.
+    pub(crate) fn own_queue(&self) -> impl Iterator<Item = &Rc<Body>> {
+        self.ongoing.values()
+    }
+
+    /// Takes the persisted counter and queue back after the log replay,
+    /// less what the log shows red (a torn crash can keep an `Accepted`
+    /// entry, not the queue).
+    pub(crate) fn restore_ongoing(&mut self, action_index: u64, queue: Vec<Action>) {
+        self.action_index = action_index;
+        let queue = queue.into_iter().map(|a| (a.id.index, Body::new(a)));
+        self.ongoing = queue.collect();
+        self.trim_ongoing();
+    }
+
+    /// The counter and the queue, if the queue changed since the last
+    /// call (a commit stages them; only a creation moves the counter).
+    pub(crate) fn take_ongoing_change(&mut self) -> Option<(u64, impl Iterator<Item = &Action>)> {
+        let queue = self.ongoing.values().map(|body| body.action());
+        std::mem::take(&mut self.ongoing_changed).then_some((self.action_index, queue))
+    }
+
+    /// Restores the queue's invariant after this server's red cut moved.
+    fn trim_ongoing(&mut self) {
+        let red = self.red_cut(self.me);
+        while let Some(entry) = self.ongoing.first_entry().filter(|e| *e.key() <= red) {
+            entry.remove();
+            self.ongoing_changed = true;
+        }
     }
 
     /// Every creator this server has heard of, with its red cut — as a
@@ -278,6 +344,9 @@ impl Knowledge {
         creator.red = id.index;
         creator.bodies.push_back(Rc::clone(action));
         self.retained += 1;
+        if id.server == self.me {
+            self.trim_ongoing();
+        }
         Accept::New
     }
 
@@ -312,9 +381,9 @@ impl Knowledge {
     }
 
     /// Takes a green base (§5.1 transfer, exchange snapshot fallback or
-    /// recovery's base record). Red actions it already incorporates are
-    /// dropped, from the red set and from the yellow record, and so is
-    /// every retained green body: the green tail restarts empty.
+    /// recovery's base record). Red actions it already incorporates leave
+    /// the red set, the yellow record and the own-action queue, and every
+    /// retained green body is dropped: the green tail restarts empty.
     /// `green_lines` raise the known lines; this server's own line lands
     /// at the base's count.
     ///
@@ -355,6 +424,7 @@ impl Knowledge {
             self.raise_green_line(server, line);
         }
         self.green_lines.insert(self.me, self.green_count);
+        self.trim_ongoing();
         raised
     }
 
@@ -433,14 +503,12 @@ impl Knowledge {
         self.vulnerable = held.vulnerable;
         self.yellow = held.yellow;
         self.server_set = held.server_set;
-        self.action_index = held.action_index;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{Action, ClientId};
     use crate::persist;
     use todr_db::Op;
     use todr_sim::SimRng;
@@ -578,8 +646,7 @@ mod tests {
         /// the store back.
         fn sync_crash_load(&mut self) -> Knowledge {
             self.k.save_records(&mut self.store);
-            self.k.save_ongoing(&mut self.store);
-            self.store.commit_staged().expect("sim store cannot fail");
+            persist::commit(&mut self.store, &mut self.k).expect("sim store cannot fail");
             self.store.crash();
             persist::load(&self.store, &Knowledge::new(NodeId::new(ME), []), true)
                 .expect("clean store loads")
@@ -663,19 +730,69 @@ mod tests {
                             r.rebase();
                         }
                     }
-                    // The named records move.
+                    // The named records move, and this server creates an
+                    // action: queued until an accept of its index.
                     14 => {
                         r.k.attempt_index += 1;
-                        r.k.action_index += 1;
-                        let own = action(ME, 1_000 + r.k.action_index);
+                        let kind = action(ME, 0).kind.clone();
+                        let own = r.k.create_action(ClientId(1), kind, 200);
                         r.k.yellow.set.push(own.id);
-                        r.k.ongoing.insert(own.id.index, own);
                     }
                     _ => assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}"),
                 }
             }
             assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}");
         }
+    }
+
+    /// This server's queued actions, by index.
+    fn queued(k: &Knowledge) -> Vec<u64> {
+        k.own_queue().map(|b| b.id.index).collect()
+    }
+
+    /// A torn crash can make an own action's `Accepted` entry durable
+    /// and lose the queue record that no longer held it: recovery drops
+    /// what the replayed log shows red, so the action cannot stay queued
+    /// (blocking every strict query) forever, and the next action takes
+    /// the index after the queue.
+    #[test]
+    fn load_drops_a_queued_own_action_its_log_shows_red() {
+        let mut store = StorageHandle::sim();
+        let queue = [action(ME, 1), action(ME, 2)];
+        let queue: Vec<&Action> = queue.iter().map(|b| b.action()).collect();
+        store.put_record(persist::K_ONGOING, &queue);
+        store.append_shared(action(ME, 1).accepted_entry());
+        assert!(store.commit_staged().is_ok());
+        let held = Knowledge::new(NodeId::new(ME), []);
+        let Ok(mut k) = persist::load(&store, &held, true) else {
+            panic!("clean store loads");
+        };
+        assert_eq!((red(&k, ME), queued(&k)), (1, vec![2]));
+        assert!(
+            k.take_ongoing_change().is_some(),
+            "the trimmed queue is saved"
+        );
+        let kind = action(ME, 0).kind.clone();
+        assert_eq!(k.create_action(ClientId(1), kind, 200).id.index, 3);
+    }
+
+    /// A base whose cut covers queued own actions (they went green
+    /// elsewhere before they were red here) drops them from the queue;
+    /// the counter stays above the cut.
+    #[test]
+    fn adopt_base_drops_queued_own_actions_its_cut_covers() {
+        let mut k = Knowledge::new(NodeId::new(ME), (0..CREATORS).map(NodeId::new));
+        let kind = action(ME, 0).kind.clone();
+        for _ in 0..3 {
+            k.create_action(ClientId(1), kind.clone(), 200);
+        }
+        assert_eq!(queued(&k), vec![1, 2, 3]);
+        k.adopt_base(base(2, &[(NodeId::new(ME), 2)].into()), &BTreeMap::new());
+        assert_eq!(queued(&k), vec![3]);
+        assert!(!k.own_actions_green());
+        assert_eq!(k.create_action(ClientId(1), kind, 200).id.index, 4);
+        assert_eq!(k.accept_red(&action(ME, 3)), Accept::New);
+        assert_eq!(queued(&k), vec![4]);
     }
 
     /// The representation `Knowledge` had before it kept one record per

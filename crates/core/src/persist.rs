@@ -9,14 +9,15 @@
 //!   transition (by id);
 //! * small **records**: the primary component, the attempt index, the
 //!   vulnerable and yellow records, green lines, the server set, the
-//!   creator counter and the `ongoingQueue`.
+//!   creator counter and the `ongoingQueue` (these two staged together
+//!   by [`commit`]).
 //!
 //! All writes are staged; the engine's `** sync to disk` points request a
 //! forced write from the [`DiskActor`](todr_storage::DiskActor) and the
-//! staging area is committed when the platter write completes. A crash
-//! discards staged data, so recovery sees exactly the state as of the
-//! last completed sync — which is the assumption the paper's recovery
-//! procedure (Appendix A, CodeSegment A.13) is built on.
+//! staging area is committed ([`commit`]) when the platter write
+//! completes. A crash discards staged data, so recovery sees exactly the
+//! state as of the last completed sync — which is the assumption the
+//! paper's recovery procedure (Appendix A, CodeSegment A.13) is built on.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -24,7 +25,7 @@ use std::fmt;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use todr_net::NodeId;
-use todr_storage::{encode_record, LogFaultKind, SharedEntry, StorageHandle};
+use todr_storage::{encode_record, LogFaultKind, SharedEntry, StorageError, StorageHandle};
 
 use crate::action::{Action, ActionId, Body};
 use crate::knowledge::{Accept, Knowledge};
@@ -153,15 +154,6 @@ impl Knowledge {
         store.put_record(K_SERVER_SET, &self.server_set);
     }
 
-    /// Stages the creator counter and the `ongoingQueue`.
-    pub(crate) fn save_ongoing(&self, store: &mut StorageHandle) {
-        store.put_record(K_ACTION_INDEX, &self.action_index);
-        // Persisted in the historical `ongoingQueue` format: a `Vec` in
-        // creation (index) order, which is exactly the map's value order.
-        let queue: Vec<&Action> = self.ongoing.values().map(|b| b.action()).collect();
-        store.put_record(K_ONGOING, &queue);
-    }
-
     /// Compacts persistence: the current green state becomes the base
     /// record and the log restarts with the red bodies on top of it.
     /// The base record is a [`GreenBase`], so what recovery reads back
@@ -184,6 +176,17 @@ impl Knowledge {
     }
 }
 
+/// A forced write completed: makes everything staged durable, staging
+/// the creator counter and the `ongoingQueue` (a `Vec` in index order)
+/// first if the queue changed.
+pub(crate) fn commit(store: &mut StorageHandle, k: &mut Knowledge) -> Result<(), StorageError> {
+    if let Some((action_index, queue)) = k.take_ongoing_change() {
+        store.put_record(K_ACTION_INDEX, &action_index);
+        store.put_record(K_ONGOING, &queue.collect::<Vec<_>>());
+    }
+    store.commit_staged()
+}
+
 /// The named record `key`, if any.
 fn record<T: DeserializeOwned>(
     store: &StorageHandle,
@@ -202,9 +205,9 @@ fn record<T: DeserializeOwned>(
 /// ([`Knowledge::adopt_base`]), the live colouring rules
 /// ([`Knowledge::accept_red`], [`Knowledge::mark_green`]) folded over
 /// the log on top of it — which rebuilds the green database as it goes
-/// — and the named records.
-/// `held` supplies the primary component and server set for a store
-/// that never completed a forced write holding them.
+/// — and the named records, the creator counter and `ongoingQueue` last
+/// (the queue less what the log shows red). `held` supplies the primary component and server set for
+/// a store that never completed a forced write holding them.
 ///
 /// # Errors
 ///
@@ -242,11 +245,7 @@ pub(crate) fn load(
     k.server_set = record(store, K_SERVER_SET)?
         .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
         .unwrap_or_else(|| held.server_set.clone());
-    k.action_index = record(store, K_ACTION_INDEX)?.unwrap_or(0);
-    k.ongoing = ongoing
-        .into_iter()
-        .map(|a| (a.id.index, Body::new(a)))
-        .collect();
+    let action_index = record(store, K_ACTION_INDEX)?.unwrap_or(0);
     // Only the `SkipChecksumVerify` mutation replays an unverified log,
     // where a stale sector is a no-op and a green mark is applied
     // whenever its body is red here.
@@ -263,6 +262,7 @@ pub(crate) fn load(
             return Err(undecodable(index));
         }
     }
+    k.restore_ongoing(action_index, ongoing);
     Ok(k)
 }
 
@@ -356,7 +356,6 @@ mod tests {
         assert!(st.green_tail.is_empty());
         assert_eq!(st.attempt_index, 0);
         assert!(!st.vulnerable.valid);
-        assert_eq!(st.action_index, 0);
     }
 
     #[test]
@@ -407,7 +406,7 @@ mod tests {
         assert_eq!(st.prim_component, prim);
         assert_eq!(st.attempt_index, 7);
         assert_eq!(st.vulnerable, vul);
-        assert_eq!(st.ongoing.len(), 1);
+        assert_eq!(st.own_queue().count(), 1);
     }
 
     /// The `base` record of [`pinned_base`], byte for byte, as the
@@ -613,6 +612,40 @@ mod tests {
         assert_eq!(torn, Some(2));
         assert!(matches!(k, Ok(k) if k.red_cut(NodeId::new(0)) == 2));
         assert_eq!(store.log_len(), 2);
+    }
+
+    /// A fault in the final log record is cut as a torn write even when
+    /// that record is an own action's `Accepted` entry, committed with
+    /// the queue that dropped the action after it was sent. The counter
+    /// committed with the queue keeps the next action off its index.
+    #[test]
+    fn a_cut_final_own_accept_leaves_its_index_used() {
+        let me = NodeId::new(0);
+        let kind = || action(0, 0).kind.clone();
+        for seed in 0..8 {
+            let mut store = StorageHandle::sim();
+            let mut k = Knowledge::new(me, []);
+            for _ in 0..2 {
+                let own = k.create_action(ClientId(1), kind(), 200);
+                assert!(commit(&mut store, &mut k).is_ok());
+                assert_eq!(k.accept_red(&own), Accept::New);
+                store.append_shared(own.accepted_entry());
+                assert!(commit(&mut store, &mut k).is_ok());
+            }
+            let rng = &mut todr_sim::SimRng::new(seed);
+            if store.inject_bit_flip(rng).is_none_or(|f| f.index != 1) {
+                continue; // the flip missed the final record
+            }
+            let (torn, k) = recover(&mut store, true);
+            assert_eq!(torn, Some(1));
+            let Ok(mut k) = k else {
+                panic!("a torn tail recovers");
+            };
+            assert_eq!((k.red_cut(me), k.own_queue().count()), (1, 0));
+            assert_eq!(k.create_action(ClientId(1), kind(), 200).id.index, 3);
+            return;
+        }
+        panic!("no seed flipped the final record");
     }
 
     #[test]
