@@ -6,7 +6,7 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use todr_db::keys::{write_set, Footprint};
+use todr_db::conflict::{classify, ActionClass};
 use todr_db::{Database, Op, Query};
 use todr_net::NodeId;
 use todr_storage::SharedEntry;
@@ -87,16 +87,16 @@ pub struct Action {
 
 /// An action as the replicas share it: one allocation per action, which
 /// every replica that receives the multicast retains instead of a copy
-/// of its own. It also carries the action's two log entries, its write
-/// footprint and the green database it makes: each is computed by the
-/// first replica that needs it and shared by every later one.
+/// of its own. It also carries the action's two log entries, its
+/// conflict class and the green database it makes: each is computed by
+/// the first replica that needs it and shared by every later one.
 pub(crate) struct Body {
     action: Action,
     accepted: OnceCell<SharedEntry>,
     greened: OnceCell<SharedEntry>,
-    /// Boxed: only lease reads ask for it, and inline it would grow
-    /// every body by 32 bytes.
-    writes: OnceCell<Box<Footprint>>,
+    /// Boxed: only lease reads and the fast path ask for it, and inline
+    /// it would grow every body by 48 bytes.
+    class: OnceCell<Box<ActionClass>>,
     /// The green applies of the update, until every replica has one.
     green: RefCell<GreenMemo>,
 }
@@ -107,7 +107,7 @@ impl Body {
             action,
             accepted: OnceCell::new(),
             greened: OnceCell::new(),
-            writes: OnceCell::new(),
+            class: OnceCell::new(),
             green: RefCell::default(),
         })
     }
@@ -165,14 +165,17 @@ impl Body {
         shared
     }
 
-    /// The rows this action writes. Membership actions write none.
-    pub(crate) fn writes(&self) -> &Footprint {
-        self.writes.get_or_init(|| {
-            Box::new(match self.action.update() {
-                Some(update) => write_set(update),
-                None => Footprint::empty(),
-            })
-        })
+    /// This action's conflict class: the rows it writes and reads, as
+    /// the lease and fast-path checks compare them. `None` for a
+    /// membership action.
+    pub(crate) fn class(&self) -> Option<&ActionClass> {
+        let ActionKind::App { query, update } = &self.action.kind else {
+            return None;
+        };
+        Some(
+            self.class
+                .get_or_init(|| Box::new(classify(update, query.as_ref()))),
+        )
     }
 }
 

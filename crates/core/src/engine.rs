@@ -226,6 +226,15 @@ pub struct ReplicationEngine {
     fast: Option<FastPath>,
 }
 
+/// The one row a bounded read reads, with its fingerprint: computed once
+/// per read for both the lease check and the `ReadServed` record.
+fn get_row(query: &Query) -> Option<(&str, &str, u64)> {
+    match query {
+        Query::Get { table, key } => Some((table, key, row_fingerprint(table, key))),
+        _ => None,
+    }
+}
+
 /// Figure 4's transition relation, plus the crash edge into `Down` from
 /// anywhere, recovery and the join bootstrap out of it, and the no-op
 /// edge from a state to itself.
@@ -541,8 +550,13 @@ impl ReplicationEngine {
         }
         let green = point == CommitPoint::Green;
         if green && p.read_tier == Some(ReadConsistency::Linearizable) {
-            if let Some(q) = &p.query {
-                self.emit_read_served(ctx, q, ReadTier::OrderedLinearizable, false);
+            if let Some((table, key, key_fp)) = p.query.as_ref().and_then(get_row) {
+                ctx.emit(ProtocolEvent::ReadServed {
+                    node: self.cfg.me.index(),
+                    key_fp,
+                    tier: ReadTier::OrderedLinearizable,
+                    version: self.k.db.row_version(table, key),
+                });
             }
         }
         let (at, result) = answer;
@@ -864,9 +878,8 @@ impl ReplicationEngine {
                 && !matches!(self.state, EngineState::Down | EngineState::Joining),
         ) {
             ctx.metrics().incr(metric!("engine.lease_reads"), 1);
-            self.emit_read_served(ctx, query, ReadTier::LeaseLinearizable, false);
-            let result = self.k.db.query(query);
-            return self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
+            let tier = ReadTier::LeaseLinearizable;
+            return self.answer_read(ctx, &req, query, get_row(query), tier);
         }
         match self.state {
             EngineState::Down | EngineState::Joining => {
@@ -914,16 +927,16 @@ impl ReplicationEngine {
         if self.cfg.consumes_receipts() {
             // Export the static conflict class so the todr-check oracle
             // can replay exactly the relation the engine evaluates.
-            let d = classify(&req.update, req.query.as_ref()).digest();
+            let c = classify(&req.update, req.query.as_ref());
             ctx.emit(ProtocolEvent::ActionFootprint(Box::new(Footprint {
                 node: self.cfg.me.index(),
                 action_seq: id.index,
-                writes: d.writes,
-                writes_unbounded: d.writes_unbounded,
-                reads: d.reads,
-                reads_unbounded: d.reads_unbounded,
-                commutative: d.commutative,
-                timestamped: d.timestamped,
+                writes: c.writes.rows().to_vec(),
+                writes_unbounded: c.writes.is_all(),
+                reads: c.reads.rows().to_vec(),
+                reads_unbounded: c.reads.is_all(),
+                commutative: c.commutative,
+                timestamped: c.timestamped,
             })));
         }
         self.v.pending_replies.insert(
@@ -978,119 +991,111 @@ impl ReplicationEngine {
         self.request_sync(ctx, AfterSync::Submit(batch));
     }
 
-    fn serve_query(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
-        let query = req.query.clone().expect("query-only request");
+    fn serve_query(&mut self, ctx: &mut Ctx<'_>, mut req: ClientRequest) {
+        let Some(query) = &req.query else {
+            return self.generate_client_action(ctx, req, None);
+        };
+        let row = req.read_consistency.and_then(|_| get_row(query));
         // Consistency-tiered reads bypass the legacy semantics switch.
-        if let Some(tier) = req.read_consistency {
-            return self.serve_tiered_read(ctx, req, query, tier);
-        }
-        match req.query_semantics {
-            QuerySemantics::Strict => {
-                // Strict answers require the primary component (§6:
-                // "queries issued in a non-primary component cannot be
-                // answered until the connectivity with the primary is
-                // restored"), and there "a query issued at one server can
-                // be answered as soon as all previous actions generated
-                // by this server were applied to the database, without
-                // the need to generate and order an action message".
-                if self.state != EngineState::RegPrim || !self.k.own_actions_green() {
-                    self.v.parked_strict.push(req);
-                    return;
-                }
-                let result = self.k.db.query(&query);
-                self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
-            }
-            QuerySemantics::Weak => {
-                let result = self.k.db.query(&query);
-                self.answer(ctx, &req, result, false, None);
-            }
-            QuerySemantics::Dirty => {
-                let result = self.dirty_view().query(&query);
-                self.answer(ctx, &req, result, true, None);
-            }
-        }
-    }
-
-    // ============================================================
-    // consistency-tiered reads (LARK-style primary read leases)
-    // ============================================================
-
-    /// Dispatches a [`ReadConsistency`]-tiered query-only request.
-    ///
-    /// `GreenSnapshot` and `RedOverlay` are always local and lease-free:
-    /// the first answers from the green prefix, the second replays the
-    /// local red suffix over it (the same view the `Dirty` semantics
-    /// expose). `Linearizable` is answered locally under a valid read
-    /// lease, and otherwise re-routed through the ordered action path —
-    /// it is never rejected.
-    fn serve_tiered_read(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        req: ClientRequest,
-        query: Query,
-        tier: ReadConsistency,
-    ) {
-        let cpu = Some(self.cfg.cpu_per_action / 4);
-        match tier {
-            ReadConsistency::GreenSnapshot => {
+        // `GreenSnapshot` and `RedOverlay` are always local and
+        // lease-free: the first answers from the green prefix, the
+        // second replays the local red suffix over it (the same view the
+        // `Dirty` semantics expose). `Linearizable` is answered locally
+        // under a valid read lease (LARK-style), and otherwise re-routed
+        // through the ordered action path — it is never rejected.
+        match (req.read_consistency, req.query_semantics) {
+            (Some(ReadConsistency::GreenSnapshot), _) => {
                 ctx.metrics().incr(metric!("engine.snapshot_reads"), 1);
-                self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
-                let result = self.k.db.query(&query);
-                self.answer(ctx, &req, result, false, cpu);
+                self.answer_read(ctx, &req, query, row, ReadTier::GreenSnapshot);
             }
-            ReadConsistency::RedOverlay => {
+            (Some(ReadConsistency::RedOverlay), _) => {
                 ctx.metrics().incr(metric!("engine.overlay_reads"), 1);
-                self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
-                let result = self.dirty_view().query(&query);
-                self.answer(ctx, &req, result, true, cpu);
+                self.answer_read(ctx, &req, query, row, ReadTier::RedOverlay);
             }
-            ReadConsistency::Linearizable => {
+            (Some(ReadConsistency::Linearizable), _) => {
                 let at = At(ctx.now(), self.state, self.conf_epoch);
-                let read = match &mut self.lease {
-                    Some(lease) => lease.read(&self.k, req, at),
-                    None => LeaseRead::Ordered(req),
+                let key_fp = row.map(|(_, _, key_fp)| key_fp);
+                let read = match &self.lease {
+                    Some(lease) => lease.read(&self.k, key_fp, at),
+                    None => LeaseRead::Ordered,
                 };
-                match read {
-                    LeaseRead::Serve(req) => {
+                match (read, key_fp, &mut self.lease) {
+                    (LeaseRead::Serve, ..) => {
                         ctx.metrics().incr(metric!("engine.lease_reads"), 1);
-                        self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
-                        let result = self.k.db.query(&query);
-                        self.answer(ctx, &req, result, false, cpu);
+                        self.answer_read(ctx, &req, query, row, ReadTier::LeaseLinearizable);
                     }
-                    LeaseRead::Parked => {
-                        ctx.metrics().incr(metric!("engine.lease_reads_parked"), 1)
+                    (LeaseRead::Park, Some(key_fp), Some(lease)) => {
+                        ctx.metrics().incr(metric!("engine.lease_reads_parked"), 1);
+                        lease.park(key_fp, req);
                     }
                     // The read becomes an ordinary (Noop-update) action,
                     // totally ordered and answered from the green
                     // database at apply time — in `NonPrim` it turns red
                     // and is answered after the next merge with the
                     // primary.
-                    LeaseRead::Ordered(mut req) => {
+                    _ => {
                         ctx.metrics().incr(metric!("engine.ordered_reads"), 1);
                         req.reply_policy = UpdateReplyPolicy::OnGreen;
-                        self.generate_client_action(ctx, req, Some(tier));
+                        let tier = Some(ReadConsistency::Linearizable);
+                        self.generate_client_action(ctx, req, tier);
                     }
                 }
+            }
+            // Strict answers require the primary component (§6: "queries
+            // issued in a non-primary component cannot be answered until
+            // the connectivity with the primary is restored"), and there
+            // "a query issued at one server can be answered as soon as
+            // all previous actions generated by this server were applied
+            // to the database, without the need to generate and order an
+            // action message".
+            (None, QuerySemantics::Strict) => {
+                if self.state != EngineState::RegPrim || !self.k.own_actions_green() {
+                    return self.v.parked_strict.push(req);
+                }
+                let result = self.k.db.query(query);
+                self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
+            }
+            (None, QuerySemantics::Weak) => {
+                let result = self.k.db.query(query);
+                self.answer(ctx, &req, result, false, None);
+            }
+            (None, QuerySemantics::Dirty) => {
+                let result = self.dirty_view().query(query);
+                self.answer(ctx, &req, result, true, None);
             }
         }
     }
 
-    /// Emits the oracle-facing [`ProtocolEvent::ReadServed`] record for
-    /// a bounded read, carrying the row version observed by the answer.
-    fn emit_read_served(&mut self, ctx: &mut Ctx<'_>, query: &Query, tier: ReadTier, dirty: bool) {
-        if let Query::Get { table, key } = query {
-            let version = if dirty {
-                self.dirty_view().row_version(table, key)
-            } else {
-                self.k.db.row_version(table, key)
-            };
-            ctx.emit(ProtocolEvent::ReadServed {
-                node: self.cfg.me.index(),
-                key_fp: row_fingerprint(table, key),
-                tier,
-                version,
-            });
-        }
+    /// Answers a consistency-tiered read from the green database (from
+    /// the dirty view at `RedOverlay`). A read of one `row` is one
+    /// lookup, which yields both the answer and the row version its
+    /// oracle-facing [`ProtocolEvent::ReadServed`] record carries.
+    fn answer_read(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: &ClientRequest,
+        query: &Query,
+        row: Option<(&str, &str, u64)>,
+        tier: ReadTier,
+    ) {
+        let (node, cpu) = (self.cfg.me.index(), self.cfg.cpu_per_action / 4);
+        let dirty = tier == ReadTier::RedOverlay;
+        let db = if dirty { self.dirty_view() } else { &self.k.db };
+        let result = match row {
+            Some((table, key, key_fp)) => {
+                let (value, version) = db.read_row(table, key);
+                let result = QueryResult::Value(value.cloned());
+                ctx.emit(ProtocolEvent::ReadServed {
+                    node,
+                    key_fp,
+                    tier,
+                    version,
+                });
+                result
+            }
+            None => db.query(query),
+        };
+        self.answer(ctx, req, result, dirty, Some(cpu));
     }
 
     /// Answers the parked strict queries once this server is in the

@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use todr_db::conflict::{classify, conflicts, ActionClass};
+use todr_db::conflict::{conflicts, ActionClass};
 use todr_db::{Query, QueryResult};
 use todr_net::NodeId;
 use todr_sim::SimTime;
@@ -86,14 +86,15 @@ impl FastPath {
         if id.server != me {
             return Receipt::Ack;
         }
-        let (true, ActionKind::App { query, update }) = (wants_fast, &action.kind) else {
+        let (true, ActionKind::App { query, .. }) = (wants_fast, &action.kind) else {
             return Receipt::Skip;
         };
-        let class = classify(update, query.as_ref());
-        if class.unbounded() || self.conflict(k, &class, id) {
-            return Receipt::Demote;
+        match action.class() {
+            Some(class) if !class.unbounded() && !self.conflict(k, class, id) => {
+                Receipt::Open(query.as_ref())
+            }
+            _ => Receipt::Demote,
         }
-        Receipt::Open(query.as_ref())
     }
 
     /// Whether `class` conflicts with an in-flight (red or yellow)
@@ -110,11 +111,9 @@ impl FastPath {
         }
         k.in_flight()
             .filter(|(other, _)| other.server != id.server)
-            .any(|(_, body)| match body.map(|b| &b.kind) {
-                Some(ActionKind::App { query, update }) => {
-                    conflicts(class, &classify(update, query.as_ref()))
-                }
-                _ => true,
+            .any(|(_, body)| {
+                body.and_then(Body::class)
+                    .is_none_or(|b| conflicts(class, b))
             })
     }
 

@@ -3,8 +3,6 @@
 //! a decision; the engine applies it with its own replies, metrics and
 //! events.
 
-use todr_db::keys::read_set;
-use todr_db::Query;
 use todr_evs::ConfId;
 use todr_sim::SimTime;
 
@@ -17,14 +15,15 @@ use crate::types::{ClientRequest, LEASE_DURATION};
 pub(crate) struct At(pub SimTime, pub EngineState, pub u64);
 
 /// What to do with a linearizable read.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum LeaseRead {
     /// Answer it from the green database now.
-    Serve(ClientRequest),
-    /// Parked behind a receipted-but-not-yet-green write to its row.
-    Parked,
+    Serve,
+    /// [`ReadLease::park`] it behind a receipted-but-not-yet-green write
+    /// to its row.
+    Park,
     /// No valid lease, or an unbounded query: order it as an action.
-    Ordered(ClientRequest),
+    Ordered,
 }
 
 /// One replica's read lease and the reads parked under it.
@@ -35,8 +34,9 @@ pub(crate) struct ReadLease {
     lease_epoch: u64,
     /// When the lease drains; zero once revoked.
     lease_expiry: SimTime,
-    /// Reads parked behind a receipted write, in arrival order.
-    parked_lease: Vec<ClientRequest>,
+    /// Reads parked behind a receipted write, in arrival order, each
+    /// with the fingerprint of the row it reads.
+    parked_lease: Vec<(u64, ClientRequest)>,
 }
 
 impl ReadLease {
@@ -47,22 +47,26 @@ impl ReadLease {
         state == EngineState::RegPrim && self.lease_epoch == epoch && now < self.lease_expiry
     }
 
-    /// Decides a linearizable read. An update acknowledged to any client
-    /// was green at its origin, so every member had receipted it first:
-    /// with eager receipts this engine holds it at least red. The read
-    /// therefore parks behind any receipted-but-not-yet-green write to
-    /// its row. Unbounded queries conflict with every write and go
-    /// ordered.
-    pub(crate) fn read(&mut self, k: &Knowledge, req: ClientRequest, at: At) -> LeaseRead {
-        let query = match &req.query {
-            Some(query @ Query::Get { .. }) if self.valid(at) => query,
-            _ => return LeaseRead::Ordered(req),
-        };
-        if !blocked(k, query) {
-            return LeaseRead::Serve(req);
+    /// Decides a linearizable read of the row fingerprinted `row`
+    /// (`None`: an unbounded query, which conflicts with every write and
+    /// goes ordered). An update acknowledged to any client was green at
+    /// its origin, so every member had receipted it first: with eager
+    /// receipts this engine holds it at least red. The read therefore
+    /// parks behind any receipted-but-not-yet-green write to its row.
+    pub(crate) fn read(&self, k: &Knowledge, row: Option<u64>, at: At) -> LeaseRead {
+        match row {
+            Some(row) if self.valid(at) => match blocked(k, row) {
+                true => LeaseRead::Park,
+                false => LeaseRead::Serve,
+            },
+            _ => LeaseRead::Ordered,
         }
-        self.parked_lease.push(req);
-        LeaseRead::Parked
+    }
+
+    /// Parks `req`, a read of the row fingerprinted `row`, until a green
+    /// mark unblocks it.
+    pub(crate) fn park(&mut self, row: u64, req: ClientRequest) {
+        self.parked_lease.push((row, req));
     }
 
     /// Hands back, in arrival order, the parked reads a green mark may
@@ -71,11 +75,11 @@ impl ReadLease {
     pub(crate) fn unpark(&mut self, k: &Knowledge, at: At) -> Vec<ClientRequest> {
         let valid = self.valid(at);
         let parked = std::mem::take(&mut self.parked_lease);
-        let (blocked, ready) = parked.into_iter().partition(|r: &ClientRequest| {
-            valid && r.query.as_ref().is_some_and(|q| blocked(k, q))
-        });
+        let (blocked, ready): (Vec<_>, Vec<_>) = parked
+            .into_iter()
+            .partition(|&(row, _)| valid && blocked(k, row));
         self.parked_lease = blocked;
-        ready
+        ready.into_iter().map(|(_, req)| req).collect()
     }
 
     /// Grants the lease at install; returns when it drains.
@@ -104,16 +108,21 @@ impl ReadLease {
     pub(crate) fn revoke(&mut self, at: At) -> (bool, Vec<ClientRequest>) {
         let live = self.valid(at);
         self.lease_expiry = SimTime::ZERO;
-        (live, std::mem::take(&mut self.parked_lease))
+        (
+            live,
+            self.parked_lease.drain(..).map(|(_, req)| req).collect(),
+        )
     }
 }
 
-/// Whether a receipted-but-not-yet-green write (red or yellow) covers a
-/// row `query` reads. A body missing from the store counts as one.
-fn blocked(k: &Knowledge, query: &Query) -> bool {
-    let reads = read_set(query);
+/// Whether a receipted-but-not-yet-green write (red or yellow) covers the
+/// row fingerprinted `row`. A body missing from the store counts as one.
+/// Nothing in flight answers at once; otherwise each body's write
+/// footprint, computed once per body and shared, is searched for the one
+/// row: a read allocates nothing here.
+fn blocked(k: &Knowledge, row: u64) -> bool {
     k.in_flight()
-        .any(|(_, body)| body.is_none_or(|b| b.writes().intersects(&reads)))
+        .any(|(_, body)| body.is_none_or(|b| b.class().is_some_and(|c| c.writes.contains(row))))
 }
 
 #[cfg(test)]
@@ -123,7 +132,8 @@ mod tests {
     use crate::knowledge::Accept;
     use crate::types::RequestId;
     use crate::{QuerySemantics, ReadConsistency, UpdateReplyPolicy};
-    use todr_db::Op;
+    use todr_db::keys::row_fingerprint;
+    use todr_db::{Op, Query};
     use todr_net::NodeId;
     use todr_sim::{ActorId, SimDuration};
 
@@ -150,6 +160,17 @@ mod tests {
             read_consistency: Some(ReadConsistency::Linearizable),
             size_bytes: 64,
         }
+    }
+
+    /// Decides a read of `key` as the engine does, parking it on
+    /// [`LeaseRead::Park`].
+    fn read(lease: &mut ReadLease, k: &Knowledge, key: &str, at: At) -> LeaseRead {
+        let row = row_fingerprint("t", key);
+        let read = lease.read(k, Some(row), at);
+        if read == LeaseRead::Park {
+            lease.park(row, get(key));
+        }
+        read
     }
 
     fn nothing_in_flight() -> Knowledge {
@@ -202,14 +223,10 @@ mod tests {
         let bumped = At(time(1), EngineState::RegPrim, EPOCH + 1);
         assert!(!lease.valid(bumped));
         let k = nothing_in_flight();
-        assert!(matches!(
-            lease.read(&k, get("a"), bumped),
-            LeaseRead::Ordered(_)
-        ));
-        assert!(matches!(
-            lease.read(&k, get("a"), at(1)),
-            LeaseRead::Serve(_)
-        ));
+        assert_eq!(read(&mut lease, &k, "a", bumped), LeaseRead::Ordered);
+        assert_eq!(read(&mut lease, &k, "a", at(1)), LeaseRead::Serve);
+        // An unbounded query goes ordered under a valid lease too.
+        assert_eq!(lease.read(&k, None, at(1)), LeaseRead::Ordered);
     }
 
     #[test]
@@ -229,11 +246,8 @@ mod tests {
     fn a_still_blocked_parked_read_reparks_without_a_second_decision() {
         let k = red_write("a");
         let mut lease = granted();
-        assert!(matches!(lease.read(&k, get("a"), at(1)), LeaseRead::Parked));
-        assert!(matches!(
-            lease.read(&k, get("b"), at(1)),
-            LeaseRead::Serve(_)
-        ));
+        assert_eq!(read(&mut lease, &k, "a", at(1)), LeaseRead::Park);
+        assert_eq!(read(&mut lease, &k, "b", at(1)), LeaseRead::Serve);
         // Still blocked: nothing comes back, so the engine counts nothing.
         assert!(lease.unpark(&k, at(2)).is_empty());
         assert_eq!(lease.parked_lease.len(), 1);
@@ -247,7 +261,7 @@ mod tests {
         let k = red_write("a");
         let mut lease = granted();
         for _ in 0..2 {
-            assert!(matches!(lease.read(&k, get("a"), at(1)), LeaseRead::Parked));
+            assert_eq!(read(&mut lease, &k, "a", at(1)), LeaseRead::Park);
         }
         let (live, parked) = lease.revoke(at(2));
         assert!(live);

@@ -17,18 +17,18 @@
 //!   within themselves (§6 of the paper), but not across classes;
 //! * **read/write** overlap (either direction) always conflicts — a
 //!   query answer must reflect exactly the actions ordered before it;
-//! * [`Footprint::All`] sides (stored procedures, scans, counts,
+//! * [`Footprint::all`] sides (stored procedures, scans, counts,
 //!   digests) overlap every non-empty footprint, and an action with any
-//!   unbounded side is never *eligible* for the fast path in the first
-//!   place ([`ClassDigest::fast_eligible`]).
+//!   unbounded side is never eligible for the fast path in the first
+//!   place ([`ActionClass::unbounded`]).
 //!
-//! Two equivalent representations are provided: [`ActionClass`] keeps
-//! the exact row sets (what the engine's in-flight conflict check
-//! uses), and [`ClassDigest`] carries sorted [`row_fingerprint`]s (what
-//! the engine exports in metrics events and the todr-check oracle
-//! replays). A property test pins them to agree.
-//!
-//! [`row_fingerprint`]: crate::keys::row_fingerprint
+//! There is one relation over one form: an [`ActionClass`] holds its
+//! rows as [`Footprint`]s of row fingerprints. The engine evaluates it
+//! on the receipt of an own action; the engine exports the same class
+//! in `ProtocolEvent::ActionFootprint`, and the todr-check oracle
+//! rebuilds it from there and replays exactly this relation. Rows that
+//! share a fingerprint count as one row, so a collision can only add a
+//! conflict: the check stays conservative.
 
 use crate::keys::{read_set, write_set, Footprint};
 use crate::op::{Op, Query};
@@ -36,7 +36,7 @@ use crate::op::{Op, Query};
 /// The conflict-relevant classification of one action: what it writes,
 /// what its query part reads, and which order-insensitive class (if
 /// any) its update belongs to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActionClass {
     /// Rows the update writes (guard reads of [`Op::Checked`] count as
     /// writes, matching [`write_set`]).
@@ -50,21 +50,10 @@ pub struct ActionClass {
 }
 
 impl ActionClass {
-    /// Whether either side of the footprint is statically unbounded.
+    /// Whether either side of the footprint is statically unbounded: an
+    /// action of such a class never takes the fast path.
     pub fn unbounded(&self) -> bool {
-        matches!(self.writes, Footprint::All) || matches!(self.reads, Footprint::All)
-    }
-
-    /// The fingerprint form of this class, suitable for export.
-    pub fn digest(&self) -> ClassDigest {
-        ClassDigest {
-            writes: self.writes.fingerprints().unwrap_or_default(),
-            writes_unbounded: matches!(self.writes, Footprint::All),
-            reads: self.reads.fingerprints().unwrap_or_default(),
-            reads_unbounded: matches!(self.reads, Footprint::All),
-            commutative: self.commutative,
-            timestamped: self.timestamped,
-        }
+        self.writes.is_all() || self.reads.is_all()
     }
 }
 
@@ -72,7 +61,7 @@ impl ActionClass {
 pub fn classify(update: &Op, query: Option<&Query>) -> ActionClass {
     ActionClass {
         writes: write_set(update),
-        reads: query.map(read_set).unwrap_or_else(Footprint::empty),
+        reads: query.map(read_set).unwrap_or_default(),
         commutative: update.is_commutative(),
         timestamped: update.is_timestamped(),
     }
@@ -85,67 +74,6 @@ pub fn conflicts(a: &ActionClass, b: &ActionClass) -> bool {
     (a.writes.intersects(&b.writes) && !order_insensitive)
         || a.reads.intersects(&b.writes)
         || a.writes.intersects(&b.reads)
-}
-
-/// The fingerprint form of an [`ActionClass`]: row identities replaced
-/// by their stable 64-bit hashes. This is what rides in
-/// `ProtocolEvent::ActionFootprint` and what the `FastCommitRevoked`
-/// oracle evaluates, so the oracle applies *the same relation* the
-/// engine applied (up to the astronomically unlikely fingerprint
-/// collision, which can only turn a non-conflict into a conflict —
-/// conservative for the engine, and flagged by the agreement test
-/// below if it ever hits the corpus).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassDigest {
-    /// Sorted fingerprints of the written rows (empty when unbounded).
-    pub writes: Vec<u64>,
-    /// The write side is [`Footprint::All`].
-    pub writes_unbounded: bool,
-    /// Sorted fingerprints of the read rows (empty when unbounded).
-    pub reads: Vec<u64>,
-    /// The read side is [`Footprint::All`].
-    pub reads_unbounded: bool,
-    /// The update consists only of commutative ops.
-    pub commutative: bool,
-    /// The update consists only of timestamped ops.
-    pub timestamped: bool,
-}
-
-impl ClassDigest {
-    /// Whether an action of this class may use the fast path at all:
-    /// both footprint sides must be statically bounded.
-    pub fn fast_eligible(&self) -> bool {
-        !self.writes_unbounded && !self.reads_unbounded
-    }
-}
-
-fn overlap(a: &[u64], a_all: bool, b: &[u64], b_all: bool) -> bool {
-    match (a_all, b_all) {
-        (true, true) => true,
-        (true, false) => !b.is_empty(),
-        (false, true) => !a.is_empty(),
-        (false, false) => {
-            // Both sorted: two-pointer sweep.
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => return true,
-                }
-            }
-            false
-        }
-    }
-}
-
-/// [`conflicts`] over the fingerprint representation. Symmetric, and
-/// agrees with the exact-row relation (see the property test).
-pub fn digests_conflict(a: &ClassDigest, b: &ClassDigest) -> bool {
-    let order_insensitive = (a.commutative && b.commutative) || (a.timestamped && b.timestamped);
-    (overlap(&a.writes, a.writes_unbounded, &b.writes, b.writes_unbounded) && !order_insensitive)
-        || overlap(&a.reads, a.reads_unbounded, &b.writes, b.writes_unbounded)
-        || overlap(&a.writes, a.writes_unbounded, &b.reads, b.reads_unbounded)
 }
 
 #[cfg(test)]
@@ -235,60 +163,10 @@ mod tests {
 
     #[test]
     fn eligibility_requires_bounded_footprints() {
-        assert!(cl(&Op::put("t", "k", 1i64)).digest().fast_eligible());
-        assert!(clq(&Op::incr("t", "k", 1), &Query::get("t", "k"))
-            .digest()
-            .fast_eligible());
-        assert!(!cl(&Op::proc("p", vec![])).digest().fast_eligible());
-        assert!(!clq(&Op::Noop, &Query::Digest).digest().fast_eligible());
-        assert!(!clq(&Op::Noop, &Query::scan("t", ""))
-            .digest()
-            .fast_eligible());
-    }
-
-    #[test]
-    fn digest_relation_agrees_with_exact_relation() {
-        // Small structured corpus covering every variant pair.
-        let updates = [
-            Op::Noop,
-            Op::put("t", "a", 1i64),
-            Op::put("t", "b", 1i64),
-            Op::delete("t", "a"),
-            Op::incr("t", "a", 1),
-            Op::incr("u", "z", -2),
-            Op::ts_put("t", "a", 3i64, 9),
-            Op::proc("p", vec![]),
-            Op::Batch(vec![Op::incr("t", "a", 1), Op::incr("t", "b", 1)]),
-            Op::Checked {
-                expect: vec![("t".into(), "a".into(), None)],
-                then: vec![Op::put("t", "c", 1i64)],
-            },
-        ];
-        let queries = [
-            None,
-            Some(Query::get("t", "a")),
-            Some(Query::get("x", "y")),
-            Some(Query::scan("t", "")),
-        ];
-        let mut classes = Vec::new();
-        for u in &updates {
-            for q in &queries {
-                classes.push(classify(u, q.as_ref()));
-            }
-        }
-        for a in &classes {
-            for b in &classes {
-                assert_eq!(
-                    conflicts(a, b),
-                    digests_conflict(&a.digest(), &b.digest()),
-                    "digest relation diverged for {a:?} vs {b:?}"
-                );
-                assert_eq!(
-                    conflicts(a, b),
-                    conflicts(b, a),
-                    "relation must be symmetric"
-                );
-            }
-        }
+        assert!(!cl(&Op::put("t", "k", 1i64)).unbounded());
+        assert!(!clq(&Op::incr("t", "k", 1), &Query::get("t", "k")).unbounded());
+        assert!(cl(&Op::proc("p", vec![])).unbounded());
+        assert!(clq(&Op::Noop, &Query::Digest).unbounded());
+        assert!(clq(&Op::Noop, &Query::scan("t", "")).unbounded());
     }
 }

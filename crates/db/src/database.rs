@@ -584,7 +584,16 @@ impl Database {
 
     /// Direct read of a cell (used by stored procedures and tests).
     pub fn get(&self, table: &str, key: &str) -> Option<&Value> {
-        self.0.tables.get(table)?.find(key)?.value.as_ref()
+        self.read_row(table, key).0
+    }
+
+    /// A cell and its [`Database::row_version`] from one lookup: what a
+    /// served read answers and the version it reports having observed.
+    pub fn read_row(&self, table: &str, key: &str) -> (Option<&Value>, u64) {
+        match self.0.tables.get(table).and_then(|t| t.find(key)) {
+            Some(row) => (row.value.as_ref(), row.version),
+            None => (None, 0),
+        }
     }
 
     /// Direct write of a cell (used by stored procedures).
@@ -604,11 +613,7 @@ impl Database {
     /// observability, not replicated content: [`Database::digest`]
     /// leaves them out.
     pub fn row_version(&self, table: &str, key: &str) -> u64 {
-        self.0
-            .tables
-            .get(table)
-            .and_then(|t| t.find(key))
-            .map_or(0, |row| row.version)
+        self.read_row(table, key).1
     }
 
     /// A 64-bit FNV-1a digest of the full content (tables, keys, values,

@@ -2,22 +2,28 @@
 //! and the read/write-set analysis a sharding router needs to classify
 //! an action as single-shard or cross-shard.
 //!
-//! The partition is a pure function of `(table, key)` bytes — no
-//! placement table, no coordination — so every router instance, every
-//! replica and every offline checker agrees on where a row lives. Ops
-//! whose row set cannot be determined statically ([`Op::Proc`] reads
-//! and writes arbitrary rows at ordering time; [`Query::Digest`] /
-//! [`Query::Count`] / [`Query::Scan`] read whole tables) report
-//! [`Footprint::All`] and are treated as touching every shard.
+//! A row is named by its [`row_fingerprint`], a pure function of
+//! `(table, key)` bytes — no placement table, no coordination — so every
+//! router instance, every replica and every offline checker agrees on
+//! where a row lives: [`shard_of`] is the fingerprint modulo the shard
+//! count. A [`Footprint`] is the one form a set of rows takes, for the
+//! router, the engine's conflict checks ([`crate::conflict`]) and the
+//! exported events alike: sorted, deduplicated fingerprints, a single
+//! row held inline. Ops whose row set cannot be determined statically
+//! ([`Op::Proc`] reads and writes arbitrary rows at ordering time;
+//! [`Query::Digest`] / [`Query::Count`] / [`Query::Scan`] read whole
+//! tables) report [`Footprint::all`] and are treated as touching every
+//! shard.
 
 use std::collections::BTreeSet;
 
 use crate::op::{Op, Query};
 
-/// FNV-1a over the row coordinates. Stable across platforms and
-/// process runs; *not* a randomized hash on purpose — the shard map is
-/// part of the replicated protocol state.
-fn row_hash(table: &str, key: &str) -> u64 {
+/// The stable 64-bit fingerprint of row `(table, key)`: FNV-1a over the
+/// row coordinates. Stable across platforms and process runs; *not* a
+/// randomized hash on purpose — the shard map is part of the replicated
+/// protocol state, and footprints travel in events as these fingerprints.
+pub fn row_fingerprint(table: &str, key: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in table.as_bytes() {
         h ^= u64::from(b);
@@ -32,14 +38,6 @@ fn row_hash(table: &str, key: &str) -> u64 {
     h
 }
 
-/// The stable 64-bit fingerprint of row `(table, key)` — the same hash
-/// the shard map uses. Footprints are exported (metrics events, the
-/// todr-check conflict oracle) as sets of these fingerprints rather
-/// than row strings, which keeps events small and comparison cheap.
-pub fn row_fingerprint(table: &str, key: &str) -> u64 {
-    row_hash(table, key)
-}
-
 /// The shard that owns row `(table, key)` out of `shards` total.
 ///
 /// # Panics
@@ -47,14 +45,28 @@ pub fn row_fingerprint(table: &str, key: &str) -> u64 {
 /// Panics if `shards` is 0 — an empty partition owns nothing.
 pub fn shard_of(table: &str, key: &str, shards: u32) -> u32 {
     assert!(shards > 0, "shard count must be positive");
-    (row_hash(table, key) % u64::from(shards)) as u32
+    shard(row_fingerprint(table, key), shards)
 }
 
-/// The set of rows an op or query touches, when statically known.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Footprint {
-    /// Exactly these `(table, key)` rows.
-    Rows(BTreeSet<(String, String)>),
+fn shard(fingerprint: u64, shards: u32) -> u32 {
+    (fingerprint % u64::from(shards)) as u32
+}
+
+/// The set of rows an op or query touches, when statically known: the
+/// sorted, deduplicated [`row_fingerprint`]s of its rows. Two distinct
+/// rows that share a fingerprint count as one, so a collision can only
+/// make two footprints overlap, never hide an overlap.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint(Rows);
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Rows {
+    #[default]
+    None,
+    /// The common case, held inline.
+    One(u64),
+    /// Two or more, ascending.
+    Many(Vec<u64>),
     /// Statically unbounded (stored procedures, table scans, digests).
     All,
 }
@@ -62,63 +74,102 @@ pub enum Footprint {
 impl Footprint {
     /// The empty footprint.
     pub fn empty() -> Self {
-        Footprint::Rows(BTreeSet::new())
+        Footprint(Rows::None)
     }
 
-    fn add(&mut self, table: &str, key: &str) {
-        if let Footprint::Rows(rows) = self {
-            rows.insert((table.to_string(), key.to_string()));
+    /// The statically unbounded footprint: every row.
+    pub fn all() -> Self {
+        Footprint(Rows::All)
+    }
+
+    fn add(&mut self, fp: u64) {
+        match &mut self.0 {
+            Rows::None => self.0 = Rows::One(fp),
+            Rows::One(one) if *one != fp => {
+                let (lo, hi) = ((*one).min(fp), (*one).max(fp));
+                self.0 = Rows::Many(vec![lo, hi]);
+            }
+            Rows::Many(rows) => {
+                if let Err(at) = rows.binary_search(&fp) {
+                    rows.insert(at, fp);
+                }
+            }
+            Rows::One(_) | Rows::All => {}
         }
     }
 
     /// Folds `other` into `self`.
-    pub fn union(&mut self, other: Footprint) {
-        match (&mut *self, other) {
-            (Footprint::All, _) => {}
-            (_, Footprint::All) => *self = Footprint::All,
-            (Footprint::Rows(a), Footprint::Rows(b)) => a.extend(b),
+    pub fn union(&mut self, other: &Footprint) {
+        match other.0 {
+            Rows::All => self.0 = Rows::All,
+            _ => other.rows().iter().for_each(|&fp| self.add(fp)),
         }
     }
 
     /// Whether no rows are touched.
     pub fn is_empty(&self) -> bool {
-        matches!(self, Footprint::Rows(rows) if rows.is_empty())
+        matches!(self.0, Rows::None)
+    }
+
+    /// Whether the footprint is statically unbounded.
+    pub fn is_all(&self) -> bool {
+        matches!(self.0, Rows::All)
+    }
+
+    /// The ascending fingerprints of a bounded footprint; empty for
+    /// [`Footprint::all`].
+    pub fn rows(&self) -> &[u64] {
+        match &self.0 {
+            Rows::One(fp) => std::slice::from_ref(fp),
+            Rows::Many(rows) => rows,
+            Rows::None | Rows::All => &[],
+        }
+    }
+
+    /// Whether the row with fingerprint `fp` is touched;
+    /// [`Footprint::all`] touches every row.
+    pub fn contains(&self, fp: u64) -> bool {
+        self.is_all() || self.rows().binary_search(&fp).is_ok()
     }
 
     /// Whether the two footprints share at least one row.
-    /// [`Footprint::All`] intersects anything non-empty (and another
-    /// `All`); an empty footprint intersects nothing.
+    /// [`Footprint::all`] intersects anything non-empty (and another
+    /// `all`); an empty footprint intersects nothing.
     pub fn intersects(&self, other: &Footprint) -> bool {
-        match (self, other) {
-            (Footprint::Rows(a), Footprint::Rows(b)) => {
-                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                small.iter().any(|row| large.contains(row))
-            }
-            (Footprint::All, bounded) | (bounded, Footprint::All) => !bounded.is_empty(),
-        }
-    }
-
-    /// The sorted, deduplicated [`row_fingerprint`]s of a bounded
-    /// footprint; `None` for [`Footprint::All`].
-    pub fn fingerprints(&self) -> Option<Vec<u64>> {
-        match self {
-            Footprint::All => None,
-            Footprint::Rows(rows) => {
-                let mut fps: Vec<u64> = rows.iter().map(|(t, k)| row_fingerprint(t, k)).collect();
-                fps.sort_unstable();
-                fps.dedup();
-                Some(fps)
+        match (&self.0, &other.0) {
+            (Rows::All, _) => !other.is_empty(),
+            (_, Rows::All) => !self.is_empty(),
+            _ => {
+                let (a, b) = (self.rows(), other.rows());
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() && j < b.len() {
+                    match a[i].cmp(&b[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => return true,
+                    }
+                }
+                false
             }
         }
     }
 
-    /// The shards this footprint lands on, in ascending order;
-    /// [`Footprint::All`] maps to every shard.
+    /// The shards this footprint lands on, in ascending order: each
+    /// row's [`shard_of`]. [`Footprint::all`] maps to every shard.
     pub fn shards(&self, shards: u32) -> BTreeSet<u32> {
-        match self {
-            Footprint::All => (0..shards).collect(),
-            Footprint::Rows(rows) => rows.iter().map(|(t, k)| shard_of(t, k, shards)).collect(),
+        match self.0 {
+            Rows::All => (0..shards).collect(),
+            _ => self.rows().iter().map(|&fp| shard(fp, shards)).collect(),
         }
+    }
+}
+
+/// A bounded footprint of the given fingerprints, in any order.
+impl FromIterator<u64> for Footprint {
+    fn from_iter<I: IntoIterator<Item = u64>>(fps: I) -> Self {
+        let mut fp = Footprint::empty();
+        fps.into_iter().for_each(|row| fp.add(row));
+        fp
     }
 }
 
@@ -137,11 +188,11 @@ fn collect_writes(op: &Op, fp: &mut Footprint) {
         Op::Put { table, key, .. }
         | Op::Delete { table, key }
         | Op::Incr { table, key, .. }
-        | Op::TsPut { table, key, .. } => fp.add(table, key),
-        Op::Proc { .. } => fp.union(Footprint::All),
+        | Op::TsPut { table, key, .. } => fp.add(row_fingerprint(table, key)),
+        Op::Proc { .. } => fp.0 = Rows::All,
         Op::Checked { expect, then } => {
             for (table, key, _) in expect {
-                fp.add(table, key);
+                fp.add(row_fingerprint(table, key));
             }
             for inner in then {
                 collect_writes(inner, fp);
@@ -157,15 +208,11 @@ fn collect_writes(op: &Op, fp: &mut Footprint) {
 }
 
 /// The rows a query reads. Scans, counts and digests are table- or
-/// database-wide and report [`Footprint::All`].
+/// database-wide and report [`Footprint::all`].
 pub fn read_set(query: &Query) -> Footprint {
     match query {
-        Query::Get { table, key } => {
-            let mut fp = Footprint::empty();
-            fp.add(table, key);
-            fp
-        }
-        Query::Scan { .. } | Query::Count { .. } | Query::Digest => Footprint::All,
+        Query::Get { table, key } => Footprint(Rows::One(row_fingerprint(table, key))),
+        Query::Scan { .. } | Query::Count { .. } | Query::Digest => Footprint::all(),
     }
 }
 
@@ -174,7 +221,7 @@ pub fn read_set(query: &Query) -> Footprint {
 pub fn action_footprint(update: &Op, query: Option<&Query>) -> Footprint {
     let mut fp = write_set(update);
     if let Some(q) = query {
-        fp.union(read_set(q));
+        fp.union(&read_set(q));
     }
     fp
 }
@@ -200,7 +247,7 @@ mod tests {
     fn table_is_part_of_the_row_coordinates() {
         // ("ab","c") and ("a","bc") must hash differently: the
         // separator keeps table/key concatenation unambiguous.
-        assert_ne!(row_hash("ab", "c"), row_hash("a", "bc"));
+        assert_ne!(row_fingerprint("ab", "c"), row_fingerprint("a", "bc"));
     }
 
     #[test]
@@ -227,40 +274,33 @@ mod tests {
                 name: "x".into(),
                 args: vec![]
             }),
-            Footprint::All
+            Footprint::all()
         );
         let batch = Op::Batch(vec![Op::put("t", "a", 1i64), Op::incr("u", "b", 1)]);
-        match write_set(&batch) {
-            Footprint::Rows(rows) => {
-                assert_eq!(rows.len(), 2);
-                assert!(rows.contains(&("t".into(), "a".into())));
-                assert!(rows.contains(&("u".into(), "b".into())));
-            }
-            Footprint::All => panic!("batch of puts has a bounded write set"),
-        }
+        let rows = write_set(&batch);
+        assert_eq!(rows.rows().len(), 2);
+        assert!(rows.contains(row_fingerprint("t", "a")));
+        assert!(rows.contains(row_fingerprint("u", "b")));
         // Checked: guard reads count toward placement.
         let checked = Op::Checked {
             expect: vec![("g".into(), "guard".into(), None)],
             then: vec![Op::put("t", "a", 1i64)],
         };
-        match write_set(&checked) {
-            Footprint::Rows(rows) => {
-                assert!(rows.contains(&("g".into(), "guard".into())));
-                assert!(rows.contains(&("t".into(), "a".into())));
-            }
-            Footprint::All => panic!("checked op has a bounded footprint"),
-        }
+        let rows = write_set(&checked);
+        assert!(rows.contains(row_fingerprint("g", "guard")));
+        assert!(rows.contains(row_fingerprint("t", "a")));
+        assert!(!rows.is_all(), "checked op has a bounded footprint");
     }
 
     #[test]
     fn read_sets_cover_each_variant() {
         assert!(!read_set(&Query::get("t", "k")).is_empty());
-        assert_eq!(read_set(&Query::scan("t", "")), Footprint::All);
+        assert_eq!(read_set(&Query::scan("t", "")), Footprint::all());
         assert_eq!(
             read_set(&Query::Count { table: "t".into() }),
-            Footprint::All
+            Footprint::all()
         );
-        assert_eq!(read_set(&Query::Digest), Footprint::All);
+        assert_eq!(read_set(&Query::Digest), Footprint::all());
     }
 
     #[test]
@@ -270,25 +310,29 @@ mod tests {
         let c = write_set(&Op::put("t", "other", 3i64));
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        assert!(Footprint::All.intersects(&a));
-        assert!(Footprint::All.intersects(&Footprint::All));
+        assert!(Footprint::all().intersects(&a));
+        assert!(Footprint::all().intersects(&Footprint::all()));
         // The empty footprint intersects nothing, not even All.
-        assert!(!Footprint::empty().intersects(&Footprint::All));
+        assert!(!Footprint::empty().intersects(&Footprint::all()));
         assert!(!Footprint::empty().intersects(&a));
     }
 
     #[test]
-    fn fingerprints_are_sorted_row_hashes() {
+    fn fingerprints_are_sorted_and_deduplicated() {
         let fp = write_set(&Op::Batch(vec![
-            Op::put("t", "a", 1i64),
             Op::put("t", "b", 2i64),
+            Op::put("t", "a", 1i64),
             Op::put("t", "a", 3i64),
+            Op::put("t", "c", 3i64),
         ]));
-        let fps = fp.fingerprints().expect("bounded footprint");
-        assert_eq!(fps.len(), 2);
+        let fps = fp.rows();
+        assert_eq!(fps.len(), 3);
         assert!(fps.windows(2).all(|w| w[0] < w[1]));
-        assert!(fps.contains(&row_fingerprint("t", "a")));
-        assert_eq!(Footprint::All.fingerprints(), None);
+        assert!(fp.contains(row_fingerprint("t", "a")));
+        assert!(!fp.contains(row_fingerprint("t", "d")));
+        assert_eq!(fp, fps.iter().rev().copied().collect());
+        assert!(Footprint::all().rows().is_empty());
+        assert!(Footprint::all().contains(row_fingerprint("t", "d")));
     }
 
     #[test]
@@ -300,6 +344,6 @@ mod tests {
         let shards = fp.shards(4);
         assert!(!shards.is_empty() && shards.len() <= 3);
         assert!(shards.iter().all(|&s| s < 4));
-        assert_eq!(Footprint::All.shards(3), (0..3).collect());
+        assert_eq!(Footprint::all().shards(3), (0..3).collect());
     }
 }

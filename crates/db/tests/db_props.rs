@@ -5,7 +5,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use todr_db::keys::row_fingerprint;
+use todr_db::conflict::{classify, conflicts};
+use todr_db::keys::{row_fingerprint, shard_of, write_set};
 use todr_db::{ApplyOutcome, Database, Op, Query, QueryResult, Value};
 
 /// A tiny self-contained splitmix64 generator, so these tests need no
@@ -602,5 +603,145 @@ fn table_layout_is_deterministic() {
             );
         }
         assert_eq!(format!("{rebuilt:?}"), format!("{live:?}"), "case {case}");
+    }
+}
+
+/// A footprint written as row strings, `None` when unbounded: the
+/// reference the fingerprint form is checked against.
+type RowStrings = Option<BTreeSet<(String, String)>>;
+
+/// The reference conflict class of one action.
+struct RefClass {
+    writes: RowStrings,
+    reads: RowStrings,
+    commutative: bool,
+    timestamped: bool,
+}
+
+fn ref_writes(op: &Op, out: &mut RowStrings) {
+    let mut add = |table: &str, key: &str| {
+        if let Some(rows) = out {
+            rows.insert((table.to_string(), key.to_string()));
+        }
+    };
+    match op {
+        Op::Put { table, key, .. }
+        | Op::Delete { table, key }
+        | Op::Incr { table, key, .. }
+        | Op::TsPut { table, key, .. } => add(table, key),
+        Op::Proc { .. } => *out = None,
+        Op::Checked { expect, then } => {
+            for (table, key, _) in expect {
+                add(table, key);
+            }
+            then.iter().for_each(|inner| ref_writes(inner, out));
+        }
+        Op::Batch(ops) => ops.iter().for_each(|inner| ref_writes(inner, out)),
+        Op::Noop => {}
+    }
+}
+
+fn ref_class(update: &Op, query: Option<&Query>) -> RefClass {
+    let mut writes = Some(BTreeSet::new());
+    ref_writes(update, &mut writes);
+    let reads = match query {
+        None => Some(BTreeSet::new()),
+        Some(Query::Get { table, key }) => Some(BTreeSet::from([(table.clone(), key.clone())])),
+        Some(Query::Scan { .. } | Query::Count { .. } | Query::Digest) => None,
+    };
+    RefClass {
+        writes,
+        reads,
+        commutative: update.is_commutative(),
+        timestamped: update.is_timestamped(),
+    }
+}
+
+fn ref_overlap(a: &RowStrings, b: &RowStrings) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (None, Some(rows)) | (Some(rows), None) => !rows.is_empty(),
+        (Some(a), Some(b)) => a.intersection(b).next().is_some(),
+    }
+}
+
+fn ref_conflicts(a: &RefClass, b: &RefClass) -> bool {
+    let order_insensitive = (a.commutative && b.commutative) || (a.timestamped && b.timestamped);
+    (ref_overlap(&a.writes, &b.writes) && !order_insensitive)
+        || ref_overlap(&a.reads, &b.writes)
+        || ref_overlap(&a.writes, &b.reads)
+}
+
+fn gen_class_query(rng: &mut Rng) -> Option<Query> {
+    match rng.below(7) {
+        0 | 1 => None,
+        2 | 3 => Some(Query::get(gen_table(rng), gen_key(rng))),
+        4 => Some(Query::scan(gen_table(rng), "")),
+        5 => Some(Query::Count {
+            table: gen_table(rng),
+        }),
+        _ => Some(Query::Digest),
+    }
+}
+
+/// The one conflict relation runs over row fingerprints. It never
+/// misses a conflict the row-string reference finds, it is symmetric,
+/// and with no two rows of the corpus sharing a fingerprint it finds
+/// exactly the reference's conflicts.
+#[test]
+fn fingerprint_relation_never_misses_a_row_string_conflict() {
+    let mut rng = Rng(0xdb0a);
+    let actions: Vec<(Op, Option<Query>)> = (0..300)
+        .map(|_| (gen_model_op(&mut rng), gen_class_query(&mut rng)))
+        .collect();
+    let exact: Vec<_> = actions
+        .iter()
+        .map(|(u, q)| (classify(u, q.as_ref()), ref_class(u, q.as_ref())))
+        .collect();
+    let mut rows = BTreeMap::new();
+    for (_, r) in &exact {
+        for (t, k) in r.writes.iter().chain(&r.reads).flatten() {
+            let fp = row_fingerprint(t, k);
+            assert_eq!(*rows.entry(fp).or_insert((t, k)), (t, k), "collision");
+        }
+    }
+    let (mut found, mut clear) = (0, 0);
+    for (a, ra) in &exact {
+        for (b, rb) in &exact {
+            let reference = ref_conflicts(ra, rb);
+            assert_eq!(conflicts(a, b), reference, "{a:?} vs {b:?}");
+            assert_eq!(conflicts(a, b), conflicts(b, a), "{a:?} vs {b:?}");
+            assert_eq!(a.unbounded(), ra.writes.is_none() || ra.reads.is_none());
+            if reference {
+                found += 1;
+            } else {
+                clear += 1;
+            }
+        }
+    }
+    // The corpus exercises both verdicts, not one.
+    assert!(
+        found > 10_000 && clear > 10_000,
+        "{found} conflicts, {clear} clear"
+    );
+}
+
+/// The shard router's placement comes from the same fingerprints: a
+/// footprint's `shards(n)` is each of its rows' `shard_of`, and an
+/// unbounded one lands on every shard.
+#[test]
+fn footprint_shards_are_each_rows_shard_of() {
+    let mut rng = Rng(0xdb0b);
+    for _ in 0..2000 {
+        let op = gen_model_op(&mut rng);
+        let mut rows = Some(BTreeSet::new());
+        ref_writes(&op, &mut rows);
+        for shards in [1u32, 2, 3, 4, 7, 13] {
+            let expect: BTreeSet<u32> = match &rows {
+                Some(rows) => rows.iter().map(|(t, k)| shard_of(t, k, shards)).collect(),
+                None => (0..shards).collect(),
+            };
+            assert_eq!(write_set(&op).shards(shards), expect, "{op:?}");
+        }
     }
 }

@@ -18,7 +18,8 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use todr_db::conflict::{digests_conflict, ClassDigest};
+use todr_db::conflict::{conflicts, ActionClass};
+use todr_db::keys::Footprint;
 use todr_sim::{DeliveredSlot, EventColor, ProtocolEvent, ReadTier, RecordedEvent};
 
 /// A violated trace property.
@@ -507,7 +508,7 @@ impl Vacant for Claim {
 #[derive(Debug)]
 struct Fast {
     /// Static conflict class exported at creation time.
-    digest: ClassDigest,
+    class: ActionClass,
     /// Receipt-time conflict snapshot at its origin, once taken: `None`
     /// = clean, `Some(other)` = `other` was in flight and conflicting
     /// (`other == action` encodes an unbounded own footprint). Mirrors
@@ -744,15 +745,15 @@ impl TraceOracle {
                 if color == EventColor::Red && node == creator {
                     let footprints = &self.footprints;
                     if let Some(f) = footprints.get(&id).filter(|f| f.snapshot.is_none()) {
-                        let fd = &f.digest;
-                        let conflict = if !fd.fast_eligible() {
+                        let fd = &f.class;
+                        let conflict = if fd.unbounded() {
                             Some(id)
                         } else {
                             node_inflight
                                 .iter()
                                 .filter(|&&(c, _)| c != creator)
                                 .find_map(|other| match footprints.get(other) {
-                                    Some(o) => digests_conflict(fd, &o.digest).then_some(*other),
+                                    Some(o) => conflicts(fd, &o.class).then_some(*other),
                                     // Bodies without an exported class
                                     // (reconfigurations, lost
                                     // footprints) are conservatively
@@ -841,19 +842,21 @@ impl TraceOracle {
             }
             ProtocolEvent::ActionFootprint(ref f) => {
                 let id = (f.node, f.action_seq);
-                let digest = ClassDigest {
-                    writes: f.writes.clone(),
-                    writes_unbounded: f.writes_unbounded,
-                    reads: f.reads.clone(),
-                    reads_unbounded: f.reads_unbounded,
+                let rows = |fps: &[u64], all: bool| match all {
+                    true => Footprint::all(),
+                    false => fps.iter().copied().collect(),
+                };
+                let class = ActionClass {
+                    writes: rows(&f.writes, f.writes_unbounded),
+                    reads: rows(&f.reads, f.reads_unbounded),
                     commutative: f.commutative,
                     timestamped: f.timestamped,
                 };
                 match self.footprints.entry(id) {
-                    Entry::Occupied(mut known) => known.get_mut().digest = digest,
+                    Entry::Occupied(mut known) => known.get_mut().class = class,
                     Entry::Vacant(slot) => {
                         slot.insert(Fast {
-                            digest,
+                            class,
                             snapshot: None,
                             committed: None,
                             position: None,
@@ -923,13 +926,8 @@ impl TraceOracle {
                         // Unbounded write sets cannot be attributed to
                         // a row; skipping them keeps the staleness
                         // check a sound necessary condition.
-                        if !f.digest.writes_unbounded {
-                            let mut fps = f.digest.writes.clone();
-                            fps.sort_unstable();
-                            fps.dedup();
-                            for fp in fps {
-                                *self.acked_writes_by_fp.entry(fp).or_insert(0) += 1;
-                            }
+                        for &fp in f.class.writes.rows() {
+                            *self.acked_writes_by_fp.entry(fp).or_insert(0) += 1;
                         }
                     }
                     Some(_) => {}
@@ -1001,12 +999,13 @@ impl TraceOracle {
                 .filter(|f| f.position.is_none());
             if let Some(f) = first_green {
                 f.position = Some(position);
-                let fd = &f.digest;
+                let fd = &f.class;
                 let entry = (position, id);
-                if fd.writes_unbounded || fd.reads_unbounded {
+                if fd.unbounded() {
                     self.unbounded_greens.push(entry);
                 }
-                let mut fps: Vec<u64> = fd.writes.iter().chain(fd.reads.iter()).copied().collect();
+                let both = fd.writes.rows().iter().chain(fd.reads.rows());
+                let mut fps: Vec<u64> = both.copied().collect();
                 fps.sort_unstable();
                 fps.dedup();
                 for fp in fps {
@@ -1213,13 +1212,13 @@ impl TraceOracle {
             let Some(pf) = fast.position else {
                 return Err(TraceViolation::FastCommitNeverGreen { action: f });
             };
-            let fd = &fast.digest;
+            let fd = &fast.class;
             // Bucket-local candidates: conflicting predecessors must
             // share a row fingerprint with `f` or carry an unbounded
             // side. The buckets are scanned in place (a green may sit in
             // several), and the violator reported is the smallest
             // action id, whichever bucket names it first.
-            let buckets = fd.writes.iter().chain(fd.reads.iter());
+            let buckets = fd.writes.rows().iter().chain(fd.reads.rows());
             let buckets = buckets.filter_map(|fp| self.greens_by_fp.get(fp));
             let mut revoked: Option<((u32, u64), u64)> = None;
             for &(pg, g) in buckets.chain([&self.unbounded_greens]).flatten() {
@@ -1232,10 +1231,10 @@ impl TraceOracle {
                 if revoked.is_some_and(|(r, _)| r <= g) {
                     continue; // a smaller violator is already known
                 }
-                let Some(gd) = self.footprints.get(&g).map(|g| &g.digest) else {
+                let Some(gd) = self.footprints.get(&g).map(|g| &g.class) else {
                     continue;
                 };
-                if !digests_conflict(fd, gd) {
+                if !conflicts(fd, gd) {
                     continue;
                 }
                 let seen = self.seen_at(f.0, g);
