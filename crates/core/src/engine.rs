@@ -5,7 +5,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use todr_db::conflict::classify;
 use todr_db::keys::row_fingerprint;
 use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
@@ -631,7 +630,7 @@ impl ReplicationEngine {
 
     fn accept_red(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>, announce: bool) -> bool {
         let id = action.id;
-        match self.k.accept_red(action) {
+        match self.k.accept_staged(&mut self.store, action) {
             Accept::New => {}
             Accept::Duplicate => return false,
             Accept::Ahead => {
@@ -642,7 +641,6 @@ impl ReplicationEngine {
             }
         }
         self.note_retained(ctx);
-        self.store.append_shared(action.accepted_entry());
         self.red_line += 1;
         if announce {
             self.note_ordered(ctx, id, EventColor::Red);
@@ -923,14 +921,14 @@ impl ReplicationEngine {
             query: req.query.clone(),
             update: req.update.clone(),
         };
-        let id = self.create_action(ctx, req.client, kind, req.size_bytes);
-        if self.cfg.consumes_receipts() {
-            // Export the static conflict class so the todr-check oracle
-            // can replay exactly the relation the engine evaluates.
-            let c = classify(&req.update, req.query.as_ref());
+        let action = self.create_action(ctx, req.client, kind, req.size_bytes);
+        // Export the body's static conflict class so the todr-check
+        // oracle can replay exactly the relation the engine evaluates.
+        let class = self.cfg.consumes_receipts().then(|| action.class());
+        if let Some(c) = class.flatten() {
             ctx.emit(ProtocolEvent::ActionFootprint(Box::new(Footprint {
                 node: self.cfg.me.index(),
-                action_seq: id.index,
+                action_seq: action.id.index,
                 writes: c.writes.rows().to_vec(),
                 writes_unbounded: c.writes.is_all(),
                 reads: c.reads.rows().to_vec(),
@@ -940,7 +938,7 @@ impl ReplicationEngine {
             })));
         }
         self.v.pending_replies.insert(
-            id,
+            action.id,
             PendingReply {
                 request: req.request,
                 reply_to: req.reply_to,
@@ -959,19 +957,18 @@ impl ReplicationEngine {
         ctx: &mut Ctx<'_>,
         client: ClientId,
         kind: ActionKind,
-        size_bytes: u32,
-    ) -> ActionId {
+        size: u32,
+    ) -> Rc<Body> {
         self.v.advertised = self.v.advertised.max(self.k.green_count);
-        let action = self.k.create_action(client, kind, size_bytes);
-        let id = action.id;
+        let action = self.k.create_action(&mut self.store, client, kind, size);
         ctx.metrics().incr(metric!("engine.actions_created"), 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
-            action_seq: id.index,
+            action_seq: action.id.index,
         });
-        self.v.submit_queue.push(action);
+        self.v.submit_queue.push(Rc::clone(&action));
         self.flush_submit_queue(ctx);
-        id
+        action
     }
 
     /// Pipelined group commit: issue at most one forced write for all
@@ -1604,7 +1601,8 @@ impl ReplicationEngine {
         // A backend I/O failure here means the host disk broke under
         // us — there is no protocol-level answer to that, so stop hard
         // rather than acknowledge durability that does not exist.
-        persist::commit(&mut self.store, &mut self.k)
+        self.store
+            .commit_staged()
             .expect("storage backend failed to persist staged state");
         match after {
             AfterSync::Submit(actions) => {

@@ -110,12 +110,10 @@ pub(crate) struct Knowledge {
     /// paper's `ongoingQueue`), all above its red cut: each rule that
     /// moves the cut drops what it covers (`trim_ongoing`).
     ongoing: BTreeMap<u64, Rc<Body>>,
-    /// The highest index this server created (`actionIndex`), committed
-    /// with the queue: a recovered log can end below an action already
-    /// sent (a faulty final record is cut as a torn write).
-    action_index: u64,
-    /// Whether `ongoing` changed since a commit last staged it.
-    ongoing_changed: bool,
+    /// The highest index this server created (`actionIndex`), staged
+    /// with each creation: a recovered log can end below an action
+    /// already sent (a faulty final record is cut as a torn write).
+    pub(crate) action_index: u64,
 }
 
 impl Knowledge {
@@ -139,7 +137,6 @@ impl Knowledge {
             server_set,
             ongoing: BTreeMap::new(),
             action_index: 0,
-            ongoing_changed: false,
         }
     }
 
@@ -184,13 +181,14 @@ impl Knowledge {
         self.ongoing.is_empty() && own.is_none_or(|c| c.red == c.green)
     }
 
-    /// Creates this server's next action, carrying its green line, and
-    /// queues it until it is red here. Its index is above every index
-    /// this server used: the counter, the queue and the red cut each
-    /// bound them, and a crash can lose either of the first two's last
-    /// commit or the log's last record, never all three.
+    /// Creates this server's next action, carrying its green line,
+    /// queues it until it is red here, and stages its `Accepted` entry
+    /// and the counter. Its index is above every index this server used:
+    /// a crash can lose the counter's last commit or the log's last
+    /// record, never both.
     pub(crate) fn create_action(
         &mut self,
+        store: &mut todr_storage::StorageHandle,
         client: ClientId,
         kind: ActionKind,
         size_bytes: u32,
@@ -206,9 +204,27 @@ impl Knowledge {
             kind,
             size_bytes,
         });
-        self.ongoing.insert(index, Rc::clone(&action));
-        self.ongoing_changed = true;
+        self.queue_own(Rc::clone(&action));
+        crate::persist::stage_created(store, &action);
         action
+    }
+
+    /// Queues one of this server's actions until it is red here (the
+    /// creation's rule, and recovery's for a logged own body); `false`,
+    /// changing nothing, for another's, one red here, or one queued.
+    pub(crate) fn queue_own(&mut self, action: Rc<Body>) -> bool {
+        let id = action.id;
+        let queued = self.ongoing.contains_key(&id.index);
+        if id.server != self.me || id.index <= self.red_cut(self.me) || queued {
+            return false;
+        }
+        self.ongoing.insert(id.index, action);
+        true
+    }
+
+    /// The queued own action `id`.
+    pub(crate) fn queued(&self, id: &ActionId) -> Option<&Rc<Body>> {
+        (id.server == self.me).then(|| self.ongoing.get(&id.index))?
     }
 
     /// The queued own actions, in index order.
@@ -216,29 +232,11 @@ impl Knowledge {
         self.ongoing.values()
     }
 
-    /// Takes the persisted counter and queue back after the log replay,
-    /// less what the log shows red (a torn crash can keep an `Accepted`
-    /// entry, not the queue).
-    pub(crate) fn restore_ongoing(&mut self, action_index: u64, queue: Vec<Action>) {
-        self.action_index = action_index;
-        let queue = queue.into_iter().map(|a| (a.id.index, Body::new(a)));
-        self.ongoing = queue.collect();
-        self.trim_ongoing();
-    }
-
-    /// The counter and the queue, if the queue changed since the last
-    /// call (a commit stages them; only a creation moves the counter).
-    pub(crate) fn take_ongoing_change(&mut self) -> Option<(u64, impl Iterator<Item = &Action>)> {
-        let queue = self.ongoing.values().map(|body| body.action());
-        std::mem::take(&mut self.ongoing_changed).then_some((self.action_index, queue))
-    }
-
     /// Restores the queue's invariant after this server's red cut moved.
     fn trim_ongoing(&mut self) {
         let red = self.red_cut(self.me);
         while let Some(entry) = self.ongoing.first_entry().filter(|e| *e.key() <= red) {
             entry.remove();
-            self.ongoing_changed = true;
         }
     }
 
@@ -622,11 +620,7 @@ mod tests {
         }
 
         fn accept(&mut self, action: &Rc<Body>) -> Accept {
-            let verdict = self.k.accept_red(action);
-            if verdict == Accept::New {
-                self.store.append_shared(action.accepted_entry());
-            }
-            verdict
+            self.k.accept_staged(&mut self.store, action)
         }
 
         fn green(&mut self, action: &Body) -> bool {
@@ -646,7 +640,7 @@ mod tests {
         /// the store back.
         fn sync_crash_load(&mut self) -> Knowledge {
             self.k.save_records(&mut self.store);
-            persist::commit(&mut self.store, &mut self.k).expect("sim store cannot fail");
+            self.store.commit_staged().expect("sim store cannot fail");
             self.store.crash();
             persist::load(&self.store, &Knowledge::new(NodeId::new(ME), []), true)
                 .expect("clean store loads")
@@ -675,10 +669,10 @@ mod tests {
         }
     }
 
-    /// The rules exist once: for random interleavings of accept / green
-    /// / prune / adopt-base over several creators, what `persist::load`
-    /// folds out of the log and records the live path wrote equals what
-    /// the live path holds.
+    /// The rules exist once: for random interleavings of create / accept
+    /// (own queued actions included) / green / prune / adopt-base over
+    /// several creators, what `persist::load` folds out of the log and
+    /// records the live path wrote equals what the live path holds.
     #[test]
     fn live_and_replayed_knowledge_agree() {
         for seed in 0..150u64 {
@@ -687,19 +681,21 @@ mod tests {
             for _ in 0..120 {
                 let creator = rng.gen_range(CREATORS as u64) as u32;
                 match rng.gen_range(16) {
-                    // Accept: the creator's next, a duplicate, or ahead.
+                    // Accept: the creator's next, a duplicate, or ahead;
+                    // an own action is its queued body if it has one.
                     0..=6 => {
                         let next = red(&r.k, creator) + 1;
                         let index = (next + rng.gen_range(4)).saturating_sub(2).max(1);
-                        let verdict = r.accept(&action(creator, index));
+                        let body = action(creator, index);
+                        let body = r.k.queued(&body.id).cloned().unwrap_or(body);
+                        let verdict = r.accept(&body);
                         assert_eq!(verdict == Accept::New, index == next);
                     }
                     // Green the creator's oldest red (per-creator FIFO),
                     // or an already green action (a no-op).
                     7..=10 => {
-                        let next = green(&r.k, creator) + 1;
-                        if next <= red(&r.k, creator) {
-                            assert!(r.green(&action(creator, next)));
+                        if let Some(body) = r.k.next_green(NodeId::new(creator)).cloned() {
+                            assert!(r.green(&body));
                         }
                         let done = green(&r.k, creator);
                         assert!(done == 0 || !r.green(&action(creator, done)));
@@ -735,7 +731,7 @@ mod tests {
                     14 => {
                         r.k.attempt_index += 1;
                         let kind = action(ME, 0).kind.clone();
-                        let own = r.k.create_action(ClientId(1), kind, 200);
+                        let own = r.k.create_action(&mut r.store, ClientId(1), kind, 200);
                         r.k.yellow.set.push(own.id);
                     }
                     _ => assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}"),
@@ -750,30 +746,26 @@ mod tests {
         k.own_queue().map(|b| b.id.index).collect()
     }
 
-    /// A torn crash can make an own action's `Accepted` entry durable
-    /// and lose the queue record that no longer held it: recovery drops
-    /// what the replayed log shows red, so the action cannot stay queued
-    /// (blocking every strict query) forever, and the next action takes
-    /// the index after the queue.
+    /// The queue is the own bodies the log holds above their red marks:
+    /// recovery drops what the replayed log shows red, so an action
+    /// cannot stay queued (blocking every strict query) forever, and the
+    /// next action takes the index after the queue.
     #[test]
     fn load_drops_a_queued_own_action_its_log_shows_red() {
-        let mut store = StorageHandle::sim();
-        let queue = [action(ME, 1), action(ME, 2)];
-        let queue: Vec<&Action> = queue.iter().map(|b| b.action()).collect();
-        store.put_record(persist::K_ONGOING, &queue);
-        store.append_shared(action(ME, 1).accepted_entry());
-        assert!(store.commit_staged().is_ok());
+        let mut r = Replica::new();
+        let kind = action(ME, 0).kind.clone();
+        let first =
+            r.k.create_action(&mut r.store, ClientId(1), kind.clone(), 200);
+        r.k.create_action(&mut r.store, ClientId(1), kind.clone(), 200);
+        assert_eq!(r.accept(&first), Accept::New);
+        assert!(r.store.commit_staged().is_ok());
         let held = Knowledge::new(NodeId::new(ME), []);
-        let Ok(mut k) = persist::load(&store, &held, true) else {
+        let Ok(mut k) = persist::load(&r.store, &held, true) else {
             panic!("clean store loads");
         };
         assert_eq!((red(&k, ME), queued(&k)), (1, vec![2]));
-        assert!(
-            k.take_ongoing_change().is_some(),
-            "the trimmed queue is saved"
-        );
-        let kind = action(ME, 0).kind.clone();
-        assert_eq!(k.create_action(ClientId(1), kind, 200).id.index, 3);
+        let own = k.create_action(&mut r.store, ClientId(1), kind, 200);
+        assert_eq!(own.id.index, 3);
     }
 
     /// A base whose cut covers queued own actions (they went green
@@ -782,15 +774,16 @@ mod tests {
     #[test]
     fn adopt_base_drops_queued_own_actions_its_cut_covers() {
         let mut k = Knowledge::new(NodeId::new(ME), (0..CREATORS).map(NodeId::new));
-        let kind = action(ME, 0).kind.clone();
+        let (kind, mut store) = (action(ME, 0).kind.clone(), StorageHandle::sim());
         for _ in 0..3 {
-            k.create_action(ClientId(1), kind.clone(), 200);
+            k.create_action(&mut store, ClientId(1), kind.clone(), 200);
         }
         assert_eq!(queued(&k), vec![1, 2, 3]);
         k.adopt_base(base(2, &[(NodeId::new(ME), 2)].into()), &BTreeMap::new());
         assert_eq!(queued(&k), vec![3]);
         assert!(!k.own_actions_green());
-        assert_eq!(k.create_action(ClientId(1), kind, 200).id.index, 4);
+        let own = k.create_action(&mut store, ClientId(1), kind, 200);
+        assert_eq!(own.id.index, 4);
         assert_eq!(k.accept_red(&action(ME, 3)), Accept::New);
         assert_eq!(queued(&k), vec![4]);
     }

@@ -5,27 +5,27 @@
 //! file backend):
 //!
 //! * an **append-only log** of [`PersistEntry`] values — every action
-//!   body once (when first accepted, i.e. marked red) and every green
-//!   transition (by id);
-//! * small **records**: the primary component, the attempt index, the
-//!   vulnerable and yellow records, green lines, the server set, the
-//!   creator counter and the `ongoingQueue` (these two staged together
-//!   by [`commit`]).
+//!   body once (a peer's when first accepted, i.e. marked red; an own
+//!   one at its creation, so the `ongoingQueue` is the own bodies not
+//!   yet red) and, by id, every own red mark and every green transition;
+//! * small **records**: the base, the membership records, the creator
+//!   counter (staged with each creation) and the incarnation.
 //!
 //! All writes are staged; the engine's `** sync to disk` points request a
 //! forced write from the [`DiskActor`](todr_storage::DiskActor) and the
-//! staging area is committed ([`commit`]) when the platter write
-//! completes. A crash discards staged data, so recovery sees exactly the
-//! state as of the last completed sync — which is the assumption the
-//! paper's recovery procedure (Appendix A, CodeSegment A.13) is built on.
+//! staging area is committed when the platter write completes. A crash
+//! discards staged data, so recovery sees exactly the state as of the
+//! last completed sync — which is the assumption the paper's recovery
+//! procedure (Appendix A, CodeSegment A.13) is built on.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::rc::Rc;
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use todr_net::NodeId;
-use todr_storage::{encode_record, LogFaultKind, SharedEntry, StorageError, StorageHandle};
+use todr_storage::{encode_record, LogFaultKind, SharedEntry, StorageHandle};
 
 use crate::action::{Action, ActionId, Body};
 use crate::knowledge::{Accept, Knowledge};
@@ -101,11 +101,14 @@ impl std::error::Error for RecoveryError {}
 /// One entry in the persisted action log, as recovery reads it back.
 #[derive(Debug, Deserialize)]
 pub(crate) enum PersistEntry {
-    /// An action body, logged when the action is first accepted.
+    /// An action body: a peer's, logged when the action is first
+    /// accepted here; this server's own, logged when it is created.
     Accepted(Action),
     /// The action became green (global order position implied by entry
     /// order).
     Green(ActionId),
+    /// An own action, logged at its creation, became red here.
+    Red(ActionId),
 }
 
 /// The write side of [`PersistEntry`]: the same variants in the same
@@ -114,6 +117,7 @@ pub(crate) enum PersistEntry {
 enum LogEntry<'a> {
     Accepted(&'a Action),
     Green(ActionId),
+    Red(ActionId),
 }
 
 /// `action`'s [`PersistEntry::Accepted`], encoded. Each body is encoded
@@ -138,10 +142,31 @@ pub(crate) const K_YELLOW: &str = "yellow";
 pub(crate) const K_GREEN_LINES: &str = "green_lines";
 pub(crate) const K_SERVER_SET: &str = "server_set";
 pub(crate) const K_ACTION_INDEX: &str = "action_index";
-pub(crate) const K_ONGOING: &str = "ongoing";
 const K_INCARNATION: &str = "incarnation";
 
 impl Knowledge {
+    /// `MarkRed` ([`Knowledge::accept_red`]), staging what replays it
+    /// when it accepts ([`Knowledge::stage_red`]).
+    pub(crate) fn accept_staged(&mut self, store: &mut StorageHandle, action: &Rc<Body>) -> Accept {
+        let logged = self.queued(&action.id).is_some();
+        let verdict = self.accept_red(action);
+        if verdict == Accept::New {
+            self.stage_red(store, action, logged);
+        }
+        verdict
+    }
+
+    /// Stages a red body: its `Accepted` entry unless it is `logged` (an
+    /// own action's, at its creation), and an own action's red mark.
+    fn stage_red(&self, store: &mut StorageHandle, body: &Body, logged: bool) {
+        if !logged {
+            store.append_shared(body.accepted_entry());
+        }
+        if body.id.server == self.me {
+            store.append_shared(&SharedEntry::encode(&LogEntry::Red(body.id)));
+        }
+    }
+
     /// Stages the membership records (Appendix A's `primComponent`,
     /// `attemptIndex`, `vulnerable`, `yellow`, `greenLines`,
     /// `serverSet`).
@@ -155,7 +180,8 @@ impl Knowledge {
     }
 
     /// Compacts persistence: the current green state becomes the base
-    /// record and the log restarts with the red bodies on top of it.
+    /// record and the log restarts with the red bodies on top of it (an
+    /// own one with its red mark), then the queued own bodies.
     /// The base record is a [`GreenBase`], so what recovery reads back
     /// is adopted by the rule every other base takes.
     ///
@@ -171,20 +197,19 @@ impl Knowledge {
         store.put_record_shared(K_BASE, bytes);
         store.truncate_log();
         for body in self.red_bodies() {
+            self.stage_red(store, body, false);
+        }
+        for body in self.own_queue() {
             store.append_shared(body.accepted_entry());
         }
     }
 }
 
-/// A forced write completed: makes everything staged durable, staging
-/// the creator counter and the `ongoingQueue` (a `Vec` in index order)
-/// first if the queue changed.
-pub(crate) fn commit(store: &mut StorageHandle, k: &mut Knowledge) -> Result<(), StorageError> {
-    if let Some((action_index, queue)) = k.take_ongoing_change() {
-        store.put_record(K_ACTION_INDEX, &action_index);
-        store.put_record(K_ONGOING, &queue.collect::<Vec<_>>());
-    }
-    store.commit_staged()
+/// Stages an own action at its creation ([`Knowledge::create_action`]):
+/// its `Accepted` entry and the creator counter, its index.
+pub(crate) fn stage_created(store: &mut StorageHandle, action: &Body) {
+    store.put_record(K_ACTION_INDEX, &action.id.index);
+    store.append_shared(action.accepted_entry());
 }
 
 /// The named record `key`, if any.
@@ -202,12 +227,12 @@ fn record<T: DeserializeOwned>(
 
 /// Reads the persisted image back (after a simulated crash): the base
 /// record and the green lines, taken by the one adoption rule
-/// ([`Knowledge::adopt_base`]), the live colouring rules
-/// ([`Knowledge::accept_red`], [`Knowledge::mark_green`]) folded over
-/// the log on top of it — which rebuilds the green database as it goes
-/// — and the named records, the creator counter and `ongoingQueue` last
-/// (the queue less what the log shows red). `held` supplies the primary component and server set for
-/// a store that never completed a forced write holding them.
+/// ([`Knowledge::adopt_base`]), the live rules ([`Knowledge::queue_own`],
+/// [`Knowledge::accept_red`], [`Knowledge::mark_green`]) folded over the
+/// log on top of it — which rebuilds the green database and the
+/// own-action queue as it goes — and the named records. `held` supplies
+/// the primary component and server set for a store that never
+/// completed a forced write holding them.
 ///
 /// # Errors
 ///
@@ -234,7 +259,6 @@ pub(crate) fn load(
     let entries: Vec<PersistEntry> = (log.iter().enumerate())
         .map(|(index, record)| record.decode().map_err(|_| undecodable(index as u64)))
         .collect::<Result<_, _>>()?;
-    let ongoing: Vec<Action> = record(store, K_ONGOING)?.unwrap_or_default();
     let green_lines = record(store, K_GREEN_LINES)?.unwrap_or_default();
     let mut k = Knowledge::new(held.me, []);
     k.adopt_base(base, &green_lines);
@@ -245,13 +269,20 @@ pub(crate) fn load(
     k.server_set = record(store, K_SERVER_SET)?
         .filter(|set: &BTreeSet<NodeId>| !set.is_empty())
         .unwrap_or_else(|| held.server_set.clone());
-    let action_index = record(store, K_ACTION_INDEX)?.unwrap_or(0);
+    k.action_index = record(store, K_ACTION_INDEX)?.unwrap_or(0);
     // Only the `SkipChecksumVerify` mutation replays an unverified log,
     // where a stale sector is a no-op and a green mark is applied
     // whenever its body is red here.
     for (index, entry) in (0..).zip(entries) {
         let follows = match entry {
+            PersistEntry::Accepted(action) if action.id.server == k.me => {
+                k.queue_own(Body::new(action))
+            }
             PersistEntry::Accepted(action) => k.accept_red(&Body::new(action)) == Accept::New,
+            PersistEntry::Red(id) => {
+                let body = k.queued(&id).cloned();
+                body.is_some_and(|body| k.accept_red(&body) == Accept::New)
+            }
             PersistEntry::Green(id) => {
                 let next = k.next_green(id.server).filter(|body| body.id == id);
                 let body = if verified { next } else { k.red_body(&id) };
@@ -262,7 +293,6 @@ pub(crate) fn load(
             return Err(undecodable(index));
         }
     }
-    k.restore_ongoing(action_index, ongoing);
     Ok(k)
 }
 
@@ -327,9 +357,13 @@ mod tests {
     use todr_db::Op;
     use todr_storage::seal_record;
 
+    /// The replica the stores belong to: it created none of the
+    /// actions below but those of creator 9.
+    const HOLDER: NodeId = NodeId::new(9);
+
     /// Loads on top of a replica that was configured with no servers.
     fn load(store: &StorageHandle) -> Result<Knowledge, RecoveryError> {
-        super::load(store, &Knowledge::new(NodeId::new(0), []), true)
+        super::load(store, &Knowledge::new(HOLDER, []), true)
     }
 
     fn action(server: u32, index: u64) -> Rc<Body> {
@@ -400,7 +434,7 @@ mod tests {
         store.put_record(K_ATTEMPT, &7u64);
         let vul = VulnerableRecord::new_attempt(1, 2, (0..2).map(NodeId::new));
         store.put_record(K_VULNERABLE, &vul);
-        store.put_record(K_ONGOING, &vec![action(0, 1).action()]);
+        store.append_shared(action(9, 1).accepted_entry());
         store.commit_staged().unwrap();
         let st = load(&store).expect("clean records load");
         assert_eq!(st.prim_component, prim);
@@ -465,7 +499,8 @@ mod tests {
         let base = pinned_base();
         let mut store = StorageHandle::sim();
         store.put_record_bytes(K_BASE, seal_record(&BASE_BYTES));
-        let st = load(&store).expect("base loads");
+        let st = super::load(&store, &Knowledge::new(NodeId::new(0), []), true);
+        let st = st.expect("base loads");
         assert_eq!(st.green_base(), base);
         assert_eq!(st.db.row_version("t", "k"), base.db.row_version("t", "k"));
         assert_eq!((st.green_count, st.green_floor()), (3, 3));
@@ -551,7 +586,7 @@ mod tests {
         }
         // Unverified, a stale duplicate is a no-op.
         let store = logged(&[(action(0, 1), false), (action(0, 1), false)]);
-        let k = super::load(&store, &Knowledge::new(NodeId::new(0), []), false);
+        let k = super::load(&store, &Knowledge::new(HOLDER, []), false);
         assert!(k.is_ok_and(|k| k.red_cut(NodeId::new(0)) == 1));
     }
 
@@ -598,7 +633,7 @@ mod tests {
         store: &mut StorageHandle,
         verify: bool,
     ) -> (Option<u64>, Result<Knowledge, RecoveryError>) {
-        super::recover(store, &Knowledge::new(NodeId::new(0), []), verify)
+        super::recover(store, &Knowledge::new(HOLDER, []), verify)
     }
 
     #[test]
@@ -615,37 +650,65 @@ mod tests {
     }
 
     /// A fault in the final log record is cut as a torn write even when
-    /// that record is an own action's `Accepted` entry, committed with
-    /// the queue that dropped the action after it was sent. The counter
-    /// committed with the queue keeps the next action off its index.
+    /// that record is an own action's `Accepted` entry, logged at its
+    /// creation and committed before the action was sent. The counter
+    /// committed with it keeps the next action off its index.
     #[test]
     fn a_cut_final_own_accept_leaves_its_index_used() {
         let me = NodeId::new(0);
         let kind = || action(0, 0).kind.clone();
         for seed in 0..8 {
+            // Action 1 goes green into the base; the log restarts with a
+            // peer's action, then action 2's creation.
             let mut store = StorageHandle::sim();
             let mut k = Knowledge::new(me, []);
-            for _ in 0..2 {
-                let own = k.create_action(ClientId(1), kind(), 200);
-                assert!(commit(&mut store, &mut k).is_ok());
-                assert_eq!(k.accept_red(&own), Accept::New);
-                store.append_shared(own.accepted_entry());
-                assert!(commit(&mut store, &mut k).is_ok());
-            }
+            let own = k.create_action(&mut store, ClientId(1), kind(), 200);
+            assert_eq!(k.accept_staged(&mut store, &own), Accept::New);
+            assert!(k.mark_green(&own));
+            k.save_base(&mut store);
+            assert_eq!(k.accept_staged(&mut store, &action(1, 1)), Accept::New);
+            assert!(store.commit_staged().is_ok());
+            k.create_action(&mut store, ClientId(1), kind(), 200);
+            assert!(store.commit_staged().is_ok());
             let rng = &mut todr_sim::SimRng::new(seed);
             if store.inject_bit_flip(rng).is_none_or(|f| f.index != 1) {
                 continue; // the flip missed the final record
             }
-            let (torn, k) = recover(&mut store, true);
+            let (torn, k) = super::recover(&mut store, &Knowledge::new(me, []), true);
             assert_eq!(torn, Some(1));
             let Ok(mut k) = k else {
                 panic!("a torn tail recovers");
             };
             assert_eq!((k.red_cut(me), k.own_queue().count()), (1, 0));
-            assert_eq!(k.create_action(ClientId(1), kind(), 200).id.index, 3);
+            let own = k.create_action(&mut store, ClientId(1), kind(), 200);
+            assert_eq!(own.id.index, 3);
             return;
         }
         panic!("no seed flipped the final record");
+    }
+
+    /// The forced write that follows an own action's creation carries
+    /// its body and the counter, however many actions are queued ahead
+    /// of it (a partition queues them all).
+    #[test]
+    fn the_bytes_staged_for_a_queued_own_action_do_not_grow_with_the_queue() {
+        let dir = std::env::temp_dir().join(format!("todr-persist-queue-{}", std::process::id()));
+        let Ok(mut store) = StorageHandle::file(&dir) else {
+            panic!("file store opens");
+        };
+        let mut k = Knowledge::new(NodeId::new(0), []);
+        let mut written = Vec::new();
+        for _ in 0..100 {
+            k.create_action(&mut store, ClientId(1), action(0, 0).kind.clone(), 200);
+            let before = store.io_stats().map(|io| io.file_bytes_written);
+            assert!(store.commit_staged().is_ok());
+            let after = store.io_stats().map(|io| io.file_bytes_written);
+            written.push(after.zip(before).map_or(0, |(a, b)| a - b));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(k.own_queue().count(), 100);
+        assert!(written[0] > 0);
+        assert!(written.iter().all(|&w| w == written[0]), "{written:?}");
     }
 
     #[test]

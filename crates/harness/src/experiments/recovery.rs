@@ -9,13 +9,18 @@
 //! claim (only *vulnerable* actions can be lost, never green ones)
 //! priced in virtual time.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use todr_sim::{ProtocolEvent, SimDuration};
 
 use crate::client::ClientConfig;
 use crate::cluster::{BackendKind, Cluster, ClusterConfig};
 
-use super::{first_time, render_table};
+use super::{first_time, render_table, Gate};
+
+/// The most real fsyncs a forced write may cost outside checkpoints:
+/// one append, synced once. A torn crash's repair writes (what landed,
+/// and the recovery-time cut) are the slack above 1.
+pub const MAX_FSYNCS_PER_FORCED_WRITE: f64 = 1.01;
 
 /// Aggregated wall-clock disk statistics across every server, reported
 /// only when the cluster ran on [`BackendKind::File`]. This is the real
@@ -23,16 +28,49 @@ use super::{first_time, render_table};
 /// next to the virtual-time figure the sim charges (10 ms per platter
 /// sync, amortised by group commit to a ~3.25 ms mean commit latency in
 /// the scale sweep).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DiskWallClock {
     /// `fsync`/`sync_all` calls issued across all servers.
     pub fsyncs: u64,
+    /// Forced writes that made staged data durable, checkpoints
+    /// excluded, across all servers.
+    pub forced_writes: u64,
+    /// Of `fsyncs`, those the checkpoints issued.
+    pub checkpoint_fsyncs: u64,
     /// Mean wall-clock microseconds per sync.
     pub mean_fsync_micros: f64,
     /// Slowest single sync observed on any server, in microseconds.
     pub max_fsync_micros: f64,
     /// Bytes written to backing files (log frames + checkpoints).
     pub file_bytes_written: u64,
+}
+
+impl DiskWallClock {
+    /// Real fsyncs per forced write, checkpoints excluded (NaN with no
+    /// forced write).
+    pub fn fsyncs_per_forced_write(&self) -> f64 {
+        if self.forced_writes == 0 {
+            return f64::NAN;
+        }
+        (self.fsyncs - self.checkpoint_fsyncs) as f64 / self.forced_writes as f64
+    }
+
+    /// The file-backed run's gate: outside checkpoints, a forced write
+    /// is one append and one fsync
+    /// ([`MAX_FSYNCS_PER_FORCED_WRITE`]).
+    pub fn gate(&self, headline: String) -> Gate {
+        let mut gate = Gate::new(headline);
+        let per_write = self.fsyncs_per_forced_write();
+        gate.check(
+            per_write <= MAX_FSYNCS_PER_FORCED_WRITE,
+            format!(
+                "fsyncs per forced write {per_write:.4} above {MAX_FSYNCS_PER_FORCED_WRITE} \
+                 ({} fsyncs, {} at checkpoints, {} forced writes)",
+                self.fsyncs, self.checkpoint_fsyncs, self.forced_writes
+            ),
+        );
+        gate
+    }
 }
 
 /// The experiment's data.
@@ -153,11 +191,15 @@ pub fn run_with_backend(
         if let Some(io) = cluster.with_engine(i, |e| e.storage().io_stats()) {
             let d = disk.get_or_insert(DiskWallClock {
                 fsyncs: 0,
+                forced_writes: 0,
+                checkpoint_fsyncs: 0,
                 mean_fsync_micros: 0.0,
                 max_fsync_micros: 0.0,
                 file_bytes_written: 0,
             });
             d.fsyncs += io.fsyncs;
+            d.forced_writes += io.forced_writes;
+            d.checkpoint_fsyncs += io.checkpoint_fsyncs;
             // Re-derive the mean from summed totals below; stash the
             // nano sum in the mean field until the loop ends.
             d.mean_fsync_micros += io.fsync_nanos as f64;
@@ -232,6 +274,14 @@ impl RecoveryReport {
                 format!("{}", d.fsyncs),
             ]);
             rows.push(vec![
+                "forced writes (checkpoints excluded)".to_string(),
+                format!("{}", d.forced_writes),
+            ]);
+            rows.push(vec![
+                "fsyncs per forced write (checkpoints excluded)".to_string(),
+                format!("{:.3}", d.fsyncs_per_forced_write()),
+            ]);
+            rows.push(vec![
                 "real mean fsync (µs, wall clock)".to_string(),
                 format!("{:.1}", d.mean_fsync_micros),
             ]);
@@ -255,9 +305,15 @@ impl RecoveryReport {
         let disk = match &self.disk {
             None => "null".to_string(),
             Some(d) => format!(
-                "{{\n    \"fsyncs\": {},\n    \"mean_fsync_micros\": {:.3},\n    \
+                "{{\n    \"fsyncs\": {},\n    \"forced_writes\": {},\n    \
+                 \"checkpoint_fsyncs\": {},\n    \"mean_fsync_micros\": {:.3},\n    \
                  \"max_fsync_micros\": {:.3},\n    \"file_bytes_written\": {}\n  }}",
-                d.fsyncs, d.mean_fsync_micros, d.max_fsync_micros, d.file_bytes_written
+                d.fsyncs,
+                d.forced_writes,
+                d.checkpoint_fsyncs,
+                d.mean_fsync_micros,
+                d.max_fsync_micros,
+                d.file_bytes_written
             ),
         };
         format!(

@@ -65,10 +65,12 @@ impl Entry {
                 let r = recovery::run_with_backend(5, 2, 42, backend);
                 let gate = r.disk.map(|d| {
                     let (fsyncs, mean_us) = (d.fsyncs, d.mean_fsync_micros);
+                    let per_write = d.fsyncs_per_forced_write();
                     let (charge_ms, torn) = (r.simulated_sync_latency_ms, r.torn_tail_truncated);
-                    Gate::new(format!(
-                        "file-backed recovery: {fsyncs} fsyncs, mean {mean_us:.0} µs (virtual \
-                         charge {charge_ms:.0} ms), torn tail truncated: {torn}"
+                    d.gate(format!(
+                        "file-backed recovery: {fsyncs} fsyncs, {per_write:.3} per forced write \
+                         outside checkpoints, mean {mean_us:.0} µs (virtual charge \
+                         {charge_ms:.0} ms), torn tail truncated: {torn}"
                     ))
                 });
                 Outcome {

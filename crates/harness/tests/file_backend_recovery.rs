@@ -202,3 +202,72 @@ fn file_backend_bit_flip_fail_stops_recovery() {
     // Survivors are unaffected by one replica's rotten disk.
     cluster.check_consistency();
 }
+
+/// Replica 0's forced-write cost on the file backend, three replicas
+/// checkpointing every 32 greens: `preload` clients first write their
+/// 64 keys each, then one client on replica 0 runs for a second.
+/// Returns the rows the database then holds, and over that second at
+/// replica 0, checkpoints excluded, the real fsyncs per forced write
+/// and the bytes written per committed action.
+fn forced_write_probe(preload: usize) -> (usize, f64, f64) {
+    let config = ClusterConfig::builder(3, 0xD15C)
+        .backend(BackendKind::File)
+        .checkpoint_interval(32)
+        .build()
+        .expect("coherent config");
+    let mut cluster = Cluster::build(config);
+    cluster.settle();
+    for c in 0..preload {
+        let once = ClientConfig {
+            max_requests: Some(64),
+            ..ClientConfig::default()
+        };
+        cluster.attach_client(c % 3, once);
+    }
+    cluster.run_for(secs(8));
+    let rows = cluster.with_engine(0, |e| e.db().row_count()) as usize;
+    let client = cluster.attach_client(0, ClientConfig::default());
+    let io = |cluster: &mut Cluster| {
+        cluster
+            .with_engine(0, |e| e.storage().io_stats())
+            .expect("file backend reports io stats")
+    };
+    let before = io(&mut cluster);
+    cluster.run_for(secs(1));
+    let after = io(&mut cluster);
+    let committed = cluster.client_stats(client).committed as f64;
+    let fsyncs =
+        (after.fsyncs - after.checkpoint_fsyncs) - (before.fsyncs - before.checkpoint_fsyncs);
+    let bytes = (after.file_bytes_written - after.checkpoint_bytes)
+        - (before.file_bytes_written - before.checkpoint_bytes);
+    let forced = after.forced_writes - before.forced_writes;
+    (
+        rows,
+        fsyncs as f64 / forced as f64,
+        bytes as f64 / committed,
+    )
+}
+
+/// §7 gives each action one forced write. On real files that is one
+/// append and one fsync, and what it writes does not depend on how
+/// large the database is: the database is written at checkpoints only.
+#[test]
+fn a_forced_write_is_one_fsync_whatever_the_database_size() {
+    let probes: Vec<_> = [1, 8, 32].into_iter().map(forced_write_probe).collect();
+    eprintln!("rows | fsyncs per forced write | bytes per committed action");
+    for (rows, per_write, per_action) in &probes {
+        eprintln!("{rows} | {per_write:.3} | {per_action:.0}");
+    }
+    assert!(probes[2].0 >= 16 * probes[0].0, "{probes:?}");
+    for &(rows, per_write, per_action) in &probes {
+        assert!(
+            per_write <= 1.0,
+            "{rows} rows: {per_write} fsyncs per forced write"
+        );
+        let smallest = probes[0].2;
+        assert!(
+            per_action <= 1.25 * smallest,
+            "{rows} rows: {per_action:.0} B per action against {smallest:.0} B"
+        );
+    }
+}

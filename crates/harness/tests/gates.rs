@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 
 use todr_harness::experiments::fastpath::{FastCell, FastSweep};
 use todr_harness::experiments::reads::{ReadCell, ReadSweep};
+use todr_harness::experiments::recovery::{DiskWallClock, MAX_FSYNCS_PER_FORCED_WRITE};
 use todr_harness::experiments::registry::{self, REGISTRY};
 use todr_harness::experiments::saturation::Saturation;
 use todr_harness::experiments::scale::{Scale, ScaleCell};
@@ -294,6 +295,34 @@ fn reads_gate_covers_every_bound() {
                 .unwrap()
                 .total_throughput = v
         },
+    );
+}
+
+/// The `disk` object of `results/BENCH_disk_quick.json`.
+#[derive(serde::Deserialize)]
+struct DiskRun {
+    disk: DiskWallClock,
+}
+
+/// `recovery-file`'s bound: real fsyncs outside checkpoints, per forced
+/// write.
+#[test]
+fn recovery_file_gate_covers_its_bound() {
+    let gate: GateFn<DiskWallClock> = |disk, _| disk.gate(String::new());
+    let run: DiskRun = load("BENCH_disk_quick.json").expect("disk result parses");
+    let base = run.disk;
+    assert!(
+        gate(&base, None).passed(),
+        "{:?}",
+        gate(&base, None).failures
+    );
+    let outside = (MAX_FSYNCS_PER_FORCED_WRITE * base.forced_writes as f64).floor();
+    edge(
+        &base,
+        gate,
+        "fsyncs per forced write",
+        step(outside + base.checkpoint_fsyncs as f64),
+        |d, v| d.fsyncs = v as u64,
     );
 }
 

@@ -12,17 +12,22 @@
 //! copies one into a fresh sim store, damages the copy, and recovers an
 //! engine over it in a world of its own. Named records are sealed, so a
 //! flipped bit or a cut inside one is a typed fail-stop naming the
-//! record, never a recovery to some other database. The file-directory forms of the
-//! same damage (a missing or swapped `CURRENT`, a records file from
-//! another generation) are not covered here.
+//! record, never a recovery to some other database.
+//!
+//! The file-directory forms run the same recovery over a real store
+//! directory the same load left on the file backend: a flip and a cut
+//! in every frame of the live `log-<g>` (entry frames and record-put
+//! frames alike), a missing `CURRENT`, and a `CURRENT` naming a
+//! generation that is not there. An open error is typed too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 use todr_core::{EngineConfig, EngineCtl, EngineState, RecoveryError, ReplicationEngine};
 use todr_harness::client::ClientConfig;
-use todr_harness::cluster::{Cluster, ClusterConfig};
+use todr_harness::cluster::{BackendKind, Cluster, ClusterConfig};
 use todr_net::NodeId;
 use todr_sim::{Actor, Ctx, Payload, SimDuration, SimRng, World};
 use todr_storage::StorageHandle;
@@ -88,7 +93,7 @@ fn allocation_budget(image_bytes: usize) -> usize {
 
 /// The named records a replica writes (`todr_core::persist`), by their
 /// on-disk keys.
-const KEYS: [&str; 10] = [
+const KEYS: [&str; 9] = [
     "base",
     "prim_component",
     "attempt_index",
@@ -97,7 +102,6 @@ const KEYS: [&str; 10] = [
     "green_lines",
     "server_set",
     "action_index",
-    "ongoing",
     "incarnation",
 ];
 
@@ -187,11 +191,12 @@ fn cuts(len: usize) -> Vec<usize> {
     at
 }
 
-/// Replica 2's durable image after its first crash, and after it has
-/// recovered, caught up, checkpointed again and crashed a second time.
-fn images() -> (Image, Image) {
+/// Three replicas under load, checkpointing every 32 greens, on
+/// `backend`.
+fn loaded(backend: BackendKind) -> Cluster {
     let config = ClusterConfig::builder(3, 0x5eed)
         .checkpoint_interval(32)
+        .backend(backend)
         .build()
         .expect("coherent config");
     let mut cluster = Cluster::build(config);
@@ -199,6 +204,13 @@ fn images() -> (Image, Image) {
     for i in 0..3 {
         cluster.attach_client(i, ClientConfig::default());
     }
+    cluster
+}
+
+/// Replica 2's durable image after its first crash, and after it has
+/// recovered, caught up, checkpointed again and crashed a second time.
+fn images() -> (Image, Image) {
+    let mut cluster = loaded(BackendKind::Sim);
     let victim = 2;
     let crash_and_read = |cluster: &mut Cluster| {
         cluster.run_for(SimDuration::from_millis(700));
@@ -263,20 +275,23 @@ struct Tally {
 
 impl Tally {
     fn run(&mut self, name: &str, image: &Image) -> Option<Result<u64, RecoveryError>> {
-        self.run_store(name, image.bytes(), image.store())
+        self.run_store(name, image.bytes(), image.store(), 0)
     }
 
+    /// Recovers over `store`, whose opening requested `opening` bytes.
     fn run_store(
         &mut self,
         name: &str,
         image_bytes: usize,
         store: StorageHandle,
+        opening: usize,
     ) -> Option<Result<u64, RecoveryError>> {
         self.cases += 1;
         let Ok((outcome, requested)) = catch_unwind(AssertUnwindSafe(|| recover(store))) else {
             self.panicked.push(name.to_string());
             return None;
         };
+        let requested = requested + opening;
         let budget = allocation_budget(image_bytes);
         assert!(
             requested <= budget,
@@ -347,7 +362,7 @@ fn recovery_over_damaged_images_recovers_or_fails_typed() {
             let hit = store
                 .inject_bit_flip(&mut SimRng::new(seed))
                 .expect("a log");
-            let outcome = tally.run_store(&format!("{which} rot {seed}"), image.bytes(), store);
+            let outcome = tally.run_store(&format!("{which} rot {seed}"), image.bytes(), store, 0);
             let tail = hit.index + 1 == image.log.len() as u64;
             match outcome {
                 Some(Ok(_)) => assert!(tail, "{which} rot {seed}: a mid-log fault recovered"),
@@ -386,6 +401,219 @@ fn recovery_over_damaged_images_recovers_or_fails_typed() {
     );
     assert_eq!(tally.cases, tally.recovered + tally.failed);
     // The count is a function of the two seeded images (946 when this
-    // test was written); the range bounds its run time and its reach.
+    // test was written, 1,100 once own actions were logged at creation);
+    // the range bounds its run time and its reach.
     assert!((500..2_000).contains(&tally.cases), "{} cases", tally.cases);
+}
+
+// ---------------------------------------------------------------
+// Store directories
+// ---------------------------------------------------------------
+
+/// A store directory's files: name and bytes.
+type Files = Vec<(String, Vec<u8>)>;
+
+/// Replica 2's store directory on the file backend after a crash under
+/// the load `images` runs.
+fn directory() -> Files {
+    let mut cluster = loaded(BackendKind::File);
+    cluster.run_for(SimDuration::from_millis(700));
+    cluster.crash(2);
+    cluster.run_for(SimDuration::from_millis(10));
+    let root = cluster
+        .storage_root()
+        .expect("file backend")
+        .join("server-n2");
+    let mut files: Files = std::fs::read_dir(&root)
+        .expect("the store directory")
+        .map(|entry| {
+            let entry = entry.expect("a directory entry");
+            let name = entry.file_name().into_string().expect("an ASCII name");
+            let bytes = std::fs::read(entry.path()).expect("a readable file");
+            (name, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The frames of a live log file (`[len: u32][epoch: u64][head: u32]
+/// [payload][checksum: u64]`): each one's start and end, and whether it
+/// holds record puts (epoch `u64::MAX`).
+fn frames(bytes: &[u8]) -> Vec<(usize, usize, bool)> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while let Some(header) = bytes.get(at..at + 16) {
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let epoch = u64::from_le_bytes(header[4..12].try_into().unwrap());
+        let end = at + 16 + len + 8;
+        assert!(end <= bytes.len(), "a clean directory has whole frames");
+        frames.push((at, end, epoch == u64::MAX));
+        at = end;
+    }
+    frames
+}
+
+impl Tally {
+    /// Writes `files` into a fresh directory, opens a file store there
+    /// and recovers over it; an open error is a typed failure.
+    fn run_files(&mut self, name: &str, files: &Files) -> Option<Result<u64, RecoveryError>> {
+        self.run_files_then(name, files, |_| {})
+    }
+
+    /// [`Tally::run_files`], then `after` over the directory the
+    /// recovery left.
+    fn run_files_then(
+        &mut self,
+        name: &str,
+        files: &Files,
+        after: impl FnOnce(&Path),
+    ) -> Option<Result<u64, RecoveryError>> {
+        let dir = std::env::temp_dir().join(format!(
+            "todr-recovery-fuzz-{}-{}",
+            std::process::id(),
+            self.cases
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        for (file, bytes) in files {
+            std::fs::write(dir.join(file), bytes).expect("a written file");
+        }
+        let image_bytes = files.iter().map(|(_, bytes)| bytes.len()).sum();
+        let outcome = self.open_and_run(name, image_bytes, &dir);
+        after(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        outcome
+    }
+
+    fn open_and_run(
+        &mut self,
+        name: &str,
+        image_bytes: usize,
+        dir: &Path,
+    ) -> Option<Result<u64, RecoveryError>> {
+        let opened = catch_unwind(AssertUnwindSafe(|| counting(|| StorageHandle::file(dir))));
+        let (store, opening) = match opened {
+            Ok((Ok(store), opening)) => (store, opening),
+            Ok((Err(_), opening)) => {
+                self.cases += 1;
+                self.failed += 1;
+                assert!(
+                    opening <= allocation_budget(image_bytes),
+                    "{name}: {opening} B"
+                );
+                return None;
+            }
+            Err(_) => {
+                self.cases += 1;
+                self.panicked.push(name.to_string());
+                return None;
+            }
+        };
+        self.run_store(name, image_bytes, store, opening)
+    }
+}
+
+#[test]
+fn recovery_over_damaged_store_directories_recovers_or_fails_typed() {
+    let files = directory();
+    let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    let (index, live) = files
+        .iter()
+        .enumerate()
+        .find(|(_, (name, _))| name.starts_with("log-"))
+        .map(|(index, (name, _))| (index, name.clone()))
+        .expect("a live generation");
+    assert_eq!(names.len(), 2, "CURRENT and one generation: {names:?}");
+    assert_ne!(live, "log-0", "the load checkpoints");
+    let mut tally = Tally::default();
+    let clean = tally.run_files("clean", &files);
+    assert!(matches!(clean, Some(Ok(green)) if green > 0), "{clean:?}");
+
+    let log = &files[index].1;
+    let frames = frames(log);
+    let puts = frames.iter().filter(|(.., put)| *put).count();
+    assert!(
+        puts > 0 && puts < frames.len(),
+        "{puts} of {} frames",
+        frames.len()
+    );
+    let with_log = |bytes: Vec<u8>| {
+        let mut damaged = files.clone();
+        damaged[index].1 = bytes;
+        damaged
+    };
+    for (frame, &(start, end, put)) in frames.iter().enumerate() {
+        let kind = if put { "put" } else { "entry" };
+        // The length, the epoch, the payload's middle, the checksum.
+        for at in [start, start + 4, (start + 12 + end - 8) / 2, end - 1] {
+            let mut bytes = log.clone();
+            bytes[at] ^= 1;
+            _ = tally.run_files(&format!("{kind} {frame} flip {at}"), &with_log(bytes));
+        }
+        let cut = log[..(start + end) / 2].to_vec();
+        _ = tally.run_files(&format!("{kind} {frame} cut"), &with_log(cut));
+    }
+
+    // A high bit of the final entry's length: read as a torn frame, it
+    // would run to the end of the file and take the creator counter put
+    // after it along when recovery cut it.
+    let counter = |dir: &Path| {
+        let store = StorageHandle::file(dir).expect("the directory opens");
+        store.get_record_bytes("action_index").ok().flatten()
+    };
+    let mut committed = None;
+    _ = tally.run_files_then("clean, its counter", &files, |dir| {
+        committed = counter(dir);
+    });
+    assert!(committed.is_some(), "the load creates actions on replica 2");
+    let (start, ..) = frames
+        .iter()
+        .rev()
+        .find(|(.., put)| !put)
+        .expect("an entry frame");
+    let after = frames.iter().filter(|&&(at, ..)| at > *start);
+    assert!(
+        after.clone().any(|(.., put)| *put),
+        "puts after the final entry"
+    );
+    for bit in [23, 31] {
+        let mut bytes = log.clone();
+        bytes[start + bit / 8] ^= 1 << (bit % 8);
+        let name = format!("final entry's length, bit {bit}");
+        let mut kept = None;
+        let outcome = tally.run_files_then(&name, &with_log(bytes), |dir| {
+            kept = counter(dir);
+        });
+        // Otherwise the recovery failed typed (or the open did).
+        if let Some(Ok(_)) = outcome {
+            assert_eq!(kept, committed, "{name}: the counter was lost");
+        }
+    }
+
+    let without_current: Files = files
+        .iter()
+        .filter(|(name, _)| name != "CURRENT")
+        .cloned()
+        .collect();
+    let missing = tally.run_files("no CURRENT", &without_current);
+    assert!(missing.is_none(), "a missing CURRENT opens: {missing:?}");
+    let generation: u64 = live["log-".len()..].parse().expect("a generation number");
+    let mut dangling = files.clone();
+    for (name, bytes) in &mut dangling {
+        if name == "CURRENT" {
+            *bytes = format!("g={}\n", generation + 1).into_bytes();
+        }
+    }
+    let outcome = tally.run_files("CURRENT names an absent generation", &dangling);
+    assert!(outcome.is_none(), "a dangling CURRENT opens: {outcome:?}");
+
+    eprintln!("{tally:?}");
+    assert!(
+        tally.panicked.is_empty(),
+        "cases that panicked: {:?}",
+        tally.panicked
+    );
+    assert_eq!(tally.cases, tally.recovered + tally.failed);
+    assert!(tally.cases > 5 * frames.len(), "{} cases", tally.cases);
 }

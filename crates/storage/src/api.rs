@@ -9,9 +9,9 @@
 //! image's own code, and the mirror, when there is one, then puts the
 //! result on disk:
 //!
-//! * a commit writes what the image is about to persist (frames, the
-//!   records file, the generation flip of a checkpoint), then commits
-//!   the image;
+//! * a commit writes what the image is about to persist (its entries
+//!   and record puts as appended frames, or a checkpoint's new
+//!   generation), then commits the image;
 //! * a crash (torn or not) runs on the image, the mirror writes what
 //!   reached the platter, and the image is reloaded from disk as a
 //!   reopen would see it;
@@ -46,6 +46,12 @@ pub struct FileIoStats {
     pub max_fsync_nanos: u64,
     /// Bytes written to backing files (log frames + checkpoints).
     pub file_bytes_written: u64,
+    /// Forced writes: commits of staged data that start no generation.
+    pub forced_writes: u64,
+    /// Of `fsyncs`, those a checkpoint issued (its file and directory).
+    pub checkpoint_fsyncs: u64,
+    /// Of `file_bytes_written`, the checkpoints' (record map and log).
+    pub checkpoint_bytes: u64,
 }
 
 impl FileIoStats {
@@ -86,8 +92,9 @@ impl StorageHandle {
     /// # Errors
     ///
     /// Returns [`StorageError::Io`] if the directory or its files
-    /// cannot be created or read. A *corrupt* checkpoint or log is not
-    /// an open error: it surfaces through
+    /// cannot be created or read, or if its `CURRENT` pointer is missing
+    /// or names no generation it holds. A *corrupt* record put or log
+    /// entry is not an open error: it surfaces through
     /// [`StableStore::get_record_bytes`] / [`StableStore::verify_log`],
     /// so the engine's recovery path makes the fail-stop decision.
     pub fn file(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
@@ -202,9 +209,7 @@ impl StorageHandle {
     /// leaves the file as the next reopen finds it.
     fn rewrite_log_from(&mut self, index: u64) {
         if let Some(mirror) = &mut self.mirror {
-            let log = &self.image.persisted_log;
-            let index = (index as usize).min(log.len());
-            let _ = mirror.write_log(index, &log[index..], &[]);
+            let _ = mirror.rewrite(index as usize, &self.image);
         }
     }
 
@@ -216,7 +221,7 @@ impl StorageHandle {
 
     /// Test hook, file backend only: the next checkpointing
     /// [`StorageHandle::commit_staged`] powers off after the new
-    /// generation's files are written and fsynced but before the
+    /// generation's file is written and fsynced but before the
     /// `CURRENT` pointer flips — the window an atomic rename protects.
     pub fn arm_checkpoint_crash(&mut self) {
         if let Some(mirror) = &mut self.mirror {

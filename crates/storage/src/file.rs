@@ -6,40 +6,53 @@
 //!
 //! ```text
 //! <dir>/CURRENT       "g=<n>\n" — which generation is live
-//! <dir>/log-<n>       append-only framed log of generation n
-//! <dir>/records-<n>   checkpointed record map of generation n
-//! <dir>/*.tmp         in-flight atomic writes (garbage after a crash)
+//! <dir>/log-<n>       generation n: its log entries and record puts
+//! <dir>/*.tmp         an in-flight `CURRENT` write (garbage after a crash)
 //! ```
 //!
-//! **Log framing.** Each entry is `[len: u32 LE][epoch: u64 LE]
-//! [payload][checksum: u64 LE]`, with the checksum the same FNV-1a seal
-//! as [`LogRecord`] (`checksum64(epoch_le || payload)`). A power
-//! failure mid-append leaves a physically short final frame; the open
-//! scan surfaces it as a sealed record whose checksum cannot match, so
-//! recovery sees exactly what it sees on the sim backend — a torn
-//! *final* record to truncate — and mid-log damage still fail-stops.
+//! **Frames.** A log entry is `[len: u32][epoch: u64][head: u32]
+//! [payload][checksum: u64]`, little-endian: `head` seals `len` and
+//! `epoch`, and the checksum is [`LogRecord`]'s (`checksum64(epoch ||
+//! payload)`). A commit's record puts are one frame under the epoch
+//! [`RECORD`], no incarnation's, its payload a run of `[klen: u32][key]
+//! [vlen: u32][value]`: they land all or none, and a reopen takes each
+//! key's last put.
+//!
+//! **One write per commit.** A commit appends its staged entries, then
+//! its record puts, in one write and one fsync. A power failure
+//! mid-append leaves a physically short final frame, which the open scan
+//! surfaces as a record whose checksum cannot match — the torn *final*
+//! record recovery truncates on the sim backend too. A header that fails
+//! its seal is rot, never a tear, and leaves the frame's extent unknown:
+//! the scan surfaces it as a mid-log fault. It, or a record frame that
+//! fails a seal, fails every record read.
 //!
 //! **Checkpoint atomicity.** A checkpoint must replace the record map
 //! *and* swap the log in one crash-atomic step (committing them
 //! independently can pair an old log with a new base, or lose green
-//! entries — both protocol violations). So both files are written under
-//! the *next* generation number, fsynced, and then a one-line `CURRENT`
-//! pointer is flipped via tmp + fsync + rename (scfs-style); a crash on
-//! either side of the rename leaves one complete generation live and
-//! the other as garbage swept at the next open. Record-only updates use
-//! the same tmp + rename discipline on `records-<n>` directly.
+//! entries — both protocol violations). So it writes the *next*
+//! generation's file — the whole record map, `base` included, then the
+//! compacted log — fsyncs it, and flips a one-line `CURRENT` pointer
+//! via tmp + fsync + rename (scfs-style); a crash on either side of the
+//! rename leaves one complete generation live and the other as garbage
+//! swept at the next open.
 
-use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use todr_sim::{checksum64, SimRng};
+use todr_sim::{checksum64_of, SimRng};
 
 use crate::api::FileIoStats;
 use crate::store::{IoError, IoOp, LogRecord, StableStore, StorageError};
+
+/// The epoch field of a record-put frame.
+const RECORD: u64 = u64::MAX;
+
+/// Bytes of a frame's header: `len`, `epoch` and their seal.
+const HEADER: usize = 16;
 
 /// Where a [`StableStore`] image's persisted state lives on disk. See
 /// the module docs for the layout.
@@ -47,13 +60,9 @@ use crate::store::{IoError, IoOp, LogRecord, StableStore, StorageError};
 pub(crate) struct FileMirror {
     dir: PathBuf,
     generation: u64,
-    /// Frame boundaries in the live log file: persisted record `i`
-    /// starts at `offsets[i]`, and the last entry is where the live
-    /// region ends.
-    offsets: Vec<u64>,
     io: FileIoStats,
     /// Test hook: the next checkpoint commit powers off after writing
-    /// the new generation's files but *before* flipping `CURRENT`.
+    /// the new generation's file but *before* flipping `CURRENT`.
     checkpoint_crash_armed: bool,
 }
 
@@ -61,24 +70,31 @@ impl FileMirror {
     /// Opens (or initialises) the store rooted at `dir` and loads the
     /// image a previous incarnation left there: the live generation
     /// named by `CURRENT`, after sweeping `*.tmp` files and orphan
-    /// generations from interrupted checkpoints.
+    /// generations from interrupted checkpoints. A missing `CURRENT`
+    /// beside generation files, or one naming a generation whose file is
+    /// gone, is an open error: a sweep would lose the store.
     pub(crate) fn open(dir: PathBuf) -> Result<(Self, StableStore), StorageError> {
         fs::create_dir_all(&dir).map_err(|e| io_err(IoOp::Create, &dir, e))?;
         let current = dir.join("CURRENT");
         let generation = match fs::read_to_string(&current) {
-            Ok(text) => parse_current(&text).ok_or_else(|| {
-                StorageError::Io(io_error(IoOp::Read, &current, "malformed CURRENT pointer"))
-            })?,
+            Ok(text) => parse_current(&text),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                write_current(&dir, 0)?;
-                0
+                let files = fs::read_dir(&dir).into_iter().flatten().flatten();
+                let mut names = files.map(|f| f.file_name().to_string_lossy().into_owned());
+                let fresh = !names.any(|name| name.starts_with("log-"));
+                fresh.then(|| start_fresh(&dir)).transpose()?.map(|()| 0)
             }
             Err(e) => return Err(io_err(IoOp::Read, &current, e)),
         };
-        let mut mirror = FileMirror {
+        // A crash can leave a fresh store's generation 0 without a file.
+        let held = |g: &u64| *g == 0 || dir.join(format!("log-{g}")).exists();
+        let generation = generation.filter(held).ok_or_else(|| {
+            let detail = "CURRENT does not name a generation the directory holds";
+            StorageError::Io(io_error(IoOp::Read, &current, detail))
+        })?;
+        let mirror = FileMirror {
             dir,
             generation,
-            offsets: vec![0],
             io: FileIoStats::default(),
             checkpoint_crash_armed: false,
         };
@@ -99,95 +115,97 @@ impl FileMirror {
         self.dir.join(format!("log-{}", self.generation))
     }
 
-    fn records_path(&self) -> PathBuf {
-        self.dir.join(format!("records-{}", self.generation))
-    }
-
-    /// Number of persisted log records on disk.
-    fn frames(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Removes `*.tmp` files and files of non-live generations — the
     /// residue of a checkpoint interrupted on either side of its
     /// `CURRENT` flip.
     fn sweep_orphans(&self) {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        let live_log = format!("log-{}", self.generation);
-        let live_records = format!("records-{}", self.generation);
-        for entry in entries.flatten() {
+        let live = format!("log-{}", self.generation);
+        for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let orphan = name.ends_with(".tmp")
-                || ((name.starts_with("log-") || name.starts_with("records-"))
-                    && name != live_log
-                    && name != live_records);
-            if orphan {
+            if name.ends_with(".tmp") || (name.starts_with("log-") && name != live) {
                 let _ = fs::remove_file(entry.path());
             }
         }
     }
 
-    /// The image a reopen finds in the live generation's files: a torn
-    /// tail scanned as a record that cannot verify, and a checkpoint
-    /// that fails its checksum as a fault on every record read.
-    fn load(&mut self) -> Result<StableStore, StorageError> {
-        let path = self.records_path();
-        let (records, records_fault) = match read_file(&path)?.as_deref().map(decode_records) {
-            None => (BTreeMap::new(), None),
-            Some(Ok(records)) => (records, None),
-            Some(Err(detail)) => (BTreeMap::new(), Some(io_error(IoOp::Read, &path, detail))),
-        };
-        let (log, offsets) = scan_log(&read_file(&self.log_path())?.unwrap_or_default());
-        self.offsets = offsets;
-        Ok(StableStore::reopened(records, log, records_fault))
+    /// The image a reopen finds in the live generation's file: a torn
+    /// tail scanned as a record that cannot verify, each key at its last
+    /// put, and a failed seal as the module docs say.
+    fn load(&self) -> Result<StableStore, StorageError> {
+        let path = self.log_path();
+        let bytes = read_file(&path)?.unwrap_or_default();
+        let mut image = StableStore::new();
+        let mut fault = None;
+        for frame in frames(&bytes) {
+            let (log, epoch) = (&mut image.persisted_log, frame.epoch);
+            match frame.checksum {
+                Some(checksum) if epoch == RECORD => match record_puts(frame.payload, checksum) {
+                    Some(puts) => puts.for_each(|(key, value)| image.put_record_shared(key, value)),
+                    None => fault = fault.or(Some("record frame or seal checksum mismatch")),
+                },
+                Some(checksum) => {
+                    let bytes = frame.payload.into();
+                    log.push(LogRecord {
+                        epoch,
+                        bytes,
+                        checksum,
+                    })
+                }
+                None => log.push(LogRecord::torn(epoch, frame.payload)),
+            }
+            if frame.rot {
+                // What follows the header is unframed: a record after
+                // the fault, and any record put in it is lost.
+                image.persisted_log.push(LogRecord::torn(epoch, &[]));
+                fault = fault.or(Some("frame header checksum mismatch"));
+            }
+        }
+        image.records_fault = fault.map(|detail| io_error(IoOp::Read, &path, detail));
+        image.commit_staged();
+        Ok(image)
     }
 
     /// Replaces `image` with what the disk holds, as a reopen would see
     /// it, keeping its incarnation epoch. An unreadable disk leaves an
     /// empty image.
-    pub(crate) fn reload(&mut self, image: &mut StableStore) {
+    pub(crate) fn reload(&self, image: &mut StableStore) {
         let epoch = image.epoch();
-        *image = self.load().unwrap_or_else(|_| {
-            self.offsets = vec![0];
-            StableStore::new()
-        });
+        *image = self.load().unwrap_or_default();
         image.set_epoch(epoch);
     }
 
     /// Writes what `image` is about to persist, then commits it: the
-    /// staged frames and the records file, or on a staged truncation a
-    /// whole new generation.
+    /// staged entries and record puts appended in one write, or on a
+    /// staged truncation a whole new generation.
     pub(crate) fn commit(&mut self, image: &mut StableStore) -> Result<(), StorageError> {
         if image.staged_truncate {
             return self.checkpoint(image);
         }
-        if !image.staged_log.is_empty() {
-            self.write_log(self.frames(), &image.staged_log, &[])?;
-        }
-        if image.has_staged_records() {
-            let path = self.records_path();
-            self.atomic_write(&path, &encode_records_file(image))?;
-            image.records_fault = None;
+        let mut bytes = Vec::new();
+        put_entries(&mut bytes, &image.staged_log);
+        put_records(&mut bytes, image.staged_records());
+        if !bytes.is_empty() {
+            self.write(&self.log_path(), None, &bytes)?;
+            self.io.forced_writes += 1;
         }
         image.commit_staged();
         Ok(())
     }
 
-    /// The checkpointing commit: writes the next generation's record and
-    /// log files, then flips `CURRENT` atomically.
+    /// The checkpointing commit: writes the next generation's file —
+    /// every record, then the compacted log — then flips `CURRENT`
+    /// atomically.
     fn checkpoint(&mut self, image: &mut StableStore) -> Result<(), StorageError> {
         let next = self.generation + 1;
-        let records_path = self.dir.join(format!("records-{next}"));
-        let log_path = self.dir.join(format!("log-{next}"));
-        // Both files are invisible until CURRENT names generation
-        // `next`, so they can be written in place (clobbering any
-        // orphan from a previously interrupted checkpoint).
-        self.write_synced(&records_path, &encode_records_file(image))?;
-        let (log, ends) = encode_frames(&image.staged_log, 0);
-        self.write_synced(&log_path, &log)?;
+        let mut bytes = Vec::new();
+        put_records(&mut bytes, image.records_after_commit());
+        put_entries(&mut bytes, &image.staged_log);
+        // The file is invisible until CURRENT names generation `next`,
+        // so it can be written in place (clobbering any orphan from a
+        // previously interrupted checkpoint).
+        let (fsyncs, written) = (self.io.fsyncs, self.io.file_bytes_written);
+        self.write(&self.dir.join(format!("log-{next}")), Some(0), &bytes)?;
 
         if std::mem::take(&mut self.checkpoint_crash_armed) {
             // Simulated power failure in the vulnerable window: the new
@@ -200,16 +218,16 @@ impl FileMirror {
 
         write_current(&self.dir, next)?;
         self.sync_dir()?;
+        self.io.checkpoint_fsyncs += self.io.fsyncs - fsyncs;
+        self.io.checkpoint_bytes += self.io.file_bytes_written - written;
         let _ = fs::remove_file(self.log_path());
-        let _ = fs::remove_file(self.records_path());
         self.generation = next;
-        self.offsets = std::iter::once(0).chain(ends).collect();
         image.records_fault = None;
         image.commit_staged();
         Ok(())
     }
 
-    /// Runs the image's torn crash, writes what reached the platter —
+    /// Runs the image's torn crash, appends what reached the platter —
     /// the intact prefix as complete frames, then the torn record as a
     /// physically short one — and reloads the image from disk.
     pub(crate) fn crash_torn(&mut self, image: &mut StableStore, rng: &mut SimRng) {
@@ -217,47 +235,53 @@ impl FileMirror {
         let index = image.persisted_log.len();
         image.crash_torn(rng);
         if let Some((torn, intact)) = image.persisted_log[index..].split_last() {
+            let mut bytes = Vec::new();
+            put_entries(&mut bytes, intact);
             // The header names the full payload, but only the bytes
             // that landed (and no checksum) follow it.
-            let full = staged[intact.len()].bytes.len() as u32;
-            let mut short = full.to_le_bytes().to_vec();
-            short.extend_from_slice(&torn.epoch.to_le_bytes());
-            short.extend_from_slice(&torn.bytes);
-            let _ = self.write_log(index, intact, &short);
+            let full = staged[intact.len()].bytes.len();
+            bytes.extend_from_slice(&header(full, torn.epoch));
+            bytes.extend_from_slice(&torn.bytes);
+            let _ = self.write(&self.log_path(), None, &bytes);
         }
         self.reload(image);
     }
 
-    /// Keeps the live log file's first `index` frames, writes `records`
-    /// as the frames after them and then the raw `tail`, and fsyncs.
-    pub(crate) fn write_log(
-        &mut self,
-        index: usize,
-        records: &[LogRecord],
-        tail: &[u8],
-    ) -> Result<(), StorageError> {
-        let index = index.min(self.frames());
-        let start = self.offsets[index];
-        let (mut bytes, ends) = encode_frames(records, start);
-        bytes.extend_from_slice(tail);
-        let path = self.log_path();
+    /// Rewrites the live file from persisted log entry `from` on: the
+    /// image's entries from there, then the record puts that lay past
+    /// the cut, as they were.
+    pub(crate) fn rewrite(&mut self, from: usize, image: &StableStore) -> Result<(), StorageError> {
+        let old = read_file(&self.log_path())?.unwrap_or_default();
+        let entries = frames(&old).filter(|f| f.epoch != RECORD || f.checksum.is_none());
+        let start = entries.map(|f| f.at).nth(from).unwrap_or(old.len());
+        let mut bytes = Vec::new();
+        let kept = image.persisted_log.get(from..).unwrap_or_default();
+        put_entries(&mut bytes, kept);
+        for put in frames(&old[start..]).filter(|f| f.epoch == RECORD && f.checksum.is_some()) {
+            bytes.extend_from_slice(&old[start + put.at..start + put.end]);
+        }
+        self.write(&self.log_path(), Some(start as u64), &bytes)
+    }
+
+    /// Writes `bytes` to the file at `path` — after its first `keep`
+    /// bytes, or appended — and fsyncs.
+    fn write(&mut self, path: &Path, keep: Option<u64>, bytes: &[u8]) -> Result<(), StorageError> {
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
-            .open(&path)
-            .map_err(|e| io_err(IoOp::Open, &path, e))?;
-        file.set_len(start)
-            .map_err(|e| io_err(IoOp::Truncate, &path, e))?;
-        file.seek(SeekFrom::Start(start))
-            .map_err(|e| io_err(IoOp::Seek, &path, e))?;
-        file.write_all(&bytes)
-            .map_err(|e| io_err(IoOp::Write, &path, e))?;
+            .open(path)
+            .map_err(|e| io_err(IoOp::Open, path, e))?;
+        if let Some(keep) = keep {
+            file.set_len(keep)
+                .map_err(|e| io_err(IoOp::Truncate, path, e))?;
+        }
+        file.seek(keep.map_or(SeekFrom::End(0), SeekFrom::Start))
+            .map_err(|e| io_err(IoOp::Seek, path, e))?;
+        file.write_all(bytes)
+            .map_err(|e| io_err(IoOp::Write, path, e))?;
         self.io.file_bytes_written += bytes.len() as u64;
-        self.sync_file(&file, &path)?;
-        self.offsets.truncate(index + 1);
-        self.offsets.extend(ends);
-        Ok(())
+        self.sync_file(&file, path)
     }
 
     /// `fsync`s `file`, timing the call into [`FileIoStats`].
@@ -278,29 +302,6 @@ impl FileMirror {
         let handle = File::open(&dir).map_err(|e| io_err(IoOp::Open, &dir, e))?;
         self.sync_file(&handle, &dir)
     }
-
-    /// Writes `bytes` as the whole of `path` and fsyncs it.
-    fn write_synced(&mut self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-        let mut file = File::create(path).map_err(|e| io_err(IoOp::Create, path, e))?;
-        file.write_all(bytes)
-            .map_err(|e| io_err(IoOp::Write, path, e))?;
-        self.io.file_bytes_written += bytes.len() as u64;
-        self.sync_file(&file, path)
-    }
-
-    /// Writes `bytes` to `<path>.tmp`, fsyncs, and renames over `path`.
-    fn atomic_write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-        let tmp = tmp_path(path);
-        self.write_synced(&tmp, bytes)?;
-        fs::rename(&tmp, path).map_err(|e| io_err(IoOp::Rename, path, e))?;
-        self.sync_dir()
-    }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 fn io_error(op: IoOp, path: &Path, detail: impl ToString) -> IoError {
@@ -328,10 +329,20 @@ fn parse_current(text: &str) -> Option<u64> {
     text.trim().strip_prefix("g=")?.parse().ok()
 }
 
+/// Starts a fresh store: `CURRENT` naming generation 0, an empty
+/// `log-0`, and one directory fsync (an open's, not counted in
+/// [`FileIoStats`]) before a commit appends to `log-0` and syncs it.
+fn start_fresh(dir: &Path) -> Result<(), StorageError> {
+    write_current(dir, 0)?;
+    let log = dir.join("log-0");
+    File::create(&log).map_err(|e| io_err(IoOp::Create, &log, e))?;
+    let sync = File::open(dir).and_then(|handle| handle.sync_all());
+    sync.map_err(|e| io_err(IoOp::Sync, dir, e))
+}
+
 /// Writes the `CURRENT` pointer via tmp + fsync + rename.
 fn write_current(dir: &Path, generation: u64) -> Result<(), StorageError> {
-    let path = dir.join("CURRENT");
-    let tmp = tmp_path(&path);
+    let (path, tmp) = (dir.join("CURRENT"), dir.join("CURRENT.tmp"));
     let mut file = File::create(&tmp).map_err(|e| io_err(IoOp::Create, &tmp, e))?;
     file.write_all(format!("g={generation}\n").as_bytes())
         .map_err(|e| io_err(IoOp::Write, &tmp, e))?;
@@ -340,130 +351,107 @@ fn write_current(dir: &Path, generation: u64) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// The frames of `records`, each `[len: u32 LE][epoch: u64 LE]
-/// [payload][checksum: u64 LE]`, and the file offset each one ends at
-/// when written at `start`.
-fn encode_frames(records: &[LogRecord], start: u64) -> (Vec<u8>, Vec<u64>) {
-    let mut bytes = Vec::new();
-    let mut ends = Vec::with_capacity(records.len());
+/// Appends log entries' frames: each sealed record as it stands.
+fn put_entries<'a>(out: &mut Vec<u8>, records: impl IntoIterator<Item = &'a LogRecord>) {
     for record in records {
-        bytes.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&record.epoch.to_le_bytes());
-        bytes.extend_from_slice(&record.bytes);
-        bytes.extend_from_slice(&record.checksum.to_le_bytes());
-        ends.push(start + bytes.len() as u64);
-    }
-    (bytes, ends)
-}
-
-/// Little-endian fields off the front of a byte slice; every read is
-/// `None` once the bytes run out.
-struct LeReader<'a>(&'a [u8]);
-
-impl<'a> LeReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = self.0.split_at_checked(n)?;
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    /// A `[len: u32 LE][bytes]` chunk.
-    fn chunk(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()?;
-        self.take(len as usize)
+        out.extend_from_slice(&header(record.bytes.len(), record.epoch));
+        out.extend_from_slice(&record.bytes);
+        out.extend_from_slice(&record.checksum.to_le_bytes());
     }
 }
 
-/// Scans a log file into sealed records and their frame boundaries.
-///
-/// A physically incomplete final frame (torn write) is surfaced as the
-/// [`LogRecord::torn`] record the image's own torn crash leaves, so
-/// `verify_log` reports the same tail `Checksum` fault on either
-/// backend.
-fn scan_log(bytes: &[u8]) -> (Vec<LogRecord>, Vec<u64>) {
-    let mut reader = LeReader(bytes);
-    let (mut log, mut offsets) = (Vec::new(), vec![0]);
-    while !reader.0.is_empty() {
-        let record = read_frame(&mut reader).unwrap_or_else(|(epoch, payload)| {
-            reader.0 = &[];
-            LogRecord::torn(epoch, payload)
-        });
-        log.push(record);
-        offsets.push((bytes.len() - reader.0.len()) as u64);
+/// Appends `puts` as one frame, sealed like an entry under [`RECORD`];
+/// nothing if there are none.
+fn put_records<'a>(out: &mut Vec<u8>, puts: impl Iterator<Item = (&'a str, &'a [u8])>) {
+    let at = out.len() + HEADER;
+    out.resize(at, 0);
+    for part in puts.flat_map(|(key, value)| [key.as_bytes(), value]) {
+        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
+        out.extend_from_slice(part);
     }
-    (log, offsets)
-}
-
-/// Reads one frame, or the epoch and payload bytes of a torn one.
-fn read_frame<'a>(reader: &mut LeReader<'a>) -> Result<LogRecord, (u64, &'a [u8])> {
-    let (Some(len), Some(epoch)) = (reader.u32(), reader.u64()) else {
-        // Not even a full header landed: a torn, payload-less tail.
-        return Err((0, &[]));
-    };
-    let Some(payload) = reader.take(len as usize) else {
-        return Err((epoch, reader.0));
-    };
-    let checksum = reader.u64().ok_or((epoch, payload))?;
-    Ok(LogRecord {
-        epoch,
-        bytes: payload.into(),
-        checksum,
-    })
-}
-
-/// Checkpoint file format: `[count: u64 LE]` then per record
-/// `[klen: u32 LE][key][vlen: u32 LE][value]`, sealed with a trailing
-/// `checksum64` over everything before it. The map is the image's
-/// records as the commit leaves them.
-fn encode_records_file(image: &StableStore) -> Vec<u8> {
-    let count = image.records_after_commit().count() as u64;
-    let mut out = count.to_le_bytes().to_vec();
-    for (key, value) in image.records_after_commit() {
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        out.extend_from_slice(value);
+    let len = out.len() - at;
+    if len == 0 {
+        return out.truncate(at - HEADER);
     }
-    let checksum = checksum64(&out);
+    let checksum = LogRecord::compute(RECORD, &out[at..]);
+    out[at - HEADER..at].copy_from_slice(&header(len, RECORD));
     out.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// `[len][epoch][head]`, `head` sealing the two fields before it.
+fn header(len: usize, epoch: u64) -> [u8; HEADER] {
+    let mut out = [0; HEADER];
+    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[4..12].copy_from_slice(&epoch.to_le_bytes());
+    let seal = checksum64_of(&[&out[..12]]) as u32;
+    out[12..].copy_from_slice(&seal.to_le_bytes());
     out
 }
 
-/// Decodes a checkpoint file, or says what is wrong with it. A corrupt
-/// one is not an open error: recovery fail-stops on the fault every
-/// record read reports.
-fn decode_records(bytes: &[u8]) -> Result<BTreeMap<String, Arc<[u8]>>, &'static str> {
-    const TRUNCATED: &str = "checkpoint entry truncated";
-    if bytes.len() < 16 {
-        return Err("checkpoint file truncated");
+/// One frame of a live file, between byte offsets `at` and `end`. A
+/// physically short final frame (a torn write) has no checksum, as the
+/// image's own torn record ([`LogRecord::torn`]); nor has one whose
+/// header fails its seal (`rot`), which runs to the end of the file.
+struct Frame<'a> {
+    at: usize,
+    end: usize,
+    epoch: u64,
+    payload: &'a [u8],
+    checksum: Option<u64>,
+    rot: bool,
+}
+
+/// The frames of a live file, in order.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Frame<'_>> {
+    std::iter::successors(frame_at(bytes, 0), |f| frame_at(bytes, f.end))
+}
+
+/// The frame starting at `at`, if any bytes do. Less than a header is a
+/// torn, payload-less tail.
+fn frame_at(bytes: &[u8], at: usize) -> Option<Frame<'_>> {
+    let rest = bytes.get(at..).filter(|rest| !rest.is_empty())?;
+    let (head, body) = rest.split_at_checked(HEADER).unwrap_or_default();
+    let len = head.get(..4).map_or(0, le_u32) as usize;
+    let epoch = head.get(4..12).map_or(0, le_u64);
+    let rot = !head.is_empty() && head[..] != header(len, epoch)[..];
+    let size = HEADER + len + 8;
+    let whole = !head.is_empty() && !rot && bytes.len() - at >= size;
+    Some(Frame {
+        at,
+        end: if whole { at + size } else { bytes.len() },
+        epoch,
+        payload: body.get(..len).unwrap_or(body),
+        checksum: whole.then(|| le_u64(&body[len..len + 8])),
+        rot,
+    })
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().unwrap_or_default())
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().unwrap_or_default())
+}
+
+/// A verified record frame's puts, in order; `None` if the frame or a
+/// put's own seal fails.
+fn record_puts(payload: &[u8], checksum: u64) -> Option<impl Iterator<Item = (&str, Arc<[u8]>)>> {
+    (checksum == LogRecord::compute(RECORD, payload)).then_some(())?;
+    let (mut rest, mut puts) = (payload, Vec::new());
+    while !rest.is_empty() {
+        let key = std::str::from_utf8(take_part(&mut rest)?).ok()?;
+        let value = take_part(&mut rest)?;
+        crate::codec::unseal(value)?;
+        puts.push((key, value));
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    if LeReader(trailer).u64() != Some(checksum64(body)) {
-        return Err("checkpoint checksum mismatch");
-    }
-    let mut reader = LeReader(body);
-    let count = reader.u64().ok_or(TRUNCATED)?;
-    let mut records = BTreeMap::new();
-    for _ in 0..count {
-        let key = reader.chunk().ok_or(TRUNCATED)?;
-        let key = std::str::from_utf8(key).map_err(|_| "checkpoint key not UTF-8")?;
-        let value = reader.chunk().ok_or(TRUNCATED)?;
-        if crate::codec::unseal(value).is_none() {
-            return Err("checkpoint record checksum mismatch");
-        }
-        records.insert(key.to_string(), value.into());
-    }
-    Ok(records)
+    Some(puts.into_iter().map(|(key, value)| (key, value.into())))
+}
+
+/// Takes one `[len: u32 LE][bytes]` part off the front of `rest`.
+fn take_part<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let (len, tail) = rest.split_at_checked(4)?;
+    let (part, tail) = tail.split_at_checked(le_u32(len) as usize)?;
+    *rest = tail;
+    Some(part)
 }

@@ -42,8 +42,8 @@
 //! share its bytes, so the injectors damage copies, never shared bytes.
 //! A named record is sealed too, with a checksum at the end of its own
 //! bytes ([`encode_record`]); a record whose seal fails reads as
-//! [`StorageError::RecordChecksum`], and a file checkpoint holding one
-//! fails at reopen.
+//! [`StorageError::RecordChecksum`], and a file store holding one fails
+//! every record read at reopen.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +52,9 @@
 //!
 //! [`StableStore`] is the only staged/persisted state machine. The
 //! engine holds a [`StorageHandle`]: a `StableStore` image and, on the
-//! file backend, a mirror of it on disk (a framed checksummed log plus
-//! an atomically-renamed record checkpoint). The mirror does only I/O:
+//! file backend, a mirror of it on disk (one file of checksummed frames
+//! per generation, each commit one append, and a `CURRENT` pointer a
+//! checkpoint flips by rename). The mirror does only I/O:
 //! each commit, crash and fault runs the image's own code once and the
 //! mirror then writes its effect, so recovery and the oracles see the
 //! same image on either backend. Records are typed at the edges

@@ -270,8 +270,8 @@ pub struct StableStore {
     /// Incarnation epoch stamped onto every appended log record.
     pub(crate) epoch: u64,
     /// Set when the persisted record map could not be read back (a
-    /// file checkpoint failed its checksum): every record read errors
-    /// until a commit persists a fresh map.
+    /// record put on file failed its checksum): every record read
+    /// errors until a checkpoint writes a fresh map.
     pub(crate) records_fault: Option<IoError>,
 }
 
@@ -296,29 +296,6 @@ impl StableStore {
     /// An empty store.
     pub fn new() -> Self {
         StableStore::default()
-    }
-
-    /// The image a reopen finds on disk: `records` and `log` persisted,
-    /// nothing staged.
-    pub(crate) fn reopened(
-        records: BTreeMap<String, Arc<[u8]>>,
-        persisted_log: Vec<LogRecord>,
-        records_fault: Option<IoError>,
-    ) -> Self {
-        let records = records
-            .into_iter()
-            .map(|(key, bytes)| {
-                let staged = None;
-                let persisted = Some(bytes);
-                (key, Record { persisted, staged })
-            })
-            .collect();
-        StableStore {
-            records,
-            persisted_log,
-            records_fault,
-            ..StableStore::default()
-        }
     }
 
     /// Stages a typed record under `key`, sealed, replacing any previous
@@ -353,17 +330,18 @@ impl StableStore {
         records.filter_map(|(key, record)| Some((key.as_str(), record.current()?)))
     }
 
+    /// The record puts the next commit makes.
+    pub(crate) fn staged_records(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        let records = self.records.iter();
+        records.filter_map(|(key, record)| Some((key.as_str(), &record.staged.as_ref()?[..])))
+    }
+
     /// Reads a record's raw bytes, seeing staged writes.
     fn record_bytes(&self, key: &str) -> Result<Option<&[u8]>, StorageError> {
         if let Some(fault) = &self.records_fault {
             return Err(StorageError::Io(fault.clone()));
         }
         Ok(self.records.get(key).and_then(Record::current))
-    }
-
-    /// Whether any record write is staged.
-    pub(crate) fn has_staged_records(&self) -> bool {
-        self.records.values().any(|r| r.staged.is_some())
     }
 
     /// Drops every staged record write.
@@ -379,7 +357,7 @@ impl StableStore {
     /// # Errors
     ///
     /// Returns [`StorageError::Io`] if the persisted record map could
-    /// not be read back (a corrupt checkpoint file).
+    /// not be read back (a corrupt record put on file).
     pub fn get_record_bytes(&self, key: &str) -> Result<Option<Vec<u8>>, StorageError> {
         Ok(self.record_bytes(key)?.map(<[u8]>::to_vec))
     }
@@ -542,7 +520,8 @@ impl StableStore {
 
     /// Whether any staged (not yet durable) mutations exist.
     pub fn has_staged(&self) -> bool {
-        self.has_staged_records() || !self.staged_log.is_empty() || self.staged_truncate
+        let records = self.staged_records().next().is_some();
+        records || !self.staged_log.is_empty() || self.staged_truncate
     }
 
     /// Simulates a power failure: staged mutations are lost, the

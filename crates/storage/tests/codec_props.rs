@@ -227,7 +227,7 @@ fn actions_of_every_kind_survive_hostile_input_checks() {
     }
     check_hostile_input_properties(&action(1, ActionKind::PersistentJoin { joiner: node(7) }));
     check_hostile_input_properties(&action(2, ActionKind::PersistentLeave { leaver: node(0) }));
-    // The persisted `ongoingQueue` is a vector of them.
+    // A vector of them: a sequence of actions in one document.
     let queue: Vec<Action> = ops()
         .into_iter()
         .take(3)

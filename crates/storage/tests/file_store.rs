@@ -290,8 +290,8 @@ fn corrupt_checkpoint_file_fails_record_reads() {
         store.put_record_bytes("base", seal_record(b"value-bytes-to-damage"));
         store.commit_staged().unwrap();
     }
-    // Rot one payload byte of the checkpoint on disk.
-    let path = dir.path().join("records-0");
+    // Rot one payload byte of the record's put on disk.
+    let path = dir.path().join("log-0");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
@@ -385,4 +385,206 @@ fn file_backend_reports_real_io_stats() {
 
     // The sim backend has no wall-clock I/O to report.
     assert_eq!(StorageHandle::sim().io_stats(), None);
+}
+
+/// A forced write is one append and one fsync, whatever it carries: log
+/// entries and record puts share the frame file, and the record map is
+/// not rewritten.
+#[test]
+fn a_commit_with_entries_and_records_makes_one_fsync() {
+    let dir = TempDir::new("one-fsync");
+    let mut store = open(&dir);
+    store.put_record_bytes("base", seal_record(&[0xBA; 4096]));
+    store.commit_staged().unwrap();
+    for round in 0..3u8 {
+        let before = store.io_stats().unwrap();
+        store.append_log(vec![round; 40]);
+        store.append_log(vec![round; 60]);
+        store.put_record_bytes("counter", seal_record(&[round]));
+        store.put_record_bytes("yellow", seal_record(b"set"));
+        store.commit_staged().unwrap();
+        let after = store.io_stats().unwrap();
+        assert_eq!(after.fsyncs - before.fsyncs, 1, "round {round}");
+        assert_eq!(after.forced_writes - before.forced_writes, 1);
+        // Two entries and two puts, framed: the base is not rewritten.
+        let written = after.file_bytes_written - before.file_bytes_written;
+        assert!(written < 300, "round {round}: {written} B");
+    }
+    // A commit with nothing staged writes nothing.
+    let before = store.io_stats().unwrap();
+    store.commit_staged().unwrap();
+    assert_eq!(store.io_stats().unwrap(), before);
+    let names: Vec<String> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names.len(), 2, "one file per generation: {names:?}");
+}
+
+/// A record put again within a generation reloads as its last put; a
+/// put lost with its commit does not count.
+#[test]
+fn a_record_re_put_within_a_generation_reloads_last_wins() {
+    let dir = TempDir::new("last-wins");
+    {
+        let mut store = open(&dir);
+        for value in [b"one", b"two"] {
+            store.put_record_bytes("k", seal_record(value));
+            store.append_log(value.to_vec());
+            store.commit_staged().unwrap();
+        }
+        store.put_record_bytes("other", seal_record(b"x"));
+        store.commit_staged().unwrap();
+        store.put_record_bytes("k", seal_record(b"lost"));
+        store.crash();
+        assert_eq!(
+            store.get_record_bytes("k").unwrap(),
+            Some(seal_record(b"two"))
+        );
+    }
+    let reopened = open(&dir);
+    assert_eq!(
+        reopened.get_record_bytes("k").unwrap(),
+        Some(seal_record(b"two"))
+    );
+    assert_eq!(
+        reopened.get_record_bytes("other").unwrap(),
+        Some(seal_record(b"x"))
+    );
+    assert_eq!(reopened.log_len(), 2);
+    assert_eq!(reopened.verify_log(), Ok(()));
+}
+
+/// Cutting a damaged final entry keeps the record puts its commit made
+/// after it: the cut rewrites them, and a reopen reads them back.
+#[test]
+fn cutting_a_final_entry_keeps_the_puts_committed_with_it() {
+    for seed in 0..8u64 {
+        let dir = TempDir::new("cut-keeps-puts");
+        let mut store = open(&dir);
+        store.put_record_bytes("counter", seal_record(b"1"));
+        store.append_log(b"first".to_vec());
+        store.commit_staged().unwrap();
+        store.append_log(b"second".to_vec());
+        store.put_record_bytes("counter", seal_record(b"2"));
+        store.commit_staged().unwrap();
+        if store
+            .inject_bit_flip(&mut SimRng::new(seed))
+            .map(|f| f.index)
+            != Some(1)
+        {
+            continue;
+        }
+        drop(store);
+        let mut reopened = open(&dir);
+        let fault = reopened.verify_log().expect_err("the flip is seen");
+        assert_eq!(fault.index, 1);
+        reopened.truncate_log_from(fault.index);
+        drop(reopened);
+        let repaired = open(&dir);
+        assert_eq!(repaired.verify_log(), Ok(()));
+        assert_eq!(repaired.log_len(), 1);
+        let counter = repaired.get_record_bytes("counter").unwrap();
+        assert_eq!(counter, Some(seal_record(b"2")), "seed {seed}");
+        return;
+    }
+    panic!("no seed flipped the final entry");
+}
+
+/// A store whose `CURRENT` pointer is gone, or names a generation with
+/// no file, refuses to open instead of sweeping its generations away.
+#[test]
+fn a_missing_or_dangling_current_is_an_open_error() {
+    let dir = TempDir::new("current");
+    {
+        let mut store = open(&dir);
+        store.append_log(b"entry".to_vec());
+        store.truncate_log();
+        store.append_log(b"compacted".to_vec());
+        store.commit_staged().unwrap();
+    }
+    let current = dir.path().join("CURRENT");
+    std::fs::write(&current, "g=9\n").unwrap();
+    assert!(matches!(
+        StorageHandle::file(dir.path()),
+        Err(StorageError::Io(_))
+    ));
+    std::fs::remove_file(&current).unwrap();
+    assert!(matches!(
+        StorageHandle::file(dir.path()),
+        Err(StorageError::Io(_))
+    ));
+    std::fs::write(&current, "g=1\n").unwrap();
+    assert_eq!(open(&dir).read_log().len(), 1);
+}
+
+/// A commit's record puts are one frame: an append cut anywhere inside
+/// it keeps none of them, so a reopen never mixes one commit's records
+/// with an older commit's.
+#[test]
+fn a_commits_record_puts_land_all_or_none() {
+    let dir = TempDir::new("all-or-none");
+    let keys = ["attempt_index", "green_lines", "prim_component", "yellow"];
+    let (clean, committed) = {
+        let mut store = open(&dir);
+        for key in keys {
+            store.put_record_bytes(key, seal_record(b"old"));
+        }
+        store.commit_staged().unwrap();
+        let clean = std::fs::metadata(dir.path().join("log-0")).unwrap().len();
+        for key in keys {
+            store.put_record_bytes(key, seal_record(b"new"));
+        }
+        store.commit_staged().unwrap();
+        (
+            clean as usize,
+            std::fs::read(dir.path().join("log-0")).unwrap(),
+        )
+    };
+    for cut in clean..committed.len() {
+        std::fs::write(dir.path().join("log-0"), &committed[..cut]).unwrap();
+        let store = open(&dir);
+        let values: Vec<_> = keys
+            .iter()
+            .map(|key| store.get_record_bytes(key).unwrap())
+            .collect();
+        assert!(
+            values.iter().all(|v| *v == Some(seal_record(b"old"))),
+            "cut at {cut}: {values:?}"
+        );
+    }
+}
+
+/// Rot in a frame's length is not a torn tail: the header seal fails,
+/// the scan reports a fault before the log's end, and every record read
+/// fails, so recovery cannot cut the entry and the puts after it and
+/// go on without them.
+#[test]
+fn rot_in_a_final_entrys_length_is_a_mid_log_fault() {
+    for bit in [0u8, 7, 15, 31] {
+        let dir = TempDir::new("length-rot");
+        {
+            let mut store = open(&dir);
+            store.append_log(b"first".to_vec());
+            store.commit_staged().unwrap();
+            store.append_log(b"final".to_vec());
+            store.put_record_bytes("counter", seal_record(b"2"));
+            store.commit_staged().unwrap();
+        }
+        let path = dir.path().join("log-0");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The second frame starts after the first: header, payload, checksum.
+        let second = 16 + b"first".len() + 8;
+        bytes[second + bit as usize / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        let store = open(&dir);
+        let fault = store.verify_log().expect_err("the rot is seen");
+        assert_eq!(
+            (fault.index, fault.kind),
+            (1, LogFaultKind::Checksum),
+            "bit {bit}"
+        );
+        assert!(fault.index + 1 < store.log_len() as u64, "bit {bit}");
+        assert!(store.get_record_bytes("counter").is_err(), "bit {bit}");
+    }
 }
