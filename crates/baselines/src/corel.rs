@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use todr_core::{ActionId, ClientReply, ClientRequest, RequestId};
+use todr_core::{ActionId, ClientReply, ClientRequest, RequestId, CPU_PER_ACTION};
 use todr_db::{Database, Op};
 use todr_evs::{EvsCmd, EvsEvent};
 use todr_net::{Datagram, NetOp, NodeId};
@@ -32,8 +32,6 @@ pub struct CorelConfig {
     pub servers: Vec<NodeId>,
     /// CPU cost to process one acknowledgement.
     pub cpu_per_message: SimDuration,
-    /// CPU cost to apply one action.
-    pub cpu_per_action: SimDuration,
 }
 
 impl CorelConfig {
@@ -43,7 +41,6 @@ impl CorelConfig {
             me,
             servers,
             cpu_per_message: SimDuration::from_micros(30),
-            cpu_per_action: SimDuration::from_micros(380),
         }
     }
 }
@@ -236,7 +233,7 @@ impl CorelServer {
             let p = self.progress.remove(&id).expect("just checked");
             self.db.apply(&p.update);
             self.stats.committed += 1;
-            let done = self.cpu.charge(ctx.now(), self.config.cpu_per_action);
+            let done = self.cpu.charge(ctx.now(), CPU_PER_ACTION);
             if let Some(reply) = self.pending_replies.remove(&id) {
                 ctx.send_at(
                     done,

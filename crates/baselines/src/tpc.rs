@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use todr_core::{ActionId, ClientReply, ClientRequest};
+use todr_core::{ActionId, ClientReply, ClientRequest, CPU_PER_ACTION};
 use todr_db::{Database, Op};
 use todr_net::{Datagram, NetOp, NodeId};
 use todr_sim::{Actor, ActorId, CpuMeter, Ctx, Payload, SimDuration, SimTime};
@@ -19,8 +19,6 @@ pub struct TpcConfig {
     pub servers: Vec<NodeId>,
     /// CPU cost to process one protocol message.
     pub cpu_per_message: SimDuration,
-    /// CPU cost to apply one action.
-    pub cpu_per_action: SimDuration,
 }
 
 impl TpcConfig {
@@ -30,7 +28,6 @@ impl TpcConfig {
             me,
             servers,
             cpu_per_message: SimDuration::from_micros(30),
-            cpu_per_action: SimDuration::from_micros(380),
         }
     }
 }
@@ -232,7 +229,7 @@ impl TpcServer {
                 if let Some(update) = self.prepared.remove(id) {
                     self.db.apply(&update);
                     self.stats.applied += 1;
-                    self.cpu.charge(ctx.now(), self.config.cpu_per_action);
+                    self.cpu.charge(ctx.now(), CPU_PER_ACTION);
                 }
             }
         }
@@ -266,7 +263,7 @@ impl TpcServer {
                 self.db.apply(&coord.update);
                 self.stats.applied += 1;
                 self.stats.committed += 1;
-                let done = self.cpu.charge(ctx.now(), self.config.cpu_per_action);
+                let done = self.cpu.charge(ctx.now(), CPU_PER_ACTION);
                 ctx.send_at(
                     done,
                     coord.reply_to,

@@ -390,41 +390,23 @@ fn run_case_inner(
         let g0 = cluster.green_count(survivors[0]);
         let d0 = cluster.db_digest(survivors[0]);
         for &i in &survivors {
-            let state = cluster.engine_state(i);
-            if state != EngineState::RegPrim {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!("survivor {i} in state {state:?} after heal, not RegPrim"),
-                ));
-            }
-            let g = cluster.green_count(i);
-            if g != g0 {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!("survivor {i} green count {g} != {g0}"),
-                ));
-            }
-            let d = cluster.db_digest(i);
-            if d != d0 {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!("survivor {i} database digest diverged"),
-                ));
-            }
+            let (state, g) = (cluster.engine_state(i), cluster.green_count(i));
             // Every request a survivor accepted in its current
             // incarnation was answered: the clients stopped and the run
             // drained, so an owed reply is one nothing will ever send.
             let owed = cluster.owed_replies(i);
-            if owed > 0 {
-                return Err(fail(
-                    &cluster,
-                    FailureKind::Convergence,
-                    format!("survivor {i} still owes {owed} client replies after the drain"),
-                ));
-            }
+            let diverged = if state != EngineState::RegPrim {
+                format!("survivor {i} in state {state:?} after heal, not RegPrim")
+            } else if g != g0 {
+                format!("survivor {i} green count {g} != {g0}")
+            } else if cluster.db_digest(i) != d0 {
+                format!("survivor {i} database digest diverged")
+            } else if owed > 0 {
+                format!("survivor {i} still owes {owed} client replies after the drain")
+            } else {
+                continue;
+            };
+            return Err(fail(&cluster, FailureKind::Convergence, diverged));
         }
         groups.push(GroupPass {
             // Ascending: within a group, flat order is node-id order.

@@ -18,13 +18,14 @@ use todr_storage::{DiskDone, DiskOp, StorageHandle, SyncToken};
 use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
 use crate::exchange::{GreenPath, Round, StateMsg};
 use crate::fastpath::{FastPath, FastReply, Receipt};
-use crate::knowledge::{Accept, Knowledge};
+use crate::knowledge::{Accept, GcAt, Knowledge};
 use crate::lease::{At, LeaseRead, ReadLease};
 use crate::persist::{self, RecoveryError};
 use crate::quorum::PrimComponent;
 use crate::semantics::{take_reply, CommitPoint, PendingReply, QuerySemantics, UpdateReplyPolicy};
 use crate::types::{
     ClientReply, ClientRequest, EngineConfig, EngineCtl, GreenBase, StorageFault, TransferWire,
+    CPU_PER_ACTION,
 };
 
 /// The engine's protocol state (Figure 4 of the paper, plus the
@@ -108,13 +109,13 @@ enum AfterSync {
 /// Timer for retrying the join bootstrap against another representative.
 struct JoinRetry;
 
-/// The fixed per-delivery-burst component of
-/// [`EngineConfig::cpu_per_action`] (frame handling, scheduling, buffer
-/// bookkeeping). The first green action of a same-instant delivery burst
-/// pays the full `cpu_per_action`; the rest of the burst pays only the
-/// marginal `cpu_per_action - CPU_BURST_OVERHEAD`. Without packing every
-/// burst is a single action and the model reduces exactly to the
-/// historical per-action charge.
+/// The fixed per-delivery-burst component of [`CPU_PER_ACTION`] (frame
+/// handling, scheduling, buffer bookkeeping). The first green action of
+/// a same-instant delivery burst pays the full `CPU_PER_ACTION`; the
+/// rest of the burst pays only the marginal
+/// `CPU_PER_ACTION - CPU_BURST_OVERHEAD`. Without packing every burst is
+/// a single action and the model reduces exactly to the historical
+/// per-action charge.
 const CPU_BURST_OVERHEAD: SimDuration = SimDuration::from_micros(230);
 /// Modelled size of a CPC message in bytes.
 const CPC_MSG_BYTES: u32 = 64;
@@ -171,10 +172,8 @@ struct Volatile {
     /// Green marks were made, or a base adopted, since the last
     /// `GreenLineAdvance` (see `announce_green_line`).
     green_unannounced: bool,
-    /// The last green line this incarnation advertised, on a created
-    /// action or by [`TransferWire::GreenLine`] (see
-    /// `advertise_green_line`); recovery restarts it at the reloaded
-    /// green count.
+    /// The last green line this incarnation advertised or a created
+    /// action carried ([`Knowledge::gc_step`]).
     advertised: u64,
 }
 
@@ -319,9 +318,7 @@ impl ReplicationEngine {
         self.state = to;
     }
 
-    // ============================================================
-    // inspection (tests, checkers, experiment harness)
-    // ============================================================
+    // ====== inspection (tests, checkers, experiment harness) ======
 
     /// Current protocol state.
     pub fn state(&self) -> EngineState {
@@ -415,27 +412,14 @@ impl ReplicationEngine {
 
     /// Discards **white** actions (§3: "these actions can be discarded
     /// since no other server will need them subsequently") and compacts
-    /// the persisted log to a checkpoint of the current green state.
-    /// Returns the number of bodies discarded.
-    ///
-    /// Safety of the discard: the white line is the minimum green line
-    /// over the server set, so every potential exchange peer already has
-    /// (at least) those actions green; the exchange plan never asks for
-    /// green positions below any member's green count, and this server's
-    /// advertised `green_floor` rises accordingly. The log compaction is
-    /// staged and becomes durable with the next forced write
-    /// (crash-before-commit reverts to the uncompacted log).
+    /// the persisted log to a checkpoint of the current green state,
+    /// staged until the next forced write (a crash before it reverts to
+    /// the uncompacted log). Returns the number of bodies discarded.
     pub fn checkpoint(&mut self) -> u64 {
-        let Some(pruned) = self.k.prune_white() else {
-            return 0;
-        };
-        self.k.save_base(&mut self.store);
-        pruned
+        self.k.checkpoint(&mut self.store)
     }
 
-    // ============================================================
-    // plumbing
-    // ============================================================
+    // ====== plumbing ======
 
     fn send_group(&mut self, ctx: &mut Ctx<'_>, msg: EngineMsg, size_bytes: u32) {
         ctx.send_now(
@@ -599,9 +583,7 @@ impl ReplicationEngine {
         self.reply(ctx, at, req.reply_to, reply);
     }
 
-    // ============================================================
-    // coloring (Appendix A, CodeSegment A.14)
-    // ============================================================
+    // ====== coloring (Appendix A, CodeSegment A.14) ======
 
     /// `MarkRed`: accept the action if it is the creator's next, log it,
     /// maintain the red cut. Out-of-order arrivals (possible during an
@@ -650,7 +632,7 @@ impl ReplicationEngine {
         self.v.dirty_db = None;
         if let Some(p) = take_reply(&mut self.v.pending_replies, id, CommitPoint::Red) {
             let result = p.query.as_ref().map(|q| self.dirty_view().query(q));
-            let answer = (self.charge_cpu(ctx, self.cfg.cpu_per_action), result);
+            let answer = (self.charge_cpu(ctx, CPU_PER_ACTION), result);
             self.reply_committed(ctx, CommitPoint::Red, id, Some(action), p, answer);
         }
         true
@@ -675,10 +657,8 @@ impl ReplicationEngine {
     /// `MarkYellow`: accept as red and remember in the yellow set.
     fn mark_yellow(&mut self, ctx: &mut Ctx<'_>, action: &Rc<Body>) {
         self.mark_red(ctx, action, true);
-        if self.k.body(&action.id).is_some() && !self.k.yellow.set.contains(&action.id) {
-            self.k.yellow.set.push(action.id);
+        if self.k.mark_yellow(&mut self.store, action.id) {
             self.note_ordered(ctx, action.id, EventColor::Yellow);
-            self.store.put_record(persist::K_YELLOW, &self.k.yellow);
         }
     }
 
@@ -706,22 +686,32 @@ impl ReplicationEngine {
         self.v.green_unannounced = true;
         self.v.dirty_db = None;
         // `Knowledge::mark_green` applied an `App` body to the database;
-        // the membership structures are this server's business.
+        // a green join or leave changes the membership (CodeSegment 5.1).
         match &action.kind {
             ActionKind::App { .. } => {}
-            ActionKind::PersistentJoin { joiner } => self.apply_join_green(ctx, *joiner, id),
-            ActionKind::PersistentLeave { leaver } => self.apply_leave_green(ctx, *leaver),
+            ActionKind::PersistentJoin { joiner } => {
+                self.v.pending_joins.remove(joiner);
+                if self.k.join_green(&mut self.store, *joiner) && id.server == self.cfg.me {
+                    self.send_snapshot_to(ctx, *joiner); // the representative ships the database
+                }
+            }
+            ActionKind::PersistentLeave { leaver } => {
+                if self.k.leave_green(&mut self.store, *leaver) {
+                    self.v.departed_servers.insert(*leaver);
+                    if *leaver == self.cfg.me {
+                        // "if (Action.leave_id == serverId) exit"
+                        self.departed = true;
+                        self.set_state(EngineState::Down);
+                        ctx.send_now(self.evs, EvsCmd::LeaveGroup);
+                    }
+                }
+            }
         }
-        // Periodic white-line garbage collection (§3).
-        let interval = self.cfg.checkpoint_interval;
-        if interval > 0 && self.k.green_count.is_multiple_of(interval) {
-            self.checkpoint();
-            self.note_retained(ctx);
-        }
-        self.advertise_green_line(ctx);
+        let regular_prim = self.state == EngineState::RegPrim;
+        self.gc_step(ctx, GcAt::Green { regular_prim });
         // Charge the CPU (a same-instant burst shares its overhead); the
         // waiting client (origin server only) hears once that is done.
-        let full = self.cfg.cpu_per_action;
+        let full = CPU_PER_ACTION;
         let marginal = full.saturating_sub(CPU_BURST_OVERHEAD);
         let (done_at, ended) = self.v.cpu.charge_burst(ctx.now(), full, marginal);
         self.horizon.set(self.v.cpu.busy_until());
@@ -763,82 +753,18 @@ impl ReplicationEngine {
         }
     }
 
-    /// Makes this server's green line known to the others when no
-    /// created action has carried it for a whole checkpoint interval
-    /// (§3: the white line is the minimum of everyone's line, so one
-    /// replica that never creates an action pins it, and with it every
-    /// body, forever). Only in the regular primary, where greens
-    /// advance, and never with GC off. The line goes out once a forced
-    /// write makes it durable — as an action's piggybacked line is — so
-    /// no peer prunes bodies this server could still need after a
-    /// crash.
-    fn advertise_green_line(&mut self, ctx: &mut Ctx<'_>) {
-        let interval = self.cfg.checkpoint_interval;
-        let line = self.k.green_count;
-        if interval == 0
-            || self.state != EngineState::RegPrim
-            || line < self.v.advertised + interval
-        {
-            return;
+    /// One white-line GC step ([`Knowledge::gc_step`]) and its I/O. An
+    /// advertised line goes out durable, as an action's piggybacked line
+    /// does, so no peer prunes a body this server could still need after
+    /// a crash.
+    fn gc_step(&mut self, ctx: &mut Ctx<'_>, at: GcAt) {
+        let gc = (self.cfg.checkpoint_interval, &mut self.v.advertised);
+        let (checkpointed, advertise) = self.k.gc_step(&mut self.store, gc, at);
+        if checkpointed.is_some() {
+            self.note_retained(ctx);
         }
-        self.v.advertised = line;
-        self.request_sync(ctx, AfterSync::AdvertiseGreenLine { line });
-    }
-
-    /// The durable `line` goes to the rest of the server set, straight
-    /// over the fabric (see [`TransferWire::GreenLine`]).
-    fn send_green_line(&mut self, ctx: &mut Ctx<'_>, line: u64) {
-        let me = self.cfg.me;
-        let peers: Vec<NodeId> = self
-            .k
-            .server_set
-            .iter()
-            .copied()
-            .filter(|&s| s != me)
-            .collect();
-        if !peers.is_empty() {
-            ctx.metrics()
-                .incr(metric!("engine.green_lines_advertised"), 1);
-            self.send_transfer(ctx, peers, TransferWire::GreenLine { line });
-        }
-    }
-
-    /// CodeSegment 5.1, green `PERSISTENT_JOIN`.
-    fn apply_join_green(&mut self, ctx: &mut Ctx<'_>, joiner: NodeId, action_id: ActionId) {
-        self.v.pending_joins.remove(&joiner);
-        if self.k.server_set.contains(&joiner) {
-            return; // later duplicate join announcements are ignored
-        }
-        self.k.server_set.insert(joiner);
-        self.k.note_creator(joiner);
-        // The joiner's green line starts at the join action itself.
-        self.k.green_lines.insert(joiner, self.k.green_count);
-        self.k.save_records(&mut self.store);
-        if action_id.server == self.cfg.me {
-            // I am the representative: ship the database.
-            self.send_snapshot_to(ctx, joiner);
-        }
-    }
-
-    /// CodeSegment 5.1, green `PERSISTENT_LEAVE`.
-    fn apply_leave_green(&mut self, ctx: &mut Ctx<'_>, leaver: NodeId) {
-        if !self.k.server_set.contains(&leaver) {
-            return;
-        }
-        self.k.server_set.remove(&leaver);
-        self.k.green_lines.remove(&leaver);
-        self.v.departed_servers.insert(leaver);
-        // Discount the leaver from the quorum base so the next primary
-        // does not need a majority the departed member can no longer
-        // help form (capped at one per incarnation — see
-        // `PrimComponent::note_departure` for the safety argument).
-        self.k.prim_component.note_departure(leaver);
-        self.k.save_records(&mut self.store);
-        if leaver == self.cfg.me {
-            // "if (Action.leave_id == serverId) exit"
-            self.departed = true;
-            self.set_state(EngineState::Down);
-            ctx.send_now(self.evs, EvsCmd::LeaveGroup);
+        if let Some(line) = advertise {
+            self.request_sync(ctx, AfterSync::AdvertiseGreenLine { line });
         }
     }
 
@@ -856,9 +782,7 @@ impl ReplicationEngine {
         self.v.dirty_db.get_or_insert_with(|| self.k.dirty_db())
     }
 
-    // ============================================================
-    // client requests
-    // ============================================================
+    // ====== client requests ======
 
     fn on_client_request(&mut self, ctx: &mut Ctx<'_>, req: ClientRequest) {
         // Injected bug (oracle self-test): a "lease" that is never
@@ -959,7 +883,7 @@ impl ReplicationEngine {
         kind: ActionKind,
         size: u32,
     ) -> Rc<Body> {
-        self.v.advertised = self.v.advertised.max(self.k.green_count);
+        self.gc_step(ctx, GcAt::Created);
         let action = self.k.create_action(&mut self.store, client, kind, size);
         ctx.metrics().incr(metric!("engine.actions_created"), 1);
         ctx.emit(ProtocolEvent::ActionCreated {
@@ -1050,7 +974,7 @@ impl ReplicationEngine {
                     return self.v.parked_strict.push(req);
                 }
                 let result = self.k.db.query(query);
-                self.answer(ctx, &req, result, false, Some(self.cfg.cpu_per_action / 4));
+                self.answer(ctx, &req, result, false, Some(CPU_PER_ACTION / 4));
             }
             (None, QuerySemantics::Weak) => {
                 let result = self.k.db.query(query);
@@ -1075,7 +999,7 @@ impl ReplicationEngine {
         row: Option<(&str, &str, u64)>,
         tier: ReadTier,
     ) {
-        let (node, cpu) = (self.cfg.me.index(), self.cfg.cpu_per_action / 4);
+        let (node, cpu) = (self.cfg.me.index(), CPU_PER_ACTION / 4);
         let dirty = tier == ReadTier::RedOverlay;
         let db = if dirty { self.dirty_view() } else { &self.k.db };
         let result = match row {
@@ -1167,9 +1091,7 @@ impl ReplicationEngine {
         self.release_strict(ctx);
     }
 
-    // ============================================================
-    // view changes & exchange
-    // ============================================================
+    // ====== view changes & exchange ======
 
     /// A regular configuration: its fresh [`Round`] starts, and we
     /// `Shift_to_exchange_states` (CodeSegment A.5).
@@ -1178,21 +1100,12 @@ impl ReplicationEngine {
         self.v.round = Some(Round::new(conf, self.v.round.take()));
         match self.state {
             EngineState::Down | EngineState::Joining => return,
-            // A.3: vulnerable invalid (we received every message of the
-            // primary up to the cut), yellow becomes valid.
-            EngineState::TransPrim => {
-                self.k.vulnerable.valid = false;
-                self.k.yellow.valid = true;
-            }
-            // A.11: nobody can have installed (case 3).
-            EngineState::No => self.k.vulnerable.valid = false,
-            // A.12 / A.1: vulnerability (if any) stays as is — the `?`
-            // transition of Figure 4.
-            EngineState::Un | EngineState::NonPrim => {}
+            // A.3, A.11, A.12 / A.1: `Knowledge::shift_to_exchange`.
+            EngineState::TransPrim | EngineState::No | EngineState::Un | EngineState::NonPrim => {}
             other => panic!("RegConf cannot arrive in {other:?} (EVS delivers TransConf first)"),
         }
+        self.k.shift_to_exchange(&mut self.store, self.state);
         self.set_state(EngineState::ExchangeStates);
-        self.k.save_records(&mut self.store);
         let epoch = self.conf_epoch;
         self.request_sync(ctx, AfterSync::SendState { epoch });
     }
@@ -1349,10 +1262,10 @@ impl ReplicationEngine {
         if self.state == EngineState::No {
             return self.set_state(EngineState::Un);
         }
-        // A.9: everyone voted; install.
-        for &m in &round.conf().members {
-            self.k.green_lines.insert(m, self.k.green_count);
-        }
+        // A.9: everyone voted, so every member's green line is ours;
+        // install. The attempt's servers are the members.
+        debug_assert!(self.k.vulnerable.set.iter().eq(&round.conf().members));
+        self.k.level_green_lines(&BTreeSet::new());
         self.install(ctx);
         if self.departed {
             // Our own PERSISTENT_LEAVE turned green during the
@@ -1391,20 +1304,13 @@ impl ReplicationEngine {
             self.v.stashed.keys().collect::<Vec<_>>(),
             self.cfg.me
         );
-        if self.k.yellow.valid {
-            // OR-1.2: the previous primary already fixed these actions'
-            // positions.
-            let yellow_ids = std::mem::take(&mut self.k.yellow.set);
-            #[cfg(feature = "chaos-mutations")]
-            let yellow_ids = self.chaos_install_order(yellow_ids);
-            for id in yellow_ids {
-                if self.k.is_green(&id) {
-                    continue; // in a base adopted since, its body dropped
-                }
-                let action = self.k.body(&id);
-                let action = Rc::clone(action.expect("yellow body present after exchange"));
-                self.mark_green(ctx, &action);
-            }
+        // OR-1.2: the previous primary already fixed the yellow actions'
+        // positions.
+        let yellows = self.k.take_yellows();
+        #[cfg(feature = "chaos-mutations")]
+        let yellows = self.chaos_install_order(yellows);
+        for action in yellows {
+            self.mark_green(ctx, &action);
         }
         self.k.install_prim(&self.v.departed_servers);
         // OR-2: remaining red actions, ordered by action id.
@@ -1414,23 +1320,17 @@ impl ReplicationEngine {
         for action in reds {
             self.mark_green(ctx, &action);
         }
-        // Record every member's green line and checkpoint, or the white
-        // line stays pinned at the pre-install count until client traffic
-        // happens to advance it — which never comes if a long partition
-        // left every replica at its retention cap, wedging the whole
-        // system in backpressure rejection.
+        // Level every member's green line and checkpoint, or a long
+        // partition that left every replica at its retention cap wedges
+        // the system in backpressure rejection: no client traffic comes
+        // to move the white line.
         self.k.level_green_lines(&self.v.departed_servers);
-        if self.cfg.checkpoint_interval > 0 {
-            self.checkpoint();
-            self.note_retained(ctx);
-        }
+        self.gc_step(ctx, GcAt::Install);
         ctx.metrics().incr(metric!("engine.primaries_installed"), 1);
         self.k.save_records(&mut self.store);
     }
 
-    // ============================================================
-    // deliveries
-    // ============================================================
+    // ====== deliveries ======
 
     fn on_delivery(&mut self, ctx: &mut Ctx<'_>, delivery: todr_evs::Delivery) {
         let msg = delivery
@@ -1505,9 +1405,7 @@ impl ReplicationEngine {
         }
     }
 
-    // ============================================================
-    // commit fast path (CURP-style, see `crate::fastpath`)
-    // ============================================================
+    // ====== commit fast path (CURP-style, see `crate::fastpath`) ======
 
     /// An eager EVS receipt: the action's agreed-order position is fixed
     /// one stability round before [`Self::on_delivery`]. In the regular
@@ -1549,7 +1447,7 @@ impl ReplicationEngine {
                 let result = query.map(|q| self.dirty_view().query(q));
                 // Charge the check + read now so the CPU work overlaps
                 // the FastAck round trip instead of serializing behind it.
-                let ready_at = self.charge_cpu(ctx, self.cfg.cpu_per_action / 4);
+                let ready_at = self.charge_cpu(ctx, CPU_PER_ACTION / 4);
                 if let Some(fast) = &mut self.fast {
                     fast.open(id, FastReply { result, ready_at });
                 }
@@ -1579,9 +1477,7 @@ impl ReplicationEngine {
         self.reply_committed(ctx, CommitPoint::Fast, id, action, p, answer);
     }
 
-    // ============================================================
-    // disk completions
-    // ============================================================
+    // ====== disk completions ======
 
     /// The current configuration, if a sync from `epoch` completes in it and in `state`.
     fn still_in(&self, epoch: u64, state: EngineState) -> Option<ConfId> {
@@ -1614,13 +1510,7 @@ impl ReplicationEngine {
                     }
                     self.flush_submit_queue(ctx);
                 } else {
-                    // A configuration change overtook this forced
-                    // write. The actions are durable in the own-action
-                    // queue, but generating them now would inject an
-                    // action into the new configuration's agreed sequence
-                    // *after* our state message — a member already in
-                    // `Construct` could then deliver it before the full
-                    // CPC set. Hold them until the next install.
+                    // Overtaken by a configuration change: `deferred_submits`.
                     self.v.deferred_submits.extend(actions);
                 }
             }
@@ -1650,14 +1540,22 @@ impl ReplicationEngine {
                     ctx.send_now(self.evs, EvsCmd::JoinGroup);
                 }
             }
-            AfterSync::AdvertiseGreenLine { line } => self.send_green_line(ctx, line),
+            // The durable line goes to the rest of the server set,
+            // straight over the fabric (see `TransferWire::GreenLine`).
+            AfterSync::AdvertiseGreenLine { line } => {
+                let me = self.cfg.me;
+                let peers = Vec::from_iter(self.k.server_set.iter().copied().filter(|&s| s != me));
+                if !peers.is_empty() {
+                    ctx.metrics()
+                        .incr(metric!("engine.green_lines_advertised"), 1);
+                    self.send_transfer(ctx, peers, TransferWire::GreenLine { line });
+                }
+            }
             AfterSync::Noop => {}
         }
     }
 
-    // ============================================================
-    // control: crash / recovery / join / leave
-    // ============================================================
+    // ====== control: crash / recovery / join / leave ======
 
     fn on_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: EngineCtl) {
         let leaver = match ctl {
@@ -1754,15 +1652,9 @@ impl ReplicationEngine {
         self.recovery_error = None;
         #[cfg(feature = "chaos-mutations")]
         if self.cfg.chaos == Some(crate::types::ChaosMutation::SwapReloadedGreens) {
-            // Injected bug: a reloaded green order with its last two
-            // ids swapped. The database was replayed in log order, so
-            // only the green tail (what retransmission serves) is wrong.
-            let n = self.k.green_tail.len();
-            if n >= 2 {
-                self.k.green_tail.swap(n - 2, n - 1);
-            }
+            self.k.swap_last_greens();
         }
-        self.v.advertised = self.k.green_count;
+        self.gc_step(ctx, GcAt::Recovered);
 
         // Re-accept own unacknowledged actions (A.13).
         for action in self.k.own_queue().cloned().collect::<Vec<_>>() {
@@ -1841,9 +1733,7 @@ impl ReplicationEngine {
                 if self.state != EngineState::Joining {
                     return;
                 }
-                self.k.server_set = server_set.clone();
-                self.k.server_set.insert(self.cfg.me);
-                self.k.prim_component = prim_component.clone();
+                self.k.bootstrap(server_set, prim_component);
                 self.adopt_base(ctx, base, green_lines);
                 // Persist the inherited state, then join the group.
                 self.request_sync(ctx, AfterSync::JoinedReady);

@@ -4,21 +4,39 @@
 //! `actionIndex`, the red cut, `primComponent`, `attemptIndex`,
 //! `vulnerable`, `yellow`, `actionsQueue`, `ongoingQueue`, `greenLines`)
 //! together with the green database those actions build. It is plain
-//! data plus rules — no simulator context, no storage handle, no
-//! metrics. The engine calls the rules from its handlers and does the
-//! logging and event emission around them; [`crate::persist::load`]
-//! folds the *same* rules over the persisted log, so the state recovery
-//! rebuilds is by construction the state the live path built.
+//! data plus rules — no simulator context, no metrics; a rule that
+//! changes what storage mirrors stages its own records. The engine
+//! writes no field itself: it calls the rules from its handlers and
+//! does the syncs, sends, events and metrics around them;
+//! [`crate::persist::load`] folds the *same* rules over the persisted
+//! log, so the state recovery rebuilds is by construction the state the
+//! live path built.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use todr_db::Database;
 use todr_net::NodeId;
+use todr_storage::StorageHandle;
 
 use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
+use crate::engine::EngineState;
+use crate::persist;
 use crate::quorum::{PrimComponent, VulnerableRecord, YellowRecord};
 use crate::types::GreenBase;
+
+/// Where a [`Knowledge::gc_step`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GcAt {
+    /// After a green mark, in the regular primary or not.
+    Green { regular_prim: bool },
+    /// At the end of an install.
+    Install,
+    /// At an own action's creation: the action carries the green line.
+    Created,
+    /// At recovery: the reloaded line counts as advertised.
+    Recovered,
+}
 
 /// The verdict of [`Knowledge::accept_red`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,7 +206,7 @@ impl Knowledge {
     /// record, never both.
     pub(crate) fn create_action(
         &mut self,
-        store: &mut todr_storage::StorageHandle,
+        store: &mut StorageHandle,
         client: ClientId,
         kind: ActionKind,
         size_bytes: u32,
@@ -264,12 +282,6 @@ impl Knowledge {
             green_count: self.green_count,
             green_cut: self.green_cuts(),
         }
-    }
-
-    /// Makes `creator` known at red cut 0 (a joiner, before it creates
-    /// anything).
-    pub(crate) fn note_creator(&mut self, creator: NodeId) {
-        self.creators.entry(creator).or_default();
     }
 
     /// Number of retained bodies, red and not-yet-discarded green.
@@ -443,23 +455,138 @@ impl Knowledge {
         self.attempt_index = 0;
     }
 
-    /// Sets the green line of every member of the just-installed
-    /// primary but the `departed` to this server's green count: each one
-    /// greened the identical sets, so its line lands at the same count.
+    /// Sets the green line of every server of the attempt being
+    /// installed but the `departed` to this server's green count: each
+    /// greened the identical sets (A.9, and again at the install's end).
     pub(crate) fn level_green_lines(&mut self, departed: &BTreeSet<NodeId>) {
-        for &m in self.prim_component.servers.difference(departed) {
+        for &m in self.vulnerable.set.difference(departed) {
             self.green_lines.insert(m, self.green_count);
         }
     }
 
-    /// Discards the bodies of **white** actions (§3). Returns how many
-    /// were discarded, or `None` if the white line is not above the
-    /// floor and nothing changed.
-    pub(crate) fn prune_white(&mut self) -> Option<u64> {
-        let white = self.white_line();
-        let floor = self.green_floor();
+    /// The yellow set, if it is valid, taken for the install to green
+    /// first (A.10, OR-1.2): the bodies of those not green yet (a green
+    /// retransmission may have greened one, and GC dropped its body).
+    /// `install_prim` then invalidates the record.
+    pub(crate) fn take_yellows(&mut self) -> Vec<Rc<Body>> {
+        let ids = std::mem::take(&mut self.yellow.set);
+        let ids = ids
+            .into_iter()
+            .filter(|id| self.yellow.valid && !self.is_green(id));
+        let body = |id| Rc::clone(self.body(&id).expect("yellow body present after exchange"));
+        ids.map(body).collect()
+    }
+
+    /// `MarkYellow`, staged: red action `id` joins the yellow set, unless
+    /// its body is not held or it is there already (`false`).
+    pub(crate) fn mark_yellow(&mut self, store: &mut StorageHandle, id: ActionId) -> bool {
+        let fresh = self.body(&id).is_some() && !self.yellow.set.contains(&id);
+        if fresh {
+            self.yellow.set.push(id);
+            store.put_record(persist::K_YELLOW, &self.yellow);
+        }
+        fresh
+    }
+
+    /// A regular configuration met in `from` (A.5), staged with the
+    /// records. After the primary's transitional one (A.3) every message
+    /// of the primary up to the cut arrived: the vote is settled and the
+    /// yellow set valid. After an interrupted vote nobody installed
+    /// (A.11). Otherwise the vulnerability stays (A.12, A.1: Figure 4's `?`).
+    pub(crate) fn shift_to_exchange(&mut self, store: &mut StorageHandle, from: EngineState) {
+        if matches!(from, EngineState::TransPrim | EngineState::No) {
+            self.vulnerable.valid = false;
+        }
+        self.yellow.valid |= from == EngineState::TransPrim;
+        self.save_records(store);
+    }
+
+    /// A green `PERSISTENT_JOIN` (CodeSegment 5.1), staged: `joiner`
+    /// enters the server set, as a creator at red cut 0, its green line at
+    /// the join itself. `false`, changing nothing, for a member.
+    pub(crate) fn join_green(&mut self, store: &mut StorageHandle, joiner: NodeId) -> bool {
+        let new = self.server_set.insert(joiner);
+        if new {
+            self.creators.entry(joiner).or_default();
+            self.green_lines.insert(joiner, self.green_count);
+            self.save_records(store);
+        }
+        new
+    }
+
+    /// A green `PERSISTENT_LEAVE` (CodeSegment 5.1), staged: `leaver`
+    /// leaves the server set and the green lines, and the quorum base
+    /// ([`PrimComponent::note_departure`]). `false`, changing nothing,
+    /// for a non-member.
+    pub(crate) fn leave_green(&mut self, store: &mut StorageHandle, leaver: NodeId) -> bool {
+        let member = self.server_set.remove(&leaver);
+        if member {
+            self.green_lines.remove(&leaver);
+            self.prim_component.note_departure(leaver);
+            self.save_records(store);
+        }
+        member
+    }
+
+    /// A joiner's bootstrap (CodeSegment 5.2): the representative's server
+    /// set, with this server in it, and primary component. The base that
+    /// came with them is adopted next.
+    pub(crate) fn bootstrap(&mut self, servers: &BTreeSet<NodeId>, prim: &PrimComponent) {
+        self.server_set = servers.iter().copied().chain([self.me]).collect();
+        self.prim_component = prim.clone();
+    }
+
+    /// White-line GC (§3), one step: a checkpoint at every `interval`-th
+    /// green and at an install's end, and, in the regular primary, this
+    /// server's line advertised once no created action has carried it for
+    /// an interval (`advertised` is the last line advertised or carried):
+    /// a replica that creates nothing would pin the white line, and every
+    /// body, forever. Nothing happens with GC off (`interval` 0). Returns
+    /// what a checkpoint discarded, if one ran, and the line to advertise.
+    pub(crate) fn gc_step(
+        &mut self,
+        store: &mut StorageHandle,
+        (interval, advertised): (u64, &mut u64),
+        at: GcAt,
+    ) -> (Option<u64>, Option<u64>) {
+        let (on, line) = (interval > 0, self.green_count);
+        match at {
+            GcAt::Created => *advertised = line.max(*advertised),
+            GcAt::Recovered => *advertised = line,
+            GcAt::Green { .. } | GcAt::Install => {}
+        }
+        let advertise =
+            on && at == GcAt::Green { regular_prim: true } && line >= *advertised + interval;
+        if advertise {
+            *advertised = line;
+        }
+        let every = matches!(at, GcAt::Green { .. }) && line.is_multiple_of(interval.max(1));
+        let checkpoint = on && (every || at == GcAt::Install);
+        let pruned = checkpoint.then(|| self.checkpoint(store));
+        (pruned, advertise.then_some(line))
+    }
+
+    /// `SwapReloadedGreens`: the reloaded green order's last two ids
+    /// swapped. The database was replayed in log order, so only the green
+    /// tail (what retransmission serves) is wrong.
+    #[cfg(feature = "chaos-mutations")]
+    pub(crate) fn swap_last_greens(&mut self) {
+        if let [.., a, b] = &mut self.green_tail[..] {
+            std::mem::swap(a, b);
+        }
+    }
+
+    /// Discards the bodies of **white** actions (§3) and, if the white
+    /// line is above the floor, compacts the log to a checkpoint of the
+    /// green state ([`Knowledge::save_base`]). Returns how many bodies
+    /// went. Safe: the white line is the minimum green line over the
+    /// server set, so every potential exchange peer has those actions
+    /// green, and the exchange plan never asks for a position below a
+    /// member's green count.
+    pub(crate) fn checkpoint(&mut self, store: &mut StorageHandle) -> u64 {
+        let (white, floor) = (self.white_line(), self.green_floor());
         if white <= floor {
-            return None;
+            return 0;
         }
         // The prune window is bounded by what we actually retain, and
         // the floor, derived from the tail, rises by exactly the entries
@@ -487,7 +614,8 @@ impl Knowledge {
             }
         }
         self.retained -= pruned;
-        Some(pruned as u64)
+        self.save_base(store);
+        pruned as u64
     }
 
     /// What a crashed server still holds in memory of its coloured
@@ -510,7 +638,6 @@ mod tests {
     use crate::persist;
     use todr_db::Op;
     use todr_sim::SimRng;
-    use todr_storage::StorageHandle;
 
     const CREATORS: u32 = 4;
     const ME: u32 = 0;
@@ -611,12 +738,16 @@ mod tests {
     }
 
     impl Replica {
+        /// An initial member, its records saved as the engine's
+        /// constructor saves them.
         fn new() -> Self {
-            Replica {
+            let mut r = Replica {
                 k: Knowledge::new(NodeId::new(ME), (0..CREATORS).map(NodeId::new)),
                 store: StorageHandle::sim(),
                 based_at: 0,
-            }
+            };
+            r.k.save_records(&mut r.store);
+            r
         }
 
         fn accept(&mut self, action: &Rc<Body>) -> Accept {
@@ -636,14 +767,11 @@ mod tests {
             self.based_at = self.k.green_count;
         }
 
-        /// A forced write completes, the process dies, recovery reads
-        /// the store back.
+        /// The records are saved, a forced write completes, the process
+        /// dies, recovery reads the store back.
         fn sync_crash_load(&mut self) -> Knowledge {
             self.k.save_records(&mut self.store);
-            self.store.commit_staged().expect("sim store cannot fail");
-            self.store.crash();
-            persist::load(&self.store, &Knowledge::new(NodeId::new(ME), []), true)
-                .expect("clean store loads")
+            reload(&mut self.store)
         }
 
         /// The live knowledge as a crash leaves it: the bodies of green
@@ -669,18 +797,54 @@ mod tests {
         }
     }
 
+    /// What recovery reads back once a forced write completes and the
+    /// process dies.
+    fn reload(store: &mut StorageHandle) -> Knowledge {
+        store.commit_staged().expect("sim store cannot fail");
+        store.crash();
+        persist::load(store, &Knowledge::new(NodeId::new(ME), []), true).expect("clean store loads")
+    }
+
+    /// `k` with `n` more actions of creators `1..CREATORS` green.
+    fn greened(mut k: Knowledge, rng: &mut SimRng, n: u64) -> Knowledge {
+        for _ in 0..n {
+            let c = 1 + rng.gen_range(CREATORS as u64 - 1) as u32;
+            let a = action(c, green(&k, c) + 1);
+            k.accept_red(&a);
+            assert!(k.mark_green(&a));
+        }
+        k
+    }
+
     /// The rules exist once: for random interleavings of create / accept
-    /// (own queued actions included) / green / prune / adopt-base over
-    /// several creators, what `persist::load` folds out of the log and
-    /// records the live path wrote equals what the live path holds.
+    /// (own queued actions included) / green / yellow / prune /
+    /// adopt-base / join and leave greens over several creators, from the
+    /// initial set or after a joiner's bootstrap, what `persist::load`
+    /// folds out of the log and records the live path wrote equals what
+    /// the live path holds. A join or leave green stages its records
+    /// itself: what recovery reads right after one has its membership.
     #[test]
     fn live_and_replayed_knowledge_agree() {
         for seed in 0..150u64 {
             let mut rng = SimRng::new(seed);
             let mut r = Replica::new();
+            if seed % 3 == 0 {
+                // This server joins online: a representative's base.
+                let members = (1..CREATORS).map(NodeId::new);
+                let mut donor = Knowledge::new(NodeId::new(1), members);
+                donor = greened(donor, &mut rng, 8);
+                assert!(donor.join_green(&mut StorageHandle::sim(), NodeId::new(ME)));
+                r.k = Knowledge::new(NodeId::new(ME), []);
+                r.k.bootstrap(&donor.server_set, &donor.prim_component);
+                r.k.adopt_base(donor.green_base(), &donor.green_lines);
+                r.rebase();
+                r.k.save_records(&mut r.store);
+            }
             for _ in 0..120 {
                 let creator = rng.gen_range(CREATORS as u64) as u32;
-                match rng.gen_range(16) {
+                // A server id beyond the creators can join, and leave.
+                let server = NodeId::new(1 + rng.gen_range(CREATORS as u64 + 1) as u32);
+                match rng.gen_range(19) {
                     // Accept: the creator's next, a duplicate, or ahead;
                     // an own action is its queued body if it has one.
                     0..=6 => {
@@ -700,39 +864,56 @@ mod tests {
                         let done = green(&r.k, creator);
                         assert!(done == 0 || !r.green(&action(creator, done)));
                     }
-                    // Peers' green lines move up; prune below the white line.
+                    // Members' green lines move up; prune below the white
+                    // line.
                     11 | 12 => {
-                        for peer in 1..CREATORS {
-                            let line = r.k.green_lines.entry(NodeId::new(peer)).or_insert(0);
-                            let room = r.k.green_count - *line;
-                            *line += rng.gen_range(room + 1);
+                        for peer in r.k.server_set.clone() {
+                            let line = r.k.green_lines.get(&peer).copied().unwrap_or(0);
+                            let room = r.k.green_count - line;
+                            r.k.raise_green_line(peer, line + rng.gen_range(room + 1));
                         }
-                        if r.k.prune_white().is_some() {
-                            r.rebase();
+                        if r.k.checkpoint(&mut r.store) > 0 {
+                            r.based_at = r.k.green_count;
                         }
                     }
                     // Adopt the base of a peer that is ahead: it has
                     // greened some of what we hold red, and more.
                     13 => {
-                        let mut donor = r.k.clone();
-                        for _ in 0..rng.gen_range(6) {
-                            let c = rng.gen_range(CREATORS as u64) as u32;
-                            let a = action(c, green(&donor, c) + 1);
-                            donor.accept_red(&a);
-                            assert!(donor.mark_green(&a));
-                        }
+                        let n = rng.gen_range(6);
+                        let donor = greened(r.k.clone(), &mut rng, n);
                         if donor.green_count > r.k.green_count {
                             r.k.adopt_base(donor.green_base(), &donor.green_lines);
                             r.rebase();
                         }
                     }
-                    // The named records move, and this server creates an
-                    // action: queued until an accept of its index.
+                    // The named records move, a red action turns yellow,
+                    // and this server creates an action: queued until an
+                    // accept of its index.
                     14 => {
                         r.k.attempt_index += 1;
+                        let red = r.k.red_bodies().next().map(|b| b.id);
+                        if let Some(id) = red {
+                            let fresh = !r.k.yellow.set.contains(&id);
+                            assert_eq!(r.k.mark_yellow(&mut r.store, id), fresh);
+                        }
                         let kind = action(ME, 0).kind.clone();
-                        let own = r.k.create_action(&mut r.store, ClientId(1), kind, 200);
-                        r.k.yellow.set.push(own.id);
+                        r.k.create_action(&mut r.store, ClientId(1), kind, 200);
+                    }
+                    // A join or leave goes green: a no-op for a member
+                    // joining or a non-member leaving.
+                    15 | 16 => {
+                        let member = r.k.server_set.contains(&server);
+                        let join = rng.gen_range(2) == 0;
+                        let changed = match join {
+                            true => r.k.join_green(&mut r.store, server),
+                            false => r.k.leave_green(&mut r.store, server),
+                        };
+                        assert_eq!(changed, join != member);
+                        let loaded = reload(&mut r.store);
+                        assert_eq!(loaded.server_set, r.k.server_set, "seed {seed}");
+                        assert_eq!(loaded.prim_component, r.k.prim_component);
+                        let line = |k: &Knowledge| k.green_lines.get(&server).copied();
+                        assert!(!changed || line(&loaded) == line(&r.k), "seed {seed}");
                     }
                     _ => assert_eq!(r.sync_crash_load(), r.as_recovered(), "seed {seed}"),
                 }
@@ -895,7 +1076,7 @@ mod tests {
                             *line += rng.gen_range(k.green_count - *line + 1);
                         }
                         let (tail, floor) = (k.green_tail.clone(), k.green_floor());
-                        let pruned = k.prune_white().unwrap_or(0);
+                        let pruned = k.checkpoint(&mut StorageHandle::sim());
                         let dropped = &tail[..(k.green_floor() - floor) as usize];
                         for id in dropped {
                             model.bodies.remove(id);
@@ -952,6 +1133,209 @@ mod tests {
         assert_eq!(k.green_cuts(), [(NodeId::new(0), 1)].into());
         assert_eq!(k.green_tail, vec![action(0, 1).id]);
         assert_eq!(k.red_bodies().count(), 2);
+    }
+
+    /// Greens creator 1's next action with server 1's line at the new
+    /// count, so every green body is white at once, then takes one GC
+    /// step `at`.
+    fn green_then_gc(
+        k: &mut Knowledge,
+        gc: (u64, &mut u64),
+        at: GcAt,
+    ) -> (Option<u64>, Option<u64>) {
+        let a = action(1, green(k, 1) + 1);
+        k.accept_red(&a);
+        assert!(k.mark_green(&a));
+        k.raise_green_line(NodeId::new(1), k.green_count);
+        k.gc_step(&mut StorageHandle::sim(), gc, at)
+    }
+
+    /// A checkpoint runs at every `interval`-th green and at an install,
+    /// and discards what is white; with GC off, never.
+    #[test]
+    fn the_gc_step_prunes_only_at_interval_multiples_and_at_install() {
+        let mut k = Knowledge::new(NodeId::new(ME), [NodeId::new(ME), NodeId::new(1)]);
+        let mut advertised = 0;
+        for count in 1..=9u64 {
+            let (pruned, _) = green_then_gc(
+                &mut k,
+                (4, &mut advertised),
+                GcAt::Green {
+                    regular_prim: false,
+                },
+            );
+            assert_eq!(pruned, count.is_multiple_of(4).then_some(4), "at {count}");
+        }
+        assert_eq!(k.retained(), 1);
+        for at in [GcAt::Created, GcAt::Recovered] {
+            assert_eq!(
+                k.gc_step(&mut StorageHandle::sim(), (4, &mut advertised), at)
+                    .0,
+                None
+            );
+        }
+        assert_eq!(
+            k.gc_step(
+                &mut StorageHandle::sim(),
+                (4, &mut advertised),
+                GcAt::Install
+            )
+            .0,
+            Some(1)
+        );
+        assert_eq!((k.retained(), k.green_floor()), (0, 9));
+        for at in [GcAt::Green { regular_prim: true }, GcAt::Install] {
+            assert_eq!(green_then_gc(&mut k, (0, &mut advertised), at).0, None);
+        }
+        assert_eq!(k.retained(), 2);
+    }
+
+    /// The line is advertised in the regular primary once it passes the
+    /// last advertised or carried line by an interval: never outside it,
+    /// never with GC off. A created action carries the line, and
+    /// recovery takes the reloaded line as advertised.
+    #[test]
+    fn the_gc_step_advertises_only_in_the_regular_primary_once_an_interval_passes() {
+        let mut k = Knowledge::new(NodeId::new(ME), [NodeId::new(ME), NodeId::new(1)]);
+        let (prim, mut advertised) = (GcAt::Green { regular_prim: true }, 0);
+        let mut lines = Vec::new();
+        for _ in 0..12 {
+            lines.extend(green_then_gc(&mut k, (4, &mut advertised), prim).1);
+        }
+        assert_eq!((lines, advertised), (vec![4, 8, 12], 12));
+        for _ in 0..8 {
+            let outside = green_then_gc(
+                &mut k,
+                (4, &mut advertised),
+                GcAt::Green {
+                    regular_prim: false,
+                },
+            );
+            assert_eq!(outside.1, None);
+            assert_eq!(green_then_gc(&mut k, (0, &mut advertised), prim).1, None);
+        }
+        assert_eq!(
+            green_then_gc(&mut k, (4, &mut advertised), prim).1,
+            Some(29)
+        );
+        k.gc_step(
+            &mut StorageHandle::sim(),
+            (4, &mut advertised),
+            GcAt::Created,
+        );
+        let mut advertised = 0; // a crash loses it
+        k.gc_step(
+            &mut StorageHandle::sim(),
+            (4, &mut advertised),
+            GcAt::Recovered,
+        );
+        assert_eq!(advertised, 29);
+        let lines: Vec<u64> = (0..4)
+            .filter_map(|_| green_then_gc(&mut k, (4, &mut advertised), prim).1)
+            .collect();
+        assert_eq!(lines, [33]);
+        for _ in 0..2 {
+            green_then_gc(
+                &mut k,
+                (4, &mut advertised),
+                GcAt::Green {
+                    regular_prim: false,
+                },
+            );
+        }
+        k.gc_step(
+            &mut StorageHandle::sim(),
+            (4, &mut advertised),
+            GcAt::Created,
+        );
+        assert_eq!(advertised, 35);
+        assert_eq!(green_then_gc(&mut k, (4, &mut advertised), prim).1, None);
+    }
+
+    /// A green join adds the joiner, known as a creator at red cut 0,
+    /// its line at the join, and stages the records; a second green join
+    /// of it (a later duplicate announcement) changes nothing.
+    #[test]
+    fn a_second_join_green_is_a_no_op() {
+        let mut r = Replica::new();
+        let joiner = NodeId::new(7);
+        green_then_gc(&mut r.k, (0, &mut 0), GcAt::Install);
+        assert!(r.k.join_green(&mut r.store, joiner));
+        assert_eq!(r.k.red_cuts().get(&joiner), Some(&0));
+        assert_eq!(r.k.green_lines.get(&joiner), Some(&1));
+        green_then_gc(&mut r.k, (0, &mut 0), GcAt::Install);
+        let joined = r.k.clone();
+        assert!(!r.k.join_green(&mut r.store, joiner));
+        assert_eq!(r.k, joined);
+        let loaded = reload(&mut r.store);
+        assert!(loaded.server_set.contains(&joiner));
+        assert_eq!(loaded.green_lines.get(&joiner), Some(&1));
+    }
+
+    /// A green leave of a non-member changes nothing; a member's leaves
+    /// the server set, the green lines and the quorum base, staged.
+    #[test]
+    fn a_leave_of_a_non_member_is_a_no_op() {
+        let mut r = Replica::new();
+        let (leaver, before) = (NodeId::new(3), r.k.clone());
+        assert!(!r.k.leave_green(&mut r.store, NodeId::new(7)));
+        assert_eq!(r.k, before);
+        r.k.raise_green_line(leaver, 0);
+        assert!(r.k.leave_green(&mut r.store, leaver));
+        let left = r.k.clone();
+        assert!(!r.k.leave_green(&mut r.store, leaver));
+        assert_eq!(r.k, left);
+        let loaded = reload(&mut r.store);
+        for k in [&r.k, &loaded] {
+            assert!(!k.server_set.contains(&leaver) && !k.green_lines.contains_key(&leaver));
+            assert_eq!(k.prim_component.departed, [leaver].into());
+        }
+    }
+
+    /// Levelling sets the line of every server of the attempt to this
+    /// server's green count but a departed one's, which stays out; A.9
+    /// levels them all.
+    #[test]
+    fn levelling_skips_departed_members() {
+        let mut r = Replica::new();
+        let members = (0..CREATORS).map(NodeId::new);
+        r.k.vulnerable = VulnerableRecord::new_attempt(0, 1, members);
+        for _ in 0..3 {
+            green_then_gc(&mut r.k, (0, &mut 0), GcAt::Install);
+        }
+        let departed = NodeId::new(2);
+        assert!(r.k.leave_green(&mut r.store, departed));
+        r.k.level_green_lines(&[departed].into());
+        let level = |ids: &[u32]| ids.iter().map(|&i| (NodeId::new(i), 3)).collect();
+        assert_eq!(r.k.green_lines, level(&[0, 1, 3]));
+        r.k.level_green_lines(&BTreeSet::new());
+        assert_eq!(r.k.green_lines, level(&[0, 1, 2, 3]));
+    }
+
+    /// A regular configuration after the primary's transitional one
+    /// settles the vote and validates the yellow set (A.3); after an
+    /// interrupted vote it settles the vote (A.11); otherwise nothing
+    /// moves (A.12, A.1). Each stages the records.
+    #[test]
+    fn a_regular_configuration_settles_the_vote_by_the_state_it_meets() {
+        for (from, vulnerable, yellow) in [
+            (EngineState::TransPrim, false, true),
+            (EngineState::No, false, false),
+            (EngineState::Un, true, false),
+            (EngineState::NonPrim, true, false),
+        ] {
+            let mut r = Replica::new();
+            r.k.vulnerable = VulnerableRecord::new_attempt(0, 1, [NodeId::new(ME)]);
+            r.k.shift_to_exchange(&mut r.store, from);
+            let loaded = reload(&mut r.store);
+            for k in [&r.k, &loaded] {
+                assert_eq!(
+                    (k.vulnerable.valid, k.yellow.valid),
+                    (vulnerable, yellow),
+                    "{from:?}"
+                );
+            }
+        }
     }
 
     #[test]

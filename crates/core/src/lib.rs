@@ -70,7 +70,7 @@ pub use semantics::{QuerySemantics, UpdateReplyPolicy};
 pub use todr_db::ReadConsistency;
 pub use types::{
     ClientReply, ClientRequest, Color, EngineConfig, EngineCtl, GreenBase, RequestId, StorageFault,
-    TransferWire, LEASE_DURATION,
+    TransferWire, CPU_PER_ACTION, LEASE_DURATION,
 };
 
 #[cfg(feature = "chaos-mutations")]

@@ -277,6 +277,11 @@ pub enum ChaosMutation {
 /// writes.
 pub const LEASE_DURATION: SimDuration = SimDuration::from_millis(60);
 
+/// Modelled CPU time to process one action at a replica (ordering,
+/// logging, applying). This is what caps the delayed-writes throughput
+/// in Figure 5(b).
+pub const CPU_PER_ACTION: SimDuration = SimDuration::from_micros(380);
+
 /// Tuning knobs and identity of a [`ReplicationEngine`](crate::ReplicationEngine).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -288,10 +293,6 @@ pub struct EngineConfig {
     /// Per-server voting weights for dynamic linear voting (absent =>
     /// weight 1).
     pub weights: BTreeMap<NodeId, u64>,
-    /// Modelled CPU time to process one action at a replica (ordering,
-    /// logging, applying). This is what caps the delayed-writes
-    /// throughput in Figure 5(b).
-    pub cpu_per_action: SimDuration,
     /// Upper bound on action bodies retained in memory (red set plus
     /// un-garbage-collected green tail). While at the bound, new local
     /// update requests are rejected with a retryable error — this bounds
@@ -336,7 +337,6 @@ impl EngineConfig {
             me,
             server_set,
             weights: BTreeMap::new(),
-            cpu_per_action: SimDuration::from_micros(380),
             max_retained_bodies: 1 << 16,
             fast_path: false,
             read_leases: false,

@@ -29,8 +29,7 @@ impl BaselineCluster {
     /// Builds `n_servers` two-phase-commit replicas.
     pub fn tpc(config: &ClusterConfig) -> Self {
         BaselineCluster::build(config, |world, node, nodes, fabric, disk| {
-            let mut tpc_config = TpcConfig::new(node, nodes.to_vec());
-            tpc_config.cpu_per_action = config.cpu_per_action;
+            let tpc_config = TpcConfig::new(node, nodes.to_vec());
             let server = world.add_actor(
                 format!("tpc-{node}"),
                 TpcServer::new(tpc_config, fabric, disk),
@@ -58,8 +57,7 @@ impl BaselineCluster {
                 format!("evs-{node}"),
                 EvsDaemon::new(node, fabric, ActorId::from_raw(0), evs_config),
             );
-            let mut corel_config = CorelConfig::new(node, nodes.to_vec());
-            corel_config.cpu_per_action = config.cpu_per_action;
+            let corel_config = CorelConfig::new(node, nodes.to_vec());
             let server = world.add_actor(
                 format!("corel-{node}"),
                 CorelServer::new(corel_config, daemon, fabric, disk),

@@ -84,8 +84,6 @@ pub struct ClusterConfig {
     pub disk_mode: DiskMode,
     /// Network profile.
     pub net: NetConfig,
-    /// Per-action CPU cost at each replica.
-    pub cpu_per_action: SimDuration,
     /// EVS heartbeat interval.
     pub hb_interval: SimDuration,
     /// EVS failure timeout.
@@ -164,7 +162,6 @@ impl ClusterConfig {
                 sync_latency: SimDuration::from_millis(10),
             },
             net: NetConfig::lan(),
-            cpu_per_action: SimDuration::from_micros(380),
             hb_interval: SimDuration::from_millis(50),
             fail_timeout: SimDuration::from_millis(200),
             ack_delay: SimDuration::from_micros(300),
@@ -400,12 +397,6 @@ impl ClusterConfigBuilder {
     /// daemons.
     pub fn reliable_links(mut self, on: bool) -> Self {
         self.cfg.reliable_links = on;
-        self
-    }
-
-    /// Sets the per-action CPU cost at each replica.
-    pub fn cpu_per_action(mut self, d: SimDuration) -> Self {
-        self.cfg.cpu_per_action = d;
         self
     }
 
@@ -716,7 +707,6 @@ impl Cluster {
         let fabric = self.fabrics[group as usize];
         let disk = world.add_actor(format!("disk-{node}"), DiskActor::new(config.disk_mode));
         let mut engine_config = EngineConfig::new(node, server_set.to_vec());
-        engine_config.cpu_per_action = config.cpu_per_action;
         engine_config.checkpoint_interval = config.checkpoint_interval;
         engine_config.initial_member = initial_member;
         engine_config.fast_path = config.fast_path;

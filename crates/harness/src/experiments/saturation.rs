@@ -2,10 +2,10 @@
 //! throughput knee of the delayed-writes engine.
 //!
 //! Without packing, Figure 5(b)'s delayed-writes curve plateaus at
-//! `1 / cpu_per_action` once the disk leaves the critical path. Packing
+//! `1 / CPU_PER_ACTION` once the disk leaves the critical path. Packing
 //! multiple submissions per wire frame lets a delivery burst share the
 //! fixed per-burst CPU overhead, so the ceiling moves toward
-//! `1 / (cpu_per_action - cpu_burst_overhead)`. This sweep measures
+//! `1 / (CPU_PER_ACTION - CPU_BURST_OVERHEAD)`. This sweep measures
 //! where each packing level saturates and emits the machine-readable
 //! `BENCH_saturation.json` its [`Saturation::gate`] compares against.
 

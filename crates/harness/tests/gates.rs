@@ -119,13 +119,13 @@ fn scale_gate_covers_every_bound() {
     edge(&base, gate, "got >10% chattier", step(ceiling), |s, v| {
         s.calibration.sim_events = v as u64
     });
-    let wall = 0.85 * base.wall_scaling_ratio;
+    let wall = base.host_cost_ratio / 0.85;
     edge(
         &base,
         gate,
-        "wall-clock scaling degraded",
-        (wall, below(wall)),
-        |s, v| s.wall_scaling_ratio = v,
+        "host cost per action scaled worse",
+        (wall, above(wall)),
+        |s, v| s.host_cost_ratio = v,
     );
     let n = base.replica_counts[0];
     let full_load = |c: &ScaleCell, protocol: &str| {
