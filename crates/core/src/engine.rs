@@ -8,7 +8,7 @@ use std::rc::Rc;
 use todr_db::keys::row_fingerprint;
 use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
 use todr_evs::{ConfId, Configuration, EvsCmd, EvsEvent};
-use todr_net::{Datagram, NetOp, NodeId};
+use todr_net::{Datagram, NetOp, NodeId, NodeMap};
 use todr_sim::{
     metric, Actor, ActorId, ApplyHorizon, CpuMeter, Ctx, EventColor, Footprint, Payload,
     ProtocolEvent, ReadTier, SimDuration, SimTime,
@@ -79,7 +79,7 @@ pub(crate) enum EngineMsg {
     /// with the sender's green lines.
     GreenSnapshot {
         base: GreenBase,
-        green_lines: BTreeMap<NodeId, u64>,
+        green_lines: NodeMap<u64>,
     },
     /// End-of-retransmission marker.
     RetransDone { server: NodeId },
@@ -1194,7 +1194,7 @@ impl ReplicationEngine {
     /// No green mark will name this server's own actions the base
     /// greens, so the replies it still owes for them are answered here,
     /// as committed at green, against the adopted state.
-    fn adopt_base(&mut self, ctx: &mut Ctx<'_>, base: &GreenBase, lines: &BTreeMap<NodeId, u64>) {
+    fn adopt_base(&mut self, ctx: &mut Ctx<'_>, base: &GreenBase, lines: &NodeMap<u64>) {
         self.announce_green_line(ctx);
         let me = self.cfg.me;
         let own = |index| ActionId { server: me, index };

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use todr_db::Database;
-use todr_net::NodeId;
+use todr_net::{NodeId, NodeMap};
 use todr_storage::StorageHandle;
 
 use crate::action::{Action, ActionId, ActionKind, Body, ClientId};
@@ -95,7 +95,7 @@ pub(crate) struct Knowledge {
     pub me: NodeId,
     /// Per creator: the red and green cuts and the retained bodies (the
     /// paper's `actionsQueue`).
-    creators: BTreeMap<NodeId, CreatorRecord>,
+    creators: NodeMap<CreatorRecord>,
     /// Bodies retained over all creators.
     retained: usize,
     /// Number of green actions: the position of this server's green
@@ -121,7 +121,7 @@ pub(crate) struct Knowledge {
     /// Per server, the last green count it is known to have reached
     /// (`greenLines`); their minimum is the white line. This server's
     /// own entry is its green count, kept by the rules that move it.
-    pub green_lines: BTreeMap<NodeId, u64>,
+    pub green_lines: NodeMap<u64>,
     /// The current replica set (`serverSet`).
     pub server_set: BTreeSet<NodeId>,
     /// This server's created-but-not-yet-red actions by index (the
@@ -140,9 +140,12 @@ impl Knowledge {
     /// everything else empty.
     pub(crate) fn new(me: NodeId, server_set: impl IntoIterator<Item = NodeId>) -> Self {
         let server_set: BTreeSet<NodeId> = server_set.into_iter().collect();
+        // Both tables get a row per member: sized once, they never grow
+        // while the server set holds.
+        let members = server_set.len();
         Knowledge {
             me,
-            creators: BTreeMap::new(),
+            creators: NodeMap::with_capacity(members),
             retained: 0,
             green_count: 0,
             green_tail: Vec::new(),
@@ -151,7 +154,7 @@ impl Knowledge {
             attempt_index: 0,
             vulnerable: VulnerableRecord::invalid(),
             yellow: YellowRecord::invalid(),
-            green_lines: BTreeMap::new(),
+            green_lines: NodeMap::with_capacity(members),
             server_set,
             ongoing: BTreeMap::new(),
             action_index: 0,
@@ -403,7 +406,7 @@ impl Knowledge {
     pub(crate) fn adopt_base(
         &mut self,
         base: GreenBase,
-        green_lines: &BTreeMap<NodeId, u64>,
+        green_lines: &NodeMap<u64>,
     ) -> Vec<(NodeId, u64)> {
         self.db = base.db;
         self.green_count = base.green_count;
@@ -702,7 +705,7 @@ mod tests {
         assert_eq!(k.green_lines, [(NodeId::new(ME), 1)].into());
         k.raise_green_line(NodeId::new(2), 9);
         let cuts = BTreeMap::from([(NodeId::new(1), 2), (NodeId::new(2), 4)]);
-        let lines = BTreeMap::from([
+        let lines = NodeMap::from([
             (NodeId::new(ME), 8),
             (NodeId::new(1), 5),
             (NodeId::new(2), 3),
@@ -724,7 +727,7 @@ mod tests {
         assert!(k.is_green(&action(1, 2).id) && !k.is_green(&action(1, 3).id));
         assert_eq!(k.retained(), 1);
         // A base at or below what is held raises nothing.
-        assert!(k.adopt_base(base(6, &cuts), &BTreeMap::new()).is_empty());
+        assert!(k.adopt_base(base(6, &cuts), &NodeMap::new()).is_empty());
     }
 
     /// A replica's knowledge and store, driven the way the engine's
@@ -960,7 +963,7 @@ mod tests {
             k.create_action(&mut store, ClientId(1), kind.clone(), 200);
         }
         assert_eq!(queued(&k), vec![1, 2, 3]);
-        k.adopt_base(base(2, &[(NodeId::new(ME), 2)].into()), &BTreeMap::new());
+        k.adopt_base(base(2, &[(NodeId::new(ME), 2)].into()), &NodeMap::new());
         assert_eq!(queued(&k), vec![3]);
         assert!(!k.own_actions_green());
         let own = k.create_action(&mut store, ClientId(1), kind, 200);
@@ -1094,7 +1097,7 @@ mod tests {
                             }
                         }
                         let count = k.green_count + rng.gen_range(4);
-                        k.adopt_base(base(count, &cuts), &BTreeMap::new());
+                        k.adopt_base(base(count, &cuts), &NodeMap::new());
                         model.adopt_base(&cuts);
                     }
                     _ => {

@@ -260,7 +260,9 @@ pub(crate) fn load(
         .map(|(index, record)| record.decode().map_err(|_| undecodable(index as u64)))
         .collect::<Result<_, _>>()?;
     let green_lines = record(store, K_GREEN_LINES)?.unwrap_or_default();
-    let mut k = Knowledge::new(held.me, []);
+    // Sized for the held server set; the set and primary component it
+    // fills in are replaced below.
+    let mut k = Knowledge::new(held.me, held.server_set.iter().copied());
     k.adopt_base(base, &green_lines);
     k.prim_component = record(store, K_PRIM)?.unwrap_or_else(|| held.prim_component.clone());
     k.attempt_index = record(store, K_ATTEMPT)?.unwrap_or(0);
@@ -352,9 +354,9 @@ mod tests {
     use super::*;
     use crate::action::{ActionKind, ClientId};
     use crate::quorum::PrimComponent;
-    use std::collections::BTreeMap;
     use std::rc::Rc;
     use todr_db::Op;
+    use todr_net::NodeMap;
     use todr_storage::seal_record;
 
     /// The replica the stores belong to: it created none of the
@@ -470,7 +472,7 @@ mod tests {
         let sealed = seal_record(&BASE_BYTES);
         assert_eq!(&encode_record(&pinned_base())[..], &sealed[..]);
         let mut k = Knowledge::new(NodeId::new(0), []);
-        k.adopt_base(pinned_base(), &BTreeMap::new());
+        k.adopt_base(pinned_base(), &NodeMap::new());
         let mut store = StorageHandle::sim();
         k.save_base(&mut store);
         let saved = store.get_record_bytes(K_BASE);

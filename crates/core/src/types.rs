@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use todr_db::{Database, Op, Query, QueryResult, ReadConsistency};
-use todr_net::NodeId;
+use todr_net::{NodeId, NodeMap};
 use todr_sim::{ActorId, SimDuration, SimTime};
 
 use crate::action::{ActionId, ClientId};
@@ -188,7 +188,7 @@ pub enum TransferWire {
         /// The representative's green state.
         base: GreenBase,
         /// Green lines as known at the representative.
-        green_lines: BTreeMap<NodeId, u64>,
+        green_lines: NodeMap<u64>,
         /// The server set including the joiner.
         server_set: BTreeSet<NodeId>,
         /// The representative's last known primary component.

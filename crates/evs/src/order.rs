@@ -20,10 +20,10 @@
 //! membership change, and what gets retransmitted to same-configuration
 //! peers during the flush phase.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use todr_net::NodeId;
+use todr_net::{NodeId, NodeMap};
 
 use crate::types::{Configuration, Delivery};
 use crate::wire::{SequencedMsg, SubmitItem};
@@ -47,9 +47,11 @@ pub(crate) struct ConfOrdering {
     delivered_upto: u64,
     /// Latest stability line heard from the coordinator.
     stable_upto: u64,
-    /// Received, not-yet-safe messages: seq → message, covering
-    /// `(delivered_upto, have_upto]`.
-    buffer: BTreeMap<u64, SequencedMsg>,
+    /// Received, not-yet-safe messages, as a window: slot `i` holds
+    /// sequence number `delivered_upto + 1 + i`. Every slot up to
+    /// `have_upto` is filled; past it, a retransmission that landed
+    /// beyond a hole fills its own slot and leaves `None` in between.
+    buffer: VecDeque<Option<SequencedMsg>>,
 
     // --- sender side ---
     next_local_seq: u64,
@@ -60,7 +62,7 @@ pub(crate) struct ConfOrdering {
 
     // --- coordinator side ---
     next_seq: u64,
-    acks: BTreeMap<NodeId, u64>,
+    acks: NodeMap<u64>,
     /// Cached minimum of `acks` — the low-water mark. Maintained
     /// incrementally so [`Self::on_ack`] only rescans the vector when
     /// the member that moved *was* the laggard, making ack processing
@@ -85,7 +87,12 @@ impl ConfOrdering {
     }
 
     pub(crate) fn with_mode(conf: Configuration, me: NodeId, agreed_mode: bool) -> Self {
-        let acks = conf.members.iter().map(|&m| (m, 0)).collect();
+        // Only the coordinator counts acks: a row per member, sized once.
+        let acks = if conf.coordinator() == me {
+            conf.members.iter().map(|&m| (m, 0)).collect()
+        } else {
+            NodeMap::new()
+        };
         let members_shared: Rc<[NodeId]> = conf.members.as_slice().into();
         ConfOrdering {
             conf,
@@ -94,7 +101,7 @@ impl ConfOrdering {
             have_upto: 0,
             delivered_upto: 0,
             stable_upto: 0,
-            buffer: BTreeMap::new(),
+            buffer: VecDeque::new(),
             next_local_seq: 0,
             unsequenced: BTreeMap::new(),
             next_seq: 0,
@@ -251,11 +258,12 @@ impl ConfOrdering {
             self.me,
             self.conf.id
         );
-        self.have_upto = msg.seq;
+        let seq = msg.seq;
+        self.have_upto = seq;
         if msg.sender == self.me {
             self.unsequenced.remove(&msg.local_seq);
         }
-        self.buffer.insert(msg.seq, msg);
+        *self.slot(seq) = Some(msg);
         if self.agreed_mode {
             // Agreed order suffices: deliver as soon as sequenced.
             let upto = self.have_upto;
@@ -271,24 +279,43 @@ impl ConfOrdering {
         if upto > self.stable_upto {
             self.stable_upto = upto;
         }
-        let mut out = Vec::new();
-        while self.delivered_upto < self.stable_upto.min(self.have_upto) {
-            let seq = self.delivered_upto + 1;
-            let msg = self
-                .buffer
-                .remove(&seq)
-                .expect("buffer hole below have_upto");
-            self.delivered_upto = seq;
+        self.deliver_upto(self.stable_upto.min(self.have_upto), false)
+    }
+
+    /// Delivers the window's front up to `upto` (at most `have_upto`),
+    /// in sequence order.
+    fn deliver_upto(&mut self, upto: u64, in_transitional: bool) -> Vec<Delivery> {
+        let count = upto.saturating_sub(self.delivered_upto) as usize;
+        let mut out = Vec::with_capacity(count);
+        for msg in self.buffer.drain(..count) {
+            let msg = msg.expect("buffer hole below have_upto");
             out.push(Delivery {
                 sender: msg.sender,
                 payload: msg.payload,
                 conf_id: self.conf.id,
-                seq,
-                in_transitional: false,
+                seq: msg.seq,
+                in_transitional,
                 last_in_batch: false,
             });
         }
+        self.delivered_upto += count as u64;
         out
+    }
+
+    /// The window slot of `seq`, which is above `delivered_upto`; the
+    /// window grows to reach it.
+    fn slot(&mut self, seq: u64) -> &mut Option<SequencedMsg> {
+        let at = (seq - self.delivered_upto - 1) as usize;
+        if at >= self.buffer.len() {
+            self.buffer.resize(at + 1, None);
+        }
+        &mut self.buffer[at]
+    }
+
+    /// The retained message `seq`.
+    fn buffered(&self, seq: u64) -> Option<&SequencedMsg> {
+        let at = seq.checked_sub(self.delivered_upto + 1)?;
+        self.buffer.get(usize::try_from(at).ok()?)?.as_ref()
     }
 
     /// Flush: messages in `from..=to` for retransmission to a peer that
@@ -302,8 +329,7 @@ impl ConfOrdering {
     pub(crate) fn msgs_range(&self, from: u64, to: u64) -> Vec<SequencedMsg> {
         (from..=to)
             .map(|seq| {
-                self.buffer
-                    .get(&seq)
+                self.buffered(seq)
                     .unwrap_or_else(|| panic!("retrans range missing seq {seq}"))
                     .clone()
             })
@@ -318,10 +344,10 @@ impl ConfOrdering {
                 if msg.sender == self.me {
                     self.unsequenced.remove(&msg.local_seq);
                 }
-                self.buffer.entry(msg.seq).or_insert_with(|| msg.clone());
+                self.slot(msg.seq).get_or_insert_with(|| msg.clone());
             }
         }
-        while self.buffer.contains_key(&(self.have_upto + 1)) {
+        while self.buffered(self.have_upto + 1).is_some() {
             self.have_upto += 1;
         }
     }
@@ -329,24 +355,7 @@ impl ConfOrdering {
     /// Install: drains everything ordered-but-not-safe for delivery in
     /// the transitional configuration, in sequence order.
     pub(crate) fn take_transitional(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while self.delivered_upto < self.have_upto {
-            let seq = self.delivered_upto + 1;
-            let msg = self
-                .buffer
-                .remove(&seq)
-                .expect("buffer hole below have_upto");
-            self.delivered_upto = seq;
-            out.push(Delivery {
-                sender: msg.sender,
-                payload: msg.payload,
-                conf_id: self.conf.id,
-                seq,
-                in_transitional: true,
-                last_in_batch: false,
-            });
-        }
-        out
+        self.deliver_upto(self.have_upto, true)
     }
 
     /// Install: own submissions that were never sequenced in this
@@ -611,6 +620,199 @@ mod tests {
             assert_eq!(got, expect, "divergence after ack ({from}, {upto})");
         }
         assert_eq!(coord.announced_stable(), 40);
+    }
+
+    /// The member's buffer as a map from sequence number, the form the
+    /// window replaced, holding each message's `local_seq`: the reference
+    /// the window is checked against.
+    #[derive(Default)]
+    struct MapBuffer {
+        buffer: BTreeMap<u64, u64>,
+        have_upto: u64,
+        delivered_upto: u64,
+        stable_upto: u64,
+    }
+
+    impl MapBuffer {
+        fn sequenced(&mut self, m: &SequencedMsg) {
+            self.have_upto = m.seq;
+            self.buffer.insert(m.seq, m.local_seq);
+        }
+
+        fn stable(&mut self, upto: u64) -> Vec<(u64, u64)> {
+            self.stable_upto = self.stable_upto.max(upto);
+            self.deliver(self.stable_upto)
+        }
+
+        fn deliver(&mut self, upto: u64) -> Vec<(u64, u64)> {
+            let mut out = Vec::new();
+            while self.delivered_upto < upto.min(self.have_upto) {
+                self.delivered_upto += 1;
+                let seq = self.delivered_upto;
+                out.extend(self.buffer.remove(&seq).map(|local| (seq, local)));
+            }
+            out
+        }
+
+        fn retrans(&mut self, msgs: &[SequencedMsg]) {
+            for m in msgs.iter().filter(|m| m.seq > self.delivered_upto) {
+                self.buffer.entry(m.seq).or_insert(m.local_seq);
+            }
+            while self.buffer.contains_key(&(self.have_upto + 1)) {
+                self.have_upto += 1;
+            }
+        }
+
+        fn range(&self, from: u64, to: u64) -> Option<Vec<(u64, u64)>> {
+            (from..=to)
+                .map(|seq| self.buffer.get(&seq).map(|&local| (seq, local)))
+                .collect()
+        }
+    }
+
+    /// What deliveries carry, comparable with [`MapBuffer`]'s: the
+    /// sequence number and the `local_seq` the test stored as payload.
+    fn seqs(deliveries: &[Delivery]) -> Vec<(u64, u64)> {
+        let local = |d: &Delivery| d.payload.downcast_ref::<u64>().copied();
+        deliveries
+            .iter()
+            .map(|d| (d.seq, local(d).unwrap_or(0)))
+            .collect()
+    }
+
+    fn ranged(msgs: &[SequencedMsg]) -> Vec<(u64, u64)> {
+        msgs.iter().map(|m| (m.seq, m.local_seq)).collect()
+    }
+
+    fn assert_agrees(window: &ConfOrdering, map: &MapBuffer, context: &str) {
+        assert_eq!(window.have_upto(), map.have_upto, "{context}");
+        assert_eq!(window.delivered_upto(), map.delivered_upto, "{context}");
+        // The window holds exactly what the map holds: the filled prefix
+        // and whatever landed beyond a hole.
+        let held: Vec<u64> = (map.delivered_upto + 1..=map.delivered_upto + 64)
+            .filter(|&seq| window.buffered(seq).is_some())
+            .collect();
+        assert_eq!(
+            held,
+            map.buffer.keys().copied().collect::<Vec<_>>(),
+            "{context}"
+        );
+        assert!(
+            window.buffer.len() as u64
+                <= map
+                    .buffer
+                    .keys()
+                    .max()
+                    .map_or(0, |&s| s - map.delivered_upto),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn a_retransmission_beyond_a_hole_waits_for_the_hole() {
+        let mut coord = ConfOrdering::new(conf(&[0, 1, 2]), n(0));
+        let msgs: Vec<SequencedMsg> = (1..=7).map(|i| msg(&mut coord, n(2), i)).collect();
+        let mut member = ConfOrdering::new(conf(&[0, 1, 2]), n(1));
+        let mut map = MapBuffer::default();
+        for m in &msgs[..4] {
+            assert!(member.on_sequenced(m.clone(), 0).is_empty());
+            map.sequenced(m);
+        }
+        assert_eq!(seqs(&member.on_stable(2)), map.stable(2));
+        assert_agrees(&member, &map, "1..=4 received, 1..=2 delivered");
+
+        // 5 and 7 arrive; 6 is a hole, so only 5 extends the prefix.
+        member.apply_retrans(&[msgs[4].clone(), msgs[6].clone()]);
+        map.retrans(&[msgs[4].clone(), msgs[6].clone()]);
+        assert_eq!(member.have_upto(), 5);
+        assert_agrees(&member, &map, "5 and 7 retransmitted");
+        assert_eq!(
+            ranged(&member.msgs_range(3, 5)),
+            map.range(3, 5).unwrap_or_default()
+        );
+        assert_eq!(map.range(3, 7), None, "the reference has the hole too");
+        // Stability past the hole delivers only the filled prefix.
+        assert_eq!(seqs(&member.on_stable(7)), map.stable(7));
+        assert_agrees(&member, &map, "stable at 7 with 6 missing");
+
+        // 6 fills the hole: the prefix runs on to 7.
+        member.apply_retrans(&[msgs[5].clone(), msgs[6].clone()]);
+        map.retrans(&[msgs[5].clone(), msgs[6].clone()]);
+        assert_eq!(member.have_upto(), 7);
+        assert_agrees(&member, &map, "6 retransmitted");
+        assert_eq!(
+            ranged(&member.msgs_range(6, 7)),
+            map.range(6, 7).unwrap_or_default()
+        );
+        assert_eq!(
+            seqs(&member.take_transitional()),
+            map.deliver(map.have_upto)
+        );
+        assert_agrees(&member, &map, "transitional taken");
+    }
+
+    #[test]
+    #[should_panic(expected = "retrans range missing seq 6")]
+    fn a_range_across_a_hole_is_a_protocol_bug() {
+        let mut coord = ConfOrdering::new(conf(&[0, 1]), n(0));
+        let msgs: Vec<SequencedMsg> = (1..=7).map(|i| msg(&mut coord, n(0), i)).collect();
+        let mut member = ConfOrdering::new(conf(&[0, 1]), n(1));
+        member.apply_retrans(&[msgs[4].clone(), msgs[6].clone()]);
+        member.msgs_range(5, 7);
+    }
+
+    /// Random receipt, stability, retransmission (holes included) and
+    /// transitional take-out: the window and the map agree throughout.
+    #[test]
+    fn the_window_agrees_with_the_map_buffer() {
+        for seed in 0..32 {
+            let mut rng = todr_sim::SimRng::new(seed);
+            let mut coord = ConfOrdering::new(conf(&[0, 1, 2]), n(0));
+            let msgs: Vec<SequencedMsg> = (1..=40).map(|i| msg(&mut coord, n(2), i)).collect();
+            let mut member = ConfOrdering::new(conf(&[0, 1, 2]), n(1));
+            let mut map = MapBuffer::default();
+            for step in 0..60 {
+                let context = format!("seed {seed}, step {step}");
+                match rng.gen_range(4) {
+                    0 => {
+                        if let Some(m) = msgs.get(member.have_upto() as usize) {
+                            let piggy = rng.gen_range(m.seq + 1);
+                            let got = member.on_sequenced(m.clone(), piggy);
+                            map.sequenced(m);
+                            assert_eq!(seqs(&got), map.stable(piggy), "{context}");
+                        }
+                    }
+                    1 => {
+                        let upto = rng.gen_range(41);
+                        assert_eq!(seqs(&member.on_stable(upto)), map.stable(upto), "{context}");
+                    }
+                    2 => {
+                        let from = rng.gen_range(40) as usize;
+                        let batch: Vec<SequencedMsg> = msgs[from..]
+                            .iter()
+                            .take(1 + rng.gen_range(4) as usize)
+                            .filter(|_| rng.gen_bool(0.7))
+                            .cloned()
+                            .collect();
+                        member.apply_retrans(&batch);
+                        map.retrans(&batch);
+                    }
+                    _ => {
+                        let from = map.delivered_upto + 1;
+                        if let Some(expected) = map.range(from, map.have_upto) {
+                            let got = member.msgs_range(from, map.have_upto);
+                            assert_eq!(ranged(&got), expected, "{context}");
+                        }
+                    }
+                }
+                assert_agrees(&member, &map, &context);
+            }
+            assert_eq!(
+                seqs(&member.take_transitional()),
+                map.deliver(map.have_upto)
+            );
+            assert_agrees(&member, &map, &format!("seed {seed}, transitional"));
+        }
     }
 
     #[test]

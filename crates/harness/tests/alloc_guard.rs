@@ -62,9 +62,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const REPLICAS: usize = 7;
 
 /// Allocations (reallocations included) per green mark per replica in
-/// the window below, as measured when the ceiling was set: 8.458. The
-/// count is deterministic, so any rise is a code change.
-const CEILING: f64 = 8.46;
+/// the window below, as measured when the ceiling was set: 8.316 (the
+/// EVS buffer became a window and the per-creator table a `NodeMap`;
+/// 8.458 before). The count is deterministic, so any rise is a code
+/// change.
+const CEILING: f64 = 8.32;
 
 #[test]
 fn green_delivery_allocations_per_replica_stay_bounded() {

@@ -63,6 +63,6 @@ mod probe;
 
 pub use fabric::{Datagram, NetConfig, NetFabric, NetOp, NetPayload};
 pub use latency::LatencyModel;
-pub use node::NodeId;
+pub use node::{NodeId, NodeMap};
 pub use partition::PartitionMap;
 pub use probe::ProbeInbox;

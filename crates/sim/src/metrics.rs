@@ -23,6 +23,7 @@
 //! sequence, so for a fixed seed the [`MetricsExport`] (and its JSON
 //! rendering) is byte-identical across runs.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -783,7 +784,7 @@ pub struct MetricsHub {
     counters: Vec<Option<u64>>,
     gauges: Vec<Option<u64>>,
     histograms: Vec<Option<Histogram>>,
-    events: Vec<RecordedEvent>,
+    events: EventLog,
     /// The senders of the logged delivery runs.
     runs: RunTable,
     /// Events logged per kind, indexed like [`KINDS`].
@@ -810,6 +811,47 @@ pub struct MetricsHub {
 /// the moved log lands is what makes peak memory differ between seeds.
 const EVENT_LOG_RESERVE: usize = 1 << 19;
 
+thread_local! {
+    /// The emptied log of the last hub dropped on this thread, for the
+    /// next hub to take ([`EventLog::reserved`]).
+    static SPARE_LOG: Cell<Vec<RecordedEvent>> = const { Cell::new(Vec::new()) };
+}
+
+/// A hub's event log. A reserved log is handed on, emptied, from each
+/// dropped hub to the next one made on the same thread, so a process
+/// that runs many worlds in turn reserves it once. A log reserved anew
+/// per world lands wherever the allocator finds 21 MB free; when the
+/// small allocations that outlive one world let the next log start
+/// lower, the untouched tail the previous log left behind is taken by
+/// other data, and peak memory creeps up world by world (the
+/// 56-replica benchmark cell: 30.5 → 33 MB over 20 repetitions, moved
+/// by a change to the size of a few per-replica tables).
+#[derive(Debug, Default)]
+struct EventLog(Vec<RecordedEvent>);
+
+impl EventLog {
+    /// The spare log if there is one, else a fresh reserve.
+    fn reserved() -> Self {
+        let spare = SPARE_LOG.try_with(Cell::take).unwrap_or_default();
+        if spare.capacity() >= EVENT_LOG_RESERVE {
+            EventLog(spare)
+        } else {
+            EventLog(Vec::with_capacity(EVENT_LOG_RESERVE))
+        }
+    }
+}
+
+impl Drop for EventLog {
+    fn drop(&mut self) {
+        if self.0.capacity() >= EVENT_LOG_RESERVE {
+            let mut log = std::mem::take(&mut self.0);
+            log.clear();
+            // `try_with`: a hub may drop while its thread tears down.
+            let _ = SPARE_LOG.try_with(|spare| spare.set(log));
+        }
+    }
+}
+
 impl MetricsHub {
     /// Creates an empty hub with event recording enabled.
     pub fn new() -> Self {
@@ -820,7 +862,7 @@ impl MetricsHub {
             // the next world's log decides whether a process running
             // many worlds in turn peaks at 37 MB or 54 MB (the
             // benchmark's 14-replica latency cell, by seed).
-            events: Vec::with_capacity(EVENT_LOG_RESERVE),
+            events: EventLog::reserved(),
             ..MetricsHub::default()
         }
     }
@@ -981,7 +1023,7 @@ impl MetricsHub {
     /// checks, so it cannot be turned off.
     pub fn emit(&mut self, at: SimTime, actor: ActorId, event: ProtocolEvent) {
         self.event_counts[event.kind_index()] += 1;
-        self.events.push(RecordedEvent {
+        self.events.0.push(RecordedEvent {
             at_nanos: at.as_nanos(),
             actor: actor.as_raw(),
             group: self.active_scope,
@@ -991,7 +1033,7 @@ impl MetricsHub {
 
     /// The full recorded event log, in emission order.
     pub fn events(&self) -> &[RecordedEvent] {
-        &self.events
+        &self.events.0
     }
 
     /// Iterates the events matching a predicate.
@@ -999,7 +1041,7 @@ impl MetricsHub {
     where
         F: FnMut(&ProtocolEvent) -> bool + 'a,
     {
-        self.events.iter().filter(move |r| pred(&r.event))
+        self.events.0.iter().filter(move |r| pred(&r.event))
     }
 
     /// Number of recorded events of the given [`ProtocolEvent::kind`].
@@ -1025,7 +1067,7 @@ impl MetricsHub {
                 .filter(|&(_, n)| n > 0)
                 .map(|(k, n)| (k.to_string(), n))
                 .collect(),
-            events_recorded: self.events.len() as u64,
+            events_recorded: self.events.0.len() as u64,
         }
     }
 }

@@ -18,7 +18,7 @@ use todr_core::{
     YellowRecord,
 };
 use todr_db::{Database, Op, Query, Value};
-use todr_net::NodeId;
+use todr_net::{NodeId, NodeMap};
 use todr_sim::SimRng;
 use todr_storage::{CodecErrorKind, LogRecord, StableStore, StorageError};
 
@@ -298,6 +298,21 @@ fn membership_records_survive_hostile_input_checks() {
     let green_lines: BTreeMap<NodeId, u64> =
         (0..7).map(|i| (node(i), u64::from(i) * 1000)).collect();
     check_hostile_input_properties(&green_lines);
+    // The engine keeps them as a `NodeMap`: the same bytes, and the same
+    // verdict on every torn or flipped copy of them.
+    let table = NodeMap::from(green_lines.clone());
+    assert_eq!(encode(&table), encode(&green_lines));
+    check_hostile_input_properties(&table);
+    let bytes = encode(&green_lines);
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[byte] ^= 1 << bit;
+            let as_map = decode::<BTreeMap<NodeId, u64>>(&flipped).map(NodeMap::from);
+            let as_table = decode::<NodeMap<u64>>(&flipped);
+            assert_eq!(as_table, as_map, "flip {byte}.{bit}");
+        }
+    }
     check_hostile_input_properties(&nodes(0..56));
     check_hostile_input_properties(&0u64);
     check_hostile_input_properties(&u64::MAX);
